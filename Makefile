@@ -7,7 +7,7 @@ FUZZTIME ?= 30s
 # artifacts accumulate into a perf trajectory).
 BENCH_N ?= local
 
-.PHONY: build vet fmt-check detlint lint-docs test race chaos bench bench-json bench-compare fuzz smoke ci
+.PHONY: build vet fmt-check detlint lint-docs test race chaos bench bench-json bench-compare bench-e2e bench-e2e-test fuzz smoke ci
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,16 @@ NEW ?= BENCH_local.json
 THRESHOLD ?= 15
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare -threshold $(THRESHOLD) -geomean $(OLD) $(NEW)
+
+# End-to-end benchmark: cmd/tdpipe-bench runs the five fixed serving
+# workloads twice each (about 30 s) and checks their golden digests.
+# The harness is a module of its own, so root `go test ./...` skips its
+# tests; bench-e2e-test runs them.
+bench-e2e:
+	bash cmd/tdpipe-bench/run.sh --seconds 0
+
+bench-e2e-test:
+	$(GO) -C cmd/tdpipe-bench test ./...
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGenerateSplitInvariants -fuzztime=$(FUZZTIME) ./internal/workload/

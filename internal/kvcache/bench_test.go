@@ -74,20 +74,35 @@ func BenchmarkAllocateSharedHit(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchPrefix measures the router's warmth probe.
+// BenchmarkMatchPrefix measures the router's warmth probe: a resident
+// 64-block chain (hit), a 256-block prefix of a group with nothing
+// resident (cold-miss, what most replicas answer on most arrivals), and
+// a resident 4096-block chain (chain=4096).
 func BenchmarkMatchPrefix(b *testing.B) {
-	b.ReportAllocs()
+	const chain = 4096
 	m, err := NewManager(1<<24, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := m.AllocateShared(0, 1024, 1, 1024); err != nil {
+	if _, err := m.AllocateShared(0, chain*16, 1, chain*16); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m.MatchPrefix(1, 1024) != 1024 {
-			b.Fatal("cold probe")
-		}
+	for _, bc := range []struct {
+		name          string
+		group, prefix int
+		want          int
+	}{
+		{"hit", 1, 1024, 1024},
+		{"cold-miss", 2, 4096, 0},
+		{"chain=4096", 1, chain * 16, chain * 16},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if m.MatchPrefix(bc.group, bc.prefix) != bc.want {
+					b.Fatal("probe missed its expected match")
+				}
+			}
+		})
 	}
 }

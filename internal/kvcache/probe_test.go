@@ -1,0 +1,156 @@
+package kvcache
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"testing/quick"
+)
+
+// refChainKeys is the chain of block keys written out in one loop, as
+// the allocator first defined it. The lazy probes must walk exactly
+// this sequence.
+func refChainKeys(group, n int) []uint64 {
+	keys := make([]uint64, n)
+	h := uint64(group)*0x9E3779B97F4A7C15 + 0x85EBCA77C2B2AE63
+	for i := range keys {
+		h += uint64(i) + 0x9E3779B97F4A7C15
+		h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
+		h = (h ^ (h >> 27)) * 0x94D049BB133111EB
+		h ^= h >> 31
+		keys[i] = h
+	}
+	return keys
+}
+
+// refMatchPrefix is MatchPrefix over the materialized reference chain.
+func refMatchPrefix(m *Manager, group, prefixTokens int) int {
+	hit := 0
+	for _, k := range refChainKeys(group, prefixTokens/m.blockSize) {
+		if _, ok := m.shared[k]; !ok {
+			break
+		}
+		hit++
+	}
+	return hit * m.blockSize
+}
+
+func TestChainKeysMatchReference(t *testing.T) {
+	for _, group := range []int{0, 1, 7, 1 << 20} {
+		got, want := chainKeys(group, 300), refChainKeys(group, 300)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("group %d: key %d = %x, want %x", group, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// Property: over random histories of shared allocations, frees, forks,
+// appends and KV export/import on a small pool, MatchPrefix equals the
+// reference walk for every group, CanAllocateShared is true exactly
+// when AllocateShared then succeeds, and a successful allocation hits
+// exactly what MatchPrefix reported beforehand.
+func TestProbeEquivalenceProperty(t *testing.T) {
+	const bs, groups, maxPrefix = 16, 4, 12 * 16
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m, _ := NewManager(24*bs, bs)
+		var live []int
+		var exports []ExportedSeq
+		next := 0
+		fail := func(step int, format string, args ...any) bool {
+			t.Logf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
+			return false
+		}
+		for step := 0; step < 300; step++ {
+			for g := 0; g < groups; g++ {
+				if got, want := m.MatchPrefix(g, maxPrefix), refMatchPrefix(m, g, maxPrefix); got != want {
+					return fail(step, "MatchPrefix(%d) = %d, reference %d", g, got, want)
+				}
+			}
+			warm := 0
+			for _, b := range m.shared {
+				if b.refs == 0 {
+					warm++
+				}
+			}
+			if warm != m.WarmBlocks() {
+				return fail(step, "%d zero-ref blocks, reclaimable %d", warm, m.WarmBlocks())
+			}
+			switch op := rng.Intn(10); {
+			case op < 4:
+				id := next
+				next++
+				tokens := 1 + rng.Intn(10*bs)
+				group := rng.Intn(groups)
+				prefix := rng.Intn(tokens + bs)
+				warmHit := m.MatchPrefix(group, min(prefix, tokens))
+				can := m.CanAllocateShared(tokens, group, prefix)
+				hit, err := m.AllocateShared(id, tokens, group, prefix)
+				if can != (err == nil) {
+					return fail(step, "CanAllocateShared(%d, %d, %d) = %v, AllocateShared err = %v", tokens, group, prefix, can, err)
+				}
+				if err == nil {
+					if hit != warmHit {
+						return fail(step, "allocation hit %d tokens, MatchPrefix said %d", hit, warmHit)
+					}
+					live = append(live, id)
+				}
+			case op < 6 && len(live) > 0:
+				_ = m.Append(live[rng.Intn(len(live))], 1+rng.Intn(2*bs))
+			case op < 7 && len(live) > 0:
+				if m.Fork(live[rng.Intn(len(live))], next) == nil {
+					live = append(live, next)
+				}
+				next++
+			case op < 8 && len(live) > 0:
+				i := rng.Intn(len(live))
+				m.Free(live[i])
+				live = append(live[:i], live[i+1:]...)
+			case op < 9 && len(live) > 0:
+				i := rng.Intn(len(live))
+				ex, err := m.ExportKV(live[i])
+				if err != nil {
+					return fail(step, "export: %v", err)
+				}
+				exports = append(exports, ex)
+				live = append(live[:i], live[i+1:]...)
+			case len(exports) > 0:
+				i := rng.Intn(len(exports))
+				if _, err := m.ImportKV(next, exports[i]); err == nil {
+					live = append(live, next)
+				}
+				next++
+				exports = append(exports[:i], exports[i+1:]...)
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// The router probes every replica on every arrival: the probes must not
+// allocate, hit or miss.
+func TestProbesDoNotAllocate(t *testing.T) {
+	m := mustManager(t, 16*1024, 16)
+	if _, err := m.AllocateShared(0, 512, 1, 512); err != nil {
+		t.Fatal(err)
+	}
+	sink := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		sink += m.MatchPrefix(1, 512) + m.MatchPrefix(2, 512)
+		if m.CanAllocateShared(600, 1, 512) && m.CanAllocateShared(600, 2, 512) {
+			sink++
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("probes allocate %v times per run, want 0", allocs)
+	}
+	if sink == 0 {
+		t.Error("probes found nothing resident")
+	}
+}

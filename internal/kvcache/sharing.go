@@ -50,21 +50,32 @@ func (m *Manager) SharedBlocks() int { return len(m.shared) }
 // WarmBlocks returns resident shared blocks no live sequence references.
 func (m *Manager) WarmBlocks() int { return m.reclaimable }
 
-// chainKeys returns the hash-chained keys of the first n full blocks of
-// group's shared prefix: a splitmix-style chain rooted at the group id,
-// so equal (group, block index) pairs collide on purpose and everything
-// else does not (up to 64-bit hashing).
+// chainRoot returns the hash state group's chain of block keys starts
+// from. chainNext advances state h to block index i; the new state is
+// also block i's key. Together they form a splitmix-style chain rooted
+// at the group id, so equal (group, block index) pairs collide on
+// purpose and everything else does not (up to 64-bit hashing). Probes
+// walk the chain one key at a time and stop early; only AllocateShared
+// materializes it (chainKeys), for the sequence to keep.
+func chainRoot(group int) uint64 { return uint64(group)*0x9E3779B97F4A7C15 + 0x85EBCA77C2B2AE63 }
+
+func chainNext(h uint64, i int) uint64 {
+	h += uint64(i) + 0x9E3779B97F4A7C15
+	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
+	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
+	return h ^ (h >> 31)
+}
+
+// chainKeys returns the keys of the first n full blocks of group's
+// shared prefix.
 func chainKeys(group, n int) []uint64 {
 	if n <= 0 {
 		return nil
 	}
 	keys := make([]uint64, n)
-	h := uint64(group)*0x9E3779B97F4A7C15 + 0x85EBCA77C2B2AE63
+	h := chainRoot(group)
 	for i := range keys {
-		h += uint64(i) + 0x9E3779B97F4A7C15
-		h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
-		h = (h ^ (h >> 27)) * 0x94D049BB133111EB
-		h ^= h >> 31
+		h = chainNext(h, i)
 		keys[i] = h
 	}
 	return keys
@@ -88,65 +99,52 @@ func (m *Manager) touch() int {
 // of group's shared prefix are resident right now — the longest warm or
 // referenced chain walk from the root, in whole blocks. This is the
 // signal cache-affinity dispatch reads and the prefill skip the engine
-// applies.
+// applies. The router probes every replica on every arrival and most
+// probes miss at the root, so the walk hashes lazily and stops at the
+// first miss.
+//
+//det:hotpath
 func (m *Manager) MatchPrefix(group, prefixTokens int) int {
 	n := prefixTokens / m.blockSize
+	h := chainRoot(group)
 	hit := 0
-	for _, k := range chainKeys(group, n) {
-		if _, ok := m.shared[k]; !ok {
+	for ; hit < n; hit++ {
+		h = chainNext(h, hit)
+		if _, ok := m.shared[h]; !ok {
 			break
 		}
-		hit++
 	}
 	return hit * m.blockSize
 }
 
-// sharedPlan sizes an AllocateShared call: the chain keys, which are
-// resident, how many blocks must be newly taken, and the contiguous hit
-// length in tokens.
-type sharedPlan struct {
-	keys      []uint64
-	resident  []bool
-	newBlocks int // missing chain blocks + private blocks
-	hitTokens int
-	hitBlocks int
+// chainLen returns how many full blocks of a tokens-token sequence
+// belong to its prefixTokens-token shared prefix.
+func (m *Manager) chainLen(tokens, prefixTokens int) int {
+	return min(max(prefixTokens, 0), tokens) / m.blockSize
 }
 
-func (m *Manager) planShared(tokens, group, prefixTokens int) sharedPlan {
-	if prefixTokens > tokens {
-		prefixTokens = tokens
-	}
-	if prefixTokens < 0 {
-		prefixTokens = 0
-	}
-	n := prefixTokens / m.blockSize
-	p := sharedPlan{keys: chainKeys(group, n), resident: make([]bool, n)}
-	contig := n
-	missing := 0
-	for i, k := range p.keys {
-		if _, ok := m.shared[k]; ok {
-			p.resident[i] = true
-			p.hitBlocks++
-		} else {
-			missing++
-			if i < contig {
-				contig = i
+// CanAllocateShared reports whether AllocateShared would fit a new
+// sequence of tokens tokens whose first prefixTokens tokens belong to
+// group's shared prefix. Resident chain blocks are already paid for and
+// other warm blocks are reclaimable — but a warm block of this chain
+// counts once: the allocation references it first, which takes it out
+// of the reclaimable pool (mirrors CanImport).
+//
+//det:hotpath
+func (m *Manager) CanAllocateShared(tokens, group, prefixTokens int) bool {
+	n := m.chainLen(tokens, prefixTokens)
+	h := chainRoot(group)
+	resident, residentWarm := 0, 0
+	for i := 0; i < n; i++ {
+		h = chainNext(h, i)
+		if b, ok := m.shared[h]; ok {
+			resident++
+			if b.refs == 0 {
+				residentWarm++
 			}
 		}
 	}
-	// Only a contiguous chain from the root skips prefill work: KV for
-	// position t needs every earlier position resident too.
-	p.hitTokens = contig * m.blockSize
-	p.newBlocks = missing + m.BlocksFor(tokens) - n
-	return p
-}
-
-// CanAllocateShared reports whether a new sequence of tokens tokens
-// whose first prefixTokens tokens belong to group's shared prefix fits,
-// counting resident chain blocks as already paid for and warm blocks as
-// reclaimable.
-func (m *Manager) CanAllocateShared(tokens, group, prefixTokens int) bool {
-	return m.planShared(tokens, group, prefixTokens).newBlocks <= m.FreeBlocks()+m.reclaimable
+	return m.BlocksFor(tokens)-resident <= m.FreeBlocks()+m.reclaimable-residentWarm
 }
 
 // AllocateShared reserves blocks for a new sequence whose first
@@ -164,56 +162,63 @@ func (m *Manager) AllocateShared(id, tokens, group, prefixTokens int) (int, erro
 	if m.Has(id) {
 		return 0, fmt.Errorf("kvcache: sequence %d already allocated", id)
 	}
-	p := m.planShared(tokens, group, prefixTokens)
+	keys := chainKeys(group, m.chainLen(tokens, prefixTokens))
 	// Reference resident chain blocks first so reclaim cannot drop them
-	// while making room for the rest.
-	for i, k := range p.keys {
-		if !p.resident[i] {
+	// while making room for the rest. Only a contiguous chain from the
+	// root skips prefill work: KV for position t needs every earlier
+	// position resident too.
+	hitBlocks, contig := 0, len(keys)
+	for i, k := range keys {
+		b, ok := m.shared[k]
+		if !ok {
+			contig = min(contig, i)
 			continue
 		}
-		b := m.shared[k]
+		hitBlocks++
 		b.refs++
 		if b.refs == 1 {
 			m.reclaimable--
 		}
 	}
-	if p.newBlocks > m.FreeBlocks() {
-		m.reclaim(p.newBlocks - m.FreeBlocks())
+	need := m.BlocksFor(tokens) - hitBlocks // missing chain + private blocks
+	if need > m.FreeBlocks() {
+		m.reclaim(need - m.FreeBlocks())
 	}
-	if p.newBlocks > m.FreeBlocks() {
-		for i, k := range p.keys { // roll the references back
-			if !p.resident[i] {
-				continue
-			}
-			b := m.shared[k]
-			b.refs--
-			if b.refs == 0 {
-				m.reclaimable++
+	if need > m.FreeBlocks() {
+		// Roll the references back. Referenced blocks survive reclaim and
+		// nothing was inserted, so the resident keys are the hit ones.
+		for _, k := range keys {
+			if b, ok := m.shared[k]; ok {
+				b.refs--
+				if b.refs == 0 {
+					m.reclaimable++
+				}
 			}
 		}
-		return 0, fmt.Errorf("kvcache: out of memory: need %d blocks, free %d", p.newBlocks, m.FreeBlocks())
+		return 0, fmt.Errorf("kvcache: out of memory: need %d blocks, free %d", need, m.FreeBlocks())
 	}
-	for i, k := range p.keys {
-		if !p.resident[i] {
-			m.shared[k] = &sharedBlock{refs: 1}
+	// Insert the missing blocks and touch tail-first so LRU reclaim
+	// drops chain tails before roots, keeping surviving chains
+	// contiguous (and so hittable).
+	for i := len(keys) - 1; i >= 0; i-- {
+		b, ok := m.shared[keys[i]]
+		if !ok {
+			b = &sharedBlock{refs: 1}
+			m.shared[keys[i]] = b
 			m.used++
 		}
+		b.lastUse = m.touch()
 	}
-	// Touch tail-first so LRU reclaim drops chain tails before roots,
-	// keeping surviving chains contiguous (and so hittable).
-	for i := len(p.keys) - 1; i >= 0; i-- {
-		m.shared[p.keys[i]].lastUse = m.touch()
-	}
-	priv := m.BlocksFor(tokens) - len(p.keys)
+	priv := m.BlocksFor(tokens) - len(keys)
 	m.allocSeq++
-	m.setSeq(id, seqAlloc{tokens: tokens, blocks: priv, keys: p.keys, arrival: m.allocSeq})
+	m.setSeq(id, seqAlloc{tokens: tokens, blocks: priv, keys: keys, arrival: m.allocSeq})
 	m.used += priv
 	if m.used > m.peak {
 		m.peak = m.used
 	}
-	m.stats.HitBlocks += p.hitBlocks
-	m.stats.MissBlocks += len(p.keys) - p.hitBlocks
-	return p.hitTokens, nil
+	m.stats.HitBlocks += hitBlocks
+	m.stats.MissBlocks += len(keys) - hitBlocks
+	return contig * m.blockSize, nil
 }
 
 // Fork clones parent's cache for child zero-copy: every block of the

@@ -278,3 +278,37 @@ func TestAllocateSharedOOMRollback(t *testing.T) {
 		t.Errorf("hit = %d tokens, want 64", hit)
 	}
 }
+
+// A warm block of the request's own chain is either already paid for or
+// reclaimable headroom, never both: AllocateShared references it first,
+// so CanAllocateShared must not count it twice.
+func TestCanAllocateSharedCountsOwnWarmChainOnce(t *testing.T) {
+	m := mustManager(t, 16*4, 16) // 4 blocks
+	if _, err := m.AllocateShared(1, 32, 7, 32); err != nil {
+		t.Fatal(err) // 2 shared
+	}
+	m.Free(1) // the 2-block chain stays warm
+	if err := m.Allocate(2, 32); err != nil {
+		t.Fatal(err) // 2 private: 0 free
+	}
+	// 3 blocks: 2 hit the warm chain, 1 is new, and the only reclaimable
+	// blocks are the 2 this allocation is about to reference.
+	if m.CanAllocateShared(48, 7, 32) {
+		t.Error("CanAllocateShared promised room only the hit chain could free")
+	}
+	if _, err := m.AllocateShared(3, 48, 7, 32); err == nil {
+		t.Fatal("allocation succeeded with no free block")
+	}
+	// Freeing the private sequence makes room; both sides agree again.
+	m.Free(2)
+	if !m.CanAllocateShared(48, 7, 32) {
+		t.Error("CanAllocateShared refused a fitting allocation")
+	}
+	hit, err := m.AllocateShared(3, 48, 7, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit != 32 {
+		t.Errorf("hit = %d tokens, want 32", hit)
+	}
+}
