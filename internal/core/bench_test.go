@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -53,7 +54,10 @@ func BenchmarkUsageSim(b *testing.B) {
 	}
 }
 
-// BenchmarkIntensityDecision measures the per-step switch evaluation.
+// BenchmarkIntensityDecision measures Approach 3's intensity arithmetic
+// over a realistic pending set: one to eight 2048-token prefill batches
+// costed against a decode step, as a switch check with free memory sees
+// them.
 func BenchmarkIntensityDecision(b *testing.B) {
 	b.ReportAllocs()
 	cm, err := costmodel.New(hw.A100, model.Llama2_70B)
@@ -65,10 +69,34 @@ func BenchmarkIntensityDecision(b *testing.B) {
 		b.Fatal(err)
 	}
 	x := NewIntensity(cm, plan, 512)
+	pending := make([]costmodel.PrefillBatch, 8)
+	for i := range pending {
+		pending[i] = costmodel.NewPrefillBatch([]int{512, 300, 700, 536})
+	}
+	decodeStep := cm.DecodeBottleneck(plan, 64, 64*600)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		si := x.Spatial(100+i%50, 500, 200)
-		ti := x.Temporal(nil, 0.02, 4)
+		ti := x.Temporal(pending[:1+i%8], decodeStep, 4)
 		_ = x.ShouldSwitch(si, ti)
+	}
+}
+
+// BenchmarkSwitchCheck times one decode step's decode->prefill switch
+// check on a paper-scale engine (Llama2-70B on four A100s) paused
+// mid-decode with the given number of requests waiting for prefill.
+// The check's cost should not grow with the queue.
+func BenchmarkSwitchCheck(b *testing.B) {
+	for _, waiting := range []int{100, 3000, 30000} {
+		b.Run(fmt.Sprintf("waiting=%d", waiting), func(b *testing.B) {
+			reqs := workload.MustGenerate(workload.DefaultConfig(waiting+4000, 3))
+			e := midDecodeEngine(b, DefaultConfig(hw.A100, model.Llama2_70B, 4), reqs, waiting)
+			defer e.Shutdown()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = e.shouldSwitchToPrefill(i % e.numSlots)
+			}
+		})
 	}
 }

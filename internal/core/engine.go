@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/costmodel"
-	"repro/internal/deque"
 	"repro/internal/kvcache"
 	"repro/internal/metrics"
 	"repro/internal/runtime"
@@ -23,9 +22,9 @@ import (
 var ErrRequestTooLarge = errors.New("request KV footprint exceeds engine capacity")
 
 // scratchReuse gates the recycling of per-iteration scratch buffers
-// (prefill id/len slices, decode batch slices, the decode pool, pack
-// previews). It is always on in production; the determinism regression
-// suite turns it off to prove buffer reuse does not change results.
+// (prefill id/len slices, decode batch slices, the decode pool). It is
+// always on in production; the determinism regression suite turns it
+// off to prove buffer reuse does not change results.
 var scratchReuse = true
 
 // reqState tracks one request through the engine.
@@ -107,7 +106,7 @@ type Engine struct {
 	capacityTokens int
 
 	states  []*reqState
-	waiting deque.Int
+	waiting waitQueue
 
 	phase      metrics.Phase
 	everPhased bool
@@ -195,15 +194,12 @@ type Engine struct {
 	// Scratch buffers recycled across scheduler iterations when
 	// scratchReuse is on: idsFree recycles prefill batch id slices
 	// (returned by onPrefillDone), lensBuf the per-batch length
-	// staging, sizesBuf the decode split sizes, packLens/packBatches
-	// the pending-prefill preview, and decodeDone the per-slot
-	// completion callbacks (bound once, not per step).
-	idsFree     [][]int
-	lensBuf     []int
-	sizesBuf    []int
-	packLens    []int
-	packBatches []costmodel.PrefillBatch
-	decodeDone  []func(runtime.PassResult)
+	// staging, sizesBuf the decode split sizes, and decodeDone the
+	// per-slot completion callbacks (bound once, not per step).
+	idsFree    [][]int
+	lensBuf    []int
+	sizesBuf   []int
+	decodeDone []func(runtime.PassResult)
 }
 
 // NewEngine validates the configuration, sizes the KV pool and builds
@@ -1191,6 +1187,8 @@ func (e *Engine) onDecodeDone(slot, ep int, res runtime.PassResult) {
 }
 
 // shouldSwitchToPrefill evaluates the decode->prefill switch rule.
+//
+//det:hotpath
 func (e *Engine) shouldSwitchToPrefill(slot int) bool {
 	if e.cfg.FixedDecodeSwitchRatio > 0 {
 		if float64(e.decodeFinished) < e.cfg.FixedDecodeSwitchRatio*float64(e.decodeInitial) {
@@ -1205,86 +1203,38 @@ func (e *Engine) shouldSwitchToPrefill(slot int) bool {
 	}
 	avgBatch := (resident + e.numSlots - 1) / e.numSlots
 	avgCtx := kvTokens / resident
-	pending := e.packPendingPrefills()
 	feasiblePeak := e.capacityTokens / (e.numSlots * avgCtx)
 	si := e.inten.Spatial(avgBatch, avgCtx, feasiblePeak)
-	ti := e.inten.Temporal(pending, e.cluster.Cost.DecodeBottleneck(e.cluster.Plan, avgBatch, avgBatch*avgCtx), e.numSlots)
+	decodeStep := e.cluster.Cost.DecodeBottleneck(e.cluster.Plan, avgBatch, avgBatch*avgCtx)
+	ti, _ := e.pendingTemporal(e.kv.FreeBlocks()*e.kv.BlockSize(), decodeStep)
 	return e.inten.ShouldSwitch(si, ti)
 }
 
 // residentLoad sums live decode requests and their cached tokens across
 // batches and the stash.
+//
+//det:hotpath
 func (e *Engine) residentLoad() (n, kvTokens int) {
-	count := func(ids []int) {
-		for _, id := range ids {
-			st := e.states[id]
-			if st.done || st.evicted {
-				continue
-			}
-			n++
-			kvTokens += st.ctx
-		}
-	}
 	for _, b := range e.batches {
-		count(b)
+		n, kvTokens = e.addLive(b, n, kvTokens)
 	}
-	count(e.stealer.stash)
-	count(e.decodePool)
-	count(e.imported)
-	return
+	n, kvTokens = e.addLive(e.stealer.stash, n, kvTokens)
+	n, kvTokens = e.addLive(e.decodePool, n, kvTokens)
+	return e.addLive(e.imported, n, kvTokens)
 }
 
-// packPendingPrefills previews the prefill batches launchable with the
-// currently free KV (the "pending prefills" of §3.5). It returns nil if
-// free memory cannot hold a meaningful amount of prefill work — one
-// full batch, or all of the remaining waiting set if smaller. The
-// returned slice shares a recycled buffer, valid until the next call.
-func (e *Engine) packPendingPrefills() []costmodel.PrefillBatch {
-	free := e.kv.FreeBlocks() * e.kv.BlockSize()
-	var batches []costmodel.PrefillBatch
-	var lens []int
-	if scratchReuse {
-		batches = e.packBatches[:0]
-		lens = e.packLens[:0]
-	}
-	tokens := 0
-	packed := 0
-	waitingTokens := 0
-	for i := 0; i < e.waiting.Len(); i++ {
-		waitingTokens += e.states[e.waiting.At(i)].prefillLen
-	}
-	for i := 0; i < e.waiting.Len(); i++ {
-		need := e.states[e.waiting.At(i)].prefillLen
-		if packed+need > free {
-			break
+// addLive adds the live (neither done nor evicted) requests among ids
+// and their cached tokens to the running totals n and kvTokens.
+func (e *Engine) addLive(ids []int, n, kvTokens int) (int, int) {
+	for _, id := range ids {
+		st := e.states[id]
+		if st.done || st.evicted {
+			continue
 		}
-		packed += need
-		lens = append(lens, need)
-		tokens += need
-		if tokens >= e.cfg.MaxPrefillTokens {
-			batches = append(batches, costmodel.NewPrefillBatch(lens))
-			if scratchReuse {
-				lens, tokens = lens[:0], 0
-			} else {
-				lens, tokens = nil, 0
-			}
-		}
+		n++
+		kvTokens += st.ctx
 	}
-	if len(lens) > 0 {
-		batches = append(batches, costmodel.NewPrefillBatch(lens))
-	}
-	if scratchReuse {
-		e.packBatches = batches
-		e.packLens = lens[:0]
-	}
-	min := e.cfg.MaxPrefillTokens
-	if waitingTokens < min {
-		min = waitingTokens
-	}
-	if packed < min {
-		return nil
-	}
-	return batches
+	return n, kvTokens
 }
 
 // handleOOM evicts recently admitted requests to make room for the

@@ -77,19 +77,33 @@ func (x *Intensity) Temporal(pending []costmodel.PrefillBatch, decodeStep float6
 	if len(pending) == 0 {
 		return 0
 	}
-	var longest, total float64
+	var longest, work float64
 	for _, b := range pending {
-		t := x.cm.PrefillBottleneck(x.plan, b)
-		total += t
+		t := x.prefillCost(b)
+		work += t
 		if t > longest {
 			longest = t
 		}
 	}
+	return temporalIntensity(longest, work, decodeStep, slots)
+}
+
+// prefillCost is the pipeline-paced time of one pending prefill batch.
+func (x *Intensity) prefillCost(b costmodel.PrefillBatch) float64 {
+	return x.cm.PrefillBottleneck(x.plan, b)
+}
+
+// temporalIntensity is Temporal's formula over a non-empty pending set
+// already reduced to its longest batch time and its total work (batch
+// times summed in launch order): the bubble is longest minus the decode
+// step, the cycle is work plus one decode step per slot plus the bubble,
+// and the result is 1 - bubble/cycle.
+func temporalIntensity(longest, work, decodeStep float64, slots int) float64 {
 	bubble := longest - decodeStep
 	if bubble < 0 {
 		bubble = 0
 	}
-	total += float64(slots)*decodeStep + bubble
+	total := work + (float64(slots)*decodeStep + bubble)
 	if total <= 0 {
 		return 0
 	}
