@@ -7,7 +7,7 @@ FUZZTIME ?= 30s
 # artifacts accumulate into a perf trajectory).
 BENCH_N ?= local
 
-.PHONY: build vet fmt-check detlint lint-docs test race chaos bench bench-json bench-compare bench-e2e bench-e2e-test fuzz smoke ci
+.PHONY: build vet fmt-check detlint lint-docs test race chaos bench bench-json bench-compare bench-e2e bench-e2e-test fuzz smoke sloc ci
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,14 @@ bench-e2e:
 
 bench-e2e-test:
 	$(GO) -C cmd/tdpipe-bench test ./...
+
+# Non-test Go lines (comments and blank lines included) per package,
+# the count each change reports as its line-count delta.
+sloc:
+	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		[ -n "$$files" ] && printf '%6d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+	done; true
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGenerateSplitInvariants -fuzztime=$(FUZZTIME) ./internal/workload/

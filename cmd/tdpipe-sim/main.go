@@ -77,6 +77,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -325,7 +326,7 @@ func realMain() int {
 		defer pprof.StopCPUProfile()
 	}
 	code := 0
-	if err := run(o); err != nil {
+	if err := run(o, flag.Visit); err != nil {
 		fmt.Fprintln(os.Stderr, "tdpipe-sim:", err)
 		code = 1
 	}
@@ -553,7 +554,25 @@ func runDisagg(o options, node hw.Node, spec model.Spec, pool, reqs []workload.R
 	return nil
 }
 
-func run(o options) error {
+// errReplicas rejects a fleet size below one replica.
+var errReplicas = errors.New("-replicas must be at least 1 (fleet mode engages above 1)")
+
+// errPolicyNoFleet rejects an explicit dispatch policy on a run that
+// dispatches nothing: a single engine, without fleet mode.
+var errPolicyNoFleet = errors.New("-policy picks a replica per request and needs fleet mode (-replicas > 1)")
+
+// run executes one invocation. visit enumerates the flags set on the
+// command line (flag.Visit, or a test's FlagSet.Visit), which the
+// mode checks use to reject flags the chosen mode would ignore.
+func run(o options, visit func(func(*flag.Flag))) error {
+	set := map[string]bool{}
+	visit(func(f *flag.Flag) { set[f.Name] = true })
+	if o.replicas < 1 {
+		return fmt.Errorf("%w, got -replicas %d", errReplicas, o.replicas)
+	}
+	if set["policy"] && o.replicas == 1 && !o.disagg {
+		return fmt.Errorf("%w, got -policy %s with -replicas 1", errPolicyNoFleet, o.policy)
+	}
 	node, err := pickNode(o.node)
 	if err != nil {
 		return err
@@ -606,7 +625,7 @@ func run(o options) error {
 	// either mismatch rather than silently substitute defaults.
 	var fleetFlags, disaggFlags, linkFlags, frontFlags, scaleFlags []string
 	workersSet, breakerSet := false, false
-	flag.Visit(func(f *flag.Flag) {
+	visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "replicas", "policy":
 			fleetFlags = append(fleetFlags, "-"+f.Name)
@@ -642,7 +661,7 @@ func run(o options) error {
 		return fmt.Errorf("the policy stack needs the online fleet router: -replicas > 1 with open-loop -arrivals (or -disagg for the -autoscale-* flags)")
 	}
 	if (len(frontFlags) > 0 || len(scaleFlags) > 0) && fc.Enabled() {
-		return fmt.Errorf("fault injection and the policy stack use different routers; run them separately")
+		return fmt.Errorf("fault injection and the policy stack are not supported together yet; run them separately")
 	}
 	if o.breakerFailures > 0 && o.slo.TTFT <= 0 && !o.disagg {
 		return fmt.Errorf("-breaker-failures classifies completions against the TTFT SLO: set -slo-ttft (with -disagg breakers are crash-fed instead)")

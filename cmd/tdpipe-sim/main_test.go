@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"os"
 	"strings"
@@ -81,5 +82,41 @@ func TestReadmeFlagTableMatchesRegistration(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("README flag table row -%s names a flag that is not registered", name)
 		}
+	}
+}
+
+// TestFleetFlagErrors runs flag combinations through the real mode
+// checks: a fleet size below one and an explicit -policy without fleet
+// mode must each fail with their named error instead of silently
+// running the single-engine path; a valid fleet invocation must run.
+func TestFleetFlagErrors(t *testing.T) {
+	tiny := []string{"-requests", "8", "-pool", "64", "-oracle"}
+	cases := []struct {
+		name string
+		args []string
+		want error
+	}{
+		{"zero replicas", []string{"-replicas", "0"}, errReplicas},
+		{"negative replicas", []string{"-replicas", "-3"}, errReplicas},
+		{"policy without fleet", []string{"-replicas", "1", "-policy", "nosuch"}, errPolicyNoFleet},
+		{"valid policy without fleet", []string{"-policy", "least-work"}, errPolicyNoFleet},
+		{"fleet with policy", []string{"-replicas", "2", "-policy", "least-work"}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var o options
+			fs := flag.NewFlagSet("tdpipe-sim", flag.ContinueOnError)
+			registerFlags(fs, &o)
+			if err := fs.Parse(append(tc.args, tiny...)); err != nil {
+				t.Fatal(err)
+			}
+			err := run(o, fs.Visit)
+			if tc.want == nil && err != nil {
+				t.Fatalf("unexpected error: %v", err)
+			}
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
 	}
 }

@@ -12,16 +12,15 @@ import (
 const fabricFile = "internal/fleet/parallel.go"
 
 // Goroutine forbids `go` statements and channel `select` outside the
-// parallel fabric (internal/fleet/parallel.go) and the explicit actor
-// transport (internal/rpc): all other concurrency must ride the
-// control timeline, or replica interleavings leak into reports. The
-// two historical exceptions in internal/runtime and internal/fleet
-// carry audited //det:ignore directives instead of a scope carve-out.
+// parallel fabric (internal/fleet/parallel.go): all other concurrency
+// must ride the control timeline, or replica interleavings leak into
+// reports. The analyzer covers every package; the two historical
+// exceptions in internal/runtime and internal/fleet carry audited
+// //det:ignore directives instead of a scope carve-out.
 var Goroutine = &Analyzer{
-	Name:  "goroutine",
-	Doc:   "forbid go statements and select outside the parallel fabric",
-	Scope: func(p *Package) bool { return !strings.HasSuffix(p.ImportPath, "internal/rpc") },
-	Run:   runGoroutine,
+	Name: "goroutine",
+	Doc:  "forbid go statements and select outside the parallel fabric",
+	Run:  runGoroutine,
 }
 
 func runGoroutine(pass *Pass) {
@@ -34,10 +33,10 @@ func runGoroutine(pass *Pass) {
 			switch n.(type) {
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
-					"go statement outside the parallel fabric; concurrency must stay behind the control timeline (internal/fleet/parallel.go, internal/rpc)")
+					"go statement outside the parallel fabric; concurrency must stay behind the control timeline (internal/fleet/parallel.go)")
 			case *ast.SelectStmt:
 				pass.Reportf(n.Pos(),
-					"select outside the parallel fabric; channel nondeterminism must stay behind the control timeline (internal/fleet/parallel.go, internal/rpc)")
+					"select outside the parallel fabric; channel nondeterminism must stay behind the control timeline (internal/fleet/parallel.go)")
 			}
 			return true
 		})

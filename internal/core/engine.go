@@ -333,6 +333,8 @@ func (e *Engine) ResidentKVTokens(ex kvcache.ExportedSeq) int {
 
 // FreeKVTokens returns the KV headroom in tokens: free blocks plus
 // warm shared blocks reclaimable under pressure.
+//
+//det:hotpath
 func (e *Engine) FreeKVTokens() int { return e.kv.AvailableBlocks() * e.kv.BlockSize() }
 
 // Run executes the full trace to completion in virtual time and returns
@@ -724,6 +726,8 @@ func (e *Engine) sharePlan(st *reqState) (group, prefix int) {
 // PrefixWarmTokens reports how many tokens of r's shared prefix are
 // resident in this engine's KV pool right now — the cache-affinity
 // signal fleet dispatch policies read.
+//
+//det:hotpath
 func (e *Engine) PrefixWarmTokens(r workload.Request) int {
 	if e.cfg.DisablePrefixCache || r.PrefixLen <= 0 {
 		return 0

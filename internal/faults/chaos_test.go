@@ -152,7 +152,7 @@ func TestChaosSweep(t *testing.T) {
 		}
 		return p
 	}
-	base, err := fleet.RunOnline(cfg, replicas, policy(), reqs)
+	base, err := fleet.RunOnlineWorkers(cfg, replicas, policy(), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestChaosInactivePlan(t *testing.T) {
 		t.Fatal("empty config produced an active plan")
 	}
 
-	obase, err := fleet.RunOnline(cfg, replicas, policy(), reqs)
+	obase, err := fleet.RunOnlineWorkers(cfg, replicas, policy(), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestChaosInactivePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, plan := range []*faults.Plan{nil, inactive} {
-		ores, err := fleet.RunOnlineFaults(cfg, replicas, policy(), reqs, plan)
+		ores, err := fleet.RunOnlineFaultsWorkers(cfg, replicas, policy(), reqs, plan, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

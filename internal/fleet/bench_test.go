@@ -44,7 +44,7 @@ func BenchmarkOnlineFleet(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := RunOnline(fastConfig(2), 4, p, reqs)
+		res, err := RunOnlineWorkers(fastConfig(2), 4, p, reqs, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func BenchmarkOnlineFleetInactivePolicy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := RunOnlineElastic(fastConfig(2), 4, p, reqs, &policy.Stack{})
+		res, err := RunOnlineElasticWorkers(fastConfig(2), 4, p, reqs, &policy.Stack{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/faults"
-	"repro/internal/kvcache"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -28,9 +26,9 @@ import (
 // The split isolates the two phases' interference: prefill replicas
 // never stall arrivals behind long decode phases, so TTFT stays flat
 // under bursts, at the price of the modeled transfer and fewer
-// decode-side token slots. Like the online router, the co-simulation is
-// single-threaded, so results are deterministic for a fixed trace,
-// config and split.
+// decode-side token slots. Like the online router, results are
+// deterministic for a fixed trace, config and split, at every worker
+// count.
 
 // DisaggConfig sizes the two pools of a disaggregated deployment. Both
 // pools run the same engine configuration (core.Config); only the role
@@ -106,14 +104,6 @@ type DisaggResult struct {
 	Steps uint64
 }
 
-// recRef locates a request's finished record: the pool, replica index
-// and replica-local id that owns it.
-type recRef struct {
-	decode  bool
-	replica int
-	local   int
-}
-
 // handoffItem is one in-flight migration. recovery marks checkpoint
 // restores re-entering the decode pool after a crash (counted as
 // recoveries, not hand-offs).
@@ -126,7 +116,9 @@ type handoffItem struct {
 // disaggRouter coordinates the two pools across the fabric: prefill
 // replicas form tier 0, decode replicas tier 1, and every router
 // intervention (arrival dispatch, transfer completion, crash, restore,
-// pending drain) executes on the control timeline.
+// pending drain) executes on the control timeline. Replica indices in
+// the ledger, the fault plan and the engine results are fleet-global:
+// the prefill pool first, then decode.
 type disaggRouter struct {
 	ctl     *sim.Engine
 	fab     *fabric
@@ -135,45 +127,30 @@ type disaggRouter struct {
 	ppolicy Policy
 	dpolicy Policy
 	reqs    []workload.Request
+	led     *ledger
 	// blockBytes is the KV footprint of one block across the model.
 	blockBytes float64
 	xferTime   func(bytes float64) float64
 
-	pOut     []Load
-	pEntries [][]loadEntry
-	pShards  []Shard
+	pre, dec books
 
-	dOut     []Load
-	dEntries [][]loadEntry
-	dShards  []Shard
-
-	// loads is the per-pick snapshot buffer, sized for the larger pool.
+	// loads and cand are the per-pick snapshot: loads[j] is the view of
+	// pool replica cand[j].
 	loads []Load
-	// cand maps snapshot rows back to decode replica indices when the
-	// importability filter drops some replicas.
-	cand []int
+	cand  []int
 
 	items []handoffItem
 	// pending holds item indices whose transfer completed but which no
 	// decode replica can import yet, in completion order.
 	pending []int
 
-	final    []recRef
 	handoffs int
 	moved    float64
 	queued   int
 	err      error
 
-	// Fault-injection state, all nil/zero when plan is nil — the
-	// fault-free run takes the exact pre-fault code paths.
+	// plan is nil on a fault-free run, which then takes no fault path.
 	plan *faults.Plan
-	// fin[origin] counts terminal finishes: +1 at any engine finish,
-	// -1 when a prefill "finish" was really a hand-off. Conservation
-	// demands exactly 1 (finished) xor a drop reason.
-	fin      []int
-	attempts []int
-	// droppedReason[origin] is non-empty once the request is abandoned.
-	droppedReason []string
 	// queuedPrefill holds origins waiting for a live prefill replica.
 	queuedPrefill []int
 	fstats        metrics.FaultStats
@@ -202,7 +179,7 @@ type disaggRouter struct {
 // (all arrivals at t=0) are served the same way — every request routes
 // at t=0.
 func RunDisagg(cfg core.Config, dc DisaggConfig, reqs []workload.Request) (*DisaggResult, error) {
-	return disaggRun(cfg, dc, reqs, nil)
+	return RunDisaggFaults(cfg, dc, reqs, nil)
 }
 
 // RunDisaggFaults is RunDisagg under a fault plan: replica crashes hit
@@ -215,12 +192,8 @@ func RunDisagg(cfg core.Config, dc DisaggConfig, reqs []workload.Request) (*Disa
 // inactive (or nil) plan takes the exact RunDisagg code path.
 func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, plan *faults.Plan) (*DisaggResult, error) {
 	if !plan.Active() {
-		return disaggRun(cfg, dc, reqs, nil)
+		plan = nil
 	}
-	return disaggRun(cfg, dc, reqs, plan)
-}
-
-func disaggRun(cfg core.Config, dc DisaggConfig, reqs []workload.Request, plan *faults.Plan) (*DisaggResult, error) {
 	if err := dc.Validate(); err != nil {
 		return nil, err
 	}
@@ -232,83 +205,41 @@ func disaggRun(cfg core.Config, dc DisaggConfig, reqs []workload.Request, plan *
 	if err != nil {
 		return nil, err
 	}
-
 	if err := validateArrivals(reqs); err != nil {
 		return nil, err
 	}
-	total := dc.PrefillReplicas + dc.DecodeReplicas
+	P, D := dc.PrefillReplicas, dc.DecodeReplicas
 	// Prefill and decode replicas never share a shard engine: the
 	// prefill tier advances to each control horizon first (discovering
 	// hand-offs), and the decode tier follows only after their
 	// transfer completions are on the control timeline.
-	fab := newFabric(ResolveWorkers(dc.Workers, total))
-	fab.addTier(0, dc.PrefillReplicas)
-	fab.addTier(1, dc.DecodeReplicas)
-	engines := make([]*core.Engine, 0, total)
-	shutdownAll := func() {
-		for _, e := range engines {
-			e.Shutdown()
-		}
-	}
-	for i := 0; i < total; i++ {
-		e, err := core.NewEngine(fab.engineFor(i), replicaConfig(cfg, plan, i))
-		if err != nil {
-			shutdownAll()
-			return nil, fmt.Errorf("fleet: disagg replica %d: %w", i, err)
-		}
-		engines = append(engines, e)
-		if err := e.StartOnline(); err != nil {
-			shutdownAll()
-			return nil, fmt.Errorf("fleet: disagg replica %d: %w", i, err)
-		}
-	}
-
-	blockSize := cfg.BlockSize
-	if blockSize <= 0 {
-		blockSize = kvcache.DefaultBlockSize
+	fab := newFabric(ResolveWorkers(dc.Workers, P+D))
+	fab.addTier(0, P)
+	fab.addTier(1, D)
+	engines, err := startEngines(fab, cfg, plan)
+	if err != nil {
+		return nil, err
 	}
 	ro := &disaggRouter{
-		ctl:        fab.ctl,
-		fab:        fab,
-		prefill:    engines[:dc.PrefillReplicas],
-		decode:     engines[dc.PrefillReplicas:],
-		ppolicy:    ppolicy,
-		dpolicy:    dpolicy,
-		reqs:       reqs,
-		blockBytes: float64(blockSize) * cfg.Spec.KVBytesPerToken(),
-		xferTime:   costmodel.KVTransfer(cfg.Node),
-		pOut:       make([]Load, dc.PrefillReplicas),
-		pEntries:   make([][]loadEntry, dc.PrefillReplicas),
-		pShards:    make([]Shard, dc.PrefillReplicas),
-		dOut:       make([]Load, dc.DecodeReplicas),
-		dEntries:   make([][]loadEntry, dc.DecodeReplicas),
-		dShards:    make([]Shard, dc.DecodeReplicas),
-		loads:      make([]Load, max(dc.PrefillReplicas, dc.DecodeReplicas)),
-		cand:       make([]int, 0, total),
-		final:      make([]recRef, len(reqs)),
-		plan:       plan,
+		ctl:       fab.ctl,
+		fab:       fab,
+		prefill:   engines[:P],
+		decode:    engines[P:],
+		ppolicy:   ppolicy,
+		dpolicy:   dpolicy,
+		reqs:      reqs,
+		led:       newLedger(reqs),
+		pre:       newBooks(P),
+		dec:       newBooks(D),
+		loads:     make([]Load, 0, max(P, D)),
+		cand:      make([]int, 0, max(P, D)),
+		plan:      plan,
+		pBreakers: newBreakers(dc.Stack, P),
+		dBreakers: newBreakers(dc.Stack, D),
 	}
-	if plan != nil {
-		ro.fin = make([]int, len(reqs))
-		ro.attempts = make([]int, len(reqs))
-		ro.droppedReason = make([]string, len(reqs))
-	}
+	ro.blockBytes, ro.xferTime = kvLink(cfg)
 	if dc.Stack != nil && dc.Stack.Autoscaler != nil {
-		coldStart := dc.Stack.Autoscaler.Config().ColdStart
-		if coldStart == 0 {
-			coldStart = faults.WeightReloadTime(cfg.Node, cfg.Spec, cfg.World)
-		}
-		ro.dpool = newElasticPool(dc.Stack.Autoscaler, dc.DecodeReplicas, coldStart)
-	}
-	if dc.Stack != nil && dc.Stack.Breaker != nil {
-		ro.pBreakers = make([]*policy.Breaker, dc.PrefillReplicas)
-		for i := range ro.pBreakers {
-			ro.pBreakers[i] = policy.NewBreaker(*dc.Stack.Breaker)
-		}
-		ro.dBreakers = make([]*policy.Breaker, dc.DecodeReplicas)
-		for i := range ro.dBreakers {
-			ro.dBreakers[i] = policy.NewBreaker(*dc.Stack.Breaker)
-		}
+		ro.dpool = newElasticPool(dc.Stack.Autoscaler, D, cfg)
 	}
 	for i := range ro.prefill {
 		i := i
@@ -342,53 +273,60 @@ func disaggRun(cfg core.Config, dc DisaggConfig, reqs []workload.Request, plan *
 	if ro.dpool != nil {
 		fab.ctl.AtFunc(ro.dpool.tickInterval(), dtickEvent, ro, 0, 0)
 	}
-	fab.start()
-	defer fab.stopWorkers()
-	fab.run()
-	if ro.err == nil && plan != nil {
+	fab.drive()
+	switch {
+	case ro.err != nil:
+	case plan != nil:
 		// The run drained with work still unplaceable: account it as
 		// dropped-with-reason instead of failing the run (a fault run is
 		// allowed to lose requests, never to lose them silently).
 		for _, item := range ro.pending {
-			ro.drop(ro.items[item].origin, "stranded hand-off: fits no decode replica")
+			ro.led.drop(ro.items[item].origin, "stranded hand-off: fits no decode replica")
 		}
-		ro.pending = ro.pending[:0]
 		for _, origin := range ro.queuedPrefill {
-			ro.drop(origin, "no live prefill replica")
+			ro.led.drop(origin, "no live prefill replica")
 		}
-		ro.queuedPrefill = ro.queuedPrefill[:0]
-	}
-	if ro.err == nil && plan == nil && len(ro.pending) > 0 {
+	case len(ro.pending) > 0:
 		it := ro.items[ro.pending[0]]
 		ro.err = fmt.Errorf("fleet: %d hand-offs stranded: request %d (%d KV blocks) fits no decode replica",
 			len(ro.pending), it.origin, it.h.KV.Blocks())
 	}
-	if ro.err != nil {
-		shutdownAll()
-		return nil, ro.err
+	results, err := finalize(engines, ro.err)
+	if err != nil {
+		return nil, err
 	}
-	// Finalize every engine even after a failure so no worker
-	// goroutines leak.
-	results := make([]*core.Result, total)
-	var ferr error
-	for i, e := range engines {
-		res, err := e.Finalize()
-		if err != nil && ferr == nil {
-			ferr = fmt.Errorf("fleet: disagg replica %d: %w", i, err)
-		}
-		results[i] = res
+	mode := "Disagg"
+	if plan != nil {
+		mode = "DisaggFaults"
 	}
-	if ferr != nil {
-		return nil, ferr
+	rep, records, err := ro.led.assemble(cfg, fmt.Sprintf("%s(TD-Pipe %dP+%dD)", mode, P, D), results, plan != nil)
+	if err != nil {
+		return nil, err
 	}
-	res, err := ro.assemble(cfg, dc, results)
-	if err == nil {
-		res.Steps = fab.Steps()
-		if ro.dpool != nil {
-			res.Report.Autoscale = ro.dpool.finish(res.Report.Elapsed, cfg.World)
-		}
+	if plan != nil {
+		ro.fstats.DomainOutages = len(plan.Domains)
+		ro.fstats.Dropped = ro.led.dropped
+		rep.Faults.Add(ro.fstats)
 	}
-	return res, err
+	if ro.pBreakers != nil {
+		ro.astats.BreakerTrips = breakerTrips(ro.pBreakers, ro.dBreakers)
+	}
+	rep.Admission = ro.astats
+	if ro.dpool != nil {
+		rep.Autoscale = ro.dpool.finish(rep.Elapsed, cfg.World)
+	}
+	return &DisaggResult{
+		Report:           rep,
+		Prefill:          results[:P],
+		Decode:           results[P:],
+		PrefillShards:    ro.pre.shards,
+		DecodeShards:     ro.dec.shards,
+		Records:          records,
+		Handoffs:         ro.handoffs,
+		TransferredBytes: ro.moved,
+		QueuedHandoffs:   ro.queued,
+		Steps:            fab.Steps(),
+	}, nil
 }
 
 // dtickEvent is one decode-pool autoscaler evaluation on the control
@@ -407,7 +345,7 @@ func dtickEvent(ctx any, _, _ int) {
 	s.Active, s.Warming = ro.dpool.counts()
 	queued := len(ro.pending)
 	for i := range ro.decode {
-		queued += ro.dOut[i].Requests
+		queued += ro.dec.out[i].Requests
 	}
 	if s.Active > 0 {
 		s.QueuePerReplica = float64(queued) / float64(s.Active)
@@ -415,7 +353,7 @@ func dtickEvent(ctx any, _, _ int) {
 		s.QueuePerReplica = float64(queued)
 	}
 	s.Goodput = 1
-	outstanding := func(i int) int { return ro.dOut[i].Requests }
+	outstanding := func(i int) int { return ro.dec.out[i].Requests }
 	warm := func(k int) {
 		ro.ctl.AtFunc(sim.Time(now+ro.dpool.coldStart), dactivateEvent, ro, k, 0)
 	}
@@ -430,7 +368,7 @@ func dtickEvent(ctx any, _, _ int) {
 	for _, e := range ro.decode {
 		finished += e.NumFinished()
 	}
-	if finished+ro.fstats.Dropped < len(ro.reqs) {
+	if finished+ro.led.dropped < len(ro.reqs) {
 		ro.ctl.AtFunc(ro.ctl.Now()+ro.dpool.tickInterval(), dtickEvent, ro, 0, 0)
 	}
 }
@@ -450,80 +388,62 @@ func dactivateEvent(ctx any, k, _ int) {
 // is the router, a the trace index).
 func disaggArrivalEvent(ctx any, idx, _ int) {
 	ro := ctx.(*disaggRouter)
-	ro.route(ro.reqs[idx], idx)
+	if ro.err == nil {
+		ro.dispatchPrefill(idx)
+	}
 }
 
-// route dispatches one arrival to the prefill pool. Under a fault plan
-// the pick is health-checked: dead replicas are filtered out first, and
-// an arrival with no live prefill replica queues until a restart.
-func (ro *disaggRouter) route(r workload.Request, origin int) {
-	if ro.err != nil {
-		return
+// candidates fills the per-pick snapshot with the pool replicas ok
+// admits, row building each one's load view. Breaker-open replicas are
+// skipped (and counted), except that when every admitted replica's
+// breaker is open the filter falls back to ok alone — a fully-tripped
+// pool keeps serving (degraded) instead of stalling forever.
+func (ro *disaggRouter) candidates(n int, bs []*policy.Breaker, now float64, ok func(i int) bool, row func(i int) Load) []Load {
+	ro.cand, ro.loads = ro.cand[:0], ro.loads[:0]
+	skips := 0
+	for i := 0; i < n; i++ {
+		if !ok(i) {
+			continue
+		}
+		if bs != nil && !bs[i].Routable(now) {
+			skips++
+			continue
+		}
+		ro.cand, ro.loads = append(ro.cand, i), append(ro.loads, row(i))
 	}
-	if ro.plan != nil || ro.pBreakers != nil {
-		ro.dispatchPrefill(origin)
-		return
+	if len(ro.cand) > 0 || skips == 0 {
+		ro.astats.BreakerSkips += skips
+		return ro.loads
 	}
-	loads := ro.loads[:len(ro.prefill)]
-	for i := range ro.prefill {
-		l := ro.pOut[i]
-		l.WarmTokens = ro.prefill[i].PrefixWarmTokens(r)
-		l.FreeKVTokens = ro.prefill[i].FreeKVTokens()
-		loads[i] = l
+	for i := 0; i < n; i++ {
+		if ok(i) {
+			ro.cand, ro.loads = append(ro.cand, i), append(ro.loads, row(i))
+		}
 	}
-	k := ro.ppolicy.Pick(r, loads)
-	if k < 0 || k >= len(ro.prefill) {
-		ro.err = fmt.Errorf("fleet: policy %q picked prefill replica %d of %d", ro.ppolicy.Name(), k, len(ro.prefill))
-		return
-	}
-	ro.submitPrefill(r, origin, k)
+	return ro.loads
 }
 
 // dispatchPrefill routes origin's request to a live, breaker-routable
 // prefill replica (arrivals and crash recompute re-dispatches alike),
-// queueing it when the whole pool is down. When every live replica's
-// breaker is open the filter falls back to liveness alone — a
-// fully-tripped pool keeps serving (degraded) instead of stalling
-// arrivals forever.
+// queueing it when the whole pool is down.
 func (ro *disaggRouter) dispatchPrefill(origin int) {
 	r := ro.reqs[origin]
 	now := float64(ro.ctl.Now())
-	ro.cand = ro.cand[:0]
-	loads := ro.loads[:0]
-	skips := 0
-	add := func(i int) {
-		l := ro.pOut[i]
-		l.WarmTokens = ro.prefill[i].PrefixWarmTokens(r)
-		l.FreeKVTokens = ro.prefill[i].FreeKVTokens()
-		ro.cand = append(ro.cand, i)
-		loads = append(loads, l)
-	}
-	for i := range ro.prefill {
-		if !ro.prefill[i].Alive() {
-			continue
-		}
-		if ro.pBreakers != nil && !ro.pBreakers[i].Routable(now) {
-			skips++
-			continue
-		}
-		add(i)
-	}
-	if len(ro.cand) == 0 && skips > 0 {
-		for i := range ro.prefill {
-			if ro.prefill[i].Alive() {
-				add(i)
-			}
-		}
-	} else {
-		ro.astats.BreakerSkips += skips
-	}
-	if len(ro.cand) == 0 {
+	loads := ro.candidates(len(ro.prefill), ro.pBreakers, now,
+		func(i int) bool { return ro.prefill[i].Alive() },
+		func(i int) Load {
+			l := ro.pre.out[i]
+			l.WarmTokens = ro.prefill[i].PrefixWarmTokens(r)
+			l.FreeKVTokens = ro.prefill[i].FreeKVTokens()
+			return l
+		})
+	if len(loads) == 0 {
 		ro.queuedPrefill = append(ro.queuedPrefill, origin)
 		return
 	}
 	j := ro.ppolicy.Pick(r, loads)
-	if j < 0 || j >= len(ro.cand) {
-		ro.err = fmt.Errorf("fleet: policy %q picked prefill candidate %d of %d", ro.ppolicy.Name(), j, len(ro.cand))
+	if j < 0 || j >= len(loads) {
+		ro.err = fmt.Errorf("fleet: policy %q picked prefill candidate %d of %d", ro.ppolicy.Name(), j, len(loads))
 		return
 	}
 	k := ro.cand[j]
@@ -531,43 +451,20 @@ func (ro *disaggRouter) dispatchPrefill(origin int) {
 		// Consume the half-open probe slot if the pick is probing.
 		ro.pBreakers[k].Allow(now)
 	}
-	ro.submitPrefill(r, origin, k)
-}
-
-// submitPrefill lands one request on prefill replica k and records the
-// routing.
-func (ro *disaggRouter) submitPrefill(r workload.Request, origin, k int) {
-	cost := ro.ppolicy.Cost(r)
 	local, err := ro.prefill[k].Submit(r)
 	if err != nil {
 		if ro.plan != nil && errors.Is(err, core.ErrRequestTooLarge) {
 			// A fault run is allowed to lose requests, never to lose
 			// them silently: an unservable request drops with a reason
 			// instead of failing the whole run.
-			ro.drop(origin, err.Error())
+			ro.led.drop(origin, err.Error())
 			return
 		}
 		ro.err = fmt.Errorf("fleet: prefill replica %d rejected request %d: %w", k, origin, err)
 		return
 	}
-	ro.pEntries[k] = append(ro.pEntries[k], loadEntry{inputTokens: r.InputLen, cost: cost})
-	ro.pOut[k].Requests++
-	ro.pOut[k].InputTokens += r.InputLen
-	ro.pOut[k].CostTokens += cost
-	routed := r
-	routed.ID = local
-	ro.pShards[k].Reqs = append(ro.pShards[k].Reqs, routed)
-	ro.pShards[k].Origin = append(ro.pShards[k].Origin, origin)
-	ro.final[origin] = recRef{decode: false, replica: k, local: local}
-}
-
-// retirePrefill removes a request's contribution from its prefill
-// replica's load counters (finish, hand-off and crash-abort alike).
-func (ro *disaggRouter) retirePrefill(replica, local int) {
-	en := ro.pEntries[replica][local]
-	ro.pOut[replica].Requests--
-	ro.pOut[replica].InputTokens -= en.inputTokens
-	ro.pOut[replica].CostTokens -= en.cost
+	ro.pre.add(k, local, origin, r, ro.ppolicy.Cost(r))
+	ro.led.final[origin] = recRef{replica: k, local: local}
 }
 
 // prefillFinished is the prefill engines' completion hook; it fires
@@ -575,10 +472,7 @@ func (ro *disaggRouter) retirePrefill(replica, local int) {
 // retires the request before the hand-off hook runs, which immediately
 // takes the tentative finish back).
 func (ro *disaggRouter) prefillFinished(replica, local int) {
-	ro.retirePrefill(replica, local)
-	if ro.fin != nil {
-		ro.fin[ro.pShards[replica].Origin[local]]++
-	}
+	ro.led.fin[ro.pre.retire(replica, local)]++
 	if ro.pBreakers != nil {
 		// Trip accounting is summed from Trips() at assemble; the
 		// hook must not touch the shared stats struct.
@@ -596,22 +490,17 @@ func (ro *disaggRouter) handoff(replica int, h core.Handoff) {
 	if ro.err != nil {
 		return
 	}
-	origin := ro.pShards[replica].Origin[h.Local]
-	if ro.fin != nil {
-		// The engine-local "finish" was a hand-off, not a completion.
-		ro.fin[origin]--
-	}
+	origin := ro.pre.shards[replica].Origin[h.Local]
+	// The engine-local "finish" was a hand-off, not a completion.
+	ro.led.fin[origin]--
 	ro.items = append(ro.items, handoffItem{origin: origin, h: h})
 	ro.handoffs++
 	bytes := float64(h.KV.Blocks()) * ro.blockBytes
 	ro.moved += bytes
-	done := float64(h.At) + ro.xferTime(bytes)
-	if ro.plan != nil {
-		// The export crosses the source replica's link timeline: a
-		// prefill replica inside a network domain outage stalls its
-		// hand-offs until the partition lifts.
-		done = ro.plan.TransferDoneFrom(replica, float64(h.At), ro.xferTime(bytes))
-	}
+	// The export crosses the source replica's link timeline: a prefill
+	// replica inside a network domain outage stalls its hand-offs until
+	// the partition lifts (a fault-free run's nil plan adds nothing).
+	done := ro.plan.TransferDoneFrom(replica, float64(h.At), ro.xferTime(bytes))
 	ro.ctl.AtFunc(sim.Time(done), transferDoneEvent, ro, len(ro.items)-1, 0)
 }
 
@@ -638,61 +527,40 @@ func (ro *disaggRouter) place(item int) bool {
 	it := &ro.items[item]
 	r := ro.reqs[it.origin]
 	now := float64(ro.ctl.Now())
-	ro.cand = ro.cand[:0]
-	loads := ro.loads[:0]
-	skips := 0
-	add := func(i int) {
-		l := ro.dOut[i]
-		l.WarmTokens = ro.decode[i].ResidentKVTokens(it.h.KV)
-		l.FreeKVTokens = ro.decode[i].FreeKVTokens()
-		ro.cand = append(ro.cand, i)
-		loads = append(loads, l)
-	}
+	P := len(ro.prefill)
 	// lift is the earliest instant a partition excluding a replica
 	// here will end; a placement retry is scheduled there so work is
 	// never stranded behind an outage that outlives the decode pool's
 	// finish stream.
 	lift := -1.0
-	importable := func(i int) bool {
-		if !ro.dpool.routable(i) || !ro.decode[i].Alive() || !ro.decode[i].CanImportKV(it.h.KV) {
-			return false
-		}
-		if ro.plan.PartitionedAt(len(ro.prefill)+i, now) {
-			if end := ro.plan.PartitionLiftsAt(len(ro.prefill)+i, now); lift < 0 || end < lift {
-				lift = end
+	loads := ro.candidates(len(ro.decode), ro.dBreakers, now,
+		func(i int) bool {
+			if !ro.dpool.routable(i) || !ro.decode[i].Alive() || !ro.decode[i].CanImportKV(it.h.KV) {
+				return false
 			}
-			return false
-		}
-		return true
-	}
-	for i := range ro.decode {
-		if !importable(i) {
-			continue
-		}
-		if ro.dBreakers != nil && !ro.dBreakers[i].Routable(now) {
-			skips++
-			continue
-		}
-		add(i)
-	}
-	if len(ro.cand) == 0 && skips > 0 {
-		for i := range ro.decode {
-			if importable(i) {
-				add(i)
+			if ro.plan.PartitionedAt(P+i, now) {
+				if end := ro.plan.PartitionLiftsAt(P+i, now); lift < 0 || end < lift {
+					lift = end
+				}
+				return false
 			}
-		}
-	} else {
-		ro.astats.BreakerSkips += skips
-	}
-	if len(ro.cand) == 0 {
+			return true
+		},
+		func(i int) Load {
+			l := ro.dec.out[i]
+			l.WarmTokens = ro.decode[i].ResidentKVTokens(it.h.KV)
+			l.FreeKVTokens = ro.decode[i].FreeKVTokens()
+			return l
+		})
+	if len(loads) == 0 {
 		if lift > now {
 			ro.ctl.AtFunc(sim.Time(lift), drainPendingEvent, ro, 0, 0)
 		}
 		return false
 	}
 	j := ro.dpolicy.Pick(r, loads)
-	if j < 0 || j >= len(ro.cand) {
-		ro.err = fmt.Errorf("fleet: policy %q picked decode candidate %d of %d", ro.dpolicy.Name(), j, len(ro.cand))
+	if j < 0 || j >= len(loads) {
+		ro.err = fmt.Errorf("fleet: policy %q picked decode candidate %d of %d", ro.dpolicy.Name(), j, len(loads))
 		return true
 	}
 	k := ro.cand[j]
@@ -707,7 +575,7 @@ func (ro *disaggRouter) place(item int) bool {
 			// its headroom in this very instant. Re-enter the
 			// lifecycle through the prefill pool with recompute on the
 			// same attempt instead of stranding the request (an
-			// oversized request drops inside submitPrefill).
+			// oversized request drops inside dispatchPrefill).
 			ro.fstats.RecoveredRecompute++
 			ro.dispatchPrefill(it.origin)
 			return true
@@ -715,16 +583,8 @@ func (ro *disaggRouter) place(item int) bool {
 		ro.err = fmt.Errorf("fleet: import on decode replica %d: %w", k, err)
 		return true
 	}
-	cost := ro.dpolicy.Cost(r)
-	ro.dEntries[k] = append(ro.dEntries[k], loadEntry{inputTokens: r.InputLen, cost: cost})
-	ro.dOut[k].Requests++
-	ro.dOut[k].InputTokens += r.InputLen
-	ro.dOut[k].CostTokens += cost
-	routed := r
-	routed.ID = local
-	ro.dShards[k].Reqs = append(ro.dShards[k].Reqs, routed)
-	ro.dShards[k].Origin = append(ro.dShards[k].Origin, it.origin)
-	ro.final[it.origin] = recRef{decode: true, replica: k, local: local}
+	ro.dec.add(k, local, it.origin, r, ro.dpolicy.Cost(r))
+	ro.led.final[it.origin] = recRef{replica: P + k, local: local}
 	if it.recovery {
 		ro.fstats.RecoveredCheckpoint++
 	}
@@ -736,26 +596,15 @@ func (ro *disaggRouter) place(item int) bool {
 // queued for headroom, the fabric lockstep sees the flag and retries
 // placement at this instant (after every decode event at it has run).
 func (ro *disaggRouter) decodeFinished(replica, local int) {
-	ro.retireDecode(replica, local)
-	if ro.fin != nil {
-		ro.fin[ro.dShards[replica].Origin[local]]++
-	}
+	ro.led.fin[ro.dec.retire(replica, local)]++
+	t := float64(ro.decode[replica].Now())
 	if ro.dBreakers != nil {
-		ro.dBreakers[replica].OnSuccess(float64(ro.decode[replica].Now()))
+		ro.dBreakers[replica].OnSuccess(t)
 	}
-	if ro.dpool != nil && ro.dOut[replica].Requests == 0 {
-		ro.dpool.noteDrained(replica, float64(ro.decode[replica].Now()))
+	if ro.dpool != nil && ro.dec.out[replica].Requests == 0 {
+		ro.dpool.noteDrained(replica, t)
 	}
 	ro.fab.markFinish(len(ro.prefill) + replica)
-}
-
-// retireDecode removes a request's contribution from its decode
-// replica's load counters (finish and crash-abort alike).
-func (ro *disaggRouter) retireDecode(replica, local int) {
-	en := ro.dEntries[replica][local]
-	ro.dOut[replica].Requests--
-	ro.dOut[replica].InputTokens -= en.inputTokens
-	ro.dOut[replica].CostTokens -= en.cost
 }
 
 // drainPendingEvent retries queued hand-offs in completion order
@@ -792,40 +641,23 @@ func disaggCrashEvent(ctx any, ci, _ int) {
 		return
 	}
 	c := ro.plan.Crashes[ci]
-	restart := sim.Time(c.RestartAt)
-	var lost []core.Lost
-	var err error
-	var origins []int
-	if c.Replica < len(ro.prefill) {
-		k := c.Replica
-		lost, err = ro.prefill[k].Crash(restart)
-		if err == nil {
-			for _, l := range lost {
-				ro.retirePrefill(k, l.Local)
-				origins = append(origins, ro.pShards[k].Origin[l.Local])
-			}
-		}
-	} else {
-		dk := c.Replica - len(ro.prefill)
-		lost, err = ro.decode[dk].Crash(restart)
-		if err == nil {
-			for _, l := range lost {
-				ro.retireDecode(dk, l.Local)
-				origins = append(origins, ro.dShards[dk].Origin[l.Local])
-			}
-		}
-	}
+	e, b, k, bs := ro.pool(c.Replica)
+	lost, err := e.Crash(sim.Time(c.RestartAt))
 	if err != nil {
 		ro.err = fmt.Errorf("fleet: crash of replica %d: %w", c.Replica, err)
 		return
 	}
-	if b := ro.breakerFor(c.Replica); b != nil {
+	origins := make([]int, len(lost))
+	for i, l := range lost {
+		origins[i] = b.retire(k, l.Local)
+	}
+	if bs != nil {
 		// A crash is a failure signal per aborted request — at least
 		// one even when the replica was idle — so repeated outages
 		// open the breaker and routing stops probing the replica.
 		now := float64(ro.ctl.Now())
 		for i := 0; i < max(len(lost), 1); i++ {
-			b.OnFailure(now)
+			bs[k].OnFailure(now)
 		}
 	}
 	for i, l := range lost {
@@ -833,17 +665,14 @@ func disaggCrashEvent(ctx any, ci, _ int) {
 	}
 }
 
-// breakerFor maps a fleet-global replica index to its pool's breaker,
-// nil when breakers are off.
-func (ro *disaggRouter) breakerFor(replica int) *policy.Breaker {
-	switch {
-	case ro.pBreakers == nil:
-		return nil
-	case replica < len(ro.prefill):
-		return ro.pBreakers[replica]
-	default:
-		return ro.dBreakers[replica-len(ro.prefill)]
+// pool maps a fleet-global replica index to its engine, its pool's
+// books, its index inside the pool and the pool's breakers (nil when
+// breakers are off).
+func (ro *disaggRouter) pool(replica int) (*core.Engine, *books, int, []*policy.Breaker) {
+	if P := len(ro.prefill); replica >= P {
+		return ro.decode[replica-P], &ro.dec, replica - P, ro.dBreakers
 	}
+	return ro.prefill[replica], &ro.pre, replica, ro.pBreakers
 }
 
 // recover re-dispatches one crash-lost request, spending one retry.
@@ -851,9 +680,9 @@ func (ro *disaggRouter) recover(origin int, l core.Lost) {
 	if ro.err != nil {
 		return
 	}
-	ro.attempts[origin]++
-	if ro.attempts[origin] > ro.plan.MaxRetries() {
-		ro.drop(origin, "retry budget exhausted")
+	ro.led.attempts[origin]++
+	if ro.led.attempts[origin] > ro.plan.MaxRetries() {
+		ro.led.drop(origin, "retry budget exhausted")
 		return
 	}
 	if l.Ckpt != nil {
@@ -893,264 +722,20 @@ func disaggRestoreEvent(ctx any, ci, _ int) {
 		return
 	}
 	c := ro.plan.Crashes[ci]
-	if c.Replica < len(ro.prefill) {
-		if err := ro.prefill[c.Replica].Restore(); err != nil {
-			ro.err = fmt.Errorf("fleet: restore of replica %d: %w", c.Replica, err)
-			return
-		}
-		if len(ro.queuedPrefill) > 0 {
-			q := ro.queuedPrefill
-			ro.queuedPrefill = nil
-			for _, origin := range q {
-				ro.dispatchPrefill(origin)
-			}
-		}
-		return
-	}
-	if err := ro.decode[c.Replica-len(ro.prefill)].Restore(); err != nil {
+	e, _, _, _ := ro.pool(c.Replica)
+	if err := e.Restore(); err != nil {
 		ro.err = fmt.Errorf("fleet: restore of replica %d: %w", c.Replica, err)
 		return
 	}
-	if len(ro.pending) > 0 {
+	if c.Replica < len(ro.prefill) {
+		q := ro.queuedPrefill
+		ro.queuedPrefill = nil
+		for _, origin := range q {
+			ro.dispatchPrefill(origin)
+		}
+	} else if len(ro.pending) > 0 {
 		// Retry after the control events at this instant settle: the
 		// restored replica may now import what others could not.
 		ro.ctl.AtFunc(ro.ctl.Now(), drainPendingEvent, ro, 0, 0)
 	}
-}
-
-// drop abandons a request with a reason (idempotent).
-func (ro *disaggRouter) drop(origin int, reason string) {
-	if ro.droppedReason[origin] == "" {
-		ro.droppedReason[origin] = reason
-		ro.fstats.Dropped++
-	}
-}
-
-// assemble builds the merged disaggregated result: the conservation
-// check, the record merge across pools, and the aggregate report.
-func (ro *disaggRouter) assemble(cfg core.Config, dc DisaggConfig, results []*core.Result) (*DisaggResult, error) {
-	if ro.plan != nil {
-		return ro.assembleFaults(cfg, dc, results)
-	}
-	n := len(ro.reqs)
-	res := &DisaggResult{
-		Prefill:          results[:dc.PrefillReplicas],
-		Decode:           results[dc.PrefillReplicas:],
-		PrefillShards:    ro.pShards,
-		DecodeShards:     ro.dShards,
-		Handoffs:         ro.handoffs,
-		TransferredBytes: ro.moved,
-		QueuedHandoffs:   ro.queued,
-	}
-	if err := res.checkConservation(n); err != nil {
-		return nil, err
-	}
-	records := make([]metrics.RequestRecord, n)
-	for origin, ref := range ro.final {
-		pool := res.Prefill
-		if ref.decode {
-			pool = res.Decode
-		}
-		rec := pool[ref.replica].Records[ref.local]
-		rec.ID = origin
-		records[origin] = rec
-	}
-	res.Records = records
-
-	rep := metrics.Report{
-		Scheduler: fmt.Sprintf("Disagg(TD-Pipe %dP+%dD)", dc.PrefillReplicas, dc.DecodeReplicas),
-		Node:      cfg.Node.Name,
-		Model:     cfg.Spec.Name,
-		GPUs:      cfg.World * (dc.PrefillReplicas + dc.DecodeReplicas),
-		Requests:  n,
-	}
-	for _, r := range ro.reqs {
-		rep.InputTokens += r.InputLen
-	}
-	for _, rec := range records {
-		rep.OutputTokens += rec.OutputTokens
-	}
-	var busy float64
-	for _, r := range results {
-		rr := r.Report
-		rep.PhaseSwitches += rr.PhaseSwitches
-		rep.Recomputes += rr.Recomputes
-		rep.PrefixCachedTokens += rr.PrefixCachedTokens
-		if rr.Elapsed > rep.Elapsed {
-			rep.Elapsed = rr.Elapsed
-		}
-		if rr.KVPeakUsage > rep.KVPeakUsage {
-			rep.KVPeakUsage = rr.KVPeakUsage
-		}
-		busy += rr.MeanUtilization * rr.Elapsed * float64(rr.GPUs)
-	}
-	if rep.Elapsed > 0 && rep.GPUs > 0 {
-		rep.MeanUtilization = busy / (rep.Elapsed * float64(rep.GPUs))
-	}
-	ro.addBreakerStats(&rep)
-	rep.BubbleRatio = 1 - rep.MeanUtilization
-	rep.Latency = metrics.Digest(records, cfg.SLO)
-	res.Report = rep
-	return res, nil
-}
-
-// addBreakerStats folds routing-time breaker activity and the trip
-// count into the report's admission stats (a no-op zero value when
-// breakers are off, so pre-breaker reports stay byte-identical).
-func (ro *disaggRouter) addBreakerStats(rep *metrics.Report) {
-	if ro.pBreakers != nil {
-		trips := 0
-		for _, b := range ro.pBreakers {
-			trips += b.Trips()
-		}
-		for _, b := range ro.dBreakers {
-			trips += b.Trips()
-		}
-		ro.astats.BreakerTrips = trips
-	}
-	rep.Admission = ro.astats
-}
-
-// assembleFaults builds the result of a fault-injected run. The
-// conservation invariant changes shape: instead of "every replica
-// completed exactly its shard", every trace request must have finished
-// terminally exactly once XOR carry a drop reason — nothing lost
-// silently, nothing double-finished, across any number of crashes and
-// re-dispatches.
-func (ro *disaggRouter) assembleFaults(cfg core.Config, dc DisaggConfig, results []*core.Result) (*DisaggResult, error) {
-	n := len(ro.reqs)
-	res := &DisaggResult{
-		Prefill:          results[:dc.PrefillReplicas],
-		Decode:           results[dc.PrefillReplicas:],
-		PrefillShards:    ro.pShards,
-		DecodeShards:     ro.dShards,
-		Handoffs:         ro.handoffs,
-		TransferredBytes: ro.moved,
-		QueuedHandoffs:   ro.queued,
-	}
-	finished := 0
-	for origin := 0; origin < n; origin++ {
-		switch f, dropped := ro.fin[origin], ro.droppedReason[origin] != ""; {
-		case f == 1 && !dropped:
-			finished++
-		case f == 0 && dropped:
-		case f > 1:
-			return nil, fmt.Errorf("fleet: request %d finished %d times across crashes", origin, f)
-		case dropped:
-			return nil, fmt.Errorf("fleet: request %d both finished and dropped (%s)", origin, ro.droppedReason[origin])
-		default:
-			return nil, fmt.Errorf("fleet: request %d lost without a drop reason (fin=%d)", origin, f)
-		}
-	}
-	records := make([]metrics.RequestRecord, n)
-	for origin, ref := range ro.final {
-		if ro.droppedReason[origin] != "" {
-			// Dropped: an unfinished zero record — it stays in the
-			// digest's denominator, so goodput pays for the loss.
-			records[origin] = metrics.RequestRecord{ID: origin, Arrival: ro.reqs[origin].ArrivalTime}
-			continue
-		}
-		pool := res.Prefill
-		if ref.decode {
-			pool = res.Decode
-		}
-		rec := pool[ref.replica].Records[ref.local]
-		rec.ID = origin
-		records[origin] = rec
-	}
-	res.Records = records
-
-	rep := metrics.Report{
-		Scheduler: fmt.Sprintf("DisaggFaults(TD-Pipe %dP+%dD)", dc.PrefillReplicas, dc.DecodeReplicas),
-		Node:      cfg.Node.Name,
-		Model:     cfg.Spec.Name,
-		GPUs:      cfg.World * (dc.PrefillReplicas + dc.DecodeReplicas),
-		Requests:  finished,
-	}
-	for origin, r := range ro.reqs {
-		if ro.droppedReason[origin] == "" {
-			rep.InputTokens += r.InputLen
-		}
-	}
-	for _, rec := range records {
-		rep.OutputTokens += rec.OutputTokens
-	}
-	var busy float64
-	for _, r := range results {
-		rr := r.Report
-		rep.PhaseSwitches += rr.PhaseSwitches
-		rep.Recomputes += rr.Recomputes
-		rep.PrefixCachedTokens += rr.PrefixCachedTokens
-		rep.Faults.Add(rr.Faults)
-		if rr.Elapsed > rep.Elapsed {
-			rep.Elapsed = rr.Elapsed
-		}
-		if rr.KVPeakUsage > rep.KVPeakUsage {
-			rep.KVPeakUsage = rr.KVPeakUsage
-		}
-		busy += rr.MeanUtilization * rr.Elapsed * float64(rr.GPUs)
-	}
-	ro.fstats.DomainOutages = len(ro.plan.Domains)
-	rep.Faults.Add(ro.fstats)
-	ro.addBreakerStats(&rep)
-	if rep.Elapsed > 0 && rep.GPUs > 0 {
-		rep.MeanUtilization = busy / (rep.Elapsed * float64(rep.GPUs))
-	}
-	rep.BubbleRatio = 1 - rep.MeanUtilization
-	rep.Latency = metrics.Digest(records, cfg.SLO)
-	res.Report = rep
-	return res, nil
-}
-
-// checkConservation verifies the disaggregated request lifecycle:
-// every trace request was prefilled on exactly one prefill replica,
-// handed to at most one decode replica, and each replica completed
-// exactly its shard.
-func (r *DisaggResult) checkConservation(n int) error {
-	prefilled := make([]int, n)
-	for i, sh := range r.PrefillShards {
-		if len(sh.Reqs) != len(sh.Origin) {
-			return fmt.Errorf("fleet: prefill replica %d has %d requests but %d origins", i, len(sh.Reqs), len(sh.Origin))
-		}
-		if got := r.Prefill[i].Report.Requests; got != len(sh.Reqs) {
-			return fmt.Errorf("fleet: prefill replica %d completed %d of %d requests", i, got, len(sh.Reqs))
-		}
-		for _, o := range sh.Origin {
-			if o < 0 || o >= n {
-				return fmt.Errorf("fleet: prefill replica %d has origin %d outside trace of %d", i, o, n)
-			}
-			prefilled[o]++
-		}
-	}
-	for o, c := range prefilled {
-		if c != 1 {
-			return fmt.Errorf("fleet: request %d prefilled %d times", o, c)
-		}
-	}
-	decoded := make([]int, n)
-	for i, sh := range r.DecodeShards {
-		if len(sh.Reqs) != len(sh.Origin) {
-			return fmt.Errorf("fleet: decode replica %d has %d requests but %d origins", i, len(sh.Reqs), len(sh.Origin))
-		}
-		if got := r.Decode[i].Report.Requests; got != len(sh.Reqs) {
-			return fmt.Errorf("fleet: decode replica %d completed %d of %d requests", i, got, len(sh.Reqs))
-		}
-		for _, o := range sh.Origin {
-			if o < 0 || o >= n {
-				return fmt.Errorf("fleet: decode replica %d has origin %d outside trace of %d", i, o, n)
-			}
-			decoded[o]++
-		}
-	}
-	handed := 0
-	for o, c := range decoded {
-		if c > 1 {
-			return fmt.Errorf("fleet: request %d decoded on %d replicas", o, c)
-		}
-		handed += c
-	}
-	if handed != r.Handoffs {
-		return fmt.Errorf("fleet: %d hand-offs recorded but %d requests placed on the decode pool", r.Handoffs, handed)
-	}
-	return nil
 }

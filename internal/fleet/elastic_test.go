@@ -51,7 +51,7 @@ func checkElasticConservation(t *testing.T, res *Result, n int) {
 	}
 }
 
-// An inactive stack must take the exact RunOnline code path: reports
+// An inactive stack must take the exact RunOnlineWorkers code path: reports
 // and records byte-identical, at one worker and at four (the race leg
 // re-runs this under -race).
 func TestParallelElasticInactiveStackByteIdentical(t *testing.T) {
@@ -115,7 +115,7 @@ func TestElasticAutoscalerBreathes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOnlineElastic(cfg, 4, mustPolicy(t, LeastWork, Options{}), reqs, &policy.Stack{Autoscaler: as})
+	res, err := RunOnlineElasticWorkers(cfg, 4, mustPolicy(t, LeastWork, Options{}), reqs, &policy.Stack{Autoscaler: as}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestElasticAdmissionShedsAndRetries(t *testing.T) {
 		Admission: policy.NewTokenBucket(50, 1),
 		Retry:     policy.NewBackoff(policy.BackoffConfig{Base: 0.005, Max: 0.05, MaxAttempts: 2, Seed: 1}),
 	}
-	res, err := RunOnlineElastic(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, stack)
+	res, err := RunOnlineElasticWorkers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, stack, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestElasticAdmissionShedsAndRetries(t *testing.T) {
 		Admission: policy.NewTokenBucket(50, 1),
 		Retry:     policy.NewBackoff(policy.BackoffConfig{Base: 0.005, Max: 0.05, MaxAttempts: 2, Seed: 1}),
 	}
-	res2, err := RunOnlineElastic(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, stack2)
+	res2, err := RunOnlineElasticWorkers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, stack2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +192,9 @@ func TestElasticPreemption(t *testing.T) {
 	if !workload.HasPriorities(reqs) {
 		t.Fatal("trace has no priority structure")
 	}
-	res, err := RunOnlineElastic(cfg, 1, mustPolicy(t, RoundRobin, Options{}), reqs, &policy.Stack{
+	res, err := RunOnlineElasticWorkers(cfg, 1, mustPolicy(t, RoundRobin, Options{}), reqs, &policy.Stack{
 		Preemption: &policy.PreemptionConfig{},
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +215,10 @@ func TestElasticRejectsBadConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunOnlineElastic(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, &policy.Stack{Autoscaler: as}); err == nil {
+	if _, err := RunOnlineElasticWorkers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, &policy.Stack{Autoscaler: as}, 1); err == nil {
 		t.Fatal("autoscaler Max above provisioned replicas must be rejected")
 	}
-	if _, err := RunOnlineElastic(cfg, 0, mustPolicy(t, RoundRobin, Options{}), reqs, elasticStack(t, 4)); err == nil {
+	if _, err := RunOnlineElasticWorkers(cfg, 0, mustPolicy(t, RoundRobin, Options{}), reqs, elasticStack(t, 4), 1); err == nil {
 		t.Fatal("zero replicas must be rejected")
 	}
 	if _, err := RunOnlineElasticWorkers(cfg, 2, nil, reqs, elasticStack(t, 2), 1); err == nil {

@@ -1,16 +1,26 @@
 package fleet
 
 import (
+	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
+// replica lifecycle states of an autoscaled pool.
+const (
+	rIdle     = iota // provisioned but not serving (never started, or drained)
+	rWarming         // scale-up decided, weight load in progress
+	rActive          // serving traffic
+	rDraining        // scale-down decided, finishing resident work
+)
+
 // elasticPool owns the replica-lifecycle mechanics an autoscaled pool
 // needs: the per-replica state machine (idle / warming / active /
 // draining), the provisioned GPU-second spans, and the execution of
-// scale decisions. The online elastic router scales its whole fleet
-// with one; the disaggregated router scales its decode pool. A nil
+// scale decisions. The online router's policy layer scales its whole
+// fleet with one; the disaggregated router scales its decode pool. A nil
 // pool means "static": every routable check passes and no accounting
 // happens, preserving the pre-policy code paths byte for byte.
 type elasticPool struct {
@@ -30,16 +40,20 @@ type elasticPool struct {
 }
 
 // newElasticPool provisions n replicas, the autoscaler's initial count
-// active and the rest idle. coldStart is the modeled weight-load delay
-// every scale-up pays.
-func newElasticPool(as *policy.Autoscaler, n int, coldStart float64) *elasticPool {
+// active and the rest idle. Every scale-up pays the autoscaler's
+// ColdStart, or the modeled weight-load time of one replica of cfg when
+// that is zero.
+func newElasticPool(as *policy.Autoscaler, n int, cfg core.Config) *elasticPool {
 	ep := &elasticPool{
 		as:          as,
-		coldStart:   coldStart,
+		coldStart:   as.Config().ColdStart,
 		state:       make([]int, n),
 		openStart:   make([]float64, n),
 		gpuSec:      make([]float64, n),
 		drainDoneAt: make([]float64, n),
+	}
+	if ep.coldStart == 0 {
+		ep.coldStart = faults.WeightReloadTime(cfg.Node, cfg.Spec, cfg.World)
 	}
 	initial := as.InitialReplicas()
 	for i := range ep.state {
@@ -50,6 +64,30 @@ func newElasticPool(as *policy.Autoscaler, n int, coldStart float64) *elasticPoo
 	}
 	ep.stats.PeakReplicas = initial
 	return ep
+}
+
+// newBreakers gives each of n replicas a circuit breaker when the stack
+// carries a BreakerConfig; nil otherwise.
+func newBreakers(stack *policy.Stack, n int) []*policy.Breaker {
+	if stack == nil || stack.Breaker == nil {
+		return nil
+	}
+	bs := make([]*policy.Breaker, n)
+	for i := range bs {
+		bs[i] = policy.NewBreaker(*stack.Breaker)
+	}
+	return bs
+}
+
+// breakerTrips sums the trips of every breaker in the given pools.
+func breakerTrips(pools ...[]*policy.Breaker) int {
+	trips := 0
+	for _, bs := range pools {
+		for _, b := range bs {
+			trips += b.Trips()
+		}
+	}
+	return trips
 }
 
 // routable reports whether replica i may receive new traffic. A nil

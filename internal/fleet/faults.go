@@ -1,28 +1,32 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/faults"
-	"repro/internal/kvcache"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
-// Fault-injected online serving: RunOnline's shared-clock router grown
-// a failure domain. The plan (package faults) schedules replica
-// crashes and restarts as simulation events; the router health-checks
-// every dispatch (dead replicas receive nothing), aborts and
-// re-dispatches crash-lost requests — resuming from a periodic KV
-// checkpoint when one exists, re-prefilling input+generated tokens
-// otherwise — and drops a request only after its retry budget is
-// exhausted or no live replica remains, always with a recorded reason.
-// Conservation changes shape accordingly: every trace request finishes
-// terminally exactly once XOR carries a drop reason.
+// The online router's fault layer: crash recovery under a fault plan
+// (package faults). It owns the crash, restore and checkpoint-resume
+// events of the control timeline; its candidate-filter contribution
+// (dead replicas receive nothing) is the base snapshot's liveness check.
+
+// faultLayer is the online router's crash-recovery state.
+type faultLayer struct {
+	plan *faults.Plan
+	// queued holds requests that found no live replica; the next
+	// restore dispatches them again.
+	queued []pendingRec
+	// resumes holds checkpoint restores in flight (KV reloading from
+	// stable storage before re-import).
+	resumes    []pendingRec
+	blockBytes float64
+	xferTime   func(bytes float64) float64
+	stats      metrics.FaultStats
+}
 
 // replicaConfig specializes the fleet config for replica i under a
 // fault plan: stragglers get their slowdown factor, and the checkpoint
@@ -41,255 +45,26 @@ func replicaConfig(cfg core.Config, plan *faults.Plan, i int) core.Config {
 	return c
 }
 
-// RunOnlineFaults is RunOnline under a fault plan. An inactive (or
-// nil) plan delegates to RunOnline itself, so fault-free results stay
-// bit-identical to the pre-fault code path.
-func RunOnlineFaults(cfg core.Config, replicas int, p Policy, reqs []workload.Request, plan *faults.Plan) (*Result, error) {
-	return RunOnlineFaultsWorkers(cfg, replicas, p, reqs, plan, 1)
+// scheduleCrashes puts the plan's crashes and restarts of this fleet's
+// replicas on the control timeline.
+func (ro *router) scheduleCrashes() {
+	for ci, c := range ro.fault.plan.Crashes {
+		if c.Replica < len(ro.engines) {
+			ro.ctl.AtFunc(sim.Time(c.At), crashEvent, ro, ci, 0)
+			ro.ctl.AtFunc(sim.Time(c.RestartAt), restoreEvent, ro, ci, 0)
+		}
+	}
 }
 
-// RunOnlineFaultsWorkers is RunOnlineFaults with an explicit worker
-// budget for the conservative parallel fabric (see RunOnlineWorkers).
-// Crash, restore and checkpoint-resume interventions all execute on
-// the control timeline, so fault runs stay byte-identical across
-// worker counts.
-func RunOnlineFaultsWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, plan *faults.Plan, workers int) (*Result, error) {
-	if !plan.Active() {
-		return RunOnlineWorkers(cfg, replicas, p, reqs, workers)
-	}
-	if replicas <= 0 {
-		return nil, fmt.Errorf("fleet: replicas = %d", replicas)
-	}
-	if p == nil {
-		return nil, fmt.Errorf("fleet: nil policy")
-	}
-	if err := validateArrivals(reqs); err != nil {
-		return nil, err
-	}
-	fab := newFabric(ResolveWorkers(workers, replicas))
-	fab.addTier(0, replicas)
-	engines := make([]*core.Engine, replicas)
-	for i := range engines {
-		e, err := core.NewEngine(fab.engineFor(i), replicaConfig(cfg, plan, i))
-		if err == nil {
-			err = e.StartOnline()
-		}
-		if err != nil {
-			if e != nil {
-				e.Shutdown()
-			}
-			for _, prev := range engines[:i] {
-				prev.Shutdown()
-			}
-			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
-		}
-		engines[i] = e
-	}
-	blockSize := cfg.BlockSize
-	if blockSize <= 0 {
-		blockSize = kvcache.DefaultBlockSize
-	}
-	ro := &frouter{
-		ctl:           fab.ctl,
-		plan:          plan,
-		policy:        p,
-		engines:       engines,
-		reqs:          reqs,
-		shards:        make([]Shard, replicas),
-		outstanding:   make([]Load, replicas),
-		entries:       make([][]loadEntry, replicas),
-		loads:         make([]Load, 0, replicas),
-		cand:          make([]int, 0, replicas),
-		final:         make([]recRef, len(reqs)),
-		fin:           make([]int, len(reqs)),
-		attempts:      make([]int, len(reqs)),
-		droppedReason: make([]string, len(reqs)),
-		blockBytes:    float64(blockSize) * cfg.Spec.KVBytesPerToken(),
-		xferTime:      costmodel.KVTransfer(cfg.Node),
-	}
-	for i := range engines {
-		i := i
-		engines[i].SetOnFinish(func(local int) { ro.finished(i, local) })
-	}
-	for _, idx := range workload.SortByArrival(reqs) {
-		fab.ctl.AtFunc(sim.Time(reqs[idx].ArrivalTime), frouteEvent, ro, idx, 0)
-	}
-	for ci, c := range plan.Crashes {
-		if c.Replica < replicas {
-			fab.ctl.AtFunc(sim.Time(c.At), fcrashEvent, ro, ci, 0)
-			fab.ctl.AtFunc(sim.Time(c.RestartAt), frestoreEvent, ro, ci, 0)
-		}
-	}
-	fab.start()
-	defer fab.stopWorkers()
-	fab.run()
-	if ro.err == nil {
-		for _, q := range ro.queued {
-			ro.drop(q.origin, "no live replica")
-		}
-		ro.queued = nil
-	}
-	if ro.err != nil {
-		for _, e := range engines {
-			e.Shutdown()
-		}
-		return nil, ro.err
-	}
-	results := make([]*core.Result, replicas)
-	var ferr error
-	for i, e := range engines {
-		res, err := e.Finalize()
-		if err != nil && ferr == nil {
-			ferr = fmt.Errorf("fleet: replica %d: %w", i, err)
-		}
-		results[i] = res
-	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	res, err := ro.assemble(cfg, results)
-	if err == nil {
-		res.Steps = fab.Steps()
-	}
-	return res, err
-}
-
-// pendingRec is one dispatchable unit: a fresh arrival or a crash-lost
-// request awaiting re-dispatch (its checkpoint, if any, rides along).
-type pendingRec struct {
-	origin int
-	fresh  bool
-	lost   core.Lost
-}
-
-// frouter is the fault-aware online router. All of its interventions
-// (arrival dispatch, crash, restore, checkpoint resume) execute as
-// control-timeline events on the fabric coordinator.
-type frouter struct {
-	ctl     *sim.Engine
-	plan    *faults.Plan
-	policy  Policy
-	engines []*core.Engine
-	reqs    []workload.Request
-	shards  []Shard
-
-	outstanding []Load
-	entries     [][]loadEntry
-	loads       []Load
-	cand        []int
-
-	// final[origin] locates the record of origin's last owner (recRef
-	// with decode unused).
-	final []recRef
-	// fin[origin] counts terminal finishes (conservation: exactly 1
-	// XOR dropped).
-	fin           []int
-	attempts      []int
-	droppedReason []string
-	queued        []pendingRec
-	// items holds checkpoint restores in flight (KV reloading from
-	// stable storage before re-import).
-	items []pendingRec
-
-	blockBytes float64
-	xferTime   func(bytes float64) float64
-
-	fstats metrics.FaultStats
-	err    error
-}
-
-// frouteEvent fires at a request's arrival instant.
-func frouteEvent(ctx any, idx, _ int) {
-	ro := ctx.(*frouter)
+// crashEvent executes one planned crash (AtFunc: a is the crash index
+// in the plan): the replica's in-flight requests are aborted and
+// recovered.
+func crashEvent(ctx any, ci, _ int) {
+	ro := ctx.(*router)
 	if ro.err != nil {
 		return
 	}
-	ro.dispatch(idx, pendingRec{origin: idx, fresh: true})
-}
-
-// dispatch routes one request to a live replica: fresh arrivals submit
-// normally, recompute re-dispatches resume via SubmitRecovered. With
-// the whole fleet down the request queues until a restart.
-func (ro *frouter) dispatch(origin int, pr pendingRec) {
-	r := ro.reqs[origin]
-	ro.cand = ro.cand[:0]
-	loads := ro.loads[:0]
-	for i := range ro.engines {
-		if !ro.engines[i].Alive() {
-			continue
-		}
-		ld := ro.outstanding[i]
-		ld.WarmTokens = ro.engines[i].PrefixWarmTokens(r)
-		ld.FreeKVTokens = ro.engines[i].FreeKVTokens()
-		ro.cand = append(ro.cand, i)
-		loads = append(loads, ld)
-	}
-	if len(ro.cand) == 0 {
-		ro.queued = append(ro.queued, pr)
-		return
-	}
-	j := ro.policy.Pick(r, loads)
-	if j < 0 || j >= len(ro.cand) {
-		ro.err = fmt.Errorf("fleet: policy %q picked candidate %d of %d", ro.policy.Name(), j, len(ro.cand))
-		return
-	}
-	k := ro.cand[j]
-	var local int
-	var err error
-	if pr.fresh {
-		local, err = ro.engines[k].Submit(r)
-	} else {
-		local, err = ro.engines[k].SubmitRecovered(r, pr.lost.Generated, pr.lost.FirstTokenAt)
-	}
-	if err != nil {
-		if errors.Is(err, core.ErrRequestTooLarge) {
-			ro.drop(origin, err.Error())
-			return
-		}
-		ro.err = fmt.Errorf("fleet: replica %d rejected request %d: %w", k, origin, err)
-		return
-	}
-	ro.record(r, origin, k, local)
-}
-
-// record books one landed submission: load counters, shard membership
-// and the final-owner pointer.
-func (ro *frouter) record(r workload.Request, origin, k, local int) {
-	cost := ro.policy.Cost(r)
-	ro.entries[k] = append(ro.entries[k], loadEntry{inputTokens: r.InputLen, cost: cost})
-	ro.outstanding[k].Requests++
-	ro.outstanding[k].InputTokens += r.InputLen
-	ro.outstanding[k].CostTokens += cost
-	routed := r
-	routed.ID = local
-	ro.shards[k].Reqs = append(ro.shards[k].Reqs, routed)
-	ro.shards[k].Origin = append(ro.shards[k].Origin, origin)
-	ro.final[origin] = recRef{replica: k, local: local}
-}
-
-// retire removes a request's contribution from its replica's load
-// counters (finish and crash-abort alike).
-func (ro *frouter) retire(replica, local int) {
-	en := ro.entries[replica][local]
-	ro.outstanding[replica].Requests--
-	ro.outstanding[replica].InputTokens -= en.inputTokens
-	ro.outstanding[replica].CostTokens -= en.cost
-}
-
-// finished is the engines' completion hook.
-func (ro *frouter) finished(replica, local int) {
-	ro.retire(replica, local)
-	ro.fin[ro.shards[replica].Origin[local]]++
-}
-
-// fcrashEvent executes one planned crash (AtFunc: a is the crash index
-// in the plan).
-func fcrashEvent(ctx any, ci, _ int) {
-	ro := ctx.(*frouter)
-	if ro.err != nil {
-		return
-	}
-	c := ro.plan.Crashes[ci]
+	c := ro.fault.plan.Crashes[ci]
 	lost, err := ro.engines[c.Replica].Crash(sim.Time(c.RestartAt))
 	if err != nil {
 		ro.err = fmt.Errorf("fleet: crash of replica %d: %w", c.Replica, err)
@@ -297,8 +72,7 @@ func fcrashEvent(ctx any, ci, _ int) {
 	}
 	origins := make([]int, len(lost))
 	for i, l := range lost {
-		ro.retire(c.Replica, l.Local)
-		origins[i] = ro.shards[c.Replica].Origin[l.Local]
+		origins[i] = ro.retire(c.Replica, l.Local)
 	}
 	for i, l := range lost {
 		ro.recover(origins[i], l)
@@ -306,13 +80,14 @@ func fcrashEvent(ctx any, ci, _ int) {
 }
 
 // recover re-dispatches one crash-lost request, spending one retry.
-func (ro *frouter) recover(origin int, l core.Lost) {
+func (ro *router) recover(origin int, l core.Lost) {
 	if ro.err != nil {
 		return
 	}
-	ro.attempts[origin]++
-	if ro.attempts[origin] > ro.plan.MaxRetries() {
-		ro.drop(origin, "retry budget exhausted")
+	fl := ro.fault
+	ro.led.attempts[origin]++
+	if ro.led.attempts[origin] > fl.plan.MaxRetries() {
+		ro.led.drop(origin, "retry budget exhausted")
 		return
 	}
 	if l.Ckpt != nil {
@@ -321,191 +96,73 @@ func (ro *frouter) recover(origin int, l core.Lost) {
 		// rides the shared link timeline (TransferDoneFrom with no
 		// source replica), so link degradation and partitions stretch
 		// or stall it like any other transfer.
-		ro.items = append(ro.items, pendingRec{origin: origin, lost: l})
-		bytes := float64(l.Ckpt.KV.Blocks()) * ro.blockBytes
-		done := ro.plan.TransferDoneFrom(-1, float64(ro.ctl.Now()), ro.xferTime(bytes))
-		ro.ctl.AtFunc(sim.Time(done), fresumeEvent, ro, len(ro.items)-1, 0)
+		fl.resumes = append(fl.resumes, pendingRec{origin: origin, lost: l})
+		bytes := float64(l.Ckpt.KV.Blocks()) * fl.blockBytes
+		done := fl.plan.TransferDoneFrom(-1, float64(ro.ctl.Now()), fl.xferTime(bytes))
+		ro.ctl.AtFunc(sim.Time(done), resumeEvent, ro, len(fl.resumes)-1, 0)
 		return
 	}
-	ro.fstats.RecoveredRecompute++
+	fl.stats.RecoveredRecompute++
 	ro.dispatch(origin, pendingRec{origin: origin, lost: l})
 }
 
-// fresumeEvent places a reloaded checkpoint on a live replica with KV
-// headroom; with none available it falls back to recompute recovery
-// (no retry spent — the fall-back is part of the same attempt).
-func fresumeEvent(ctx any, item, _ int) {
-	ro := ctx.(*frouter)
+// resumeEvent places a reloaded checkpoint on a live replica with KV
+// headroom. With none available, or when the import fails at arrival
+// (the target died or lost its headroom in this very instant), the
+// request falls back to recompute recovery on the same attempt instead
+// of stranding (an oversized request drops inside dispatch).
+func resumeEvent(ctx any, item, _ int) {
+	ro := ctx.(*router)
 	if ro.err != nil {
 		return
 	}
-	it := ro.items[item]
-	if ro.droppedReason[it.origin] != "" {
+	it := ro.fault.resumes[item]
+	if ro.led.droppedReason[it.origin] != "" {
 		return
 	}
-	ck := it.lost.Ckpt
-	r := ro.reqs[it.origin]
-	h := core.Handoff{
-		Local:        -1,
-		Req:          r,
-		KV:           ck.KV,
-		Generated:    ck.Generated,
-		FirstTokenAt: ck.FirstTokenAt,
-		At:           ro.ctl.Now(),
-	}
-	ro.cand = ro.cand[:0]
-	loads := ro.loads[:0]
-	now := float64(ro.ctl.Now())
-	for i := range ro.engines {
-		// A replica inside a network domain outage keeps serving but
-		// cannot receive KV, so it is no import target.
-		if !ro.engines[i].Alive() || !ro.engines[i].CanImportKV(ck.KV) ||
-			ro.plan.PartitionedAt(i, now) {
-			continue
+	r, ck, now := ro.reqs[it.origin], it.lost.Ckpt, ro.ctl.Now()
+	if loads := ro.snapshot(r, ck, float64(now)); len(loads) > 0 {
+		k, ok := ro.pick(r, loads)
+		if !ok {
+			return
 		}
-		ld := ro.outstanding[i]
-		ld.WarmTokens = ro.engines[i].ResidentKVTokens(ck.KV)
-		ld.FreeKVTokens = ro.engines[i].FreeKVTokens()
-		ro.cand = append(ro.cand, i)
-		loads = append(loads, ld)
+		h := core.Handoff{Local: -1, Req: r, KV: ck.KV, Generated: ck.Generated, FirstTokenAt: ck.FirstTokenAt, At: now}
+		if local, err := ro.engines[k].SubmitDecoded(r, h); err == nil {
+			ro.fault.stats.RecoveredCheckpoint++
+			ro.record(r, it.origin, k, local)
+			return
+		}
 	}
-	if len(ro.cand) == 0 {
-		// Nowhere to import: redo the work instead of waiting (same
-		// retry attempt, the cheaper resume just was not available).
-		noCkpt := it.lost
-		noCkpt.Ckpt = nil
-		ro.fstats.RecoveredRecompute++
-		ro.dispatch(it.origin, pendingRec{origin: it.origin, lost: noCkpt})
-		return
-	}
-	j := ro.policy.Pick(r, loads)
-	if j < 0 || j >= len(ro.cand) {
-		ro.err = fmt.Errorf("fleet: policy %q picked candidate %d of %d", ro.policy.Name(), j, len(ro.cand))
-		return
-	}
-	k := ro.cand[j]
-	local, err := ro.engines[k].SubmitDecoded(r, h)
-	if err != nil {
-		// The import failed at arrival — the target died or lost its
-		// headroom in this very instant. Re-enter recovery with
-		// recompute on the same attempt instead of stranding the
-		// request (an oversized request drops inside dispatch).
-		noCkpt := it.lost
-		noCkpt.Ckpt = nil
-		ro.fstats.RecoveredRecompute++
-		ro.dispatch(it.origin, pendingRec{origin: it.origin, lost: noCkpt})
-		return
-	}
-	ro.fstats.RecoveredCheckpoint++
-	ro.record(r, it.origin, k, local)
+	it.lost.Ckpt = nil
+	ro.fault.stats.RecoveredRecompute++
+	ro.dispatch(it.origin, it)
 }
 
-// frestoreEvent brings a crashed replica back and drains the queue of
+// restoreEvent brings a crashed replica back and drains the queue of
 // requests that found no live replica.
-func frestoreEvent(ctx any, ci, _ int) {
-	ro := ctx.(*frouter)
+func restoreEvent(ctx any, ci, _ int) {
+	ro := ctx.(*router)
 	if ro.err != nil {
 		return
 	}
-	c := ro.plan.Crashes[ci]
+	c := ro.fault.plan.Crashes[ci]
 	if err := ro.engines[c.Replica].Restore(); err != nil {
 		ro.err = fmt.Errorf("fleet: restore of replica %d: %w", c.Replica, err)
 		return
 	}
-	if len(ro.queued) > 0 {
-		q := ro.queued
-		ro.queued = nil
-		for _, p := range q {
-			if ro.err != nil {
-				return
-			}
-			ro.dispatch(p.origin, p)
+	q := ro.fault.queued
+	ro.fault.queued = nil
+	for _, p := range q {
+		if ro.err != nil {
+			return
 		}
+		ro.dispatch(p.origin, p)
 	}
 }
 
-// drop abandons a request with a reason (idempotent).
-func (ro *frouter) drop(origin int, reason string) {
-	if ro.droppedReason[origin] == "" {
-		ro.droppedReason[origin] = reason
-		ro.fstats.Dropped++
-	}
-}
-
-// assemble builds the fault run's merged result: the exactly-once-XOR-
-// dropped conservation check, the final-owner record merge, and the
-// aggregate report with its fault accounting.
-func (ro *frouter) assemble(cfg core.Config, results []*core.Result) (*Result, error) {
-	n := len(ro.reqs)
-	finished := 0
-	for origin := 0; origin < n; origin++ {
-		switch f, dropped := ro.fin[origin], ro.droppedReason[origin] != ""; {
-		case f == 1 && !dropped:
-			finished++
-		case f == 0 && dropped:
-		case f > 1:
-			return nil, fmt.Errorf("fleet: request %d finished %d times across crashes", origin, f)
-		case dropped:
-			return nil, fmt.Errorf("fleet: request %d both finished and dropped (%s)", origin, ro.droppedReason[origin])
-		default:
-			return nil, fmt.Errorf("fleet: request %d lost without a drop reason (fin=%d)", origin, f)
-		}
-	}
-	records := make([]metrics.RequestRecord, n)
-	for origin, ref := range ro.final {
-		if ro.droppedReason[origin] != "" {
-			// Dropped: an unfinished zero record keeps the request in
-			// the digest's denominator, so goodput pays for the loss.
-			records[origin] = metrics.RequestRecord{ID: origin, Arrival: ro.reqs[origin].ArrivalTime}
-			continue
-		}
-		rec := results[ref.replica].Records[ref.local]
-		rec.ID = origin
-		records[origin] = rec
-	}
-
-	rep := metrics.Report{
-		Scheduler: fmt.Sprintf("FleetFaults(TD-Pipe/%s)x%d", ro.policy.Name(), len(results)),
-		Node:      cfg.Node.Name,
-		Model:     cfg.Spec.Name,
-		GPUs:      cfg.World * len(results),
-		Requests:  finished,
-	}
-	for origin, r := range ro.reqs {
-		if ro.droppedReason[origin] == "" {
-			rep.InputTokens += r.InputLen
-		}
-	}
-	for _, rec := range records {
-		rep.OutputTokens += rec.OutputTokens
-	}
-	var busy float64
-	for _, r := range results {
-		rr := r.Report
-		rep.PhaseSwitches += rr.PhaseSwitches
-		rep.Recomputes += rr.Recomputes
-		rep.PrefixCachedTokens += rr.PrefixCachedTokens
-		rep.Faults.Add(rr.Faults)
-		if rr.Elapsed > rep.Elapsed {
-			rep.Elapsed = rr.Elapsed
-		}
-		if rr.KVPeakUsage > rep.KVPeakUsage {
-			rep.KVPeakUsage = rr.KVPeakUsage
-		}
-		busy += rr.MeanUtilization * rr.Elapsed * float64(rr.GPUs)
-	}
-	ro.fstats.DomainOutages = len(ro.plan.Domains)
-	rep.Faults.Add(ro.fstats)
-	if rep.Elapsed > 0 && rep.GPUs > 0 {
-		rep.MeanUtilization = busy / (rep.Elapsed * float64(rep.GPUs))
-	}
-	rep.BubbleRatio = 1 - rep.MeanUtilization
-	rep.Latency = metrics.Digest(records, cfg.SLO)
-	return &Result{
-		Report:   rep,
-		Replicas: results,
-		Shards:   ro.shards,
-		Records:  records,
-		Policy:   ro.policy.Name(),
-	}, nil
+// assemble adds the fault layer's recovery accounting to the report.
+func (fl *faultLayer) assemble(rep *metrics.Report, led *ledger) {
+	fl.stats.DomainOutages = len(fl.plan.Domains)
+	fl.stats.Dropped = led.dropped
+	rep.Faults.Add(fl.stats)
 }

@@ -38,18 +38,18 @@ func checkFaultConservation(t *testing.T, res *Result, n int) {
 	}
 }
 
-// An inactive plan must take the exact RunOnline code path: reports and
+// An inactive plan must take the exact RunOnlineWorkers code path: reports and
 // records bit-identical.
 func TestRunOnlineFaultsInactivePlan(t *testing.T) {
 	reqs := faultTrace(150, 3)
 	cfg := fastConfig(2)
 	p := mustPolicy(t, LeastWork, Options{})
-	base, err := RunOnline(cfg, 3, p, reqs)
+	base, err := RunOnlineWorkers(cfg, 3, p, reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, plan := range []*faults.Plan{nil, {Config: faults.Config{Seed: 9}, Replicas: 3}} {
-		got, err := RunOnlineFaults(cfg, 3, mustPolicy(t, LeastWork, Options{}), reqs, plan)
+		got, err := RunOnlineFaultsWorkers(cfg, 3, mustPolicy(t, LeastWork, Options{}), reqs, plan, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestRunOnlineFaultsConservation(t *testing.T) {
 	cfg := fastConfig(2)
 	const replicas = 3
 	reqs := faultTrace(120, 7)
-	base, err := RunOnline(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs)
+	base, err := RunOnlineWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRunOnlineFaultsConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunOnlineFaults(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan)
+			res, err := RunOnlineFaultsWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, 1)
 			if err != nil {
 				t.Fatalf("seed %d ckpt %v: %v", seed, ckpt, err)
 			}
@@ -127,7 +127,7 @@ func TestRunOnlineFaultsDeterministic(t *testing.T) {
 	}
 	var prev []byte
 	for run := 0; run < 3; run++ {
-		res, err := RunOnlineFaults(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan)
+		res, err := RunOnlineFaultsWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestRunOnlineFaultsStragglers(t *testing.T) {
 	cfg := fastConfig(2)
 	const replicas = 3
 	reqs := faultTrace(100, 13)
-	base, err := RunOnline(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs)
+	base, err := RunOnlineWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestRunOnlineFaultsStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOnlineFaults(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan)
+	res, err := RunOnlineFaultsWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

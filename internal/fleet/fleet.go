@@ -132,7 +132,7 @@ func Run(cfg core.Config, replicas int, p Policy, reqs []workload.Request) (*Res
 			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
 		}
 	}
-	res, err := assemble(cfg, "Fleet", p.Name(), results, shards, len(reqs))
+	res, err := assemble(cfg, p.Name(), reqs, results, shards)
 	if err == nil {
 		// Offline replicas own their engines, so per-replica step
 		// counts sum without double counting.
@@ -143,81 +143,61 @@ func Run(cfg core.Config, replicas int, p Policy, reqs []workload.Request) (*Res
 	return res, err
 }
 
-// assemble builds the merged fleet result from per-replica outcomes:
-// the aggregate report, the conservation check, and the record merge
-// with its latency digest. Shared by the offline pre-shard and the
-// online router.
-func assemble(cfg core.Config, mode, policy string, results []*core.Result, shards []Shard, n int) (*Result, error) {
-	res := &Result{
-		Report:   mergeReports(cfg, mode, policy, results),
-		Replicas: results,
-		Shards:   shards,
-		Policy:   policy,
-	}
-	if err := res.CheckConservation(n); err != nil {
+// assemble builds the offline pre-shard's merged result: the shard
+// conservation check, then the ledger's record merge and report fold.
+func assemble(cfg core.Config, policy string, reqs []workload.Request, results []*core.Result, shards []Shard) (*Result, error) {
+	res := &Result{Replicas: results, Shards: shards, Policy: policy}
+	if err := res.CheckConservation(len(reqs)); err != nil {
 		return nil, err
 	}
-	records, err := mergeRecords(results, shards, n)
+	led := newLedger(reqs)
+	for i, sh := range shards {
+		for j, o := range sh.Origin {
+			led.final[o] = recRef{replica: i, local: j}
+			led.fin[o]++
+		}
+	}
+	var err error
+	res.Report, res.Records, err = led.assemble(cfg, fmt.Sprintf("Fleet(TD-Pipe/%s)x%d", policy, len(results)), results, false)
 	if err != nil {
 		return nil, err
 	}
-	res.Records = records
-	res.Report.Latency = metrics.Digest(records, cfg.SLO)
 	return res, nil
 }
 
-// mergeRecords folds per-replica request records into trace order:
-// replica-local record j of replica i lands at trace index
-// Shards[i].Origin[j]. It fails if the records do not exactly cover
-// the trace (the per-request conservation check).
-func mergeRecords(results []*core.Result, shards []Shard, n int) ([]metrics.RequestRecord, error) {
-	out := make([]metrics.RequestRecord, n)
-	seen := make([]bool, n)
-	for i, r := range results {
-		if len(r.Records) != len(shards[i].Origin) {
-			return nil, fmt.Errorf("fleet: replica %d has %d records for %d requests",
-				i, len(r.Records), len(shards[i].Origin))
-		}
-		for j, rec := range r.Records {
-			o := shards[i].Origin[j]
-			if o < 0 || o >= n {
-				return nil, fmt.Errorf("fleet: replica %d record %d has origin %d outside trace of %d", i, j, o, n)
-			}
-			if seen[o] {
-				return nil, fmt.Errorf("fleet: trace request %d recorded by multiple replicas", o)
-			}
-			seen[o] = true
-			rec.ID = o
-			out[o] = rec
-		}
-	}
-	for o, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("fleet: trace request %d has no record", o)
-		}
-	}
-	return out, nil
-}
-
-// mergeReports folds per-replica reports into the fleet aggregate.
-// mode labels the scheduler ("Fleet" for pre-sharded offline runs,
-// "FleetOnline" for the shared-clock router).
-func mergeReports(cfg core.Config, mode, policy string, results []*core.Result) metrics.Report {
+// foldReport builds a fleet-level report, the one fold every fleet mode
+// shares. Request and input-token counts cover the trace minus its
+// dropped requests (dropped[origin] != ""), output
+// tokens sum the merged records, per-replica counters sum, Elapsed and
+// KVPeakUsage take the slowest and fullest replica, and utilization
+// averages over all GPU-seconds of the fleet makespan. withFaults also
+// folds the replicas' crash and checkpoint accounting.
+func foldReport(cfg core.Config, scheduler string, reqs []workload.Request, dropped []string,
+	results []*core.Result, records []metrics.RequestRecord, withFaults bool) metrics.Report {
 	rep := metrics.Report{
-		Scheduler: fmt.Sprintf("%s(TD-Pipe/%s)x%d", mode, policy, len(results)),
+		Scheduler: scheduler,
 		Node:      cfg.Node.Name,
 		Model:     cfg.Spec.Name,
 		GPUs:      cfg.World * len(results),
 	}
+	for origin, r := range reqs {
+		if dropped[origin] == "" {
+			rep.Requests++
+			rep.InputTokens += r.InputLen
+		}
+	}
+	for _, rec := range records {
+		rep.OutputTokens += rec.OutputTokens
+	}
 	var busy float64
 	for _, r := range results {
 		rr := r.Report
-		rep.Requests += rr.Requests
-		rep.InputTokens += rr.InputTokens
-		rep.OutputTokens += rr.OutputTokens
 		rep.PhaseSwitches += rr.PhaseSwitches
 		rep.Recomputes += rr.Recomputes
 		rep.PrefixCachedTokens += rr.PrefixCachedTokens
+		if withFaults {
+			rep.Faults.Add(rr.Faults)
+		}
 		if rr.Elapsed > rep.Elapsed {
 			rep.Elapsed = rr.Elapsed
 		}
@@ -235,7 +215,74 @@ func mergeReports(cfg core.Config, mode, policy string, results []*core.Result) 
 		rep.MeanUtilization = busy / (rep.Elapsed * float64(rep.GPUs))
 	}
 	rep.BubbleRatio = 1 - rep.MeanUtilization
+	rep.Latency = metrics.Digest(records, cfg.SLO)
 	return rep
+}
+
+// recRef locates the record of a request's final owner: the replica
+// (indexed across every pool of the run) and its replica-local id.
+type recRef struct{ replica, local int }
+
+// ledger is the exactly-once bookkeeping of a routed run: who owns each
+// request's record, how often it finished terminally, the retries spent
+// on it and why it was dropped. Conservation is exactly one terminal
+// finish XOR a drop reason for every trace request.
+type ledger struct {
+	reqs []workload.Request
+	// final[origin] locates the record of origin's last owner.
+	final []recRef
+	// fin[origin] counts terminal finishes.
+	fin []int
+	// attempts[origin] counts the retries spent: crash re-dispatches
+	// or admission retries.
+	attempts []int
+	// droppedReason[origin] is non-empty once origin is abandoned.
+	droppedReason []string
+	dropped       int
+}
+
+func newLedger(reqs []workload.Request) *ledger {
+	return &ledger{
+		reqs:          reqs,
+		final:         make([]recRef, len(reqs)),
+		fin:           make([]int, len(reqs)),
+		attempts:      make([]int, len(reqs)),
+		droppedReason: make([]string, len(reqs)),
+	}
+}
+
+// drop abandons a request with a reason (idempotent).
+func (l *ledger) drop(origin int, reason string) {
+	if l.droppedReason[origin] == "" {
+		l.droppedReason[origin] = reason
+		l.dropped++
+	}
+}
+
+// assemble runs the exactly-once-XOR-dropped conservation check, merges
+// each request's final record into trace order and folds the report
+// (see foldReport). results are indexed like recRef.replica.
+func (l *ledger) assemble(cfg core.Config, scheduler string, results []*core.Result, withFaults bool) (metrics.Report, []metrics.RequestRecord, error) {
+	records := make([]metrics.RequestRecord, len(l.reqs))
+	for origin, ref := range l.final {
+		switch f, dropped := l.fin[origin], l.droppedReason[origin] != ""; {
+		case f == 1 && !dropped:
+			rec := results[ref.replica].Records[ref.local]
+			rec.ID = origin
+			records[origin] = rec
+		case f == 0 && dropped:
+			// An unfinished zero record keeps the request in the
+			// digest's denominator, so goodput pays for the loss.
+			records[origin] = metrics.RequestRecord{ID: origin, Arrival: l.reqs[origin].ArrivalTime}
+		case f > 1:
+			return metrics.Report{}, nil, fmt.Errorf("fleet: request %d finished %d times", origin, f)
+		case dropped:
+			return metrics.Report{}, nil, fmt.Errorf("fleet: request %d both finished and dropped (%s)", origin, l.droppedReason[origin])
+		default:
+			return metrics.Report{}, nil, fmt.Errorf("fleet: request %d lost without a drop reason (fin=%d)", origin, f)
+		}
+	}
+	return foldReport(cfg, scheduler, l.reqs, l.droppedReason, results, records, withFaults), records, nil
 }
 
 // CheckConservation verifies that each of n dispatched requests was

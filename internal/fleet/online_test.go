@@ -22,7 +22,7 @@ func TestRunOnlineConservation(t *testing.T) {
 	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunOnline(fastConfig(2), 4, mustPolicy(t, name, Options{Seed: 9}), reqs)
+			res, err := RunOnlineWorkers(fastConfig(2), 4, mustPolicy(t, name, Options{Seed: 9}), reqs, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,11 +66,11 @@ func TestRunOnlineDeterministic(t *testing.T) {
 	reqs := onlineTrace(200, 6, 30)
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			a, err := RunOnline(fastConfig(2), 3, mustPolicy(t, name, Options{Seed: 3}), reqs)
+			a, err := RunOnlineWorkers(fastConfig(2), 3, mustPolicy(t, name, Options{Seed: 3}), reqs, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := RunOnline(fastConfig(2), 3, mustPolicy(t, name, Options{Seed: 3}), reqs)
+			b, err := RunOnlineWorkers(fastConfig(2), 3, mustPolicy(t, name, Options{Seed: 3}), reqs, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestRunOnlineDeterministic(t *testing.T) {
 // replica may sit unused while another queues the whole trace.
 func TestRunOnlineSpreadsLoad(t *testing.T) {
 	reqs := onlineTrace(400, 8, 60)
-	res, err := RunOnline(fastConfig(2), 4, mustPolicy(t, LeastWork, Options{}), reqs)
+	res, err := RunOnlineWorkers(fastConfig(2), 4, mustPolicy(t, LeastWork, Options{}), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +105,47 @@ func TestRunOnlineSpreadsLoad(t *testing.T) {
 // co-simulation.
 func TestRunOnlineRejectsBadArgs(t *testing.T) {
 	reqs := onlineTrace(10, 1, 10)
-	if _, err := RunOnline(fastConfig(2), 0, mustPolicy(t, RoundRobin, Options{}), reqs); err == nil {
+	if _, err := RunOnlineWorkers(fastConfig(2), 0, mustPolicy(t, RoundRobin, Options{}), reqs, 1); err == nil {
 		t.Error("replicas=0 accepted")
 	}
-	if _, err := RunOnline(fastConfig(2), 2, nil, reqs); err == nil {
+	if _, err := RunOnlineWorkers(fastConfig(2), 2, nil, reqs, 1); err == nil {
 		t.Error("nil policy accepted")
 	}
-	if _, err := RunOnline(fastConfig(2), 2, outOfRange{}, reqs); err == nil {
+	if _, err := RunOnlineWorkers(fastConfig(2), 2, outOfRange{}, reqs, 1); err == nil {
 		t.Error("out-of-range pick accepted")
+	}
+}
+
+// TestRouteSnapshotDoesNotAllocate pins one plain routed arrival's
+// routing decision — the candidate snapshot with its live KV probes of
+// every replica, then the policy pick — at zero allocations, on engines
+// whose prefix caches still hold the request's shared prefix warm.
+func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
+	reqs := prefixOnlineTrace(200, 41, 8000, 8, 512)
+	ro, fab, err := newRouter(fastConfig(2), 8, mustPolicy(t, PrefixAffinity, Options{}), reqs, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab.drive()
+	if ro.err != nil {
+		t.Fatal(ro.err)
+	}
+	r := reqs[len(reqs)-1]
+	now := float64(ro.ctl.Now())
+	warm := 0
+	route := func() {
+		loads := ro.snapshot(r, nil, now)
+		if k, ok := ro.pick(r, loads); ok {
+			warm = loads[k].WarmTokens
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, route); allocs != 0 {
+		t.Errorf("routing one arrival allocates %v times per run, want 0", allocs)
+	}
+	if warm == 0 {
+		t.Error("the pick found no warm prefix; the probe walked no hash chain")
+	}
+	if _, err := finalize(ro.engines, nil); err != nil {
+		t.Fatal(err)
 	}
 }

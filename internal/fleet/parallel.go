@@ -383,6 +383,13 @@ func (f *fabric) advanceLater(t sim.Time) {
 	f.advanceTier(1, t, advBefore)
 }
 
+// drive runs the epoch loop to completion on the worker pool.
+func (f *fabric) drive() {
+	f.start()
+	defer f.stopWorkers()
+	f.run()
+}
+
 // run drives the epoch loop to completion: every shard drained and no
 // control events left.
 func (f *fabric) run() {

@@ -223,12 +223,12 @@ func TestInvalidArrivalsRejectedByAllRouters(t *testing.T) {
 		name string
 		run  func(reqs []workload.Request) error
 	}{
-		{"RunOnline", func(reqs []workload.Request) error {
-			_, err := RunOnline(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs)
+		{"RunOnlineWorkers", func(reqs []workload.Request) error {
+			_, err := RunOnlineWorkers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, 1)
 			return err
 		}},
-		{"RunOnlineFaults", func(reqs []workload.Request) error {
-			_, err := RunOnlineFaults(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, plan)
+		{"RunOnlineFaultsWorkers", func(reqs []workload.Request) error {
+			_, err := RunOnlineFaultsWorkers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, plan, 1)
 			return err
 		}},
 		{"RunDisagg", func(reqs []workload.Request) error {

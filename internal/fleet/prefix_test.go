@@ -26,7 +26,7 @@ func prefixOnlineTrace(n int, seed int64, rate float64, groups, plen int) []work
 func TestPrefixAffinityBeatsRoundRobinOnSharedPrefixTrace(t *testing.T) {
 	reqs := prefixOnlineTrace(400, 31, 16000, 64, 512)
 	run := func(policy string) *Result {
-		res, err := RunOnline(fastConfig(2), 4, mustPolicy(t, policy, Options{Seed: 1}), reqs)
+		res, err := RunOnlineWorkers(fastConfig(2), 4, mustPolicy(t, policy, Options{Seed: 1}), reqs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestPrefixAffinityFallsBackToLeastWork(t *testing.T) {
 // The fleet aggregate must sum per-replica prefix hits.
 func TestFleetMergeSumsPrefixCachedTokens(t *testing.T) {
 	reqs := prefixOnlineTrace(200, 37, 80, 4, 128)
-	res, err := RunOnline(fastConfig(2), 2, mustPolicy(t, PrefixAffinity, Options{}), reqs)
+	res, err := RunOnlineWorkers(fastConfig(2), 2, mustPolicy(t, PrefixAffinity, Options{}), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,9 @@ type Cluster struct {
 	Plan model.PipelinePlan
 
 	// Workers are the execution-plane endpoints. They are Callers so
-	// the control plane can talk to them through any transport — plain
-	// method calls (NewDirectCaller), the in-process mailbox
-	// (NewWorker) or net/rpc (package rpc).
+	// the control plane can talk to them through either transport —
+	// plain method calls (NewDirectCaller) or the in-process mailbox
+	// (NewWorker).
 	Workers []Caller
 	// GPUs[i] serializes compute on device i.
 	GPUs []*sim.Resource

@@ -7,13 +7,12 @@
 // context, and which neighbour they send activations to — the SPMD
 // property of §3.2.2.
 //
-// Three transports implement the control plane's Caller view of a
+// Two transports implement the control plane's Caller view of a
 // worker: DirectCaller dispatches messages as plain method calls (no
 // goroutine, no channel — the zero-roundtrip default for simulation),
-// Worker runs a goroutine actor with a channel mailbox, and package rpc
-// carries the same messages over net/rpc. All three are observationally
-// identical; the mailbox and RPC transports model the deployment shapes
-// the paper describes.
+// and Worker runs a goroutine actor with a channel mailbox. Both are
+// observationally identical; the mailbox transport models the actor
+// deployment shape the paper describes.
 //
 // Virtual time lives in the simulation kernel: a worker computes how
 // long a task runs (via the cost model, standing in for the GPU), and
@@ -103,8 +102,7 @@ func (ErrorReply) isMsg()  {}
 
 // Caller is the control plane's view of a worker endpoint: send one
 // control message, get one reply. Implemented by *DirectCaller (plain
-// method calls), *Worker (in-process mailbox) and by the RPC client in
-// package rpc.
+// method calls) and *Worker (in-process mailbox).
 type Caller interface {
 	Call(Msg) Msg
 }
@@ -204,8 +202,7 @@ func (w *workerState) sendTokens(tokens int) int {
 // calling goroutine — no goroutine, no channel, no scheduler crossing.
 // It is the Cluster default. The simulation's single-threaded event
 // loop already serializes control messages, so the mailbox's queueing
-// buys nothing there; keep Worker or package rpc for actor-style or
-// cross-process deployments.
+// buys nothing there; keep Worker for actor-style deployments.
 type DirectCaller struct {
 	state workerState
 }

@@ -189,7 +189,7 @@ func NewFleetPolicy(name string, opts FleetOptions) (FleetPolicy, error) {
 // The policy inherits cfg.Predictor (predicted-cost dispatch uses the
 // same classifier as the greedy prefill) and a fixed seed, so results
 // are deterministic for a given trace and config; use fleet.Run or
-// fleet.RunOnline directly for custom policy instances or seeds.
+// fleet.RunOnlineWorkers directly for custom policy instances or seeds.
 func RunFleet(cfg Config, replicas int, policy string, reqs []Request) (*FleetResult, error) {
 	return RunFleetWorkers(cfg, replicas, policy, reqs, 1)
 }
@@ -229,7 +229,7 @@ func RunDisagg(cfg Config, dc DisaggConfig, reqs []Request) (*DisaggResult, erro
 }
 
 // Policy aliases: the elastic autoscaler and the composable front-door
-// serving policies (see RunFleetElastic).
+// serving policies (see RunFleetElasticWorkers).
 type (
 	// PolicyStack composes the front-door policies for an elastic fleet
 	// run: token-bucket admission, retry backoff, per-replica circuit
@@ -284,21 +284,17 @@ func StampPriorities(reqs []Request, cfg PriorityConfig) ([]Request, error) {
 // HasPriorities reports whether the trace carries priority structure.
 func HasPriorities(reqs []Request) bool { return workload.HasPriorities(reqs) }
 
-// RunFleetElastic serves an arrival-stamped trace on the online fleet
-// router with the policy stack attached: admission shedding and retry
-// at the front door, breaker-aware routing, priority preemption, and
-// mid-run scaling between the autoscaler's bounds (each scale-up pays
-// the node's modeled weight-load cold start; Report.Autoscale carries
-// the provisioned GPU-second bill). Every trace request ends exactly
-// once finished or dropped, with drops accounted in Report.Admission.
-// An inactive stack (nil or empty) takes the exact RunFleet code path.
-func RunFleetElastic(cfg Config, replicas int, policy string, reqs []Request, stack *PolicyStack) (*FleetResult, error) {
-	return RunFleetElasticWorkers(cfg, replicas, policy, reqs, stack, 1)
-}
-
-// RunFleetElasticWorkers is RunFleetElastic sharded across simulation
-// workers (see RunFleetWorkers); policy runs too are byte-identical
-// across worker counts.
+// RunFleetElasticWorkers serves an arrival-stamped trace on the online
+// fleet router with the policy stack attached: admission shedding and
+// retry at the front door, breaker-aware routing, priority preemption,
+// and mid-run scaling between the autoscaler's bounds (each scale-up
+// pays the node's modeled weight-load cold start; Report.Autoscale
+// carries the provisioned GPU-second bill). Every trace request ends
+// exactly once finished or dropped, with drops accounted in
+// Report.Admission. An inactive stack (nil or empty) takes the exact
+// RunFleetWorkers code path. The co-simulation is sharded across
+// simulation workers (see RunFleetWorkers); policy runs too are
+// byte-identical across worker counts.
 func RunFleetElasticWorkers(cfg Config, replicas int, policyName string, reqs []Request, stack *PolicyStack, workers int) (*FleetResult, error) {
 	p, err := fleet.New(policyName, fleet.Options{Seed: 1, Predictor: cfg.Predictor})
 	if err != nil {
@@ -356,22 +352,18 @@ func FaultWeightReloadTime(node Node, spec ModelSpec, world int) float64 {
 	return faults.WeightReloadTime(node, spec, world)
 }
 
-// RunFleetFaults serves an arrival-stamped trace on the online fleet
-// router while executing the plan's failures: crashed replicas abort
-// their in-flight requests, routing skips dead replicas, and aborted
-// work is re-dispatched (recompute, or resumed from the latest periodic
-// KV checkpoint when cfg.CheckpointInterval is set) under the plan's
-// retry budget. Requests that exhaust it are dropped with a reason and
-// accounted in Report.Faults; every trace request ends exactly once
-// finished or dropped. An inactive plan (nil, or one scheduling no
-// failures) takes the exact fault-free RunOnline code path.
-func RunFleetFaults(cfg Config, replicas int, policy string, reqs []Request, plan *FaultPlan) (*FleetResult, error) {
-	return RunFleetFaultsWorkers(cfg, replicas, policy, reqs, plan, 1)
-}
-
-// RunFleetFaultsWorkers is RunFleetFaults sharded across simulation
-// workers (see RunFleetWorkers); fault runs too are byte-identical
-// across worker counts.
+// RunFleetFaultsWorkers serves an arrival-stamped trace on the online
+// fleet router while executing the plan's failures: crashed replicas
+// abort their in-flight requests, routing skips dead replicas, and
+// aborted work is re-dispatched (recompute, or resumed from the latest
+// periodic KV checkpoint when the plan sets a CheckpointInterval) under
+// the plan's retry budget. Requests that exhaust it are dropped with a
+// reason and accounted in Report.Faults; every trace request ends
+// exactly once finished or dropped. An inactive plan (nil, or one
+// scheduling no failures) takes the exact fault-free RunFleetWorkers
+// code path. The co-simulation is sharded across simulation workers
+// (see RunFleetWorkers); fault runs too are byte-identical across
+// worker counts.
 func RunFleetFaultsWorkers(cfg Config, replicas int, policy string, reqs []Request, plan *FaultPlan, workers int) (*FleetResult, error) {
 	p, err := fleet.New(policy, fleet.Options{Seed: 1, Predictor: cfg.Predictor})
 	if err != nil {
@@ -381,7 +373,7 @@ func RunFleetFaultsWorkers(cfg Config, replicas int, policy string, reqs []Reque
 }
 
 // RunDisaggFaults is RunDisagg under a fault plan: pool replicas crash
-// and recover as in RunFleetFaults (plan replica indices cover the
+// and recover as in RunFleetFaultsWorkers (plan replica indices cover the
 // prefill pool first, then decode), and the plan's KV-link windows
 // stretch or cut the prefill-to-decode hand-off transfers. A nil or
 // inactive plan takes the exact RunDisagg code path.

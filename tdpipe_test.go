@@ -132,7 +132,7 @@ func TestFacadeOnlineServing(t *testing.T) {
 }
 
 // The facade's fault-injection path: a seeded plan drawn through
-// NewFaultPlan injects crashes into RunFleetFaults, recovery accounting
+// NewFaultPlan injects crashes into RunFleetFaultsWorkers, recovery accounting
 // lands in Report.Faults, conservation holds (finished + dropped covers
 // the trace), and an inactive plan reproduces the fault-free run
 // exactly.
@@ -149,7 +149,7 @@ func TestFacadeFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, err := RunFleetFaults(cfg, 3, FleetLeastWork, stamped, nil)
+	base, err := RunFleetFaultsWorkers(cfg, 3, FleetLeastWork, stamped, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestFacadeFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFleetFaults(cfg, 3, FleetLeastWork, stamped, plan)
+	res, err := RunFleetFaultsWorkers(cfg, 3, FleetLeastWork, stamped, plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFacadeFaultInjection(t *testing.T) {
 		t.Errorf("finished %d + dropped %d != %d requests", res.Report.Requests, f.Dropped, len(stamped))
 	}
 
-	again, err := RunFleetFaults(cfg, 3, FleetLeastWork, stamped, plan)
+	again, err := RunFleetFaultsWorkers(cfg, 3, FleetLeastWork, stamped, plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFacadeElasticPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inactive, err := RunFleetElastic(cfg, 3, FleetLeastWork, stamped, &PolicyStack{})
+	inactive, err := RunFleetElasticWorkers(cfg, 3, FleetLeastWork, stamped, &PolicyStack{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
