@@ -167,11 +167,11 @@ func assemble(cfg core.Config, policy string, reqs []workload.Request, results [
 
 // foldReport builds a fleet-level report, the one fold every fleet mode
 // shares. Request and input-token counts cover the trace minus its
-// dropped requests (dropped[origin] != ""), output
-// tokens sum the merged records, per-replica counters sum, Elapsed and
-// KVPeakUsage take the slowest and fullest replica, and utilization
-// averages over all GPU-seconds of the fleet makespan. withFaults also
-// folds the replicas' crash and checkpoint accounting.
+// dropped requests (dropped[origin] != ""), output tokens sum the
+// merged records, per-replica counters sum, Elapsed and KVPeakUsage
+// take the slowest and fullest replica, and utilization averages over
+// all GPU-seconds of the fleet makespan. withFaults also folds the
+// replicas' crash and checkpoint accounting.
 func foldReport(cfg core.Config, scheduler string, reqs []workload.Request, dropped []string,
 	results []*core.Result, records []metrics.RequestRecord, withFaults bool) metrics.Report {
 	rep := metrics.Report{
