@@ -191,7 +191,7 @@ func (r *ppRunner) submitSB(slot int, now sim.Time) {
 	if len(r.batch[slot]) > 0 {
 		ids := r.batch[slot]
 		r.outstanding++
-		r.cluster.SubmitPass(runtime.DecodeTask(len(ids), r.kvTokens(ids)), r.gate(now, len(ids)), func(res runtime.PassResult) {
+		r.cluster.SubmitDecode(len(ids), r.kvTokens(ids), r.gate(now, len(ids)), func(res runtime.PassResult) {
 			r.noteEnd(res.End)
 			r.completeDecode(slot, res.End)
 			r.passDone()
