@@ -2,10 +2,11 @@
 // invariants at compile time: no wall clock or process-global
 // randomness in simulation packages, no concurrency outside the
 // parallel fabric, no order-sensitive map iteration, and no
-// allocations inside //det:hotpath functions. It loads, type-checks
-// (stdlib source importer — no external dependencies) and walks every
-// package under the given roots with the internal/analysis framework,
-// the same loader cmd/lintdocs uses.
+// allocations inside //det:hotpath functions. It also holds the doc
+// contract: every exported identifier carries a godoc comment. It
+// loads, type-checks (stdlib source importer — no external
+// dependencies) and walks every package under the given roots with the
+// internal/analysis framework.
 //
 // Usage:
 //

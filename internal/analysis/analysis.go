@@ -7,8 +7,8 @@
 // iteration, no allocations in //det:hotpath functions — are exactly
 // the properties the determinism and chaos suites assert after the
 // fact; the analyzers catch the violating line before it ships a
-// symptom. cmd/detlint drives the determinism set; cmd/lintdocs
-// drives the Docs analyzer through the same loader.
+// symptom. cmd/detlint drives them, together with the Docs analyzer's
+// godoc gate, in one walk of the tree.
 //
 // Suppressions are scoped and audited: `//det:ignore <analyzer>
 // <reason>` on (or immediately above) the offending line silences
@@ -83,18 +83,18 @@ type Analyzer struct {
 	Run func(*Pass)
 }
 
-// Registry lists every analyzer the framework knows, across all
-// front ends. //det:ignore directives are validated against this set,
-// so a suppression for a misspelled analyzer is a finding no matter
-// which linter encounters it.
+// Registry lists every analyzer the framework knows. //det:ignore
+// directives are validated against this set, so a suppression for a
+// misspelled analyzer is a finding whichever analyzer set runs.
 func Registry() []*Analyzer {
 	return []*Analyzer{Wallclock, UnseededRand, MapOrder, Goroutine, HotAlloc, Docs}
 }
 
-// Detlint returns the determinism and hot-path analyzer set that
-// cmd/detlint (and `make detlint`) runs.
+// Detlint returns the analyzer set that cmd/detlint (and `make
+// detlint`) runs: the determinism and hot-path analyzers plus the
+// godoc gate.
 func Detlint() []*Analyzer {
-	return []*Analyzer{Wallclock, UnseededRand, MapOrder, Goroutine, HotAlloc}
+	return []*Analyzer{Wallclock, UnseededRand, MapOrder, Goroutine, HotAlloc, Docs}
 }
 
 // Run executes analyzers over pkgs, applies //det:ignore

@@ -139,8 +139,9 @@ func TestIgnoreGolden(t *testing.T) {
 	runGolden(t, goldenLoader, filepath.Join("testdata", "src", "ignores"), []*Analyzer{UnseededRand})
 }
 
-// TestDocsGolden runs the lintdocs analyzer through a parse-only
-// loader, the mode cmd/lintdocs uses.
+// TestDocsGolden runs the docs analyzer through a parse-only loader:
+// the godoc gate needs no type information, so it must pass without
+// it.
 func TestDocsGolden(t *testing.T) {
 	runGolden(t, NewLoader(false), filepath.Join("testdata", "src", "docs"), []*Analyzer{Docs})
 }

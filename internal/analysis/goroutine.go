@@ -14,9 +14,10 @@ const fabricFile = "internal/fleet/parallel.go"
 // Goroutine forbids `go` statements and channel `select` outside the
 // parallel fabric (internal/fleet/parallel.go): all other concurrency
 // must ride the control timeline, or replica interleavings leak into
-// reports. The analyzer covers every package; the two historical
-// exceptions in internal/runtime and internal/fleet carry audited
-// //det:ignore directives instead of a scope carve-out.
+// reports. The analyzer covers every package; the one historical
+// exception, the offline fleet's replica goroutines in internal/fleet,
+// carries an audited //det:ignore directive instead of a scope
+// carve-out.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
 	Doc:  "forbid go statements and select outside the parallel fabric",

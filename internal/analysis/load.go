@@ -67,13 +67,13 @@ func (p *Package) TypeOf(e ast.Expr) types.Type {
 // Loader parses package directories into Packages. One Loader shares a
 // file set and (in type-check mode) one source importer, so the
 // standard library and intra-module dependencies are parsed once per
-// process however many packages are loaded. Both cmd/detlint and
-// cmd/lintdocs load through it, so the two linters walk and exempt the
-// tree identically.
+// process however many packages are loaded. cmd/detlint loads through
+// it, and every analyzer it runs sees the same walk and exemptions.
 type Loader struct {
 	// TypeCheck enables go/types resolution through the stdlib source
 	// importer (importer.ForCompiler "source") — no external
-	// dependencies. Parse-only mode (lintdocs) skips it for speed.
+	// dependencies. Parse-only mode skips it for speed; analyzers
+	// that need types are then skipped.
 	TypeCheck bool
 	// Fset is the shared file set for every package this loader
 	// produces.

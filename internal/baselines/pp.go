@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-// ppRunner executes the PP+SB and PP+HB baselines on the same worker
+// ppRunner executes the PP+SB and PP+HB baselines on the same pipeline
 // cluster TD-Pipe uses, but with the stock-vLLM behaviours the paper
 // identifies as bubble sources (§2.3, Fig. 1):
 //
@@ -71,7 +71,6 @@ func (r *ppRunner) recorder() *metrics.Recorder { return r.cluster.Rec }
 func (r *ppRunner) recomputes() int             { return r.nRecompute }
 
 func (r *ppRunner) run() (sim.Time, error) {
-	defer r.cluster.Shutdown()
 	// Future arrivals become simulation events: each admits its request
 	// at its arrival instant and, if the pipeline drained to idle in
 	// the meantime, restarts the round loop.
@@ -179,7 +178,7 @@ func (r *ppRunner) submitSB(slot int, now sim.Time) {
 		ids, lens := r.admitPrefill()
 		if len(ids) > 0 {
 			r.outstanding++
-			r.cluster.SubmitPass(runtime.PrefillTask(costmodel.NewPrefillBatch(lens)), r.gate(now, len(ids)), func(res runtime.PassResult) {
+			r.cluster.SubmitPrefill(costmodel.NewPrefillBatch(lens), r.gate(now, len(ids)), func(res runtime.PassResult) {
 				r.noteEnd(res.End)
 				r.batch[slot] = append(r.batch[slot], r.completePrefill(ids, res.End)...)
 				r.passDone()
@@ -235,7 +234,7 @@ func (r *ppRunner) submitHB(slot int, now sim.Time) {
 
 	dec := r.batch[slot][:decodes]
 	r.outstanding++
-	r.cluster.SubmitPass(runtime.HybridTask(decodes, r.kvTokens(dec), chunkTokens, chunkCtx), r.gate(now, decodes+len(r.partial[slot])), func(res runtime.PassResult) {
+	r.cluster.SubmitHybrid(decodes, r.kvTokens(dec), chunkTokens, chunkCtx, r.gate(now, decodes+len(r.partial[slot])), func(res runtime.PassResult) {
 		r.noteEnd(res.End)
 		r.completeHybrid(slot, decodes, res.End)
 		r.passDone()

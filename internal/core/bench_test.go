@@ -91,7 +91,6 @@ func BenchmarkSwitchCheck(b *testing.B) {
 		b.Run(fmt.Sprintf("waiting=%d", waiting), func(b *testing.B) {
 			reqs := workload.MustGenerate(workload.DefaultConfig(waiting+4000, 3))
 			e := midDecodeEngine(b, DefaultConfig(hw.A100, model.Llama2_70B, 4), reqs, waiting)
-			defer e.Shutdown()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,8 +1,8 @@
 // Package core implements the TD-Pipe centralized engine — the control
 // plane of the hierarchy-controller structure (paper §3). It owns
 // batching, memory accounting and phase switching, and drives the
-// distributed runtime (package runtime) purely through control
-// messages, mirroring Figure 7:
+// distributed runtime (package runtime) purely by submitting pipeline
+// passes, mirroring Figure 7:
 //
 //   - temporally-disaggregated phases: the engine keeps the pipeline in
 //     a single phase (prefill or decode) for long stretches (§3.1);
@@ -22,7 +22,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/runtime"
 	"repro/internal/workload"
 )
 
@@ -97,13 +96,6 @@ type Config struct {
 
 	// RecordKV enables the Fig.-12 KV usage timeline.
 	RecordKV bool
-
-	// Transport selects the control-plane transport between the
-	// engine and its workers. The zero value is the zero-roundtrip
-	// runtime.TransportDirect; runtime.TransportMailbox restores the
-	// goroutine-actor execution plane. All transports produce
-	// bit-identical reports (regression-tested).
-	Transport runtime.Transport
 
 	// SLO is the latency objective folded into the run's latency
 	// digest (goodput accounting). The zero value disables it.

@@ -120,7 +120,6 @@ func TestCrashLifecycleGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Shutdown()
 	if _, err := e.Crash(0); err == nil {
 		t.Fatal("Crash before StartOnline accepted")
 	}
@@ -170,7 +169,6 @@ func TestSubmitRecoveredValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Shutdown()
 	if err := e.StartOnline(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +202,6 @@ func TestOversizedRequestRejectedUpfront(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Shutdown()
 	if err := e.StartOnline(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/runtime"
 	"repro/internal/workload"
 )
 
-// The determinism regression suite: the hot-path machinery (pooled
-// events, direct transport, scratch-buffer reuse) must not perturb a
-// single bit of the report. Each test serializes the full
-// metrics.Report to JSON and compares bytes.
+// The determinism regression suite: the same seed must reproduce every
+// bit of the report. Each test serializes the full metrics.Report to
+// JSON and compares bytes.
 
 // detTraces returns the trace shapes the suite runs: offline batch,
 // open-loop arrivals, and a prefix-structured trace under memory
@@ -64,64 +62,5 @@ func TestReportByteIdenticalAcrossRuns(t *testing.T) {
 				t.Errorf("reports differ across identical runs:\n%s\n%s", a, b)
 			}
 		})
-	}
-}
-
-// The zero-roundtrip direct transport and the goroutine-mailbox
-// transport must produce byte-identical reports.
-func TestReportByteIdenticalAcrossTransports(t *testing.T) {
-	for name, reqs := range detTraces(t) {
-		t.Run(name, func(t *testing.T) {
-			direct := detConfig(4)
-			direct.Transport = runtime.TransportDirect
-			mailbox := detConfig(4)
-			mailbox.Transport = runtime.TransportMailbox
-			a := reportJSON(t, direct, reqs)
-			b := reportJSON(t, mailbox, reqs)
-			if !bytes.Equal(a, b) {
-				t.Errorf("direct vs mailbox reports differ:\n%s\n%s", a, b)
-			}
-		})
-	}
-}
-
-// Scratch-slice reuse on vs off: recycling per-iteration buffers must
-// be invisible in the results.
-func TestReportByteIdenticalScratchReuse(t *testing.T) {
-	for name, reqs := range detTraces(t) {
-		t.Run(name, func(t *testing.T) {
-			on := reportJSON(t, detConfig(4), reqs)
-			scratchReuse = false
-			defer func() { scratchReuse = true }()
-			off := reportJSON(t, detConfig(4), reqs)
-			if !bytes.Equal(on, off) {
-				t.Errorf("scratch reuse on vs off reports differ:\n%s\n%s", on, off)
-			}
-		})
-	}
-}
-
-// The per-request records (arrival, first token, finish) must match as
-// exactly as the aggregate report across transports.
-func TestRecordsIdenticalAcrossTransports(t *testing.T) {
-	reqs := detTraces(t)["arrivals"]
-	direct := detConfig(2)
-	mailbox := detConfig(2)
-	mailbox.Transport = runtime.TransportMailbox
-	a, err := Run(direct, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(mailbox, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Records) != len(b.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(a.Records), len(b.Records))
-	}
-	for i := range a.Records {
-		if a.Records[i] != b.Records[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, a.Records[i], b.Records[i])
-		}
 	}
 }

@@ -21,12 +21,6 @@ import (
 // request with a reason instead of failing the run.
 var ErrRequestTooLarge = errors.New("request KV footprint exceeds engine capacity")
 
-// scratchReuse gates the recycling of per-iteration scratch buffers
-// (prefill id/len slices, decode batch slices, the decode pool). It is
-// always on in production; the determinism regression suite turns it
-// off to prove buffer reuse does not change results.
-var scratchReuse = true
-
 // reqState tracks one request through the engine.
 type reqState struct {
 	req       workload.Request
@@ -150,9 +144,6 @@ type Engine struct {
 	// idle is true when both planes are drained and the engine is
 	// waiting for the next arrival; the arrival kicks a prefill phase.
 	idle bool
-	// shutdown guards cluster release across Run, Finalize and error
-	// paths.
-	shutdown bool
 
 	// Fault-injection lifecycle state. epoch counts crash/restore
 	// cycles; every scheduled event and pass completion carries the
@@ -191,11 +182,11 @@ type Engine struct {
 	// that finish at prefill (single-token outputs) complete locally.
 	handoff func(Handoff)
 
-	// Scratch buffers recycled across scheduler iterations when
-	// scratchReuse is on: idsFree recycles prefill batch id slices
-	// (returned by onPrefillDone), lensBuf the per-batch length
-	// staging, sizesBuf the decode split sizes, and decodeDone the
-	// per-slot completion callbacks (bound once, not per step).
+	// Scratch buffers recycled across scheduler iterations: idsFree
+	// recycles prefill batch id slices (returned by onPrefillDone),
+	// lensBuf the per-batch length staging, sizesBuf the decode split
+	// sizes, and decodeDone the per-slot completion callbacks (bound
+	// once, not per step).
 	idsFree    [][]int
 	lensBuf    []int
 	sizesBuf   []int
@@ -203,7 +194,7 @@ type Engine struct {
 }
 
 // NewEngine validates the configuration, sizes the KV pool and builds
-// the worker cluster.
+// the pipeline cluster.
 func NewEngine(eng *sim.Engine, cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -212,7 +203,7 @@ func NewEngine(eng *sim.Engine, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := runtime.NewClusterTransport(eng, cfg.Node, cfg.Spec, cfg.World, cfg.Transport)
+	cluster, err := runtime.NewCluster(eng, cfg.Node, cfg.Spec, cfg.World)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +211,6 @@ func NewEngine(eng *sim.Engine, cfg Config) (*Engine, error) {
 	// exact block count it always had (NewManager now rounds up).
 	kv, err := kvcache.NewManager(kvcache.AlignTokens(capTokens, cfg.BlockSize), cfg.BlockSize)
 	if err != nil {
-		cluster.Shutdown()
 		return nil, err
 	}
 	if cfg.Slowdown > 0 {
@@ -344,7 +334,6 @@ func (e *Engine) FreeKVTokens() int { return e.kv.AvailableBlocks() * e.kv.Block
 // per engine.
 func (e *Engine) Run(reqs []workload.Request) (*Result, error) {
 	if err := e.Start(reqs); err != nil {
-		e.Shutdown()
 		return nil, err
 	}
 	e.eng.Run()
@@ -742,19 +731,9 @@ func (e *Engine) PrefixWarmTokens(r workload.Request) int {
 // NumFinished returns the number of completed requests so far.
 func (e *Engine) NumFinished() int { return e.finished }
 
-// Shutdown releases the worker cluster. Finalize calls it; use directly
-// only on error paths that abandon the engine.
-func (e *Engine) Shutdown() {
-	if !e.shutdown {
-		e.shutdown = true
-		e.cluster.Shutdown()
-	}
-}
-
-// Finalize checks completion, releases the cluster and builds the
-// result. Call after the simulation has run to completion.
+// Finalize checks completion and builds the result. Call after the
+// simulation has run to completion.
 func (e *Engine) Finalize() (*Result, error) {
-	e.Shutdown()
 	if e.fatalErr != nil {
 		return nil, e.fatalErr
 	}
@@ -794,22 +773,20 @@ func (e *Engine) startPrefillPhase() {
 }
 
 // getScratchIDs returns an empty id buffer, recycling the slice of a
-// completed prefill batch when scratch reuse is on.
+// completed prefill batch when one is free.
 func (e *Engine) getScratchIDs() []int {
-	if scratchReuse {
-		if n := len(e.idsFree); n > 0 {
-			s := e.idsFree[n-1]
-			e.idsFree[n-1] = nil
-			e.idsFree = e.idsFree[:n-1]
-			return s[:0]
-		}
+	if n := len(e.idsFree); n > 0 {
+		s := e.idsFree[n-1]
+		e.idsFree[n-1] = nil
+		e.idsFree = e.idsFree[:n-1]
+		return s[:0]
 	}
 	return nil
 }
 
 // putScratchIDs recycles a consumed prefill id buffer.
 func (e *Engine) putScratchIDs(s []int) {
-	if scratchReuse && cap(s) > 0 {
+	if cap(s) > 0 {
 		e.idsFree = append(e.idsFree, s)
 	}
 }
@@ -821,10 +798,7 @@ func (e *Engine) launchPrefills() (launched int) {
 	switchNow := false
 	for e.waiting.Len() > 0 && !switchNow {
 		ids := e.getScratchIDs()
-		var lens []int
-		if scratchReuse {
-			lens = e.lensBuf[:0]
-		}
+		lens := e.lensBuf[:0]
 		tokens := 0
 		for e.waiting.Len() > 0 && tokens < e.cfg.MaxPrefillTokens {
 			id := e.waiting.Front()
@@ -864,9 +838,7 @@ func (e *Engine) launchPrefills() (launched int) {
 			break // memory full: decode must free space first
 		}
 		batch := costmodel.NewPrefillBatch(lens)
-		if scratchReuse {
-			e.lensBuf = lens[:0]
-		}
+		e.lensBuf = lens[:0]
 		// Stamp the launch so a completion that raced an eviction and
 		// re-launch can recognize it is stale.
 		e.launchSeq++
@@ -877,7 +849,7 @@ func (e *Engine) launchPrefills() (launched int) {
 		e.inflight++
 		launched++
 		idsCopy, ep := ids, e.epoch
-		e.cluster.SubmitPass(runtime.PrefillTask(batch), e.eng.Now(), func(res runtime.PassResult) {
+		e.cluster.SubmitPrefill(batch, e.eng.Now(), func(res runtime.PassResult) {
 			e.onPrefillDone(idsCopy, launchID, ep, res)
 		})
 		// Algorithm 1: account the new requests and check the switch
@@ -1044,11 +1016,7 @@ func (e *Engine) startDecodePhase() {
 		}
 	}
 	sort.Ints(pool)
-	if scratchReuse {
-		e.decodePool = pool[:0]
-	} else {
-		e.decodePool = nil
-	}
+	e.decodePool = pool[:0]
 	if len(pool) == 0 {
 		e.afterPrefillDrained()
 		return
@@ -1059,7 +1027,7 @@ func (e *Engine) startDecodePhase() {
 	}
 	// Even split, as in §3.4: "divide the requests into batches equal
 	// to the number of GPUs, each containing the same number".
-	if scratchReuse && cap(e.batches) >= e.numSlots {
+	if cap(e.batches) >= e.numSlots {
 		e.batches = e.batches[:e.numSlots]
 		for s := range e.batches {
 			e.batches[s] = e.batches[s][:0]
@@ -1071,16 +1039,11 @@ func (e *Engine) startDecodePhase() {
 		slot := i % e.numSlots
 		e.batches[slot] = append(e.batches[slot], id)
 	}
-	var sizes []int
-	if scratchReuse {
-		sizes = e.sizesBuf[:0]
-	}
+	sizes := e.sizesBuf[:0]
 	for s := range e.batches {
 		sizes = append(sizes, len(e.batches[s]))
 	}
-	if scratchReuse {
-		e.sizesBuf = sizes
-	}
+	e.sizesBuf = sizes
 	// Completion callbacks are bound per slot once and reused by every
 	// decode step submitted to that slot (Crash truncates the list so a
 	// restarted engine rebinds them with its new epoch).
@@ -1175,11 +1138,7 @@ func (e *Engine) onDecodeDone(slot, ep int, res runtime.PassResult) {
 
 	if e.switchToPrefil || len(e.batches[slot]) == 0 {
 		e.decodePool = append(e.decodePool, e.batches[slot]...) //det:ignore hotalloc pool drain on phase switch, not per-token work
-		if scratchReuse {
-			e.batches[slot] = e.batches[slot][:0]
-		} else {
-			e.batches[slot] = nil
-		}
+		e.batches[slot] = e.batches[slot][:0]
 		e.activeBatches--
 		if e.activeBatches == 0 {
 			e.decodePool = append(e.decodePool, e.stealer.DrainStash()...) //det:ignore hotalloc pool drain on phase switch, not per-token work

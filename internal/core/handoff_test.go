@@ -18,12 +18,10 @@ func TestEngineHandoffLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pre.Shutdown()
 	dec, err := NewEngine(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dec.Shutdown()
 	if err := dec.StartOnline(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +118,10 @@ func TestSubmitDecodedContinuousBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer src.Shutdown()
 	dec, err := NewEngine(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dec.Shutdown()
 	if err := dec.StartOnline(); err != nil {
 		t.Fatal(err)
 	}

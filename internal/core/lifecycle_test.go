@@ -25,7 +25,6 @@ func TestRestoreBeforeRestartRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Shutdown()
 	if err := e.StartOnline(); err != nil {
 		t.Fatal(err)
 	}

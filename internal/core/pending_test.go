@@ -70,7 +70,6 @@ func TestPendingPreviewMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.Shutdown()
 		e.numSlots = cfg.World
 		max := cfg.MaxPrefillTokens
 		newID := func() int {
@@ -207,7 +206,6 @@ func midDecodeEngine(tb testing.TB, cfg Config, reqs []workload.Request, waiting
 // allocation-free, as is a preview lookup at a different free-KV cut.
 func TestSwitchCheckDoesNotAllocate(t *testing.T) {
 	e := midDecodeEngine(t, detConfig(4), smallTrace(2000, 5), 500)
-	defer e.Shutdown()
 	free := e.capacityTokens
 	sink := 0
 	check := func() {

@@ -99,7 +99,6 @@ func TestPrefixWarmTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Shutdown()
 	if w := e.PrefixWarmTokens(reqs[0]); w != 0 {
 		t.Errorf("cold engine reports %d warm tokens", w)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/runtime"
 	"repro/internal/workload"
 )
 
@@ -92,26 +91,6 @@ func TestDisaggReportByteIdenticalAcrossRuns(t *testing.T) {
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {
 		t.Errorf("disagg reports differ across identical runs:\n%s\n%s", a, b)
-	}
-}
-
-// The hand-off lifecycle must be transport-invariant like every other
-// path: direct calls vs goroutine mailboxes, byte-identical reports.
-func TestDisaggReportByteIdenticalAcrossTransports(t *testing.T) {
-	reqs := workload.StampArrivals(smallTrace(300, 25), workload.Poisson{Rate: 300}, 17)
-	run := func(tr runtime.Transport) []byte {
-		cfg := fastConfig(2)
-		cfg.Transport = tr
-		res := runDisagg(t, cfg, DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2}, reqs)
-		b, err := json.Marshal(res.Report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	a, b := run(runtime.TransportDirect), run(runtime.TransportMailbox)
-	if !bytes.Equal(a, b) {
-		t.Errorf("direct vs mailbox disagg reports differ:\n%s\n%s", a, b)
 	}
 }
 

@@ -390,48 +390,36 @@ func (b *books) retire(k, local int) int {
 }
 
 // startEngines builds and starts one online engine per fabric replica,
-// each on its replicaConfig, shutting down the ones already built if
-// any fails.
+// each on its replicaConfig.
 func startEngines(fab *fabric, cfg core.Config, plan *faults.Plan) ([]*core.Engine, error) {
-	engines := make([]*core.Engine, 0, len(fab.byRep))
+	engines := make([]*core.Engine, len(fab.byRep))
 	for i := range fab.byRep {
 		e, err := core.NewEngine(fab.engineFor(i), replicaConfig(cfg, plan, i))
 		if err == nil {
-			engines = append(engines, e)
 			err = e.StartOnline()
 		}
 		if err != nil {
-			for _, prev := range engines {
-				prev.Shutdown()
-			}
 			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
 		}
+		engines[i] = e
 	}
 	return engines, nil
 }
 
-// finalize ends a run's engines. After a router error it shuts them
-// all down and returns the error; otherwise it finalizes every engine —
-// all of them even after a failure, since Finalize shuts the replica's
-// worker cluster down and skipping the rest would leak their
-// goroutines.
+// finalize ends a run's engines: it returns the router's error if there
+// was one, otherwise every engine's result or the first replica's
+// Finalize error.
 func finalize(engines []*core.Engine, err error) ([]*core.Result, error) {
 	if err != nil {
-		for _, e := range engines {
-			e.Shutdown()
-		}
 		return nil, err
 	}
 	results := make([]*core.Result, len(engines))
 	for i, e := range engines {
-		res, ferr := e.Finalize()
-		if ferr != nil && err == nil {
-			err = fmt.Errorf("fleet: replica %d: %w", i, ferr)
+		res, err := e.Finalize()
+		if err != nil {
+			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
 		}
 		results[i] = res
-	}
-	if err != nil {
-		return nil, err
 	}
 	return results, nil
 }

@@ -18,11 +18,10 @@ func TestBlockingP2PStallsSender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Shutdown()
 	c.BlockingP2P = true
 
 	var res PassResult
-	c.SubmitPass(PrefillTask(costmodel.NewPrefillBatch([]int{512})), 0, func(r PassResult) { res = r })
+	c.SubmitPrefill(costmodel.NewPrefillBatch([]int{512}), 0, func(r PassResult) { res = r })
 	eng.Run()
 
 	// Sender GPU must be occupied through the transfer.
@@ -39,7 +38,6 @@ func TestBlockingP2PWaitsForReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Shutdown()
 	c.BlockingP2P = true
 
 	// Occupy the receiver so the first pass's transfer must wait.
@@ -47,7 +45,7 @@ func TestBlockingP2PWaitsForReceiver(t *testing.T) {
 	c.GPUs[1].Acquire(0, float64(busyUntil), nil)
 
 	var res PassResult
-	c.SubmitPass(PrefillTask(costmodel.NewPrefillBatch([]int{64})), 0, func(r PassResult) { res = r })
+	c.SubmitPrefill(costmodel.NewPrefillBatch([]int{64}), 0, func(r PassResult) { res = r })
 	eng.Run()
 	if res.StageEnds[1] <= busyUntil {
 		t.Errorf("stage 1 finished at %v despite receiver busy until %v", res.StageEnds[1], busyUntil)
@@ -55,60 +53,5 @@ func TestBlockingP2PWaitsForReceiver(t *testing.T) {
 	// The sender must have been held until at least the rendezvous.
 	if got := c.GPUs[0].FreeAt(); got < busyUntil {
 		t.Errorf("sender released at %v before receiver freed at %v", got, busyUntil)
-	}
-}
-
-// A worker that was never initialized makes SubmitPass panic — a
-// programming error surfaced loudly rather than silently mistimed.
-func TestSubmitPassPanicsOnBrokenWorker(t *testing.T) {
-	eng := sim.NewEngine()
-	c, err := NewCluster(eng, hw.L20, model.Tiny, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	// Sabotage: replace worker 1 with an uninitialized one.
-	old := c.Workers[1]
-	c.Workers[1] = NewWorker()
-	defer func() {
-		c.Workers[1].Call(Shutdown{})
-		c.Workers[1] = old
-		if recover() == nil {
-			t.Error("broken worker did not panic")
-		}
-	}()
-	c.SubmitPass(DecodeTask(4, 40), 0, nil)
-	eng.Run()
-}
-
-// Shutdown must terminate worker goroutines: further Calls would hang,
-// so we only verify the Ack.
-func TestWorkerShutdownAck(t *testing.T) {
-	w := NewWorker()
-	if _, ok := w.Call(Shutdown{}).(Ack); !ok {
-		t.Error("shutdown not acknowledged")
-	}
-}
-
-// Workers process messages strictly in order even under rapid calls.
-func TestWorkerSerializesCalls(t *testing.T) {
-	eng := sim.NewEngine()
-	c, err := NewCluster(eng, hw.A100, model.Llama2_70B, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	w := c.Workers[2]
-	prev := -1.0
-	for i := 1; i <= 50; i++ {
-		rep := w.Call(ExecDecode{BatchSize: i, KVTokens: i * 100})
-		er, ok := rep.(ExecResult)
-		if !ok {
-			t.Fatalf("call %d: %#v", i, rep)
-		}
-		if er.Dur <= prev {
-			t.Fatalf("durations not increasing with batch: %v after %v", er.Dur, prev)
-		}
-		prev = er.Dur
 	}
 }

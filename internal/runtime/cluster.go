@@ -1,3 +1,16 @@
+// Package runtime times pipeline passes: the execution plane of the
+// paper's hierarchy-controller structure (§3.2). A Cluster binds one
+// GPU resource per pipeline stage and one link resource per stage
+// boundary to the simulation kernel. A pass runs through the stages in
+// order; each stage's compute time comes from the cost model (standing
+// in for the GPU) for that stage's slice of the model, and the stage
+// forwards its activations to the next one over the link.
+//
+// Transfers occupy the link, not the GPU, so a stage's compute is
+// released before its activation lands on the next stage: the
+// "unblocked transmission" the hierarchy-controller exists to enable.
+// BlockingP2P restores the stock-vLLM rendezvous send the baselines
+// model.
 package runtime
 
 import (
@@ -10,34 +23,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Transport selects how a Cluster reaches its workers.
-type Transport int
-
-const (
-	// TransportDirect dispatches control messages as plain method
-	// calls on the calling goroutine — the zero-roundtrip default.
-	TransportDirect Transport = iota
-	// TransportMailbox runs each worker as a goroutine actor with a
-	// channel mailbox — the original execution plane, kept for
-	// cross-transport equivalence tests and actor-style deployments.
-	TransportMailbox
-)
-
-// Cluster binds a pipeline of workers to simulated GPU and link
-// resources. Schedulers submit per-stage tasks; the cluster routes them
-// through worker endpoints for timing and chains the stages with
-// asynchronous point-to-point transfers.
+// Cluster binds a pipeline of stages to simulated GPU and link
+// resources. Schedulers submit prefill, decode and hybrid passes; the
+// cluster times each stage with the cost model and chains the stages
+// with asynchronous point-to-point transfers.
 type Cluster struct {
 	Eng  *sim.Engine
 	Node hw.Node
 	Cost *costmodel.Model
 	Plan model.PipelinePlan
 
-	// Workers are the execution-plane endpoints. They are Callers so
-	// the control plane can talk to them through either transport —
-	// plain method calls (NewDirectCaller) or the in-process mailbox
-	// (NewWorker).
-	Workers []Caller
 	// GPUs[i] serializes compute on device i.
 	GPUs []*sim.Resource
 	// Links[i] serializes the i -> i+1 activation channel.
@@ -64,16 +59,9 @@ type Cluster struct {
 	slowdown float64
 }
 
-// NewCluster builds a world-size pipeline over the node's GPUs using the
-// direct (zero-roundtrip) transport, and wires busy-interval recording.
+// NewCluster builds a world-size pipeline over the node's GPUs and
+// wires busy-interval recording.
 func NewCluster(eng *sim.Engine, node hw.Node, spec model.Spec, world int) (*Cluster, error) {
-	return NewClusterTransport(eng, node, spec, world, TransportDirect)
-}
-
-// NewClusterTransport is NewCluster with an explicit worker transport.
-// All transports produce bit-identical schedules; the mailbox exists
-// for equivalence testing and for deployments that want worker actors.
-func NewClusterTransport(eng *sim.Engine, node hw.Node, spec model.Spec, world int, tr Transport) (*Cluster, error) {
 	if world > node.NumGPUs {
 		return nil, fmt.Errorf("runtime: world %d exceeds node GPUs %d", world, node.NumGPUs)
 	}
@@ -99,22 +87,12 @@ func NewClusterTransport(eng *sim.Engine, node hw.Node, spec model.Spec, world i
 		if i < world-1 {
 			c.Links = append(c.Links, sim.NewResource(eng, fmt.Sprintf("link%d-%d", i, i+1)))
 		}
-		var w Caller
-		if tr == TransportMailbox {
-			w = NewWorker()
-		} else {
-			w = NewDirectCaller()
-		}
-		if rep := w.Call(Init{Plan: plan, Rank: i, World: world, Cost: cost}); isErr(rep) {
-			return nil, rep.(ErrorReply).Err
-		}
-		c.Workers = append(c.Workers, w)
 	}
 	return c, nil
 }
 
 // World returns the pipeline depth.
-func (c *Cluster) World() int { return len(c.Workers) }
+func (c *Cluster) World() int { return len(c.GPUs) }
 
 // SetSlowdown scales all subsequent stage compute times by f — the
 // straggler knob of fault injection (f > 1 slows the node down). f <= 0
@@ -144,24 +122,6 @@ func (c *Cluster) Stall(at sim.Time, dur float64) {
 	}
 }
 
-// Shutdown stops all workers (a no-op for direct endpoints, a goroutine
-// join for mailbox workers).
-func (c *Cluster) Shutdown() {
-	for _, w := range c.Workers {
-		w.Call(Shutdown{})
-	}
-}
-
-func isErr(m Msg) bool {
-	_, bad := m.(ErrorReply)
-	return bad
-}
-
-// StageTask produces the control message for one stage of a pipeline
-// pass. Schedulers supply it so each stage can carry stage-specific
-// work (e.g. hybrid batches differ per stage only in timing).
-type StageTask func(stage int) Msg
-
 // PassResult reports the completion of a full pipeline pass.
 type PassResult struct {
 	// Start is when stage 0 began computing.
@@ -174,80 +134,112 @@ type PassResult struct {
 	StageEnds []sim.Time
 }
 
-// pass tracks one pipeline pass through the stages. Pass states are
-// pooled on the cluster: recycled when the completion callback returns,
-// so steady-state passes allocate nothing. Decode passes (the hot path)
-// carry their spec by value instead of a StageTask, avoiding the
-// per-step closure and message boxing.
+// passKind selects the cost-model call that times a pass's stages.
+type passKind uint8
+
+const (
+	prefillPass passKind = iota
+	decodePass
+	hybridPass
+)
+
+// pass tracks one pipeline pass through the stages. Its work travels
+// by value: the prefill batch of a prefill pass, or the decode batch
+// and its KV tokens plus, for a hybrid pass, the prefill chunk and its
+// context. Pass states are pooled on the cluster and recycled when the
+// completion callback returns, so steady-state passes allocate nothing.
 type pass struct {
-	c      *Cluster
-	task   StageTask  // nil for decode-spec passes
-	decode ExecDecode // used when task is nil
-	onDone func(PassResult)
-	res    PassResult
-	next   *pass
+	c                     *Cluster
+	kind                  passKind
+	prefill               costmodel.PrefillBatch
+	batch, kvTokens       int
+	chunkTokens, chunkCtx int
+	onDone                func(PassResult)
+	res                   PassResult
+	next                  *pass
 }
 
 // getPass takes a pass from the free list (or allocates one) and
 // prepares its result buffer for the cluster's world size.
-func (c *Cluster) getPass(task StageTask, onDone func(PassResult)) *pass {
+//
+//det:hotpath
+func (c *Cluster) getPass(kind passKind, onDone func(PassResult)) *pass {
 	p := c.passFree
 	if p == nil {
-		p = &pass{c: c}
+		p = &pass{c: c} //det:ignore hotalloc the free list grows only until it holds the peak number of in-flight passes
 	} else {
 		c.passFree = p.next
 		p.next = nil
 	}
-	p.task, p.onDone = task, onDone
-	if cap(p.res.StageEnds) < len(c.Workers) {
-		p.res.StageEnds = make([]sim.Time, len(c.Workers))
+	p.kind, p.onDone = kind, onDone
+	if cap(p.res.StageEnds) < c.World() {
+		p.res.StageEnds = make([]sim.Time, c.World()) //det:ignore hotalloc sized once per pooled pass, on its first use
 	} else {
-		p.res.StageEnds = p.res.StageEnds[:len(c.Workers)]
+		p.res.StageEnds = p.res.StageEnds[:c.World()]
 	}
 	p.res.Start, p.res.End = 0, 0
 	return p
 }
 
 // putPass recycles a completed pass.
+//
+//det:hotpath
 func (c *Cluster) putPass(p *pass) {
-	p.task, p.onDone = nil, nil
+	p.onDone = nil
 	p.next = c.passFree
 	c.passFree = p
 }
 
-// SubmitPass runs one task through every pipeline stage in order,
-// beginning no earlier than readyAt. Stage s+1 starts after stage s's
-// compute completes and the activation crosses link s (the link is a
-// separate resource, so the sender GPU is free during the transfer —
-// asynchronous P2P). onDone, if non-nil, fires at the final stage's
-// completion; the PassResult it receives shares a recycled StageEnds
-// slice, valid only during the callback. SubmitPass returns
+// SubmitPrefill runs one prefill batch through every pipeline stage in
+// order, beginning no earlier than readyAt. Stage s+1 starts after
+// stage s's compute completes and the activation crosses link s (the
+// link is a separate resource, so the sender GPU is free during the
+// transfer — asynchronous P2P). onDone, if non-nil, fires at the final
+// stage's completion; the PassResult it receives shares a recycled
+// StageEnds slice, valid only during the callback. Submission returns
 // immediately; all effects happen in virtual time.
 //
 // Stages are reserved eagerly in submission order, which preserves FIFO
 // execution per GPU across interleaved passes — exactly the in-order
 // launch queue a real stream gives you.
-func (c *Cluster) SubmitPass(task StageTask, readyAt sim.Time, onDone func(PassResult)) {
-	c.runStage(c.getPass(task, onDone), 0, readyAt)
+func (c *Cluster) SubmitPrefill(b costmodel.PrefillBatch, readyAt sim.Time, onDone func(PassResult)) {
+	p := c.getPass(prefillPass, onDone)
+	p.prefill = b
+	c.runStage(p, 0, readyAt)
 }
 
-// SubmitDecode is SubmitPass for one decode step, the scheduler's hot
-// path: the spec travels by value in the pooled pass state, so a
-// steady-state decode step allocates nothing at all.
+// SubmitDecode is SubmitPrefill for one decode step over batch
+// sequences holding kvTokens cached tokens: the scheduler's hot path,
+// allocation-free in steady state.
+//
+//det:hotpath
 func (c *Cluster) SubmitDecode(batch, kvTokens int, readyAt sim.Time, onDone func(PassResult)) {
-	p := c.getPass(nil, onDone)
-	p.decode = ExecDecode{BatchSize: batch, KVTokens: kvTokens}
+	p := c.getPass(decodePass, onDone)
+	p.batch, p.kvTokens = batch, kvTokens
+	c.runStage(p, 0, readyAt)
+}
+
+// SubmitHybrid is SubmitPrefill for one hybrid iteration: a decode step
+// over decodeBatch sequences (kvTokens cached) fused with a prefill
+// chunk of chunkTokens tokens over chunkCtx tokens of context.
+func (c *Cluster) SubmitHybrid(decodeBatch, kvTokens, chunkTokens, chunkCtx int, readyAt sim.Time, onDone func(PassResult)) {
+	p := c.getPass(hybridPass, onDone)
+	p.batch, p.kvTokens, p.chunkTokens, p.chunkCtx = decodeBatch, kvTokens, chunkTokens, chunkCtx
 	c.runStage(p, 0, readyAt)
 }
 
 // passNext continues a pass on its next stage once the activation has
 // landed (scheduled via AtFunc: ctx is the pass, a the stage).
+//
+//det:hotpath
 func passNext(ctx any, st, _ int) {
 	p := ctx.(*pass)
 	p.c.runStage(p, st, p.c.Eng.Now())
 }
 
 // passDone fires the completion callback and recycles the pass.
+//
+//det:hotpath
 func passDone(ctx any, _, _ int) {
 	p := ctx.(*pass)
 	if p.onDone != nil {
@@ -256,17 +248,30 @@ func passDone(ctx any, _, _ int) {
 	p.c.putPass(p)
 }
 
+// runStage reserves stage st's GPU for the pass's compute and, except
+// on the last stage, the link that forwards its activations: the
+// prefill tokens, the decode batch's one token per sequence, or both
+// for a hybrid pass. The last stage forwards nothing; its output goes
+// back to the scheduler as metadata, which the paper treats as
+// negligible RPC traffic.
+//
+//det:hotpath
 func (c *Cluster) runStage(p *pass, st int, arrival sim.Time) {
-	var er ExecResult
-	if p.task == nil {
-		er = c.execDecode(st, p.decode)
-	} else {
-		er = c.exec(st, p.task(st))
+	var dur float64
+	var send int
+	switch p.kind {
+	case prefillPass:
+		dur, send = c.Cost.PrefillStage(c.Plan, st, p.prefill), p.prefill.Tokens
+	case decodePass:
+		dur, send = c.Cost.DecodeStage(c.Plan, st, p.batch, p.kvTokens), p.batch
+	default:
+		dur = c.Cost.HybridStage(c.Plan, st, p.batch, p.kvTokens, p.chunkTokens, p.chunkCtx)
+		send = p.batch + p.chunkTokens
 	}
 	if c.slowdown > 0 {
-		er.Dur *= c.slowdown
+		dur *= c.slowdown
 	}
-	start, end := c.GPUs[st].Acquire(arrival, er.Dur, nil)
+	start, end := c.GPUs[st].Acquire(arrival, dur, nil)
 	if st == 0 {
 		p.res.Start = start
 	}
@@ -278,7 +283,7 @@ func (c *Cluster) runStage(p *pass, st int, arrival sim.Time) {
 	}
 	// Transfer occupies the link; compute of the next stage begins
 	// when the payload lands.
-	xfer := c.Cost.P2PActivation(er.SendTokens)
+	xfer := c.Cost.P2PActivation(send)
 	xferReady := end
 	if c.BlockingP2P {
 		// Rendezvous send: wait for the receiver to drain its queue,
@@ -293,54 +298,4 @@ func (c *Cluster) runStage(p *pass, st int, arrival sim.Time) {
 		c.GPUs[st].Occupy(landed)
 	}
 	c.Eng.AtFunc(landed, passNext, p, st+1, 0)
-}
-
-// execDecode routes one decode stage to its worker. On the direct
-// transport neither the message nor the reply is boxed.
-func (c *Cluster) execDecode(st int, spec ExecDecode) ExecResult {
-	if d, ok := c.Workers[st].(*DirectCaller); ok {
-		er, err := d.state.execDecode(spec)
-		if err != nil {
-			panic(fmt.Sprintf("runtime: stage %d worker error: %v", st, err))
-		}
-		return er
-	}
-	return c.exec(st, spec)
-}
-
-// exec routes one stage task to its worker. Direct endpoints skip the
-// Msg boxing of the reply; every other transport goes through Call.
-func (c *Cluster) exec(st int, msg Msg) ExecResult {
-	if d, ok := c.Workers[st].(*DirectCaller); ok {
-		er, err := d.state.exec(msg)
-		if err != nil {
-			panic(fmt.Sprintf("runtime: stage %d worker error: %v", st, err))
-		}
-		return er
-	}
-	rep := c.Workers[st].Call(msg)
-	er, ok := rep.(ExecResult)
-	if !ok {
-		panic(fmt.Sprintf("runtime: stage %d worker error: %v", st, rep))
-	}
-	return er
-}
-
-// PrefillTask returns a StageTask for a prefill batch. The message is
-// boxed once and shared by every stage of the pass.
-func PrefillTask(b costmodel.PrefillBatch) StageTask {
-	msg := Msg(ExecPrefill{Batch: b})
-	return func(int) Msg { return msg }
-}
-
-// DecodeTask returns a StageTask for one decode step.
-func DecodeTask(batch, kvTokens int) StageTask {
-	msg := Msg(ExecDecode{BatchSize: batch, KVTokens: kvTokens})
-	return func(int) Msg { return msg }
-}
-
-// HybridTask returns a StageTask for a hybrid iteration.
-func HybridTask(decodeBatch, kvTokens, chunkTokens, chunkCtx int) StageTask {
-	msg := Msg(ExecHybrid{DecodeBatch: decodeBatch, KVTokens: kvTokens, ChunkTokens: chunkTokens, ChunkCtx: chunkCtx})
-	return func(int) Msg { return msg }
 }

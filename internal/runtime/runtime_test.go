@@ -17,7 +17,6 @@ func newTestCluster(t *testing.T, world int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Shutdown)
 	return c
 }
 
@@ -31,72 +30,65 @@ func TestNewClusterValidates(t *testing.T) {
 	}
 }
 
-func TestWorkerInitAndExec(t *testing.T) {
-	c := newTestCluster(t, 2)
-	rep := c.Workers[0].Call(ExecPrefill{Batch: costmodel.NewPrefillBatch([]int{64})})
-	er, ok := rep.(ExecResult)
-	if !ok {
-		t.Fatalf("reply = %#v", rep)
+// Every pass kind must time each stage with its own cost-model call
+// and forward its activation tokens over the link after every stage
+// but the last: a lone pass's stage ends are the running sum of stage
+// compute times and transfers, summed by hand in stage order.
+func TestStageEndsMatchCostModel(t *testing.T) {
+	const world = 3
+	batch := costmodel.NewPrefillBatch([]int{96, 32})
+	cases := []struct {
+		name   string
+		submit func(c *Cluster, done func(PassResult))
+		stage  func(c *Cluster, st int) float64
+		send   int
+	}{
+		{
+			name:   "prefill",
+			submit: func(c *Cluster, done func(PassResult)) { c.SubmitPrefill(batch, 0, done) },
+			stage:  func(c *Cluster, st int) float64 { return c.Cost.PrefillStage(c.Plan, st, batch) },
+			send:   128,
+		},
+		{
+			name:   "decode",
+			submit: func(c *Cluster, done func(PassResult)) { c.SubmitDecode(8, 960, 0, done) },
+			stage:  func(c *Cluster, st int) float64 { return c.Cost.DecodeStage(c.Plan, st, 8, 960) },
+			send:   8,
+		},
+		{
+			name:   "hybrid",
+			submit: func(c *Cluster, done func(PassResult)) { c.SubmitHybrid(4, 400, 32, 64, 0, done) },
+			stage:  func(c *Cluster, st int) float64 { return c.Cost.HybridStage(c.Plan, st, 4, 400, 32, 64) },
+			send:   36,
+		},
 	}
-	if er.Dur <= 0 {
-		t.Errorf("duration = %v", er.Dur)
-	}
-	if er.SendTokens != 64 {
-		t.Errorf("stage 0 of 2 should forward 64 tokens, got %d", er.SendTokens)
-	}
-	// Last stage does not forward.
-	rep = c.Workers[1].Call(ExecDecode{BatchSize: 8, KVTokens: 80})
-	if er := rep.(ExecResult); er.SendTokens != 0 {
-		t.Errorf("last stage forwards %d tokens, want 0", er.SendTokens)
-	}
-}
-
-func TestWorkerRejectsExecBeforeInit(t *testing.T) {
-	w := NewWorker()
-	defer w.Call(Shutdown{})
-	rep := w.Call(ExecDecode{BatchSize: 1, KVTokens: 1})
-	if !isErr(rep) {
-		t.Errorf("exec before init replied %#v", rep)
-	}
-}
-
-func TestWorkerRejectsBadInit(t *testing.T) {
-	w := NewWorker()
-	defer w.Call(Shutdown{})
-	plan, _ := model.Partition(model.Tiny, 2)
-	cm, _ := costmodel.New(hw.L20, model.Tiny)
-	if rep := w.Call(Init{Plan: plan, Rank: 5, World: 2, Cost: cm}); !isErr(rep) {
-		t.Errorf("bad rank accepted: %#v", rep)
-	}
-	if rep := w.Call(Init{Plan: plan, Rank: 0, World: 3, Cost: cm}); !isErr(rep) {
-		t.Errorf("world/stages mismatch accepted: %#v", rep)
-	}
-}
-
-func TestWorkerUnknownMessage(t *testing.T) {
-	w := NewWorker()
-	defer w.Call(Shutdown{})
-	if rep := w.Call(Ack{}); !isErr(rep) {
-		t.Errorf("unknown message replied %#v", rep)
-	}
-}
-
-func TestInitAckReportsWeights(t *testing.T) {
-	eng := sim.NewEngine()
-	c, err := NewCluster(eng, hw.A100, model.Llama2_70B, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	w := NewWorker()
-	defer w.Call(Shutdown{})
-	rep := w.Call(Init{Plan: c.Plan, Rank: 1, World: 4, Cost: c.Cost})
-	ack, ok := rep.(InitAck)
-	if !ok {
-		t.Fatalf("reply = %#v", rep)
-	}
-	if math.Abs(ack.WeightBytes-c.Plan.StageWeightBytes(1)) > 1 {
-		t.Errorf("weights = %v, want %v", ack.WeightBytes, c.Plan.StageWeightBytes(1))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, world)
+			var got []sim.Time
+			var end sim.Time
+			tc.submit(c, func(r PassResult) {
+				got = append(got, r.StageEnds...) // copy: recycled after return
+				end = r.End
+			})
+			c.Eng.Run()
+			if len(got) != world {
+				t.Fatalf("pass reported %d stage ends, want %d", len(got), world)
+			}
+			var at sim.Time
+			for st := 0; st < world; st++ {
+				if st > 0 {
+					at += sim.Time(c.Cost.P2PActivation(tc.send))
+				}
+				at += sim.Time(tc.stage(c, st))
+				if got[st] != at {
+					t.Errorf("stage %d ended at %v, want %v", st, got[st], at)
+				}
+			}
+			if end != at {
+				t.Errorf("end = %v, want %v", end, at)
+			}
+		})
 	}
 }
 
@@ -104,7 +96,7 @@ func TestSubmitPassChainsStages(t *testing.T) {
 	c := newTestCluster(t, 4)
 	var res PassResult
 	done := false
-	c.SubmitPass(PrefillTask(costmodel.NewPrefillBatch([]int{128})), 0, func(r PassResult) {
+	c.SubmitPrefill(costmodel.NewPrefillBatch([]int{128}), 0, func(r PassResult) {
 		res, done = r, true
 	})
 	c.Eng.Run()
@@ -131,8 +123,8 @@ func TestBackToBackPassesOverlap(t *testing.T) {
 	c := newTestCluster(t, 2)
 	batch := costmodel.NewPrefillBatch([]int{512})
 	var a, b PassResult
-	c.SubmitPass(PrefillTask(batch), 0, func(r PassResult) { a = r })
-	c.SubmitPass(PrefillTask(batch), 0, func(r PassResult) { b = r })
+	c.SubmitPrefill(batch, 0, func(r PassResult) { a = r })
+	c.SubmitPrefill(batch, 0, func(r PassResult) { b = r })
 	c.Eng.Run()
 	if b.StageEnds[0] >= a.StageEnds[1] {
 		t.Errorf("no overlap: B stage0 end %v, A stage1 end %v", b.StageEnds[0], a.StageEnds[1])
@@ -147,7 +139,7 @@ func TestAsyncP2PFreesGPUDuringTransfer(t *testing.T) {
 	// activation is still in flight on the link.
 	c := newTestCluster(t, 2)
 	var res PassResult
-	c.SubmitPass(PrefillTask(costmodel.NewPrefillBatch([]int{256})), 0, func(r PassResult) { res = r })
+	c.SubmitPrefill(costmodel.NewPrefillBatch([]int{256}), 0, func(r PassResult) { res = r })
 	c.Eng.Run()
 	if got := c.GPUs[0].FreeAt(); got != res.StageEnds[0] {
 		t.Errorf("gpu0 free at %v, want compute end %v (transfer must not block it)", got, res.StageEnds[0])
@@ -163,7 +155,7 @@ func TestAsyncP2PFreesGPUDuringTransfer(t *testing.T) {
 
 func TestRecorderSeesBusyIntervals(t *testing.T) {
 	c := newTestCluster(t, 2)
-	c.SubmitPass(DecodeTask(16, 16*64), 0, nil)
+	c.SubmitDecode(16, 16*64, 0, nil)
 	c.Eng.Run()
 	for g := 0; g < 2; g++ {
 		if len(c.Rec.Intervals(g)) != 1 {
@@ -179,9 +171,9 @@ func TestDecodePassDependencyChaining(t *testing.T) {
 	c := newTestCluster(t, 2)
 	var step1 PassResult
 	var step2 PassResult
-	c.SubmitPass(DecodeTask(8, 800), 0, func(r1 PassResult) {
+	c.SubmitDecode(8, 800, 0, func(r1 PassResult) {
 		step1 = r1
-		c.SubmitPass(DecodeTask(8, 808), r1.End, func(r2 PassResult) { step2 = r2 })
+		c.SubmitDecode(8, 808, r1.End, func(r2 PassResult) { step2 = r2 })
 	})
 	c.Eng.Run()
 	if step2.Start < step1.End {
@@ -189,20 +181,74 @@ func TestDecodePassDependencyChaining(t *testing.T) {
 	}
 }
 
-func TestHybridAndChunkedTasks(t *testing.T) {
+// A hybrid pass queues FIFO behind a decode pass on every GPU, and its
+// link carries the decode tokens plus the prefill chunk.
+func TestHybridPassFollowsDecodePass(t *testing.T) {
 	c := newTestCluster(t, 2)
-	rep := c.Workers[0].Call(ExecChunked{ChunkTokens: 64, CtxTokens: 128})
-	if er := rep.(ExecResult); er.Dur <= 0 || er.SendTokens != 64 {
-		t.Errorf("chunked exec = %+v", er)
-	}
-	rep = c.Workers[0].Call(ExecHybrid{DecodeBatch: 4, KVTokens: 400, ChunkTokens: 32, ChunkCtx: 0})
-	if er := rep.(ExecResult); er.Dur <= 0 || er.SendTokens != 36 {
-		t.Errorf("hybrid exec = %+v", er)
-	}
-	var res PassResult
-	c.SubmitPass(HybridTask(4, 400, 32, 0), 0, func(r PassResult) { res = r })
+	var dec, hyb PassResult
+	c.SubmitDecode(4, 400, 0, func(r PassResult) { dec = r })
+	c.SubmitHybrid(4, 400, 32, 0, 0, func(r PassResult) { hyb = r })
 	c.Eng.Run()
-	if res.End <= 0 {
-		t.Errorf("hybrid pass end = %v", res.End)
+	if hyb.Start != dec.StageEnds[0] {
+		t.Errorf("hybrid started at %v, want decode's stage-0 end %v", hyb.Start, dec.StageEnds[0])
+	}
+	if hyb.End <= dec.End {
+		t.Errorf("hybrid ended at %v, not after decode at %v", hyb.End, dec.End)
+	}
+	want := c.Cost.P2PActivation(4) + c.Cost.P2PActivation(36)
+	if got := c.Links[0].BusyTime(); got != want {
+		t.Errorf("link busy %v, want %v (4 decode tokens, then 4+32)", got, want)
+	}
+}
+
+// Interleaved pooled passes must not share result state: two
+// overlapping passes completing at different times keep distinct
+// StageEnds during their callbacks.
+func TestPooledPassesDoNotAlias(t *testing.T) {
+	c := newTestCluster(t, 2)
+	type seen struct {
+		start, end sim.Time
+		stages     []sim.Time
+	}
+	var got []seen
+	capture := func(r PassResult) {
+		s := seen{start: r.Start, end: r.End}
+		s.stages = append(s.stages, r.StageEnds...) // copy: recycled after return
+		got = append(got, s)
+	}
+	for i := 0; i < 4; i++ {
+		c.SubmitDecode(4+i, 400, 0, capture)
+	}
+	c.Eng.Run()
+	if len(got) != 4 {
+		t.Fatalf("completed %d of 4 passes", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].end <= got[i-1].end {
+			t.Errorf("pass %d ended at %v, not after pass %d at %v", i, got[i].end, i-1, got[i-1].end)
+		}
+		if got[i].stages[1] != got[i].end {
+			t.Errorf("pass %d stage end %v != end %v", i, got[i].stages[1], got[i].end)
+		}
+	}
+}
+
+// A steady-state decode pass (pooled pass state, recycled kernel
+// events, callback bound once) allocates nothing: submission, every
+// stage hop and completion.
+func TestDecodePassDoesNotAllocate(t *testing.T) {
+	c := newTestCluster(t, 4)
+	steps := 0
+	done := func(PassResult) { steps++ }
+	step := func() {
+		c.SubmitDecode(16, 1600, c.Eng.Now(), done)
+		c.Eng.Run()
+	}
+	step() // fill the pass pool and the kernel's event arena
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("decode pass allocates %v times per run, want 0", allocs)
+	}
+	if steps != 102 {
+		t.Errorf("completed %d decode passes, want 102", steps)
 	}
 }
