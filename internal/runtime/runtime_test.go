@@ -92,6 +92,60 @@ func TestStageEndsMatchCostModel(t *testing.T) {
 	}
 }
 
+// One stage's GPU is busy for exactly its cost-model compute time and
+// forwards its activation tokens over the link to the next stage; the
+// last stage has no link and forwards nothing.
+func TestWorkerInitAndExec(t *testing.T) {
+	c := newTestCluster(t, 2)
+	batch := costmodel.NewPrefillBatch([]int{64})
+	c.SubmitPrefill(batch, 0, nil)
+	c.Eng.Run()
+	dur := c.Cost.PrefillStage(c.Plan, 0, batch)
+	if dur <= 0 {
+		t.Fatalf("stage 0 duration = %v", dur)
+	}
+	if got := c.GPUs[0].BusyTime(); got != dur {
+		t.Errorf("gpu0 busy %v, want stage 0 compute %v", got, dur)
+	}
+	if got, want := c.Links[0].BusyTime(), c.Cost.P2PActivation(64); got != want {
+		t.Errorf("link busy %v, want %v (stage 0 of 2 forwards 64 tokens)", got, want)
+	}
+	if len(c.Links) != 1 {
+		t.Fatalf("%d links for 2 stages, want 1", len(c.Links))
+	}
+	// A decode step adds its batch's tokens on the one link and nothing
+	// past the last stage.
+	c.SubmitDecode(8, 80, c.Eng.Now(), nil)
+	c.Eng.Run()
+	if got, want := c.Links[0].BusyTime(), c.Cost.P2PActivation(64)+c.Cost.P2PActivation(8); got != want {
+		t.Errorf("link busy %v, want %v after an 8-sequence decode step", got, want)
+	}
+}
+
+// SubmitDecode times a decode step as the cost model's decode task:
+// DecodeStage per stage plus one token per sequence on each link. A
+// straggler slowdown scales every stage's compute but not the
+// transfers.
+func TestSubmitDecodeMatchesDecodeTask(t *testing.T) {
+	for _, slow := range []float64{1, 2} {
+		c := newTestCluster(t, 3)
+		c.SetSlowdown(slow)
+		var end sim.Time
+		c.SubmitDecode(8, 960, 0, func(r PassResult) { end = r.End })
+		c.Eng.Run()
+		var want sim.Time
+		for st := 0; st < 3; st++ {
+			if st > 0 {
+				want += sim.Time(c.Cost.P2PActivation(8))
+			}
+			want += sim.Time(c.Cost.DecodeStage(c.Plan, st, 8, 960) * slow)
+		}
+		if end != want || end <= 0 {
+			t.Errorf("slowdown %v: SubmitDecode end %v, want decode task end %v", slow, end, want)
+		}
+	}
+}
+
 func TestSubmitPassChainsStages(t *testing.T) {
 	c := newTestCluster(t, 4)
 	var res PassResult
