@@ -719,6 +719,7 @@ func run(o options, visit func(func(*flag.Flag))) error {
 	case "tdpipe", "td-pipe":
 		cfg := core.DefaultConfig(node, spec, o.gpus)
 		cfg.RecordKV = true
+		cfg.RecordBusy = o.outDir != "" // utilization.csv and busy_intervals.csv
 		cfg.SLO = o.slo
 		cfg.DisablePrefixCache = o.noPrefixCache
 		if !o.oracle {

@@ -32,6 +32,7 @@ func main() {
 
 	cfg := tdpipe.NewConfig(tdpipe.A100, tdpipe.Llama2_70B, 4)
 	cfg.Predictor = clf
+	cfg.RecordBusy = true // keep busy intervals for the timeline below
 	rollouts := trace.Sample(3000, 5)
 
 	res, err := tdpipe.Run(cfg, rollouts)

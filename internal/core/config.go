@@ -97,6 +97,13 @@ type Config struct {
 	// RecordKV enables the Fig.-12 KV usage timeline.
 	RecordKV bool
 
+	// RecordBusy keeps every GPU busy interval and returns them in
+	// Result.Rec, for utilization timelines (Fig. 2) and busy-interval
+	// CSVs. Off by default: the engine then streams busy time into a
+	// running per-GPU sum, folded at each pass completion, Result.Rec
+	// is nil, and Report.MeanUtilization is the same value bit for bit.
+	RecordBusy bool
+
 	// SLO is the latency objective folded into the run's latency
 	// digest (goodput accounting). The zero value disables it.
 	SLO metrics.SLO

@@ -21,14 +21,11 @@ import (
 // request with a reason instead of failing the run.
 var ErrRequestTooLarge = errors.New("request KV footprint exceeds engine capacity")
 
-// reqState tracks one request through the engine.
+// reqState tracks one request through the engine: the fields a decode
+// step never reads. The ones it does live in seqState.
 type reqState struct {
 	req       workload.Request
 	predicted int
-	// ctx is the number of tokens currently cached.
-	ctx int
-	// generated is the number of output tokens produced so far.
-	generated int
 	// prefillLen is how many tokens the next prefill must process
 	// (input plus any tokens generated before an eviction).
 	prefillLen int
@@ -36,8 +33,6 @@ type reqState struct {
 	// served from shared prefix blocks — prefill work skipped, and KV
 	// this request references but did not pay for.
 	cached     int
-	done       bool
-	evicted    bool
 	recomputes int
 	// launch identifies the prefill batch that most recently packed
 	// this request. A request evicted while its prefill pass is still
@@ -52,17 +47,39 @@ type reqState struct {
 	// (recompute evictions keep the original first-token time).
 	firstTokenAt sim.Time
 	finishedAt   sim.Time
-	// aborted marks a request lost to a crash: it stays in states for
-	// record-keeping (its record is unfinished) but no longer counts
-	// toward completion. Routers re-dispatch it elsewhere.
-	aborted bool
 	// ckpt is the latest periodic KV checkpoint of this request (nil
 	// until the first checkpoint round catches it resident).
 	ckpt *Checkpoint
 }
 
-func (s *reqState) remainingPredicted() int {
-	rem := s.predicted - s.generated
+// seqState holds the fields of one request that a decode step reads
+// and writes. The engine keeps them by value in Engine.seqs, indexed by
+// request id, so a step walks one contiguous slice instead of chasing a
+// *reqState per request.
+type seqState struct {
+	// ctx is the number of tokens currently cached.
+	ctx int
+	// generated is the number of output tokens produced so far.
+	generated int
+	// outputLen is the request's workload.Request.OutputLen.
+	outputLen int
+	done      bool
+	evicted   bool
+	// aborted marks a request lost to a crash: it stays in states for
+	// record-keeping (its record is unfinished) but no longer counts
+	// toward completion. Routers re-dispatch it elsewhere.
+	aborted bool
+	// resident marks a request counted in Engine.resident: live and in
+	// the decode plane.
+	resident bool
+}
+
+// remainingPredicted returns how many more output tokens the predictor
+// expects request id to generate (never negative).
+//
+//det:hotpath
+func (e *Engine) remainingPredicted(id int) int {
+	rem := e.states[id].predicted - e.seqs[id].generated
 	if rem < 0 {
 		rem = 0
 	}
@@ -72,7 +89,8 @@ func (s *reqState) remainingPredicted() int {
 // Result is the outcome of a TD-Pipe run.
 type Result struct {
 	Report metrics.Report
-	// Rec holds per-GPU busy intervals for utilization analysis.
+	// Rec holds per-GPU busy intervals for utilization analysis (nil
+	// unless Config.RecordBusy).
 	Rec *metrics.Recorder
 	// KV is the Fig.-12 usage timeline (nil unless Config.RecordKV).
 	KV *metrics.KVTimeline
@@ -87,20 +105,73 @@ type Result struct {
 	Steps uint64
 }
 
+// stepCheck, when set, runs after every decode step. Tests install an
+// invariant check here that parks the engine with an error through
+// fail when the running state disagrees with a recount.
+var stepCheck func(*Engine)
+
 // Engine is the TD-Pipe centralized engine bound to one simulation.
+// The fields a decode step touches come first, so a step on a cold
+// engine (one of many in a fleet) loads a few cache lines, not the
+// whole struct.
 type Engine struct {
-	cfg     Config
-	eng     *sim.Engine
+	// Fault-injection lifecycle state. epoch counts crash/restore
+	// cycles; every scheduled event and pass completion carries the
+	// epoch that issued it and is discarded when stale, so work in
+	// flight at a crash cannot touch the restarted engine. fatalErr
+	// parks the engine on an internal error instead of panicking inside
+	// the shared event loop; Finalize surfaces it.
+	epoch    int
+	fatalErr error
+
 	cluster *runtime.Cluster
 	kv      *kvcache.Manager
-	usage   *usageSim
-	inten   *Intensity
 	stealer *Stealer
+
+	// seqs[id] is request id's decode-step state (see seqState).
+	seqs []seqState
+
+	// Decode-phase state.
+	batches [][]int
+	// decodeDone holds the per-slot completion callbacks, bound once
+	// per phase, not per step.
+	decodeDone     []func(runtime.PassResult)
+	step           int
+	activeBatches  int
+	numSlots       int
+	decodeInitial  int
+	decodeFinished int
+	switchToPrefil bool
+
+	// resident and residentTokens count the live requests in the
+	// decode plane (batches, stash, decode pool and staged imports) and
+	// their cached tokens. They change where a request joins the plane,
+	// grows a token, or leaves it (finish, eviction, crash).
+	resident, residentTokens int
+
+	// imported stages SubmitDecoded admissions that arrived while a
+	// phase was active: a dedicated decode server cannot wait for the
+	// whole phase to drain, so staged requests are injected into a
+	// running decode batch at the next step boundary (continuous
+	// batching). Always empty in colocated deployments.
+	imported []int
+
+	finished int
+	// onFinish, when set, is invoked synchronously as each request
+	// completes — the O(1) load-tracking hook online routers use
+	// instead of rescanning outstanding requests.
+	onFinish func(id int)
+
+	waiting waitQueue
+
+	cfg   Config
+	eng   *sim.Engine
+	usage *usageSim
+	inten *Intensity
 
 	capacityTokens int
 
-	states  []*reqState
-	waiting waitQueue
+	states []*reqState
 
 	phase      metrics.Phase
 	everPhased bool
@@ -113,28 +184,12 @@ type Engine struct {
 	// decode phase.
 	decodePool []int
 
-	// Decode-phase state.
-	batches        [][]int
-	activeBatches  int
-	numSlots       int
-	switchToPrefil bool
-	decodeInitial  int
-	decodeFinished int
-	// imported stages SubmitDecoded admissions that arrived while a
-	// phase was active: a dedicated decode server cannot wait for the
-	// whole phase to drain, so staged requests are injected into a
-	// running decode batch at the next step boundary (continuous
-	// batching). Always empty in colocated deployments.
-	imported []int
-
-	step       int
 	kvTimeline *metrics.KVTimeline
 	// prefixCached sums prompt tokens whose prefill was skipped via
 	// shared-prefix KV hits.
 	prefixCached int
 	recomputes   int
 	switches     int
-	finished     int
 	doneAt       sim.Time
 	running      bool
 
@@ -145,20 +200,12 @@ type Engine struct {
 	// waiting for the next arrival; the arrival kicks a prefill phase.
 	idle bool
 
-	// Fault-injection lifecycle state. epoch counts crash/restore
-	// cycles; every scheduled event and pass completion carries the
-	// epoch that issued it and is discarded when stale, so work in
-	// flight at a crash cannot touch the restarted engine. dead is true
-	// between Crash and Restore (no work is accepted); aborted counts
-	// requests lost to crashes (Finalize's balance becomes finished +
-	// aborted == submitted). fatalErr parks the engine on an internal
-	// error instead of panicking inside the shared event loop; Finalize
-	// surfaces it.
-	epoch    int
-	dead     bool
-	aborted  int
-	fatalErr error
-	crashes  int
+	// dead is true between Crash and Restore (no work is accepted);
+	// aborted counts requests lost to crashes (Finalize's balance
+	// becomes finished + aborted == submitted).
+	dead    bool
+	aborted int
+	crashes int
 	// restartAt is the instant the last crash's downtime ends; Restore
 	// before it is a lifecycle bug (the GPUs are still stalled
 	// reloading weights) and is rejected.
@@ -170,11 +217,6 @@ type Engine struct {
 	checkpointBytes  float64
 	lostOutputTokens int
 
-	// onFinish, when set, is invoked synchronously as each request
-	// completes — the O(1) load-tracking hook online routers use
-	// instead of rescanning outstanding requests.
-	onFinish func(id int)
-
 	// handoff, when set, turns the engine into the prefill half of a
 	// disaggregated deployment: each request that completes prefill
 	// with output still to generate has its KV exported and is handed
@@ -184,13 +226,11 @@ type Engine struct {
 
 	// Scratch buffers recycled across scheduler iterations: idsFree
 	// recycles prefill batch id slices (returned by onPrefillDone),
-	// lensBuf the per-batch length staging, sizesBuf the decode split
-	// sizes, and decodeDone the per-slot completion callbacks (bound
-	// once, not per step).
-	idsFree    [][]int
-	lensBuf    []int
-	sizesBuf   []int
-	decodeDone []func(runtime.PassResult)
+	// lensBuf the per-batch length staging and sizesBuf the decode
+	// split sizes.
+	idsFree  [][]int
+	lensBuf  []int
+	sizesBuf []int
 }
 
 // NewEngine validates the configuration, sizes the KV pool and builds
@@ -215,6 +255,9 @@ func NewEngine(eng *sim.Engine, cfg Config) (*Engine, error) {
 	}
 	if cfg.Slowdown > 0 {
 		cluster.SetSlowdown(cfg.Slowdown)
+	}
+	if !cfg.RecordBusy {
+		cluster.Rec = metrics.NewStreamingRecorder(cfg.World)
 	}
 	e := &Engine{
 		cfg:            cfg,
@@ -289,14 +332,15 @@ func (e *Engine) SubmitDecoded(r workload.Request, h Handoff) (int, error) {
 	if _, err := e.kv.ImportKV(id, h.KV); err != nil {
 		return 0, err
 	}
-	st := e.newState(r)
-	st.ctx = h.KV.Tokens
-	st.generated = h.Generated
+	st := e.addState(r)
 	st.firstTokenAt = h.FirstTokenAt
 	// Shared chain blocks are accounted once globally, like a prefix
 	// hit: this request references them but did not pay for them here.
 	st.cached = len(h.KV.Keys) * e.kv.BlockSize()
-	e.states = append(e.states, st)
+	sq := &e.seqs[id]
+	sq.ctx = h.KV.Tokens
+	sq.generated = h.Generated
+	e.joinResident(id)
 	if e.idle {
 		e.decodePool = append(e.decodePool, id)
 		e.idle = false
@@ -353,6 +397,7 @@ func (e *Engine) Start(reqs []workload.Request) error {
 	e.running = true
 
 	e.states = make([]*reqState, 0, len(reqs))
+	e.seqs = make([]seqState, 0, len(reqs))
 	e.waiting.Reset()
 	for i, r := range reqs {
 		if r.ID != i {
@@ -419,11 +464,10 @@ func (e *Engine) SubmitRecovered(r workload.Request, generated int, firstTokenAt
 	}
 	id := len(e.states)
 	r.ID = id
-	st := e.newState(r)
-	st.generated = generated
+	st := e.addState(r)
 	st.prefillLen = r.InputLen + generated
 	st.firstTokenAt = firstTokenAt
-	e.states = append(e.states, st)
+	e.seqs[id].generated = generated
 	e.admit(id)
 	return id, nil
 }
@@ -508,16 +552,17 @@ func (e *Engine) Crash(restartAt sim.Time) ([]Lost, error) {
 	e.restartAt = restartAt
 	var lost []Lost
 	for id, st := range e.states {
-		if st.done || st.aborted {
+		sq := &e.seqs[id]
+		if sq.done || sq.aborted {
 			continue
 		}
-		st.aborted = true
+		sq.aborted, sq.resident = true, false
 		e.aborted++
-		e.lostOutputTokens += st.generated
+		e.lostOutputTokens += sq.generated
 		lost = append(lost, Lost{
 			Local:        id,
 			Req:          st.req,
-			Generated:    st.generated,
+			Generated:    sq.generated,
 			FirstTokenAt: st.firstTokenAt,
 			Ckpt:         st.ckpt,
 		})
@@ -536,6 +581,7 @@ func (e *Engine) Crash(restartAt sim.Time) ([]Lost, error) {
 	e.decodeDone = e.decodeDone[:0]
 	e.inflight = 0
 	e.activeBatches = 0
+	e.resident, e.residentTokens = 0, 0
 	e.numSlots = 0
 	e.switchToPrefil = false
 	e.pendingArrivals = 0
@@ -626,14 +672,15 @@ func (e *Engine) doCheckpoint() {
 	now := e.eng.Now()
 	blocks := 0
 	for id, st := range e.states {
-		if st.done || st.aborted || st.evicted || st.generated == 0 || !e.kv.Has(id) {
+		sq := &e.seqs[id]
+		if sq.done || sq.aborted || sq.evicted || sq.generated == 0 || !e.kv.Has(id) {
 			continue
 		}
 		ex, err := e.kv.SnapshotKV(id)
 		if err != nil {
 			continue
 		}
-		st.ckpt = &Checkpoint{KV: ex, Generated: st.generated, FirstTokenAt: st.firstTokenAt, At: now}
+		st.ckpt = &Checkpoint{KV: ex, Generated: sq.generated, FirstTokenAt: st.firstTokenAt, At: now}
 		blocks += ex.Blocks()
 	}
 	if blocks == 0 {
@@ -645,13 +692,18 @@ func (e *Engine) doCheckpoint() {
 	e.cluster.Stall(now, costmodel.KVTransfer(e.cfg.Node)(bytes))
 }
 
-func (e *Engine) newState(r workload.Request) *reqState {
-	return &reqState{
+// addState registers r, whose ID the caller set to the next dense id,
+// and returns its cold state.
+func (e *Engine) addState(r workload.Request) *reqState {
+	st := &reqState{
 		req:        r,
 		predicted:  e.cfg.Predictor.PredictLen(r),
 		prefillLen: r.InputLen,
 		arrival:    sim.Time(r.ArrivalTime),
 	}
+	e.states = append(e.states, st)
+	e.seqs = append(e.seqs, seqState{outputLen: r.OutputLen})
+	return st
 }
 
 // arrivalEvent admits a request when its arrival instant is reached
@@ -675,7 +727,7 @@ func (e *Engine) addRequest(r workload.Request) error {
 		return err
 	}
 	id := len(e.states)
-	e.states = append(e.states, e.newState(r))
+	e.addState(r)
 	if at := sim.Time(r.ArrivalTime); at > e.eng.Now() {
 		e.pendingArrivals++
 		e.eng.AtFunc(at, arrivalEvent, e, id, e.epoch)
@@ -741,7 +793,12 @@ func (e *Engine) Finalize() (*Result, error) {
 		return nil, fmt.Errorf("core: run stalled with %d/%d finished (%d aborted) at t=%v (waiting=%d, pool=%d, active=%d)",
 			e.finished, len(e.states), e.aborted, e.eng.Now(), e.waiting.Len(), len(e.decodePool), e.activeBatches)
 	}
-	return e.buildResult(), nil
+	res, err := e.buildResult()
+	if err != nil {
+		e.fail(err)
+		return nil, e.fatalErr
+	}
+	return res, nil
 }
 
 // --- phase control ----------------------------------------------------
@@ -761,8 +818,7 @@ func (e *Engine) startPrefillPhase() {
 	// their predicted lifetimes constrain how much we admit.
 	e.usage.Reset()
 	for _, id := range e.decodePool {
-		st := e.states[id]
-		e.usage.UpdateUsage(st.ctx-st.cached, st.remainingPredicted())
+		e.usage.UpdateUsage(e.seqs[id].ctx-e.states[id].cached, e.remainingPredicted(id))
 	}
 	if e.launchPrefills() == 0 && e.inflight == 0 {
 		// Nothing could be admitted (memory still holds residents):
@@ -858,7 +914,7 @@ func (e *Engine) launchPrefills() (launched int) {
 		// contribute only their private suffix.
 		for _, id := range ids {
 			st := e.states[id]
-			e.usage.UpdateUsage(st.prefillLen-st.cached, st.remainingPredicted())
+			e.usage.UpdateUsage(st.prefillLen-st.cached, e.remainingPredicted(id))
 		}
 		switch {
 		case e.handoff != nil:
@@ -883,6 +939,7 @@ func (e *Engine) onPrefillDone(ids []int, launchID uint64, ep int, res runtime.P
 		e.putScratchIDs(ids)
 		return
 	}
+	e.cluster.Rec.Fold(float64(res.End))
 	if e.fatalErr != nil {
 		return
 	}
@@ -900,14 +957,15 @@ func (e *Engine) onPrefillDone(ids []int, launchID uint64, ep int, res runtime.P
 		// lands here: clearing the flag at launch would let a stale
 		// decode batch entry resume generating while the prefill is
 		// still in flight.
-		st.evicted = false
-		st.ctx = st.prefillLen
-		if st.generated == 0 {
+		sq := &e.seqs[id]
+		sq.evicted = false
+		sq.ctx = st.prefillLen
+		if sq.generated == 0 {
 			st.firstTokenAt = res.End
 		}
-		st.generated++ // prefill emits the first output token
+		sq.generated++ // prefill emits the first output token
 		switch {
-		case st.generated >= st.req.OutputLen:
+		case sq.generated >= sq.outputLen:
 			e.finishReq(id, res.End)
 		case e.handoff != nil:
 			// Disaggregated prefill: export the KV, retire the request
@@ -921,7 +979,7 @@ func (e *Engine) onPrefillDone(ids []int, launchID uint64, ep int, res runtime.P
 				Local:        id,
 				Req:          st.req,
 				KV:           ex,
-				Generated:    st.generated,
+				Generated:    sq.generated,
 				FirstTokenAt: st.firstTokenAt,
 				At:           res.End,
 			}
@@ -929,6 +987,7 @@ func (e *Engine) onPrefillDone(ids []int, launchID uint64, ep int, res runtime.P
 			e.handoff(h)
 		default:
 			e.decodePool = append(e.decodePool, id)
+			e.joinResident(id)
 		}
 	}
 	e.putScratchIDs(ids)
@@ -989,11 +1048,10 @@ func (e *Engine) overlapPrefill() {
 	e.usage.Reset()
 	account := func(ids []int) {
 		for _, id := range ids {
-			st := e.states[id]
-			if st.done || st.evicted {
+			if sq := &e.seqs[id]; sq.done || sq.evicted {
 				continue
 			}
-			e.usage.UpdateUsage(st.ctx-st.cached, st.remainingPredicted())
+			e.usage.UpdateUsage(e.seqs[id].ctx-e.states[id].cached, e.remainingPredicted(id))
 		}
 	}
 	for _, b := range e.batches {
@@ -1011,7 +1069,7 @@ func (e *Engine) startDecodePhase() {
 	// Drop evicted ids; sort for determinism.
 	pool := e.decodePool[:0]
 	for _, id := range e.decodePool {
-		if !e.states[id].evicted && !e.states[id].done {
+		if sq := &e.seqs[id]; !sq.evicted && !sq.done {
 			pool = append(pool, id)
 		}
 	}
@@ -1049,7 +1107,12 @@ func (e *Engine) startDecodePhase() {
 	// restarted engine rebinds them with its new epoch).
 	for len(e.decodeDone) < e.numSlots {
 		slot, ep := len(e.decodeDone), e.epoch
-		e.decodeDone = append(e.decodeDone, func(res runtime.PassResult) { e.onDecodeDone(slot, ep, res) })
+		e.decodeDone = append(e.decodeDone, func(res runtime.PassResult) {
+			e.onDecodeDone(slot, ep, res)
+			if stepCheck != nil {
+				stepCheck(e)
+			}
+		})
 	}
 	e.stealer = NewStealer(e.numSlots, !e.cfg.DisableWorkStealing)
 	e.stealer.Prime(sizes)
@@ -1070,7 +1133,7 @@ func (e *Engine) submitDecode(slot int, readyAt sim.Time) {
 	ids := e.batches[slot]
 	kvTokens := 0
 	for _, id := range ids {
-		kvTokens += e.states[id].ctx
+		kvTokens += e.seqs[id].ctx
 	}
 	e.cluster.SubmitDecode(len(ids), kvTokens, readyAt, e.decodeDone[slot])
 }
@@ -1084,16 +1147,18 @@ func (e *Engine) onDecodeDone(slot, ep int, res runtime.PassResult) {
 	if ep != e.epoch || e.fatalErr != nil {
 		return
 	}
+	e.cluster.Rec.Fold(float64(res.End))
 	e.step++
 	survivors := e.batches[slot][:0]
 	for _, id := range e.batches[slot] {
-		st := e.states[id]
-		if st.evicted || st.done {
+		sq := &e.seqs[id]
+		if sq.evicted || sq.done {
 			continue
 		}
-		st.generated++
-		st.ctx++
-		if st.generated >= st.req.OutputLen {
+		sq.generated++
+		sq.ctx++
+		e.residentTokens++
+		if sq.generated >= sq.outputLen {
 			// The final token needs no KV slot; the request is done.
 			e.finishReq(id, res.End)
 			e.decodeFinished++
@@ -1101,7 +1166,7 @@ func (e *Engine) onDecodeDone(slot, ep int, res runtime.PassResult) {
 		}
 		if err := e.kv.Append(id, 1); err != nil {
 			e.handleOOM(id, slot)
-			if st.evicted {
+			if e.seqs[id].evicted {
 				continue
 			}
 		}
@@ -1118,8 +1183,7 @@ func (e *Engine) onDecodeDone(slot, ep int, res runtime.PassResult) {
 	// waiting out the phase. (Colocated engines never stage imports.)
 	if len(e.imported) > 0 && !e.switchToPrefil {
 		for _, id := range e.imported {
-			st := e.states[id]
-			if st.done || st.evicted {
+			if sq := &e.seqs[id]; sq.done || sq.evicted {
 				continue
 			}
 			e.batches[slot] = append(e.batches[slot], id) //det:ignore hotalloc amortized batch growth when staged imports join at a step boundary
@@ -1160,7 +1224,7 @@ func (e *Engine) shouldSwitchToPrefill(slot int) bool {
 		// Only worth switching if the head of the queue fits.
 		return e.kv.CanAllocate(e.states[e.waiting.Front()].prefillLen)
 	}
-	resident, kvTokens := e.residentLoad()
+	resident, kvTokens := e.resident, e.residentTokens
 	if resident == 0 {
 		return true
 	}
@@ -1173,31 +1237,29 @@ func (e *Engine) shouldSwitchToPrefill(slot int) bool {
 	return e.inten.ShouldSwitch(si, ti)
 }
 
-// residentLoad sums live decode requests and their cached tokens across
-// batches and the stash.
+// joinResident counts request id, entering the decode plane, into the
+// resident counters.
 //
 //det:hotpath
-func (e *Engine) residentLoad() (n, kvTokens int) {
-	for _, b := range e.batches {
-		n, kvTokens = e.addLive(b, n, kvTokens)
-	}
-	n, kvTokens = e.addLive(e.stealer.stash, n, kvTokens)
-	n, kvTokens = e.addLive(e.decodePool, n, kvTokens)
-	return e.addLive(e.imported, n, kvTokens)
+func (e *Engine) joinResident(id int) {
+	sq := &e.seqs[id]
+	sq.resident = true
+	e.resident++
+	e.residentTokens += sq.ctx
 }
 
-// addLive adds the live (neither done nor evicted) requests among ids
-// and their cached tokens to the running totals n and kvTokens.
-func (e *Engine) addLive(ids []int, n, kvTokens int) (int, int) {
-	for _, id := range ids {
-		st := e.states[id]
-		if st.done || st.evicted {
-			continue
-		}
-		n++
-		kvTokens += st.ctx
+// leaveResident takes request id out of the resident counters, if it
+// was counted, as it finishes or loses its KV.
+//
+//det:hotpath
+func (e *Engine) leaveResident(id int) {
+	sq := &e.seqs[id]
+	if !sq.resident {
+		return
 	}
-	return n, kvTokens
+	sq.resident = false
+	e.resident--
+	e.residentTokens -= sq.ctx
 }
 
 // handleOOM evicts recently admitted requests to make room for the
@@ -1212,14 +1274,7 @@ func (e *Engine) handleOOM(needID, slot int) {
 	}
 	victims := e.kv.EvictMostRecent(e.kv.BlocksFor(1), keep)
 	for _, id := range victims {
-		st := e.states[id]
-		st.evicted = true
-		st.launch = 0 // void any in-flight prefill for this request
-		st.recomputes++
-		e.recomputes++
-		st.prefillLen = st.req.InputLen + st.generated
-		st.ctx = 0
-		st.cached = 0
+		e.evict(id)
 		e.stealer.Remove(id)
 		e.removeImported(id)
 		e.waiting.PushFront(id)
@@ -1227,18 +1282,28 @@ func (e *Engine) handleOOM(needID, slot int) {
 	if err := e.kv.Append(needID, 1); err != nil {
 		// Even eviction could not free a block: the current batch
 		// fills the machine. Evict this request itself.
-		st := e.states[needID]
 		e.kv.Free(needID)
-		st.evicted = true
-		st.launch = 0
-		st.recomputes++
-		e.recomputes++
-		st.prefillLen = st.req.InputLen + st.generated
-		st.ctx = 0
-		st.cached = 0
+		e.evict(needID)
 		e.removeImported(needID)
 		e.waiting.PushFront(needID)
 	}
+}
+
+// evict turns request id, whose KV the caller frees, into a recompute:
+// it leaves the decode plane, keeps its generated tokens, and its next
+// prefill covers input plus generated tokens. The caller requeues it.
+//
+//det:hotpath
+func (e *Engine) evict(id int) {
+	e.leaveResident(id)
+	st, sq := e.states[id], &e.seqs[id]
+	sq.evicted = true
+	st.launch = 0 // void any in-flight prefill for this request
+	st.recomputes++
+	e.recomputes++
+	st.prefillLen = st.req.InputLen + sq.generated
+	sq.ctx = 0
+	st.cached = 0
 }
 
 // removeImported drops an evicted request from the staged-import list
@@ -1254,10 +1319,14 @@ func (e *Engine) removeImported(id int) {
 	}
 }
 
+// finishReq retires request id at t: it leaves the decode plane, its
+// KV is freed and the finish hook fires.
+//
+//det:hotpath
 func (e *Engine) finishReq(id int, t sim.Time) {
-	st := e.states[id]
-	st.done = true
-	st.finishedAt = t
+	e.leaveResident(id)
+	e.seqs[id].done = true
+	e.states[id].finishedAt = t
 	e.kv.Free(id)
 	e.finished++
 	if e.onFinish != nil {
@@ -1265,10 +1334,13 @@ func (e *Engine) finishReq(id int, t sim.Time) {
 	}
 }
 
+// finish extends doneAt to t and folds the busy time up to it: an
+// engine finishes only at the current instant, and doneAt never falls.
 func (e *Engine) finish(t sim.Time) {
 	if t > e.doneAt {
 		e.doneAt = t
 	}
+	e.cluster.Rec.Fold(float64(e.doneAt))
 }
 
 func (e *Engine) recordKV() {
@@ -1277,7 +1349,7 @@ func (e *Engine) recordKV() {
 	}
 }
 
-func (e *Engine) buildResult() *Result {
+func (e *Engine) buildResult() (*Result, error) {
 	rep := metrics.Report{
 		Scheduler: "TD-Pipe",
 		Node:      e.cfg.Node.Name,
@@ -1289,7 +1361,8 @@ func (e *Engine) buildResult() *Result {
 	finished := make([]sim.Time, len(e.states))
 	records := make([]metrics.RequestRecord, len(e.states))
 	for i, st := range e.states {
-		if st.aborted {
+		sq := &e.seqs[i]
+		if sq.aborted {
 			// Crash-lost copy: its record stays unfinished (zero Finish,
 			// zero tokens — Faults.LostOutputTokens accounts the work)
 			// and the re-dispatched copy reports elsewhere.
@@ -1297,20 +1370,24 @@ func (e *Engine) buildResult() *Result {
 			continue
 		}
 		rep.InputTokens += st.req.InputLen
-		rep.OutputTokens += st.generated
+		rep.OutputTokens += sq.generated
 		finished[i] = st.finishedAt
 		records[i] = metrics.RequestRecord{
 			ID:           i,
 			Arrival:      float64(st.arrival),
 			FirstToken:   float64(st.firstTokenAt),
 			Finish:       float64(st.finishedAt),
-			OutputTokens: st.generated,
+			OutputTokens: sq.generated,
 		}
 	}
 	rep.PhaseSwitches = e.switches
 	rep.Recomputes = e.recomputes
 	rep.PrefixCachedTokens = e.prefixCached
-	rep.MeanUtilization = e.cluster.Rec.MeanUtilization(0, float64(e.doneAt))
+	util, err := e.cluster.Rec.Utilization(float64(e.doneAt))
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	rep.MeanUtilization = util
 	rep.BubbleRatio = 1 - rep.MeanUtilization
 	rep.KVPeakUsage = e.kvTimeline.Peak()
 	if !e.cfg.RecordKV {
@@ -1328,7 +1405,11 @@ func (e *Engine) buildResult() *Result {
 	if e.cfg.RecordKV {
 		kvt = e.kvTimeline
 	}
-	return &Result{Report: rep, Rec: e.cluster.Rec, KV: kvt, Finished: finished, Records: records, Steps: e.eng.Steps()}
+	var rec *metrics.Recorder
+	if e.cfg.RecordBusy {
+		rec = e.cluster.Rec
+	}
+	return &Result{Report: rep, Rec: rec, KV: kvt, Finished: finished, Records: records, Steps: e.eng.Steps()}, nil
 }
 
 // Run is the package-level convenience: build an engine on a fresh

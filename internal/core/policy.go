@@ -15,8 +15,8 @@ func (e *Engine) RequestTTFT(id int) (float64, bool) {
 	if id < 0 || id >= len(e.states) {
 		return 0, false
 	}
-	st := e.states[id]
-	if st.generated <= 0 && !st.done {
+	st, sq := e.states[id], &e.seqs[id]
+	if sq.generated <= 0 && !sq.done {
 		return 0, false
 	}
 	return float64(st.firstTokenAt - st.arrival), true
@@ -40,17 +40,11 @@ func (e *Engine) PreemptLowPriority(minPrio, needTokens int) []int {
 	}
 	var victims []int
 	for id := len(e.states) - 1; id >= 0; id-- {
-		st := e.states[id]
-		if st.done || st.evicted || st.aborted || st.req.Priority < minPrio || !e.kv.Has(id) {
+		sq := &e.seqs[id]
+		if sq.done || sq.evicted || sq.aborted || e.states[id].req.Priority < minPrio || !e.kv.Has(id) {
 			continue
 		}
-		st.evicted = true
-		st.launch = 0 // void any in-flight prefill for this request
-		st.recomputes++
-		e.recomputes++
-		st.prefillLen = st.req.InputLen + st.generated
-		st.ctx = 0
-		st.cached = 0
+		e.evict(id)
 		e.kv.Free(id)
 		e.stealer.Remove(id)
 		e.removeImported(id)

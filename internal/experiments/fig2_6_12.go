@@ -34,6 +34,7 @@ func Fig2(env *Env) (*Fig2Result, error) {
 	}
 	cfg := core.DefaultConfig(node, spec, world)
 	cfg.Predictor = env.Classifier
+	cfg.RecordBusy = true
 	tres, err := core.Run(cfg, env.Requests)
 	if err != nil {
 		return nil, err

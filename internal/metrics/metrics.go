@@ -1,12 +1,13 @@
-// Package metrics collects simulation observables: per-GPU busy
-// intervals (for the Fig.-2 utilization timelines and bubble
-// accounting), KV-cache usage timelines (Fig. 12), and the run report
-// all schedulers return.
+// Package metrics collects simulation observables: per-GPU busy time
+// (streamed into a running sum, or kept as intervals for the Fig.-2
+// utilization timelines and bubble accounting), KV-cache usage
+// timelines (Fig. 12), and the run report all schedulers return.
 package metrics
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -16,36 +17,141 @@ type Interval struct {
 	Start, End float64
 }
 
-// Recorder accumulates busy intervals for a fixed set of GPUs.
+// ErrFoldedPastEnd reports a utilization query on a streaming Recorder
+// that ends before the recorder's watermark: intervals up to the
+// watermark were already folded into the running sums and can no
+// longer be clipped to the earlier end.
+var ErrFoldedPastEnd = errors.New("metrics: busy time folded past the end of the utilization window")
+
+// Recorder accumulates busy time for a fixed set of GPUs. A keeping
+// recorder (NewRecorder) stores every interval and answers any window
+// query. A streaming recorder (NewStreamingRecorder) answers only
+// Utilization: once Fold has declared busy time up to a watermark
+// final, the intervals that end by it are added to a running per-GPU
+// sum whenever that GPU's tail fills, so it holds just the short tail
+// of intervals still in flight.
 type Recorder struct {
-	busy [][]Interval
+	gpus   []gpuBusy
+	stream bool
+	// mark is the fold watermark: the highest w given to Fold.
+	mark float64
 }
 
-// NewRecorder tracks gpus devices.
+// gpuBusy is one device's busy record: the intervals not yet folded
+// (all of them on a keeping recorder), and the busy time of the folded
+// ones, added in recording order.
+type gpuBusy struct {
+	iv  []Interval
+	sum float64
+}
+
+// NewRecorder tracks gpus devices and keeps every busy interval.
 func NewRecorder(gpus int) *Recorder {
-	return &Recorder{busy: make([][]Interval, gpus)}
+	return &Recorder{gpus: make([]gpuBusy, gpus)}
+}
+
+// NewStreamingRecorder tracks gpus devices for Utilization only. Its
+// window queries (BusyTime, MeanUtilization, Timeline) count the folded
+// sums whatever the window, so they are exact only for windows that
+// start at 0 and end at or past the watermark; Intervals returns only
+// the unfolded tail.
+func NewStreamingRecorder(gpus int) *Recorder {
+	return &Recorder{gpus: make([]gpuBusy, gpus), stream: true}
 }
 
 // GPUs returns the tracked device count.
-func (r *Recorder) GPUs() int { return len(r.busy) }
+func (r *Recorder) GPUs() int { return len(r.gpus) }
 
-// Add records a busy interval for gpu.
+// Add records a busy interval for gpu. A streaming recorder first
+// folds its tail's leading intervals if they end by the watermark (or
+// the tail is full), then adds an interval that also ends by it
+// straight to the sum when no older interval is left in the tail.
+//
+//det:hotpath
 func (r *Recorder) Add(gpu int, start, end float64) {
 	if end <= start {
 		return
 	}
-	r.busy[gpu] = append(r.busy[gpu], Interval{start, end})
+	g := &r.gpus[gpu]
+	if r.stream {
+		if n := len(g.iv); n == cap(g.iv) || n > 0 && g.iv[0].End <= r.mark {
+			g.fold(r.mark)
+		}
+		if len(g.iv) == 0 && end <= r.mark {
+			g.sum += busy(start, end)
+			return
+		}
+	}
+	g.iv = append(g.iv, Interval{start, end}) //det:ignore hotalloc amortized growth; a streaming tail stops growing once it holds the intervals in flight at one time
 }
 
-// ObserverFor adapts Add to the sim.Resource observer signature.
-func (r *Recorder) ObserverFor(gpu int) func(start, end sim.Time) {
-	return func(s, e sim.Time) { r.Add(gpu, float64(s), float64(e)) }
+// AddPass records one pipeline pass: stage i's compute ran on GPU i
+// from starts[i] to ends[i].
+//
+//det:hotpath
+func (r *Recorder) AddPass(starts, ends []sim.Time) {
+	for i, s := range starts {
+		r.Add(i, float64(s), float64(ends[i]))
+	}
+}
+
+// busy is the length of [start, end] clipped to start at 0, as
+// BusyTime clips to a window from 0.
+//
+//det:hotpath
+func busy(start, end float64) float64 {
+	if start < 0 {
+		start = 0
+	}
+	if end > start {
+		return end - start
+	}
+	return 0
+}
+
+// Fold raises the watermark to w, declaring busy time up to w final:
+// the caller promises that no later Utilization window ends before w.
+// A streaming recorder may then fold any interval that ends by w into
+// its GPU's running sum; a keeping recorder folds nothing.
+//
+//det:hotpath
+func (r *Recorder) Fold(w float64) {
+	if w > r.mark {
+		r.mark = w
+	}
+}
+
+// fold adds the leading intervals that end by w to the running sum,
+// front to back and clipped to [0, w] exactly as BusyTime clips to
+// [0, to], so the sum is the same sequence of float additions
+// BusyTime(gpu, 0, to) performs for any to >= w. The rest of the tail
+// moves to the front.
+//
+//det:hotpath
+func (g *gpuBusy) fold(w float64) {
+	k := 0
+	for ; k < len(g.iv) && g.iv[k].End <= w; k++ {
+		g.sum += busy(g.iv[k].Start, g.iv[k].End)
+	}
+	g.iv = g.iv[:copy(g.iv, g.iv[k:])]
+}
+
+// Utilization returns the mean busy fraction over all GPUs in
+// [0, until]: MeanUtilization(0, until), bit for bit, on either kind
+// of recorder. A streaming recorder returns ErrFoldedPastEnd when until
+// precedes its watermark.
+func (r *Recorder) Utilization(until float64) (float64, error) {
+	if r.stream && until < r.mark {
+		return 0, fmt.Errorf("%w: window ends at %v, watermark is %v", ErrFoldedPastEnd, until, r.mark)
+	}
+	return r.MeanUtilization(0, until), nil
 }
 
 // BusyTime returns total busy seconds of gpu within [from, to].
 func (r *Recorder) BusyTime(gpu int, from, to float64) float64 {
-	var t float64
-	for _, iv := range r.busy[gpu] {
+	g := &r.gpus[gpu]
+	t := g.sum
+	for _, iv := range g.iv {
 		s, e := iv.Start, iv.End
 		if s < from {
 			s = from
@@ -63,14 +169,14 @@ func (r *Recorder) BusyTime(gpu int, from, to float64) float64 {
 // MeanUtilization returns the average busy fraction over all GPUs in
 // [from, to].
 func (r *Recorder) MeanUtilization(from, to float64) float64 {
-	if to <= from || len(r.busy) == 0 {
+	if to <= from || len(r.gpus) == 0 {
 		return 0
 	}
 	var sum float64
-	for g := range r.busy {
+	for g := range r.gpus {
 		sum += r.BusyTime(g, from, to) / (to - from)
 	}
-	return sum / float64(len(r.busy))
+	return sum / float64(len(r.gpus))
 }
 
 // UtilPoint is one sample of a utilization timeline.
@@ -82,19 +188,24 @@ type UtilPoint struct {
 }
 
 // Timeline samples mean utilization in consecutive windows of width
-// window seconds from 0 to until.
+// window seconds from 0 to until: ceil(until/window) points, the last
+// one ending exactly at until. Window i spans [i*window, (i+1)*window],
+// computed from i rather than accumulated, and a remainder narrower
+// than a billionth of a window is float noise in until/window, not a
+// window of its own.
 func (r *Recorder) Timeline(window, until float64) []UtilPoint {
 	if window <= 0 || until <= 0 {
 		return nil
 	}
-	var out []UtilPoint
-	for t := window; t < until+window; t += window {
-		lo, hi := t-window, t
-		if hi > until {
+	n := int(math.Ceil(until/window - 1e-9))
+	if n < 1 {
+		n = 1
+	}
+	out := make([]UtilPoint, 0, n)
+	for i := 0; i < n; i++ {
+		lo, hi := float64(i)*window, float64(i+1)*window
+		if i == n-1 || hi > until {
 			hi = until
-		}
-		if hi <= lo {
-			break
 		}
 		out = append(out, UtilPoint{Time: hi, Utilization: r.MeanUtilization(lo, hi)})
 	}
@@ -372,14 +483,6 @@ func (r Report) String() string {
 		r.OutputThroughput(), r.TotalThroughput(), 100*r.MeanUtilization, r.PhaseSwitches)
 }
 
-// SortIntervals orders a recorder's intervals; useful for tests that
-// inspect them.
-func (r *Recorder) SortIntervals() {
-	for g := range r.busy {
-		iv := r.busy[g]
-		sort.Slice(iv, func(i, j int) bool { return iv[i].Start < iv[j].Start })
-	}
-}
-
-// Intervals returns the recorded busy intervals of gpu.
-func (r *Recorder) Intervals(gpu int) []Interval { return r.busy[gpu] }
+// Intervals returns the busy intervals of gpu not yet folded: every
+// interval on a keeping recorder.
+func (r *Recorder) Intervals(gpu int) []Interval { return r.gpus[gpu].iv }

@@ -34,10 +34,14 @@ type Cluster struct {
 	Plan model.PipelinePlan
 
 	// GPUs[i] serializes compute on device i.
-	GPUs []*sim.Resource
-	// Links[i] serializes the i -> i+1 activation channel.
-	Links []*sim.Resource
-	// Rec records busy intervals for utilization metrics.
+	GPUs []sim.Resource
+	// Links[i] serializes the i -> i+1 activation channel. Both are
+	// held by value, so a stage hop reads them without a pointer chase.
+	Links []sim.Resource
+	// Rec records every stage's compute interval for utilization
+	// metrics. NewCluster installs a keeping recorder; a caller that
+	// needs only Utilization may swap in a streaming one before the
+	// first pass and Fold it as virtual time advances.
 	Rec *metrics.Recorder
 
 	// BlockingP2P switches stage-to-stage transfers to the blocking
@@ -59,8 +63,8 @@ type Cluster struct {
 	slowdown float64
 }
 
-// NewCluster builds a world-size pipeline over the node's GPUs and
-// wires busy-interval recording.
+// NewCluster builds a world-size pipeline over the node's GPUs with a
+// recorder that keeps every busy interval.
 func NewCluster(eng *sim.Engine, node hw.Node, spec model.Spec, world int) (*Cluster, error) {
 	if world > node.NumGPUs {
 		return nil, fmt.Errorf("runtime: world %d exceeds node GPUs %d", world, node.NumGPUs)
@@ -81,11 +85,9 @@ func NewCluster(eng *sim.Engine, node hw.Node, spec model.Spec, world int) (*Clu
 		Rec:  metrics.NewRecorder(world),
 	}
 	for i := 0; i < world; i++ {
-		gpu := sim.NewResource(eng, fmt.Sprintf("gpu%d", i))
-		gpu.Observe(c.Rec.ObserverFor(i))
-		c.GPUs = append(c.GPUs, gpu)
+		c.GPUs = append(c.GPUs, *sim.NewResource(eng, fmt.Sprintf("gpu%d", i)))
 		if i < world-1 {
-			c.Links = append(c.Links, sim.NewResource(eng, fmt.Sprintf("link%d-%d", i, i+1)))
+			c.Links = append(c.Links, *sim.NewResource(eng, fmt.Sprintf("link%d-%d", i, i+1)))
 		}
 	}
 	return c, nil
@@ -113,7 +115,8 @@ func (c *Cluster) Stall(at sim.Time, dur float64) {
 	if dur <= 0 {
 		return
 	}
-	for _, g := range c.GPUs {
+	for i := range c.GPUs {
+		g := &c.GPUs[i]
 		from := g.FreeAt()
 		if at > from {
 			from = at
@@ -156,7 +159,10 @@ type pass struct {
 	chunkTokens, chunkCtx int
 	onDone                func(PassResult)
 	res                   PassResult
-	next                  *pass
+	// starts[st] is when stage st began computing: with
+	// res.StageEnds[st], the busy interval passDone records for GPU st.
+	starts []sim.Time
+	next   *pass
 }
 
 // getPass takes a pass from the free list (or allocates one) and
@@ -174,8 +180,10 @@ func (c *Cluster) getPass(kind passKind, onDone func(PassResult)) *pass {
 	p.kind, p.onDone = kind, onDone
 	if cap(p.res.StageEnds) < c.World() {
 		p.res.StageEnds = make([]sim.Time, c.World()) //det:ignore hotalloc sized once per pooled pass, on its first use
+		p.starts = make([]sim.Time, c.World())        //det:ignore hotalloc sized once per pooled pass, on its first use
 	} else {
 		p.res.StageEnds = p.res.StageEnds[:c.World()]
+		p.starts = p.starts[:c.World()]
 	}
 	p.res.Start, p.res.End = 0, 0
 	return p
@@ -237,7 +245,11 @@ func passNext(ctx any, st, _ int) {
 	p.c.runStage(p, st, p.c.Eng.Now())
 }
 
-// passDone fires the completion callback and recycles the pass.
+// passDone fires the completion callback, records the pass's busy
+// intervals and recycles the pass. The intervals are recorded after
+// the callback, which may raise the recorder's fold watermark to this
+// instant. Passes complete in submission order and run FIFO on every
+// GPU, so each GPU still receives its intervals in start order.
 //
 //det:hotpath
 func passDone(ctx any, _, _ int) {
@@ -245,6 +257,7 @@ func passDone(ctx any, _, _ int) {
 	if p.onDone != nil {
 		p.onDone(p.res)
 	}
+	p.c.Rec.AddPass(p.starts, p.res.StageEnds)
 	p.c.putPass(p)
 }
 
@@ -272,6 +285,7 @@ func (c *Cluster) runStage(p *pass, st int, arrival sim.Time) {
 		dur *= c.slowdown
 	}
 	start, end := c.GPUs[st].Acquire(arrival, dur, nil)
+	p.starts[st] = start
 	if st == 0 {
 		p.res.Start = start
 	}

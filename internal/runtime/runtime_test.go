@@ -2,10 +2,12 @@ package runtime
 
 import (
 	"math"
+	goruntime "runtime"
 	"testing"
 
 	"repro/internal/costmodel"
 	"repro/internal/hw"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -288,21 +290,38 @@ func TestPooledPassesDoNotAlias(t *testing.T) {
 }
 
 // A steady-state decode pass (pooled pass state, recycled kernel
-// events, callback bound once) allocates nothing: submission, every
-// stage hop and completion.
+// events, callback bound once, busy time streamed and folded at each
+// completion) allocates nothing: submission, every stage hop,
+// completion and recording. The count is read from the heap's malloc
+// counter over 10,000 passes, so amortized growth — a recorder's
+// append doubling now and then — cannot be rounded away the way
+// testing.AllocsPerRun's integer division rounds it to 0.
 func TestDecodePassDoesNotAllocate(t *testing.T) {
 	c := newTestCluster(t, 4)
+	c.Rec = metrics.NewStreamingRecorder(c.World())
 	steps := 0
-	done := func(PassResult) { steps++ }
+	done := func(r PassResult) {
+		steps++
+		c.Rec.Fold(float64(r.End))
+	}
 	step := func() {
 		c.SubmitDecode(16, 1600, c.Eng.Now(), done)
 		c.Eng.Run()
 	}
-	step() // fill the pass pool and the kernel's event arena
-	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-		t.Errorf("decode pass allocates %v times per run, want 0", allocs)
+	for i := 0; i < 100; i++ {
+		step() // fill the pass pool, the kernel's event arena and the recorder's tails
 	}
-	if steps != 102 {
-		t.Errorf("completed %d decode passes, want 102", steps)
+	const passes = 10000
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		step()
+	}
+	goruntime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d decode passes allocated %d times, want 0", passes, n)
+	}
+	if steps != 100+passes {
+		t.Errorf("completed %d decode passes, want %d", steps, 100+passes)
 	}
 }

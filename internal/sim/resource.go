@@ -9,9 +9,6 @@ type Resource struct {
 
 	freeAt Time // time the resource finishes its last accepted work
 	busy   Duration
-
-	// optional busy-interval observer, used by metrics recorders.
-	onBusy func(start, end Time)
 }
 
 // NewResource creates a resource bound to engine e.
@@ -27,10 +24,6 @@ func (r *Resource) FreeAt() Time { return r.freeAt }
 
 // BusyTime returns total time the resource has spent occupied.
 func (r *Resource) BusyTime() Duration { return r.busy }
-
-// Observe registers fn to be called with every busy interval accepted by
-// the resource. Only one observer is supported; later calls replace it.
-func (r *Resource) Observe(fn func(start, end Time)) { r.onBusy = fn }
 
 // Occupy blocks the resource until t without counting the time as busy
 // work: the device is unavailable but idle (e.g. a GPU stalled on a
@@ -58,9 +51,6 @@ func (r *Resource) Acquire(readyAt Time, dur Duration, done func()) (start, end 
 	end = start + Time(dur)
 	r.freeAt = end
 	r.busy += dur
-	if r.onBusy != nil && dur > 0 {
-		r.onBusy(start, end)
-	}
 	if done != nil {
 		r.eng.At(end, done)
 	}

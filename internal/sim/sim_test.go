@@ -230,22 +230,6 @@ func TestResourceCompletionCallback(t *testing.T) {
 	}
 }
 
-func TestResourceObserver(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "gpu0")
-	var intervals [][2]Time
-	r.Observe(func(s, en Time) { intervals = append(intervals, [2]Time{s, en}) })
-	r.Acquire(0, 1, nil)
-	r.Acquire(0, 0, nil) // zero-length work is not observed
-	r.Acquire(5, 2, nil)
-	if len(intervals) != 2 {
-		t.Fatalf("observed %d intervals, want 2", len(intervals))
-	}
-	if intervals[1] != [2]Time{5, 7} {
-		t.Fatalf("second interval = %v, want [5 7]", intervals[1])
-	}
-}
-
 // Property: however events are scheduled, they execute in nondecreasing
 // time order and the engine clock never moves backwards.
 func TestEventOrderProperty(t *testing.T) {
