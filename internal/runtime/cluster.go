@@ -28,10 +28,11 @@ import (
 // cluster times each stage with the cost model and chains the stages
 // with asynchronous point-to-point transfers.
 type Cluster struct {
+	// The fields a stage hop reads come first, ahead of the large
+	// Node and Plan values, so a hop on a cold cluster (one of many in
+	// a fleet) loads fewer cache lines.
 	Eng  *sim.Engine
-	Node hw.Node
 	Cost *costmodel.Model
-	Plan model.PipelinePlan
 
 	// GPUs[i] serializes compute on device i.
 	GPUs []sim.Resource
@@ -44,14 +45,6 @@ type Cluster struct {
 	// first pass and Fold it as virtual time advances.
 	Rec *metrics.Recorder
 
-	// BlockingP2P switches stage-to-stage transfers to the blocking
-	// rendezvous style of stock vLLM pipeline parallelism (§3.2): a
-	// send waits for the receiver to be free and stalls the sender
-	// until delivery. TD-Pipe's hierarchy-controller leaves this
-	// false — transfers are asynchronous and the sender GPU is
-	// released at compute end.
-	BlockingP2P bool
-
 	// passFree heads the recycled pass-state free list; completed
 	// passes return here instead of the garbage collector.
 	passFree *pass
@@ -61,6 +54,17 @@ type Cluster struct {
 	// nominal path never touches the multiplication, so fault-free
 	// schedules stay bit-identical.
 	slowdown float64
+
+	// BlockingP2P switches stage-to-stage transfers to the blocking
+	// rendezvous style of stock vLLM pipeline parallelism (§3.2): a
+	// send waits for the receiver to be free and stalls the sender
+	// until delivery. TD-Pipe's hierarchy-controller leaves this
+	// false — transfers are asynchronous and the sender GPU is
+	// released at compute end.
+	BlockingP2P bool
+
+	Plan model.PipelinePlan
+	Node hw.Node
 }
 
 // NewCluster builds a world-size pipeline over the node's GPUs with a
