@@ -67,7 +67,7 @@ func newPPRunner(c *common) (*ppRunner, error) {
 	}, nil
 }
 
-func (r *ppRunner) recorder() *metrics.Recorder { return r.cluster.Rec }
+func (r *ppRunner) recorder() *metrics.Recorder { return &r.cluster.Rec }
 func (r *ppRunner) recomputes() int             { return r.nRecompute }
 
 func (r *ppRunner) run() (sim.Time, error) {

@@ -257,7 +257,7 @@ func NewEngine(eng *sim.Engine, cfg Config) (*Engine, error) {
 		cluster.SetSlowdown(cfg.Slowdown)
 	}
 	if !cfg.RecordBusy {
-		cluster.Rec = metrics.NewStreamingRecorder(cfg.World)
+		cluster.Rec = *metrics.NewStreamingRecorder(cfg.World)
 	}
 	e := &Engine{
 		cfg:            cfg,
@@ -1407,7 +1407,7 @@ func (e *Engine) buildResult() (*Result, error) {
 	}
 	var rec *metrics.Recorder
 	if e.cfg.RecordBusy {
-		rec = e.cluster.Rec
+		rec = &e.cluster.Rec
 	}
 	return &Result{Report: rep, Rec: rec, KV: kvt, Finished: finished, Records: records, Steps: e.eng.Steps()}, nil
 }

@@ -27,27 +27,27 @@ var ErrFoldedPastEnd = errors.New("metrics: busy time folded past the end of the
 // recorder (NewRecorder) stores every interval and answers any window
 // query. A streaming recorder (NewStreamingRecorder) answers only
 // Utilization: once Fold has declared busy time up to a watermark
-// final, the intervals that end by it are added to a running per-GPU
-// sum whenever that GPU's tail fills, so it holds just the short tail
-// of intervals still in flight.
+// final, an interval that ends by it goes straight into its GPU's
+// running sum, and one still in flight waits in a short per-GPU tail
+// until the watermark passes it.
 type Recorder struct {
-	gpus   []gpuBusy
 	stream bool
+	// pending counts the GPUs whose tail holds intervals. While it is
+	// zero, a streaming recorder touches only the sums.
+	pending int
 	// mark is the fold watermark: the highest w given to Fold.
 	mark float64
-}
-
-// gpuBusy is one device's busy record: the intervals not yet folded
-// (all of them on a keeping recorder), and the busy time of the folded
-// ones, added in recording order.
-type gpuBusy struct {
-	iv  []Interval
-	sum float64
+	// sums[g] is the busy time of GPU g's folded intervals, added in
+	// recording order (always zero on a keeping recorder).
+	sums []float64
+	// tails[g] holds GPU g's intervals not yet folded: every interval
+	// on a keeping recorder.
+	tails [][]Interval
 }
 
 // NewRecorder tracks gpus devices and keeps every busy interval.
 func NewRecorder(gpus int) *Recorder {
-	return &Recorder{gpus: make([]gpuBusy, gpus)}
+	return &Recorder{sums: make([]float64, gpus), tails: make([][]Interval, gpus)}
 }
 
 // NewStreamingRecorder tracks gpus devices for Utilization only. Its
@@ -56,33 +56,41 @@ func NewRecorder(gpus int) *Recorder {
 // start at 0 and end at or past the watermark; Intervals returns only
 // the unfolded tail.
 func NewStreamingRecorder(gpus int) *Recorder {
-	return &Recorder{gpus: make([]gpuBusy, gpus), stream: true}
+	r := NewRecorder(gpus)
+	r.stream = true
+	return r
 }
 
 // GPUs returns the tracked device count.
-func (r *Recorder) GPUs() int { return len(r.gpus) }
+func (r *Recorder) GPUs() int { return len(r.tails) }
 
-// Add records a busy interval for gpu. A streaming recorder first
-// folds its tail's leading intervals if they end by the watermark (or
-// the tail is full), then adds an interval that also ends by it
-// straight to the sum when no older interval is left in the tail.
+// Add records a busy interval for gpu. A streaming recorder adds an
+// interval that ends by the watermark straight to the GPU's sum once
+// no older interval waits in its tail; before queueing one, it folds
+// the tail's leading intervals that the watermark has passed.
 //
 //det:hotpath
 func (r *Recorder) Add(gpu int, start, end float64) {
 	if end <= start {
 		return
 	}
-	g := &r.gpus[gpu]
 	if r.stream {
-		if n := len(g.iv); n == cap(g.iv) || n > 0 && g.iv[0].End <= r.mark {
-			g.fold(r.mark)
-		}
-		if len(g.iv) == 0 && end <= r.mark {
-			g.sum += busy(start, end)
+		if r.pending == 0 && end <= r.mark {
+			r.sums[gpu] += busy(start, end)
 			return
 		}
+		if t := r.tails[gpu]; len(t) > 0 && (len(t) == cap(t) || t[0].End <= r.mark) {
+			r.fold(gpu)
+		}
+		if len(r.tails[gpu]) == 0 {
+			if end <= r.mark {
+				r.sums[gpu] += busy(start, end)
+				return
+			}
+			r.pending++
+		}
 	}
-	g.iv = append(g.iv, Interval{start, end}) //det:ignore hotalloc amortized growth; a streaming tail stops growing once it holds the intervals in flight at one time
+	r.tails[gpu] = append(r.tails[gpu], Interval{start, end}) //det:ignore hotalloc amortized growth; a streaming tail stops growing once it holds the intervals in flight at one time
 }
 
 // AddPass records one pipeline pass: stage i's compute ran on GPU i
@@ -121,19 +129,23 @@ func (r *Recorder) Fold(w float64) {
 	}
 }
 
-// fold adds the leading intervals that end by w to the running sum,
-// front to back and clipped to [0, w] exactly as BusyTime clips to
-// [0, to], so the sum is the same sequence of float additions
-// BusyTime(gpu, 0, to) performs for any to >= w. The rest of the tail
-// moves to the front.
+// fold adds gpu's leading tail intervals that end by the watermark to
+// its sum, front to back and clipped to [0, mark] exactly as BusyTime
+// clips to [0, to], so the sum is the same sequence of float additions
+// BusyTime(gpu, 0, to) performs for any to >= mark. The rest of the
+// tail moves to the front.
 //
 //det:hotpath
-func (g *gpuBusy) fold(w float64) {
+func (r *Recorder) fold(gpu int) {
+	t := r.tails[gpu]
 	k := 0
-	for ; k < len(g.iv) && g.iv[k].End <= w; k++ {
-		g.sum += busy(g.iv[k].Start, g.iv[k].End)
+	for ; k < len(t) && t[k].End <= r.mark; k++ {
+		r.sums[gpu] += busy(t[k].Start, t[k].End)
 	}
-	g.iv = g.iv[:copy(g.iv, g.iv[k:])]
+	r.tails[gpu] = t[:copy(t, t[k:])]
+	if len(r.tails[gpu]) == 0 {
+		r.pending--
+	}
 }
 
 // Utilization returns the mean busy fraction over all GPUs in
@@ -149,9 +161,8 @@ func (r *Recorder) Utilization(until float64) (float64, error) {
 
 // BusyTime returns total busy seconds of gpu within [from, to].
 func (r *Recorder) BusyTime(gpu int, from, to float64) float64 {
-	g := &r.gpus[gpu]
-	t := g.sum
-	for _, iv := range g.iv {
+	t := r.sums[gpu]
+	for _, iv := range r.tails[gpu] {
 		s, e := iv.Start, iv.End
 		if s < from {
 			s = from
@@ -169,14 +180,14 @@ func (r *Recorder) BusyTime(gpu int, from, to float64) float64 {
 // MeanUtilization returns the average busy fraction over all GPUs in
 // [from, to].
 func (r *Recorder) MeanUtilization(from, to float64) float64 {
-	if to <= from || len(r.gpus) == 0 {
+	if to <= from || len(r.tails) == 0 {
 		return 0
 	}
 	var sum float64
-	for g := range r.gpus {
+	for g := range r.tails {
 		sum += r.BusyTime(g, from, to) / (to - from)
 	}
-	return sum / float64(len(r.gpus))
+	return sum / float64(len(r.tails))
 }
 
 // UtilPoint is one sample of a utilization timeline.
@@ -485,4 +496,4 @@ func (r Report) String() string {
 
 // Intervals returns the busy intervals of gpu not yet folded: every
 // interval on a keeping recorder.
-func (r *Recorder) Intervals(gpu int) []Interval { return r.gpus[gpu].iv }
+func (r *Recorder) Intervals(gpu int) []Interval { return r.tails[gpu] }

@@ -40,10 +40,12 @@ type Cluster struct {
 	// held by value, so a stage hop reads them without a pointer chase.
 	Links []sim.Resource
 	// Rec records every stage's compute interval for utilization
-	// metrics. NewCluster installs a keeping recorder; a caller that
-	// needs only Utilization may swap in a streaming one before the
-	// first pass and Fold it as virtual time advances.
-	Rec *metrics.Recorder
+	// metrics. It is held by value, next to the stage-hop fields, since
+	// every pass completion updates it. NewCluster installs a keeping
+	// recorder; a caller that needs only Utilization may replace it
+	// with a streaming one before the first pass and Fold it as
+	// virtual time advances.
+	Rec metrics.Recorder
 
 	// passFree heads the recycled pass-state free list; completed
 	// passes return here instead of the garbage collector.
@@ -86,7 +88,7 @@ func NewCluster(eng *sim.Engine, node hw.Node, spec model.Spec, world int) (*Clu
 		Node: node,
 		Cost: cost,
 		Plan: plan,
-		Rec:  metrics.NewRecorder(world),
+		Rec:  *metrics.NewRecorder(world),
 	}
 	for i := 0; i < world; i++ {
 		c.GPUs = append(c.GPUs, *sim.NewResource(eng, fmt.Sprintf("gpu%d", i)))

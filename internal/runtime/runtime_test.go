@@ -298,7 +298,7 @@ func TestPooledPassesDoNotAlias(t *testing.T) {
 // testing.AllocsPerRun's integer division rounds it to 0.
 func TestDecodePassDoesNotAllocate(t *testing.T) {
 	c := newTestCluster(t, 4)
-	c.Rec = metrics.NewStreamingRecorder(c.World())
+	c.Rec = *metrics.NewStreamingRecorder(c.World())
 	steps := 0
 	done := func(r PassResult) {
 		steps++
