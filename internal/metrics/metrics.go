@@ -8,8 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/sim"
 )
 
 // Interval is one busy span of a device.
@@ -91,16 +89,6 @@ func (r *Recorder) Add(gpu int, start, end float64) {
 		}
 	}
 	r.tails[gpu] = append(r.tails[gpu], Interval{start, end}) //det:ignore hotalloc amortized growth; a streaming tail stops growing once it holds the intervals in flight at one time
-}
-
-// AddPass records one pipeline pass: stage i's compute ran on GPU i
-// from starts[i] to ends[i].
-//
-//det:hotpath
-func (r *Recorder) AddPass(starts, ends []sim.Time) {
-	for i, s := range starts {
-		r.Add(i, float64(s), float64(ends[i]))
-	}
 }
 
 // busy is the length of [start, end] clipped to start at 0, as

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/sim"
 )
 
 func TestBusyTimeClipsToWindow(t *testing.T) {
@@ -284,7 +282,8 @@ func TestStreamingRecorderTailStaysShort(t *testing.T) {
 	r := NewStreamingRecorder(2)
 	for i := 0; i < 100000; i++ {
 		s := float64(i)
-		r.AddPass([]sim.Time{sim.Time(s), sim.Time(s + 0.25)}, []sim.Time{sim.Time(s + 0.5), sim.Time(s + 0.75)})
+		r.Add(0, s, s+0.5)
+		r.Add(1, s+0.25, s+0.75)
 		r.Fold(s + 0.75)
 	}
 	for g := 0; g < 2; g++ {

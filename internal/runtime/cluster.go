@@ -263,7 +263,9 @@ func passDone(ctx any, _, _ int) {
 	if p.onDone != nil {
 		p.onDone(p.res)
 	}
-	p.c.Rec.AddPass(p.starts, p.res.StageEnds)
+	for st, start := range p.starts {
+		p.c.Rec.Add(st, float64(start), float64(p.res.StageEnds[st]))
+	}
 	p.c.putPass(p)
 }
 
