@@ -15,6 +15,7 @@ package runtime
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/costmodel"
 	"repro/internal/hw"
@@ -31,7 +32,9 @@ type Cluster struct {
 	// The fields a stage hop reads come first, ahead of the large
 	// Node and Plan values, so a hop on a cold cluster (one of many in
 	// a fleet) loads fewer cache lines.
-	Eng  *sim.Engine
+	Eng *sim.Engine
+	// Cost and Plan's stage table are shared, read-only, by every
+	// cluster built for the same node, model and world.
 	Cost *costmodel.Model
 
 	// GPUs[i] serializes compute on device i.
@@ -75,19 +78,15 @@ func NewCluster(eng *sim.Engine, node hw.Node, spec model.Spec, world int) (*Clu
 	if world > node.NumGPUs {
 		return nil, fmt.Errorf("runtime: world %d exceeds node GPUs %d", world, node.NumGPUs)
 	}
-	cost, err := costmodel.New(node, spec)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := model.Partition(spec, world)
+	pl, err := sharedPipeline(node, spec, world)
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{
 		Eng:  eng,
 		Node: node,
-		Cost: cost,
-		Plan: plan,
+		Cost: pl.cost,
+		Plan: pl.plan,
 		Rec:  *metrics.NewRecorder(world),
 	}
 	for i := 0; i < world; i++ {
@@ -97,6 +96,52 @@ func NewCluster(eng *sim.Engine, node hw.Node, spec model.Spec, world int) (*Clu
 		}
 	}
 	return c, nil
+}
+
+// pipelines interns the cost model and partition of each (node, model,
+// world). Both are pure functions of it and are never modified once
+// built, so all clusters of a fleet share one copy, which stays in
+// cache across replicas instead of being loaded once per replica at
+// every stage hop.
+var pipelines struct {
+	sync.Mutex
+	m map[pipelineKey]pipeline
+}
+
+type pipelineKey struct {
+	node  hw.Node
+	spec  model.Spec
+	world int
+}
+
+type pipeline struct {
+	cost *costmodel.Model
+	plan model.PipelinePlan
+}
+
+// sharedPipeline returns the interned cost model and partition of
+// (node, spec, world), building them on first use.
+func sharedPipeline(node hw.Node, spec model.Spec, world int) (pipeline, error) {
+	pipelines.Lock()
+	defer pipelines.Unlock()
+	k := pipelineKey{node, spec, world}
+	if pl, ok := pipelines.m[k]; ok {
+		return pl, nil
+	}
+	cost, err := costmodel.New(node, spec)
+	if err != nil {
+		return pipeline{}, err
+	}
+	plan, err := model.Partition(spec, world)
+	if err != nil {
+		return pipeline{}, err
+	}
+	if pipelines.m == nil {
+		pipelines.m = make(map[pipelineKey]pipeline)
+	}
+	pl := pipeline{cost, plan}
+	pipelines.m[k] = pl
+	return pl, nil
 }
 
 // World returns the pipeline depth.
