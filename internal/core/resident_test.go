@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"flag"
 	"fmt"
+	"os"
 	goruntime "runtime"
 	"strings"
 	"testing"
@@ -12,10 +14,18 @@ import (
 	"repro/internal/workload"
 )
 
-// Every decode step of every test in this package cross-checks the
-// engine's running resident counters against a recount, so the
-// deep-queue, crash, hand-off and prefix suites all exercise them.
-func init() { stepCheck = checkResidentCounters }
+// TestMain makes every decode step of every test in this package
+// cross-check the engine's running resident counters against a
+// recount, so the deep-queue, crash, hand-off and prefix suites all
+// exercise them. Benchmark runs keep the production path, so their
+// timings stay comparable across commits.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if f := flag.Lookup("test.bench"); f == nil || f.Value.String() == "" {
+		stepCheck = checkResidentCounters
+	}
+	os.Exit(m.Run())
+}
 
 // recountResident sums the live (neither done nor evicted) requests in
 // the decode plane — every batch, the stealer's stash, the decode pool

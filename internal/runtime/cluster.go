@@ -68,6 +68,8 @@ type Cluster struct {
 	// released at compute end.
 	BlockingP2P bool
 
+	// Plan partitions the model's layers over the stages; Node is the
+	// hardware the pipeline runs on.
 	Plan model.PipelinePlan
 	Node hw.Node
 }
@@ -217,7 +219,7 @@ type pass struct {
 }
 
 // getPass takes a pass from the free list (or allocates one) and
-// prepares its result buffer for the cluster's world size.
+// prepares its per-stage buffers for the cluster's world size.
 //
 //det:hotpath
 func (c *Cluster) getPass(kind passKind, onDone func(PassResult)) *pass {
