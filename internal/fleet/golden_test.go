@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -66,8 +67,20 @@ func goldenRuns() []goldenRun {
 	cfg := fastConfig(2)
 	prefix := prefixOnlineTrace(300, 41, 8000, 32, 512)
 	faultReqs := faultTrace(240, 29)
+	closed := smallTrace(400, 23)
 	const faultHorizon = 0.2
 	return []goldenRun{
+		{name: "offline-predicted-8", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
+			res, err := Run(cfg, 8, mustPolicy(t, PredictedCost, Options{Seed: 1}), closed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Report, res.Records
+		}, check: func(t *testing.T, rep metrics.Report) {
+			if !strings.HasPrefix(rep.Scheduler, "Fleet(") {
+				t.Errorf("closed-loop run left the pre-shard: %s", rep.Scheduler)
+			}
+		}},
 		{name: "online-prefix-8", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
 			res, err := RunOnlineWorkers(cfg, 8, mustPolicy(t, PrefixAffinity, Options{}), prefix, workers)
 			if err != nil {
@@ -145,14 +158,14 @@ func goldenRuns() []goldenRun {
 	}
 }
 
-// TestParallelRouterGolden pins every online and disaggregated router
-// configuration to a committed digest: the SHA-256 of the JSON report
-// and per-request records, identical at one worker and at four. The
-// configurations cover plain routing with prefix affinity (8 replicas
-// and a lone one), the fault layer (crashes, checkpoints, stragglers,
-// power and network domain outages), the policy layer (autoscaler,
-// admission, retry, breakers, preemption) and both disaggregated
-// modes. Regenerate with `go test ./internal/fleet -run
+// TestParallelRouterGolden pins every fleet router configuration to a
+// committed digest: the SHA-256 of the JSON report and per-request
+// records, identical at one worker and at four. The configurations
+// cover the offline pre-shard of a closed-loop trace, plain routing
+// with prefix affinity (8 replicas and a lone one), the fault layer
+// (crashes, checkpoints, stragglers, power and network domain
+// outages), the policy layer (autoscaler, admission, retry, breakers,
+// preemption) and both disaggregated modes. Regenerate with `go test ./internal/fleet -run
 // TestParallelRouterGolden -update` only when a change is meant to
 // alter simulated output.
 func TestParallelRouterGolden(t *testing.T) {
