@@ -37,10 +37,11 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-# The fleet layer runs engine replicas on real goroutines; race-check it
-# together with the engine it drives. The second leg re-runs the
-# parallel-fabric determinism suite under the detector with the worker
-# pool forced on (multi-worker online, disagg, prefix and fault runs,
+# Every fleet mode runs its replicas on the parallel fabric's worker
+# goroutines; race-check the fleet together with the engine it drives
+# (TestConcurrentFleetsRace also runs whole fleets side by side). The
+# second leg re-runs the parallel-fabric determinism suite under the
+# detector with the worker pool forced on (multi-worker online, disagg, prefix and fault runs,
 # plus the cross-shard-boundary property), since those tests are the
 # only ones that exercise coordinator/worker hand-off on every code
 # path.

@@ -53,7 +53,7 @@ func main() {
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
-	loader := analysis.NewLoader(true)
+	loader := analysis.NewLoader()
 	pkgs, err := loader.Load(true, roots...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "detlint:", err)

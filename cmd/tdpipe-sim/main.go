@@ -394,128 +394,140 @@ func printPrefix(rep metrics.Report) {
 	}
 }
 
-// runFleet serves the sample on data-parallel TD-Pipe replicas: an
-// offline pre-shard for closed-loop traces, the shared-clock online
-// router for arrival-stamped ones.
-func runFleet(o options, node hw.Node, spec model.Spec, pool, reqs []workload.Request, open bool) error {
+// engineConfig is the TD-Pipe engine configuration a run shares across
+// its replicas, with the classifier trained on the corpus unless
+// -oracle is set.
+func engineConfig(o options, node hw.Node, spec model.Spec, pool []workload.Request) (core.Config, error) {
 	cfg := core.DefaultConfig(node, spec, o.gpus)
 	cfg.SLO = o.slo
 	cfg.DisablePrefixCache = o.noPrefixCache
 	if !o.oracle {
 		clf, err := trainedPredictor(pool)
 		if err != nil {
-			return err
+			return cfg, err
 		}
 		cfg.Predictor = clf
+	}
+	return cfg, nil
+}
+
+// faultPlan draws the seeded fault plan over a fleet of replicas; nil
+// when no fault flag is set. Each outage lasts -restart-delay plus the
+// modeled weight reload.
+func (o options) faultPlan(node hw.Node, spec model.Spec, replicas int) (*faults.Plan, error) {
+	fc := o.faultConfig()
+	if !fc.Enabled() {
+		return nil, nil
+	}
+	return faults.NewPlan(fc, replicas, o.restartDelay+faults.WeightReloadTime(node, spec, o.gpus))
+}
+
+// printKernel shows the simulation kernel's event rate; workers > 0
+// adds the fabric's worker count.
+func printKernel(steps uint64, wall time.Duration, workers int) {
+	if steps == 0 || wall <= 0 {
+		return
+	}
+	suffix := ""
+	if workers > 0 {
+		suffix = fmt.Sprintf(", %d workers", workers)
+	}
+	fmt.Printf("kernel: %d events in %v (%.0f steps/s%s)\n",
+		steps, wall.Round(time.Millisecond), float64(steps)/wall.Seconds(), suffix)
+}
+
+// printReport shows the report line and its throughput.
+func printReport(rep metrics.Report) {
+	fmt.Println(rep)
+	fmt.Printf("output throughput: %.0f tokens/s, total: %.0f tokens/s\n", rep.OutputThroughput(), rep.TotalThroughput())
+}
+
+// printAccounting shows the latency digest and every accounting line
+// that carries information.
+func printAccounting(rep metrics.Report, open bool) {
+	printLatency(rep, open)
+	printPrefix(rep)
+	printFaults(rep)
+	printPolicy(rep)
+}
+
+// exportAggregate writes a fleet run's aggregate report to dir as
+// run.json; per-GPU timelines belong to per-replica simulations and are
+// not exported. An empty dir exports nothing.
+func exportAggregate(dir string, rep metrics.Report) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	j, err := os.Create(filepath.Join(dir, "run.json"))
+	if err != nil {
+		return err
+	}
+	defer j.Close()
+	if err := trace.WriteRunJSON(j, trace.Run{Report: rep}); err != nil {
+		return err
+	}
+	fmt.Printf("exported aggregate report to %s\n", dir)
+	return nil
+}
+
+// runFleet serves the sample on data-parallel TD-Pipe replicas through
+// fleet.Serve: the offline pre-shard for a closed-loop trace without
+// layers, the shared-clock online router otherwise.
+func runFleet(o options, node hw.Node, spec model.Spec, pool, reqs []workload.Request, open bool) error {
+	cfg, err := engineConfig(o, node, spec, pool)
+	if err != nil {
+		return err
 	}
 	p, err := fleet.New(o.policy, fleet.Options{Seed: o.seed, Predictor: cfg.Predictor})
 	if err != nil {
 		return err
 	}
-	stack, err := o.policyStack()
-	if err != nil {
+	sc := fleet.ServeConfig{Replicas: o.replicas, Policy: p, Workers: o.workers}
+	if sc.Stack, err = o.policyStack(); err != nil {
 		return err
 	}
-	var res *fleet.Result
+	if sc.Faults, err = o.faultPlan(node, spec, o.replicas); err != nil {
+		return err
+	}
 	start := time.Now()
-	if fc := o.faultConfig(); fc.Enabled() {
-		downtime := o.restartDelay + faults.WeightReloadTime(node, spec, o.gpus)
-		plan, err := faults.NewPlan(fc, o.replicas, downtime)
-		if err != nil {
-			return err
-		}
-		res, err = fleet.RunOnlineFaultsWorkers(cfg, o.replicas, p, reqs, plan, o.workers)
-		if err != nil {
-			return err
-		}
-	} else if stack != nil {
-		res, err = fleet.RunOnlineElasticWorkers(cfg, o.replicas, p, reqs, stack, o.workers)
-	} else if open {
-		res, err = fleet.RunOnlineWorkers(cfg, o.replicas, p, reqs, o.workers)
-	} else {
-		res, err = fleet.Run(cfg, o.replicas, p, reqs)
-	}
-	wall := time.Since(start)
+	res, err := fleet.Serve(cfg, reqs, sc)
 	if err != nil {
 		return err
 	}
-	if res.Steps > 0 && wall > 0 {
-		fmt.Printf("kernel: %d events in %v (%.0f steps/s, %d workers)\n",
-			res.Steps, wall.Round(time.Millisecond), float64(res.Steps)/wall.Seconds(),
-			fleet.ResolveWorkers(o.workers, o.replicas))
-	}
+	printKernel(res.Steps, time.Since(start), fleet.ResolveWorkers(o.workers, o.replicas))
 	for i, rr := range res.Replicas {
 		fmt.Printf("replica %d: %d reqs, %.1fs, %.0f tok/s out, util %.1f%%\n",
 			i, rr.Report.Requests, rr.Report.Elapsed,
 			rr.Report.OutputThroughput(), 100*rr.Report.MeanUtilization)
 	}
-	fmt.Println(res.Report)
-	fmt.Printf("output throughput: %.0f tokens/s, total: %.0f tokens/s\n",
-		res.Report.OutputThroughput(), res.Report.TotalThroughput())
-	printLatency(res.Report, open)
-	printPrefix(res.Report)
-	printFaults(res.Report)
-	printPolicy(res.Report)
-
-	if o.outDir == "" {
-		return nil
-	}
-	// Per-GPU timelines are per-replica simulations; the fleet export
-	// covers the aggregate report.
-	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
-		return err
-	}
-	j, err := os.Create(filepath.Join(o.outDir, "run.json"))
-	if err != nil {
-		return err
-	}
-	defer j.Close()
-	if err := trace.WriteRunJSON(j, trace.Run{Report: res.Report}); err != nil {
-		return err
-	}
-	fmt.Printf("exported aggregate report to %s\n", o.outDir)
-	return nil
+	printReport(res.Report)
+	printAccounting(res.Report, open)
+	return exportAggregate(o.outDir, res.Report)
 }
 
 // runDisagg serves the sample on a disaggregated fleet: a prefill pool
 // feeding a decode pool through the modeled KV hand-off link.
 func runDisagg(o options, node hw.Node, spec model.Spec, pool, reqs []workload.Request, open bool) error {
-	cfg := core.DefaultConfig(node, spec, o.gpus)
-	cfg.SLO = o.slo
-	cfg.DisablePrefixCache = o.noPrefixCache
-	if !o.oracle {
-		clf, err := trainedPredictor(pool)
-		if err != nil {
-			return err
-		}
-		cfg.Predictor = clf
-	}
-	stack, err := o.policyStack()
+	cfg, err := engineConfig(o, node, spec, pool)
 	if err != nil {
 		return err
 	}
-	dc := fleet.DisaggConfig{PrefillReplicas: o.prefillReplicas, DecodeReplicas: o.decodeReplicas, Workers: o.workers, Stack: stack}
-	var res *fleet.DisaggResult
+	dc := fleet.DisaggConfig{PrefillReplicas: o.prefillReplicas, DecodeReplicas: o.decodeReplicas, Workers: o.workers}
+	if dc.Stack, err = o.policyStack(); err != nil {
+		return err
+	}
+	if dc.Faults, err = o.faultPlan(node, spec, dc.PrefillReplicas+dc.DecodeReplicas); err != nil {
+		return err
+	}
 	start := time.Now()
-	if fc := o.faultConfig(); fc.Enabled() {
-		downtime := o.restartDelay + faults.WeightReloadTime(node, spec, o.gpus)
-		plan, perr := faults.NewPlan(fc, dc.PrefillReplicas+dc.DecodeReplicas, downtime)
-		if perr != nil {
-			return perr
-		}
-		res, err = fleet.RunDisaggFaults(cfg, dc, reqs, plan)
-	} else {
-		res, err = fleet.RunDisagg(cfg, dc, reqs)
-	}
-	wall := time.Since(start)
+	res, err := fleet.RunDisagg(cfg, dc, reqs)
 	if err != nil {
 		return err
 	}
-	if res.Steps > 0 && wall > 0 {
-		fmt.Printf("kernel: %d events in %v (%.0f steps/s, %d workers)\n",
-			res.Steps, wall.Round(time.Millisecond), float64(res.Steps)/wall.Seconds(),
-			fleet.ResolveWorkers(o.workers, dc.PrefillReplicas+dc.DecodeReplicas))
-	}
+	printKernel(res.Steps, time.Since(start), fleet.ResolveWorkers(o.workers, dc.PrefillReplicas+dc.DecodeReplicas))
 	for i, rr := range res.Prefill {
 		fmt.Printf("prefill %d: %d reqs, %.1fs, %.0f tok/s total, util %.1f%%\n",
 			i, rr.Report.Requests, rr.Report.Elapsed,
@@ -526,32 +538,11 @@ func runDisagg(o options, node hw.Node, spec model.Spec, pool, reqs []workload.R
 			i, rr.Report.Requests, rr.Report.Elapsed,
 			rr.Report.OutputThroughput(), 100*rr.Report.MeanUtilization)
 	}
-	fmt.Println(res.Report)
-	fmt.Printf("output throughput: %.0f tokens/s, total: %.0f tokens/s\n",
-		res.Report.OutputThroughput(), res.Report.TotalThroughput())
+	printReport(res.Report)
 	fmt.Printf("hand-offs: %d (%d queued for headroom), %.2f GB KV migrated\n",
 		res.Handoffs, res.QueuedHandoffs, res.TransferredBytes/1e9)
-	printLatency(res.Report, open)
-	printPrefix(res.Report)
-	printFaults(res.Report)
-	printPolicy(res.Report)
-
-	if o.outDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
-		return err
-	}
-	j, err := os.Create(filepath.Join(o.outDir, "run.json"))
-	if err != nil {
-		return err
-	}
-	defer j.Close()
-	if err := trace.WriteRunJSON(j, trace.Run{Report: res.Report}); err != nil {
-		return err
-	}
-	fmt.Printf("exported aggregate report to %s\n", o.outDir)
-	return nil
+	printAccounting(res.Report, open)
+	return exportAggregate(o.outDir, res.Report)
 }
 
 // errReplicas rejects a fleet size below one replica.
@@ -661,13 +652,13 @@ func run(o options, visit func(func(*flag.Flag))) error {
 		return fmt.Errorf("the policy stack needs the online fleet router: -replicas > 1 with open-loop -arrivals (or -disagg for the -autoscale-* flags)")
 	}
 	if (len(frontFlags) > 0 || len(scaleFlags) > 0) && fc.Enabled() {
-		return fmt.Errorf("fault injection and the policy stack are not supported together yet; run them separately")
+		return fmt.Errorf("%w; run them separately", fleet.ErrFaultsWithPolicy)
 	}
 	if o.breakerFailures > 0 && o.slo.TTFT <= 0 && !o.disagg {
 		return fmt.Errorf("-breaker-failures classifies completions against the TTFT SLO: set -slo-ttft (with -disagg breakers are crash-fed instead)")
 	}
-	if workersSet && !o.disagg && (o.replicas <= 1 || (!open && !fc.Enabled())) {
-		return fmt.Errorf("-workers parallelizes the co-simulated serving paths: it needs -disagg, or -replicas > 1 with open-loop arrivals or fault injection (offline fleet runs already simulate replicas concurrently)")
+	if workersSet && !o.disagg && o.replicas <= 1 {
+		return fmt.Errorf("-workers budgets the fleet simulation: it needs -replicas > 1 or -disagg")
 	}
 	if (fc.MTBF > 0 || fc.LinkDegradeFrac > 0 || fc.LinkPartitionFrac > 0 || fc.DomainMTBF > 0) && fc.Horizon <= 0 {
 		return fmt.Errorf("-mtbf, -domain-mtbf and the -link-* impairments need -fault-horizon to bound when failures can land")
@@ -717,18 +708,12 @@ func run(o options, visit func(func(*flag.Flag))) error {
 
 	switch strings.ToLower(o.sched) {
 	case "tdpipe", "td-pipe":
-		cfg := core.DefaultConfig(node, spec, o.gpus)
+		cfg, err := engineConfig(o, node, spec, pool)
+		if err != nil {
+			return err
+		}
 		cfg.RecordKV = true
 		cfg.RecordBusy = o.outDir != "" // utilization.csv and busy_intervals.csv
-		cfg.SLO = o.slo
-		cfg.DisablePrefixCache = o.noPrefixCache
-		if !o.oracle {
-			clf, err := trainedPredictor(pool)
-			if err != nil {
-				return err
-			}
-			cfg.Predictor = clf
-		}
 		start := time.Now()
 		res, err := core.Run(cfg, reqs)
 		wall := time.Since(start)
@@ -739,10 +724,7 @@ func run(o options, visit func(func(*flag.Flag))) error {
 		if res.KV != nil {
 			kv = res.KV.Points
 		}
-		if wall > 0 {
-			fmt.Printf("kernel: %d events in %v (%.0f steps/s)\n",
-				res.Steps, wall.Round(time.Millisecond), float64(res.Steps)/wall.Seconds())
-		}
+		printKernel(res.Steps, wall, 0)
 	case "tp+sb", "tp+hb", "pp+sb", "pp+hb":
 		var m baselines.Method
 		switch strings.ToLower(o.sched) {
@@ -775,8 +757,7 @@ func run(o options, visit func(func(*flag.Flag))) error {
 		return fmt.Errorf("unknown scheduler %q", o.sched)
 	}
 
-	fmt.Println(rep)
-	fmt.Printf("output throughput: %.0f tokens/s, total: %.0f tokens/s\n", rep.OutputThroughput(), rep.TotalThroughput())
+	printReport(rep)
 	printLatency(rep, open)
 	printPrefix(rep)
 

@@ -7,6 +7,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/fleet"
 )
 
 // readmeFlagTable parses the "Flag reference: cmd/tdpipe-sim" table out
@@ -88,7 +90,9 @@ func TestReadmeFlagTableMatchesRegistration(t *testing.T) {
 // TestFleetFlagErrors runs flag combinations through the real mode
 // checks: a fleet size below one and an explicit -policy without fleet
 // mode must each fail with their named error instead of silently
-// running the single-engine path; a valid fleet invocation must run.
+// running the single-engine path, and fault injection with a policy
+// flag must fail with fleet's error for the pair; valid fleet
+// invocations, an offline one with -workers among them, must run.
 func TestFleetFlagErrors(t *testing.T) {
 	tiny := []string{"-requests", "8", "-pool", "64", "-oracle"}
 	cases := []struct {
@@ -101,6 +105,9 @@ func TestFleetFlagErrors(t *testing.T) {
 		{"policy without fleet", []string{"-replicas", "1", "-policy", "nosuch"}, errPolicyNoFleet},
 		{"valid policy without fleet", []string{"-policy", "least-work"}, errPolicyNoFleet},
 		{"fleet with policy", []string{"-replicas", "2", "-policy", "least-work"}, nil},
+		{"offline fleet with workers", []string{"-replicas", "4", "-workers", "2"}, nil},
+		{"faults with admission", []string{"-replicas", "2", "-arrivals", "poisson", "-rate", "5",
+			"-mtbf", "30", "-fault-horizon", "20", "-admit-rate", "4"}, fleet.ErrFaultsWithPolicy},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

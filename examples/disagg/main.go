@@ -56,7 +56,11 @@ func main() {
 	fmt.Printf("offered load ~%.2f req/s (bursty), slo %s\n\n", rate, cfg.SLO)
 
 	// 3. Colocated control: 4 replicas, least-work dispatch.
-	colo, err := tdpipe.RunFleet(cfg, replicas, tdpipe.FleetLeastWork, open)
+	lw, err := tdpipe.NewFleetPolicy(tdpipe.FleetLeastWork, tdpipe.FleetOptions{Seed: 1, Predictor: cfg.Predictor})
+	if err != nil {
+		log.Fatal(err)
+	}
+	colo, err := tdpipe.RunFleet(cfg, open, tdpipe.FleetConfig{Replicas: replicas, Policy: lw})
 	if err != nil {
 		log.Fatal(err)
 	}

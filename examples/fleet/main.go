@@ -28,7 +28,11 @@ func main() {
 
 	// 2. One fleet run per registered dispatch policy.
 	for _, policy := range tdpipe.FleetPolicies() {
-		res, err := tdpipe.RunFleet(cfg, 4, policy, reqs)
+		p, err := tdpipe.NewFleetPolicy(policy, tdpipe.FleetOptions{Seed: 1, Predictor: cfg.Predictor})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := tdpipe.RunFleet(cfg, reqs, tdpipe.FleetConfig{Replicas: 4, Policy: p})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -61,9 +61,13 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
+			p, err := tdpipe.NewFleetPolicy(policy, tdpipe.FleetOptions{Seed: 1, Predictor: cfg.Predictor})
+			if err != nil {
+				log.Fatal(err)
+			}
 			// Arrival-stamped traces route online: one shared clock,
 			// per-arrival dispatch on live load snapshots.
-			res, err := tdpipe.RunFleet(cfg, replicas, policy, stamped)
+			res, err := tdpipe.RunFleet(cfg, stamped, tdpipe.FleetConfig{Replicas: replicas, Policy: p})
 			if err != nil {
 				log.Fatal(err)
 			}

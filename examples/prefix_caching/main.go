@@ -65,7 +65,11 @@ func main() {
 	fmt.Printf("offered load: %.1f req/s across %d replicas (1.2x capacity)\n\n", rate, replicas)
 
 	show := func(label string, cfg tdpipe.Config, policy string) {
-		res, err := tdpipe.RunFleet(cfg, replicas, policy, open)
+		p, err := tdpipe.NewFleetPolicy(policy, tdpipe.FleetOptions{Seed: 1, Predictor: cfg.Predictor})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := tdpipe.RunFleet(cfg, open, tdpipe.FleetConfig{Replicas: replicas, Policy: p})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -73,9 +73,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-line contract the analyzer enforces.
 	Doc string
-	// NeedTypes marks analyzers that require go/types resolution;
-	// they are skipped (never silently half-run) in parse-only loads.
-	NeedTypes bool
 	// Scope restricts the analyzer to some packages; nil means every
 	// loaded package.
 	Scope func(*Package) bool
@@ -106,9 +103,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	for _, pkg := range pkgs {
 		hot := hotFuncs(pkg)
 		for _, a := range analyzers {
-			if a.NeedTypes && pkg.Info == nil {
-				continue
-			}
 			if a.Scope != nil && !a.Scope(pkg) {
 				continue
 			}

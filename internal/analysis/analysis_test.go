@@ -11,7 +11,7 @@ import (
 // goldenLoader is shared across the golden tests so the stdlib is
 // type-checked once per `go test` process, not once per analyzer.
 // The golden tests therefore must not run in parallel.
-var goldenLoader = NewLoader(true)
+var goldenLoader = NewLoader()
 
 // wantSpec is one expectation parsed from a `// want` comment:
 // every finding on its line must match some want, and every want must
@@ -139,11 +139,9 @@ func TestIgnoreGolden(t *testing.T) {
 	runGolden(t, goldenLoader, filepath.Join("testdata", "src", "ignores"), []*Analyzer{UnseededRand})
 }
 
-// TestDocsGolden runs the docs analyzer through a parse-only loader:
-// the godoc gate needs no type information, so it must pass without
-// it.
+// TestDocsGolden runs the godoc gate over its fixture.
 func TestDocsGolden(t *testing.T) {
-	runGolden(t, NewLoader(false), filepath.Join("testdata", "src", "docs"), []*Analyzer{Docs})
+	runGolden(t, goldenLoader, filepath.Join("testdata", "src", "docs"), []*Analyzer{Docs})
 }
 
 // TestWallclockScope pins the command exemption: cmd/ and examples/

@@ -5,9 +5,8 @@ import "go/ast"
 // Docs enforces the repo's doc contract — every exported identifier
 // carries a godoc comment. cmd/detlint runs it in the same walk as the
 // determinism analyzers, so it shares the loader's exemption rules
-// (testdata, dot directories, test files). It needs no type
-// information, so parse-only loads run it too. Grouped const/var/type declarations pass
-// when the block itself is documented; methods on unexported types
+// (testdata, dot directories, test files). Grouped const/var/type
+// declarations pass when the block itself is documented; methods on unexported types
 // are held to the same standard because those types routinely leak
 // through exported APIs.
 var Docs = &Analyzer{

@@ -17,10 +17,9 @@ import (
 // fails `make detlint` instead of surfacing as a benchmark
 // regression three PRs later.
 var HotAlloc = &Analyzer{
-	Name:      "hotalloc",
-	Doc:       "forbid allocations inside //det:hotpath functions",
-	NeedTypes: true,
-	Run:       runHotAlloc,
+	Name: "hotalloc",
+	Doc:  "forbid allocations inside //det:hotpath functions",
+	Run:  runHotAlloc,
 }
 
 func runHotAlloc(pass *Pass) {

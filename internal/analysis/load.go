@@ -14,8 +14,8 @@ import (
 	"strings"
 )
 
-// Package is one parsed — and, when the loader type-checks, fully
-// resolved — Go package as the analyzers see it. Test files
+// Package is one parsed and fully type-checked Go package as the
+// analyzers see it. Test files
 // (*_test.go) are never loaded: the determinism contract governs
 // shipped simulation code, and the test suites are exactly where
 // wall-clock timing and ad-hoc goroutines are legitimate.
@@ -34,11 +34,9 @@ type Package struct {
 	// Files holds the parsed files in deterministic (sorted filename)
 	// order.
 	Files []*ast.File
-	// Types is the type-checked package, nil when the loader ran in
-	// parse-only mode.
+	// Types is the type-checked package.
 	Types *types.Package
-	// Info carries identifier resolution and expression types, nil in
-	// parse-only mode.
+	// Info carries identifier resolution and expression types.
 	Info *types.Info
 }
 
@@ -55,26 +53,18 @@ func (p *Package) IsCommand() bool {
 	return false
 }
 
-// TypeOf returns the type of e, or nil in parse-only mode or when the
-// checker recorded nothing for e.
-func (p *Package) TypeOf(e ast.Expr) types.Type {
-	if p.Info == nil {
-		return nil
-	}
-	return p.Info.TypeOf(e)
-}
+// TypeOf returns the type of e, or nil when the checker recorded
+// nothing for e.
+func (p *Package) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
-// Loader parses package directories into Packages. One Loader shares a
-// file set and (in type-check mode) one source importer, so the
+// Loader parses and type-checks package directories into Packages.
+// Types resolve through the stdlib source importer
+// (importer.ForCompiler "source"), so the linter needs no external
+// dependencies. One Loader shares a file set and one importer, so the
 // standard library and intra-module dependencies are parsed once per
 // process however many packages are loaded. cmd/detlint loads through
 // it, and every analyzer it runs sees the same walk and exemptions.
 type Loader struct {
-	// TypeCheck enables go/types resolution through the stdlib source
-	// importer (importer.ForCompiler "source") — no external
-	// dependencies. Parse-only mode skips it for speed; analyzers
-	// that need types are then skipped.
-	TypeCheck bool
 	// Fset is the shared file set for every package this loader
 	// produces.
 	Fset *token.FileSet
@@ -82,11 +72,8 @@ type Loader struct {
 	imp types.Importer
 }
 
-// NewLoader returns a loader; typeCheck selects full go/types
-// resolution versus parse-only mode.
-func NewLoader(typeCheck bool) *Loader {
-	return &Loader{TypeCheck: typeCheck, Fset: token.NewFileSet()}
-}
+// NewLoader returns a loader with a fresh file set.
+func NewLoader() *Loader { return &Loader{Fset: token.NewFileSet()} }
 
 // SkipDir reports whether a directory basename is exempt from
 // recursive package walks: dot-directories, testdata fixtures and
@@ -175,10 +162,8 @@ func (l *Loader) loadDir(dir string) ([]*Package, error) {
 		for _, fname := range fnames {
 			p.Files = append(p.Files, ap.Files[fname])
 		}
-		if l.TypeCheck {
-			if err := l.check(p); err != nil {
-				return nil, err
-			}
+		if err := l.check(p); err != nil {
+			return nil, err
 		}
 		out = append(out, p)
 	}

@@ -15,10 +15,9 @@ import (
 // map writes, deletes) pass, and the sanctioned collect-keys-then-
 // sort idiom passes because the later sort is detected.
 var MapOrder = &Analyzer{
-	Name:      "maporder",
-	Doc:       "flag order-sensitive work done in map iteration order",
-	NeedTypes: true,
-	Run:       runMapOrder,
+	Name: "maporder",
+	Doc:  "flag order-sensitive work done in map iteration order",
+	Run:  runMapOrder,
 }
 
 func runMapOrder(pass *Pass) {

@@ -23,10 +23,9 @@ var randConstructors = map[string]bool{
 // sources pass; methods on a *rand.Rand are always fine because
 // constructing one deterministically is the checked step.
 var UnseededRand = &Analyzer{
-	Name:      "unseededrand",
-	Doc:       "forbid global math/rand functions and wall-clock-seeded sources",
-	NeedTypes: true,
-	Run:       runUnseededRand,
+	Name: "unseededrand",
+	Doc:  "forbid global math/rand functions and wall-clock-seeded sources",
+	Run:  runUnseededRand,
 }
 
 // isRandPath matches both math/rand generations.

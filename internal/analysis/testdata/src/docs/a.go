@@ -1,4 +1,4 @@
-// Package docs exercises the Docs analyzer in parse-only mode.
+// Package docs exercises the Docs analyzer.
 package docs
 
 // Documented carries a doc comment and passes.

@@ -26,11 +26,10 @@ var wallclockFuncs = map[string]bool{
 // Commands (cmd/, examples/) are exempt — they legitimately time the
 // simulator itself — as are test files, which the loader never loads.
 var Wallclock = &Analyzer{
-	Name:      "wallclock",
-	Doc:       "forbid time.Now/Since/After/NewTimer/... in simulation packages",
-	NeedTypes: true,
-	Scope:     func(p *Package) bool { return !p.IsCommand() },
-	Run:       runWallclock,
+	Name:  "wallclock",
+	Doc:   "forbid time.Now/Since/After/NewTimer/... in simulation packages",
+	Scope: func(p *Package) bool { return !p.IsCommand() },
+	Run:   runWallclock,
 }
 
 func runWallclock(pass *Pass) {

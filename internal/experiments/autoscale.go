@@ -75,7 +75,7 @@ func Autoscale(e *Env) ([]AutoscaleRow, error) {
 		if err != nil {
 			return AutoscaleRow{}, err
 		}
-		res, err := fleet.RunOnlineWorkers(cfg, replicas, p, open, e.Opts.Workers)
+		res, err := fleet.Serve(cfg, open, fleet.ServeConfig{Replicas: replicas, Policy: p, Workers: e.Opts.Workers})
 		if err != nil {
 			return AutoscaleRow{}, err
 		}
@@ -118,7 +118,7 @@ func Autoscale(e *Env) ([]AutoscaleRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	eres, err := fleet.RunOnlineElasticWorkers(cfg, autoscaleMax, p, open, &policy.Stack{Autoscaler: as}, e.Opts.Workers)
+	eres, err := fleet.Serve(cfg, open, fleet.ServeConfig{Replicas: autoscaleMax, Policy: p, Workers: e.Opts.Workers, Stack: &policy.Stack{Autoscaler: as}})
 	if err != nil {
 		return nil, err
 	}

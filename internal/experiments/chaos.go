@@ -66,7 +66,7 @@ func Chaos(e *Env) ([]ChaosRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	control, err := fleet.RunOnlineWorkers(cfg, chaosReplicas, p, open, e.Opts.Workers)
+	control, err := fleet.Serve(cfg, open, fleet.ServeConfig{Replicas: chaosReplicas, Policy: p, Workers: e.Opts.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func Chaos(e *Env) ([]ChaosRow, error) {
 		if err != nil {
 			return err
 		}
-		res, err := fleet.RunOnlineFaultsWorkers(cfg, chaosReplicas, p, open, plan, e.Opts.Workers)
+		res, err := fleet.Serve(cfg, open, fleet.ServeConfig{Replicas: chaosReplicas, Policy: p, Workers: e.Opts.Workers, Faults: plan})
 		if err != nil {
 			return err
 		}
@@ -134,7 +134,6 @@ func Chaos(e *Env) ([]ChaosRow, error) {
 
 	// Network domains partition KV links without crashing members; the
 	// disaggregated hand-off path is where they bite.
-	dc := fleet.DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: e.Opts.Workers}
 	dfc := faults.Config{
 		Seed:               e.Opts.Seed + 89,
 		Horizon:            makespan,
@@ -148,7 +147,8 @@ func Chaos(e *Env) ([]ChaosRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	dres, err := fleet.RunDisaggFaults(cfg, dc, open, dplan)
+	dc := fleet.DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: e.Opts.Workers, Faults: dplan}
+	dres, err := fleet.RunDisagg(cfg, dc, open)
 	if err != nil {
 		return nil, err
 	}

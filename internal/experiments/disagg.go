@@ -85,7 +85,7 @@ func Disagg(e *Env) ([]DisaggRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		colo, err := fleet.RunOnlineWorkers(cfg, disaggReplicas, p, open, e.Opts.Workers)
+		colo, err := fleet.Serve(cfg, open, fleet.ServeConfig{Replicas: disaggReplicas, Policy: p, Workers: e.Opts.Workers})
 		if err != nil {
 			return nil, err
 		}

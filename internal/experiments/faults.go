@@ -70,7 +70,7 @@ func Faults(e *Env) ([]FaultsRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	control, err := fleet.RunOnlineWorkers(cfg, faultsReplicas, p, open, e.Opts.Workers)
+	control, err := fleet.Serve(cfg, open, fleet.ServeConfig{Replicas: faultsReplicas, Policy: p, Workers: e.Opts.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func Faults(e *Env) ([]FaultsRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := fleet.RunOnlineFaultsWorkers(cfg, faultsReplicas, p, open, plan, e.Opts.Workers)
+			res, err := fleet.Serve(cfg, open, fleet.ServeConfig{Replicas: faultsReplicas, Policy: p, Workers: e.Opts.Workers, Faults: plan})
 			if err != nil {
 				return nil, err
 			}
@@ -127,7 +127,7 @@ func Faults(e *Env) ([]FaultsRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	sres, err := fleet.RunOnlineFaultsWorkers(cfg, faultsReplicas, p, open, strag, e.Opts.Workers)
+	sres, err := fleet.Serve(cfg, open, fleet.ServeConfig{Replicas: faultsReplicas, Policy: p, Workers: e.Opts.Workers, Faults: strag})
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,6 @@ func Faults(e *Env) ([]FaultsRow, error) {
 
 	// Disaggregated deployment under the same crash pressure plus an
 	// impaired KV hand-off link (degraded and partitioned windows).
-	dc := fleet.DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: e.Opts.Workers}
 	dfc := faults.Config{
 		Seed:               e.Opts.Seed + 79,
 		Horizon:            makespan,
@@ -150,7 +149,8 @@ func Faults(e *Env) ([]FaultsRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	dres, err := fleet.RunDisaggFaults(cfg, dc, open, dplan)
+	dc := fleet.DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: e.Opts.Workers, Faults: dplan}
+	dres, err := fleet.RunDisagg(cfg, dc, open)
 	if err != nil {
 		return nil, err
 	}

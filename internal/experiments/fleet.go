@@ -44,7 +44,7 @@ func Fleet(e *Env) ([]FleetCell, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := fleet.Run(cfg, replicas, p, e.Requests)
+			res, err := fleet.Serve(cfg, e.Requests, fleet.ServeConfig{Replicas: replicas, Policy: p, Workers: e.Opts.Workers})
 			if err != nil {
 				return nil, err
 			}

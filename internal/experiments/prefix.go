@@ -70,7 +70,7 @@ func Prefix(e *Env) ([]PrefixRow, error) {
 		if err != nil {
 			return metrics.Report{}, err
 		}
-		res, err := fleet.RunOnlineWorkers(cfg, replicas, p, open, e.Opts.Workers)
+		res, err := fleet.Serve(cfg, open, fleet.ServeConfig{Replicas: replicas, Policy: p, Workers: e.Opts.Workers})
 		if err != nil {
 			return metrics.Report{}, err
 		}

@@ -152,7 +152,7 @@ func TestChaosSweep(t *testing.T) {
 		}
 		return p
 	}
-	base, err := fleet.RunOnlineWorkers(cfg, replicas, policy(), reqs, 1)
+	base, err := fleet.Serve(cfg, reqs, fleet.ServeConfig{Replicas: replicas, Policy: policy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestChaosSweep(t *testing.T) {
 				// identity), one at four (cross-worker identity).
 				var online string
 				for i, workers := range []int{1, 1, 4} {
-					res, err := fleet.RunOnlineFaultsWorkers(cfg, replicas, policy(), reqs, plan, workers)
+					res, err := fleet.Serve(cfg, reqs, fleet.ServeConfig{Replicas: replicas, Policy: policy(), Workers: workers, Faults: plan})
 					if err != nil {
 						t.Fatalf("online workers=%d: %v", workers, err)
 					}
@@ -210,8 +210,8 @@ func TestChaosSweep(t *testing.T) {
 				var disagg string
 				for i, workers := range []int{1, 1, 4} {
 					d := dc
-					d.Workers = workers
-					res, err := fleet.RunDisaggFaults(cfg, d, reqs, plan)
+					d.Workers, d.Faults = workers, plan
+					res, err := fleet.RunDisagg(cfg, d, reqs)
 					if err != nil {
 						t.Fatalf("disagg workers=%d: %v", workers, err)
 					}
@@ -252,7 +252,7 @@ func TestChaosInactivePlan(t *testing.T) {
 		t.Fatal("empty config produced an active plan")
 	}
 
-	obase, err := fleet.RunOnlineWorkers(cfg, replicas, policy(), reqs, 1)
+	obase, err := fleet.Serve(cfg, reqs, fleet.ServeConfig{Replicas: replicas, Policy: policy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,14 +261,16 @@ func TestChaosInactivePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, plan := range []*faults.Plan{nil, inactive} {
-		ores, err := fleet.RunOnlineFaultsWorkers(cfg, replicas, policy(), reqs, plan, 1)
+		ores, err := fleet.Serve(cfg, reqs, fleet.ServeConfig{Replicas: replicas, Policy: policy(), Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := marshalChaos(t, ores.Report, ores.Records), marshalChaos(t, obase.Report, obase.Records); got != want {
 			t.Errorf("inactive plan %v perturbed the online run", plan)
 		}
-		dres, err := fleet.RunDisaggFaults(cfg, dc, reqs, plan)
+		pdc := dc
+		pdc.Faults = plan
+		dres, err := fleet.RunDisagg(cfg, pdc, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func BenchmarkOnlineFleet(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := RunOnlineWorkers(fastConfig(2), 4, p, reqs, 1)
+		res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 4, Policy: p})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func BenchmarkOnlineFleetInactivePolicy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := RunOnlineElasticWorkers(fastConfig(2), 4, p, reqs, &policy.Stack{}, 1)
+		res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 4, Policy: p, Stack: &policy.Stack{}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func BenchmarkOnlineFleetParallel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := RunOnlineWorkers(fastConfig(2), 64, p, reqs, workers)
+				res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 64, Policy: p, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -126,7 +126,7 @@ func BenchmarkMilestoneFleet(b *testing.B) {
 			b.Fatal(err)
 		}
 		start := time.Now()
-		res, err := RunOnlineWorkers(fastConfig(2), 1000, p, reqs, WorkersAuto)
+		res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 1000, Policy: p, Workers: WorkersAuto})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func BenchmarkRun(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := Run(fastConfig(2), replicas, p, reqs)
+				res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: replicas, Policy: p})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -16,7 +16,7 @@ import (
 func onlineReportJSON(t *testing.T, cfg core.Config, reqs []workload.Request) []byte {
 	t.Helper()
 	p := mustPolicy(t, PredictedCost, Options{Seed: 1})
-	res, err := RunOnlineWorkers(cfg, 4, p, reqs, 1)
+	res, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: p})
 	if err != nil {
 		t.Fatal(err)
 	}

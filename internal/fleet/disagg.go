@@ -56,6 +56,12 @@ type DisaggConfig struct {
 	// or one without these components — keeps the fleet static and
 	// takes the exact pre-policy code path, byte for byte.
 	Stack *policy.Stack
+	// Faults is the fault plan, indexed over the prefill pool first,
+	// then decode: crashes hit both pools and hand-offs cross its
+	// impaired-link windows. Crash-lost requests resume from a KV
+	// checkpoint on the decode pool or re-prefill; those out of retries
+	// are dropped with a reason. Nil or inactive runs fault-free.
+	Faults *faults.Plan
 }
 
 // Validate reports a configuration error, if any.
@@ -177,20 +183,9 @@ type disaggRouter struct {
 // placed by the decode-affinity pick (warmest resident KV, then free-KV
 // headroom, then least predicted decode work). Closed-loop traces
 // (all arrivals at t=0) are served the same way — every request routes
-// at t=0.
+// at t=0. dc.Faults, when active, attaches the fault layer.
 func RunDisagg(cfg core.Config, dc DisaggConfig, reqs []workload.Request) (*DisaggResult, error) {
-	return RunDisaggFaults(cfg, dc, reqs, nil)
-}
-
-// RunDisaggFaults is RunDisagg under a fault plan: replica crashes hit
-// both pools, stragglers run slowed, KV hand-offs cross the impaired
-// link timeline, and crash-lost requests are re-dispatched — resumed
-// from their periodic KV checkpoint on the decode pool when one exists,
-// re-prefilled from scratch through the prefill pool otherwise.
-// Requests that exhaust the retry budget or fit nowhere when the run
-// drains are dropped with a reason and accounted in Report.Faults. An
-// inactive (or nil) plan takes the exact RunDisagg code path.
-func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, plan *faults.Plan) (*DisaggResult, error) {
+	plan := dc.Faults
 	if !plan.Active() {
 		plan = nil
 	}
@@ -216,7 +211,7 @@ func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, 
 	fab := newFabric(ResolveWorkers(dc.Workers, P+D))
 	fab.addTier(0, P)
 	fab.addTier(1, D)
-	engines, err := startEngines(fab, cfg, plan)
+	engines, err := startEngines(fab, cfg, plan, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -327,6 +322,13 @@ func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, 
 		QueuedHandoffs:   ro.queued,
 		Steps:            fab.Steps(),
 	}, nil
+}
+
+// RunDisaggFaults is RunDisagg with dc.Faults set to plan, kept for its
+// only caller, the end-to-end benchmark harness (cmd/tdpipe-bench).
+func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, plan *faults.Plan) (*DisaggResult, error) {
+	dc.Faults = plan
+	return RunDisagg(cfg, dc, reqs)
 }
 
 // dtickEvent is one decode-pool autoscaler evaluation on the control

@@ -31,7 +31,7 @@ func TestRunOnlineFaultsDomainPower(t *testing.T) {
 	cfg := fastConfig(2)
 	const replicas = 4
 	reqs := faultTrace(120, 37)
-	base, err := RunOnlineWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, 1)
+	base, err := Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: mustPolicy(t, LeastWork, Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRunOnlineFaultsDomainPower(t *testing.T) {
 	}
 	var prev []byte
 	for _, workers := range []int{1, 4} {
-		res, err := RunOnlineFaultsWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, workers)
+		res, err := Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Faults: plan})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -104,9 +104,10 @@ func TestRunDisaggFaultsDomainNetwork(t *testing.T) {
 	if len(plan.Domains) == 0 {
 		t.Fatal("seed drew no domain outages; pick another seed")
 	}
+	dc.Faults = plan
 	var prev []byte
 	for run := 0; run < 2; run++ {
-		res, err := RunDisaggFaults(cfg, dc, reqs, plan)
+		res, err := RunDisagg(cfg, dc, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +187,8 @@ func TestRunDisaggBreakerTripsOnCrashes(t *testing.T) {
 	if err := faults.Validate(plan); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDisaggFaults(cfg, dc, reqs, plan)
+	dc.Faults = plan
+	res, err := RunDisagg(cfg, dc, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,24 +51,24 @@ func checkElasticConservation(t *testing.T, res *Result, n int) {
 	}
 }
 
-// An inactive stack must take the exact RunOnlineWorkers code path: reports
-// and records byte-identical, at one worker and at four (the race leg
+// An inactive stack must take the exact layer-free Serve code path:
+// reports and records byte-identical, at one worker and at four (the race leg
 // re-runs this under -race).
 func TestParallelElasticInactiveStackByteIdentical(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := workload.StampArrivals(smallTrace(250, 5), workload.Poisson{Rate: 400}, 17)
 	for _, workers := range []int{1, 4} {
-		want, err := RunOnlineWorkers(cfg, 4, mustPolicy(t, LeastWork, Options{}), reqs, workers)
+		want, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for _, stack := range []*policy.Stack{nil, {}} {
-			got, err := RunOnlineElasticWorkers(cfg, 4, mustPolicy(t, LeastWork, Options{}), reqs, stack, workers)
+			got, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Stack: stack})
 			if err != nil {
 				t.Fatalf("workers=%d stack=%v: %v", workers, stack, err)
 			}
 			if !bytes.Equal(fullJSON(t, want.Report, want.Records), fullJSON(t, got.Report, got.Records)) {
-				t.Fatalf("workers=%d: inactive stack %v diverges from RunOnlineWorkers", workers, stack)
+				t.Fatalf("workers=%d: inactive stack %v diverges from the layer-free run", workers, stack)
 			}
 		}
 	}
@@ -86,7 +86,7 @@ func TestParallelElasticByteIdenticalToSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) []byte {
-		res, err := RunOnlineElasticWorkers(cfg, 4, mustPolicy(t, LeastWork, Options{}), reqs, elasticStack(t, 4), workers)
+		res, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Stack: elasticStack(t, 4)})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -115,7 +115,7 @@ func TestElasticAutoscalerBreathes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOnlineElasticWorkers(cfg, 4, mustPolicy(t, LeastWork, Options{}), reqs, &policy.Stack{Autoscaler: as}, 1)
+	res, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Stack: &policy.Stack{Autoscaler: as}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestElasticAdmissionShedsAndRetries(t *testing.T) {
 		Admission: policy.NewTokenBucket(50, 1),
 		Retry:     policy.NewBackoff(policy.BackoffConfig{Base: 0.005, Max: 0.05, MaxAttempts: 2, Seed: 1}),
 	}
-	res, err := RunOnlineElasticWorkers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, stack, 1)
+	res, err := Serve(cfg, reqs, ServeConfig{Replicas: 2, Policy: mustPolicy(t, RoundRobin, Options{}), Stack: stack})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestElasticAdmissionShedsAndRetries(t *testing.T) {
 		Admission: policy.NewTokenBucket(50, 1),
 		Retry:     policy.NewBackoff(policy.BackoffConfig{Base: 0.005, Max: 0.05, MaxAttempts: 2, Seed: 1}),
 	}
-	res2, err := RunOnlineElasticWorkers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, stack2, 1)
+	res2, err := Serve(cfg, reqs, ServeConfig{Replicas: 2, Policy: mustPolicy(t, RoundRobin, Options{}), Stack: stack2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +192,9 @@ func TestElasticPreemption(t *testing.T) {
 	if !workload.HasPriorities(reqs) {
 		t.Fatal("trace has no priority structure")
 	}
-	res, err := RunOnlineElasticWorkers(cfg, 1, mustPolicy(t, RoundRobin, Options{}), reqs, &policy.Stack{
+	res, err := Serve(cfg, reqs, ServeConfig{Replicas: 1, Policy: mustPolicy(t, RoundRobin, Options{}), Stack: &policy.Stack{
 		Preemption: &policy.PreemptionConfig{},
-	}, 1)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +215,13 @@ func TestElasticRejectsBadConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunOnlineElasticWorkers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, &policy.Stack{Autoscaler: as}, 1); err == nil {
+	if _, err := Serve(cfg, reqs, ServeConfig{Replicas: 2, Policy: mustPolicy(t, RoundRobin, Options{}), Stack: &policy.Stack{Autoscaler: as}}); err == nil {
 		t.Fatal("autoscaler Max above provisioned replicas must be rejected")
 	}
-	if _, err := RunOnlineElasticWorkers(cfg, 0, mustPolicy(t, RoundRobin, Options{}), reqs, elasticStack(t, 4), 1); err == nil {
+	if _, err := Serve(cfg, reqs, ServeConfig{Replicas: 0, Policy: mustPolicy(t, RoundRobin, Options{}), Stack: elasticStack(t, 4)}); err == nil {
 		t.Fatal("zero replicas must be rejected")
 	}
-	if _, err := RunOnlineElasticWorkers(cfg, 2, nil, reqs, elasticStack(t, 2), 1); err == nil {
+	if _, err := Serve(cfg, reqs, ServeConfig{Replicas: 2, Policy: nil, Stack: elasticStack(t, 2)}); err == nil {
 		t.Fatal("nil policy must be rejected")
 	}
 }

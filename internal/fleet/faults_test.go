@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
@@ -38,18 +40,18 @@ func checkFaultConservation(t *testing.T, res *Result, n int) {
 	}
 }
 
-// An inactive plan must take the exact RunOnlineWorkers code path: reports and
-// records bit-identical.
+// An inactive plan must take the exact layer-free Serve code path:
+// reports and records bit-identical.
 func TestRunOnlineFaultsInactivePlan(t *testing.T) {
 	reqs := faultTrace(150, 3)
 	cfg := fastConfig(2)
 	p := mustPolicy(t, LeastWork, Options{})
-	base, err := RunOnlineWorkers(cfg, 3, p, reqs, 1)
+	base, err := Serve(cfg, reqs, ServeConfig{Replicas: 3, Policy: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, plan := range []*faults.Plan{nil, {Config: faults.Config{Seed: 9}, Replicas: 3}} {
-		got, err := RunOnlineFaultsWorkers(cfg, 3, mustPolicy(t, LeastWork, Options{}), reqs, plan, 1)
+		got, err := Serve(cfg, reqs, ServeConfig{Replicas: 3, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +72,7 @@ func TestRunOnlineFaultsConservation(t *testing.T) {
 	cfg := fastConfig(2)
 	const replicas = 3
 	reqs := faultTrace(120, 7)
-	base, err := RunOnlineWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, 1)
+	base, err := Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: mustPolicy(t, LeastWork, Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestRunOnlineFaultsConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunOnlineFaultsWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, 1)
+			res, err := Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan})
 			if err != nil {
 				t.Fatalf("seed %d ckpt %v: %v", seed, ckpt, err)
 			}
@@ -127,7 +129,7 @@ func TestRunOnlineFaultsDeterministic(t *testing.T) {
 	}
 	var prev []byte
 	for run := 0; run < 3; run++ {
-		res, err := RunOnlineFaultsWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, 1)
+		res, err := Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +153,7 @@ func TestRunOnlineFaultsStragglers(t *testing.T) {
 	cfg := fastConfig(2)
 	const replicas = 3
 	reqs := faultTrace(100, 13)
-	base, err := RunOnlineWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, 1)
+	base, err := Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: mustPolicy(t, LeastWork, Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestRunOnlineFaultsStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOnlineFaultsWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, 1)
+	res, err := Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,15 +184,16 @@ func TestRunDisaggFaultsInactivePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunDisaggFaults(cfg, dc, reqs, nil)
+	dc.Faults = &faults.Plan{Replicas: 3}
+	got, err := RunDisagg(cfg, dc, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Report != base.Report {
-		t.Errorf("nil plan changed the report:\n%+v\n%+v", got.Report, base.Report)
+		t.Errorf("inactive plan changed the report:\n%+v\n%+v", got.Report, base.Report)
 	}
 	if !reflect.DeepEqual(got.Records, base.Records) {
-		t.Error("nil plan changed the records")
+		t.Error("inactive plan changed the records")
 	}
 }
 
@@ -221,7 +224,8 @@ func TestRunDisaggFaultsCrashMidHandoff(t *testing.T) {
 				{Replica: victim, At: mid, RestartAt: mid + mid/2},
 			},
 		}
-		res, err := RunDisaggFaults(cfg, dc, reqs, plan)
+		dc.Faults = plan
+		res, err := RunDisagg(cfg, dc, reqs)
 		if err != nil {
 			t.Fatalf("victim %d: %v", victim, err)
 		}
@@ -273,9 +277,10 @@ func TestRunDisaggFaultsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dc.Faults = plan
 	var prev []byte
 	for run := 0; run < 3; run++ {
-		res, err := RunDisaggFaults(cfg, dc, reqs, plan)
+		res, err := RunDisagg(cfg, dc, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,5 +295,30 @@ func TestRunDisaggFaultsDeterministic(t *testing.T) {
 			t.Fatalf("run %d differs", run)
 		}
 		prev = b
+	}
+}
+
+// Serve refuses an active fault plan together with an active policy
+// stack with its named error, before building any engine; either layer
+// alone runs.
+func TestServeRejectsFaultsWithPolicy(t *testing.T) {
+	cfg := fastConfig(2)
+	reqs := faultTrace(60, 31)
+	plan := &faults.Plan{
+		Replicas: 2,
+		Crashes:  []faults.Crash{{Replica: 0, At: 0.01, RestartAt: 0.02}},
+	}
+	stack := &policy.Stack{Admission: policy.NewTokenBucket(1000, 8)}
+	sc := ServeConfig{Replicas: 2, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan, Stack: stack}
+	if _, err := Serve(cfg, reqs, sc); !errors.Is(err, ErrFaultsWithPolicy) {
+		t.Fatalf("faults with policy: err = %v, want ErrFaultsWithPolicy", err)
+	}
+	for _, one := range []ServeConfig{
+		{Replicas: 2, Policy: sc.Policy, Faults: plan, Stack: &policy.Stack{}},
+		{Replicas: 2, Policy: sc.Policy, Faults: &faults.Plan{Replicas: 2}, Stack: stack},
+	} {
+		if _, err := Serve(cfg, reqs, one); err != nil {
+			t.Errorf("one active layer: %v", err)
+		}
 	}
 }

@@ -1,10 +1,10 @@
-// Package fleet is the data-parallel serving layer: it shards a request
-// trace across N concurrently-running TD-Pipe engine replicas and
-// merges their per-replica reports into one fleet-level report. Each
-// replica is a full core engine on its own virtual-time substrate, so
-// replicas simulate independently and the fleet runs them on real
-// goroutines; the merge is deterministic because replicas are combined
-// in index order regardless of completion order.
+// Package fleet is the data-parallel serving layer: it serves a request
+// trace on N TD-Pipe engine replicas and merges their per-replica
+// reports into one fleet-level report. Serve is the entry point for
+// colocated fleets and RunDisagg for prefill/decode-split ones. Every
+// mode runs its replicas on the conservative parallel fabric
+// (parallel.go), so reports are deterministic and byte-identical
+// across worker counts.
 //
 // Dispatch is pluggable: a Policy picks a replica per request
 // (round-robin, seeded random, least known work, or predicted-cost
@@ -13,11 +13,13 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
@@ -106,47 +108,89 @@ type Result struct {
 	Steps uint64
 }
 
-// Run executes reqs across replicas data-parallel copies of cfg under
-// policy p. Each replica runs core.Run on its own goroutine and its own
-// simulation; the aggregate is deterministic for a fixed trace, config
-// and policy seed.
-func Run(cfg core.Config, replicas int, p Policy, reqs []workload.Request) (*Result, error) {
-	shards, err := Dispatch(p, replicas, reqs)
+// ServeConfig describes one colocated fleet deployment for Serve.
+type ServeConfig struct {
+	// Replicas is the number of data-parallel copies of the run's
+	// core.Config; under an autoscaler, the provisioned pool it scales
+	// inside (it must cover the autoscaler's Max).
+	Replicas int
+	// Policy picks a replica per request (see New).
+	Policy Policy
+	// Workers budgets the parallel fabric: 0 or 1 runs sequentially,
+	// WorkersAuto picks GOMAXPROCS for fleets of at least
+	// AutoWorkerThreshold replicas.
+	Workers int
+	// Faults and Stack attach the fault and policy layers; nil or
+	// inactive attaches none.
+	Faults *faults.Plan
+	Stack  *policy.Stack
+}
+
+// ErrFaultsWithPolicy rejects a ServeConfig whose fault plan and policy
+// stack are both active: the policy layer has no crash hook, so the
+// two layers cannot share a run yet.
+var ErrFaultsWithPolicy = errors.New("fleet: fault injection and the policy stack are not supported together yet")
+
+// Serve runs reqs on sc.Replicas data-parallel copies of cfg under
+// sc.Policy, deterministically for a fixed trace, config and policy
+// seed, and byte-identically at every sc.Workers count.
+//
+// A closed-loop trace (every arrival at t=0) with no active layer is
+// pre-sharded: Dispatch assigns every request up front from whole-trace
+// load totals and each replica runs its shard. Every other run goes
+// through the online router: all engines share one virtual clock and
+// each request is routed at its arrival instant on a live, incrementally
+// kept load snapshot (outstanding work, resident prefix, free KV).
+//
+// The fault layer crashes and restarts replicas on the plan's schedule;
+// routing skips dead replicas, and crash-lost requests are
+// re-dispatched, resuming from a periodic KV checkpoint when one
+// exists. The policy layer adds token-bucket admission with seeded
+// retry backoff, per-replica circuit breakers, priority preemption and
+// the autoscaler, whose scale-ups pay ColdStart or, when that is zero,
+// the modeled weight load of one replica. Under either layer every
+// request finishes exactly once XOR is dropped with a reason (one too
+// large for any replica included; a plain run fails on it).
+func Serve(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, error) {
+	layered := sc.Faults.Active() || sc.Stack.Active()
+	switch {
+	case sc.Faults.Active() && sc.Stack.Active():
+		return nil, ErrFaultsWithPolicy
+	case sc.Replicas <= 0:
+		return nil, fmt.Errorf("fleet: replicas = %d", sc.Replicas)
+	case sc.Policy == nil:
+		return nil, fmt.Errorf("fleet: nil policy")
+	}
+	if err := validateArrivals(reqs); err != nil {
+		return nil, err
+	}
+	if layered || workload.HasArrivals(reqs) {
+		return runOnline(cfg, reqs, sc)
+	}
+	return preShard(cfg, reqs, sc)
+}
+
+// preShard runs the Dispatch assignment on the fabric: each replica's
+// engine starts with its whole shard and the fabric drives them to
+// completion with no control events. The merge checks shard
+// conservation, then folds through the ledger.
+func preShard(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, error) {
+	shards, err := Dispatch(sc.Policy, sc.Replicas, reqs)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*core.Result, replicas)
-	errs := make([]error, replicas)
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		//det:ignore goroutine offline replicas run disjoint engines with no cross-talk; the WaitGroup join is the only synchronization and results land in slot order
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = core.Run(cfg, shards[i].Reqs)
-		}(i)
+	fab := newFabric(ResolveWorkers(sc.Workers, sc.Replicas))
+	fab.addTier(0, sc.Replicas)
+	engines, err := startEngines(fab, cfg, nil, shards)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
-		}
+	fab.drive()
+	results, err := finalize(engines, nil)
+	if err != nil {
+		return nil, err
 	}
-	res, err := assemble(cfg, p.Name(), reqs, results, shards)
-	if err == nil {
-		// Offline replicas own their engines, so per-replica step
-		// counts sum without double counting.
-		for _, r := range results {
-			res.Steps += r.Steps
-		}
-	}
-	return res, err
-}
-
-// assemble builds the offline pre-shard's merged result: the shard
-// conservation check, then the ledger's record merge and report fold.
-func assemble(cfg core.Config, policy string, reqs []workload.Request, results []*core.Result, shards []Shard) (*Result, error) {
-	res := &Result{Replicas: results, Shards: shards, Policy: policy}
+	res := &Result{Replicas: results, Shards: shards, Policy: sc.Policy.Name(), Steps: fab.Steps()}
 	if err := res.CheckConservation(len(reqs)); err != nil {
 		return nil, err
 	}
@@ -157,12 +201,23 @@ func assemble(cfg core.Config, policy string, reqs []workload.Request, results [
 			led.fin[o]++
 		}
 	}
-	var err error
-	res.Report, res.Records, err = led.assemble(cfg, fmt.Sprintf("Fleet(TD-Pipe/%s)x%d", policy, len(results)), results, false)
+	res.Report, res.Records, err = led.assemble(cfg, fmt.Sprintf("Fleet(TD-Pipe/%s)x%d", res.Policy, sc.Replicas), results, false)
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// RunOnlineWorkers is Serve without layers, kept for its only caller,
+// the end-to-end benchmark harness (cmd/tdpipe-bench).
+func RunOnlineWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, workers int) (*Result, error) {
+	return Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: p, Workers: workers})
+}
+
+// RunOnlineElasticWorkers is Serve with a policy stack, kept for its
+// only caller, the end-to-end benchmark harness (cmd/tdpipe-bench).
+func RunOnlineElasticWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, stack *policy.Stack, workers int) (*Result, error) {
+	return Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: p, Workers: workers, Stack: stack})
 }
 
 // foldReport builds a fleet-level report, the one fold every fleet mode

@@ -225,7 +225,7 @@ func TestRunConservation(t *testing.T) {
 	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			res, err := Run(fastConfig(2), 4, mustPolicy(t, name, Options{Seed: 9}), reqs)
+			res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, name, Options{Seed: 9})})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,11 +272,11 @@ func TestRunDeterministic(t *testing.T) {
 	reqs := smallTrace(200, 6)
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			a, err := Run(fastConfig(2), 4, mustPolicy(t, name, Options{Seed: 3}), reqs)
+			a, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, name, Options{Seed: 3})})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Run(fastConfig(2), 4, mustPolicy(t, name, Options{Seed: 3}), reqs)
+			b, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, name, Options{Seed: 3})})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +291,7 @@ func TestRunDeterministic(t *testing.T) {
 // contribute zero work without failing the run.
 func TestRunEmptyShards(t *testing.T) {
 	reqs := smallTrace(2, 8)
-	res, err := Run(fastConfig(2), 4, mustPolicy(t, RoundRobin, Options{}), reqs)
+	res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, RoundRobin, Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,8 @@ func TestRunEmptyShards(t *testing.T) {
 }
 
 // Concurrent fleet runs must not interfere: exercises the registry and
-// the engines under -race from multiple dispatchers at once.
+// the engines under -race from multiple dispatchers at once, each an
+// offline pre-shard on a two-worker fabric.
 func TestConcurrentFleetsRace(t *testing.T) {
 	reqs := smallTrace(120, 10)
 	var wg sync.WaitGroup
@@ -319,7 +320,7 @@ func TestConcurrentFleetsRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := Run(fastConfig(2), 4, p, reqs); err != nil {
+			if _, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 4, Policy: p, Workers: 2}); err != nil {
 				t.Error(err)
 			}
 		}(name)
@@ -332,7 +333,7 @@ func TestConcurrentFleetsRace(t *testing.T) {
 // record IDs differ).
 func TestMergeSingleReplicaEqualsLoneReport(t *testing.T) {
 	reqs := smallTrace(150, 12)
-	res, err := Run(fastConfig(2), 1, mustPolicy(t, RoundRobin, Options{}), reqs)
+	res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 1, Policy: mustPolicy(t, RoundRobin, Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func TestMergeSingleReplicaEqualsLoneReport(t *testing.T) {
 // latency digest must stay finite.
 func TestMergeZeroDurationReplica(t *testing.T) {
 	reqs := smallTrace(2, 8)
-	res, err := Run(fastConfig(2), 4, mustPolicy(t, RoundRobin, Options{}), reqs)
+	res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, RoundRobin, Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +388,7 @@ func TestMergeZeroDurationReplica(t *testing.T) {
 // An entirely empty trace: every replica is zero-duration and the
 // aggregate must still be finite and conservation-clean.
 func TestMergeEmptyTrace(t *testing.T) {
-	res, err := Run(fastConfig(2), 3, mustPolicy(t, RoundRobin, Options{}), nil)
+	res, err := Serve(fastConfig(2), nil, ServeConfig{Replicas: 3, Policy: mustPolicy(t, RoundRobin, Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}

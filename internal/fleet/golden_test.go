@@ -71,7 +71,7 @@ func goldenRuns() []goldenRun {
 	const faultHorizon = 0.2
 	return []goldenRun{
 		{name: "offline-predicted-8", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
-			res, err := Run(cfg, 8, mustPolicy(t, PredictedCost, Options{Seed: 1}), closed)
+			res, err := Serve(cfg, closed, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PredictedCost, Options{Seed: 1}), Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func goldenRuns() []goldenRun {
 			}
 		}},
 		{name: "online-prefix-8", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
-			res, err := RunOnlineWorkers(cfg, 8, mustPolicy(t, PrefixAffinity, Options{}), prefix, workers)
+			res, err := Serve(cfg, prefix, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PrefixAffinity, Options{}), Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func goldenRuns() []goldenRun {
 			}
 		}},
 		{name: "online-prefix-1", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
-			res, err := RunOnlineWorkers(cfg, 1, mustPolicy(t, PrefixAffinity, Options{}), prefix, workers)
+			res, err := Serve(cfg, prefix, ServeConfig{Replicas: 1, Policy: mustPolicy(t, PrefixAffinity, Options{}), Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func goldenRuns() []goldenRun {
 		}},
 		{name: "online-faults", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
 			plan := goldenFaultPlan(t, 6, faultHorizon)
-			res, err := RunOnlineFaultsWorkers(cfg, 6, mustPolicy(t, LeastWork, Options{}), faultReqs, plan, workers)
+			res, err := Serve(cfg, faultReqs, ServeConfig{Replicas: 6, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Faults: plan})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func goldenRuns() []goldenRun {
 			pcfg.MemUtilization = 0.0005
 			stack := elasticStack(t, 4)
 			stack.Admission = policy.NewTokenBucket(2500, 32)
-			res, err := RunOnlineElasticWorkers(pcfg, 4, mustPolicy(t, LeastWork, Options{}), reqs, stack, workers)
+			res, err := Serve(pcfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Stack: stack})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,8 +144,8 @@ func goldenRuns() []goldenRun {
 		{name: "disagg-faults-policy", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
 			stack := decodeScalerStack(t, 5)
 			stack.Breaker = &policy.BreakerConfig{FailureThreshold: 2, Cooldown: faultHorizon / 4}
-			dc := DisaggConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Stack: stack}
-			res, err := RunDisaggFaults(cfg, dc, faultReqs, goldenFaultPlan(t, 8, faultHorizon))
+			dc := DisaggConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Stack: stack, Faults: goldenFaultPlan(t, 8, faultHorizon)}
+			res, err := RunDisagg(cfg, dc, faultReqs)
 			if err != nil {
 				t.Fatal(err)
 			}

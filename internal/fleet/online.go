@@ -9,14 +9,13 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/faults"
 	"repro/internal/kvcache"
-	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // ErrInvalidArrival reports a trace whose arrival stamps cannot be
-// scheduled: negative (before simulation start) or NaN. Every online
-// router validates the trace up front and returns this error (wrapped
+// scheduled: negative (before simulation start) or NaN. Serve and
+// RunDisagg validate the trace up front and return this error (wrapped
 // with the offending trace index) before any engine is built — a bad
 // stamp is a workload bug, and silently clamping it to t=0 would
 // reorder the trace behind the caller's back.
@@ -31,61 +30,6 @@ func validateArrivals(reqs []workload.Request) error {
 		}
 	}
 	return nil
-}
-
-// RunOnlineWorkers serves an arrival-stamped trace as an online router:
-// every replica engine runs on ONE shared virtual clock, and each
-// request is routed at its arrival instant. Unlike the offline
-// pre-shard (Dispatch), policies see the arrival order and a live load
-// snapshot — the work each replica still has outstanding at that
-// moment, not the whole-trace totals — through the same Policy
-// interface and registry. The snapshot is maintained incrementally:
-// submissions add to per-replica counters and each engine's finish
-// hook subtracts, so routing one arrival costs O(replicas) instead of
-// rescanning every outstanding request.
-//
-// workers budgets the conservative parallel fabric: 0 or 1 runs
-// sequentially, WorkersAuto picks GOMAXPROCS for fleets of at least
-// AutoWorkerThreshold replicas. The co-simulation is deterministic for
-// a fixed trace, config and policy seed, and reports are byte-identical
-// across worker counts. Use Run for closed-loop (all-at-t=0) traces,
-// where the pre-shard is equivalent and replicas can simulate in
-// parallel.
-func RunOnlineWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, workers int) (*Result, error) {
-	return runOnline(cfg, replicas, p, reqs, workers, nil, nil)
-}
-
-// RunOnlineFaultsWorkers is RunOnlineWorkers under a fault plan: the
-// plan schedules replica crashes and restarts, the router
-// health-checks every dispatch (dead replicas receive nothing), aborts
-// and re-dispatches crash-lost requests — resuming from a periodic KV
-// checkpoint when one exists, re-prefilling input+generated tokens
-// otherwise — and drops a request only after its retry budget is
-// exhausted or no live replica remains, always with a recorded reason.
-// Every trace request finishes terminally exactly once XOR carries a
-// drop reason. Crash, restore and checkpoint-resume interventions all
-// execute on the control timeline, so fault runs stay byte-identical
-// across worker counts. An inactive (or nil) plan takes the exact
-// RunOnlineWorkers path.
-func RunOnlineFaultsWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, plan *faults.Plan, workers int) (*Result, error) {
-	return runOnline(cfg, replicas, p, reqs, workers, plan, nil)
-}
-
-// RunOnlineElasticWorkers is RunOnlineWorkers under a policy stack
-// (package policy): token-bucket admission sheds arrivals, a seeded
-// backoff schedule retries them, per-replica circuit breakers take
-// SLO-violating replicas out of routing, priority preemption evicts low
-// tiers under KV pressure, and the autoscaler breathes the active
-// replica set between its Min and Max, paying a modeled cold start on
-// every scale-up. replicas is the provisioned fleet — the pool the
-// autoscaler may grow into — and must cover the autoscaler's Max. An
-// autoscaler whose ColdStart is zero gets the modeled weight-load time
-// of one replica (faults.WeightReloadTime for the run's node, model and
-// world size). Every intervention executes on the control timeline, so
-// reports are byte-identical across worker counts. An inactive (or nil)
-// stack takes the exact RunOnlineWorkers path.
-func RunOnlineElasticWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, stack *policy.Stack, workers int) (*Result, error) {
-	return runOnline(cfg, replicas, p, reqs, workers, nil, stack)
 }
 
 // router is the online fleet router. The base routes each request at
@@ -113,8 +57,9 @@ type router struct {
 	err   error
 }
 
-func runOnline(cfg core.Config, replicas int, p Policy, reqs []workload.Request, workers int, plan *faults.Plan, stack *policy.Stack) (*Result, error) {
-	ro, fab, err := newRouter(cfg, replicas, p, reqs, workers, plan, stack)
+// runOnline serves a validated run on the online router (see Serve).
+func runOnline(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, error) {
+	ro, fab, err := newRouter(cfg, reqs, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +80,7 @@ func runOnline(cfg core.Config, replicas int, p Policy, reqs []workload.Request,
 	case ro.pol != nil:
 		mode = "FleetElastic"
 	}
-	rep, records, err := ro.led.assemble(cfg, fmt.Sprintf("%s(TD-Pipe/%s)x%d", mode, p.Name(), replicas),
+	rep, records, err := ro.led.assemble(cfg, fmt.Sprintf("%s(TD-Pipe/%s)x%d", mode, sc.Policy.Name(), sc.Replicas),
 		results, ro.fault != nil || ro.pol != nil)
 	if err != nil {
 		return nil, err
@@ -146,45 +91,35 @@ func runOnline(cfg core.Config, replicas int, p Policy, reqs []workload.Request,
 	if ro.pol != nil {
 		ro.pol.assemble(&rep, ro.led)
 	}
-	return &Result{Report: rep, Replicas: results, Shards: ro.shards, Records: records, Policy: p.Name(), Steps: fab.Steps()}, nil
+	return &Result{Report: rep, Replicas: results, Shards: ro.shards, Records: records, Policy: sc.Policy.Name(), Steps: fab.Steps()}, nil
 }
 
-// newRouter validates a run, attaches the layers an active plan or
-// stack asks for, starts the engines on a fresh fabric and schedules
-// every arrival, crash and autoscale tick on its control timeline.
-func newRouter(cfg core.Config, replicas int, p Policy, reqs []workload.Request, workers int, plan *faults.Plan, stack *policy.Stack) (*router, *fabric, error) {
-	if replicas <= 0 {
-		return nil, nil, fmt.Errorf("fleet: replicas = %d", replicas)
-	}
-	if p == nil {
-		return nil, nil, fmt.Errorf("fleet: nil policy")
-	}
-	if err := validateArrivals(reqs); err != nil {
-		return nil, nil, err
-	}
+// newRouter attaches the layers an active plan or stack asks for,
+// starts the engines on a fresh fabric and schedules every arrival,
+// crash and autoscale tick on its control timeline.
+func newRouter(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*router, *fabric, error) {
+	replicas := sc.Replicas
 	ro := &router{
-		policy: p,
+		policy: sc.Policy,
 		reqs:   reqs,
 		books:  newBooks(replicas),
 		led:    newLedger(reqs),
 		loads:  make([]Load, replicas),
 		cand:   make([]int, replicas),
 	}
-	if plan.Active() {
-		ro.fault = &faultLayer{plan: plan}
+	if sc.Faults.Active() {
+		ro.fault = &faultLayer{plan: sc.Faults}
 		ro.fault.blockBytes, ro.fault.xferTime = kvLink(cfg)
-	} else {
-		plan = nil
 	}
-	if stack.Active() {
+	if sc.Stack.Active() {
 		var err error
-		if ro.pol, err = newPolicyLayer(cfg, stack, replicas); err != nil {
+		if ro.pol, err = newPolicyLayer(cfg, sc.Stack, replicas); err != nil {
 			return nil, nil, err
 		}
 	}
-	fab := newFabric(ResolveWorkers(workers, replicas))
+	fab := newFabric(ResolveWorkers(sc.Workers, replicas))
 	fab.addTier(0, replicas)
-	engines, err := startEngines(fab, cfg, plan)
+	engines, err := startEngines(fab, cfg, sc.Faults, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -389,13 +324,18 @@ func (b *books) retire(k, local int) int {
 	return b.shards[k].Origin[local]
 }
 
-// startEngines builds and starts one online engine per fabric replica,
-// each on its replicaConfig.
-func startEngines(fab *fabric, cfg core.Config, plan *faults.Plan) ([]*core.Engine, error) {
+// startEngines builds and starts one engine per fabric replica, each
+// on its replicaConfig: seeded with its shard when shards is non-nil
+// (the pre-shard), empty and waiting for submissions otherwise.
+func startEngines(fab *fabric, cfg core.Config, plan *faults.Plan, shards []Shard) ([]*core.Engine, error) {
 	engines := make([]*core.Engine, len(fab.byRep))
 	for i := range fab.byRep {
 		e, err := core.NewEngine(fab.engineFor(i), replicaConfig(cfg, plan, i))
-		if err == nil {
+		switch {
+		case err != nil:
+		case shards != nil:
+			err = e.Start(shards[i].Reqs)
+		default:
 			err = e.StartOnline()
 		}
 		if err != nil {

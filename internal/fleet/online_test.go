@@ -22,7 +22,7 @@ func TestRunOnlineConservation(t *testing.T) {
 	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunOnlineWorkers(fastConfig(2), 4, mustPolicy(t, name, Options{Seed: 9}), reqs, 1)
+			res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, name, Options{Seed: 9})})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,11 +66,11 @@ func TestRunOnlineDeterministic(t *testing.T) {
 	reqs := onlineTrace(200, 6, 30)
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			a, err := RunOnlineWorkers(fastConfig(2), 3, mustPolicy(t, name, Options{Seed: 3}), reqs, 1)
+			a, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 3, Policy: mustPolicy(t, name, Options{Seed: 3})})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := RunOnlineWorkers(fastConfig(2), 3, mustPolicy(t, name, Options{Seed: 3}), reqs, 1)
+			b, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 3, Policy: mustPolicy(t, name, Options{Seed: 3})})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestRunOnlineDeterministic(t *testing.T) {
 // replica may sit unused while another queues the whole trace.
 func TestRunOnlineSpreadsLoad(t *testing.T) {
 	reqs := onlineTrace(400, 8, 60)
-	res, err := RunOnlineWorkers(fastConfig(2), 4, mustPolicy(t, LeastWork, Options{}), reqs, 1)
+	res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +105,13 @@ func TestRunOnlineSpreadsLoad(t *testing.T) {
 // co-simulation.
 func TestRunOnlineRejectsBadArgs(t *testing.T) {
 	reqs := onlineTrace(10, 1, 10)
-	if _, err := RunOnlineWorkers(fastConfig(2), 0, mustPolicy(t, RoundRobin, Options{}), reqs, 1); err == nil {
+	if _, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 0, Policy: mustPolicy(t, RoundRobin, Options{})}); err == nil {
 		t.Error("replicas=0 accepted")
 	}
-	if _, err := RunOnlineWorkers(fastConfig(2), 2, nil, reqs, 1); err == nil {
+	if _, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 2, Policy: nil}); err == nil {
 		t.Error("nil policy accepted")
 	}
-	if _, err := RunOnlineWorkers(fastConfig(2), 2, outOfRange{}, reqs, 1); err == nil {
+	if _, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 2, Policy: outOfRange{}}); err == nil {
 		t.Error("out-of-range pick accepted")
 	}
 }
@@ -122,7 +122,7 @@ func TestRunOnlineRejectsBadArgs(t *testing.T) {
 // whose prefix caches still hold the request's shared prefix warm.
 func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	reqs := prefixOnlineTrace(200, 41, 8000, 8, 512)
-	ro, fab, err := newRouter(fastConfig(2), 8, mustPolicy(t, PrefixAffinity, Options{}), reqs, 1, nil, nil)
+	ro, fab, err := newRouter(fastConfig(2), reqs, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PrefixAffinity, Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}

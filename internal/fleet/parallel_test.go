@@ -34,7 +34,7 @@ func TestParallelOnlineByteIdenticalToSequential(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := workload.StampArrivals(smallTrace(400, 3), workload.Poisson{Rate: 300}, 9)
 	run := func(workers int) []byte {
-		res, err := RunOnlineWorkers(cfg, 8, mustPolicy(t, PredictedCost, Options{Seed: 1}), reqs, workers)
+		res, err := Serve(cfg, reqs, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PredictedCost, Options{Seed: 1}), Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -52,7 +52,7 @@ func TestParallelPrefixAffinityByteIdenticalToSequential(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := prefixOnlineTrace(300, 41, 8000, 32, 512)
 	run := func(workers int) []byte {
-		res, err := RunOnlineWorkers(cfg, 8, mustPolicy(t, PrefixAffinity, Options{}), reqs, workers)
+		res, err := Serve(cfg, reqs, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PrefixAffinity, Options{}), Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -99,7 +99,7 @@ func TestParallelOnlineFaultsByteIdenticalToSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) []byte {
-		res, err := RunOnlineFaultsWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, workers)
+		res, err := Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Faults: plan})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -138,8 +138,8 @@ func TestParallelDisaggFaultsByteIdenticalToSequential(t *testing.T) {
 	}
 	run := func(workers int) []byte {
 		wdc := dc
-		wdc.Workers = workers
-		res, err := RunDisaggFaults(cfg, wdc, reqs, plan)
+		wdc.Workers, wdc.Faults = workers, plan
+		res, err := RunDisagg(cfg, wdc, reqs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -177,7 +177,7 @@ func TestParallelCrossShardBoundaryProperty(t *testing.T) {
 			},
 		}
 		online := func(workers int) []byte {
-			res, err := RunOnlineFaultsWorkers(cfg, 6, mustPolicy(t, LeastWork, Options{}), reqs, plan, workers)
+			res, err := Serve(cfg, reqs, ServeConfig{Replicas: 6, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Faults: plan})
 			if err != nil {
 				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
 			}
@@ -185,8 +185,8 @@ func TestParallelCrossShardBoundaryProperty(t *testing.T) {
 			return fullJSON(t, res.Report, res.Records)
 		}
 		disagg := func(workers int) []byte {
-			dc := DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 4, Workers: workers}
-			res, err := RunDisaggFaults(cfg, dc, reqs, plan)
+			dc := DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 4, Workers: workers, Faults: plan}
+			res, err := RunDisagg(cfg, dc, reqs)
 			if err != nil {
 				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
 			}
@@ -209,8 +209,8 @@ func TestParallelCrossShardBoundaryProperty(t *testing.T) {
 }
 
 // Satellite: invalid arrival stamps are rejected up front with a
-// documented error, consistently across all four routers — never
-// silently clamped to t=0.
+// documented error, consistently across both entry points with and
+// without the fault layer — never silently clamped to t=0.
 func TestInvalidArrivalsRejectedByAllRouters(t *testing.T) {
 	cfg := fastConfig(2)
 	plan := &faults.Plan{
@@ -223,20 +223,22 @@ func TestInvalidArrivalsRejectedByAllRouters(t *testing.T) {
 		name string
 		run  func(reqs []workload.Request) error
 	}{
-		{"RunOnlineWorkers", func(reqs []workload.Request) error {
-			_, err := RunOnlineWorkers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, 1)
+		{"Serve", func(reqs []workload.Request) error {
+			_, err := Serve(cfg, reqs, ServeConfig{Replicas: 2, Policy: mustPolicy(t, RoundRobin, Options{})})
 			return err
 		}},
-		{"RunOnlineFaultsWorkers", func(reqs []workload.Request) error {
-			_, err := RunOnlineFaultsWorkers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, plan, 1)
+		{"Serve with faults", func(reqs []workload.Request) error {
+			_, err := Serve(cfg, reqs, ServeConfig{Replicas: 2, Policy: mustPolicy(t, RoundRobin, Options{}), Faults: plan})
 			return err
 		}},
 		{"RunDisagg", func(reqs []workload.Request) error {
 			_, err := RunDisagg(cfg, dc, reqs)
 			return err
 		}},
-		{"RunDisaggFaults", func(reqs []workload.Request) error {
-			_, err := RunDisaggFaults(cfg, dc, reqs, plan)
+		{"RunDisagg with faults", func(reqs []workload.Request) error {
+			fdc := dc
+			fdc.Faults = plan
+			_, err := RunDisagg(cfg, fdc, reqs)
 			return err
 		}},
 	}

@@ -68,10 +68,8 @@ type Cluster struct {
 	// released at compute end.
 	BlockingP2P bool
 
-	// Plan partitions the model's layers over the stages; Node is the
-	// hardware the pipeline runs on.
+	// Plan partitions the model's layers over the stages.
 	Plan model.PipelinePlan
-	Node hw.Node
 }
 
 // NewCluster builds a world-size pipeline over the node's GPUs with a
@@ -86,7 +84,6 @@ func NewCluster(eng *sim.Engine, node hw.Node, spec model.Spec, world int) (*Clu
 	}
 	c := &Cluster{
 		Eng:  eng,
-		Node: node,
 		Cost: pl.cost,
 		Plan: pl.plan,
 		Rec:  *metrics.NewRecorder(world),

@@ -144,6 +144,12 @@ type (
 	FleetPolicy = fleet.Policy
 	// FleetOptions parameterize policy construction (seed, predictor).
 	FleetOptions = fleet.Options
+	// FleetConfig describes a colocated fleet for RunFleet: replica
+	// count, dispatch policy, simulation workers, and the optional
+	// fault plan and policy stack. Build the policy with
+	// NewFleetPolicy, fresh for every run: round-robin and random
+	// carry state from one run into the next.
+	FleetConfig = fleet.ServeConfig
 	// DisaggConfig sizes the prefill and decode pools of a
 	// disaggregated deployment (see RunDisagg).
 	DisaggConfig = fleet.DisaggConfig
@@ -175,40 +181,41 @@ func NewFleetPolicy(name string, opts FleetOptions) (FleetPolicy, error) {
 	return fleet.New(name, opts)
 }
 
-// RunFleet serves the trace on replicas data-parallel TD-Pipe engines
-// under the named dispatch policy and merges the per-replica reports
-// (including per-request latency records) into one fleet report.
-//
-// Closed-loop traces (every arrival at t=0) are pre-sharded and the
-// replicas simulate concurrently, each on its own virtual-time
-// substrate. Arrival-stamped traces (see StampArrivals) are served by
-// the online router instead: all replicas share one virtual clock and
-// each request is dispatched at its arrival instant using a live
-// snapshot of per-replica outstanding work.
-//
-// The policy inherits cfg.Predictor (predicted-cost dispatch uses the
-// same classifier as the greedy prefill) and a fixed seed, so results
-// are deterministic for a given trace and config; use fleet.Run or
-// fleet.RunOnlineWorkers directly for custom policy instances or seeds.
-func RunFleet(cfg Config, replicas int, policy string, reqs []Request) (*FleetResult, error) {
-	return RunFleetWorkers(cfg, replicas, policy, reqs, 1)
-}
+// ErrFleetFaultsWithPolicy is RunFleet's error for a FleetConfig whose
+// fault plan and policy stack are both active; the two layers cannot
+// share a run yet.
+var ErrFleetFaultsWithPolicy = fleet.ErrFaultsWithPolicy
 
-// RunFleetWorkers is RunFleet with the online co-simulation sharded
-// across the given number of worker goroutines (0 or 1 sequential,
-// FleetWorkersAuto for automatic selection). Reports and records are
-// byte-identical across worker counts; workers only change wall-clock
-// time. Closed-loop traces ignore the worker count — their replicas
-// already simulate concurrently.
-func RunFleetWorkers(cfg Config, replicas int, policy string, reqs []Request, workers int) (*FleetResult, error) {
-	p, err := fleet.New(policy, fleet.Options{Seed: 1, Predictor: cfg.Predictor})
-	if err != nil {
-		return nil, err
-	}
-	if workload.HasArrivals(reqs) {
-		return fleet.RunOnlineWorkers(cfg, replicas, p, reqs, workers)
-	}
-	return fleet.Run(cfg, replicas, p, reqs)
+// RunFleet serves the trace on fc.Replicas data-parallel TD-Pipe
+// engines under fc.Policy and merges the per-replica reports
+// (including per-request latency records) into one fleet report.
+// Results are deterministic for a given trace, config and policy seed
+// (FleetOptions.Seed), and byte-identical across fc.Workers counts
+// (FleetWorkersAuto for automatic selection).
+//
+// A closed-loop trace (every arrival at t=0) with no active layer is
+// pre-sharded: the policy assigns every request up front and each
+// replica runs its shard. Any other run goes through the online
+// router: all replicas share one virtual clock and each request is
+// dispatched at its arrival instant on a live snapshot of per-replica
+// outstanding work.
+//
+// fc.Faults executes a fault plan (see NewFaultPlan): crashed replicas
+// abort their in-flight requests, routing skips dead replicas, and
+// aborted work is re-dispatched — by recompute, or from the latest
+// periodic KV checkpoint when the plan sets a CheckpointInterval —
+// under the plan's retry budget. fc.Stack attaches the policy stack:
+// admission shedding and retry, breaker-aware routing, priority
+// preemption, and autoscaling between the autoscaler's bounds (each
+// scale-up pays the node's modeled weight-load cold start;
+// Report.Autoscale carries the provisioned GPU-second bill). Under
+// either layer every trace request ends exactly once finished or
+// dropped, with drops accounted in Report.Faults or Report.Admission.
+// An inactive plan or stack (nil, or one that schedules nothing) takes
+// the exact layer-free code path; both active at once return
+// ErrFleetFaultsWithPolicy.
+func RunFleet(cfg Config, reqs []Request, fc FleetConfig) (*FleetResult, error) {
+	return fleet.Serve(cfg, reqs, fc)
 }
 
 // RunDisagg serves the trace on a phase-disaggregated fleet: dedicated
@@ -223,19 +230,22 @@ func RunFleetWorkers(cfg Config, replicas int, policy string, reqs []Request, wo
 // buys (TTFT tails under bursts) and costs (transfer time, decode
 // slots). Set dc.Workers (FleetWorkersAuto for automatic selection) to
 // shard the co-simulation across goroutines; results stay
-// byte-identical across worker counts.
+// byte-identical across worker counts. Set dc.Faults to run a fault
+// plan whose replica indices cover the prefill pool first, then
+// decode: pool replicas crash and recover as under RunFleet, and the
+// plan's KV-link windows stretch or cut the hand-off transfers.
 func RunDisagg(cfg Config, dc DisaggConfig, reqs []Request) (*DisaggResult, error) {
 	return fleet.RunDisagg(cfg, dc, reqs)
 }
 
 // Policy aliases: the elastic autoscaler and the composable front-door
-// serving policies (see RunFleetElasticWorkers).
+// serving policies (see FleetConfig.Stack).
 type (
 	// PolicyStack composes the front-door policies for an elastic fleet
 	// run: token-bucket admission, retry backoff, per-replica circuit
 	// breaking, priority preemption and the autoscaler. Every field is
 	// optional; a nil or empty stack is inactive and takes the exact
-	// RunFleet code path.
+	// layer-free RunFleet code path.
 	PolicyStack = policy.Stack
 	// AutoscalerConfig parameterizes the elastic autoscaler: replica
 	// bounds, evaluation cadence, SLO targets and cooldowns.
@@ -284,25 +294,6 @@ func StampPriorities(reqs []Request, cfg PriorityConfig) ([]Request, error) {
 // HasPriorities reports whether the trace carries priority structure.
 func HasPriorities(reqs []Request) bool { return workload.HasPriorities(reqs) }
 
-// RunFleetElasticWorkers serves an arrival-stamped trace on the online
-// fleet router with the policy stack attached: admission shedding and
-// retry at the front door, breaker-aware routing, priority preemption,
-// and mid-run scaling between the autoscaler's bounds (each scale-up
-// pays the node's modeled weight-load cold start; Report.Autoscale
-// carries the provisioned GPU-second bill). Every trace request ends
-// exactly once finished or dropped, with drops accounted in
-// Report.Admission. An inactive stack (nil or empty) takes the exact
-// RunFleetWorkers code path. The co-simulation is sharded across
-// simulation workers (see RunFleetWorkers); policy runs too are
-// byte-identical across worker counts.
-func RunFleetElasticWorkers(cfg Config, replicas int, policyName string, reqs []Request, stack *PolicyStack, workers int) (*FleetResult, error) {
-	p, err := fleet.New(policyName, fleet.Options{Seed: 1, Predictor: cfg.Predictor})
-	if err != nil {
-		return nil, err
-	}
-	return fleet.RunOnlineElasticWorkers(cfg, replicas, p, reqs, stack, workers)
-}
-
 // Fault-injection aliases: seeded failure plans for fleet runs.
 type (
 	// FaultConfig parameterizes a seeded fault plan: crash MTBF and
@@ -350,35 +341,6 @@ func NewFaultPlan(cfg FaultConfig, replicas int, downtime float64) (*FaultPlan, 
 // plan's downtime.
 func FaultWeightReloadTime(node Node, spec ModelSpec, world int) float64 {
 	return faults.WeightReloadTime(node, spec, world)
-}
-
-// RunFleetFaultsWorkers serves an arrival-stamped trace on the online
-// fleet router while executing the plan's failures: crashed replicas
-// abort their in-flight requests, routing skips dead replicas, and
-// aborted work is re-dispatched (recompute, or resumed from the latest
-// periodic KV checkpoint when the plan sets a CheckpointInterval) under
-// the plan's retry budget. Requests that exhaust it are dropped with a
-// reason and accounted in Report.Faults; every trace request ends
-// exactly once finished or dropped. An inactive plan (nil, or one
-// scheduling no failures) takes the exact fault-free RunFleetWorkers
-// code path. The co-simulation is sharded across simulation workers
-// (see RunFleetWorkers); fault runs too are byte-identical across
-// worker counts.
-func RunFleetFaultsWorkers(cfg Config, replicas int, policy string, reqs []Request, plan *FaultPlan, workers int) (*FleetResult, error) {
-	p, err := fleet.New(policy, fleet.Options{Seed: 1, Predictor: cfg.Predictor})
-	if err != nil {
-		return nil, err
-	}
-	return fleet.RunOnlineFaultsWorkers(cfg, replicas, p, reqs, plan, workers)
-}
-
-// RunDisaggFaults is RunDisagg under a fault plan: pool replicas crash
-// and recover as in RunFleetFaultsWorkers (plan replica indices cover the
-// prefill pool first, then decode), and the plan's KV-link windows
-// stretch or cut the prefill-to-decode hand-off transfers. A nil or
-// inactive plan takes the exact RunDisagg code path.
-func RunDisaggFaults(cfg Config, dc DisaggConfig, reqs []Request, plan *FaultPlan) (*DisaggResult, error) {
-	return fleet.RunDisaggFaults(cfg, dc, reqs, plan)
 }
 
 // NewBaselineConfig returns a vLLM-like configuration for one of the

@@ -1,6 +1,20 @@
 package tdpipe
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
+
+// fleetConfig builds a FleetConfig for a registered policy seeded like
+// the CLI default, inheriting the engine's predictor.
+func fleetConfig(t *testing.T, cfg Config, replicas int, policy string) FleetConfig {
+	t.Helper()
+	p, err := NewFleetPolicy(policy, FleetOptions{Seed: 1, Predictor: cfg.Predictor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return FleetConfig{Replicas: replicas, Policy: p}
+}
 
 func TestFacadeEndToEnd(t *testing.T) {
 	trace, err := NewTrace(3000, 7)
@@ -33,7 +47,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 // RunFleet with 4 replicas must complete a 5k-request trace under each
 // registered policy with exact request conservation, and reproduce the
-// same aggregate report when rerun with the same seed.
+// same aggregate report when rerun with the same seed. A caller-seeded
+// random policy reproduces its own dispatch, and a different seed
+// dispatches differently.
 func TestRunFleet(t *testing.T) {
 	trace, err := NewTrace(20000, 11)
 	if err != nil {
@@ -56,7 +72,7 @@ func TestRunFleet(t *testing.T) {
 		t.Fatalf("only %d fleet policies registered: %v", len(policies), policies)
 	}
 	for _, policy := range policies {
-		res, err := RunFleet(cfg, 4, policy, reqs)
+		res, err := RunFleet(cfg, reqs, fleetConfig(t, cfg, 4, policy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +86,7 @@ func TestRunFleet(t *testing.T) {
 		if res.Report.GPUs != 16 {
 			t.Errorf("%s: fleet GPUs = %d, want 16", policy, res.Report.GPUs)
 		}
-		again, err := RunFleet(cfg, 4, policy, reqs)
+		again, err := RunFleet(cfg, reqs, fleetConfig(t, cfg, 4, policy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,8 +95,28 @@ func TestRunFleet(t *testing.T) {
 		}
 	}
 
-	if _, err := RunFleet(cfg, 4, "no-such-policy", reqs); err == nil {
+	if _, err := NewFleetPolicy("no-such-policy", FleetOptions{}); err == nil {
 		t.Error("unknown policy accepted")
+	}
+
+	seeded := func(seed int64) *FleetResult {
+		t.Helper()
+		p, err := NewFleetPolicy(FleetRandom, FleetOptions{Seed: seed, Predictor: clf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunFleet(cfg, reqs, FleetConfig{Replicas: 4, Policy: p, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b, other := seeded(7), seeded(7), seeded(8)
+	if a.Report != b.Report || !reflect.DeepEqual(a.Shards, b.Shards) {
+		t.Error("random policy with seed 7 is not reproducible")
+	}
+	if reflect.DeepEqual(a.Shards, other.Shards) {
+		t.Error("random policy seeds 7 and 8 dispatched identically")
 	}
 }
 
@@ -112,7 +148,7 @@ func TestFacadeOnlineServing(t *testing.T) {
 		t.Errorf("latency digest covers %d requests", res.Report.Latency.Requests)
 	}
 
-	fres, err := RunFleet(cfg, 2, FleetLeastWork, stamped)
+	fres, err := RunFleet(cfg, stamped, fleetConfig(t, cfg, 2, FleetLeastWork))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +168,7 @@ func TestFacadeOnlineServing(t *testing.T) {
 }
 
 // The facade's fault-injection path: a seeded plan drawn through
-// NewFaultPlan injects crashes into RunFleetFaultsWorkers, recovery accounting
+// NewFaultPlan injects crashes into RunFleet, recovery accounting
 // lands in Report.Faults, conservation holds (finished + dropped covers
 // the trace), and an inactive plan reproduces the fault-free run
 // exactly.
@@ -149,7 +185,8 @@ func TestFacadeFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, err := RunFleetFaultsWorkers(cfg, 3, FleetLeastWork, stamped, nil, 1)
+	fleetCfg := fleetConfig(t, cfg, 3, FleetLeastWork)
+	base, err := RunFleet(cfg, stamped, fleetCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +207,8 @@ func TestFacadeFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFleetFaultsWorkers(cfg, 3, FleetLeastWork, stamped, plan, 1)
+	fleetCfg.Faults = plan
+	res, err := RunFleet(cfg, stamped, fleetCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +220,7 @@ func TestFacadeFaultInjection(t *testing.T) {
 		t.Errorf("finished %d + dropped %d != %d requests", res.Report.Requests, f.Dropped, len(stamped))
 	}
 
-	again, err := RunFleetFaultsWorkers(cfg, 3, FleetLeastWork, stamped, plan, 1)
+	again, err := RunFleet(cfg, stamped, fleetCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +257,13 @@ func TestFacadeElasticPolicies(t *testing.T) {
 		t.Fatal("HasPriorities misclassifies traces")
 	}
 
-	base, err := RunFleet(cfg, 3, FleetLeastWork, stamped)
+	fleetCfg := fleetConfig(t, cfg, 3, FleetLeastWork)
+	base, err := RunFleet(cfg, stamped, fleetCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inactive, err := RunFleetElasticWorkers(cfg, 3, FleetLeastWork, stamped, &PolicyStack{}, 1)
+	fleetCfg.Stack = &PolicyStack{}
+	inactive, err := RunFleet(cfg, stamped, fleetCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +285,8 @@ func TestFacadeElasticPolicies(t *testing.T) {
 		Preemption: &PreemptionConfig{},
 		Autoscaler: as,
 	}
-	res, err := RunFleetElasticWorkers(cfg, 3, FleetLeastWork, stamped, stack, 2)
+	fleetCfg.Stack, fleetCfg.Workers = stack, 2
+	res, err := RunFleet(cfg, stamped, fleetCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
