@@ -152,9 +152,9 @@ var ErrFaultsWithPolicy = errors.New("fleet: fault injection and the policy stac
 // request finishes exactly once XOR is dropped with a reason (one too
 // large for any replica included; a plain run fails on it).
 func Serve(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, error) {
-	layered := sc.Faults.Active() || sc.Stack.Active()
+	faulty, layered := sc.Faults.Active(), sc.Stack.Active()
 	switch {
-	case sc.Faults.Active() && sc.Stack.Active():
+	case faulty && layered:
 		return nil, ErrFaultsWithPolicy
 	case sc.Replicas <= 0:
 		return nil, fmt.Errorf("fleet: replicas = %d", sc.Replicas)
@@ -164,7 +164,7 @@ func Serve(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, e
 	if err := validateArrivals(reqs); err != nil {
 		return nil, err
 	}
-	if layered || workload.HasArrivals(reqs) {
+	if faulty || layered || workload.HasArrivals(reqs) {
 		return runOnline(cfg, reqs, sc)
 	}
 	return preShard(cfg, reqs, sc)
