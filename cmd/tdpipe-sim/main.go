@@ -267,7 +267,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.BoolVar(&o.oracle, "oracle", false, "use the oracle length predictor instead of the trained classifier")
 	fs.IntVar(&o.replicas, "replicas", 1, "data-parallel TD-Pipe replicas (fleet mode when > 1)")
 	fs.StringVar(&o.policy, "policy", fleet.RoundRobin, "fleet dispatch policy: "+strings.Join(fleet.Names(), ", "))
-	fs.IntVar(&o.workers, "workers", 0, "fleet simulation workers: 0 or 1 sequential, -1 auto (GOMAXPROCS on fleets of 16+ replicas); reports are byte-identical across counts")
+	fs.IntVar(&o.workers, "workers", 0, "fleet simulation workers: 0 or 1 sequential, -1 auto (GOMAXPROCS on fleets of 16+ replicas); a closed-loop fleet without layers reads 0 and -1 as one per replica; reports are byte-identical across counts")
 	fs.StringVar(&o.arrivals, "arrivals", workload.ArrivalInstant,
 		"arrival process: "+strings.Join(workload.ArrivalKinds(), ", "))
 	fs.Float64Var(&o.rate, "rate", 0, "mean arrival rate in requests/s (required unless -arrivals instant)")
@@ -497,7 +497,7 @@ func runFleet(o options, node hw.Node, spec model.Spec, pool, reqs []workload.Re
 	if err != nil {
 		return err
 	}
-	printKernel(res.Steps, time.Since(start), fleet.ResolveWorkers(o.workers, o.replicas))
+	printKernel(res.Steps, time.Since(start), res.Workers)
 	for i, rr := range res.Replicas {
 		fmt.Printf("replica %d: %d reqs, %.1fs, %.0f tok/s out, util %.1f%%\n",
 			i, rr.Report.Requests, rr.Report.Elapsed,
@@ -651,7 +651,7 @@ func run(o options, visit func(func(*flag.Flag))) error {
 	if (len(frontFlags) > 0 || len(scaleFlags) > 0) && !o.disagg && (o.replicas <= 1 || !open) {
 		return fmt.Errorf("the policy stack needs the online fleet router: -replicas > 1 with open-loop -arrivals (or -disagg for the -autoscale-* flags)")
 	}
-	if (len(frontFlags) > 0 || len(scaleFlags) > 0) && fc.Enabled() {
+	if (len(frontFlags) > 0 || len(scaleFlags) > 0) && fc.Enabled() && !o.disagg {
 		return fmt.Errorf("%w; run them separately", fleet.ErrFaultsWithPolicy)
 	}
 	if o.breakerFailures > 0 && o.slo.TTFT <= 0 && !o.disagg {

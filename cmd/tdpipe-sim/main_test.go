@@ -108,6 +108,8 @@ func TestFleetFlagErrors(t *testing.T) {
 		{"offline fleet with workers", []string{"-replicas", "4", "-workers", "2"}, nil},
 		{"faults with admission", []string{"-replicas", "2", "-arrivals", "poisson", "-rate", "5",
 			"-mtbf", "30", "-fault-horizon", "20", "-admit-rate", "4"}, fleet.ErrFaultsWithPolicy},
+		{"disagg autoscale with faults", []string{"-disagg", "-arrivals", "poisson", "-rate", "5",
+			"-mtbf", "30", "-fault-horizon", "20", "-autoscale-max", "2"}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,5 +127,54 @@ func TestFleetFlagErrors(t *testing.T) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// runOutput runs one invocation and returns its stdout without the
+// wall-clock kernel line.
+func runOutput(t *testing.T, args ...string) string {
+	t.Helper()
+	var o options
+	fs := flag.NewFlagSet("tdpipe-sim", flag.ContinueOnError)
+	registerFlags(fs, &o)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run(o, fs.Visit)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.SplitAfter(string(out), "\n") {
+		if !strings.HasPrefix(line, "kernel:") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "")
+}
+
+// TestInactivePlanPreShards pins the route of a closed-loop fleet whose
+// fault flags draw a plan that schedules nothing: it is pre-sharded and
+// prints the same bytes as the run without fault flags.
+func TestInactivePlanPreShards(t *testing.T) {
+	tiny := []string{"-replicas", "4", "-requests", "40", "-pool", "200", "-oracle"}
+	plain := runOutput(t, tiny...)
+	inactive := runOutput(t, append([]string{"-mtbf", "1e9", "-fault-horizon", "1"}, tiny...)...)
+	if !strings.Contains(plain, "Fleet(TD-Pipe/round-robin)x4") {
+		t.Fatalf("plain closed-loop fleet not pre-sharded:\n%s", plain)
+	}
+	if inactive != plain {
+		t.Fatalf("inactive plan changed the output:\n--- plain\n%s--- inactive plan\n%s", plain, inactive)
 	}
 }

@@ -22,10 +22,12 @@ type Options struct {
 	Requests int
 	// Seed drives trace generation and sampling.
 	Seed int64
-	// Workers parallelizes the co-simulated fleet paths (online,
-	// disagg, faults) across goroutines: 0 or 1 runs sequentially,
-	// fleet.WorkersAuto picks GOMAXPROCS on large fleets. Results are
-	// byte-identical across worker counts.
+	// Workers budgets every fleet run's simulation workers (see
+	// fleet.ServeConfig.Workers): routed runs treat 0 or 1 as
+	// sequential and fleet.WorkersAuto as GOMAXPROCS on large fleets;
+	// pre-sharded closed-loop runs read 0 and WorkersAuto as one
+	// worker per replica. Results are byte-identical across worker
+	// counts.
 	Workers int
 }
 

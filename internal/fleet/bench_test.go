@@ -136,9 +136,9 @@ func BenchmarkMilestoneFleet(b *testing.B) {
 	}
 }
 
-// BenchmarkRun measures a full fleet run (dispatch + N concurrent
-// engine replicas + merge) on the fast test deployment, scaling the
-// replica count.
+// BenchmarkRun measures a full pre-sharded fleet run (dispatch + N
+// engine replicas on the fabric, one worker per replica + merge) on
+// the fast test deployment, scaling the replica count.
 func BenchmarkRun(b *testing.B) {
 	b.ReportAllocs()
 	reqs := smallTrace(600, 1)

@@ -286,7 +286,7 @@ func RunDisagg(cfg core.Config, dc DisaggConfig, reqs []workload.Request) (*Disa
 		ro.err = fmt.Errorf("fleet: %d hand-offs stranded: request %d (%d KV blocks) fits no decode replica",
 			len(ro.pending), it.origin, it.h.KV.Blocks())
 	}
-	results, err := finalize(engines, ro.err)
+	results, err := finalize(fab, engines, ro.err)
 	if err != nil {
 		return nil, err
 	}

@@ -106,6 +106,8 @@ type Result struct {
 	// engines (router timeline included for online runs). Dividing by
 	// wall-clock time yields the simulator's steps/sec rate.
 	Steps uint64
+	// Workers is the number of fabric workers the run used.
+	Workers int
 }
 
 // ServeConfig describes one colocated fleet deployment for Serve.
@@ -116,9 +118,12 @@ type ServeConfig struct {
 	Replicas int
 	// Policy picks a replica per request (see New).
 	Policy Policy
-	// Workers budgets the parallel fabric: 0 or 1 runs sequentially,
-	// WorkersAuto picks GOMAXPROCS for fleets of at least
-	// AutoWorkerThreshold replicas.
+	// Workers budgets the parallel fabric. A routed run treats 0 or 1
+	// as sequential and WorkersAuto as GOMAXPROCS for fleets of at
+	// least AutoWorkerThreshold replicas. The pre-shard has no epoch
+	// barriers to pay, so it reads 0 and WorkersAuto as one worker per
+	// replica and leaves the balancing across cores to the Go
+	// scheduler.
 	Workers int
 	// Faults and Stack attach the fault and policy layers; nil or
 	// inactive attaches none.
@@ -179,18 +184,26 @@ func preShard(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result
 	if err != nil {
 		return nil, err
 	}
-	fab := newFabric(ResolveWorkers(sc.Workers, sc.Replicas))
+	workers := sc.Workers
+	if workers <= 0 {
+		workers = sc.Replicas
+	}
+	fab := newFabric(ResolveWorkers(workers, sc.Replicas))
 	fab.addTier(0, sc.Replicas)
+	// Building, starting and finalizing engines is per-replica work
+	// too, so the pool runs for the whole pre-shard.
+	fab.start()
+	defer fab.stopWorkers()
 	engines, err := startEngines(fab, cfg, nil, shards)
 	if err != nil {
 		return nil, err
 	}
-	fab.drive()
-	results, err := finalize(engines, nil)
+	fab.run()
+	results, err := finalize(fab, engines, nil)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Replicas: results, Shards: shards, Policy: sc.Policy.Name(), Steps: fab.Steps()}
+	res := &Result{Replicas: results, Shards: shards, Policy: sc.Policy.Name(), Steps: fab.Steps(), Workers: fab.workers}
 	if err := res.CheckConservation(len(reqs)); err != nil {
 		return nil, err
 	}

@@ -418,3 +418,32 @@ func TestPredictedCostFallsBackToOracle(t *testing.T) {
 		t.Errorf("const-backed cost = %v, want 110", c)
 	}
 }
+
+// TestServeDefaultWorkers pins how Serve reads Workers 0: the
+// pre-shard gives every replica a worker of its own, a routed run stays
+// sequential, and an explicit count holds for both.
+func TestServeDefaultWorkers(t *testing.T) {
+	closed := smallTrace(40, 5)
+	open := workload.StampArrivals(closed, workload.Poisson{Rate: 200}, 7)
+	for _, tc := range []struct {
+		name    string
+		reqs    []workload.Request
+		workers int
+		want    int
+	}{
+		{"pre-shard default", closed, 0, 4},
+		{"pre-shard auto", closed, WorkersAuto, 4},
+		{"pre-shard explicit", closed, 2, 2},
+		{"routed default", open, 0, 1},
+		{"routed explicit", open, 2, 2},
+	} {
+		sc := ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: tc.workers}
+		res, err := Serve(fastConfig(2), tc.reqs, sc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Workers != tc.want {
+			t.Errorf("%s: %d workers, want %d", tc.name, res.Workers, tc.want)
+		}
+	}
+}

@@ -69,7 +69,7 @@ func runOnline(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Resul
 			ro.led.drop(q.origin, "no live replica")
 		}
 	}
-	results, err := finalize(ro.engines, ro.err)
+	results, err := finalize(fab, ro.engines, ro.err)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func runOnline(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Resul
 	if ro.pol != nil {
 		ro.pol.assemble(&rep, ro.led)
 	}
-	return &Result{Report: rep, Replicas: results, Shards: ro.shards, Records: records, Policy: sc.Policy.Name(), Steps: fab.Steps()}, nil
+	return &Result{Report: rep, Replicas: results, Shards: ro.shards, Records: records, Policy: sc.Policy.Name(), Steps: fab.Steps(), Workers: fab.workers}, nil
 }
 
 // newRouter attaches the layers an active plan or stack asks for,
@@ -324,12 +324,14 @@ func (b *books) retire(k, local int) int {
 	return b.shards[k].Origin[local]
 }
 
-// startEngines builds and starts one engine per fabric replica, each
-// on its replicaConfig: seeded with its shard when shards is non-nil
-// (the pre-shard), empty and waiting for submissions otherwise.
+// startEngines builds and starts one engine per fabric replica through
+// forEach, each on its replicaConfig: seeded with its shard when shards
+// is non-nil (the pre-shard), empty and waiting for submissions
+// otherwise.
 func startEngines(fab *fabric, cfg core.Config, plan *faults.Plan, shards []Shard) ([]*core.Engine, error) {
 	engines := make([]*core.Engine, len(fab.byRep))
-	for i := range fab.byRep {
+	errs := make([]error, len(engines))
+	fab.forEach(func(i int) {
 		e, err := core.NewEngine(fab.engineFor(i), replicaConfig(cfg, plan, i))
 		switch {
 		case err != nil:
@@ -338,30 +340,39 @@ func startEngines(fab *fabric, cfg core.Config, plan *faults.Plan, shards []Shar
 		default:
 			err = e.StartOnline()
 		}
-		if err != nil {
-			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
-		}
-		engines[i] = e
+		engines[i], errs[i] = e, err
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, err
 	}
 	return engines, nil
 }
 
-// finalize ends a run's engines: it returns the router's error if there
-// was one, otherwise every engine's result or the first replica's
-// Finalize error.
-func finalize(engines []*core.Engine, err error) ([]*core.Result, error) {
+// finalize ends a run's engines through forEach: it returns the
+// router's error if there was one, otherwise every engine's result or
+// the first replica's Finalize error.
+func finalize(fab *fabric, engines []*core.Engine, err error) ([]*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
 	results := make([]*core.Result, len(engines))
-	for i, e := range engines {
-		res, err := e.Finalize()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
-		}
-		results[i] = res
+	errs := make([]error, len(engines))
+	fab.forEach(func(i int) { results[i], errs[i] = engines[i].Finalize() })
+	if err := firstErr(errs); err != nil {
+		return nil, err
 	}
 	return results, nil
+}
+
+// firstErr wraps the lowest replica's error, the one a replica-order
+// loop stops at.
+func firstErr(errs []error) error {
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("fleet: replica %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // kvLink returns the KV footprint of one block across the model and the

@@ -145,7 +145,7 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	if warm == 0 {
 		t.Error("the pick found no warm prefix; the probe walked no hash chain")
 	}
-	if _, err := finalize(ro.engines, nil); err != nil {
+	if _, err := finalize(fab, ro.engines, nil); err != nil {
 		t.Fatal(err)
 	}
 }

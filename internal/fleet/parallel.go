@@ -87,6 +87,7 @@ type handoffNote struct {
 type fabShard struct {
 	eng  *sim.Engine
 	tier int
+	slot int // index in its tier; worker slot%workers advances it
 	// notes buffers hand-off notifications in the shard's event order.
 	notes []handoffNote
 	// sawFinish is set by finish hooks during an advance; the
@@ -153,6 +154,7 @@ type fabCmd struct {
 	tier    int
 	mode    int
 	horizon sim.Time
+	each    func(replica int) // set: call it per replica instead (forEach)
 }
 
 // newFabric builds a fabric with the given worker budget. Tiers are
@@ -178,7 +180,7 @@ func (f *fabric) addTier(tier, replicas int) {
 	}
 	shards := make([]*fabShard, n)
 	for s := range shards {
-		shards[s] = &fabShard{eng: sim.NewEngine(), tier: tier}
+		shards[s] = &fabShard{eng: sim.NewEngine(), tier: tier, slot: s}
 	}
 	f.tiers[tier] = shards
 	f.shards = append(f.shards, shards...)
@@ -234,11 +236,40 @@ func (f *fabric) stopWorkers() {
 
 func (f *fabric) worker(w int, cmds <-chan fabCmd) {
 	for cmd := range cmds {
+		if cmd.each != nil {
+			for i, sh := range f.byRep {
+				if sh.slot%f.workers == w {
+					cmd.each(i)
+				}
+			}
+			f.done <- struct{}{}
+			continue
+		}
 		shards := f.tiers[cmd.tier]
 		for s := w; s < len(shards); s += f.workers {
 			shards[s].advance(cmd.mode, cmd.horizon)
 		}
 		f.done <- struct{}{}
+	}
+}
+
+// forEach calls fn once per replica. While the pool runs, each worker
+// takes the replicas of its own shards in index order, so fn may touch
+// only its replica's engine and result slots; otherwise the calls run
+// inline in replica order. Either way, replicas sharing a shard engine
+// see the same call order.
+func (f *fabric) forEach(fn func(replica int)) {
+	if f.cmds == nil {
+		for i := range f.byRep {
+			fn(i)
+		}
+		return
+	}
+	for _, c := range f.cmds {
+		c <- fabCmd{each: fn}
+	}
+	for range f.cmds {
+		<-f.done
 	}
 }
 

@@ -170,7 +170,9 @@ const (
 
 // FleetWorkersAuto requests automatic simulation-worker selection for
 // the parallel fleet runners: GOMAXPROCS workers on fleets of at least
-// fleet.AutoWorkerThreshold replicas, sequential below that.
+// fleet.AutoWorkerThreshold replicas, sequential below that. A
+// pre-sharded closed-loop fleet reads it, like 0, as one worker per
+// replica.
 const FleetWorkersAuto = fleet.WorkersAuto
 
 // FleetPolicies lists the registered dispatch policies.
