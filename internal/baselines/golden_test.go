@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/hw"
+	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -37,7 +39,8 @@ func sha256JSON(t *testing.T, v any) string {
 
 // TestBaselinesGolden runs every baseline method on a small trace,
 // queued at t=0 ("offline") and under a Poisson stream ("poisson"), on
-// memory tight enough to force recompute evictions, and compares the
+// memory tight enough to force recompute evictions, plus the two PP
+// baselines on a paper-scale A100 pipeline ("a100"), and compares the
 // output digests with the committed goldens. Regenerate with
 // `go test ./internal/baselines -run TestBaselinesGolden -update` only
 // when a change is meant to alter simulated output.
@@ -50,20 +53,33 @@ func TestBaselinesGolden(t *testing.T) {
 		{"poisson", workload.StampArrivals(smallTrace(400, 32), workload.Poisson{Rate: 200}, 33)},
 	}
 	got := map[string]baselineGolden{}
+	pin := func(name string, cfg Config, reqs []workload.Request) {
+		res, err := Run(cfg, reqs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got[name] = baselineGolden{
+			ReportSHA256:  sha256JSON(t, res.Report),
+			RecordsSHA256: sha256JSON(t, res.Records),
+			Recomputes:    res.Report.Recomputes,
+		}
+	}
 	for _, m := range Methods() {
 		for _, tr := range traces {
 			cfg := fastCfg(4, m)
 			cfg.MemUtilization = 0.0004
-			res, err := Run(cfg, tr.reqs)
-			if err != nil {
-				t.Fatalf("%v/%s: %v", m, tr.name, err)
-			}
-			got[m.String()+"/"+tr.name] = baselineGolden{
-				ReportSHA256:  sha256JSON(t, res.Report),
-				RecordsSHA256: sha256JSON(t, res.Records),
-				Recomputes:    res.Report.Recomputes,
-			}
+			pin(m.String()+"/"+tr.name, cfg, tr.reqs)
 		}
+	}
+	// The PP baselines' blocking send waits for the receiver's queue as
+	// it stands at send time. The tiny model above seldom makes that
+	// wait matter; the paper's A100 + Llama2-70B pipeline on a longer
+	// trace does, so a runtime that reserved a blocking pass's later
+	// stages before their sends (reading the queue too early) moves
+	// these digests.
+	a100 := workload.MustGenerate(workload.DefaultConfig(400, 34))
+	for _, m := range []Method{PPSB, PPHB} {
+		pin(m.String()+"/a100", DefaultConfig(hw.A100, model.Llama2_70B, 4, m), a100)
 	}
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "  ")
