@@ -9,8 +9,11 @@
 // Transfers occupy the link, not the GPU, so a stage's compute is
 // released before its activation lands on the next stage: the
 // "unblocked transmission" the hierarchy-controller exists to enable.
-// BlockingP2P restores the stock-vLLM rendezvous send the baselines
-// model.
+// Since GPUs and links are FIFO, a pass's whole schedule is known when
+// it is submitted, so the cluster reserves every stage then and the
+// pass costs one kernel event, its completion. BlockingP2P restores
+// the stock-vLLM rendezvous send the baselines model, which books each
+// stage when its input lands, one event per stage hop.
 package runtime
 
 import (
@@ -53,6 +56,9 @@ type Cluster struct {
 	// passFree heads the recycled pass-state free list; completed
 	// passes return here instead of the garbage collector.
 	passFree *pass
+	// head and tail hold the passes in flight in submission order,
+	// linked through pass.next, for Stall to re-time.
+	head, tail *pass
 
 	// slowdown scales every stage's compute time (straggler modeling
 	// for fault injection). Zero or one means nominal speed; the
@@ -146,10 +152,10 @@ func sharedPipeline(node hw.Node, spec model.Spec, world int) (pipeline, error) 
 // World returns the pipeline depth.
 func (c *Cluster) World() int { return len(c.GPUs) }
 
-// SetSlowdown scales all subsequent stage compute times by f — the
-// straggler knob of fault injection (f > 1 slows the node down). f <= 0
-// or f == 1 restores nominal speed. Call before the simulation runs for
-// a static straggler, or mid-run to model degradation windows.
+// SetSlowdown scales the stage compute times of passes submitted after
+// the call by f — the straggler knob of fault injection (f > 1 slows
+// the node down). f <= 0 or f == 1 restores nominal speed. Passes
+// already submitted keep the speed they were reserved at.
 func (c *Cluster) SetSlowdown(f float64) {
 	if f == 1 {
 		f = 0
@@ -161,10 +167,18 @@ func (c *Cluster) SetSlowdown(f float64) {
 // than at (later if a pass holds the device), without counting the span
 // as busy compute — downtime, not work. Crash/restart and checkpoint
 // serialization use it to push subsequent passes out in time.
+//
+// A pass in flight keeps the stages it has reached: stage 0, and every
+// stage whose input landed before at. Its later stages were reserved
+// at submission; Stall takes those reservations back, applies the
+// downtime, and reserves them again in submission order, so they run
+// after the stall exactly as if each had been booked when its input
+// landed. The pass then completes at its new End.
 func (c *Cluster) Stall(at sim.Time, dur float64) {
 	if dur <= 0 {
 		return
 	}
+	retime := c.unbook(at)
 	for i := range c.GPUs {
 		g := &c.GPUs[i]
 		from := g.FreeAt()
@@ -173,6 +187,43 @@ func (c *Cluster) Stall(at sim.Time, dur float64) {
 		}
 		g.Occupy(from + sim.Time(dur))
 	}
+	for p := retime; p != nil; p = p.next {
+		st := p.unreached(at)
+		c.reserve(p, st, p.stages[st].landed)
+	}
+}
+
+// unbook rewinds every reservation of a stage the instant at has not
+// reached and returns the first pass that has such a stage. Passes
+// reach each stage in submission order, so the stages a pass has not
+// reached are a suffix of its stages, no longer than the next pass's;
+// and the reservations they hold on each GPU and link are the latest
+// ones there. Walking the passes in order, each resource is rewound to
+// its mark from before its first unreached reservation. Blocking-P2P
+// passes reserve a stage only once its input has landed, so they hold
+// nothing to rewind.
+func (c *Cluster) unbook(at sim.Time) (first *pass) {
+	if c.BlockingP2P {
+		return nil
+	}
+	done := c.World() // stages from done on are rewound already
+	for p := c.head; p != nil; p = p.next {
+		st := p.unreached(at)
+		if st == c.World() {
+			continue
+		}
+		if first == nil {
+			first = p
+		}
+		for s := st; s < done; s++ {
+			c.GPUs[s].Rewind(p.stages[s].gpu)
+			if s < len(c.Links) {
+				c.Links[s].Rewind(p.stages[s].link)
+			}
+		}
+		done = min(done, st)
+	}
+	return first
 }
 
 // PassResult reports the completion of a full pipeline pass.
@@ -209,10 +260,29 @@ type pass struct {
 	chunkTokens, chunkCtx int
 	onDone                func(PassResult)
 	res                   PassResult
-	// starts[st] is when stage st began computing: with
-	// res.StageEnds[st], the busy interval passDone records for GPU st.
-	starts []sim.Time
-	next   *pass
+	stages                []stageBooking
+	// next links the in-flight list, or the free list once completed.
+	next *pass
+}
+
+// stageBooking is one stage's reservation: when the stage's input
+// landed and its compute began (with res.StageEnds, the busy interval
+// passDone records), and its GPU's and outgoing link's state before
+// the reservation, for Stall to rewind to.
+type stageBooking struct {
+	landed, start sim.Time
+	gpu, link     sim.Mark
+}
+
+// unreached returns the first stage whose input lands at or after at,
+// or the world size when the pass has reached every stage. Stage 0 is
+// reached at submission.
+func (p *pass) unreached(at sim.Time) int {
+	st := 1
+	for st < len(p.stages) && p.stages[st].landed < at {
+		st++
+	}
+	return st
 }
 
 // getPass takes a pass from the free list (or allocates one) and
@@ -230,10 +300,10 @@ func (c *Cluster) getPass(kind passKind, onDone func(PassResult)) *pass {
 	p.kind, p.onDone = kind, onDone
 	if cap(p.res.StageEnds) < c.World() {
 		p.res.StageEnds = make([]sim.Time, c.World()) //det:ignore hotalloc sized once per pooled pass, on its first use
-		p.starts = make([]sim.Time, c.World())        //det:ignore hotalloc sized once per pooled pass, on its first use
+		p.stages = make([]stageBooking, c.World())    //det:ignore hotalloc sized once per pooled pass, on its first use
 	} else {
 		p.res.StageEnds = p.res.StageEnds[:c.World()]
-		p.starts = p.starts[:c.World()]
+		p.stages = p.stages[:c.World()]
 	}
 	p.res.Start, p.res.End = 0, 0
 	return p
@@ -248,6 +318,19 @@ func (c *Cluster) putPass(p *pass) {
 	c.passFree = p
 }
 
+// launch appends p to the in-flight list and starts it at stage 0.
+//
+//det:hotpath
+func (c *Cluster) launch(p *pass, readyAt sim.Time) {
+	if c.tail == nil {
+		c.head = p
+	} else {
+		c.tail.next = p
+	}
+	c.tail = p
+	c.run(p, 0, readyAt)
+}
+
 // SubmitPrefill runs one prefill batch through every pipeline stage in
 // order, beginning no earlier than readyAt. Stage s+1 starts after
 // stage s's compute completes and the activation crosses link s (the
@@ -257,13 +340,17 @@ func (c *Cluster) putPass(p *pass) {
 // StageEnds slice, valid only during the callback. Submission returns
 // immediately; all effects happen in virtual time.
 //
-// Stages are reserved eagerly in submission order, which preserves FIFO
-// execution per GPU across interleaved passes — exactly the in-order
-// launch queue a real stream gives you.
+// Every stage is reserved here, eagerly, in submission order, which
+// preserves FIFO execution per GPU across interleaved passes — exactly
+// the in-order launch queue a real stream gives you. Each stage starts
+// at the later of its input's landing and its GPU's FreeAt, both known
+// now, since passes reach every stage in submission order. A Stall
+// that lands before a stage's input re-times that stage and the ones
+// after it, and the completion moves with them.
 func (c *Cluster) SubmitPrefill(b costmodel.PrefillBatch, readyAt sim.Time, onDone func(PassResult)) {
 	p := c.getPass(prefillPass, onDone)
 	p.prefill = b
-	c.runStage(p, 0, readyAt)
+	c.launch(p, readyAt)
 }
 
 // SubmitDecode is SubmitPrefill for one decode step over batch
@@ -274,7 +361,7 @@ func (c *Cluster) SubmitPrefill(b costmodel.PrefillBatch, readyAt sim.Time, onDo
 func (c *Cluster) SubmitDecode(batch, kvTokens int, readyAt sim.Time, onDone func(PassResult)) {
 	p := c.getPass(decodePass, onDone)
 	p.batch, p.kvTokens = batch, kvTokens
-	c.runStage(p, 0, readyAt)
+	c.launch(p, readyAt)
 }
 
 // SubmitHybrid is SubmitPrefill for one hybrid iteration: a decode step
@@ -283,85 +370,117 @@ func (c *Cluster) SubmitDecode(batch, kvTokens int, readyAt sim.Time, onDone fun
 func (c *Cluster) SubmitHybrid(decodeBatch, kvTokens, chunkTokens, chunkCtx int, readyAt sim.Time, onDone func(PassResult)) {
 	p := c.getPass(hybridPass, onDone)
 	p.batch, p.kvTokens, p.chunkTokens, p.chunkCtx = decodeBatch, kvTokens, chunkTokens, chunkCtx
-	c.runStage(p, 0, readyAt)
+	c.launch(p, readyAt)
 }
 
-// passNext continues a pass on its next stage once the activation has
-// landed (scheduled via AtFunc: ctx is the pass, a the stage).
+// passNext continues a blocking-P2P pass on its next stage once the
+// activation has landed (scheduled via AtFunc: ctx is the pass, a the
+// stage).
 //
 //det:hotpath
 func passNext(ctx any, st, _ int) {
 	p := ctx.(*pass)
-	p.c.runStage(p, st, p.c.Eng.Now())
+	p.c.run(p, st, p.c.Eng.Now())
 }
 
-// passDone fires the completion callback, records the pass's busy
-// intervals and recycles the pass. The intervals are recorded after
-// the callback, which may raise the recorder's fold watermark to this
-// instant. Passes complete in submission order and run FIFO on every
-// GPU, so each GPU still receives its intervals in start order.
+// passDone completes the pass at the head of the in-flight list: it
+// fires the completion callback, records the pass's busy intervals and
+// recycles the pass. If a Stall moved the pass's End after this event
+// was scheduled, it re-arms at the new End instead. The intervals are
+// recorded after the callback, which may raise the recorder's fold
+// watermark to this instant. Passes complete in submission order and
+// run FIFO on every GPU, so each GPU still receives its intervals in
+// start order.
 //
 //det:hotpath
 func passDone(ctx any, _, _ int) {
 	p := ctx.(*pass)
+	c := p.c
+	if c.Eng.Now() < p.res.End {
+		c.Eng.AtFunc(p.res.End, passDone, p, 0, 0)
+		return
+	}
+	c.head = p.next
+	if c.head == nil {
+		c.tail = nil
+	}
 	if p.onDone != nil {
 		p.onDone(p.res)
 	}
-	for st, start := range p.starts {
-		p.c.Rec.Add(st, float64(start), float64(p.res.StageEnds[st]))
+	for st := range p.stages {
+		c.Rec.Add(st, float64(p.stages[st].start), float64(p.res.StageEnds[st]))
 	}
-	p.c.putPass(p)
+	c.putPass(p)
 }
 
-// runStage reserves stage st's GPU for the pass's compute and, except
-// on the last stage, the link that forwards its activations: the
-// prefill tokens, the decode batch's one token per sequence, or both
-// for a hybrid pass. The last stage forwards nothing; its output goes
-// back to the scheduler as metadata, which the paper treats as
-// negligible RPC traffic.
+// run reserves the pass's stages from st on, stage st's input landing
+// at landed, and schedules the completion once the last is reserved.
 //
 //det:hotpath
-func (c *Cluster) runStage(p *pass, st int, arrival sim.Time) {
-	var dur float64
-	var send int
-	switch p.kind {
-	case prefillPass:
-		dur, send = c.Cost.PrefillStage(c.Plan, st, p.prefill), p.prefill.Tokens
-	case decodePass:
-		dur, send = c.Cost.DecodeStage(c.Plan, st, p.batch, p.kvTokens), p.batch
-	default:
-		dur = c.Cost.HybridStage(c.Plan, st, p.batch, p.kvTokens, p.chunkTokens, p.chunkCtx)
-		send = p.batch + p.chunkTokens
+func (c *Cluster) run(p *pass, st int, landed sim.Time) {
+	if c.reserve(p, st, landed) {
+		c.Eng.AtFunc(p.res.End, passDone, p, 0, 0)
 	}
-	if c.slowdown > 0 {
-		dur *= c.slowdown
-	}
-	start, end := c.GPUs[st].Acquire(arrival, dur, nil)
-	p.starts[st] = start
-	if st == 0 {
-		p.res.Start = start
-	}
-	p.res.StageEnds[st] = end
-	if st == c.World()-1 {
-		p.res.End = end
-		c.Eng.AtFunc(end, passDone, p, 0, 0)
-		return
-	}
-	// Transfer occupies the link; compute of the next stage begins
-	// when the payload lands.
-	xfer := c.Cost.P2PActivation(send)
-	xferReady := end
-	if c.BlockingP2P {
-		// Rendezvous send: wait for the receiver to drain its queue,
-		// and stall the sender (unavailable, not busy) until the
-		// payload is delivered.
-		if recvFree := c.GPUs[st+1].FreeAt(); recvFree > xferReady {
-			xferReady = recvFree
+}
+
+// reserve books stage st's GPU for the pass's compute and, except on
+// the last stage, the link that forwards its activations: the prefill
+// tokens, the decode batch's one token per sequence, or both for a
+// hybrid pass. The last stage forwards nothing; its output goes back
+// to the scheduler as metadata, which the paper treats as negligible
+// RPC traffic. With asynchronous P2P it goes on to book every later
+// stage and reports true. A blocking send depends on the receiver's
+// queue at send time, so in BlockingP2P mode it books one stage,
+// schedules the next hop at the landing and reports whether that
+// stage was the last.
+//
+//det:hotpath
+func (c *Cluster) reserve(p *pass, st int, landed sim.Time) bool {
+	for {
+		var dur float64
+		var send int
+		switch p.kind {
+		case prefillPass:
+			dur, send = c.Cost.PrefillStage(c.Plan, st, p.prefill), p.prefill.Tokens
+		case decodePass:
+			dur, send = c.Cost.DecodeStage(c.Plan, st, p.batch, p.kvTokens), p.batch
+		default:
+			dur = c.Cost.HybridStage(c.Plan, st, p.batch, p.kvTokens, p.chunkTokens, p.chunkCtx)
+			send = p.batch + p.chunkTokens
 		}
+		if c.slowdown > 0 {
+			dur *= c.slowdown
+		}
+		b := &p.stages[st]
+		b.landed, b.gpu = landed, c.GPUs[st].Mark()
+		start, end := c.GPUs[st].Acquire(landed, dur, nil)
+		b.start = start
+		if st == 0 {
+			p.res.Start = start
+		}
+		p.res.StageEnds[st] = end
+		if st == c.World()-1 {
+			p.res.End = end
+			return true
+		}
+		// Transfer occupies the link; compute of the next stage begins
+		// when the payload lands.
+		xferReady := end
+		if c.BlockingP2P {
+			// Rendezvous send: wait for the receiver to drain its
+			// queue, and stall the sender (unavailable, not busy)
+			// until the payload is delivered.
+			if recvFree := c.GPUs[st+1].FreeAt(); recvFree > xferReady {
+				xferReady = recvFree
+			}
+		}
+		b.link = c.Links[st].Mark()
+		_, landed = c.Links[st].Acquire(xferReady, c.Cost.P2PActivation(send), nil)
+		if c.BlockingP2P {
+			c.GPUs[st].Occupy(landed)
+			c.Eng.AtFunc(landed, passNext, p, st+1, 0)
+			return false
+		}
+		st++
 	}
-	_, landed := c.Links[st].Acquire(xferReady, xfer, nil)
-	if c.BlockingP2P {
-		c.GPUs[st].Occupy(landed)
-	}
-	c.Eng.AtFunc(landed, passNext, p, st+1, 0)
 }

@@ -148,6 +148,52 @@ func TestSubmitDecodeMatchesDecodeTask(t *testing.T) {
 	}
 }
 
+// A slowdown applies to the passes submitted after the call: a pass
+// already in flight keeps the speed its stages were reserved at, even
+// for stages its input has not reached yet.
+func TestSlowdownAppliesToLaterSubmissions(t *testing.T) {
+	c := newTestCluster(t, 3)
+	end := func(start sim.Time, slow float64) sim.Time {
+		at := start
+		for st := 0; st < 3; st++ {
+			if st > 0 {
+				at += sim.Time(c.Cost.P2PActivation(8))
+			}
+			at += sim.Time(c.Cost.DecodeStage(c.Plan, st, 8, 960) * slow)
+		}
+		return at
+	}
+	var before, after PassResult
+	c.SubmitDecode(8, 960, 0, func(r PassResult) { before = r })
+	c.SetSlowdown(2)
+	c.SubmitDecode(8, 960, 1, func(r PassResult) { after = r })
+	c.Eng.Run()
+	if want := end(0, 1); before.End != want {
+		t.Errorf("pass submitted before SetSlowdown ended at %v, want nominal %v", before.End, want)
+	}
+	if want := end(1, 2); after.End != want {
+		t.Errorf("pass submitted after SetSlowdown(2) ended at %v, want %v", after.End, want)
+	}
+}
+
+// With asynchronous P2P a pass costs one kernel event, its completion,
+// however deep the pipeline; a blocking-P2P pass adds one per stage hop.
+func TestPassCostsOneEvent(t *testing.T) {
+	for _, blocking := range []bool{false, true} {
+		c := newTestCluster(t, 4)
+		c.BlockingP2P = blocking
+		c.SubmitDecode(16, 1600, 0, nil)
+		c.Eng.Run()
+		want := uint64(1)
+		if blocking {
+			want = uint64(c.World())
+		}
+		if got := c.Eng.Steps(); got != want {
+			t.Errorf("blocking %v: a 4-stage decode pass took %d kernel events, want %d", blocking, got, want)
+		}
+	}
+}
+
 func TestSubmitPassChainsStages(t *testing.T) {
 	c := newTestCluster(t, 4)
 	var res PassResult

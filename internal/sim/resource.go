@@ -34,6 +34,21 @@ func (r *Resource) Occupy(until Time) {
 	}
 }
 
+// Mark is a resource's reservation state at one moment: when it next
+// becomes free and its busy time so far.
+type Mark struct {
+	freeAt Time
+	busy   Duration
+}
+
+// Mark returns the resource's current reservation state.
+func (r *Resource) Mark() Mark { return Mark{r.freeAt, r.busy} }
+
+// Rewind restores the state m recorded, undoing every Acquire and
+// Occupy since. The fields are restored, not recomputed, so the busy
+// time is bit-identical to what it was when m was taken.
+func (r *Resource) Rewind(m Mark) { r.freeAt, r.busy = m.freeAt, m.busy }
+
 // Acquire reserves the resource for dur seconds starting no earlier than
 // readyAt, queueing FIFO behind prior work. It returns the start and end
 // of the reserved interval and schedules done (if non-nil) at the end.

@@ -230,6 +230,28 @@ func TestResourceCompletionCallback(t *testing.T) {
 	}
 }
 
+// Rewind restores the marked state exactly, where subtracting the
+// undone work would not: 0.1 + 0.2 - 0.2 is not 0.1 in float64.
+func TestResourceRewindIsExact(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "gpu0")
+	r.Acquire(0, 0.1, nil)
+	m := r.Mark()
+	free, busy := r.FreeAt(), r.BusyTime()
+	r.Acquire(0, 0.2, nil)
+	r.Occupy(5)
+	if busy+0.2-0.2 == busy {
+		t.Fatal("durations no longer show float rounding; pick others")
+	}
+	r.Rewind(m)
+	if r.FreeAt() != free || r.BusyTime() != busy {
+		t.Errorf("rewound to free %v busy %v, want %v and %v", r.FreeAt(), r.BusyTime(), free, busy)
+	}
+	if s, _ := r.Acquire(0, 1, nil); s != free {
+		t.Errorf("first reservation after the rewind starts at %v, want %v", s, free)
+	}
+}
+
 // Property: however events are scheduled, they execute in nondecreasing
 // time order and the engine clock never moves backwards.
 func TestEventOrderProperty(t *testing.T) {
