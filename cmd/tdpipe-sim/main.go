@@ -73,7 +73,11 @@
 // Profiling: -cpuprofile/-memprofile write pprof profiles of the run,
 // so hot-path regressions can be diagnosed against the simulator
 // binary itself (go tool pprof tdpipe-sim cpu.out). The tdpipe
-// scheduler also prints the kernel event rate (steps/s).
+// scheduler also prints the kernel event rate (steps/s). An event is
+// a unit of kernel work, not of served work: a TD-Pipe pipeline pass
+// costs one event however many stages it has (the baselines' blocking
+// passes cost one per stage hop), so compare runs by wall time, and
+// steps/s only between builds that count events the same way.
 package main
 
 import (

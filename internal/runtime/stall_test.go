@@ -8,9 +8,9 @@ import (
 )
 
 // stageTimes are one decode pass's per-stage timings through an idle
-// world-stage pipeline: input landing, compute start and end.
+// pipeline: input landing, which is also the compute start, and end.
 type stageTimes struct {
-	landed, start, end []sim.Time
+	landed, end []sim.Time
 }
 
 // idlePass times a decode pass submitted at 0 on an idle cluster by
@@ -23,7 +23,6 @@ func idlePass(c *Cluster, batch, kv int) stageTimes {
 			at += sim.Time(c.Cost.P2PActivation(batch))
 		}
 		t.landed = append(t.landed, at)
-		t.start = append(t.start, at)
 		at += sim.Time(c.Cost.DecodeStage(c.Plan, st, batch, kv))
 		t.end = append(t.end, at)
 	}
@@ -45,7 +44,7 @@ func TestStallRetimesUnreachedStages(t *testing.T) {
 	nominal := idlePass(newTestCluster(t, world), batch, kv)
 	// The first stall lands mid-way through stage 1's compute, so
 	// stages 0 and 1 are reached and stages 2 and 3 are not.
-	first := stall{at: (nominal.start[1] + nominal.end[1]) / 2, dur: 0.5}
+	first := stall{at: (nominal.landed[1] + nominal.end[1]) / 2, dur: 0.5}
 	resume := first.at + sim.Time(first.dur)
 	cases := []struct {
 		name   string
@@ -60,7 +59,7 @@ func TestStallRetimesUnreachedStages(t *testing.T) {
 			want: func(d []float64, x float64) []sim.Time {
 				s2 := resume // stage 2's input lands inside the downtime
 				s3 := s2 + sim.Time(d[2]) + sim.Time(x)
-				return []sim.Time{0, nominal.start[1], s2, s3}
+				return []sim.Time{0, nominal.landed[1], s2, s3}
 			},
 		},
 		{
@@ -72,7 +71,7 @@ func TestStallRetimesUnreachedStages(t *testing.T) {
 			want: func(d []float64, x float64) []sim.Time {
 				s2 := resume
 				s3 := resume + sim.Time(0.25)
-				return []sim.Time{0, nominal.start[1], s2, s3}
+				return []sim.Time{0, nominal.landed[1], s2, s3}
 			},
 		},
 		{
@@ -87,7 +86,7 @@ func TestStallRetimesUnreachedStages(t *testing.T) {
 			want: func(d []float64, x float64) []sim.Time {
 				s2 := resume + sim.Time(0.25)
 				s3 := s2 + sim.Time(d[2]) + sim.Time(x)
-				return []sim.Time{0, nominal.start[1], s2, s3}
+				return []sim.Time{0, nominal.landed[1], s2, s3}
 			},
 		},
 	}
