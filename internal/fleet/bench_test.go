@@ -83,9 +83,9 @@ func BenchmarkOnlineFleetInactivePolicy(b *testing.B) {
 // workers=1 leg is the sequential baseline (identical algorithm, no
 // goroutines); higher legs shard the fleet across cores while staying
 // byte-identical. steps/s reports total simulator events processed
-// per wall-clock second. It measures the kernel's rate, not served
-// work: since a pipeline pass became one event instead of one per
-// stage hop, steps/s fell about 4× at world 4 while ns/op fell too.
+// per wall-clock second. It is the kernel's rate, not served work: a
+// pipeline pass is one event however many stages it has, so compare
+// builds that count events differently by ns/op.
 func BenchmarkOnlineFleetParallel(b *testing.B) {
 	reqs := workload.StampArrivals(workload.MustGenerate(workload.DefaultConfig(4000, 1)), workload.Poisson{Rate: 400}, 7)
 	for _, workers := range []int{1, 2, 4, 8} {
