@@ -2,8 +2,9 @@
 // execution times using a roofline model: a pass over a set of layers
 // takes max(compute time, memory time) plus fixed kernel overheads.
 //
-// This is the substitute for running CUDA kernels (see DESIGN.md): the
-// schedulers only ever observe durations, and the roofline reproduces
+// This is the substitute for running CUDA kernels, which this
+// simulator has no GPU to run: the schedulers only ever observe
+// durations, and the roofline reproduces
 // the two regimes the paper's design exploits — prefill saturates
 // compute at tiny batch sizes while decode is bound by weight/KV-cache
 // bandwidth until batch sizes reach the hundreds (paper §2.1, Fig. 10).

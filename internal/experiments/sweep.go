@@ -9,9 +9,9 @@ import (
 	"repro/internal/model"
 )
 
-// Design-choice sweeps: ablation benches for the knobs DESIGN.md calls
-// out beyond the paper's own figures — the TD-Pipe prefill batch size
-// and the chunked-prefill token budget of the hybrid baselines.
+// Design-choice sweeps: ablation benches for two knobs beyond the
+// paper's own figures — the TD-Pipe prefill batch size and the
+// chunked-prefill token budget of the hybrid baselines.
 
 // SweepRow is one setting of a sweep.
 type SweepRow struct {

@@ -9,9 +9,18 @@ import (
 // BenchmarkTrain measures classifier fitting over a paper-scale
 // historical split; the paper calls its predictor overhead negligible
 // (< 0.16% of processing time), so training must stay cheap.
-func BenchmarkTrain(b *testing.B) {
+func BenchmarkTrain(b *testing.B) { benchTrain(b, 5000) }
+
+// BenchmarkTrainPool measures classifier fitting at the largest set-up
+// tdpipe-bench pays: the 36,000-row training split of disagg-chaos's
+// 60,000-request pool.
+func BenchmarkTrainPool(b *testing.B) { benchTrain(b, 60000) }
+
+// benchTrain times Train on the 60% training split of a pool of the
+// given size.
+func benchTrain(b *testing.B, pool int) {
 	b.ReportAllocs()
-	reqs := workload.MustGenerate(workload.DefaultConfig(5000, 1))
+	reqs := workload.MustGenerate(workload.DefaultConfig(pool, 1))
 	train, _, _, err := workload.Split(reqs, 0.6, 0.2)
 	if err != nil {
 		b.Fatal(err)

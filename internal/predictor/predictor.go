@@ -3,8 +3,9 @@
 // over five percentile bins [P0,P25), [P25,P50), [P50,P75), [P75,P99),
 // [P99,∞) of historical output lengths. The paper fine-tunes BERT and
 // feeds the [CLS] hidden state to a 2-layer head; here the prompt
-// embedding is provided by the workload generator (see DESIGN.md) and
-// the head is a multinomial logistic regression trained by SGD. The
+// embedding is the workload generator's noisy topic centroid plus
+// normalized prompt length (workload.Request.Features), and the head
+// is a multinomial logistic regression trained by SGD. The
 // engine consumes only the predicted bin's mean length, exactly as in
 // the paper.
 package predictor
@@ -85,14 +86,20 @@ func (b Bins) BinOf(outputLen int) int {
 type Classifier struct {
 	bins Bins
 	dim  int
-	// w is row-major [NumBins][dim+1] with the bias in the last column.
-	w [][]float64
+	// w is [dim+1][NumBins]: row d holds feature d's weight for every
+	// class and row dim holds the biases, so one sequential pass over
+	// w scores (or updates) all classes side by side.
+	w [][NumBins]float64
 	// calib scales point estimates so that predicted totals match
 	// actual totals on the training set. Without it, systematic
 	// misclassification bias would not cancel within a batch and the
 	// accumulated error (Fig. 14) would plateau instead of shrinking.
 	calib float64
 }
+
+// softmax and Train spell the classes out one by one; this fails to
+// compile if NumBins changes.
+var _ = [1]struct{}{}[NumBins-5]
 
 // TrainConfig controls SGD.
 type TrainConfig struct {
@@ -108,59 +115,71 @@ func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{Epochs: 30, LR: 0.15, L2: 1e-4, Seed: 1}
 }
 
-// Train fits bins and classifier on historical requests.
+// Train fits bins and classifier on historical requests. Every request
+// must carry as many features as the first; a ragged set is rejected
+// before any SGD runs.
 func Train(train []workload.Request, cfg TrainConfig) (*Classifier, error) {
 	if len(train) == 0 {
 		return nil, fmt.Errorf("predictor: empty training set")
 	}
+	// Copy the features row-major into one block, so the epochs read
+	// memory sequentially instead of chasing each request's slice.
+	dim := len(train[0].Features)
+	x := make([]float64, len(train)*dim)
 	outputs := make([]int, len(train))
 	for i, r := range train {
+		if len(r.Features) != dim {
+			return nil, fmt.Errorf("predictor: request %d has feature dim %d, want %d", i, len(r.Features), dim)
+		}
+		copy(x[i*dim:], r.Features)
 		outputs[i] = r.OutputLen
 	}
 	bins, err := FitBins(outputs)
 	if err != nil {
 		return nil, err
 	}
-	dim := len(train[0].Features)
-	c := &Classifier{bins: bins, dim: dim, w: make([][]float64, NumBins)}
-	for k := range c.w {
-		c.w[k] = make([]float64, dim+1)
+	labels := make([]int, len(train))
+	for i, o := range outputs {
+		labels[i] = bins.BinOf(o)
 	}
+	c := &Classifier{bins: bins, dim: dim, w: make([][NumBins]float64, dim+1)}
+	row := func(i int) []float64 { return x[i*dim : (i+1)*dim : (i+1)*dim] }
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	idx := make([]int, len(train))
 	for i := range idx {
 		idx[i] = i
 	}
-	probs := make([]float64, NumBins)
+	w, bias := c.w[:dim], &c.w[dim]
+	var g [NumBins]float64
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		lr := cfg.LR / (1 + 0.1*float64(ep))
 		for _, i := range idx {
-			r := train[i]
-			if len(r.Features) != dim {
-				return nil, fmt.Errorf("predictor: feature dim %d != %d", len(r.Features), dim)
+			xi := row(i)
+			c.softmax(xi, &g)
+			g[labels[i]] -= 1
+			// Each weight's update keeps the row-major loop's
+			// expression, so the trained weights stay bit-identical
+			// (testdata/train_golden.json).
+			for d, xd := range xi {
+				wd := &w[d]
+				wd[0] -= lr * (g[0]*xd + cfg.L2*wd[0])
+				wd[1] -= lr * (g[1]*xd + cfg.L2*wd[1])
+				wd[2] -= lr * (g[2]*xd + cfg.L2*wd[2])
+				wd[3] -= lr * (g[3]*xd + cfg.L2*wd[3])
+				wd[4] -= lr * (g[4]*xd + cfg.L2*wd[4])
 			}
-			y := bins.BinOf(r.OutputLen)
-			c.softmax(r.Features, probs)
-			for k := 0; k < NumBins; k++ {
-				g := probs[k]
-				if k == y {
-					g -= 1
-				}
-				wk := c.w[k]
-				for d := 0; d < dim; d++ {
-					wk[d] -= lr * (g*r.Features[d] + cfg.L2*wk[d])
-				}
-				wk[dim] -= lr * g
+			for k := range bias {
+				bias[k] -= lr * g[k]
 			}
 		}
 	}
 	// Total-length bias correction on the training set.
 	var predSum, actSum float64
-	for _, r := range train {
-		predSum += c.bins.Mean[c.PredictBin(r)]
-		actSum += float64(r.OutputLen)
+	for i, o := range outputs {
+		predSum += c.bins.Mean[c.predictBin(row(i))]
+		actSum += float64(o)
 	}
 	c.calib = 1
 	if predSum > 0 {
@@ -175,15 +194,28 @@ func Train(train []workload.Request, cfg TrainConfig) (*Classifier, error) {
 	return c, nil
 }
 
-// softmax fills out with class probabilities for features x.
-func (c *Classifier) softmax(x []float64, out []float64) {
+// softmax fills out with class probabilities for features x. Features
+// past dim are ignored.
+//
+//det:hotpath
+func (c *Classifier) softmax(x []float64, out *[NumBins]float64) {
+	if len(x) > c.dim {
+		x = x[:c.dim]
+	}
+	w := c.w[:len(x)]
+	b := &c.w[c.dim]
+	s0, s1, s2, s3, s4 := b[0], b[1], b[2], b[3], b[4]
+	for d, xd := range x {
+		wd := &w[d]
+		s0 += wd[0] * xd
+		s1 += wd[1] * xd
+		s2 += wd[2] * xd
+		s3 += wd[3] * xd
+		s4 += wd[4] * xd
+	}
+	*out = [NumBins]float64{s0, s1, s2, s3, s4}
 	max := math.Inf(-1)
-	for k := 0; k < NumBins; k++ {
-		s := c.w[k][c.dim]
-		for d := 0; d < c.dim && d < len(x); d++ {
-			s += c.w[k][d] * x[d]
-		}
-		out[k] = s
+	for _, s := range out {
 		if s > max {
 			max = s
 		}
@@ -198,10 +230,12 @@ func (c *Classifier) softmax(x []float64, out []float64) {
 	}
 }
 
-// PredictBin returns the most likely bin for a request.
-func (c *Classifier) PredictBin(r workload.Request) int {
-	probs := make([]float64, NumBins)
-	c.softmax(r.Features, probs)
+// predictBin returns the most likely bin for features x.
+//
+//det:hotpath
+func (c *Classifier) predictBin(x []float64) int {
+	var probs [NumBins]float64
+	c.softmax(x, &probs)
 	best := 0
 	for k := 1; k < NumBins; k++ {
 		if probs[k] > probs[best] {
@@ -211,11 +245,18 @@ func (c *Classifier) PredictBin(r workload.Request) int {
 	return best
 }
 
+// PredictBin returns the most likely bin for a request.
+//
+//det:hotpath
+func (c *Classifier) PredictBin(r workload.Request) int { return c.predictBin(r.Features) }
+
 // PredictLen returns the point estimate of the request's output length:
 // the mean training length of the predicted bin (paper §3.3),
 // bias-corrected so batch totals are unbiased.
+//
+//det:hotpath
 func (c *Classifier) PredictLen(r workload.Request) int {
-	l := int(c.bins.Mean[c.PredictBin(r)] * c.calib)
+	l := int(c.bins.Mean[c.predictBin(r.Features)] * c.calib)
 	if l < 1 {
 		l = 1
 	}

@@ -197,8 +197,23 @@ func TestTrainDeterministic(t *testing.T) {
 func TestTrainRejectsDimMismatch(t *testing.T) {
 	reqs := workload.MustGenerate(workload.DefaultConfig(100, 5))
 	reqs[50].Features = reqs[50].Features[:3]
-	if _, err := Train(reqs, DefaultTrainConfig()); err == nil {
-		t.Error("dimension mismatch accepted")
+	reqs[70].Features = nil
+	_, err := Train(reqs, DefaultTrainConfig())
+	if err == nil {
+		t.Fatal("dimension mismatch accepted")
+	}
+	// The check runs over the rows in index order before any SGD, so
+	// it names the first bad row, not the first one the shuffle visits.
+	if want := "predictor: request 50 has feature dim 3, want 17"; err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
+	}
+}
+
+// The engine predicts at every admission; PredictLen must not allocate.
+func TestPredictLenAllocFree(t *testing.T) {
+	c, _, test := trainedClassifier(t, 2000, 4)
+	if a := testing.AllocsPerRun(100, func() { _ = c.PredictLen(test[0]) }); a != 0 {
+		t.Errorf("PredictLen allocates %v times per call, want 0", a)
 	}
 }
 

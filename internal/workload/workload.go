@@ -132,6 +132,11 @@ func Generate(cfg Config) ([]Request, error) {
 		baseLog[t] = 3.2 + 2.6*float64(t)/float64(cfg.Topics-1)
 	}
 
+	// Every request's features are carved out of one block. Each slice
+	// is capped at its own length, so an append on one request copies
+	// instead of overwriting its neighbour's features.
+	fd := cfg.FeatureDim + 1
+	slab := make([]float64, cfg.N*fd)
 	reqs := make([]Request, cfg.N)
 	for i := range reqs {
 		topic := rng.Intn(cfg.Topics)
@@ -141,7 +146,7 @@ func Generate(cfg Config) ([]Request, error) {
 		mu := baseLog[topic] + 0.15*(math.Log(float64(in))-cfg.InputLogMean)
 		out := clampInt(int(math.Exp(rng.NormFloat64()*cfg.OutputLogStd+mu)), 1, cfg.MaxOutputLen)
 
-		feat := make([]float64, cfg.FeatureDim+1)
+		feat := slab[i*fd : (i+1)*fd : (i+1)*fd]
 		for d := 0; d < cfg.FeatureDim; d++ {
 			feat[d] = centroids[topic][d] + rng.NormFloat64()*cfg.FeatureNoise
 		}

@@ -288,3 +288,25 @@ func TestGenerateBoundsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Generate carves every request's features out of one block; each
+// slice must be capped at its own length so an append on one request
+// cannot overwrite its neighbour.
+func TestGenerateFeaturesCapped(t *testing.T) {
+	reqs := MustGenerate(DefaultConfig(3, 8))
+	next := append([]float64(nil), reqs[1].Features...)
+	for i, r := range reqs {
+		if cap(r.Features) != len(r.Features) {
+			t.Fatalf("request %d features: cap %d, len %d", i, cap(r.Features), len(r.Features))
+		}
+	}
+	grown := append(reqs[0].Features, 42)
+	if &grown[0] == &reqs[0].Features[0] {
+		t.Error("append on request 0's features grew in place")
+	}
+	for d, v := range reqs[1].Features {
+		if v != next[d] {
+			t.Fatalf("append on request 0 overwrote request 1's feature %d: %v, want %v", d, v, next[d])
+		}
+	}
+}
