@@ -39,9 +39,10 @@ func sha256JSON(t *testing.T, v any) string {
 
 // TestBaselinesGolden runs every baseline method on a small trace,
 // queued at t=0 ("offline") and under a Poisson stream ("poisson"), on
-// memory tight enough to force recompute evictions, plus the two PP
-// baselines on a paper-scale A100 pipeline ("a100"), and compares the
-// output digests with the committed goldens. Regenerate with
+// memory tight enough to force recompute evictions, again with small
+// batch and chunk caps ("tight"), plus the two PP baselines on a
+// paper-scale A100 pipeline ("a100"), and compares the output digests
+// with the committed goldens. Regenerate with
 // `go test ./internal/baselines -run TestBaselinesGolden -update` only
 // when a change is meant to alter simulated output.
 func TestBaselinesGolden(t *testing.T) {
@@ -70,6 +71,23 @@ func TestBaselinesGolden(t *testing.T) {
 			cfg.MemUtilization = 0.0004
 			pin(m.String()+"/"+tr.name, cfg, tr.reqs)
 		}
+	}
+	// "tight" caps the decode batch and the chunk budget below what the
+	// trace asks for, and gives every 7th request a single output token,
+	// so TP+SB hits MaxBatch and a one-token request finishes the moment
+	// its last prefill chunk lands.
+	tight := smallTrace(400, 35)
+	for i := range tight {
+		if i%7 == 0 {
+			tight[i].OutputLen = 1
+		}
+	}
+	for _, m := range Methods() {
+		cfg := fastCfg(4, m)
+		cfg.MemUtilization = 0.0004
+		cfg.ChunkTokens = 32
+		cfg.MaxBatch = 16
+		pin(m.String()+"/tight", cfg, tight)
 	}
 	// The PP baselines' blocking send waits for the receiver's queue as
 	// it stands at send time. The tiny model above seldom makes that
