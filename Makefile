@@ -98,7 +98,7 @@ sloc:
 	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
 	while read -r pkg files; do \
 		[ -n "$$files" ] && printf '%6d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
-	done; true
+	done | awk '{ print; n += $$1 } END { printf "%6d  total\n", n }'
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGenerateSplitInvariants -fuzztime=$(FUZZTIME) ./internal/workload/

@@ -227,11 +227,6 @@ func Run(cfg Config, reqs []workload.Request) (*Result, error) {
 		}
 		states[i] = &reqState{req: r, prefillLen: r.InputLen, arrival: sim.Time(r.ArrivalTime)}
 	}
-	var runner interface {
-		run() (sim.Time, error)
-		recorder() *metrics.Recorder
-		recomputes() int
-	}
 	base := &common{cfg: cfg, kv: kv, states: states}
 	// Requests due at t=0 form the initial waiting queue (the whole
 	// trace in the offline regime); the rest are admitted only once
@@ -246,16 +241,17 @@ func Run(cfg Config, reqs []workload.Request) (*Result, error) {
 	sort.SliceStable(base.pending, func(a, b int) bool {
 		return states[base.pending[a]].arrival < states[base.pending[b]].arrival
 	})
+	var run func() (sim.Time, error)
 	if cfg.Method.IsTP() {
-		runner = newTPRunner(base)
+		run = newTPRunner(base).run
 	} else {
 		r, err := newPPRunner(base)
 		if err != nil {
 			return nil, err
 		}
-		runner = r
+		run = r.run
 	}
-	end, err := runner.run()
+	end, err := run()
 	if err != nil {
 		return nil, err
 	}
@@ -279,20 +275,23 @@ func Run(cfg Config, reqs []workload.Request) (*Result, error) {
 			OutputTokens: st.generated,
 		}
 	}
-	rec := runner.recorder()
-	rep.MeanUtilization = rec.MeanUtilization(0, float64(end))
+	rep.MeanUtilization = base.rec.MeanUtilization(0, float64(end))
 	rep.BubbleRatio = 1 - rep.MeanUtilization
-	rep.Recomputes = runner.recomputes()
+	rep.Recomputes = base.nRecompute
 	rep.KVPeakUsage = float64(kv.PeakBlocks()) / float64(kv.CapacityBlocks())
 	rep.Latency = metrics.Digest(records, cfg.SLO)
-	return &Result{Report: rep, Rec: rec, Records: records}, nil
+	return &Result{Report: rep, Rec: base.rec, Records: records}, nil
 }
 
-// common holds scheduler-independent state.
+// common holds scheduler-independent state and the batching core both
+// runners share: admission, chunked-prefill promotion and the recompute
+// decode loop.
 type common struct {
 	cfg    Config
 	kv     *kvcache.Manager
 	states []*reqState
+	// rec records GPU busy time; the runner's constructor sets it.
+	rec *metrics.Recorder
 	// waiting holds admitted (arrived) requests awaiting prefill: a
 	// ring-buffer deque so eviction-recompute front-insertions are O(1).
 	waiting deque.Int
@@ -311,21 +310,36 @@ func (c *common) admitDue(t sim.Time) {
 	}
 }
 
+// admitHead allocates KV for the waiting queue's head and pops it. It
+// reports false, leaving the queue as it is, if the queue is empty or
+// the head does not fit.
+func (c *common) admitHead() (id int, ok bool) {
+	if c.waiting.Len() == 0 {
+		return 0, false
+	}
+	id = c.waiting.Front()
+	st := c.states[id]
+	if !c.kv.CanAllocate(st.prefillLen) {
+		return 0, false
+	}
+	if err := c.kv.Allocate(id, st.prefillLen); err != nil {
+		return 0, false
+	}
+	c.waiting.PopFront()
+	st.evicted = false
+	return id, true
+}
+
 // admitPrefill packs the next separate-batching prefill batch from the
 // waiting queue, allocating KV. Returns nil if nothing fits.
 func (c *common) admitPrefill() (ids []int, lens []int) {
 	tokens := 0
-	for c.waiting.Len() > 0 && tokens < c.cfg.MaxPrefillTokens && len(ids) < c.cfg.MaxBatch {
-		id := c.waiting.Front()
+	for tokens < c.cfg.MaxPrefillTokens && len(ids) < c.cfg.MaxBatch {
+		id, ok := c.admitHead()
+		if !ok {
+			break
+		}
 		st := c.states[id]
-		if !c.kv.CanAllocate(st.prefillLen) {
-			break
-		}
-		if err := c.kv.Allocate(id, st.prefillLen); err != nil {
-			break
-		}
-		c.waiting.PopFront()
-		st.evicted = false
 		ids = append(ids, id)
 		lens = append(lens, st.prefillLen)
 		tokens += st.prefillLen
@@ -357,17 +371,88 @@ func (c *common) completePrefill(ids []int, t sim.Time) []int {
 	return live
 }
 
+// admitChunks spends a hybrid iteration's prefill budget: first on the
+// requests in partial, oldest first, then on fresh admissions, which it
+// appends to partial. It returns the chunk tokens and the cached context
+// those chunks re-read. The chunks count as prefilled at once;
+// promoteChunks applies their completion.
+func (c *common) admitChunks(partial *[]int, budget int) (chunkTokens, chunkCtx int) {
+	for _, id := range *partial {
+		if budget <= 0 {
+			break
+		}
+		st := c.states[id]
+		take := min(st.prefillLen-st.prefilled, budget)
+		chunkTokens += take
+		chunkCtx += st.prefilled
+		st.prefilled += take
+		budget -= take
+	}
+	for budget > 0 {
+		id, ok := c.admitHead()
+		if !ok {
+			break
+		}
+		st := c.states[id]
+		take := min(st.prefillLen, budget)
+		chunkTokens += take
+		st.prefilled = take
+		budget -= take
+		*partial = append(*partial, id)
+	}
+	return chunkTokens, chunkCtx
+}
+
+// promoteChunks completes, at t, the prefill of every request in partial
+// whose last chunk has landed: it produces the first token and moves the
+// request to running, or finishes it. Evicted and done requests drop out
+// of partial.
+func (c *common) promoteChunks(partial, running *[]int, t sim.Time) {
+	var full, still []int
+	for _, id := range *partial {
+		st := c.states[id]
+		switch {
+		case st.evicted || st.done:
+		case st.prefilled >= st.prefillLen:
+			full = append(full, id)
+		default:
+			still = append(still, id)
+		}
+	}
+	*running = append(*running, c.completePrefill(full, t)...)
+	*partial = still
+}
+
+// decodeAll advances one decode token, at t, for every id in ids that is
+// neither evicted nor done. A recompute eviction it triggers spares the
+// ids in keep.
+func (c *common) decodeAll(ids []int, t sim.Time, keep ...[]int) {
+	spare := make(map[int]bool)
+	for _, k := range keep {
+		for _, id := range k {
+			spare[id] = true
+		}
+	}
+	for _, id := range ids {
+		st := c.states[id]
+		if st.evicted || st.done {
+			continue
+		}
+		c.decodeAppend(id, t, spare)
+	}
+}
+
 // decodeAppend advances one decode token for id, evicting most-recent
 // requests on OOM (the recompute strategy). keep lists ids that must
-// not be evicted. It reports whether the request finished.
-func (c *common) decodeAppend(id int, t sim.Time, keep map[int]bool) (finished bool) {
+// not be evicted.
+func (c *common) decodeAppend(id int, t sim.Time, keep map[int]bool) {
 	st := c.states[id]
 	st.generated++
 	st.ctx++
 	if st.generated >= st.req.OutputLen {
 		// The final token needs no KV slot; the request is done.
 		c.finishReq(id, t)
-		return true
+		return
 	}
 	if err := c.kv.Append(id, 1); err != nil {
 		victims := c.kv.EvictMostRecent(c.kv.BlocksFor(1), keep)
@@ -379,7 +464,6 @@ func (c *common) decodeAppend(id int, t sim.Time, keep map[int]bool) (finished b
 			c.evict(id)
 		}
 	}
-	return false
 }
 
 func (c *common) evict(id int) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/costmodel"
-	"repro/internal/metrics"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 )
@@ -58,6 +57,7 @@ func newPPRunner(c *common) (*ppRunner, error) {
 	// style (§3.2) — the bubble amplifier TD-Pipe's asynchronous
 	// runtime removes.
 	cluster.BlockingP2P = true
+	c.rec = &cluster.Rec
 	return &ppRunner{
 		common:  c,
 		eng:     eng,
@@ -66,9 +66,6 @@ func newPPRunner(c *common) (*ppRunner, error) {
 		partial: make([][]int, c.cfg.World),
 	}, nil
 }
-
-func (r *ppRunner) recorder() *metrics.Recorder { return &r.cluster.Rec }
-func (r *ppRunner) recomputes() int             { return r.nRecompute }
 
 func (r *ppRunner) run() (sim.Time, error) {
 	// Future arrivals become simulation events: each admits its request
@@ -134,23 +131,12 @@ func (r *ppRunner) startRound(now sim.Time) {
 		}
 	}
 	if r.outstanding == 0 {
-		// Nothing runnable anywhere. Either we are done, the pipeline
-		// is idle between arrivals, or (PP+HB) memory is wedged by
-		// partial prefills with no decodes.
+		// Nothing runnable anywhere: either we are done or the pipeline
+		// is idle between arrivals.
 		if r.finished == len(r.states) {
 			return
 		}
-		wedged := false
-		for slot := 0; slot < r.cfg.World; slot++ {
-			if n := len(r.partial[slot]); n > 0 {
-				victim := r.partial[slot][n-1]
-				r.kv.Free(victim)
-				r.evict(victim)
-				r.partial[slot] = r.live(r.partial[slot])
-				wedged = true
-			}
-		}
-		if !wedged && r.waiting.Len() == 0 && r.pendingArrivals > 0 {
+		if r.waiting.Len() == 0 && r.pendingArrivals > 0 {
 			// Drained with more traffic to come: park until the next
 			// arrival event restarts the loop.
 			r.idle = true
@@ -200,18 +186,8 @@ func (r *ppRunner) submitSB(slot int, now sim.Time) {
 
 func (r *ppRunner) completeDecode(slot int, t sim.Time) {
 	ids := r.batch[slot]
-	keep := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		keep[id] = true
-	}
-	for _, id := range ids {
-		st := r.states[id]
-		if st.evicted || st.done {
-			continue
-		}
-		r.decodeAppend(id, t, keep)
-	}
-	r.batch[slot] = r.live(r.batch[slot])
+	r.decodeAll(ids, t, ids)
+	r.batch[slot] = r.live(ids)
 }
 
 // --- PP + hybrid batching (chunked prefill) ----------------------------
@@ -220,109 +196,25 @@ func (r *ppRunner) submitHB(slot int, now sim.Time) {
 	r.batch[slot] = r.live(r.batch[slot])
 	r.partial[slot] = r.live(r.partial[slot])
 
-	budget := r.cfg.ChunkTokens
-	decodes := len(r.batch[slot])
-	if decodes > budget {
-		decodes = budget
-	}
-	budget -= decodes
-	chunkTokens, chunkCtx := r.admitChunksSlot(slot, &budget)
-
+	decodes := min(len(r.batch[slot]), r.cfg.ChunkTokens)
+	chunkTokens, chunkCtx := r.admitChunks(&r.partial[slot], r.cfg.ChunkTokens-decodes)
 	if decodes == 0 && chunkTokens == 0 {
 		return
 	}
 
-	dec := r.batch[slot][:decodes]
 	r.outstanding++
-	r.cluster.SubmitHybrid(decodes, r.kvTokens(dec), chunkTokens, chunkCtx, r.gate(now, decodes+len(r.partial[slot])), func(res runtime.PassResult) {
+	r.cluster.SubmitHybrid(decodes, r.kvTokens(r.batch[slot][:decodes]), chunkTokens, chunkCtx, r.gate(now, decodes+len(r.partial[slot])), func(res runtime.PassResult) {
 		r.noteEnd(res.End)
 		r.completeHybrid(slot, decodes, res.End)
 		r.passDone()
 	})
 }
 
-// admitChunksSlot fills the slot's budget with prefill chunks.
-func (r *ppRunner) admitChunksSlot(slot int, budget *int) (chunkTokens, chunkCtx int) {
-	for _, id := range r.partial[slot] {
-		if *budget <= 0 {
-			break
-		}
-		st := r.states[id]
-		remain := st.prefillLen - st.prefilled
-		take := remain
-		if take > *budget {
-			take = *budget
-		}
-		chunkTokens += take
-		chunkCtx += st.prefilled
-		st.prefilled += take
-		*budget -= take
-	}
-	for *budget > 0 && r.waiting.Len() > 0 {
-		id := r.waiting.Front()
-		st := r.states[id]
-		if !r.kv.CanAllocate(st.prefillLen) {
-			break
-		}
-		if err := r.kv.Allocate(id, st.prefillLen); err != nil {
-			break
-		}
-		r.waiting.PopFront()
-		st.evicted = false
-		take := st.prefillLen
-		if take > *budget {
-			take = *budget
-		}
-		st.prefilled = take
-		*budget -= take
-		chunkTokens += take
-		r.partial[slot] = append(r.partial[slot], id)
-	}
-	return chunkTokens, chunkCtx
-}
-
-// completeHybrid applies one hybrid iteration's effects.
+// completeHybrid applies one hybrid iteration's effects. Recompute
+// evictions spare the slot's whole batch and its partial prefills.
 func (r *ppRunner) completeHybrid(slot, decodes int, t sim.Time) {
 	ids := r.batch[slot]
-	if decodes > len(ids) {
-		decodes = len(ids)
-	}
-	keep := make(map[int]bool)
-	for _, id := range ids {
-		keep[id] = true
-	}
-	for _, id := range r.partial[slot] {
-		keep[id] = true
-	}
-	for _, id := range ids[:decodes] {
-		st := r.states[id]
-		if st.evicted || st.done {
-			continue
-		}
-		r.decodeAppend(id, t, keep)
-	}
-	r.batch[slot] = r.live(r.batch[slot])
-
-	var still []int
-	for _, id := range r.partial[slot] {
-		st := r.states[id]
-		if st.evicted || st.done {
-			continue
-		}
-		if st.prefilled >= st.prefillLen {
-			st.ctx = st.prefillLen
-			if st.generated == 0 {
-				st.firstTokenAt = t
-			}
-			st.generated++
-			if st.generated >= st.req.OutputLen {
-				r.finishReq(id, t)
-			} else {
-				r.batch[slot] = append(r.batch[slot], id)
-			}
-		} else {
-			still = append(still, id)
-		}
-	}
-	r.partial[slot] = still
+	r.decodeAll(ids[:min(decodes, len(ids))], t, ids, r.partial[slot])
+	r.batch[slot] = r.live(ids)
+	r.promoteChunks(&r.partial[slot], &r.batch[slot], t)
 }

@@ -15,9 +15,8 @@ import (
 // paper's Fig.-6 breakdown attributes time.
 type tpRunner struct {
 	*common
-	cm  *costmodel.Model
-	rec *metrics.Recorder
-	t   sim.Time
+	cm *costmodel.Model
+	t  sim.Time
 
 	running []int
 	// partial tracks requests mid-chunked-prefill (TP+HB only).
@@ -29,11 +28,9 @@ func newTPRunner(c *common) *tpRunner {
 	if err != nil {
 		panic(err) // Config.Validate already vetted node and spec
 	}
-	return &tpRunner{common: c, cm: cm, rec: metrics.NewRecorder(c.cfg.World)}
+	c.rec = metrics.NewRecorder(c.cfg.World)
+	return &tpRunner{common: c, cm: cm}
 }
-
-func (r *tpRunner) recorder() *metrics.Recorder { return r.rec }
-func (r *tpRunner) recomputes() int             { return r.nRecompute }
 
 // spend advances time by one iteration: the engine-loop scheduling gap
 // first (all GPUs idle), then compute (busy on every GPU), then
@@ -91,22 +88,10 @@ func (r *tpRunner) decodeStep() {
 	if len(r.running) == 0 {
 		return
 	}
-	batch := r.running
-	if len(batch) > r.cfg.MaxBatch {
-		batch = batch[:r.cfg.MaxBatch]
-	}
+	batch := r.running[:min(len(r.running), r.cfg.MaxBatch)]
 	comp, comm := r.cm.TPDecode(r.cfg.World, len(batch), r.kvTokens(batch))
 	r.spend(comp, comm, len(batch))
-	keep := make(map[int]bool, len(batch))
-	for _, id := range batch {
-		keep[id] = true
-	}
-	for _, id := range batch {
-		if r.states[id].evicted || r.states[id].done {
-			continue
-		}
-		r.decodeAppend(id, r.t, keep)
-	}
+	r.decodeAll(batch, r.t, batch)
 	r.running = r.live(r.running)
 }
 
@@ -115,116 +100,14 @@ func (r *tpRunner) decodeStep() {
 func (r *tpRunner) stepHB() {
 	r.running = r.live(r.running)
 	r.partial = r.live(r.partial)
-	budget := r.cfg.ChunkTokens
-	decodes := r.running
-	if len(decodes) > budget {
-		decodes = decodes[:budget]
-	}
-	budget -= len(decodes)
-
-	chunkTokens, chunkCtx := r.admitChunks(&budget)
-
+	decodes := r.running[:min(len(r.running), r.cfg.ChunkTokens)]
+	chunkTokens, chunkCtx := r.admitChunks(&r.partial, r.cfg.ChunkTokens-len(decodes))
 	if len(decodes) == 0 && chunkTokens == 0 {
-		// Nothing runnable: memory is full of partially prefilled
-		// requests with no decodes to free it. Evict the newest
-		// partial to guarantee progress.
-		if len(r.partial) > 0 {
-			victim := r.partial[len(r.partial)-1]
-			r.kv.Free(victim)
-			r.evict(victim)
-			r.partial = r.live(r.partial)
-			return
-		}
 		return
 	}
-
 	comp, comm := r.cm.TPHybrid(r.cfg.World, len(decodes), r.kvTokens(decodes), chunkTokens, chunkCtx)
 	r.spend(comp, comm, len(decodes)+len(r.partial))
-
-	keep := make(map[int]bool, len(decodes)+len(r.partial))
-	for _, id := range decodes {
-		keep[id] = true
-	}
-	for _, id := range r.partial {
-		keep[id] = true
-	}
-	for _, id := range decodes {
-		if r.states[id].evicted || r.states[id].done {
-			continue
-		}
-		r.decodeAppend(id, r.t, keep)
-	}
-	r.advanceChunks()
+	r.decodeAll(decodes, r.t, decodes, r.partial)
+	r.promoteChunks(&r.partial, &r.running, r.t)
 	r.running = r.live(r.running)
-}
-
-// admitChunks consumes the remaining budget with prefill chunks: first
-// the oldest partially prefilled request, then fresh admissions. It
-// returns total chunk tokens and the cached context those chunks re-read.
-func (r *tpRunner) admitChunks(budget *int) (chunkTokens, chunkCtx int) {
-	// Continue partial prefills first.
-	for _, id := range r.partial {
-		if *budget <= 0 {
-			break
-		}
-		st := r.states[id]
-		remain := st.prefillLen - st.prefilled
-		take := remain
-		if take > *budget {
-			take = *budget
-		}
-		chunkTokens += take
-		chunkCtx += st.prefilled
-		st.prefilled += take // applied now; completion processed in advanceChunks
-		*budget -= take
-	}
-	// Admit new requests while budget remains.
-	for *budget > 0 && r.waiting.Len() > 0 {
-		id := r.waiting.Front()
-		st := r.states[id]
-		if !r.kv.CanAllocate(st.prefillLen) {
-			break
-		}
-		if err := r.kv.Allocate(id, st.prefillLen); err != nil {
-			break
-		}
-		r.waiting.PopFront()
-		st.evicted = false
-		st.prefilled = 0
-		take := st.prefillLen
-		if take > *budget {
-			take = *budget
-		}
-		chunkTokens += take
-		st.prefilled = take
-		*budget -= take
-		r.partial = append(r.partial, id)
-	}
-	return chunkTokens, chunkCtx
-}
-
-// advanceChunks promotes fully prefilled requests into the running set.
-func (r *tpRunner) advanceChunks() {
-	var still []int
-	for _, id := range r.partial {
-		st := r.states[id]
-		if st.evicted || st.done {
-			continue
-		}
-		if st.prefilled >= st.prefillLen {
-			st.ctx = st.prefillLen
-			if st.generated == 0 {
-				st.firstTokenAt = r.t
-			}
-			st.generated++
-			if st.generated >= st.req.OutputLen {
-				r.finishReq(id, r.t)
-			} else {
-				r.running = append(r.running, id)
-			}
-		} else {
-			still = append(still, id)
-		}
-	}
-	r.partial = still
 }

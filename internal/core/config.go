@@ -66,11 +66,6 @@ type Config struct {
 	// MaxPrefillTokens caps tokens per prefill batch.
 	MaxPrefillTokens int
 
-	// FuturePointStride/FuturePointMax define Algorithm 1's
-	// decision steps (the paper checks the 32nd, 64th, ..., 1024th).
-	FuturePointStride int
-	FuturePointMax    int
-
 	// PeakProfileBatch is the "sufficiently large batch size" used to
 	// profile Peak for spatial intensity (§3.5).
 	PeakProfileBatch int
@@ -126,17 +121,15 @@ type Config struct {
 // DefaultConfig returns paper-faithful settings for a node/model/world.
 func DefaultConfig(node hw.Node, spec model.Spec, world int) Config {
 	return Config{
-		Node:              node,
-		Spec:              spec,
-		World:             world,
-		Predictor:         OraclePredictor{},
-		MemUtilization:    0.90,
-		ReserveGB:         3,
-		BlockSize:         16,
-		MaxPrefillTokens:  2048,
-		FuturePointStride: 32,
-		FuturePointMax:    1024,
-		PeakProfileBatch:  512,
+		Node:             node,
+		Spec:             spec,
+		World:            world,
+		Predictor:        OraclePredictor{},
+		MemUtilization:   0.90,
+		ReserveGB:        3,
+		BlockSize:        16,
+		MaxPrefillTokens: 2048,
+		PeakProfileBatch: 512,
 	}
 }
 
@@ -151,8 +144,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MemUtilization = %v", c.MemUtilization)
 	case c.MaxPrefillTokens <= 0:
 		return fmt.Errorf("core: MaxPrefillTokens = %d", c.MaxPrefillTokens)
-	case c.FuturePointStride <= 0 || c.FuturePointMax < c.FuturePointStride:
-		return fmt.Errorf("core: future points %d/%d", c.FuturePointStride, c.FuturePointMax)
 	case c.PeakProfileBatch <= 0:
 		return fmt.Errorf("core: PeakProfileBatch = %d", c.PeakProfileBatch)
 	case c.Slowdown < 0:

@@ -264,7 +264,7 @@ func NewEngine(eng *sim.Engine, cfg Config) (*Engine, error) {
 		eng:            eng,
 		cluster:        cluster,
 		kv:             kv,
-		usage:          newUsageSim(cfg.FuturePointStride, cfg.FuturePointMax),
+		usage:          newUsageSim(futurePointStride, futurePointMax),
 		inten:          NewIntensity(cluster.Cost, cluster.Plan, cfg.PeakProfileBatch),
 		capacityTokens: capTokens,
 		kvTimeline:     &metrics.KVTimeline{},

@@ -10,6 +10,13 @@ package core
 // out contributes in+fp tokens at every futurePoint fp <= out — after
 // that it is predicted to have finished and freed its cache.
 
+// The engine's futurePoint grid: the paper checks the 32nd, 64th, ...,
+// 1024th decode step.
+const (
+	futurePointStride = 32
+	futurePointMax    = 1024
+)
+
 // usageSim is the engine's Algorithm-1 state: predicted KV usage (in
 // tokens) at each futurePoint.
 type usageSim struct {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -59,30 +58,28 @@ type Options struct {
 	Predictor core.LenPredictor
 }
 
-// Factory builds a fresh policy instance from options.
-type Factory func(Options) Policy
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
-
-// Register makes a policy constructable by name. It panics on a
-// duplicate name so wiring mistakes fail at init time.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("fleet: duplicate policy %q", name))
+// predictor returns o.Predictor, or the oracle if it is nil.
+func (o Options) predictor() core.LenPredictor {
+	if o.Predictor == nil {
+		return core.OraclePredictor{}
 	}
-	registry[name] = f
+	return o.Predictor
+}
+
+// registry builds each built-in policy from options. Nothing writes it
+// after package initialization, so reading it needs no lock.
+var registry = map[string]func(Options) Policy{
+	RoundRobin:     func(Options) Policy { return &roundRobin{} },
+	Random:         func(o Options) Policy { return &random{rng: rand.New(rand.NewSource(o.Seed))} },
+	LeastWork:      func(Options) Policy { return leastWork{} },
+	PredictedCost:  func(o Options) Policy { return &predictedCost{pred: o.predictor()} },
+	PrefixAffinity: func(Options) Policy { return prefixAffinity{} },
+	DecodeAffinity: func(o Options) Policy { return &decodeAffinity{pred: o.predictor()} },
 }
 
 // New builds a registered policy by name.
 func New(name string, opts Options) (Policy, error) {
-	regMu.RLock()
 	f, ok := registry[name]
-	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("fleet: unknown policy %q (have %v)", name, Names())
 	}
@@ -91,8 +88,6 @@ func New(name string, opts Options) (Policy, error) {
 
 // Names lists the registered policies, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]string, 0, len(registry))
 	for name := range registry {
 		out = append(out, name)
@@ -125,29 +120,6 @@ const (
 	// router pairs it with least-work on the prefill pool.
 	DecodeAffinity = "decode-affinity"
 )
-
-func init() {
-	Register(RoundRobin, func(Options) Policy { return &roundRobin{} })
-	Register(Random, func(o Options) Policy {
-		return &random{rng: rand.New(rand.NewSource(o.Seed))}
-	})
-	Register(LeastWork, func(Options) Policy { return leastWork{} })
-	Register(PredictedCost, func(o Options) Policy {
-		p := o.Predictor
-		if p == nil {
-			p = core.OraclePredictor{}
-		}
-		return &predictedCost{pred: p}
-	})
-	Register(PrefixAffinity, func(Options) Policy { return prefixAffinity{} })
-	Register(DecodeAffinity, func(o Options) Policy {
-		p := o.Predictor
-		if p == nil {
-			p = core.OraclePredictor{}
-		}
-		return &decodeAffinity{pred: p}
-	})
-}
 
 type roundRobin struct{ next int }
 

@@ -11,9 +11,9 @@ package kvcache
 // globally consistent, so an export referencing group-shared blocks
 // imports into any manager: resident chain blocks are re-referenced
 // instead of re-stored, which is exactly the affinity signal a
-// disaggregated router exploits. Fork-derived keys are manager-local
-// (drawn from the exporting manager's fork sequence), so exports of
-// forked sequences round-trip only within their own manager.
+// disaggregated router exploits. Shared keys name full prefix blocks
+// only; ImportKV rejects an export whose keys cover more tokens than it
+// holds.
 
 import "fmt"
 
@@ -143,9 +143,11 @@ func (m *Manager) ImportKV(id int, ex ExportedSeq) (int, error) {
 	if m.Has(id) {
 		return 0, fmt.Errorf("kvcache: sequence %d already allocated", id)
 	}
-	if ex.PrivateBlocks < 0 || ex.Blocks() != m.BlocksFor(ex.Tokens) {
-		return 0, fmt.Errorf("kvcache: malformed export: %d tokens need %d blocks, export carries %d",
-			ex.Tokens, m.BlocksFor(ex.Tokens), ex.Blocks())
+	// Shared keys name full blocks, so they may not cover more tokens
+	// than the export holds.
+	if ex.PrivateBlocks < 0 || ex.Blocks() != m.BlocksFor(ex.Tokens) || len(ex.Keys)*m.blockSize > ex.Tokens {
+		return 0, fmt.Errorf("kvcache: malformed export: %d tokens need %d blocks with at most %d shared, export carries %d private and %d shared",
+			ex.Tokens, m.BlocksFor(ex.Tokens), ex.Tokens/m.blockSize, ex.PrivateBlocks, len(ex.Keys))
 	}
 	// Reference resident keys first so reclaim cannot drop them while
 	// making room for the rest (mirrors AllocateShared).

@@ -59,10 +59,10 @@ func sameObs(t *testing.T, label string, got, want exportObs) {
 }
 
 // Export immediately followed by import must be invisible: ref-counts,
-// CoW flags, hit/miss/reclaim counters and every sequence footprint
-// identical to a manager that ran the same history without the round
-// trip. The two managers run mirrored random workloads (shared
-// allocations, appends, forks, frees) with ample capacity, and only one
+// hit/miss/reclaim counters and every sequence footprint identical to a
+// manager that ran the same history without the round trip. The two
+// managers run mirrored random workloads (shared allocations, appends,
+// frees) with ample capacity, and only one
 // of them round-trips sequences through ExportKV/ImportKV.
 func TestExportImportRoundTripProperty(t *testing.T) {
 	const capTokens, bs = 16 * 1024, 16
@@ -88,23 +88,12 @@ func TestExportImportRoundTripProperty(t *testing.T) {
 			if ea == nil {
 				live = append(live, id)
 			}
-		case op < 6 && len(live) > 0: // append (exercises CoW/adopt)
+		case op < 6 && len(live) > 0: // append
 			id := live[rng.Intn(len(live))]
 			n := 1 + rng.Intn(40)
 			ea, eb := a.Append(id, n), b.Append(id, n)
 			if (ea == nil) != (eb == nil) {
 				t.Fatalf("step %d: append diverged: %v vs %v", step, ea, eb)
-			}
-		case op < 7 && len(live) > 0: // fork (creates CoW-shared tails)
-			parent := live[rng.Intn(len(live))]
-			child := next
-			next++
-			ea, eb := a.Fork(parent, child), b.Fork(parent, child)
-			if (ea == nil) != (eb == nil) {
-				t.Fatalf("step %d: fork diverged: %v vs %v", step, ea, eb)
-			}
-			if ea == nil {
-				live = append(live, child)
 			}
 		case op < 8 && len(live) > 0: // free
 			i := rng.Intn(len(live))
@@ -268,6 +257,27 @@ func TestImportRejectsMalformedExport(t *testing.T) {
 	}
 	if _, err := m.ImportKV(-1, ExportedSeq{Tokens: 16, PrivateBlocks: 1}); err == nil {
 		t.Error("negative id accepted")
+	}
+}
+
+// Shared blocks are full prefix blocks, so an export whose keys cover
+// more tokens than it holds would leave a partly filled shared tail for
+// Append to write into. ImportKV rejects it and leaves the pool as it
+// was; keys that exactly cover the tokens import.
+func TestImportRejectsPartialSharedTail(t *testing.T) {
+	m := mustManager(t, 1024, 16)
+	keys := chainKeys(1, 3)
+	if _, err := m.ImportKV(0, ExportedSeq{Tokens: 40, Keys: keys}); err == nil {
+		t.Fatal("import of 3 shared blocks holding 40 tokens accepted")
+	}
+	if m.UsedBlocks() != 0 || m.SharedBlocks() != 0 || m.Has(0) {
+		t.Fatalf("rejected import changed the pool: used=%d shared=%d has=%v", m.UsedBlocks(), m.SharedBlocks(), m.Has(0))
+	}
+	if _, err := m.ImportKV(0, ExportedSeq{Tokens: 48, Keys: keys}); err != nil {
+		t.Fatalf("import of 3 full shared blocks: %v", err)
+	}
+	if err := m.Append(0, 1); err != nil || m.UsedBlocks() != 4 {
+		t.Errorf("append after import: err=%v used=%d, want nil and 4", err, m.UsedBlocks())
 	}
 }
 

@@ -49,7 +49,6 @@ type Manager struct {
 	shared      map[uint64]*sharedBlock
 	reclaimable int // shared blocks with zero refs
 	touchSeq    int // LRU clock for shared-block reclaim
-	forkSeq     int // distinct keyspace for CoW-forked blocks
 	stats       ShareStats
 
 	// peak tracks the high-water mark in blocks.
@@ -232,46 +231,18 @@ func (m *Manager) Allocate(id, tokens int) error {
 	return nil
 }
 
-// appendPlan sizes growing s by n tokens: how the (possibly shared,
-// possibly partial) tail block is handled, the resulting private block
-// count, and the net new blocks required. A partial shared tail exists
-// iff all blocks are shared and the last one is not full; appending
-// writes into it, triggering copy-on-write (cow: other sequences still
-// reference it) or adoption in place (adopt: sole owner).
-func (m *Manager) appendPlan(s seqAlloc, n int) (keyCount, newPriv, grow int, cow, adopt bool) {
-	keyCount = len(s.keys)
-	if s.blocks == 0 && keyCount > 0 && s.tokens%m.blockSize != 0 {
-		if m.shared[s.keys[keyCount-1]].refs > 1 {
-			cow = true
-		} else {
-			adopt = true
-		}
-		keyCount--
-	}
-	newPriv = m.BlocksFor(s.tokens+n) - keyCount
-	grow = newPriv - s.blocks
-	if adopt {
-		grow-- // the adopted block converts in place, shared -> private
-	}
-	return keyCount, newPriv, grow, cow, adopt
-}
-
-// CanAppend reports whether sequence id can grow by n tokens,
-// including any copy-on-write block the growth would take.
+// CanAppend reports whether sequence id can grow by n tokens.
 func (m *Manager) CanAppend(id, n int) bool {
 	s, ok := m.seq(id)
 	if !ok {
 		return false
 	}
-	_, _, grow, _, _ := m.appendPlan(s, n)
-	return grow <= m.FreeBlocks()+m.reclaimable
+	return m.BlocksFor(s.tokens+n)-len(s.keys)-s.blocks <= m.FreeBlocks()+m.reclaimable
 }
 
-// Append grows sequence id by n tokens, taking new blocks as needed.
-// If the sequence's last block is a shared partial block (a CoW fork),
-// the write triggers copy-on-write: the block is copied into a private
-// block when other sequences still reference it, or adopted in place
-// when this sequence is the sole owner.
+// Append grows sequence id by n tokens, taking new private blocks as
+// needed. A sequence's shared blocks are full prefix blocks (ImportKV
+// rejects any other kind), so growth only ever writes private blocks.
 func (m *Manager) Append(id, n int) error {
 	s, ok := m.seq(id)
 	if !ok {
@@ -280,26 +251,16 @@ func (m *Manager) Append(id, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("kvcache: append %d tokens", n)
 	}
-	keyCount, newPriv, grow, cow, adopt := m.appendPlan(s, n)
+	priv := m.BlocksFor(s.tokens+n) - len(s.keys)
+	grow := priv - s.blocks
 	if grow > m.FreeBlocks() {
 		m.reclaim(grow - m.FreeBlocks())
 	}
 	if grow > m.FreeBlocks() {
 		return fmt.Errorf("kvcache: out of memory growing sequence %d: need %d blocks, free %d", id, grow, m.FreeBlocks())
 	}
-	if cow || adopt {
-		k := s.keys[keyCount]
-		b := m.shared[k]
-		if cow {
-			b.refs--
-			m.stats.CoWCopies++
-		} else {
-			delete(m.shared, k)
-		}
-		s.keys = s.keys[:keyCount]
-	}
 	s.tokens += n
-	s.blocks = newPriv
+	s.blocks = priv
 	m.seqs[id-m.base] = s
 	m.used += grow
 	if m.used > m.peak {

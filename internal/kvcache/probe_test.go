@@ -46,7 +46,7 @@ func TestChainKeysMatchReference(t *testing.T) {
 	}
 }
 
-// Property: over random histories of shared allocations, frees, forks,
+// Property: over random histories of shared allocations, frees,
 // appends and KV export/import on a small pool, MatchPrefix equals the
 // reference walk for every group, CanAllocateShared is true exactly
 // when AllocateShared then succeeds, and a successful allocation hits
@@ -99,11 +99,6 @@ func TestProbeEquivalenceProperty(t *testing.T) {
 				}
 			case op < 6 && len(live) > 0:
 				_ = m.Append(live[rng.Intn(len(live))], 1+rng.Intn(2*bs))
-			case op < 7 && len(live) > 0:
-				if m.Fork(live[rng.Intn(len(live))], next) == nil {
-					live = append(live, next)
-				}
-				next++
 			case op < 8 && len(live) > 0:
 				i := rng.Intn(len(live))
 				m.Free(live[i])

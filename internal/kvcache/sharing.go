@@ -13,11 +13,9 @@ package kvcache
 // blocks whose refcount drops to zero stay resident ("warm") and are
 // reclaimed LRU, chain tails first, only under memory pressure.
 //
-// Copy-on-write: only full blocks are shared between prefix groups, so
-// decode appends never write a group-shared block. Fork clones a whole
-// sequence zero-copy (multi-turn conversation branching); the clone's
-// partial tail block stays shared until one side appends, which copies
-// it (refs > 1) or adopts it in place (sole owner) — see Append.
+// Only full prefix blocks are shared, so a sequence's shared blocks
+// all precede its private ones and decode appends never write a shared
+// block: Append grows private blocks only.
 
 import (
 	"fmt"
@@ -37,8 +35,6 @@ type ShareStats struct {
 	HitBlocks, MissBlocks int
 	// ReclaimedBlocks counts warm blocks dropped under memory pressure.
 	ReclaimedBlocks int
-	// CoWCopies counts copy-on-write block copies taken on append.
-	CoWCopies int
 }
 
 // Stats returns the sharing counters.
@@ -79,14 +75,6 @@ func chainKeys(group, n int) []uint64 {
 		keys[i] = h
 	}
 	return keys
-}
-
-// forkKey returns a fresh key for a block promoted to shared by Fork.
-func (m *Manager) forkKey() uint64 {
-	m.forkSeq++
-	h := uint64(m.forkSeq)*0xD6E8FEB86659FD93 + 0xA0761D6478BD642F
-	h = (h ^ (h >> 32)) * 0xE7037ED1A0B428DB
-	return h ^ (h >> 29)
 }
 
 // touch advances the LRU clock and returns the new stamp.
@@ -219,48 +207,6 @@ func (m *Manager) AllocateShared(id, tokens, group, prefixTokens int) (int, erro
 	m.stats.HitBlocks += hitBlocks
 	m.stats.MissBlocks += len(keys) - hitBlocks
 	return contig * m.blockSize, nil
-}
-
-// Fork clones parent's cache for child zero-copy: every block of the
-// parent becomes shared between the two, private blocks are promoted to
-// ref-counted shared blocks in place, and the first append to the
-// (possibly partial) tail block triggers copy-on-write in Append. The
-// child starts with the parent's token count and no private blocks.
-func (m *Manager) Fork(parentID, childID int) error {
-	p, ok := m.seq(parentID)
-	if !ok {
-		return fmt.Errorf("kvcache: fork of unknown sequence %d", parentID)
-	}
-	if childID < 0 {
-		return fmt.Errorf("kvcache: negative sequence id %d", childID)
-	}
-	if m.Has(childID) {
-		return fmt.Errorf("kvcache: sequence %d already allocated", childID)
-	}
-	for _, k := range p.keys {
-		b := m.shared[k]
-		b.refs++
-		if b.refs == 1 {
-			m.reclaimable--
-		}
-	}
-	all := append([]uint64(nil), p.keys...)
-	for i := 0; i < p.blocks; i++ {
-		k := m.forkKey()
-		m.shared[k] = &sharedBlock{refs: 2}
-		all = append(all, k)
-	}
-	for i := len(all) - 1; i >= 0; i-- {
-		m.shared[all[i]].lastUse = m.touch()
-	}
-	// used is unchanged: p.blocks private blocks became p.blocks shared
-	// blocks, each still counted once.
-	p.blocks = 0
-	p.keys = all
-	m.seqs[parentID-m.base] = p
-	m.allocSeq++
-	m.setSeq(childID, seqAlloc{tokens: p.tokens, keys: append([]uint64(nil), all...), arrival: m.allocSeq})
-	return nil
 }
 
 // reclaim drops up to need warm shared blocks (refs == 0), least

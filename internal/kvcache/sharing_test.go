@@ -107,93 +107,6 @@ func TestDoubleFreeSharedDropsRefsOnce(t *testing.T) {
 	}
 }
 
-// Fork clones a sequence zero-copy; the first append to the shared
-// partial tail copies it (other referencers) or adopts it (sole owner).
-func TestForkCopyOnWrite(t *testing.T) {
-	m := mustManager(t, 16*10, 16)
-	if err := m.Allocate(1, 24); err != nil { // 2 blocks, partial tail
-		t.Fatal(err)
-	}
-	if err := m.Fork(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if m.UsedBlocks() != 2 {
-		t.Fatalf("used = %d after zero-copy fork, want 2", m.UsedBlocks())
-	}
-	if m.Tokens(2) != 24 {
-		t.Fatalf("child tokens = %d, want 24", m.Tokens(2))
-	}
-	if err := m.Fork(1, 2); err == nil {
-		t.Error("fork onto an existing id accepted")
-	}
-	if err := m.Fork(42, 9); err == nil {
-		t.Error("fork of unknown sequence accepted")
-	}
-
-	// Child appends into the shared partial tail -> copy-on-write.
-	if err := m.Append(2, 4); err != nil {
-		t.Fatal(err)
-	}
-	if m.UsedBlocks() != 3 {
-		t.Errorf("used = %d after CoW copy, want 3", m.UsedBlocks())
-	}
-	if st := m.Stats(); st.CoWCopies != 1 {
-		t.Errorf("CoW copies = %d, want 1", st.CoWCopies)
-	}
-	if m.Tokens(1) != 24 || m.Tokens(2) != 28 {
-		t.Errorf("tokens = %d/%d, want 24/28", m.Tokens(1), m.Tokens(2))
-	}
-
-	// Parent is now the tail's sole owner: append adopts it in place.
-	if err := m.Append(1, 4); err != nil {
-		t.Fatal(err)
-	}
-	if m.UsedBlocks() != 3 {
-		t.Errorf("used = %d after adopt, want 3 (no new block)", m.UsedBlocks())
-	}
-	if st := m.Stats(); st.CoWCopies != 1 {
-		t.Errorf("adopt counted as a copy: %+v", st)
-	}
-
-	m.Free(1)
-	m.Free(2)
-	// Both privates freed; the one still-shared full block stays warm.
-	if m.UsedBlocks() != 1 || m.WarmBlocks() != 1 {
-		t.Errorf("used/warm = %d/%d after frees, want 1/1", m.UsedBlocks(), m.WarmBlocks())
-	}
-}
-
-// CanAppend must agree with Append on forked sequences: the CoW copy
-// needs a block even when the token count alone says otherwise, and
-// the adopt path needs none.
-func TestCanAppendMatchesAppendOnForkedTail(t *testing.T) {
-	m := mustManager(t, 16, 16) // exactly 1 block
-	if err := m.Allocate(1, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Fork(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	// Zero free blocks: the CoW copy cannot be taken.
-	if m.CanAppend(2, 1) {
-		t.Error("CanAppend true though the CoW copy has no free block")
-	}
-	if err := m.Append(2, 1); err == nil {
-		t.Error("OOM CoW append accepted")
-	}
-	// Parent gone -> sole owner -> adopt in place, no new block needed.
-	m.Free(1)
-	if !m.CanAppend(2, 1) {
-		t.Error("CanAppend false though adopt needs no block")
-	}
-	if err := m.Append(2, 1); err != nil {
-		t.Errorf("adopt append failed: %v", err)
-	}
-	if m.UsedBlocks() != 1 || m.Tokens(2) != 9 {
-		t.Errorf("used/tokens = %d/%d after adopt, want 1/9", m.UsedBlocks(), m.Tokens(2))
-	}
-}
-
 // Evicting a sequence that shares blocks must only drop its references:
 // surviving referencers keep the chain, and warm blocks are reclaimed
 // tail-first so the remaining chain stays contiguous and hittable.
