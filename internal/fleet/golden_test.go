@@ -22,12 +22,57 @@ var updateGolden = flag.Bool("update", false, "rewrite internal/fleet/testdata g
 const routerGoldenPath = "testdata/router_golden.json"
 
 // goldenRun is one router configuration of TestParallelRouterGolden: run
-// executes it at a worker count and returns the report and records, and
+// executes it at a worker count and returns what the digest covers, and
 // check asserts that the run really exercised the layers it names.
 type goldenRun struct {
 	name  string
-	run   func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord)
-	check func(t *testing.T, rep metrics.Report)
+	run   func(t *testing.T, workers int) goldenOut
+	check func(t *testing.T, out goldenOut)
+}
+
+// goldenOut is the digested outcome of one golden run: the report, the
+// per-request records and, for a disaggregated run, its hand-off
+// accounting and both pools' routing.
+type goldenOut struct {
+	Report  metrics.Report
+	Records []metrics.RequestRecord
+	Disagg  *goldenDisagg `json:",omitempty"`
+}
+
+// goldenDisagg is the part of a DisaggResult the report does not carry.
+type goldenDisagg struct {
+	Handoffs, QueuedHandoffs    int
+	TransferredBytes            float64
+	PrefillOrigin, DecodeOrigin [][]int
+}
+
+func serveOut(t *testing.T, res *Result, err error) goldenOut {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return goldenOut{Report: res.Report, Records: res.Records}
+}
+
+func disaggOut(t *testing.T, res *DisaggResult, err error) goldenOut {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	origins := func(shards []Shard) [][]int {
+		o := make([][]int, len(shards))
+		for i, sh := range shards {
+			o[i] = sh.Origin
+		}
+		return o
+	}
+	return goldenOut{Report: res.Report, Records: res.Records, Disagg: &goldenDisagg{
+		Handoffs:         res.Handoffs,
+		QueuedHandoffs:   res.QueuedHandoffs,
+		TransferredBytes: res.TransferredBytes,
+		PrefillOrigin:    origins(res.PrefillShards),
+		DecodeOrigin:     origins(res.DecodeShards),
+	}}
 }
 
 // goldenFaultPlan draws crashes, checkpoints, stragglers and rack-scoped
@@ -70,49 +115,40 @@ func goldenRuns() []goldenRun {
 	closed := smallTrace(400, 23)
 	const faultHorizon = 0.2
 	return []goldenRun{
-		{name: "offline-predicted-8", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
+		{name: "offline-predicted-8", run: func(t *testing.T, workers int) goldenOut {
 			res, err := Serve(cfg, closed, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PredictedCost, Options{Seed: 1}), Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Report, res.Records
-		}, check: func(t *testing.T, rep metrics.Report) {
+			return serveOut(t, res, err)
+		}, check: func(t *testing.T, out goldenOut) {
+			rep := out.Report
 			if !strings.HasPrefix(rep.Scheduler, "Fleet(") {
 				t.Errorf("closed-loop run left the pre-shard: %s", rep.Scheduler)
 			}
 		}},
-		{name: "online-prefix-8", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
+		{name: "online-prefix-8", run: func(t *testing.T, workers int) goldenOut {
 			res, err := Serve(cfg, prefix, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PrefixAffinity, Options{}), Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Report, res.Records
-		}, check: func(t *testing.T, rep metrics.Report) {
+			return serveOut(t, res, err)
+		}, check: func(t *testing.T, out goldenOut) {
+			rep := out.Report
 			if rep.PrefixCachedTokens == 0 {
 				t.Error("no prefix reuse")
 			}
 		}},
-		{name: "online-prefix-1", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
+		{name: "online-prefix-1", run: func(t *testing.T, workers int) goldenOut {
 			res, err := Serve(cfg, prefix, ServeConfig{Replicas: 1, Policy: mustPolicy(t, PrefixAffinity, Options{}), Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Report, res.Records
+			return serveOut(t, res, err)
 		}},
-		{name: "online-faults", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
+		{name: "online-faults", run: func(t *testing.T, workers int) goldenOut {
 			plan := goldenFaultPlan(t, 6, faultHorizon)
 			res, err := Serve(cfg, faultReqs, ServeConfig{Replicas: 6, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Faults: plan})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Report, res.Records
-		}, check: func(t *testing.T, rep metrics.Report) {
+			return serveOut(t, res, err)
+		}, check: func(t *testing.T, out goldenOut) {
+			rep := out.Report
 			f := rep.Faults
 			if f.Crashes == 0 || f.DomainOutages == 0 || f.RecoveredCheckpoint == 0 || f.RecoveredRecompute == 0 {
 				t.Errorf("fault layer idle: %+v", f)
 			}
 		}},
-		{name: "online-elastic", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
+		{name: "online-elastic", run: func(t *testing.T, workers int) goldenOut {
 			reqs, err := workload.StampPriorities(
 				workload.StampArrivals(smallTrace(300, 5), workload.Poisson{Rate: 4000}, 17),
 				workload.PriorityConfig{Tiers: 2, HighFraction: 0.3, Seed: 11})
@@ -124,33 +160,47 @@ func goldenRuns() []goldenRun {
 			stack := elasticStack(t, 4)
 			stack.Admission = policy.NewTokenBucket(2500, 32)
 			res, err := Serve(pcfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Stack: stack})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Report, res.Records
-		}, check: func(t *testing.T, rep metrics.Report) {
+			return serveOut(t, res, err)
+		}, check: func(t *testing.T, out goldenOut) {
+			rep := out.Report
 			a, s := rep.Admission, rep.Autoscale
-			if a.Shed == 0 || a.Retries == 0 || a.Preemptions == 0 || s.ScaleUps == 0 {
+			if a.Shed == 0 || a.Retries == 0 || a.Preemptions == 0 || a.BreakerTrips == 0 || a.BreakerSkips == 0 || s.ScaleUps == 0 {
 				t.Errorf("policy layer idle: %+v %+v", a, s)
 			}
 		}},
-		{name: "disagg", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
+		{name: "disagg", run: func(t *testing.T, workers int) goldenOut {
 			res, err := RunDisagg(cfg, DisaggConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers}, faultReqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Report, res.Records
+			return disaggOut(t, res, err)
 		}},
-		{name: "disagg-faults-policy", run: func(t *testing.T, workers int) (metrics.Report, []metrics.RequestRecord) {
+		{name: "disagg-faults", run: func(t *testing.T, workers int) goldenOut {
+			dc := DisaggConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Faults: goldenFaultPlan(t, 8, faultHorizon)}
+			res, err := RunDisagg(cfg, dc, faultReqs)
+			return disaggOut(t, res, err)
+		}, check: func(t *testing.T, out goldenOut) {
+			f := out.Report.Faults
+			if f.Crashes == 0 || f.DomainOutages == 0 || f.RecoveredCheckpoint == 0 || f.RecoveredRecompute == 0 || out.Disagg.Handoffs == 0 {
+				t.Errorf("fault layer idle: %+v, %d hand-offs", f, out.Disagg.Handoffs)
+			}
+		}},
+		{name: "disagg-faults-breakers", run: func(t *testing.T, workers int) goldenOut {
+			stack := &policy.Stack{Breaker: &policy.BreakerConfig{FailureThreshold: 2, Cooldown: faultHorizon / 4}}
+			dc := DisaggConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Stack: stack, Faults: goldenFaultPlan(t, 8, faultHorizon)}
+			res, err := RunDisagg(cfg, dc, faultReqs)
+			return disaggOut(t, res, err)
+		}, check: func(t *testing.T, out goldenOut) {
+			a := out.Report.Admission
+			if out.Report.Faults.Crashes == 0 || a.BreakerTrips == 0 || a.BreakerSkips == 0 {
+				t.Errorf("crash-fed breakers idle: %+v %+v", out.Report.Faults, a)
+			}
+		}},
+		{name: "disagg-faults-policy", run: func(t *testing.T, workers int) goldenOut {
 			stack := decodeScalerStack(t, 5)
 			stack.Breaker = &policy.BreakerConfig{FailureThreshold: 2, Cooldown: faultHorizon / 4}
 			dc := DisaggConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Stack: stack, Faults: goldenFaultPlan(t, 8, faultHorizon)}
 			res, err := RunDisagg(cfg, dc, faultReqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Report, res.Records
-		}, check: func(t *testing.T, rep metrics.Report) {
+			return disaggOut(t, res, err)
+		}, check: func(t *testing.T, out goldenOut) {
+			rep := out.Report
 			if rep.Faults.Crashes == 0 || rep.Admission.BreakerTrips == 0 || rep.Autoscale.ScaleUps == 0 {
 				t.Errorf("layers idle: %+v %+v %+v", rep.Faults, rep.Admission, rep.Autoscale)
 			}
@@ -160,26 +210,26 @@ func goldenRuns() []goldenRun {
 
 // TestParallelRouterGolden pins every fleet router configuration to a
 // committed digest: the SHA-256 of the JSON report and per-request
-// records, identical at one worker and at four. The configurations
-// cover the offline pre-shard of a closed-loop trace, plain routing
-// with prefix affinity (8 replicas and a lone one), the fault layer
-// (crashes, checkpoints, stragglers, power and network domain
-// outages), the policy layer (autoscaler, admission, retry, breakers,
-// preemption) and both disaggregated modes. Regenerate with `go test ./internal/fleet -run
+// records (plus, for a disaggregated run, its hand-off accounting and
+// both pools' shard origins), identical at one worker and at four. The
+// configurations cover the offline pre-shard of a closed-loop trace,
+// plain routing with prefix affinity (8 replicas and a lone one), the
+// fault layer (crashes, checkpoints, stragglers, power and network
+// domain outages), the policy layer (autoscaler, admission, retry,
+// breakers, preemption) and the disaggregated fleet plain, under
+// faults, under faults with crash-fed breakers, and under faults with
+// breakers and the decode autoscaler. Regenerate with `go test ./internal/fleet -run
 // TestParallelRouterGolden -update` only when a change is meant to
 // alter simulated output.
 func TestParallelRouterGolden(t *testing.T) {
 	got := map[string]string{}
 	for _, g := range goldenRuns() {
 		for _, workers := range []int{1, 4} {
-			rep, records := g.run(t, workers)
+			out := g.run(t, workers)
 			if g.check != nil && workers == 1 {
-				g.check(t, rep)
+				g.check(t, out)
 			}
-			b, err := json.Marshal(struct {
-				Report  any
-				Records any
-			}{rep, records})
+			b, err := json.Marshal(out)
 			if err != nil {
 				t.Fatal(err)
 			}
