@@ -17,8 +17,8 @@ import (
 
 // Chaos harness: randomized-but-seeded fault plans swept across domain
 // shapes, outage kinds, checkpoint cadences and (in long mode) retry
-// budgets, served by both fleet fault routers with the parallel fabric
-// at one and four workers. Every run must satisfy the exactly-once
+// budgets, served by the fleet router's fault layer on a colocated and a
+// disaggregated fleet with the parallel fabric at one and four workers. Every run must satisfy the exactly-once
 // invariant — each trace request finished exactly once XOR carries a
 // drop reason — and every (scenario, router) pair must produce
 // byte-identical reports run-to-run and across worker counts. The

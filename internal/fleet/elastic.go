@@ -11,43 +11,51 @@ import (
 	"repro/internal/workload"
 )
 
-// The online router's policy layer: the policy stack (package policy)
-// composed in front of the replicas. It owns admission and retry at
-// the arrival hook, breaker and autoscaler routability in the candidate
-// filter, preemption after each submission, breaker and drain
-// accounting in the finish hook, and the autoscaler's tick and
-// warm-up events on the control timeline. Unlike the disaggregated
-// router it has no liveness fallback: when every active replica's
-// breaker is open, requests wait on the retry schedule.
+// The router's policy layer: the policy stack (package policy) composed
+// in front of the replicas. It owns admission and retry at the arrival
+// hook, breaker and autoscaler routability in the candidate filter,
+// preemption after each submission, breaker and drain accounting in the
+// finish and crash hooks, and the autoscaler's tick and warm-up events
+// on the control timeline. Every pool gets breakers; the autoscaler
+// scales the last pool. A colocated fleet feeds its breakers each
+// finish's TTFT against the SLO and has no liveness fallback: when every
+// active replica's breaker is open, requests wait on the retry
+// schedule. A split fleet honors only breakers and the decode
+// autoscaler (see DisaggConfig.Stack): crashes and finishes feed its
+// breakers.
 
-// policyLayer is the online router's policy-stack state.
+// policyLayer is the router's policy-stack state.
 type policyLayer struct {
 	stack *policy.Stack
-	// pool owns the replica lifecycle and GPU-second accounting; nil
-	// when no autoscaler is attached (the fleet stays static).
-	pool *elasticPool
-	// winTTFT[i] collects replica i's completion TTFTs since the last
-	// autoscale tick (shard-written, coordinator-drained).
-	winTTFT  [][]float64
-	breakers []*policy.Breaker
-	ttftSLO  float64
-	world    int
-	stats    metrics.AdmissionStats
+	// winTTFT[i] collects the last pool's replica i completion TTFTs
+	// since the last autoscale tick (shard-written,
+	// coordinator-drained); a split fleet leaves it empty.
+	winTTFT [][]float64
+	ttftSLO float64
+	world   int
+	stats   metrics.AdmissionStats
 }
 
-func newPolicyLayer(cfg core.Config, stack *policy.Stack, replicas int) (*policyLayer, error) {
+// newPolicyLayer gives every pool a breaker per replica when the stack
+// carries a BreakerConfig, and the last pool an elastic lifecycle when
+// it carries an autoscaler.
+func newPolicyLayer(cfg core.Config, stack *policy.Stack, pools []*pool) (*policyLayer, error) {
+	scaled := pools[len(pools)-1]
+	n := len(scaled.out)
 	pl := &policyLayer{
-		stack:    stack,
-		winTTFT:  make([][]float64, replicas),
-		breakers: newBreakers(stack, replicas),
-		ttftSLO:  cfg.SLO.TTFT,
-		world:    cfg.World,
+		stack:   stack,
+		winTTFT: make([][]float64, n),
+		ttftSLO: cfg.SLO.TTFT,
+		world:   cfg.World,
+	}
+	for _, p := range pools {
+		p.breakers = newBreakers(stack, len(p.out))
 	}
 	if as := stack.Autoscaler; as != nil {
-		if m := as.Config().Max; m > replicas {
-			return nil, fmt.Errorf("fleet: autoscaler Max %d exceeds provisioned replicas %d", m, replicas)
+		if m := as.Config().Max; m > n {
+			return nil, fmt.Errorf("fleet: autoscaler Max %d exceeds provisioned replicas %d", m, n)
 		}
-		pl.pool = newElasticPool(as, replicas, cfg)
+		scaled.elastic = newElasticPool(as, n, cfg)
 		if t := as.Config().TTFTTarget; t > 0 {
 			pl.ttftSLO = t
 		}
@@ -55,20 +63,16 @@ func newPolicyLayer(cfg core.Config, stack *policy.Stack, replicas int) (*policy
 	return pl, nil
 }
 
-// admit runs one request through the front door: the token bucket
-// first, then routing across active, breaker-routable replicas. A shed
-// or unroutable request re-enters admission on the backoff schedule
-// until its retry budget runs out.
-func (ro *router) admit(origin int) {
-	if ro.err != nil || ro.led.droppedReason[origin] != "" {
-		return
-	}
+// admit runs an arrival (or a retry) through the token bucket, if the
+// stack has one. A shed request re-enters admission on the backoff
+// schedule until its retry budget runs out.
+func (ro *router) admit(origin int) bool {
 	if tb := ro.pol.stack.Admission; tb != nil && !tb.Allow(float64(ro.ctl.Now())) {
 		ro.pol.stats.Shed++
 		ro.requeue(origin, "shed by admission control")
-		return
+		return false
 	}
-	ro.dispatch(origin, pendingRec{origin: origin, fresh: true})
+	return true
 }
 
 // requeue schedules a retry for a refused request, or drops it once
@@ -85,53 +89,44 @@ func (ro *router) requeue(origin int, reason string) {
 	ro.ctl.AtFunc(ro.ctl.Now()+sim.Time(delay), arriveEvent, ro, origin, 0)
 }
 
-// routable is the policy layer's candidate filter: replica i must be
-// active in the autoscaled pool and its breaker must let traffic
-// through. Breaker skips are counted.
-func (ro *router) routable(i int, now float64) bool {
-	pl := ro.pol
-	if !pl.pool.routable(i) {
-		return false
-	}
-	if pl.breakers != nil && !pl.breakers[i].Routable(now) {
-		pl.stats.BreakerSkips++
-		return false
-	}
-	return true
-}
-
-// preempt lets a tier-0 arrival just queued on replica k evict lower
+// preempt lets a tier-0 arrival just queued on engine e evict lower
 // tiers' KV under pressure; the victims requeue behind it for
 // recompute.
-func (ro *router) preempt(k int, r workload.Request) {
+func (ro *router) preempt(e *core.Engine, r workload.Request) {
 	if pc := ro.pol.stack.Preemption; pc != nil && r.Priority == 0 {
-		victims := ro.engines[k].PreemptLowPriority(pc.Evictable(), r.InputLen)
+		victims := e.PreemptLowPriority(pc.Evictable(), r.InputLen)
 		ro.pol.stats.Preemptions += len(victims)
 	}
 }
 
-// policyFinished is the policy layer's finish hook: the completion's
-// TTFT feeds the autoscaler's window and the replica's breaker, and a
-// draining replica that ran out of work is noted for the next tick.
-func (ro *router) policyFinished(replica, local int) {
+// policyFinished is the policy layer's finish hook. On a colocated
+// fleet the completion's TTFT feeds the autoscaler's window and the
+// replica's breaker; on a split fleet every finish (a hand-off
+// included) is a breaker success. A draining replica that ran out of
+// work is noted for the next tick.
+func (ro *router) policyFinished(p *pool, i, local int) {
 	pl := ro.pol
-	t := float64(ro.engines[replica].Now())
-	if ttft, ok := ro.engines[replica].RequestTTFT(local); ok {
-		if pl.pool != nil {
-			pl.winTTFT[replica] = append(pl.winTTFT[replica], ttft)
+	t := float64(p.engines[i].Now())
+	if ro.split() {
+		if p.breakers != nil {
+			p.breakers[i].OnSuccess(t)
 		}
-		if pl.breakers != nil {
+	} else if ttft, ok := p.engines[i].RequestTTFT(local); ok {
+		if p.elastic != nil {
+			pl.winTTFT[i] = append(pl.winTTFT[i], ttft)
+		}
+		if p.breakers != nil {
 			// Trip accounting is summed from Trips() at assemble; the
 			// hook must not touch the shared stats struct.
 			if ttft > pl.ttftSLO {
-				pl.breakers[replica].OnFailure(t)
+				p.breakers[i].OnFailure(t)
 			} else {
-				pl.breakers[replica].OnSuccess(t)
+				p.breakers[i].OnSuccess(t)
 			}
 		}
 	}
-	if pl.pool != nil && ro.out[replica].Requests == 0 {
-		pl.pool.noteDrained(replica, t)
+	if p.elastic != nil && p.out[i].Requests == 0 {
+		p.elastic.noteDrained(i, t)
 	}
 }
 
@@ -141,36 +136,41 @@ func tickEvent(ctx any, _, _ int) {
 	if ro.err != nil {
 		return
 	}
-	pool := ro.pol.pool
+	p := ro.last()
+	ep := p.elastic
 	now := float64(ro.ctl.Now())
-	pool.reapDrains()
-	pool.stats.Ticks++
-	outstanding := func(i int) int { return ro.out[i].Requests }
+	ep.reapDrains()
+	ep.stats.Ticks++
+	outstanding := func(i int) int { return p.out[i].Requests }
 	warm := func(k int) {
-		ro.ctl.AtFunc(sim.Time(now+pool.coldStart), activateEvent, ro, k, 0)
+		ro.ctl.AtFunc(sim.Time(now+ep.coldStart), activateEvent, ro, k, 0)
 	}
-	pool.scale(ro.pol.stack.Autoscaler.Decide(now, ro.signals()), now, outstanding, warm)
+	ep.scale(ep.as.Decide(now, ro.signals(p)), now, outstanding, warm)
 	// Keep ticking while any request is unresolved; once everything is
-	// terminal the timeline drains and the run ends.
-	finished := 0
+	// terminal the timeline drains and the run ends. A handed-off
+	// request is counted once by its prefill engine and once at its
+	// real decode finish, so subtract the hand-off count.
+	finished := -ro.handoffs
 	for _, e := range ro.engines {
 		finished += e.NumFinished()
 	}
 	if finished+ro.led.dropped < len(ro.reqs) {
-		ro.ctl.AtFunc(ro.ctl.Now()+pool.tickInterval(), tickEvent, ro, 0, 0)
+		ro.ctl.AtFunc(ro.ctl.Now()+ep.tickInterval(), tickEvent, ro, 0, 0)
 	}
 }
 
-// signals builds the autoscaler's windowed SLO view and resets the
-// window.
-func (ro *router) signals() policy.Signals {
+// signals builds the autoscaler's windowed SLO view of pool p and
+// resets the window. The queue counts p's resident requests plus
+// hand-offs still waiting for headroom; a split fleet's decode pool
+// collects no TTFT window, so TTFT and goodput stay neutral there.
+func (ro *router) signals(p *pool) policy.Signals {
 	pl := ro.pol
 	var s policy.Signals
-	s.Active, s.Warming = pl.pool.counts()
-	queued := 0
+	s.Active, s.Warming = p.elastic.counts()
+	queued := len(ro.pending)
 	var win []float64
-	for i := range ro.engines {
-		queued += ro.out[i].Requests
+	for i := range p.engines {
+		queued += p.out[i].Requests
 		win = append(win, pl.winTTFT[i]...)
 		pl.winTTFT[i] = pl.winTTFT[i][:0]
 	}
@@ -195,23 +195,28 @@ func (ro *router) signals() policy.Signals {
 }
 
 // activateEvent completes one scale-up: the replica's weights are
-// loaded and it joins routing.
+// loaded, it joins routing, and queued hand-offs retry against the new
+// headroom.
 func activateEvent(ctx any, k, _ int) {
 	ro := ctx.(*router)
 	if ro.err == nil {
-		ro.pol.pool.activate(k)
+		ro.last().elastic.activate(k)
+		ro.drainPending()
 	}
 }
 
 // assemble adds the policy layer's autoscale and admission accounting
-// to the report.
-func (pl *policyLayer) assemble(rep *metrics.Report, led *ledger) {
-	if pl.pool != nil {
-		rep.Autoscale = pl.pool.finish(rep.Elapsed, pl.world)
+// to the report. The run's drops are counted under the fault layer
+// when one runs, here otherwise.
+func (pl *policyLayer) assemble(rep *metrics.Report, ro *router) {
+	if ep := ro.last().elastic; ep != nil {
+		rep.Autoscale = ep.finish(rep.Elapsed, pl.world)
 	}
-	if pl.breakers != nil {
-		pl.stats.BreakerTrips = breakerTrips(pl.breakers)
+	for _, p := range ro.pools {
+		pl.stats.BreakerTrips += breakerTrips(p.breakers)
 	}
-	pl.stats.Dropped = led.dropped
+	if ro.plan == nil {
+		pl.stats.Dropped = ro.led.dropped
+	}
 	rep.Admission = pl.stats
 }

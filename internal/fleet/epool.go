@@ -19,8 +19,8 @@ const (
 // elasticPool owns the replica-lifecycle mechanics an autoscaled pool
 // needs: the per-replica state machine (idle / warming / active /
 // draining), the provisioned GPU-second spans, and the execution of
-// scale decisions. The online router's policy layer scales its whole
-// fleet with one; the disaggregated router scales its decode pool. A nil
+// scale decisions. The router's policy layer scales its last pool with
+// one: the whole colocated fleet, or the decode pool of a split one. A nil
 // pool means "static": every routable check passes and no accounting
 // happens, preserving the pre-policy code paths byte for byte.
 type elasticPool struct {
@@ -79,13 +79,11 @@ func newBreakers(stack *policy.Stack, n int) []*policy.Breaker {
 	return bs
 }
 
-// breakerTrips sums the trips of every breaker in the given pools.
-func breakerTrips(pools ...[]*policy.Breaker) int {
+// breakerTrips sums the trips of every breaker in bs.
+func breakerTrips(bs []*policy.Breaker) int {
 	trips := 0
-	for _, bs := range pools {
-		for _, b := range bs {
-			trips += b.Trips()
-		}
+	for _, b := range bs {
+		trips += b.Trips()
 	}
 	return trips
 }

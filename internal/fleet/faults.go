@@ -5,28 +5,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
-// The online router's fault layer: crash recovery under a fault plan
-// (package faults). It owns the crash, restore and checkpoint-resume
-// events of the control timeline; its candidate-filter contribution
-// (dead replicas receive nothing) is the base snapshot's liveness check.
-
-// faultLayer is the online router's crash-recovery state.
-type faultLayer struct {
-	plan *faults.Plan
-	// queued holds requests that found no live replica; the next
-	// restore dispatches them again.
-	queued []pendingRec
-	// resumes holds checkpoint restores in flight (KV reloading from
-	// stable storage before re-import).
-	resumes    []pendingRec
-	blockBytes float64
-	xferTime   func(bytes float64) float64
-	stats      metrics.FaultStats
-}
+// The router's fault layer: crash recovery under a fault plan (package
+// faults). It owns the crash and restore events of the control
+// timeline and the retry budget; its candidate-filter contribution
+// (dead replicas receive nothing) is the base snapshot's liveness
+// check. Crash-lost requests resume from a KV checkpoint through the
+// KV transfer path (disagg.go) or by recompute through the first pool.
 
 // replicaConfig specializes the fleet config for replica i under a
 // fault plan: stragglers get their slowdown factor, and the checkpoint
@@ -48,7 +35,7 @@ func replicaConfig(cfg core.Config, plan *faults.Plan, i int) core.Config {
 // scheduleCrashes puts the plan's crashes and restarts of this fleet's
 // replicas on the control timeline.
 func (ro *router) scheduleCrashes() {
-	for ci, c := range ro.fault.plan.Crashes {
+	for ci, c := range ro.plan.Crashes {
 		if c.Replica < len(ro.engines) {
 			ro.ctl.AtFunc(sim.Time(c.At), crashEvent, ro, ci, 0)
 			ro.ctl.AtFunc(sim.Time(c.RestartAt), restoreEvent, ro, ci, 0)
@@ -58,111 +45,90 @@ func (ro *router) scheduleCrashes() {
 
 // crashEvent executes one planned crash (AtFunc: a is the crash index
 // in the plan): the replica's in-flight requests are aborted and
-// recovered.
+// recovered. A crash is a breaker failure signal per aborted request —
+// at least one even when the replica was idle — so repeated outages
+// open the breaker and routing stops probing the replica.
 func crashEvent(ctx any, ci, _ int) {
 	ro := ctx.(*router)
 	if ro.err != nil {
 		return
 	}
-	c := ro.fault.plan.Crashes[ci]
-	lost, err := ro.engines[c.Replica].Crash(sim.Time(c.RestartAt))
+	c := ro.plan.Crashes[ci]
+	p, k := ro.replica(c.Replica)
+	lost, err := p.engines[k].Crash(sim.Time(c.RestartAt))
 	if err != nil {
 		ro.err = fmt.Errorf("fleet: crash of replica %d: %w", c.Replica, err)
 		return
 	}
 	origins := make([]int, len(lost))
 	for i, l := range lost {
-		origins[i] = ro.retire(c.Replica, l.Local)
+		origins[i] = p.retire(k, l.Local)
+	}
+	if p.breakers != nil {
+		now := float64(ro.ctl.Now())
+		for i := 0; i < max(len(lost), 1); i++ {
+			p.breakers[k].OnFailure(now)
+		}
 	}
 	for i, l := range lost {
 		ro.recover(origins[i], l)
 	}
 }
 
-// recover re-dispatches one crash-lost request, spending one retry.
+// recover re-dispatches one crash-lost request, spending one retry. A
+// checkpoint reloads from stable storage over the KV link — the shared
+// link timeline, so degradation and partitions stretch or stall it like
+// any other transfer — and is placed like a hand-off on the last pool.
+// Without one the request resumes by recompute through the first pool:
+// a colocated replica resumes from its lost progress, a split fleet
+// restarts the whole lifecycle at the prefill pool (the generation
+// already delivered is redone there; Faults.LostOutputTokens accounts
+// it). Either way a failed import falls back to that recompute on the
+// same attempt.
 func (ro *router) recover(origin int, l core.Lost) {
 	if ro.err != nil {
 		return
 	}
-	fl := ro.fault
 	ro.led.attempts[origin]++
-	if ro.led.attempts[origin] > fl.plan.MaxRetries() {
+	if ro.led.attempts[origin] > ro.plan.MaxRetries() {
 		ro.led.drop(origin, "retry budget exhausted")
 		return
 	}
-	if l.Ckpt != nil {
-		// Checkpoint resume: the snapshot reloads from stable storage
-		// over the KV link before it can be re-imported. The reload
-		// rides the shared link timeline (TransferDoneFrom with no
-		// source replica), so link degradation and partitions stretch
-		// or stall it like any other transfer.
-		fl.resumes = append(fl.resumes, pendingRec{origin: origin, lost: l})
-		bytes := float64(l.Ckpt.KV.Blocks()) * fl.blockBytes
-		done := fl.plan.TransferDoneFrom(-1, float64(ro.ctl.Now()), fl.xferTime(bytes))
-		ro.ctl.AtFunc(sim.Time(done), resumeEvent, ro, len(fl.resumes)-1, 0)
+	pr := pendingRec{origin: origin, fresh: ro.split(), generated: l.Generated, firstTokenAt: l.FirstTokenAt}
+	if ck := l.Ckpt; ck != nil {
+		now := ro.ctl.Now()
+		h := core.Handoff{Local: -1, Req: ro.reqs[origin], KV: ck.KV, Generated: ck.Generated, FirstTokenAt: ck.FirstTokenAt, At: now}
+		ro.transfer(handoffItem{pr: pr, h: h, recovery: true}, -1)
 		return
 	}
-	fl.stats.RecoveredRecompute++
-	ro.dispatch(origin, pendingRec{origin: origin, lost: l})
+	ro.fstats.RecoveredRecompute++
+	ro.dispatch(pr)
 }
 
-// resumeEvent places a reloaded checkpoint on a live replica with KV
-// headroom. With none available, or when the import fails at arrival
-// (the target died or lost its headroom in this very instant), the
-// request falls back to recompute recovery on the same attempt instead
-// of stranding (an oversized request drops inside dispatch).
-func resumeEvent(ctx any, item, _ int) {
-	ro := ctx.(*router)
-	if ro.err != nil {
-		return
-	}
-	it := ro.fault.resumes[item]
-	if ro.led.droppedReason[it.origin] != "" {
-		return
-	}
-	r, ck, now := ro.reqs[it.origin], it.lost.Ckpt, ro.ctl.Now()
-	if loads := ro.snapshot(r, ck, float64(now)); len(loads) > 0 {
-		k, ok := ro.pick(r, loads)
-		if !ok {
-			return
-		}
-		h := core.Handoff{Local: -1, Req: r, KV: ck.KV, Generated: ck.Generated, FirstTokenAt: ck.FirstTokenAt, At: now}
-		if local, err := ro.engines[k].SubmitDecoded(r, h); err == nil {
-			ro.fault.stats.RecoveredCheckpoint++
-			ro.record(r, it.origin, k, local)
-			return
-		}
-	}
-	it.lost.Ckpt = nil
-	ro.fault.stats.RecoveredRecompute++
-	ro.dispatch(it.origin, it)
-}
-
-// restoreEvent brings a crashed replica back and drains the queue of
-// requests that found no live replica.
+// restoreEvent brings a crashed replica back, dispatches the requests
+// its pool queued while no replica was live, and retries queued
+// hand-offs once the control events at this instant settle (the
+// restored replica may now import what others could not).
 func restoreEvent(ctx any, ci, _ int) {
 	ro := ctx.(*router)
 	if ro.err != nil {
 		return
 	}
-	c := ro.fault.plan.Crashes[ci]
-	if err := ro.engines[c.Replica].Restore(); err != nil {
+	c := ro.plan.Crashes[ci]
+	p, k := ro.replica(c.Replica)
+	if err := p.engines[k].Restore(); err != nil {
 		ro.err = fmt.Errorf("fleet: restore of replica %d: %w", c.Replica, err)
 		return
 	}
-	q := ro.fault.queued
-	ro.fault.queued = nil
-	for _, p := range q {
+	q := p.queued
+	p.queued = nil
+	for _, pr := range q {
 		if ro.err != nil {
 			return
 		}
-		ro.dispatch(p.origin, p)
+		ro.dispatch(pr)
 	}
-}
-
-// assemble adds the fault layer's recovery accounting to the report.
-func (fl *faultLayer) assemble(rep *metrics.Report, led *ledger) {
-	fl.stats.DomainOutages = len(fl.plan.Domains)
-	fl.stats.Dropped = led.dropped
-	rep.Faults.Add(fl.stats)
+	if p == ro.last() && len(ro.pending) > 0 {
+		ro.ctl.AtFunc(ro.ctl.Now(), drainPendingEvent, ro, 0, 0)
+	}
 }

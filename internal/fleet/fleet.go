@@ -2,9 +2,12 @@
 // trace on N TD-Pipe engine replicas and merges their per-replica
 // reports into one fleet-level report. Serve is the entry point for
 // colocated fleets and RunDisagg for prefill/decode-split ones. Every
-// mode runs its replicas on the conservative parallel fabric
-// (parallel.go), so reports are deterministic and byte-identical
-// across worker counts.
+// routed run goes through one router (online.go) over one pool of
+// replicas, or a prefill and a decode pool joined by the KV hand-off
+// path (disagg.go), with an optional fault layer (faults.go) and
+// policy layer (elastic.go). Every mode runs its replicas on the
+// conservative parallel fabric (parallel.go), so reports are
+// deterministic and byte-identical across worker counts.
 //
 // Dispatch is pluggable: a Policy picks a replica per request
 // (round-robin, seeded random, least known work, or predicted-cost
@@ -132,8 +135,11 @@ type ServeConfig struct {
 }
 
 // ErrFaultsWithPolicy rejects a ServeConfig whose fault plan and policy
-// stack are both active: the policy layer has no crash hook, so the
-// two layers cannot share a run yet.
+// stack are both active. The two layers cannot share a colocated run
+// yet: admission retries and crash re-dispatches would count against
+// one per-request attempt counter in the ledger (ledger.attempts) under
+// two different limits, the retry policy's MaxAttempts and the plan's
+// MaxRetries.
 var ErrFaultsWithPolicy = errors.New("fleet: fault injection and the policy stack are not supported together yet")
 
 // Serve runs reqs on sc.Replicas data-parallel copies of cfg under
@@ -143,7 +149,7 @@ var ErrFaultsWithPolicy = errors.New("fleet: fault injection and the policy stac
 // A closed-loop trace (every arrival at t=0) with no active layer is
 // pre-sharded: Dispatch assigns every request up front from whole-trace
 // load totals and each replica runs its shard. Every other run goes
-// through the online router: all engines share one virtual clock and
+// through the router as one pool: all engines share one virtual clock and
 // each request is routed at its arrival instant on a live, incrementally
 // kept load snapshot (outstanding work, resident prefix, free KV).
 //
@@ -214,7 +220,7 @@ func preShard(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result
 			led.fin[o]++
 		}
 	}
-	res.Report, res.Records, err = led.assemble(cfg, fmt.Sprintf("Fleet(TD-Pipe/%s)x%d", res.Policy, sc.Replicas), results, false)
+	res.Report, res.Records, err = led.assemble(cfg, fmt.Sprintf("Fleet(TD-Pipe/%s)x%d", res.Policy, sc.Replicas), results)
 	if err != nil {
 		return nil, err
 	}
@@ -238,10 +244,10 @@ func RunOnlineElasticWorkers(cfg core.Config, replicas int, p Policy, reqs []wor
 // dropped requests (dropped[origin] != ""), output tokens sum the
 // merged records, per-replica counters sum, Elapsed and KVPeakUsage
 // take the slowest and fullest replica, and utilization averages over
-// all GPU-seconds of the fleet makespan. withFaults also folds the
-// replicas' crash and checkpoint accounting.
+// all GPU-seconds of the fleet makespan. The replicas' crash and
+// checkpoint accounting folds too (all zero without a fault plan).
 func foldReport(cfg core.Config, scheduler string, reqs []workload.Request, dropped []string,
-	results []*core.Result, records []metrics.RequestRecord, withFaults bool) metrics.Report {
+	results []*core.Result, records []metrics.RequestRecord) metrics.Report {
 	rep := metrics.Report{
 		Scheduler: scheduler,
 		Node:      cfg.Node.Name,
@@ -263,9 +269,7 @@ func foldReport(cfg core.Config, scheduler string, reqs []workload.Request, drop
 		rep.PhaseSwitches += rr.PhaseSwitches
 		rep.Recomputes += rr.Recomputes
 		rep.PrefixCachedTokens += rr.PrefixCachedTokens
-		if withFaults {
-			rep.Faults.Add(rr.Faults)
-		}
+		rep.Faults.Add(rr.Faults)
 		if rr.Elapsed > rep.Elapsed {
 			rep.Elapsed = rr.Elapsed
 		}
@@ -330,7 +334,7 @@ func (l *ledger) drop(origin int, reason string) {
 // assemble runs the exactly-once-XOR-dropped conservation check, merges
 // each request's final record into trace order and folds the report
 // (see foldReport). results are indexed like recRef.replica.
-func (l *ledger) assemble(cfg core.Config, scheduler string, results []*core.Result, withFaults bool) (metrics.Report, []metrics.RequestRecord, error) {
+func (l *ledger) assemble(cfg core.Config, scheduler string, results []*core.Result) (metrics.Report, []metrics.RequestRecord, error) {
 	records := make([]metrics.RequestRecord, len(l.reqs))
 	for origin, ref := range l.final {
 		switch f, dropped := l.fin[origin], l.droppedReason[origin] != ""; {
@@ -350,7 +354,7 @@ func (l *ledger) assemble(cfg core.Config, scheduler string, results []*core.Res
 			return metrics.Report{}, nil, fmt.Errorf("fleet: request %d lost without a drop reason (fin=%d)", origin, f)
 		}
 	}
-	return foldReport(cfg, scheduler, l.reqs, l.droppedReason, results, records, withFaults), records, nil
+	return foldReport(cfg, scheduler, l.reqs, l.droppedReason, results, records), records, nil
 }
 
 // CheckConservation verifies that each of n dispatched requests was

@@ -17,11 +17,14 @@ import (
 type layerRun func(t *testing.T, reqs []workload.Request, plan *faults.Plan, stack *policy.Stack) (metrics.Report, []metrics.RequestRecord, error)
 
 // layerFleets are a one-replica colocated fleet and a 1P+1D
-// disaggregated one; replicas is the size fault plans index over.
+// disaggregated one: replicas is the size fault plans index over, run
+// serves through the public entry point and pools builds the router's
+// pools for the same shape.
 var layerFleets = []struct {
 	name     string
 	replicas int
 	run      layerRun
+	pools    func(t *testing.T) []*pool
 }{
 	{"colocated", 1, func(t *testing.T, reqs []workload.Request, plan *faults.Plan, stack *policy.Stack) (metrics.Report, []metrics.RequestRecord, error) {
 		res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 1, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan, Stack: stack})
@@ -29,6 +32,8 @@ var layerFleets = []struct {
 			return metrics.Report{}, nil, err
 		}
 		return res.Report, res.Records, nil
+	}, func(t *testing.T) []*pool {
+		return []*pool{newPool("", 1, mustPolicy(t, LeastWork, Options{}))}
 	}},
 	{"disagg", 2, func(t *testing.T, reqs []workload.Request, plan *faults.Plan, stack *policy.Stack) (metrics.Report, []metrics.RequestRecord, error) {
 		res, err := RunDisagg(fastConfig(2), DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 1, Faults: plan, Stack: stack}, reqs)
@@ -36,6 +41,8 @@ var layerFleets = []struct {
 			return metrics.Report{}, nil, err
 		}
 		return res.Report, res.Records, nil
+	}, func(t *testing.T) []*pool {
+		return []*pool{newPool("prefill ", 1, mustPolicy(t, LeastWork, Options{})), newPool("decode ", 1, mustPolicy(t, DecodeAffinity, Options{}))}
 	}},
 }
 
@@ -57,7 +64,7 @@ func TestOversizedRequestRule(t *testing.T) {
 	}
 	for _, f := range layerFleets {
 		for _, l := range layers {
-			wantDrop := l.plan != nil || (l.stack != nil && f.name == "colocated")
+			wantDrop := l.plan != nil || l.stack != nil
 			rep, records, err := f.run(t, reqs, l.plan, l.stack)
 			if !wantDrop {
 				if !errors.Is(err, core.ErrRequestTooLarge) {
@@ -82,7 +89,8 @@ func TestOversizedRequestRule(t *testing.T) {
 
 // The crash retry budget is MaxRetries re-dispatches: a request whose
 // replica crashes under it MaxRetries times still finishes, and one more
-// crash drops it, with conservation intact, on both fleet shapes.
+// crash drops it as "retry budget exhausted", with conservation intact,
+// on both fleet shapes.
 func TestRetryBudgetBoundary(t *testing.T) {
 	reqs := []workload.Request{{ID: 0, InputLen: 64, OutputLen: 128}}
 	const maxRetries = 2
@@ -104,16 +112,24 @@ func TestRetryBudgetBoundary(t *testing.T) {
 			if err := faults.Validate(plan); err != nil {
 				t.Fatal(err)
 			}
-			rep, records, err := f.run(t, reqs, plan, nil)
+			cfg := fastConfig(2)
+			ro, err := newRouter(cfg, reqs, 0, plan, nil, f.pools(t)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, _, records, err := ro.serve(cfg, f.name)
 			if err != nil {
 				t.Fatalf("%s, %d crashes: %v", f.name, crashes, err)
 			}
 			if rep.Faults.AbortedRequests != crashes {
 				t.Fatalf("%s, %d crashes aborted %d requests; the plan missed the request", f.name, crashes, rep.Faults.AbortedRequests)
 			}
-			wantDropped := 0
+			wantDropped, wantReason := 0, ""
 			if crashes > maxRetries {
-				wantDropped = 1
+				wantDropped, wantReason = 1, "retry budget exhausted"
+			}
+			if got := ro.led.droppedReason[0]; got != wantReason {
+				t.Errorf("%s, %d crashes: drop reason %q, want %q", f.name, crashes, got, wantReason)
 			}
 			if records[0].Finished() != (wantDropped == 0) || rep.Faults.Dropped != wantDropped {
 				t.Errorf("%s, %d crashes: finished=%v, dropped %d", f.name, crashes, records[0].Finished(), rep.Faults.Dropped)

@@ -9,6 +9,8 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/faults"
 	"repro/internal/kvcache"
+	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -32,101 +34,135 @@ func validateArrivals(reqs []workload.Request) error {
 	return nil
 }
 
-// router is the online fleet router. The base routes each request at
-// its arrival instant, keeps the per-replica load counters and records
-// ownership in the ledger. Two optional layers attach through nil-able
-// pointers and hook in at arrival, candidate filter, finish, crash and
-// assemble: fault (crash recovery) and pol (the policy stack). A nil
-// layer means no hook call. Every intervention executes on the fabric's
-// control timeline; only the engines' finish hooks run on shard
-// goroutines, and those touch replica-indexed slots exclusively.
+// router is the fleet router, the one control path of every routed
+// run. A colocated fleet is one pool; a disaggregated fleet is a
+// prefill pool and a decode pool, joined by the KV transfer path
+// (disagg.go). The base routes each request at its arrival instant into
+// the first pool, keeps each pool's load counters and records ownership
+// in the ledger. Two optional layers attach: the fault layer (crash
+// recovery under plan, faults.go) and the policy layer (pol, the policy
+// stack, elastic.go). A nil layer means no hook call. Every intervention
+// executes on the fabric's control timeline; only the engines' finish
+// hooks run on shard goroutines, and those touch replica-indexed slots
+// exclusively.
 type router struct {
-	ctl     *sim.Engine
-	policy  Policy
+	ctl  *sim.Engine
+	fab  *fabric
+	reqs []workload.Request
+	led  *ledger
+	// engines holds every replica in fleet-global order (the prefill
+	// pool first, then decode); pools slice it.
 	engines []*core.Engine
-	reqs    []workload.Request
+	pools   []*pool
+	// blockBytes is the KV footprint of one block across the model;
+	// xferTime models the node's KV link.
+	blockBytes float64
+	xferTime   func(bytes float64) float64
+
+	// plan is nil on a fault-free run, which then takes no fault path;
+	// fstats is the fault layer's recovery accounting.
+	plan   *faults.Plan
+	fstats metrics.FaultStats
+	pol    *policyLayer
+
+	// The KV transfer path: items are the KV moves scheduled so far
+	// (hand-offs and checkpoint reloads); pending holds the indices of
+	// transferred items no replica can import yet, in completion order;
+	// lift is the earliest instant a partition excluding an import
+	// target lifts, found by the last placement snapshot (-1: none).
+	items          []handoffItem
+	pending        []int
+	lift           float64
+	handoffs       int
+	moved          float64
+	queuedHandoffs int
+
+	err error
+}
+
+// pool is one replica pool of the router: its engines, books and
+// dispatch policy, the policy layer's per-replica breakers and
+// autoscaled lifecycle (nil when the stack attaches none here), the
+// requests waiting for a live replica, and the reusable pick snapshot.
+type pool struct {
+	// role names the pool in errors and drop reasons: empty for a
+	// colocated fleet, "prefill " or "decode " for a split one.
+	role string
+	// off is the fleet-global index of the pool's replica 0.
+	off     int
+	engines []*core.Engine
+	policy  Policy
 	books
-	led *ledger
+	breakers []*policy.Breaker
+	elastic  *elasticPool
+	// queued holds requests that found no live replica; the pool's next
+	// restore dispatches them again.
+	queued []pendingRec
 	// loads and cand are the per-pick snapshot, reused across picks:
 	// loads[j] is the view of replica cand[j].
 	loads []Load
 	cand  []int
-
-	fault *faultLayer
-	pol   *policyLayer
-	err   error
 }
 
-// runOnline serves a validated run on the online router (see Serve).
-func runOnline(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, error) {
-	ro, fab, err := newRouter(cfg, reqs, sc)
-	if err != nil {
-		return nil, err
-	}
-	fab.drive()
-	if ro.err == nil && ro.fault != nil {
-		for _, q := range ro.fault.queued {
-			ro.led.drop(q.origin, "no live replica")
-		}
-	}
-	results, err := finalize(fab, ro.engines, ro.err)
-	if err != nil {
-		return nil, err
-	}
-	mode := "FleetOnline"
-	switch {
-	case ro.fault != nil:
-		mode = "FleetFaults"
-	case ro.pol != nil:
-		mode = "FleetElastic"
-	}
-	rep, records, err := ro.led.assemble(cfg, fmt.Sprintf("%s(TD-Pipe/%s)x%d", mode, sc.Policy.Name(), sc.Replicas),
-		results, ro.fault != nil || ro.pol != nil)
-	if err != nil {
-		return nil, err
-	}
-	if ro.fault != nil {
-		ro.fault.assemble(&rep, ro.led)
-	}
-	if ro.pol != nil {
-		ro.pol.assemble(&rep, ro.led)
-	}
-	return &Result{Report: rep, Replicas: results, Shards: ro.shards, Records: records, Policy: sc.Policy.Name(), Steps: fab.Steps(), Workers: fab.workers}, nil
+// newPool sizes a pool of n replicas dispatched by p; the router fills
+// in its engines.
+func newPool(role string, n int, p Policy) *pool {
+	return &pool{role: role, policy: p, books: newBooks(n), loads: make([]Load, n), cand: make([]int, n)}
 }
 
-// newRouter attaches the layers an active plan or stack asks for,
-// starts the engines on a fresh fabric and schedules every arrival,
-// crash and autoscale tick on its control timeline.
-func newRouter(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*router, *fabric, error) {
-	replicas := sc.Replicas
-	ro := &router{
-		policy: sc.Policy,
-		reqs:   reqs,
-		books:  newBooks(replicas),
-		led:    newLedger(reqs),
-		loads:  make([]Load, replicas),
-		cand:   make([]int, replicas),
+// newRouter attaches the layers an active plan or stack asks for to a
+// fleet of the given pools (tier i of the fabric is pools[i]), starts
+// the engines on a fresh fabric and schedules every arrival, crash and
+// autoscale tick on its control timeline.
+func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faults.Plan, stack *policy.Stack, pools ...*pool) (*router, error) {
+	if !plan.Active() {
+		plan = nil
 	}
-	if sc.Faults.Active() {
-		ro.fault = &faultLayer{plan: sc.Faults}
-		ro.fault.blockBytes, ro.fault.xferTime = kvLink(cfg)
+	ro := &router{reqs: reqs, led: newLedger(reqs), pools: pools, plan: plan}
+	ro.blockBytes, ro.xferTime = kvLink(cfg)
+	total := 0
+	for _, p := range pools {
+		p.off = total
+		total += len(p.out)
 	}
-	if sc.Stack.Active() {
+	if stack.Active() {
 		var err error
-		if ro.pol, err = newPolicyLayer(cfg, sc.Stack, replicas); err != nil {
-			return nil, nil, err
+		if ro.pol, err = newPolicyLayer(cfg, stack, pools); err != nil {
+			return nil, err
 		}
 	}
-	fab := newFabric(ResolveWorkers(sc.Workers, replicas))
-	fab.addTier(0, replicas)
-	engines, err := startEngines(fab, cfg, sc.Faults, nil)
-	if err != nil {
-		return nil, nil, err
+	// Pools never share a shard engine: the prefill tier advances to
+	// each control horizon first (discovering hand-offs), and the decode
+	// tier follows only after their transfer completions are on the
+	// control timeline.
+	fab := newFabric(ResolveWorkers(workers, total))
+	for tier, p := range pools {
+		fab.addTier(tier, len(p.out))
 	}
-	ro.ctl, ro.engines = fab.ctl, engines
-	for i := range engines {
-		i := i
-		engines[i].SetOnFinish(func(local int) { ro.finished(i, local) })
+	engines, err := startEngines(fab, cfg, plan, nil)
+	if err != nil {
+		return nil, err
+	}
+	ro.ctl, ro.fab, ro.engines = fab.ctl, fab, engines
+	for _, p := range pools {
+		p.engines = engines[p.off : p.off+len(p.out)]
+		for i, e := range p.engines {
+			p, i := p, i
+			e.SetOnFinish(func(local int) { ro.finished(p, i, local) })
+		}
+	}
+	if ro.split() {
+		for i, e := range pools[0].engines {
+			i := i
+			// Hand-offs are discovered while a shard worker advances
+			// its epoch window: buffer them on the shard; the
+			// coordinator drains the buffers in canonical order at the
+			// barrier and feeds them to ro.handoff.
+			e.SetHandoff(func(h core.Handoff) { fab.note(i, h) })
+		}
+		fab.onNote = ro.handoff
+		fab.pendingWork = func() bool { return len(ro.pending) > 0 }
+		fab.drainAt = ro.drainPending
 	}
 	// One control event per request at its arrival instant, scheduled
 	// in (arrival, trace index) order so simultaneous arrivals route in
@@ -135,21 +171,105 @@ func newRouter(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*route
 	for _, idx := range workload.SortByArrival(reqs) {
 		fab.ctl.AtFunc(sim.Time(reqs[idx].ArrivalTime), arriveEvent, ro, idx, 0)
 	}
-	if ro.fault != nil {
+	if plan != nil {
 		ro.scheduleCrashes()
 	}
-	if ro.pol != nil && ro.pol.pool != nil {
-		fab.ctl.AtFunc(ro.pol.pool.tickInterval(), tickEvent, ro, 0, 0)
+	if ep := ro.last().elastic; ep != nil {
+		fab.ctl.AtFunc(ep.tickInterval(), tickEvent, ro, 0, 0)
 	}
-	return ro, fab, nil
+	return ro, nil
+}
+
+// last is the pool that imports KV and that the autoscaler scales: the
+// whole fleet when colocated, the decode pool when split.
+func (ro *router) last() *pool { return ro.pools[len(ro.pools)-1] }
+
+// split reports whether the fleet is disaggregated into prefill and
+// decode pools.
+func (ro *router) split() bool { return len(ro.pools) == 2 }
+
+// replica maps a fleet-global replica index to its pool and its index
+// inside the pool.
+func (ro *router) replica(g int) (*pool, int) {
+	p := ro.pools[0]
+	if g >= len(p.engines) {
+		p = ro.last()
+	}
+	return p, g - p.off
+}
+
+// serve drives the run to its end and assembles the report under the
+// scheduler name, the layers' accounting included. A fault run may lose
+// requests, never silently: work still queued when the timeline drained
+// is dropped with a reason; a fault-free run with stranded hand-offs
+// fails.
+func (ro *router) serve(cfg core.Config, scheduler string) (metrics.Report, []*core.Result, []metrics.RequestRecord, error) {
+	ro.fab.drive()
+	switch {
+	case ro.err != nil:
+	case ro.plan != nil:
+		for _, item := range ro.pending {
+			ro.led.drop(ro.items[item].pr.origin, "stranded hand-off: fits no decode replica")
+		}
+		for _, p := range ro.pools {
+			for _, q := range p.queued {
+				ro.led.drop(q.origin, "no live "+p.role+"replica")
+			}
+		}
+	case len(ro.pending) > 0:
+		it := ro.items[ro.pending[0]]
+		ro.err = fmt.Errorf("fleet: %d hand-offs stranded: request %d (%d KV blocks) fits no decode replica",
+			len(ro.pending), it.pr.origin, it.h.KV.Blocks())
+	}
+	results, err := finalize(ro.fab, ro.engines, ro.err)
+	if err != nil {
+		return metrics.Report{}, nil, nil, err
+	}
+	rep, records, err := ro.led.assemble(cfg, scheduler, results)
+	if err != nil {
+		return metrics.Report{}, nil, nil, err
+	}
+	if ro.plan != nil {
+		ro.fstats.DomainOutages = len(ro.plan.Domains)
+		ro.fstats.Dropped = ro.led.dropped
+		rep.Faults.Add(ro.fstats)
+	}
+	if ro.pol != nil {
+		ro.pol.assemble(&rep, ro)
+	}
+	return rep, results, records, nil
+}
+
+// runOnline serves a validated run on a colocated fleet (see Serve).
+func runOnline(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, error) {
+	p := newPool("", sc.Replicas, sc.Policy)
+	ro, err := newRouter(cfg, reqs, sc.Workers, sc.Faults, sc.Stack, p)
+	if err != nil {
+		return nil, err
+	}
+	mode := "FleetOnline"
+	switch {
+	case ro.plan != nil:
+		mode = "FleetFaults"
+	case ro.pol != nil:
+		mode = "FleetElastic"
+	}
+	rep, results, records, err := ro.serve(cfg, fmt.Sprintf("%s(TD-Pipe/%s)x%d", mode, sc.Policy.Name(), sc.Replicas))
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Report: rep, Replicas: results, Shards: p.shards, Records: records, Policy: sc.Policy.Name(), Steps: ro.fab.Steps(), Workers: ro.fab.workers}, nil
 }
 
 // pendingRec is one dispatchable unit: a fresh arrival or a crash-lost
-// request awaiting re-dispatch (its checkpoint, if any, rides along).
+// request awaiting re-dispatch. fresh submits from scratch; otherwise
+// the request resumes by recompute from its lost progress, generated
+// tokens first produced at firstTokenAt.
 type pendingRec struct {
-	origin int
-	fresh  bool
-	lost   core.Lost
+	origin       int
+	fresh        bool
+	generated    int
+	firstTokenAt sim.Time
 }
 
 // arriveEvent fires at a request's arrival instant, and again at each
@@ -157,124 +277,167 @@ type pendingRec struct {
 // router, a the trace index).
 func arriveEvent(ctx any, idx, _ int) {
 	ro := ctx.(*router)
-	switch {
-	case ro.pol != nil:
-		ro.admit(idx)
-	case ro.err == nil:
-		ro.dispatch(idx, pendingRec{origin: idx, fresh: true})
+	if ro.err != nil || ro.led.droppedReason[idx] != "" {
+		return
 	}
+	if ro.pol != nil && !ro.admit(idx) {
+		return
+	}
+	ro.dispatch(pendingRec{origin: idx, fresh: true})
 }
 
-// dispatch routes one request to a replica: a fresh arrival submits
-// normally, a crash-lost one resumes by recompute (SubmitRecovered).
-// Only a layer can leave no candidate: the policy layer then retries
-// on its backoff schedule, the fault layer queues the request until a
-// restart. A layered run drops a request too large for any replica; a
-// plain run fails on it.
-func (ro *router) dispatch(origin int, pr pendingRec) {
+// dispatch routes one request to a replica of the first pool: a fresh
+// arrival submits normally, a crash-lost one resumes by recompute
+// (SubmitRecovered). Only a layer can leave no candidate: the fault
+// layer then queues the request until a restart, the policy layer
+// retries it on its backoff schedule. A run with a layer drops a
+// request too large for any replica; a layer-free run fails on it.
+func (ro *router) dispatch(pr pendingRec) {
+	p := ro.pools[0]
+	origin := pr.origin
 	r := ro.reqs[origin]
 	now := float64(ro.ctl.Now())
-	loads := ro.snapshot(r, nil, now)
+	loads := ro.snapshot(p, r, nil, now)
 	if len(loads) == 0 {
-		if ro.pol != nil {
-			ro.requeue(origin, "no routable replica")
+		if ro.plan != nil {
+			p.queued = append(p.queued, pr)
 		} else {
-			ro.fault.queued = append(ro.fault.queued, pr)
+			ro.requeue(origin, "no routable replica")
 		}
 		return
 	}
-	k, ok := ro.pick(r, loads)
+	k, ok := ro.pick(p, r, loads, now)
 	if !ok {
 		return
-	}
-	if ro.pol != nil && ro.pol.breakers != nil {
-		// Consume the half-open probe slot if the pick is probing.
-		ro.pol.breakers[k].Allow(now)
 	}
 	var local int
 	var err error
 	if pr.fresh {
-		local, err = ro.engines[k].Submit(r)
+		local, err = p.engines[k].Submit(r)
 	} else {
-		local, err = ro.engines[k].SubmitRecovered(r, pr.lost.Generated, pr.lost.FirstTokenAt)
+		local, err = p.engines[k].SubmitRecovered(r, pr.generated, pr.firstTokenAt)
 	}
 	if err != nil {
-		if errors.Is(err, core.ErrRequestTooLarge) && (ro.fault != nil || ro.pol != nil) {
+		if errors.Is(err, core.ErrRequestTooLarge) && (ro.plan != nil || ro.pol != nil) {
 			ro.led.drop(origin, err.Error())
 			return
 		}
-		ro.err = fmt.Errorf("fleet: replica %d rejected request %d: %w", k, origin, err)
+		ro.err = fmt.Errorf("fleet: %sreplica %d rejected request %d: %w", p.role, k, origin, err)
 		return
 	}
 	if ro.pol != nil {
-		ro.preempt(k, r)
+		ro.preempt(p.engines[k], r)
 	}
-	ro.record(r, origin, k, local)
+	ro.record(p, r, origin, k, local)
 }
 
-// snapshot fills the reusable load view for routing r right now, one
-// row per candidate replica: the live replicas (under the fault layer)
-// that the policy layer (if any) lets through. Each row is the
-// incrementally maintained outstanding counters plus two live probes
-// of the replica's KV pool — how much of r's shared prefix is resident
-// (warm blocks included, so affinity survives request completion) and
-// the free-KV headroom pool-aware policies rank on. With a checkpoint ck the candidates must also be
-// able to import its KV over an unpartitioned link, and warmth is the
-// checkpoint's resident share instead.
+// snapshot fills pool p's reusable load view for routing r right now,
+// one row per candidate replica: the live replicas (under the fault
+// layer) that the autoscaler keeps active and whose breakers let
+// traffic through. Each row is the incrementally maintained outstanding
+// counters plus two live probes of the replica's KV pool — how much of
+// r's shared prefix is resident (warm blocks included, so affinity
+// survives request completion) and the free-KV headroom pool-aware
+// policies rank on. With an exported KV sequence kv the candidates must
+// also be able to import it over an unpartitioned link (the earliest
+// partition lift lands in ro.lift), and warmth is kv's resident share
+// instead. Breaker skips are counted, except on a split fleet whose
+// candidates are all breaker-open: it falls back to the rest of the
+// filter, so a fully tripped pool degrades instead of stalling.
 //
 //det:hotpath
-func (ro *router) snapshot(r workload.Request, ck *core.Checkpoint, now float64) []Load {
-	n := 0
-	for i, e := range ro.engines {
-		// Only the fault layer kills replicas, so only it pays for the
-		// liveness probe.
-		if (ro.fault != nil && !e.Alive()) || (ro.pol != nil && !ro.routable(i, now)) {
-			continue
+func (ro *router) snapshot(p *pool, r workload.Request, kv *kvcache.ExportedSeq, now float64) []Load {
+	n, skips := 0, 0
+	gate := p.breakers != nil
+	for {
+		for i, e := range p.engines {
+			// Only the fault layer kills replicas, so only it pays for
+			// the liveness probe.
+			if (ro.plan != nil && !e.Alive()) || !p.elastic.routable(i) {
+				continue
+			}
+			if kv != nil {
+				if !e.CanImportKV(*kv) {
+					continue
+				}
+				if ro.plan.PartitionedAt(p.off+i, now) {
+					if end := ro.plan.PartitionLiftsAt(p.off+i, now); ro.lift < 0 || end < ro.lift {
+						ro.lift = end
+					}
+					continue
+				}
+			}
+			if gate && !p.breakers[i].Routable(now) {
+				skips++
+				continue
+			}
+			l := p.out[i]
+			if kv == nil {
+				l.WarmTokens = e.PrefixWarmTokens(r)
+			} else {
+				l.WarmTokens = e.ResidentKVTokens(*kv)
+			}
+			l.FreeKVTokens = e.FreeKVTokens()
+			p.cand[n], p.loads[n] = i, l
+			n++
 		}
-		l := ro.out[i]
-		if ck == nil {
-			l.WarmTokens = e.PrefixWarmTokens(r)
-		} else if e.CanImportKV(ck.KV) && !ro.fault.plan.PartitionedAt(i, now) {
-			l.WarmTokens = e.ResidentKVTokens(ck.KV)
-		} else {
-			continue
+		if n > 0 || skips == 0 || !ro.split() {
+			break
 		}
-		l.FreeKVTokens = e.FreeKVTokens()
-		ro.cand[n], ro.loads[n] = i, l
-		n++
+		gate, skips = false, 0
 	}
-	return ro.loads[:n]
+	if skips > 0 {
+		ro.pol.stats.BreakerSkips += skips
+	}
+	return p.loads[:n]
 }
 
-// pick asks the policy for a candidate and maps it back to a replica;
-// an out-of-range pick fails the run.
-func (ro *router) pick(r workload.Request, loads []Load) (int, bool) {
-	j := ro.policy.Pick(r, loads)
+// pick asks pool p's policy for a candidate of loads and maps it back
+// to a replica of the pool, consuming the replica's half-open breaker
+// probe slot if the pick is probing. An out-of-range pick fails the
+// run.
+//
+//det:hotpath
+func (ro *router) pick(p *pool, r workload.Request, loads []Load, now float64) (int, bool) {
+	j := p.policy.Pick(r, loads)
 	if j < 0 || j >= len(loads) {
-		ro.err = fmt.Errorf("fleet: policy %q picked candidate %d of %d", ro.policy.Name(), j, len(loads))
+		ro.badPick(p, j, len(loads))
 		return 0, false
 	}
-	return ro.cand[j], true
+	k := p.cand[j]
+	if p.breakers != nil {
+		p.breakers[k].Allow(now)
+	}
+	return k, true
+}
+
+// badPick fails the run on an out-of-range pick, outside pick because
+// formatting the error allocates.
+func (ro *router) badPick(p *pool, j, n int) {
+	ro.err = fmt.Errorf("fleet: policy %q picked %scandidate %d of %d", p.policy.Name(), p.role, j, n)
 }
 
 // record books one landed submission: load counters, shard membership
 // and the final-owner pointer. Submit only schedules simulation
 // events, so the finish hook cannot fire before the entry lands.
-func (ro *router) record(r workload.Request, origin, k, local int) {
-	ro.add(k, local, origin, r, ro.policy.Cost(r))
-	ro.led.final[origin] = recRef{replica: k, local: local}
+func (ro *router) record(p *pool, r workload.Request, origin, k, local int) {
+	p.add(k, local, origin, r, p.policy.Cost(r))
+	ro.led.final[origin] = recRef{replica: p.off + k, local: local}
 }
 
 // finished is the engines' completion hook: it retires the request's
-// contribution from its replica's counters in O(1) and counts the
-// terminal finish.
+// contribution from its replica's counters in O(1), counts the terminal
+// finish (a prefill replica's hand-off included; the hand-off hook
+// takes it back) and flags the finish on the replica's shard, where the
+// fabric's decode lockstep looks for it.
 //
 //det:hotpath
-func (ro *router) finished(replica, local int) {
-	ro.led.fin[ro.retire(replica, local)]++
+func (ro *router) finished(p *pool, i, local int) {
+	ro.led.fin[p.retire(i, local)]++
 	if ro.pol != nil {
-		ro.policyFinished(replica, local)
+		ro.policyFinished(p, i, local)
 	}
+	ro.fab.markFinish(p.off + i)
 }
 
 // loadEntry is one routed request's contribution to its replica's load

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
@@ -116,26 +117,22 @@ func TestRunOnlineRejectsBadArgs(t *testing.T) {
 	}
 }
 
-// TestRouteSnapshotDoesNotAllocate pins one plain routed arrival's
-// routing decision — the candidate snapshot with its live KV probes of
-// every replica, then the policy pick — at zero allocations, on engines
-// whose prefix caches still hold the request's shared prefix warm.
+// TestRouteSnapshotDoesNotAllocate pins one routing decision — the
+// candidate snapshot with its live KV probes of every replica, then the
+// policy pick with its breaker probe slot — at zero allocations: a
+// plain routed arrival on engines whose prefix caches still hold the
+// request's shared prefix warm, and on a disaggregated fleet with
+// breakers, a prefill dispatch and a decode placement.
 func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	reqs := prefixOnlineTrace(200, 41, 8000, 8, 512)
-	ro, fab, err := newRouter(fastConfig(2), reqs, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PrefixAffinity, Options{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab.drive()
-	if ro.err != nil {
-		t.Fatal(ro.err)
-	}
 	r := reqs[len(reqs)-1]
+	colo := newPool("", 8, mustPolicy(t, PrefixAffinity, Options{}))
+	ro := drivenRouter(t, reqs, nil, colo)
 	now := float64(ro.ctl.Now())
 	warm := 0
 	route := func() {
-		loads := ro.snapshot(r, nil, now)
-		if k, ok := ro.pick(r, loads); ok {
+		loads := ro.snapshot(colo, r, nil, now)
+		if k, ok := ro.pick(colo, r, loads, now); ok {
 			warm = loads[k].WarmTokens
 		}
 	}
@@ -145,7 +142,40 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	if warm == 0 {
 		t.Error("the pick found no warm prefix; the probe walked no hash chain")
 	}
-	if _, err := finalize(fab, ro.engines, nil); err != nil {
+
+	pre := newPool("prefill ", 2, mustPolicy(t, LeastWork, Options{}))
+	dec := newPool("decode ", 3, mustPolicy(t, DecodeAffinity, Options{}))
+	ro = drivenRouter(t, reqs, &policy.Stack{Breaker: &policy.BreakerConfig{}}, pre, dec)
+	now = float64(ro.ctl.Now())
+	kv := ro.items[len(ro.items)-1].h.KV
+	picked := 0
+	split := func() {
+		if _, ok := ro.pick(pre, r, ro.snapshot(pre, r, nil, now), now); ok {
+			picked++
+		}
+		if _, ok := ro.pick(dec, r, ro.snapshot(dec, r, &kv, now), now); ok {
+			picked++
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, split); allocs != 0 {
+		t.Errorf("a prefill dispatch and a decode placement allocate %v times per run, want 0", allocs)
+	}
+	if picked == 0 || ro.err != nil {
+		t.Errorf("split fleet picked %d times (err %v)", picked, ro.err)
+	}
+}
+
+// drivenRouter runs reqs to the end on a router over pools and returns
+// it with its engines still live.
+func drivenRouter(t *testing.T, reqs []workload.Request, stack *policy.Stack, pools ...*pool) *router {
+	t.Helper()
+	ro, err := newRouter(fastConfig(2), reqs, 0, nil, stack, pools...)
+	if err != nil {
 		t.Fatal(err)
 	}
+	ro.fab.drive()
+	if ro.err != nil {
+		t.Fatal(ro.err)
+	}
+	return ro
 }
