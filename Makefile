@@ -53,9 +53,10 @@ race:
 # Chaos harness: randomized-but-seeded correlated-failure plans swept
 # across domain shapes, outage kinds and checkpoint cadences, served by
 # the fleet router's fault layer on a colocated and a disaggregated
-# fleet at one and four workers, asserting
-# exactly-once conservation and byte-identical reports run-to-run and
-# across worker counts. TDPIPE_CHAOS_LONG=1 widens the seed set and
+# fleet, and by the fault layer together with a full policy stack on a
+# colocated fleet, at one and four workers, asserting exactly-once
+# conservation (finished + Faults.Dropped + Admission.Dropped = trace)
+# and byte-identical reports run-to-run and across worker counts. TDPIPE_CHAOS_LONG=1 widens the seed set and
 # varies the retry budget (the race job above runs the short sweep
 # under the detector).
 chaos:

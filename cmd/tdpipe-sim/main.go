@@ -64,8 +64,11 @@
 // -max-retries is exhausted and the request is dropped with a reason.
 // -stragglers/-straggler-factor slow seeded replicas; the -link-*
 // flags impair the disagg KV hand-off link with degraded or
-// partitioned windows. The report gains a fault/recovery accounting
-// line, and runs are deterministic for a fixed seed:
+// partitioned windows. The fault flags compose with the policy flags
+// on one fleet run, each layer spending its own retry budget
+// (-max-retries for crash re-dispatches, -retry-attempts for
+// re-admissions). The report gains a fault/recovery accounting line,
+// and runs are deterministic for a fixed seed:
 //
 //	tdpipe-sim -replicas 4 -arrivals poisson -rate 3 \
 //	    -mtbf 120 -fault-horizon 600 -ckpt-interval 60
@@ -289,7 +292,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.Float64Var(&o.admitRate, "admit-rate", 0, "token-bucket admission rate in requests/s (0 disables admission control)")
 	fs.IntVar(&o.admitBurst, "admit-burst", 16, "token-bucket admission burst size")
 	fs.IntVar(&o.breakerFailures, "breaker-failures", 0, "consecutive failures that trip a replica's circuit breaker: TTFT SLO misses online (needs -slo-ttft), aborted requests with -disagg (0 disables)")
-	fs.IntVar(&o.retryAttempts, "retry-attempts", 0, "admission attempts per request under seeded exponential backoff (0 disables retry; shed requests are then dropped)")
+	fs.IntVar(&o.retryAttempts, "retry-attempts", 0, "admission retries per request under seeded exponential backoff, counting only the policy layer's re-admissions (0 disables retry; shed requests are then dropped)")
 	fs.IntVar(&o.priorityTiers, "priority-tiers", 0, "stamp the trace with priority tiers and preempt low tiers under KV pressure (0 disables; >= 2 tiers)")
 	fs.IntVar(&o.prefixGroups, "prefix-groups", 0, "shared-prefix groups to stamp on the trace (0 disables prefix structure)")
 	fs.IntVar(&o.prefixLen, "prefix-len", 256, "mean shared-prefix length in tokens")
@@ -297,7 +300,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.BoolVar(&o.noPrefixCache, "no-prefix-cache", false, "disable shared-prefix KV reuse (ablation)")
 	fs.Float64Var(&o.mtbf, "mtbf", 0, "mean time between replica failures in virtual seconds (0 disables crashes; needs -fault-horizon)")
 	fs.Float64Var(&o.faultHorizon, "fault-horizon", 0, "virtual-time horizon bounding fault activity in seconds")
-	fs.IntVar(&o.maxRetries, "max-retries", 0, "re-dispatches per crash-lost request before it is dropped (0 = default 3)")
+	fs.IntVar(&o.maxRetries, "max-retries", 0, "re-dispatches per crash-lost request before it is dropped, counting only the fault layer's crash retries (0 = default 3)")
 	fs.Float64Var(&o.restartDelay, "restart-delay", 2, "process-restart seconds added to each crash outage (weight reload is modeled on top)")
 	fs.IntVar(&o.stragglers, "stragglers", 0, "replicas (chosen by the fault seed) slowed by -straggler-factor")
 	fs.Float64Var(&o.stragglerFactor, "straggler-factor", 1.3, "pass-duration multiplier for straggler replicas")
@@ -638,9 +641,9 @@ func run(o options, visit func(func(*flag.Flag))) error {
 			workersSet = true
 		}
 	})
-	// Breakers ride the online policy stack (TTFT-classified) outside
-	// -disagg; with -disagg they attach to both pools and are fed by
-	// crashes, so they compose with fault injection there.
+	// Breakers ride the online policy stack (TTFT-classified, and
+	// crash-fed under fault flags) outside -disagg; with -disagg they
+	// attach to both pools and are fed by crashes and finishes.
 	if breakerSet && !o.disagg {
 		frontFlags = append(frontFlags, "-breaker-failures")
 	}
@@ -654,9 +657,6 @@ func run(o options, visit func(func(*flag.Flag))) error {
 	}
 	if (len(frontFlags) > 0 || len(scaleFlags) > 0) && !o.disagg && (o.replicas <= 1 || !open) {
 		return fmt.Errorf("the policy stack needs the online fleet router: -replicas > 1 with open-loop -arrivals (or -disagg for the -autoscale-* flags)")
-	}
-	if (len(frontFlags) > 0 || len(scaleFlags) > 0) && fc.Enabled() && !o.disagg {
-		return fmt.Errorf("%w; run them separately", fleet.ErrFaultsWithPolicy)
 	}
 	if o.breakerFailures > 0 && o.slo.TTFT <= 0 && !o.disagg {
 		return fmt.Errorf("-breaker-failures classifies completions against the TTFT SLO: set -slo-ttft (with -disagg breakers are crash-fed instead)")

@@ -7,8 +7,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"repro/internal/fleet"
 )
 
 // readmeFlagTable parses the "Flag reference: cmd/tdpipe-sim" table out
@@ -90,9 +88,9 @@ func TestReadmeFlagTableMatchesRegistration(t *testing.T) {
 // TestFleetFlagErrors runs flag combinations through the real mode
 // checks: a fleet size below one and an explicit -policy without fleet
 // mode must each fail with their named error instead of silently
-// running the single-engine path, and fault injection with a policy
-// flag must fail with fleet's error for the pair; valid fleet
-// invocations, an offline one with -workers among them, must run.
+// running the single-engine path; valid fleet invocations, an offline
+// one with -workers among them and fault injection together with a
+// policy flag, must run.
 func TestFleetFlagErrors(t *testing.T) {
 	tiny := []string{"-requests", "8", "-pool", "64", "-oracle"}
 	cases := []struct {
@@ -107,7 +105,7 @@ func TestFleetFlagErrors(t *testing.T) {
 		{"fleet with policy", []string{"-replicas", "2", "-policy", "least-work"}, nil},
 		{"offline fleet with workers", []string{"-replicas", "4", "-workers", "2"}, nil},
 		{"faults with admission", []string{"-replicas", "2", "-arrivals", "poisson", "-rate", "5",
-			"-mtbf", "30", "-fault-horizon", "20", "-admit-rate", "4"}, fleet.ErrFaultsWithPolicy},
+			"-mtbf", "30", "-fault-horizon", "20", "-admit-rate", "4"}, nil},
 		{"disagg autoscale with faults", []string{"-disagg", "-arrivals", "poisson", "-rate", "5",
 			"-mtbf", "30", "-fault-horizon", "20", "-autoscale-max", "2"}, nil},
 	}

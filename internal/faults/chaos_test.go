@@ -12,18 +12,23 @@ import (
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
 // Chaos harness: randomized-but-seeded fault plans swept across domain
 // shapes, outage kinds, checkpoint cadences and (in long mode) retry
 // budgets, served by the fleet router's fault layer on a colocated and a
-// disaggregated fleet with the parallel fabric at one and four workers. Every run must satisfy the exactly-once
-// invariant — each trace request finished exactly once XOR carries a
-// drop reason — and every (scenario, router) pair must produce
-// byte-identical reports run-to-run and across worker counts. The
-// harness lives outside package faults (faults cannot import fleet),
-// which also means it exercises only the exported surface.
+// disaggregated fleet, and by the fault layer together with a policy
+// stack of every component (admission, retry, breakers, autoscaler,
+// preemption) on a colocated fleet, with the parallel fabric at one and
+// four workers. Every run must satisfy the exactly-once invariant —
+// each trace request finished exactly once XOR carries a drop reason,
+// counted in Report.Faults.Dropped or Report.Admission.Dropped — and
+// every (scenario, fleet) pair must produce byte-identical reports
+// run-to-run and across worker counts. The harness lives outside
+// package faults (faults cannot import fleet), which also means it
+// exercises only the exported surface.
 //
 // The short sweep runs in CI (`make chaos`); TDPIPE_CHAOS_LONG=1 widens
 // the seed set and varies the retry budget.
@@ -111,10 +116,29 @@ func marshalChaos(t *testing.T, report metrics.Report, records []metrics.Request
 	return string(b)
 }
 
+// chaosStack is a policy stack with every component, paced to a run of
+// the given horizon; it is stateful, so every run builds its own.
+func chaosStack(t *testing.T, horizon float64) *policy.Stack {
+	t.Helper()
+	as, err := policy.NewAutoscaler(policy.AutoscalerConfig{
+		Min: 1, Max: 4, Interval: horizon / 8, ScaleUpQueue: 4, ScaleDownQueue: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &policy.Stack{
+		Admission:  policy.NewTokenBucket(1500, 16),
+		Retry:      policy.NewBackoff(policy.BackoffConfig{Base: horizon / 20, Max: horizon / 4, Jitter: 0.2, Seed: 3}),
+		Breaker:    &policy.BreakerConfig{FailureThreshold: 4, Cooldown: horizon / 4, HalfOpenSuccesses: 2},
+		Autoscaler: as,
+		Preemption: &policy.PreemptionConfig{},
+	}
+}
+
 // checkChaosConservation asserts exactly-once finished-xor-dropped
 // from the outside: the record count matches the trace, finished
 // records match the report, and finished + dropped covers everything.
-func checkChaosConservation(t *testing.T, label string, report metrics.Report, records []metrics.RequestRecord, n int) {
+func checkChaosConservation(t *testing.T, label string, report metrics.Report, records []metrics.RequestRecord, n, dropped int) {
 	t.Helper()
 	if len(records) != n {
 		t.Fatalf("%s: %d records for %d requests", label, len(records), n)
@@ -128,15 +152,15 @@ func checkChaosConservation(t *testing.T, label string, report metrics.Report, r
 	if finished != report.Requests {
 		t.Fatalf("%s: %d finished records, report says %d", label, finished, report.Requests)
 	}
-	if got := report.Requests + report.Faults.Dropped; got != n {
-		t.Fatalf("%s: finished %d + dropped %d = %d, want %d",
-			label, report.Requests, report.Faults.Dropped, got, n)
+	if got := report.Requests + dropped; got != n {
+		t.Fatalf("%s: finished %d + dropped %d = %d, want %d", label, report.Requests, dropped, got, n)
 	}
 }
 
 // TestChaosSweep is the harness core: every scenario's plan is drawn
-// seeded, layered over light independent crash pressure, and served by
-// the online and disaggregated fault routers at one and four workers.
+// seeded, layered over light independent crash pressure, and served on
+// the colocated fleet without and with a full policy stack and on the
+// disaggregated fleet, at one and four workers.
 func TestChaosSweep(t *testing.T) {
 	long := os.Getenv("TDPIPE_CHAOS_LONG") == "1"
 	cfg := chaosConfig()
@@ -186,42 +210,62 @@ func TestChaosSweep(t *testing.T) {
 					t.Fatalf("generated plan invalid: %v", err)
 				}
 
-				// Online fault router: two runs at one worker (run-to-run
-				// identity), one at four (cross-worker identity).
-				var online string
-				for i, workers := range []int{1, 1, 4} {
-					res, err := fleet.Serve(cfg, reqs, fleet.ServeConfig{Replicas: replicas, Policy: policy(), Workers: workers, Faults: plan})
-					if err != nil {
-						t.Fatalf("online workers=%d: %v", workers, err)
-					}
-					label := fmt.Sprintf("online workers=%d", workers)
-					checkChaosConservation(t, label, res.Report, res.Records, n)
-					if got := res.Report.Faults.DomainOutages; got != len(plan.Domains) {
-						t.Errorf("%s: %d domain outages reported, plan has %d", label, got, len(plan.Domains))
-					}
-					b := marshalChaos(t, res.Report, res.Records)
-					if i > 0 && b != online {
-						t.Fatalf("%s diverged from the first run", label)
-					}
-					online = b
+				// Each leg runs twice at one worker (run-to-run identity)
+				// and once at four (cross-worker identity): the colocated
+				// fault router, the same plan under a policy stack of every
+				// component, and the disaggregated fault router. dropped
+				// sums the drop counters the leg's layers report.
+				type outcome struct {
+					report  metrics.Report
+					records []metrics.RequestRecord
+					dropped int
 				}
-
-				// Disaggregated fault router, same sweep.
-				var disagg string
-				for i, workers := range []int{1, 1, 4} {
-					d := dc
-					d.Workers, d.Faults = workers, plan
-					res, err := fleet.RunDisagg(cfg, d, reqs)
-					if err != nil {
-						t.Fatalf("disagg workers=%d: %v", workers, err)
+				legs := []struct {
+					name string
+					run  func(workers int) (outcome, error)
+				}{
+					{"online", func(workers int) (outcome, error) {
+						res, err := fleet.Serve(cfg, reqs, fleet.ServeConfig{Replicas: replicas, Policy: policy(), Workers: workers, Faults: plan})
+						if err != nil {
+							return outcome{}, err
+						}
+						return outcome{res.Report, res.Records, res.Report.Faults.Dropped}, nil
+					}},
+					{"online+policy", func(workers int) (outcome, error) {
+						res, err := fleet.Serve(cfg, reqs, fleet.ServeConfig{Replicas: replicas, Policy: policy(), Workers: workers, Faults: plan, Stack: chaosStack(t, horizon)})
+						if err != nil {
+							return outcome{}, err
+						}
+						return outcome{res.Report, res.Records, res.Report.Faults.Dropped + res.Report.Admission.Dropped}, nil
+					}},
+					{"disagg", func(workers int) (outcome, error) {
+						d := dc
+						d.Workers, d.Faults = workers, plan
+						res, err := fleet.RunDisagg(cfg, d, reqs)
+						if err != nil {
+							return outcome{}, err
+						}
+						return outcome{res.Report, res.Records, res.Report.Faults.Dropped}, nil
+					}},
+				}
+				for _, leg := range legs {
+					var first string
+					for i, workers := range []int{1, 1, 4} {
+						label := fmt.Sprintf("%s workers=%d", leg.name, workers)
+						out, err := leg.run(workers)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						checkChaosConservation(t, label, out.report, out.records, n, out.dropped)
+						if got := out.report.Faults.DomainOutages; got != len(plan.Domains) {
+							t.Errorf("%s: %d domain outages reported, plan has %d", label, got, len(plan.Domains))
+						}
+						b := marshalChaos(t, out.report, out.records)
+						if i > 0 && b != first {
+							t.Fatalf("%s diverged from the first run", label)
+						}
+						first = b
 					}
-					label := fmt.Sprintf("disagg workers=%d", workers)
-					checkChaosConservation(t, label, res.Report, res.Records, n)
-					b := marshalChaos(t, res.Report, res.Records)
-					if i > 0 && b != disagg {
-						t.Fatalf("%s diverged from the first run", label)
-					}
-					disagg = b
 				}
 			})
 		}

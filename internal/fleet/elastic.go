@@ -18,11 +18,11 @@ import (
 // finish and crash hooks, and the autoscaler's tick and warm-up events
 // on the control timeline. Every pool gets breakers; the autoscaler
 // scales the last pool. A colocated fleet feeds its breakers each
-// finish's TTFT against the SLO and has no liveness fallback: when every
-// active replica's breaker is open, requests wait on the retry
-// schedule. A split fleet honors only breakers and the decode
-// autoscaler (see DisaggConfig.Stack): crashes and finishes feed its
-// breakers.
+// finish's TTFT against the SLO (and each crash's failures, under a
+// fault plan) and has no liveness fallback: when every active
+// replica's breaker is open, requests wait on the retry schedule. A
+// split fleet honors only breakers and the decode autoscaler (see
+// DisaggConfig.Stack): crashes and finishes feed its breakers.
 
 // policyLayer is the router's policy-stack state.
 type policyLayer struct {
@@ -33,13 +33,17 @@ type policyLayer struct {
 	winTTFT [][]float64
 	ttftSLO float64
 	world   int
-	stats   metrics.AdmissionStats
+	// readmits[origin] counts the re-admissions spent on origin, against
+	// the retry policy's MaxAttempts (nil without one).
+	readmits []int
+	stats    metrics.AdmissionStats
 }
 
 // newPolicyLayer gives every pool a breaker per replica when the stack
-// carries a BreakerConfig, and the last pool an elastic lifecycle when
-// it carries an autoscaler.
-func newPolicyLayer(cfg core.Config, stack *policy.Stack, pools []*pool) (*policyLayer, error) {
+// carries a BreakerConfig, the last pool an elastic lifecycle when it
+// carries an autoscaler, and each of the run's requests a re-admission
+// budget when it carries a retry policy.
+func newPolicyLayer(cfg core.Config, stack *policy.Stack, requests int, pools []*pool) (*policyLayer, error) {
 	scaled := pools[len(pools)-1]
 	n := len(scaled.out)
 	pl := &policyLayer{
@@ -47,6 +51,9 @@ func newPolicyLayer(cfg core.Config, stack *policy.Stack, pools []*pool) (*polic
 		winTTFT: make([][]float64, n),
 		ttftSLO: cfg.SLO.TTFT,
 		world:   cfg.World,
+	}
+	if stack.Retry != nil {
+		pl.readmits = make([]int, requests)
 	}
 	for _, p := range pools {
 		p.breakers = newBreakers(stack, len(p.out))
@@ -75,17 +82,20 @@ func (ro *router) admit(origin int) bool {
 	return true
 }
 
-// requeue schedules a retry for a refused request, or drops it once
-// the budget is spent (or no retry policy is attached).
+// requeue schedules a re-admission for a refused request, or drops it
+// once its re-admission budget is spent (or no retry policy is
+// attached). The drop counts in Admission.Dropped.
 func (ro *router) requeue(origin int, reason string) {
-	bo := ro.pol.stack.Retry
-	if bo == nil || ro.led.attempts[origin] >= bo.MaxAttempts() {
+	pl := ro.pol
+	bo := pl.stack.Retry
+	if bo == nil || pl.readmits[origin] >= bo.MaxAttempts() {
 		ro.led.drop(origin, reason)
+		pl.stats.Dropped++
 		return
 	}
-	ro.led.attempts[origin]++
-	ro.pol.stats.Retries++
-	delay := bo.Delay(ro.led.attempts[origin])
+	pl.readmits[origin]++
+	pl.stats.Retries++
+	delay := bo.Delay(pl.readmits[origin])
 	ro.ctl.AtFunc(ro.ctl.Now()+sim.Time(delay), arriveEvent, ro, origin, 0)
 }
 
@@ -160,14 +170,14 @@ func tickEvent(ctx any, _, _ int) {
 }
 
 // signals builds the autoscaler's windowed SLO view of pool p and
-// resets the window. The queue counts p's resident requests plus
-// hand-offs still waiting for headroom; a split fleet's decode pool
+// resets the window. The queue counts p's resident and queued requests
+// plus hand-offs still waiting for headroom; a split fleet's decode pool
 // collects no TTFT window, so TTFT and goodput stay neutral there.
 func (ro *router) signals(p *pool) policy.Signals {
 	pl := ro.pol
 	var s policy.Signals
 	s.Active, s.Warming = p.elastic.counts()
-	queued := len(ro.pending)
+	queued := len(ro.pending) + len(p.queued)
 	var win []float64
 	for i := range p.engines {
 		queued += p.out[i].Requests
@@ -195,19 +205,21 @@ func (ro *router) signals(p *pool) policy.Signals {
 }
 
 // activateEvent completes one scale-up: the replica's weights are
-// loaded, it joins routing, and queued hand-offs retry against the new
-// headroom.
+// loaded, it joins routing, and the requests queued while every active
+// replica was dead and the queued hand-offs retry against it.
 func activateEvent(ctx any, k, _ int) {
 	ro := ctx.(*router)
 	if ro.err == nil {
-		ro.last().elastic.activate(k)
+		p := ro.last()
+		p.elastic.activate(k)
+		ro.drainQueued(p)
 		ro.drainPending()
 	}
 }
 
 // assemble adds the policy layer's autoscale and admission accounting
-// to the report. The run's drops are counted under the fault layer
-// when one runs, here otherwise.
+// to the report. Beside the retry schedule's drops, counted by
+// requeue, the run's other drops count here when no fault layer runs.
 func (pl *policyLayer) assemble(rep *metrics.Report, ro *router) {
 	if ep := ro.last().elastic; ep != nil {
 		rep.Autoscale = ep.finish(rep.Elapsed, pl.world)

@@ -28,29 +28,6 @@ func elasticStack(t *testing.T, maxReplicas int) *policy.Stack {
 	}
 }
 
-// checkElasticConservation asserts the policy-run invariant: every
-// trace request finished exactly once XOR was dropped with accounting
-// in Report.Admission.Dropped.
-func checkElasticConservation(t *testing.T, res *Result, n int) {
-	t.Helper()
-	if len(res.Records) != n {
-		t.Fatalf("%d records for %d requests", len(res.Records), n)
-	}
-	finished := 0
-	for _, rec := range res.Records {
-		if rec.Finished() {
-			finished++
-		}
-	}
-	if finished != res.Report.Requests {
-		t.Fatalf("%d finished records, report says %d", finished, res.Report.Requests)
-	}
-	if got := res.Report.Requests + res.Report.Admission.Dropped; got != n {
-		t.Fatalf("finished %d + dropped %d = %d, want %d",
-			res.Report.Requests, res.Report.Admission.Dropped, got, n)
-	}
-}
-
 // An inactive stack must take the exact layer-free Serve code path:
 // reports and records byte-identical, at one worker and at four (the race leg
 // re-runs this under -race).
@@ -90,7 +67,7 @@ func TestParallelElasticByteIdenticalToSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		checkElasticConservation(t, res, len(reqs))
+		checkConservation(t, res, len(reqs), res.Report.Admission.Dropped)
 		return fullJSON(t, res.Report, res.Records)
 	}
 	seq := run(1)
@@ -119,7 +96,7 @@ func TestElasticAutoscalerBreathes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkElasticConservation(t, res, len(reqs))
+	checkConservation(t, res, len(reqs), res.Report.Admission.Dropped)
 	a := res.Report.Autoscale
 	if !a.Any() {
 		t.Fatal("no autoscale activity recorded")
@@ -155,7 +132,7 @@ func TestElasticAdmissionShedsAndRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkElasticConservation(t, res, len(reqs))
+	checkConservation(t, res, len(reqs), res.Report.Admission.Dropped)
 	ad := res.Report.Admission
 	if ad.Shed == 0 || ad.Retries == 0 || ad.Dropped == 0 {
 		t.Fatalf("starved bucket produced no policy activity: %+v", ad)
@@ -198,7 +175,7 @@ func TestElasticPreemption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkElasticConservation(t, res, len(reqs))
+	checkConservation(t, res, len(reqs), res.Report.Admission.Dropped)
 	if res.Report.Admission.Preemptions == 0 {
 		t.Fatalf("KV-tight priority trace caused no preemptions: %+v", res.Report.Admission)
 	}

@@ -10,7 +10,8 @@ import (
 
 // The router's fault layer: crash recovery under a fault plan (package
 // faults). It owns the crash and restore events of the control
-// timeline and the retry budget; its candidate-filter contribution
+// timeline and its own retry budget, crash re-dispatches per request
+// against the plan's MaxRetries; its candidate-filter contribution
 // (dead replicas receive nothing) is the base snapshot's liveness
 // check. Crash-lost requests resume from a KV checkpoint through the
 // KV transfer path (disagg.go) or by recompute through the first pool.
@@ -89,8 +90,8 @@ func (ro *router) recover(origin int, l core.Lost) {
 	if ro.err != nil {
 		return
 	}
-	ro.led.attempts[origin]++
-	if ro.led.attempts[origin] > ro.plan.MaxRetries() {
+	ro.recoveries[origin]++
+	if ro.recoveries[origin] > ro.plan.MaxRetries() {
 		ro.led.drop(origin, "retry budget exhausted")
 		return
 	}
@@ -106,8 +107,8 @@ func (ro *router) recover(origin int, l core.Lost) {
 }
 
 // restoreEvent brings a crashed replica back, dispatches the requests
-// its pool queued while no replica was live, and retries queued
-// hand-offs once the control events at this instant settle (the
+// its pool queued while every active replica was dead, and retries
+// queued hand-offs once the control events at this instant settle (the
 // restored replica may now import what others could not).
 func restoreEvent(ctx any, ci, _ int) {
 	ro := ctx.(*router)
@@ -120,6 +121,29 @@ func restoreEvent(ctx any, ci, _ int) {
 		ro.err = fmt.Errorf("fleet: restore of replica %d: %w", c.Replica, err)
 		return
 	}
+	ro.drainQueued(p)
+	if ro.err == nil && p == ro.last() && len(ro.pending) > 0 {
+		ro.ctl.AtFunc(ro.ctl.Now(), drainPendingEvent, ro, 0, 0)
+	}
+}
+
+// activeDead reports whether the fault layer has killed every replica
+// of pool p that the autoscaler keeps active.
+func (ro *router) activeDead(p *pool) bool {
+	if ro.plan == nil {
+		return false
+	}
+	for i, e := range p.engines {
+		if p.elastic.routable(i) && e.Alive() {
+			return false
+		}
+	}
+	return true
+}
+
+// drainQueued dispatches again, in queue order, the requests pool p
+// queued while every active replica was dead.
+func (ro *router) drainQueued(p *pool) {
 	q := p.queued
 	p.queued = nil
 	for _, pr := range q {
@@ -127,8 +151,5 @@ func restoreEvent(ctx any, ci, _ int) {
 			return
 		}
 		ro.dispatch(pr)
-	}
-	if p == ro.last() && len(ro.pending) > 0 {
-		ro.ctl.AtFunc(ro.ctl.Now(), drainPendingEvent, ro, 0, 0)
 	}
 }

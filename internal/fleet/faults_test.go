@@ -2,12 +2,11 @@ package fleet
 
 import (
 	"encoding/json"
-	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/policy"
+	"repro/internal/hw"
 	"repro/internal/workload"
 )
 
@@ -16,11 +15,11 @@ func faultTrace(n int, seed int64) []workload.Request {
 	return workload.StampArrivals(smallTrace(n, seed), workload.Poisson{Rate: 2000}, seed+1)
 }
 
-// checkFaultConservation asserts the fault-run invariant from the
-// outside: every trace request either finished (exactly one finished
-// record, counted in Report.Requests) or was dropped with accounting in
-// Report.Faults.Dropped — nothing lost silently.
-func checkFaultConservation(t *testing.T, res *Result, n int) {
+// checkConservation asserts the routed-run invariant from the outside:
+// every trace request either finished (exactly one finished record,
+// counted in Report.Requests) or was dropped and counted in dropped —
+// nothing lost silently.
+func checkConservation(t *testing.T, res *Result, n, dropped int) {
 	t.Helper()
 	if len(res.Records) != n {
 		t.Fatalf("%d records for %d requests", len(res.Records), n)
@@ -34,9 +33,8 @@ func checkFaultConservation(t *testing.T, res *Result, n int) {
 	if finished != res.Report.Requests {
 		t.Fatalf("%d finished records, report says %d", finished, res.Report.Requests)
 	}
-	if got := res.Report.Requests + res.Report.Faults.Dropped; got != n {
-		t.Fatalf("finished %d + dropped %d = %d, want %d",
-			res.Report.Requests, res.Report.Faults.Dropped, got, n)
+	if got := res.Report.Requests + dropped; got != n {
+		t.Fatalf("finished %d + dropped %d = %d, want %d", res.Report.Requests, dropped, got, n)
 	}
 }
 
@@ -94,7 +92,7 @@ func TestRunOnlineFaultsConservation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d ckpt %v: %v", seed, ckpt, err)
 			}
-			checkFaultConservation(t, res, len(reqs))
+			checkConservation(t, res, len(reqs), res.Report.Faults.Dropped)
 			f := res.Report.Faults
 			if f.Crashes != len(plan.Crashes) {
 				t.Errorf("seed %d: executed %d of %d planned crashes", seed, f.Crashes, len(plan.Crashes))
@@ -298,27 +296,50 @@ func TestRunDisaggFaultsDeterministic(t *testing.T) {
 	}
 }
 
-// Serve refuses an active fault plan together with an active policy
-// stack with its named error, before building any engine; either layer
-// alone runs.
-func TestServeRejectsFaultsWithPolicy(t *testing.T) {
-	cfg := fastConfig(2)
-	reqs := faultTrace(60, 31)
-	plan := &faults.Plan{
-		Replicas: 2,
-		Crashes:  []faults.Crash{{Replica: 0, At: 0.01, RestartAt: 0.02}},
+// TestServeFaultsWithPolicy runs the fault and policy layers together
+// on a colocated fleet whose breakers trip while crashes and rack
+// outages hit it: a request with no candidate waits on the retry
+// schedule unless every active replica is dead, so the run ends. Every
+// request finishes exactly once or is dropped into one of the two
+// layers' counters, and the bytes match at one worker and at four.
+func TestServeFaultsWithPolicy(t *testing.T) {
+	reqs, err := workload.StampPriorities(
+		workload.StampArrivals(smallTrace(300, 1), workload.Poisson{Rate: 3000}, 2),
+		workload.PriorityConfig{Tiers: 2, HighFraction: 0.3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	stack := &policy.Stack{Admission: policy.NewTokenBucket(1000, 8)}
-	sc := ServeConfig{Replicas: 2, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan, Stack: stack}
-	if _, err := Serve(cfg, reqs, sc); !errors.Is(err, ErrFaultsWithPolicy) {
-		t.Fatalf("faults with policy: err = %v, want ErrFaultsWithPolicy", err)
+	cfg := fastConfig(1)
+	cfg.MemUtilization = 0.0005
+	fc := faults.Config{
+		Seed:               1,
+		Horizon:            0.2,
+		MTBF:               0.1,
+		RestartDelay:       0.01,
+		CheckpointInterval: 0.02,
+		Topology:           hw.Topology{Racks: 2},
+		DomainMTBF:         0.1,
+		DomainKind:         faults.DomainMixed,
 	}
-	for _, one := range []ServeConfig{
-		{Replicas: 2, Policy: sc.Policy, Faults: plan, Stack: &policy.Stack{}},
-		{Replicas: 2, Policy: sc.Policy, Faults: &faults.Plan{Replicas: 2}, Stack: stack},
-	} {
-		if _, err := Serve(cfg, reqs, one); err != nil {
-			t.Errorf("one active layer: %v", err)
+	plan, err := faults.NewPlan(fc, 4, fc.RestartDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev []byte
+	for _, workers := range []int{1, 4} {
+		res, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Faults: plan, Stack: elasticStack(t, 4)})
+		if err != nil {
+			t.Fatal(err)
 		}
+		rep := res.Report
+		checkConservation(t, res, len(reqs), rep.Faults.Dropped+rep.Admission.Dropped)
+		if workers == 1 && (rep.Faults.Crashes == 0 || rep.Admission.BreakerTrips == 0 || rep.Admission.Retries == 0) {
+			t.Errorf("layers idle: %+v %+v", rep.Faults, rep.Admission)
+		}
+		b := fullJSON(t, rep, res.Records)
+		if prev != nil && string(b) != string(prev) {
+			t.Fatalf("workers=%d diverges from workers=1", workers)
+		}
+		prev = b
 	}
 }

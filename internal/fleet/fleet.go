@@ -5,9 +5,9 @@
 // routed run goes through one router (online.go) over one pool of
 // replicas, or a prefill and a decode pool joined by the KV hand-off
 // path (disagg.go), with an optional fault layer (faults.go) and
-// policy layer (elastic.go). Every mode runs its replicas on the
-// conservative parallel fabric (parallel.go), so reports are
-// deterministic and byte-identical across worker counts.
+// policy layer (elastic.go) that compose on any run. Every mode runs
+// its replicas on the conservative parallel fabric (parallel.go), so
+// reports are deterministic and byte-identical across worker counts.
 //
 // Dispatch is pluggable: a Policy picks a replica per request
 // (round-robin, seeded random, least known work, or predicted-cost
@@ -16,7 +16,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -128,19 +127,11 @@ type ServeConfig struct {
 	// replica and leaves the balancing across cores to the Go
 	// scheduler.
 	Workers int
-	// Faults and Stack attach the fault and policy layers; nil or
-	// inactive attaches none.
+	// Faults and Stack attach the fault and policy layers, alone or
+	// together; nil or inactive attaches none.
 	Faults *faults.Plan
 	Stack  *policy.Stack
 }
-
-// ErrFaultsWithPolicy rejects a ServeConfig whose fault plan and policy
-// stack are both active. The two layers cannot share a colocated run
-// yet: admission retries and crash re-dispatches would count against
-// one per-request attempt counter in the ledger (ledger.attempts) under
-// two different limits, the retry policy's MaxAttempts and the plan's
-// MaxRetries.
-var ErrFaultsWithPolicy = errors.New("fleet: fault injection and the policy stack are not supported together yet")
 
 // Serve runs reqs on sc.Replicas data-parallel copies of cfg under
 // sc.Policy, deterministically for a fixed trace, config and policy
@@ -159,14 +150,22 @@ var ErrFaultsWithPolicy = errors.New("fleet: fault injection and the policy stac
 // exists. The policy layer adds token-bucket admission with seeded
 // retry backoff, per-replica circuit breakers, priority preemption and
 // the autoscaler, whose scale-ups pay ColdStart or, when that is zero,
-// the modeled weight load of one replica. Under either layer every
-// request finishes exactly once XOR is dropped with a reason (one too
-// large for any replica included; a plain run fails on it).
+// the modeled weight load of one replica.
+//
+// The two layers compose under three rules. A request with no
+// candidate waits for a restart or an activation only when the fault
+// layer has killed every replica the autoscaler keeps active, and on
+// the retry schedule otherwise. Each layer spends its own per-request
+// budget: crash re-dispatches count against the plan's MaxRetries,
+// re-admissions against the retry policy's MaxAttempts. A request the
+// retry schedule gives up on counts in Report.Admission.Dropped, any
+// other drop in Report.Faults.Dropped when a plan runs and in
+// Report.Admission.Dropped otherwise. Under any layer every request
+// finishes exactly once XOR is dropped with a reason (one too large
+// for any replica included; a plain run fails on it), so Requests +
+// Faults.Dropped + Admission.Dropped is the trace length.
 func Serve(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, error) {
-	faulty, layered := sc.Faults.Active(), sc.Stack.Active()
 	switch {
-	case faulty && layered:
-		return nil, ErrFaultsWithPolicy
 	case sc.Replicas <= 0:
 		return nil, fmt.Errorf("fleet: replicas = %d", sc.Replicas)
 	case sc.Policy == nil:
@@ -175,7 +174,7 @@ func Serve(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, e
 	if err := validateArrivals(reqs); err != nil {
 		return nil, err
 	}
-	if faulty || layered || workload.HasArrivals(reqs) {
+	if sc.Faults.Active() || sc.Stack.Active() || workload.HasArrivals(reqs) {
 		return runOnline(cfg, reqs, sc)
 	}
 	return preShard(cfg, reqs, sc)
@@ -296,18 +295,15 @@ func foldReport(cfg core.Config, scheduler string, reqs []workload.Request, drop
 type recRef struct{ replica, local int }
 
 // ledger is the exactly-once bookkeeping of a routed run: who owns each
-// request's record, how often it finished terminally, the retries spent
-// on it and why it was dropped. Conservation is exactly one terminal
-// finish XOR a drop reason for every trace request.
+// request's record, how often it finished terminally and why it was
+// dropped. Conservation is exactly one terminal finish XOR a drop
+// reason for every trace request.
 type ledger struct {
 	reqs []workload.Request
 	// final[origin] locates the record of origin's last owner.
 	final []recRef
 	// fin[origin] counts terminal finishes.
 	fin []int
-	// attempts[origin] counts the retries spent: crash re-dispatches
-	// or admission retries.
-	attempts []int
 	// droppedReason[origin] is non-empty once origin is abandoned.
 	droppedReason []string
 	dropped       int
@@ -318,7 +314,6 @@ func newLedger(reqs []workload.Request) *ledger {
 		reqs:          reqs,
 		final:         make([]recRef, len(reqs)),
 		fin:           make([]int, len(reqs)),
-		attempts:      make([]int, len(reqs)),
 		droppedReason: make([]string, len(reqs)),
 	}
 }

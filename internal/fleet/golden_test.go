@@ -108,6 +108,19 @@ func goldenFaultPlan(t *testing.T, n int, horizon float64) *faults.Plan {
 	return plan
 }
 
+// goldenPriorityTrace is a two-tier priority-stamped Poisson trace
+// dense enough to shed, retry and trip breakers under elasticStack.
+func goldenPriorityTrace(t *testing.T) []workload.Request {
+	t.Helper()
+	reqs, err := workload.StampPriorities(
+		workload.StampArrivals(smallTrace(300, 5), workload.Poisson{Rate: 4000}, 17),
+		workload.PriorityConfig{Tiers: 2, HighFraction: 0.3, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
+
 func goldenRuns() []goldenRun {
 	cfg := fastConfig(2)
 	prefix := prefixOnlineTrace(300, 41, 8000, 32, 512)
@@ -149,23 +162,27 @@ func goldenRuns() []goldenRun {
 			}
 		}},
 		{name: "online-elastic", run: func(t *testing.T, workers int) goldenOut {
-			reqs, err := workload.StampPriorities(
-				workload.StampArrivals(smallTrace(300, 5), workload.Poisson{Rate: 4000}, 17),
-				workload.PriorityConfig{Tiers: 2, HighFraction: 0.3, Seed: 11})
-			if err != nil {
-				t.Fatal(err)
-			}
 			pcfg := fastConfig(1)
 			pcfg.MemUtilization = 0.0005
 			stack := elasticStack(t, 4)
 			stack.Admission = policy.NewTokenBucket(2500, 32)
-			res, err := Serve(pcfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Stack: stack})
+			res, err := Serve(pcfg, goldenPriorityTrace(t), ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Stack: stack})
 			return serveOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
 			rep := out.Report
 			a, s := rep.Admission, rep.Autoscale
 			if a.Shed == 0 || a.Retries == 0 || a.Preemptions == 0 || a.BreakerTrips == 0 || a.BreakerSkips == 0 || s.ScaleUps == 0 {
 				t.Errorf("policy layer idle: %+v %+v", a, s)
+			}
+		}},
+		{name: "online-faults-elastic", run: func(t *testing.T, workers int) goldenOut {
+			plan := goldenFaultPlan(t, 6, faultHorizon)
+			res, err := Serve(cfg, goldenPriorityTrace(t), ServeConfig{Replicas: 6, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Faults: plan, Stack: elasticStack(t, 6)})
+			return serveOut(t, res, err)
+		}, check: func(t *testing.T, out goldenOut) {
+			f, a, s := out.Report.Faults, out.Report.Admission, out.Report.Autoscale
+			if f.Crashes == 0 || f.RecoveredCheckpoint == 0 || a.Shed == 0 || a.Retries == 0 || a.BreakerTrips == 0 || s.ScaleUps == 0 {
+				t.Errorf("layers idle: %+v %+v %+v", f, a, s)
 			}
 		}},
 		{name: "disagg", run: func(t *testing.T, workers int) goldenOut {
@@ -216,7 +233,8 @@ func goldenRuns() []goldenRun {
 // plain routing with prefix affinity (8 replicas and a lone one), the
 // fault layer (crashes, checkpoints, stragglers, power and network
 // domain outages), the policy layer (autoscaler, admission, retry,
-// breakers, preemption) and the disaggregated fleet plain, under
+// breakers, preemption), both layers together on one colocated fleet,
+// and the disaggregated fleet plain, under
 // faults, under faults with crash-fed breakers, and under faults with
 // breakers and the decode autoscaler. Regenerate with `go test ./internal/fleet -run
 // TestParallelRouterGolden -update` only when a change is meant to

@@ -39,12 +39,12 @@ func validateArrivals(reqs []workload.Request) error {
 // prefill pool and a decode pool, joined by the KV transfer path
 // (disagg.go). The base routes each request at its arrival instant into
 // the first pool, keeps each pool's load counters and records ownership
-// in the ledger. Two optional layers attach: the fault layer (crash
-// recovery under plan, faults.go) and the policy layer (pol, the policy
-// stack, elastic.go). A nil layer means no hook call. Every intervention
-// executes on the fabric's control timeline; only the engines' finish
-// hooks run on shard goroutines, and those touch replica-indexed slots
-// exclusively.
+// in the ledger. Two optional layers attach, alone or together: the
+// fault layer (crash recovery under plan, faults.go) and the policy
+// layer (pol, the policy stack, elastic.go). A nil layer means no hook
+// call. Every intervention executes on the fabric's control timeline;
+// only the engines' finish hooks run on shard goroutines, and those
+// touch replica-indexed slots exclusively.
 type router struct {
 	ctl  *sim.Engine
 	fab  *fabric
@@ -60,10 +60,12 @@ type router struct {
 	xferTime   func(bytes float64) float64
 
 	// plan is nil on a fault-free run, which then takes no fault path;
-	// fstats is the fault layer's recovery accounting.
-	plan   *faults.Plan
-	fstats metrics.FaultStats
-	pol    *policyLayer
+	// fstats is the fault layer's recovery accounting and
+	// recoveries[origin] the crash re-dispatches spent on origin.
+	plan       *faults.Plan
+	fstats     metrics.FaultStats
+	recoveries []int
+	pol        *policyLayer
 
 	// The KV transfer path: items are the KV moves scheduled so far
 	// (hand-offs and checkpoint reloads); pending holds the indices of
@@ -95,8 +97,8 @@ type pool struct {
 	books
 	breakers []*policy.Breaker
 	elastic  *elasticPool
-	// queued holds requests that found no live replica; the pool's next
-	// restore dispatches them again.
+	// queued holds requests that found every active replica dead; the
+	// pool's next restore or activation dispatches them again.
 	queued []pendingRec
 	// loads and cand are the per-pick snapshot, reused across picks:
 	// loads[j] is the view of replica cand[j].
@@ -119,6 +121,9 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 		plan = nil
 	}
 	ro := &router{reqs: reqs, led: newLedger(reqs), pools: pools, plan: plan}
+	if plan != nil {
+		ro.recoveries = make([]int, len(reqs))
+	}
 	ro.blockBytes, ro.xferTime = kvLink(cfg)
 	total := 0
 	for _, p := range pools {
@@ -127,7 +132,7 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 	}
 	if stack.Active() {
 		var err error
-		if ro.pol, err = newPolicyLayer(cfg, stack, pools); err != nil {
+		if ro.pol, err = newPolicyLayer(cfg, stack, len(reqs), pools); err != nil {
 			return nil, err
 		}
 	}
@@ -230,8 +235,13 @@ func (ro *router) serve(cfg core.Config, scheduler string) (metrics.Report, []*c
 		return metrics.Report{}, nil, nil, err
 	}
 	if ro.plan != nil {
+		// The retry schedule's drops are the policy layer's; every
+		// other drop is the fault layer's.
 		ro.fstats.DomainOutages = len(ro.plan.Domains)
 		ro.fstats.Dropped = ro.led.dropped
+		if ro.pol != nil {
+			ro.fstats.Dropped -= ro.pol.stats.Dropped
+		}
 		rep.Faults.Add(ro.fstats)
 	}
 	if ro.pol != nil {
@@ -288,10 +298,13 @@ func arriveEvent(ctx any, idx, _ int) {
 
 // dispatch routes one request to a replica of the first pool: a fresh
 // arrival submits normally, a crash-lost one resumes by recompute
-// (SubmitRecovered). Only a layer can leave no candidate: the fault
-// layer then queues the request until a restart, the policy layer
-// retries it on its backoff schedule. A run with a layer drops a
-// request too large for any replica; a layer-free run fails on it.
+// (SubmitRecovered). Only a layer can leave no candidate. The request
+// then waits in the pool's queue for a restart or an activation when
+// the fault layer has killed every replica the autoscaler keeps
+// active, and on the retry schedule otherwise (a crash-lost request
+// re-enters admission there as a fresh arrival). A run with a layer
+// drops a request too large for any replica; a layer-free run fails on
+// it.
 func (ro *router) dispatch(pr pendingRec) {
 	p := ro.pools[0]
 	origin := pr.origin
@@ -299,7 +312,7 @@ func (ro *router) dispatch(pr pendingRec) {
 	now := float64(ro.ctl.Now())
 	loads := ro.snapshot(p, r, nil, now)
 	if len(loads) == 0 {
-		if ro.plan != nil {
+		if ro.activeDead(p) {
 			p.queued = append(p.queued, pr)
 		} else {
 			ro.requeue(origin, "no routable replica")

@@ -103,7 +103,7 @@ func TestParallelOnlineFaultsByteIdenticalToSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		checkFaultConservation(t, res, len(reqs))
+		checkConservation(t, res, len(reqs), res.Report.Faults.Dropped)
 		return fullJSON(t, res.Report, res.Records)
 	}
 	seq := run(1)
@@ -181,7 +181,7 @@ func TestParallelCrossShardBoundaryProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
 			}
-			checkFaultConservation(t, res, len(reqs))
+			checkConservation(t, res, len(reqs), res.Report.Faults.Dropped)
 			return fullJSON(t, res.Report, res.Records)
 		}
 		disagg := func(workers int) []byte {

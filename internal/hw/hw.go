@@ -85,24 +85,6 @@ func (n Node) Validate() error {
 	return nil
 }
 
-// WithGPUs returns a copy of the node restricted to k GPUs (used for the
-// 1/2/4-device scaling experiments).
-func (n Node) WithGPUs(k int) Node {
-	n.NumGPUs = k
-	return n
-}
-
-// AllReduceTime returns the time for an all-reduce of the given payload
-// (bytes per rank) across world GPUs. With one participant there is no
-// communication. The measured Table-1 number is a bus bandwidth for the
-// full node, so time scales with payload directly.
-func (n Node) AllReduceTime(bytes float64, world int) float64 {
-	if world <= 1 || bytes <= 0 {
-		return 0
-	}
-	return n.CollectiveLatency + bytes/(n.AllReduceGBps*1e9)
-}
-
 // P2PTime returns the time to move bytes from one GPU to a neighbour
 // through the switch. A node with no usable P2P bandwidth (rejected by
 // Validate, but reachable through hand-built configs) yields the fixed

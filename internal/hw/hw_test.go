@@ -71,30 +71,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestWithGPUs(t *testing.T) {
-	n := L20.WithGPUs(2)
-	if n.NumGPUs != 2 {
-		t.Errorf("NumGPUs = %d", n.NumGPUs)
-	}
-	if L20.NumGPUs != 4 {
-		t.Error("WithGPUs mutated the original")
-	}
-}
-
-func TestAllReduceTime(t *testing.T) {
-	n := Node{AllReduceGBps: 10, CollectiveLatency: 1e-3}
-	if got := n.AllReduceTime(1e9, 1); got != 0 {
-		t.Errorf("single-rank all-reduce = %v, want 0", got)
-	}
-	if got := n.AllReduceTime(0, 4); got != 0 {
-		t.Errorf("empty all-reduce = %v, want 0", got)
-	}
-	want := 1e-3 + 0.1
-	if got := n.AllReduceTime(1e9, 4); math.Abs(got-want) > 1e-12 {
-		t.Errorf("all-reduce time = %v, want %v", got, want)
-	}
-}
-
 func TestP2PTime(t *testing.T) {
 	n := Node{P2PGBps: 20, P2PLatency: 10e-6}
 	if got := n.P2PTime(0); got != 0 {
@@ -117,7 +93,7 @@ func TestTransferTimesFiniteWithoutBandwidth(t *testing.T) {
 	}
 }
 
-// Property: transfer and collective times are monotone in payload size.
+// Property: transfer times are monotone in payload size.
 func TestMonotoneTimesProperty(t *testing.T) {
 	prop := func(a, b float64) bool {
 		a, b = math.Abs(a), math.Abs(b)
@@ -125,8 +101,7 @@ func TestMonotoneTimesProperty(t *testing.T) {
 			return true
 		}
 		lo, hi := math.Min(a, b), math.Max(a, b)
-		return L20.P2PTime(lo) <= L20.P2PTime(hi) &&
-			L20.AllReduceTime(lo, 4) <= L20.AllReduceTime(hi, 4)
+		return L20.P2PTime(lo) <= L20.P2PTime(hi)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)

@@ -97,15 +97,6 @@ func AlignTokens(tokens, blockSize int) int {
 	return tokens - tokens%blockSize
 }
 
-// NewManagerBytes sizes the pool from available bytes and per-token KV
-// bytes.
-func NewManagerBytes(availBytes, bytesPerToken float64, blockSize int) (*Manager, error) {
-	if bytesPerToken <= 0 {
-		return nil, fmt.Errorf("kvcache: non-positive bytes per token %v", bytesPerToken)
-	}
-	return NewManager(int(availBytes/bytesPerToken), blockSize)
-}
-
 // BlockSize returns the block granularity in tokens.
 func (m *Manager) BlockSize() int { return m.blockSize }
 

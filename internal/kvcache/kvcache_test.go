@@ -33,19 +33,6 @@ func TestNewManagerValidation(t *testing.T) {
 	}
 }
 
-func TestNewManagerBytes(t *testing.T) {
-	m, err := NewManagerBytes(1<<20, 1024, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.CapacityTokens() != 1024 {
-		t.Errorf("capacity tokens = %d, want 1024", m.CapacityTokens())
-	}
-	if _, err := NewManagerBytes(1<<20, 0, 16); err == nil {
-		t.Error("zero bytes-per-token accepted")
-	}
-}
-
 func TestAllocateFreeRoundTrip(t *testing.T) {
 	m := mustManager(t, 1600, 16) // 100 blocks
 	if err := m.Allocate(1, 100); err != nil {

@@ -71,18 +71,6 @@ func (p PipelinePlan) StageKVBytesPerToken(st int) float64 {
 	return float64(p.Stages[st].Layers) * p.Model.KVBytesPerTokenLayer()
 }
 
-// MaxStageWeightBytes returns the largest per-stage weight footprint;
-// the stage with the most weights constrains KV capacity.
-func (p PipelinePlan) MaxStageWeightBytes() float64 {
-	var max float64
-	for i := range p.Stages {
-		if b := p.StageWeightBytes(i); b > max {
-			max = b
-		}
-	}
-	return max
-}
-
 // ActivationBytes returns the bytes of the hidden-state activation
 // handed between stages for a microbatch of tokens tokens.
 func (m Spec) ActivationBytes(tokens int) float64 {

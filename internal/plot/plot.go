@@ -1,6 +1,5 @@
 // Package plot renders small ASCII charts for the experiment CLI:
-// multi-row line charts for timelines (Fig. 2, Fig. 12) and horizontal
-// bar charts for throughput comparisons (Fig. 11, ablations).
+// multi-row line charts for timelines (Fig. 2, Fig. 12).
 package plot
 
 import (
@@ -81,41 +80,6 @@ func Line(series []Series, width, height int, yMax float64) string {
 	sb.WriteString("      +" + strings.Repeat("-", width) + fmt.Sprintf(" x<=%.1f\n", xMax))
 	for si, s := range series {
 		sb.WriteString(fmt.Sprintf("      %c %s\n", glyphs[si%len(glyphs)], s.Name))
-	}
-	return sb.String()
-}
-
-// Bar is one horizontal bar.
-type Bar struct {
-	Label string
-	Value float64
-}
-
-// Bars renders a horizontal bar chart scaled to the maximum value.
-func Bars(bars []Bar, width int) string {
-	if width < 8 {
-		width = 8
-	}
-	var max float64
-	labelW := 0
-	for _, b := range bars {
-		if b.Value > max {
-			max = b.Value
-		}
-		if len(b.Label) > labelW {
-			labelW = len(b.Label)
-		}
-	}
-	if max <= 0 {
-		max = 1
-	}
-	var sb strings.Builder
-	for _, b := range bars {
-		n := int(b.Value / max * float64(width))
-		if n < 0 {
-			n = 0
-		}
-		sb.WriteString(fmt.Sprintf("%-*s %s %.0f\n", labelW, b.Label, strings.Repeat("#", n), b.Value))
 	}
 	return sb.String()
 }

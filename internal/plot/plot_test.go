@@ -34,21 +34,3 @@ func TestLineAutoscaleAndClamp(t *testing.T) {
 	_ = Line(nil, 0, 0, 0)
 	_ = Line([]Series{{Name: "e"}}, 10, 4, 1)
 }
-
-func TestBars(t *testing.T) {
-	out := Bars([]Bar{{"TD-Pipe", 100}, {"TP+SB", 50}, {"zero", 0}}, 20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if strings.Count(lines[0], "#") != 20 {
-		t.Errorf("max bar not full width: %q", lines[0])
-	}
-	if strings.Count(lines[1], "#") != 10 {
-		t.Errorf("half bar wrong: %q", lines[1])
-	}
-	if strings.Count(lines[2], "#") != 0 {
-		t.Errorf("zero bar wrong: %q", lines[2])
-	}
-	_ = Bars(nil, 0)
-}

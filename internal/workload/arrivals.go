@@ -65,11 +65,6 @@ type Bursty struct {
 // Name returns "bursty".
 func (Bursty) Name() string { return "bursty" }
 
-// MeanRate returns the long-run average arrival rate.
-func (b Bursty) MeanRate() float64 {
-	return (b.OnRate*b.MeanOn + b.OffRate*b.MeanOff) / (b.MeanOn + b.MeanOff)
-}
-
 // Times simulates the modulated process.
 func (b Bursty) Times(n int, rng *rand.Rand) []float64 {
 	out := make([]float64, 0, n)

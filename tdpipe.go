@@ -146,8 +146,8 @@ type (
 	FleetOptions = fleet.Options
 	// FleetConfig describes a colocated fleet for RunFleet: replica
 	// count, dispatch policy, simulation workers, and the optional
-	// fault plan and policy stack. Build the policy with
-	// NewFleetPolicy, fresh for every run: round-robin and random
+	// fault plan and policy stack, alone or together. Build the policy
+	// with NewFleetPolicy, fresh for every run: round-robin and random
 	// carry state from one run into the next.
 	FleetConfig = fleet.ServeConfig
 	// DisaggConfig sizes the prefill and decode pools of a
@@ -183,11 +183,6 @@ func NewFleetPolicy(name string, opts FleetOptions) (FleetPolicy, error) {
 	return fleet.New(name, opts)
 }
 
-// ErrFleetFaultsWithPolicy is RunFleet's error for a FleetConfig whose
-// fault plan and policy stack are both active; the two layers cannot
-// share a run yet.
-var ErrFleetFaultsWithPolicy = fleet.ErrFaultsWithPolicy
-
 // RunFleet serves the trace on fc.Replicas data-parallel TD-Pipe
 // engines under fc.Policy and merges the per-replica reports
 // (including per-request latency records) into one fleet report.
@@ -210,12 +205,16 @@ var ErrFleetFaultsWithPolicy = fleet.ErrFaultsWithPolicy
 // admission shedding and retry, breaker-aware routing, priority
 // preemption, and autoscaling between the autoscaler's bounds (each
 // scale-up pays the node's modeled weight-load cold start;
-// Report.Autoscale carries the provisioned GPU-second bill). Under
-// either layer every trace request ends exactly once finished or
-// dropped, with drops accounted in Report.Faults or Report.Admission.
+// Report.Autoscale carries the provisioned GPU-second bill). The two
+// layers compose: a request with no candidate waits for a restart only
+// when crashes killed every active replica and re-enters admission
+// otherwise, crash re-dispatches and re-admissions each spend their own
+// layer's budget, and a drop by the retry schedule counts in
+// Report.Admission, any other in Report.Faults when a plan runs. Under
+// any layer every trace request ends exactly once finished or dropped,
+// so Requests + Faults.Dropped + Admission.Dropped is the trace length.
 // An inactive plan or stack (nil, or one that schedules nothing) takes
-// the exact layer-free code path; both active at once return
-// ErrFleetFaultsWithPolicy.
+// the exact layer-free code path.
 func RunFleet(cfg Config, reqs []Request, fc FleetConfig) (*FleetResult, error) {
 	return fleet.Serve(cfg, reqs, fc)
 }
