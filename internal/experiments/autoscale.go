@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/hw"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
@@ -47,35 +44,23 @@ const (
 // question: does elasticity buy back GPU-hours without giving up
 // goodput?
 func Autoscale(e *Env) ([]AutoscaleRow, error) {
-	cfg := core.DefaultConfig(hw.A100, model.Llama2_70B, 4)
-	cfg.Predictor = e.Classifier
-	cfg.SLO = metrics.DefaultSLO()
+	cfg := sloConfig(e)
 
 	// Calibrate: one replica's closed-loop makespan gives its service
 	// rate; shape the diurnal curve so the peak needs ~70% of the peak
 	// fleet (static-mean drowns, elastic must scale to follow).
-	offline, err := core.Run(cfg, e.Requests)
+	offline, err := calibrate(cfg, e.Requests)
 	if err != nil {
 		return nil, err
 	}
-	if offline.Report.Elapsed <= 0 {
-		return nil, fmt.Errorf("experiments: degenerate autoscale calibration run")
-	}
-	srate := float64(len(e.Requests)) / offline.Report.Elapsed
+	srate := float64(len(e.Requests)) / offline.Elapsed
 	mean := 0.7 * float64(autoscaleMax) * srate / 1.5
 	period := float64(len(e.Requests)) / mean / 2
 	proc := workload.Diurnal{BaseRate: 0.5 * mean, PeakRate: 1.5 * mean, Period: period}
 	open := workload.StampArrivals(e.Requests, proc, e.Opts.Seed+83)
 
-	newPolicy := func() (fleet.Policy, error) {
-		return fleet.New(fleet.LeastWork, fleet.Options{Seed: e.Opts.Seed, Predictor: e.Classifier})
-	}
 	static := func(name string, replicas int) (AutoscaleRow, error) {
-		p, err := newPolicy()
-		if err != nil {
-			return AutoscaleRow{}, err
-		}
-		res, err := fleet.Serve(cfg, open, fleet.ServeConfig{Replicas: replicas, Policy: p, Workers: e.Opts.Workers})
+		res, err := serve(e, cfg, open, fleet.LeastWork, fleet.ServeConfig{Replicas: replicas})
 		if err != nil {
 			return AutoscaleRow{}, err
 		}
@@ -114,11 +99,7 @@ func Autoscale(e *Env) ([]AutoscaleRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := newPolicy()
-	if err != nil {
-		return nil, err
-	}
-	eres, err := fleet.Serve(cfg, open, fleet.ServeConfig{Replicas: autoscaleMax, Policy: p, Workers: e.Opts.Workers, Stack: &policy.Stack{Autoscaler: as}})
+	eres, err := serve(e, cfg, open, fleet.LeastWork, fleet.ServeConfig{Replicas: autoscaleMax, Stack: &policy.Stack{Autoscaler: as}})
 	if err != nil {
 		return nil, err
 	}

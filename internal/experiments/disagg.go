@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/hw"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -56,20 +53,15 @@ const disaggReplicas = 4
 // modeled transfer and fewer token slots, which the TPOT and goodput
 // columns surface.
 func Disagg(e *Env) ([]DisaggRow, error) {
-	cfg := core.DefaultConfig(hw.A100, model.Llama2_70B, 4)
-	cfg.Predictor = e.Classifier
-	cfg.SLO = metrics.DefaultSLO()
+	cfg := sloConfig(e)
 
 	// Calibrate: one replica's closed-loop makespan bounds the fleet's
 	// service rate.
-	offline, err := core.Run(cfg, e.Requests)
+	offline, err := calibrate(cfg, e.Requests)
 	if err != nil {
 		return nil, err
 	}
-	if offline.Report.Elapsed <= 0 {
-		return nil, fmt.Errorf("experiments: degenerate disagg calibration run")
-	}
-	capacity := float64(disaggReplicas) * float64(len(e.Requests)) / offline.Report.Elapsed
+	capacity := float64(disaggReplicas) * float64(len(e.Requests)) / offline.Elapsed
 
 	var rows []DisaggRow
 	for _, f := range disaggLoadFactors {
@@ -81,11 +73,7 @@ func Disagg(e *Env) ([]DisaggRow, error) {
 		}
 		load := fmt.Sprintf("%.1fx", f)
 
-		p, err := fleet.New(fleet.LeastWork, fleet.Options{Seed: e.Opts.Seed, Predictor: e.Classifier})
-		if err != nil {
-			return nil, err
-		}
-		colo, err := fleet.Serve(cfg, open, fleet.ServeConfig{Replicas: disaggReplicas, Policy: p, Workers: e.Opts.Workers})
+		colo, err := serve(e, cfg, open, fleet.LeastWork, fleet.ServeConfig{Replicas: disaggReplicas})
 		if err != nil {
 			return nil, err
 		}

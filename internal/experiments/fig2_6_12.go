@@ -181,8 +181,7 @@ type Fig12Result struct {
 
 // Fig12 regenerates the KV-cache fluctuation trace on 4xA100 + 70B.
 func Fig12(env *Env) (*Fig12Result, error) {
-	cfg := core.DefaultConfig(hw.A100, model.Llama2_70B, 4)
-	cfg.Predictor = env.Classifier
+	cfg := servingConfig(env)
 	cfg.RecordKV = true
 	res, err := core.Run(cfg, env.Requests)
 	if err != nil {

@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/hw"
 	"repro/internal/metrics"
-	"repro/internal/model"
 )
 
 // FleetCell is one fleet-size x dispatch-policy measurement.
@@ -38,13 +35,7 @@ func Fleet(e *Env) ([]FleetCell, error) {
 				out = append(out, cell)
 				continue
 			}
-			cfg := core.DefaultConfig(hw.A100, model.Llama2_70B, 4)
-			cfg.Predictor = e.Classifier
-			p, err := fleet.New(name, fleet.Options{Seed: e.Opts.Seed, Predictor: e.Classifier})
-			if err != nil {
-				return nil, err
-			}
-			res, err := fleet.Serve(cfg, e.Requests, fleet.ServeConfig{Replicas: replicas, Policy: p, Workers: e.Opts.Workers})
+			res, err := serve(e, servingConfig(e), e.Requests, name, fleet.ServeConfig{Replicas: replicas})
 			if err != nil {
 				return nil, err
 			}

@@ -15,8 +15,8 @@ const experimentsGoldenPath = "testdata/experiments_golden.txt"
 // goldenOptions is the tiny scale the golden output is captured at.
 var goldenOptions = Options{PoolSize: 2000, Requests: 250, Seed: 1}
 
-// renderAll runs every experiment on one Env and concatenates what the
-// CLI prints for each, under a "== name ==" header.
+// renderAll runs every catalog entry on one Env and concatenates what
+// the CLI prints for each, under a "== name ==" header.
 func renderAll(t *testing.T, workers int) string {
 	t.Helper()
 	o := goldenOptions
@@ -25,145 +25,13 @@ func renderAll(t *testing.T, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type exp struct {
-		name string
-		run  func(*Env) (string, error)
-	}
-	exps := []exp{
-		{"table1", func(*Env) (string, error) { return FormatTable1(), nil }},
-		{"table2", func(*Env) (string, error) { return FormatTable2(), nil }},
-		{"fig2", func(e *Env) (string, error) {
-			r, err := Fig2(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatFig2(r), nil
-		}},
-		{"fig6", func(e *Env) (string, error) {
-			r, err := Fig6(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatFig6(r), nil
-		}},
-		{"fig11", func(e *Env) (string, error) {
-			r, err := Fig11(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatFig11(r), nil
-		}},
-		{"fig12", func(e *Env) (string, error) {
-			r, err := Fig12(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatFig12(r), nil
-		}},
-		{"fig13", func(e *Env) (string, error) {
-			r, err := Fig13(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatAblation("Figure 13: prefill-to-decode switching ablation", r), nil
-		}},
-		{"fig14", func(e *Env) (string, error) {
-			r, err := Fig14(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatFig14(r), nil
-		}},
-		{"fig15", func(e *Env) (string, error) {
-			r, err := Fig15(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatAblation("Figure 15: inter-batch work stealing ablation", r), nil
-		}},
-		{"fig16", func(e *Env) (string, error) {
-			r, err := Fig16(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatAblation("Figure 16: decode-to-prefill switching ablation", r), nil
-		}},
-		{"offload", func(e *Env) (string, error) {
-			r, err := Offload(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatOffload(r), nil
-		}},
-		{"fleet", func(e *Env) (string, error) {
-			r, err := Fleet(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatFleet(r), nil
-		}},
-		{"online", func(e *Env) (string, error) {
-			r, err := Online(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatOnline(r), nil
-		}},
-		{"prefix", func(e *Env) (string, error) {
-			r, err := Prefix(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatPrefix(r), nil
-		}},
-		{"disagg", func(e *Env) (string, error) {
-			r, err := Disagg(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatDisagg(r), nil
-		}},
-		{"faults", func(e *Env) (string, error) {
-			r, err := Faults(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatFaults(r), nil
-		}},
-		{"chaos", func(e *Env) (string, error) {
-			r, err := Chaos(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatChaos(r), nil
-		}},
-		{"autoscale", func(e *Env) (string, error) {
-			r, err := Autoscale(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatAutoscale(r), nil
-		}},
-		{"sweep", func(e *Env) (string, error) {
-			pb, err := SweepPrefillBatch(e)
-			if err != nil {
-				return "", err
-			}
-			ct, err := SweepChunkTokens(e)
-			if err != nil {
-				return "", err
-			}
-			return FormatSweep("Sweep: TD-Pipe prefill batch size (4xA100 + 70B)", pb) + "\n" +
-				FormatSweep("Sweep: PP+HB chunk token budget (4xA100 + 70B)", ct), nil
-		}},
-	}
 	var sb strings.Builder
-	for _, x := range exps {
-		out, err := x.run(env)
+	for _, x := range Catalog() {
+		out, err := x.Run(env)
 		if err != nil {
-			t.Fatalf("%s: %v", x.name, err)
+			t.Fatalf("%s: %v", x.Name, err)
 		}
-		fmt.Fprintf(&sb, "== %s ==\n%s\n", x.name, out)
+		fmt.Fprintf(&sb, "== %s ==\n%s\n", x.Name, out)
 	}
 	return sb.String()
 }

@@ -1,12 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -33,20 +32,18 @@ var onlineLoadFactors = []float64{0.5, 0.75, 0.9, 1.1}
 // passes saturation — the open-loop view the paper's offline evaluation
 // cannot give.
 func Online(e *Env) ([]OnlineRow, error) {
-	cfg := core.DefaultConfig(hw.A100, model.Llama2_70B, 4)
-	cfg.Predictor = e.Classifier
-	cfg.SLO = metrics.DefaultSLO()
+	cfg := sloConfig(e)
 
 	// Calibrate: the offline makespan bounds the service rate.
-	offline, err := core.Run(cfg, e.Requests)
+	offline, err := calibrate(cfg, e.Requests)
+	rows := []OnlineRow{{Label: "offline", Rate: 0, Report: offline}}
+	if errors.Is(err, errDegenerate) {
+		return rows, nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	rows := []OnlineRow{{Label: "offline", Rate: 0, Report: offline.Report}}
-	if offline.Report.Elapsed <= 0 {
-		return rows, nil
-	}
-	capacity := float64(len(e.Requests)) / offline.Report.Elapsed
+	capacity := float64(len(e.Requests)) / offline.Elapsed
 
 	for _, f := range onlineLoadFactors {
 		rate := f * capacity

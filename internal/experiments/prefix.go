@@ -5,9 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/hw"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -37,9 +35,7 @@ var prefixPolicies = []string{fleet.RoundRobin, fleet.LeastWork, fleet.PrefixAff
 // isolates what sharing itself buys.
 func Prefix(e *Env) ([]PrefixRow, error) {
 	const replicas = 4
-	cfg := core.DefaultConfig(hw.A100, model.Llama2_70B, 4)
-	cfg.Predictor = e.Classifier
-	cfg.SLO = metrics.DefaultSLO()
+	cfg := sloConfig(e)
 
 	groups := len(e.Requests) / 12
 	if groups < 8 {
@@ -55,22 +51,15 @@ func Prefix(e *Env) ([]PrefixRow, error) {
 	// Calibrate offered load from the closed-loop service rate of one
 	// engine, then push the fleet slightly past saturation so wasted
 	// prefill work surfaces as queueing delay in TTFT.
-	offline, err := core.Run(cfg, stamped)
+	offline, err := calibrate(cfg, stamped)
 	if err != nil {
 		return nil, err
 	}
-	if offline.Report.Elapsed <= 0 {
-		return nil, fmt.Errorf("experiments: degenerate calibration run")
-	}
-	rate := 1.2 * float64(replicas) * float64(len(stamped)) / offline.Report.Elapsed
+	rate := 1.2 * float64(replicas) * float64(len(stamped)) / offline.Elapsed
 	open := workload.StampArrivals(stamped, workload.Poisson{Rate: rate}, e.Opts.Seed+41)
 
 	runPolicy := func(cfg core.Config, policy string) (metrics.Report, error) {
-		p, err := fleet.New(policy, fleet.Options{Seed: e.Opts.Seed, Predictor: e.Classifier})
-		if err != nil {
-			return metrics.Report{}, err
-		}
-		res, err := fleet.Serve(cfg, open, fleet.ServeConfig{Replicas: replicas, Policy: p, Workers: e.Opts.Workers})
+		res, err := serve(e, cfg, open, policy, fleet.ServeConfig{Replicas: replicas})
 		if err != nil {
 			return metrics.Report{}, err
 		}

@@ -26,8 +26,7 @@ type SweepRow struct {
 func SweepPrefillBatch(env *Env) ([]SweepRow, error) {
 	var rows []SweepRow
 	for _, tokens := range []int{512, 1024, 2048, 4096, 8192} {
-		cfg := core.DefaultConfig(hw.A100, model.Llama2_70B, 4)
-		cfg.Predictor = env.Classifier
+		cfg := servingConfig(env)
 		cfg.MaxPrefillTokens = tokens
 		res, err := core.Run(cfg, env.Requests)
 		if err != nil {
