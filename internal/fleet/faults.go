@@ -65,11 +65,16 @@ func crashEvent(ctx any, ci, _ int) {
 	for i, l := range lost {
 		origins[i] = p.retire(k, l.Local)
 	}
+	now := float64(ro.ctl.Now())
 	if p.breakers != nil {
-		now := float64(ro.ctl.Now())
 		for i := 0; i < max(len(lost), 1); i++ {
 			p.breakers[k].OnFailure(now)
 		}
+	}
+	// A draining replica the crash left without work has drained: no
+	// finish hook will fire for the requests it lost.
+	if p.elastic != nil && p.out[k].Requests == 0 {
+		p.elastic.noteDrained(k, now)
 	}
 	for i, l := range lost {
 		ro.recover(origins[i], l)

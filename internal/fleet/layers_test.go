@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -138,5 +139,38 @@ func TestRetryBudgetBoundary(t *testing.T) {
 				t.Errorf("%s, %d crashes: finished %d + dropped %d != %d", f.name, crashes, rep.Requests, rep.Faults.Dropped, len(reqs))
 			}
 		}
+	}
+}
+
+// TestCrashEndsDrain crashes a draining replica: the crash loses its
+// every resident request, so the drain is done at the crash instant and
+// the replica's GPU-seconds stop there. Two replicas serve a burst; the
+// first autoscaler tick drains replica 1 (the tie on outstanding work
+// goes to the higher index) while it still holds work, the crash comes
+// before that work could finish, and replica 0 serves to the end.
+func TestCrashEndsDrain(t *testing.T) {
+	cfg := fastConfig(1)
+	reqs := smallTrace(64, 7)
+	as, err := policy.NewAutoscaler(policy.AutoscalerConfig{
+		Min: 1, Max: 2, Initial: 2, Interval: 0.01,
+		ScaleUpQueue: 1e9, ScaleDownQueue: 1e8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const crashAt = 0.015
+	plan := &faults.Plan{Replicas: 2, Crashes: []faults.Crash{{Replica: 1, At: crashAt, RestartAt: crashAt + 0.01}}}
+	res, err := Serve(cfg, reqs, ServeConfig{Replicas: 2, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan, Stack: &policy.Stack{Autoscaler: as}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Report
+	checkConservation(t, res, len(reqs), rep.Faults.Dropped+rep.Admission.Dropped)
+	if rep.Autoscale.ScaleDowns != 1 || rep.Faults.AbortedRequests == 0 {
+		t.Fatalf("scenario did not crash a draining replica holding work: %+v %+v", rep.Autoscale, rep.Faults)
+	}
+	want := float64(cfg.World) * (rep.Elapsed + crashAt)
+	if got := rep.Autoscale.GPUSeconds; math.Abs(got-want) > 1e-9*want {
+		t.Errorf("GPU-seconds = %v, want %v (replica 0 to the end at %v, replica 1 to its crash at %v)", got, want, rep.Elapsed, crashAt)
 	}
 }
