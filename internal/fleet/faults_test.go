@@ -336,6 +336,9 @@ func TestServeFaultsWithPolicy(t *testing.T) {
 		if workers == 1 && (rep.Faults.Crashes == 0 || rep.Admission.BreakerTrips == 0 || rep.Admission.Retries == 0) {
 			t.Errorf("layers idle: %+v %+v", rep.Faults, rep.Admission)
 		}
+		if want := "FleetFaultsElastic(TD-Pipe/least-work)x4"; rep.Scheduler != want {
+			t.Errorf("scheduler label = %q, want %q", rep.Scheduler, want)
+		}
 		b := fullJSON(t, rep, res.Records)
 		if prev != nil && string(b) != string(prev) {
 			t.Fatalf("workers=%d diverges from workers=1", workers)

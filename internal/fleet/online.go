@@ -259,6 +259,8 @@ func runOnline(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Resul
 	}
 	mode := "FleetOnline"
 	switch {
+	case ro.plan != nil && ro.pol != nil:
+		mode = "FleetFaultsElastic"
 	case ro.plan != nil:
 		mode = "FleetFaults"
 	case ro.pol != nil:
