@@ -105,18 +105,18 @@ sloc:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGenerateSplitInvariants -fuzztime=$(FUZZTIME) ./internal/workload/
 
-# Smoke-run the disaggregated serving sweep and the fault-injection
-# study at tiny scale through the real CLI: exercises the whole
-# hand-off path (prefill pool -> KV export -> modeled transfer ->
-# import -> continuous-batching decode) and the crash/recovery path
-# (seeded fault plan -> abort -> re-dispatch/checkpoint resume ->
-# conservation) so neither -exp surface can rot unnoticed. The second
-# run repeats both experiments with the parallel fabric's worker pool
-# forced on (-workers 4), exercising the sharded epoch scheduler
-# through the same CLI surface.
+# Smoke-run the disaggregated serving sweep, the fault-injection and
+# correlated-failure studies and the autoscaling frontier at tiny scale
+# through the real CLI: exercises the whole hand-off path (prefill pool
+# -> KV export -> modeled transfer -> import -> continuous-batching
+# decode), the crash/recovery path (seeded fault plan -> abort ->
+# re-dispatch/checkpoint resume -> conservation), rack/zone domain
+# outages and the elastic replica lifecycle, so none of these -exp
+# surfaces can rot unnoticed. The second run repeats them with the
+# parallel fabric's worker pool forced on (-workers 4), exercising the
+# sharded epoch scheduler through the same CLI surface.
 smoke:
-	$(GO) run ./cmd/tdpipe -exp disagg,faults -requests 250 -pool 2000
-	$(GO) run ./cmd/tdpipe -exp disagg,faults -requests 250 -pool 2000 -workers 4
-	$(GO) run ./cmd/tdpipe -exp autoscale -requests 250 -pool 2000 -workers 4
+	$(GO) run ./cmd/tdpipe -exp disagg,faults,chaos,autoscale -requests 250 -pool 2000
+	$(GO) run ./cmd/tdpipe -exp disagg,faults,chaos,autoscale -requests 250 -pool 2000 -workers 4
 
 ci: build vet test race chaos smoke
