@@ -49,7 +49,7 @@ func Autoscale(e *Env) ([]AutoscaleRow, error) {
 	// Calibrate: one replica's closed-loop makespan gives its service
 	// rate; shape the diurnal curve so the peak needs ~70% of the peak
 	// fleet (static-mean drowns, elastic must scale to follow).
-	offline, err := calibrate(cfg, e.Requests)
+	offline, err := calibrate("autoscale", cfg, e.Requests)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ type ChaosRow = FaultsRow
 // domains partition KV links instead of crashing members and are
 // served disaggregated, where the hand-off path pays for them.
 func Chaos(e *Env) ([]ChaosRow, error) {
-	s, err := newFaultStudy(e, 83)
+	s, err := newFaultStudy(e, "chaos", 83)
 	if err != nil {
 		return nil, err
 	}

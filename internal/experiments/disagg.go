@@ -57,7 +57,7 @@ func Disagg(e *Env) ([]DisaggRow, error) {
 
 	// Calibrate: one replica's closed-loop makespan bounds the fleet's
 	// service rate.
-	offline, err := calibrate(cfg, e.Requests)
+	offline, err := calibrate("disagg", cfg, e.Requests)
 	if err != nil {
 		return nil, err
 	}

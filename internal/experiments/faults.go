@@ -34,7 +34,7 @@ var faultsMTBFFractions = []float64{1.0, 0.5, 0.25}
 // re-dispatched with a bounded retry budget, and requests that exhaust
 // it are dropped with a reason — the goodput column pays for them.
 func Faults(e *Env) ([]FaultsRow, error) {
-	s, err := newFaultStudy(e, 61)
+	s, err := newFaultStudy(e, "faults", 61)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ func Online(e *Env) ([]OnlineRow, error) {
 	cfg := sloConfig(e)
 
 	// Calibrate: the offline makespan bounds the service rate.
-	offline, err := calibrate(cfg, e.Requests)
+	offline, err := calibrate("online", cfg, e.Requests)
 	rows := []OnlineRow{{Label: "offline", Rate: 0, Report: offline}}
 	if errors.Is(err, errDegenerate) {
 		return rows, nil

@@ -51,7 +51,7 @@ func Prefix(e *Env) ([]PrefixRow, error) {
 	// Calibrate offered load from the closed-loop service rate of one
 	// engine, then push the fleet slightly past saturation so wasted
 	// prefill work surfaces as queueing delay in TTFT.
-	offline, err := calibrate(cfg, stamped)
+	offline, err := calibrate("prefix", cfg, stamped)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -32,18 +33,18 @@ func sloConfig(e *Env) core.Config {
 
 // errDegenerate reports a calibration run that finished without a
 // makespan.
-var errDegenerate = errors.New("experiments: degenerate calibration run")
+var errDegenerate = errors.New("degenerate calibration run")
 
-// calibrate serves reqs closed-loop on one replica of cfg: its
-// makespan bounds the replica's service rate. A run without a makespan
-// returns errDegenerate, still with its report.
-func calibrate(cfg core.Config, reqs []workload.Request) (metrics.Report, error) {
+// calibrate serves reqs closed-loop on one replica of cfg for the named
+// study: its makespan bounds the replica's service rate. A run without
+// a makespan returns errDegenerate, still with its report.
+func calibrate(study string, cfg core.Config, reqs []workload.Request) (metrics.Report, error) {
 	res, err := core.Run(cfg, reqs)
 	if err != nil {
 		return metrics.Report{}, err
 	}
 	if res.Report.Elapsed <= 0 {
-		return res.Report, errDegenerate
+		return res.Report, fmt.Errorf("experiments: %s: %w", study, errDegenerate)
 	}
 	return res.Report, nil
 }
@@ -79,11 +80,11 @@ type faultStudy struct {
 	restartDelay, downtime, ckptInterval float64
 }
 
-// newFaultStudy calibrates, stamps the arrivals at e's seed plus
-// arrivalSeed, and serves the fault-free control.
-func newFaultStudy(e *Env, arrivalSeed int64) (*faultStudy, error) {
+// newFaultStudy calibrates the named study, stamps the arrivals at e's
+// seed plus arrivalSeed, and serves the fault-free control.
+func newFaultStudy(e *Env, study string, arrivalSeed int64) (*faultStudy, error) {
 	s := &faultStudy{e: e, cfg: sloConfig(e)}
-	offline, err := calibrate(s.cfg, e.Requests)
+	offline, err := calibrate(study, s.cfg, e.Requests)
 	if err != nil {
 		return nil, err
 	}
