@@ -34,12 +34,12 @@ func Chaos(e *Env) ([]ChaosRow, error) {
 	// domains draws rack-scoped outages of kind at the same aggregate
 	// rate as the independent row.
 	domains := func(topo hw.Topology, kind string) faults.Config {
-		fc := s.crashes(89, s.ckptInterval)
+		fc := s.faultConfig(89, s.ckptInterval)
 		fc.Topology, fc.DomainMTBF, fc.DomainKind = topo, mtbf, kind
 		return fc
 	}
 	// Independent per-replica crashes: the baseline failure mass.
-	independent := s.crashes(89, s.ckptInterval)
+	independent := s.faultConfig(89, s.ckptInterval)
 	independent.MTBF = mtbf
 	// The same aggregate rate, correlated: whole racks crash together.
 	rack := domains(hw.Topology{Racks: 2}, faults.DomainPower)

@@ -41,7 +41,7 @@ func Faults(e *Env) ([]FaultsRow, error) {
 	rows := []FaultsRow{{Scenario: "fault-free", Ckpt: "off", Report: s.control}}
 	for _, frac := range faultsMTBFFractions {
 		for _, ckpt := range []float64{0, s.ckptInterval} {
-			fc := s.crashes(71, ckpt)
+			fc := s.faultConfig(71, ckpt)
 			fc.MTBF = frac * s.control.Elapsed
 			rep, err := s.serve(fc)
 			if err != nil {
@@ -60,7 +60,7 @@ func Faults(e *Env) ([]FaultsRow, error) {
 
 	// Disaggregated deployment under the same crash pressure plus an
 	// impaired KV hand-off link (degraded and partitioned windows).
-	fc := s.crashes(79, s.ckptInterval)
+	fc := s.faultConfig(79, s.ckptInterval)
 	fc.MTBF = s.control.Elapsed / 2
 	fc.LinkDegradeFrac, fc.LinkDegradeFactor, fc.LinkPartitionFrac = 0.25, 4, 0.125
 	if rep, err = s.disagg(fc); err != nil {

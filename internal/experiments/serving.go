@@ -105,10 +105,10 @@ func newFaultStudy(e *Env, study string, arrivalSeed int64) (*faultStudy, error)
 	return s, nil
 }
 
-// crashes is a fault config over the control's makespan at e's seed
+// faultConfig is a fault config over the control's makespan at e's seed
 // plus seed, with the study's restart delay and checkpoint cadence ckpt
 // (0 for recompute-only recovery).
-func (s *faultStudy) crashes(seed int64, ckpt float64) faults.Config {
+func (s *faultStudy) faultConfig(seed int64, ckpt float64) faults.Config {
 	return faults.Config{
 		Seed:               s.e.Opts.Seed + seed,
 		Horizon:            s.control.Elapsed,
