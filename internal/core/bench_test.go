@@ -68,12 +68,16 @@ func BenchmarkIntensityDecision(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := NewIntensity(cm, plan, 512)
+	stages, err := costmodel.NewStageTable(cm, plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := NewIntensity(stages, 512)
 	pending := make([]costmodel.PrefillBatch, 8)
 	for i := range pending {
 		pending[i] = costmodel.NewPrefillBatch([]int{512, 300, 700, 536})
 	}
-	decodeStep := cm.DecodeBottleneck(plan, 64, 64*600)
+	decodeStep := stages.DecodeBottleneck(64, 64*600)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		si := x.Spatial(100+i%50, 500, 200)

@@ -265,7 +265,7 @@ func NewEngine(eng *sim.Engine, cfg Config) (*Engine, error) {
 		cluster:        cluster,
 		kv:             kv,
 		usage:          newUsageSim(futurePointStride, futurePointMax),
-		inten:          NewIntensity(cluster.Cost, cluster.Plan, cfg.PeakProfileBatch),
+		inten:          NewIntensity(cluster.Cost, cfg.PeakProfileBatch),
 		capacityTokens: capTokens,
 		kvTimeline:     &metrics.KVTimeline{},
 	}
@@ -1232,7 +1232,7 @@ func (e *Engine) shouldSwitchToPrefill(slot int) bool {
 	avgCtx := kvTokens / resident
 	feasiblePeak := e.capacityTokens / (e.numSlots * avgCtx)
 	si := e.inten.Spatial(avgBatch, avgCtx, feasiblePeak)
-	decodeStep := e.cluster.Cost.DecodeBottleneck(e.cluster.Plan, avgBatch, avgBatch*avgCtx)
+	decodeStep := e.cluster.Cost.DecodeBottleneck(avgBatch, avgBatch*avgCtx)
 	ti, _ := e.pendingTemporal(e.kv.FreeBlocks()*e.kv.BlockSize(), decodeStep)
 	return e.inten.ShouldSwitch(si, ti)
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/costmodel"
-	"repro/internal/model"
-)
+import "repro/internal/costmodel"
 
 // Approach 3: spatial-temporal intensity comparison (§3.5, Fig. 10).
 //
@@ -14,18 +11,17 @@ import (
 // switch now: 1 minus the fraction of the cycle lost to the switch
 // bubble. The engine switches to prefill when SI < TI.
 
-// Intensity evaluates both intensities from the profiled cost model —
+// Intensity evaluates both intensities from the profiled stage times —
 // the same way the real system derives them from on-device profiling.
 type Intensity struct {
-	cm        *costmodel.Model
-	plan      model.PipelinePlan
+	stages    *costmodel.StageTable
 	peakBatch int
 }
 
-// NewIntensity profiles with peakBatch as the "sufficiently large batch
-// size" for Peak.
-func NewIntensity(cm *costmodel.Model, plan model.PipelinePlan, peakBatch int) *Intensity {
-	return &Intensity{cm: cm, plan: plan, peakBatch: peakBatch}
+// NewIntensity profiles the pipeline's stage times with peakBatch as
+// the "sufficiently large batch size" for Peak.
+func NewIntensity(stages *costmodel.StageTable, peakBatch int) *Intensity {
+	return &Intensity{stages: stages, peakBatch: peakBatch}
 }
 
 // perRequestRate is the profiled reciprocal of average execution time
@@ -35,7 +31,7 @@ func (x *Intensity) perRequestRate(batch, avgCtx int) float64 {
 	if batch <= 0 {
 		return 0
 	}
-	t := x.cm.DecodeBottleneck(x.plan, batch, batch*avgCtx)
+	t := x.stages.DecodeBottleneck(batch, batch*avgCtx)
 	if t <= 0 {
 		return 0
 	}
@@ -90,7 +86,7 @@ func (x *Intensity) Temporal(pending []costmodel.PrefillBatch, decodeStep float6
 
 // prefillCost is the pipeline-paced time of one pending prefill batch.
 func (x *Intensity) prefillCost(b costmodel.PrefillBatch) float64 {
-	return x.cm.PrefillBottleneck(x.plan, b)
+	return x.stages.PrefillBottleneck(b)
 }
 
 // temporalIntensity is Temporal's formula over a non-empty pending set

@@ -18,7 +18,11 @@ func newIntensity(t *testing.T) *Intensity {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewIntensity(cm, plan, 512)
+	stages, err := costmodel.NewStageTable(cm, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewIntensity(stages, 512)
 }
 
 func TestSpatialIntensityRisesWithBatch(t *testing.T) {
@@ -72,7 +76,7 @@ func TestTemporalIntensityRisesWithPendingWork(t *testing.T) {
 func TestTemporalIntensityBubbleAbsorbedByLongDecode(t *testing.T) {
 	x := newIntensity(t)
 	pending := []costmodel.PrefillBatch{costmodel.NewPrefillBatch([]int{2048})}
-	longDecode := x.cm.PrefillBottleneck(x.plan, pending[0]) * 2
+	longDecode := x.stages.PrefillBottleneck(pending[0]) * 2
 	if got := x.Temporal(pending, longDecode, 4); got != 1 {
 		t.Errorf("TI with decode longer than prefill = %v, want 1 (no bubble)", got)
 	}
@@ -100,13 +104,13 @@ func TestIntensityCrossover(t *testing.T) {
 	}
 	// Early: batch 400 per slot, memory full -> no pending prefills.
 	siEarly := x.Spatial(400, 500, 400)
-	tiEarly := x.Temporal(nil, x.cm.DecodeBottleneck(x.plan, 400, 400*500), 4)
+	tiEarly := x.Temporal(nil, x.stages.DecodeBottleneck(400, 400*500), 4)
 	if x.ShouldSwitch(siEarly, tiEarly) {
 		t.Errorf("switched early: SI=%v TI=%v", siEarly, tiEarly)
 	}
 	// Late: batch 24 per slot, lots of pending work.
 	siLate := x.Spatial(24, 700, 400)
-	tiLate := x.Temporal(pendingLate, x.cm.DecodeBottleneck(x.plan, 24, 24*700), 4)
+	tiLate := x.Temporal(pendingLate, x.stages.DecodeBottleneck(24, 24*700), 4)
 	if !x.ShouldSwitch(siLate, tiLate) {
 		t.Errorf("did not switch late: SI=%v TI=%v", siLate, tiLate)
 	}

@@ -8,9 +8,12 @@ import (
 )
 
 // The cost model sits on every scheduling decision's hot path; these
-// benchmarks track its per-call cost.
+// benchmarks track its per-call cost. Results go to sink so the
+// compiler cannot drop the inlined arithmetic.
 
-func benchModel(b *testing.B) (*Model, model.PipelinePlan) {
+var sink float64
+
+func benchModel(b *testing.B) (*Model, *StageTable) {
 	b.Helper()
 	cm, err := New(hw.A100, model.Llama2_70B)
 	if err != nil {
@@ -20,34 +23,38 @@ func benchModel(b *testing.B) (*Model, model.PipelinePlan) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return cm, plan
+	tab, err := NewStageTable(cm, plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cm, tab
 }
 
 func BenchmarkPrefillStage(b *testing.B) {
 	b.ReportAllocs()
-	cm, plan := benchModel(b)
+	_, tab := benchModel(b)
 	batch := NewPrefillBatch([]int{512, 256, 1024, 300})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cm.PrefillStage(plan, 1, batch)
+		sink = tab.PrefillStage(1, batch)
 	}
 }
 
 func BenchmarkDecodeStage(b *testing.B) {
 	b.ReportAllocs()
-	cm, plan := benchModel(b)
+	_, tab := benchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cm.DecodeStage(plan, 2, 200, 200*500)
+		sink = tab.DecodeStage(2, 200, 200*500)
 	}
 }
 
 func BenchmarkDecodeBottleneck(b *testing.B) {
 	b.ReportAllocs()
-	cm, plan := benchModel(b)
+	_, tab := benchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cm.DecodeBottleneck(plan, 200, 200*500)
+		sink = tab.DecodeBottleneck(200, 200*500)
 	}
 }
 

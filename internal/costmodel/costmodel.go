@@ -8,9 +8,18 @@
 // the two regimes the paper's design exploits — prefill saturates
 // compute at tiny batch sizes while decode is bound by weight/KV-cache
 // bandwidth until batch sizes reach the hundreds (paper §2.1, Fig. 10).
+//
+// Pipeline-parallel stage times come from a StageTable, built once per
+// (Model, PipelinePlan): it caches every operand that depends only on
+// the node, the model, the calibration and the stage's slice of the
+// layers, and evaluates each stage time with the same expressions over
+// them, so the times are bit-identical to recomputing every operand on
+// every call. The runtime times every pass through it. The
+// tensor-parallel methods on Model evaluate their operands per call.
 package costmodel
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/hw"
@@ -66,6 +75,34 @@ func DefaultParams(n hw.Node) Params {
 		p.MFUPrefill = 0.40
 	}
 	return p
+}
+
+// ErrParams reports calibration constants no roofline can use.
+var ErrParams = errors.New("costmodel: invalid params")
+
+// Validate reports the first calibration constant outside its domain:
+// a non-positive MFU or HBM efficiency, a MixedBatchEff outside (0, 1]
+// or a negative overhead. The error wraps ErrParams and names the
+// field.
+func (p Params) Validate() error {
+	bad := func(field string, v float64, want string) error {
+		return fmt.Errorf("%w: %s %v %s", ErrParams, field, v, want)
+	}
+	switch {
+	case !(p.MFUPrefill > 0):
+		return bad("MFUPrefill", p.MFUPrefill, "is not positive")
+	case !(p.MFUDecode > 0):
+		return bad("MFUDecode", p.MFUDecode, "is not positive")
+	case !(p.HBMEff > 0):
+		return bad("HBMEff", p.HBMEff, "is not positive")
+	case !(p.MixedBatchEff > 0 && p.MixedBatchEff <= 1):
+		return bad("MixedBatchEff", p.MixedBatchEff, "is outside (0, 1]")
+	case !(p.OverheadPerLayer >= 0):
+		return bad("OverheadPerLayer", p.OverheadPerLayer, "is negative")
+	case !(p.OverheadPerPass >= 0):
+		return bad("OverheadPerPass", p.OverheadPerPass, "is negative")
+	}
+	return nil
 }
 
 // Model evaluates execution times for one (node, model) pair.
@@ -164,92 +201,16 @@ func (c *Model) roofline(flops, bytes, mfu float64, nLayers int) float64 {
 	return t + float64(nLayers)*c.P.OverheadPerLayer + c.P.OverheadPerPass
 }
 
-// Pipeline-parallel costs ---------------------------------------------
-
-// PrefillStage returns the time for stage st of plan to process prefill
-// batch b.
-func (c *Model) PrefillStage(plan model.PipelinePlan, st int, b PrefillBatch) float64 {
-	if b.Tokens == 0 {
-		return 0
-	}
-	stage := plan.Stages[st]
-	flops := c.prefillComputeFLOPs(b, stage.Layers, stage.HasHead)
-	bytes := c.prefillMemBytes(b, plan.StageWeightBytes(st), stage.Layers)
-	return c.roofline(flops, bytes, c.P.MFUPrefill, stage.Layers)
-}
-
-// ChunkedPrefillStage returns the time for stage st to process a prefill
-// chunk of chunkTokens belonging to a request with ctxTokens already
-// cached. The chunk re-reads the cached KV — the "repeated KV cache
-// loading overhead" of chunked prefill the paper calls out (§1, §2.3).
-func (c *Model) ChunkedPrefillStage(plan model.PipelinePlan, st int, chunkTokens, ctxTokens int) float64 {
-	if chunkTokens == 0 {
-		return 0
-	}
-	stage := plan.Stages[st]
-	b := PrefillBatch{Seqs: 1, Tokens: chunkTokens,
-		SumSqTokens: float64(chunkTokens)*float64(chunkTokens) + 2*float64(chunkTokens)*float64(ctxTokens)}
-	flops := c.prefillComputeFLOPs(b, stage.Layers, stage.HasHead)
-	bytes := c.prefillMemBytes(b, plan.StageWeightBytes(st), stage.Layers)
-	bytes += float64(stage.Layers) * c.Spec.KVBytesPerTokenLayer() * float64(ctxTokens) // KV reload
-	return c.roofline(flops, bytes, c.P.MFUPrefill, stage.Layers)
-}
-
-// DecodeStage returns the time for stage st to run one decode step over
-// batch requests with kvTokens total cached context.
-func (c *Model) DecodeStage(plan model.PipelinePlan, st int, batch, kvTokens int) float64 {
-	if batch == 0 {
-		return 0
-	}
-	stage := plan.Stages[st]
-	flops := c.decodeComputeFLOPs(batch, kvTokens, stage.Layers, stage.HasHead)
-	bytes := c.decodeMemBytes(batch, kvTokens, plan.StageWeightBytes(st), stage.Layers)
-	return c.roofline(flops, bytes, c.P.MFUDecode, stage.Layers)
-}
-
-// HybridStage returns the time for stage st to run one hybrid-batch
-// iteration: decodeBatch decode tokens (kvTokens context) mixed with a
-// prefill chunk of chunkTokens (chunkCtx already cached). Used by the
-// PP+HB and TP+HB baselines.
-func (c *Model) HybridStage(plan model.PipelinePlan, st int, decodeBatch, kvTokens, chunkTokens, chunkCtx int) float64 {
-	if decodeBatch == 0 && chunkTokens == 0 {
-		return 0
-	}
-	stage := plan.Stages[st]
-	b := PrefillBatch{Seqs: 1, Tokens: chunkTokens,
-		SumSqTokens: float64(chunkTokens)*float64(chunkTokens) + 2*float64(chunkTokens)*float64(chunkCtx)}
-	if chunkTokens == 0 {
-		b = PrefillBatch{}
-	}
-	flops := c.prefillComputeFLOPs(b, stage.Layers, false) +
-		c.decodeComputeFLOPs(decodeBatch, kvTokens, stage.Layers, stage.HasHead)
-	bytes := float64(stage.Layers)*c.Spec.KVBytesPerTokenLayer()*float64(kvTokens+chunkCtx+chunkTokens) +
-		plan.StageWeightBytes(st) +
-		c.P.ActIOFactor*float64(stage.Layers)*c.Spec.ActivationBytes(decodeBatch+chunkTokens)
-	// Mixed batches run at an intermediate compute efficiency, further
-	// discounted by the sliced-kernel penalty.
-	mfu := (c.P.MFUPrefill + c.P.MFUDecode) / 2
-	return c.mixedRoofline(flops, bytes, mfu, stage.Layers, chunkTokens > 0 && decodeBatch > 0)
-}
-
 // mixedRoofline applies the hybrid-batch efficiency discount when a
-// pass genuinely mixes phases.
+// pass genuinely mixes phases. MixedBatchEff lies in (0, 1], as
+// Params.Validate requires.
 func (c *Model) mixedRoofline(flops, bytes, mfu float64, nLayers int, mixed bool) float64 {
 	if mixed {
 		eff := c.P.MixedBatchEff
-		if eff <= 0 || eff > 1 {
-			eff = 1
-		}
 		mfu *= eff
 		bytes /= eff // equivalent to discounting achieved bandwidth
 	}
 	return c.roofline(flops, bytes, mfu, nLayers)
-}
-
-// P2PActivation returns the stage-to-stage transfer time for a
-// microbatch of tokens tokens.
-func (c *Model) P2PActivation(tokens int) float64 {
-	return c.Node.P2PTime(c.Spec.ActivationBytes(tokens))
 }
 
 // Tensor-parallel costs -----------------------------------------------
@@ -327,32 +288,6 @@ func (c *Model) TPHybrid(world, decodeBatch, kvTokens, chunkTokens, chunkCtx int
 	mfu := (c.P.MFUPrefill + c.P.MFUDecode) / 2
 	compute = c.mixedRoofline(flops, bytes, mfu, s.Layers, chunkTokens > 0 && decodeBatch > 0)
 	return compute, c.tpComm(world, decodeBatch+chunkTokens)
-}
-
-// Pipeline bottleneck helper ------------------------------------------
-
-// DecodeBottleneck returns the slowest per-stage time of one decode
-// step, which governs pipeline throughput when all stages are busy.
-func (c *Model) DecodeBottleneck(plan model.PipelinePlan, batch, kvTokens int) float64 {
-	var max float64
-	for st := range plan.Stages {
-		if t := c.DecodeStage(plan, st, batch, kvTokens); t > max {
-			max = t
-		}
-	}
-	return max
-}
-
-// PrefillBottleneck returns the slowest per-stage time of a prefill
-// batch across the pipeline.
-func (c *Model) PrefillBottleneck(plan model.PipelinePlan, b PrefillBatch) float64 {
-	var max float64
-	for st := range plan.Stages {
-		if t := c.PrefillStage(plan, st, b); t > max {
-			max = t
-		}
-	}
-	return max
 }
 
 // String summarizes the calibrated deployment.

@@ -27,6 +27,15 @@ func mustPlan(t *testing.T, s model.Spec, stages int) model.PipelinePlan {
 	return p
 }
 
+func mustTable(t *testing.T, c *Model, plan model.PipelinePlan) *StageTable {
+	t.Helper()
+	tab, err := NewStageTable(c, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
 func TestNewValidates(t *testing.T) {
 	if _, err := New(hw.Node{}, model.Tiny); err == nil {
 		t.Error("invalid node accepted")
@@ -79,9 +88,9 @@ func TestPrefillComputeBoundDecodeMemoryBound(t *testing.T) {
 // rises with batch size and saturates.
 func TestDecodeIntensityCurveSaturates(t *testing.T) {
 	c := mustNew(t, hw.A100, model.Llama2_70B)
-	plan := mustPlan(t, model.Llama2_70B, 4)
+	tab := mustTable(t, c, mustPlan(t, model.Llama2_70B, 4))
 	rate := func(b int) float64 {
-		return float64(b) / c.DecodeStage(plan, 0, b, b*400)
+		return float64(b) / tab.DecodeStage(0, b, b*400)
 	}
 	if !(rate(16) < rate(64) && rate(64) < rate(256)) {
 		t.Errorf("rate not increasing: %v %v %v", rate(16), rate(64), rate(256))
@@ -97,16 +106,17 @@ func TestDecodeIntensityCurveSaturates(t *testing.T) {
 func TestZeroWorkCostsNothing(t *testing.T) {
 	c := mustNew(t, hw.L20, model.Tiny)
 	plan := mustPlan(t, model.Tiny, 2)
-	if got := c.PrefillStage(plan, 0, PrefillBatch{}); got != 0 {
+	tab := mustTable(t, c, plan)
+	if got := tab.PrefillStage(0, PrefillBatch{}); got != 0 {
 		t.Errorf("empty prefill = %v", got)
 	}
-	if got := c.DecodeStage(plan, 0, 0, 0); got != 0 {
+	if got := tab.DecodeStage(0, 0, 0); got != 0 {
 		t.Errorf("empty decode = %v", got)
 	}
 	if got := c.ChunkedPrefillStage(plan, 0, 0, 100); got != 0 {
 		t.Errorf("empty chunk = %v", got)
 	}
-	if got := c.HybridStage(plan, 0, 0, 0, 0, 0); got != 0 {
+	if got := tab.HybridStage(0, 0, 0, 0, 0); got != 0 {
 		t.Errorf("empty hybrid = %v", got)
 	}
 	if comp, comm := c.TPPrefill(4, PrefillBatch{}); comp != 0 || comm != 0 {
@@ -189,7 +199,7 @@ func TestPPCommFarCheaperThanTP(t *testing.T) {
 	c := mustNew(t, hw.L20, model.Llama2_70B)
 	b := NewPrefillBatch([]int{1024})
 	_, tpComm := c.TPPrefill(4, b)
-	ppComm := 3 * c.P2PActivation(1024) // 3 boundary crossings in a 4-stage pipeline
+	ppComm := 3 * mustTable(t, c, mustPlan(t, model.Llama2_70B, 4)).P2PActivation(1024) // 3 boundary crossings in a 4-stage pipeline
 	if ppComm*5 > tpComm {
 		t.Errorf("PP comm %v not far below TP comm %v", ppComm, tpComm)
 	}
@@ -198,13 +208,14 @@ func TestPPCommFarCheaperThanTP(t *testing.T) {
 func TestDecodeBottleneckIsMaxOverStages(t *testing.T) {
 	c := mustNew(t, hw.A100, model.Llama2_70B)
 	plan := mustPlan(t, model.Llama2_70B, 4)
-	bn := c.DecodeBottleneck(plan, 128, 128*300)
+	tab := mustTable(t, c, plan)
+	bn := tab.DecodeBottleneck(128, 128*300)
 	for st := range plan.Stages {
-		if tm := c.DecodeStage(plan, st, 128, 128*300); tm > bn {
+		if tm := tab.DecodeStage(st, 128, 128*300); tm > bn {
 			t.Errorf("stage %d time %v exceeds bottleneck %v", st, tm, bn)
 		}
 	}
-	pbn := c.PrefillBottleneck(plan, NewPrefillBatch([]int{512}))
+	pbn := tab.PrefillBottleneck(NewPrefillBatch([]int{512}))
 	if pbn <= 0 {
 		t.Errorf("prefill bottleneck = %v", pbn)
 	}
@@ -213,9 +224,9 @@ func TestDecodeBottleneckIsMaxOverStages(t *testing.T) {
 // Hybrid batch cost is at least the decode-only cost of its decode part.
 func TestHybridAtLeastDecode(t *testing.T) {
 	c := mustNew(t, hw.L20, model.Qwen2_5_32B)
-	plan := mustPlan(t, model.Qwen2_5_32B, 4)
-	d := c.DecodeStage(plan, 0, 64, 64*200)
-	h := c.HybridStage(plan, 0, 64, 64*200, 256, 0)
+	tab := mustTable(t, c, mustPlan(t, model.Qwen2_5_32B, 4))
+	d := tab.DecodeStage(0, 64, 64*200)
+	h := tab.HybridStage(0, 64, 64*200, 256, 0)
 	if h < d*0.8 {
 		t.Errorf("hybrid %v implausibly below decode-only %v", h, d)
 	}
@@ -225,16 +236,16 @@ func TestHybridAtLeastDecode(t *testing.T) {
 // in tokens / batch size.
 func TestCostMonotonicityProperty(t *testing.T) {
 	c := mustNew(t, hw.L20, model.Tiny)
-	plan := mustPlan(t, model.Tiny, 2)
+	tab := mustTable(t, c, mustPlan(t, model.Tiny, 2))
 	prop := func(a, b uint16) bool {
 		x, y := int(a%4096)+1, int(b%4096)+1
 		if x > y {
 			x, y = y, x
 		}
-		pf1 := c.PrefillStage(plan, 0, NewPrefillBatch([]int{x}))
-		pf2 := c.PrefillStage(plan, 0, NewPrefillBatch([]int{y}))
-		d1 := c.DecodeStage(plan, 0, x, x*10)
-		d2 := c.DecodeStage(plan, 0, y, y*10)
+		pf1 := tab.PrefillStage(0, NewPrefillBatch([]int{x}))
+		pf2 := tab.PrefillStage(0, NewPrefillBatch([]int{y}))
+		d1 := tab.DecodeStage(0, x, x*10)
+		d2 := tab.DecodeStage(0, y, y*10)
 		return pf1 > 0 && d1 > 0 && pf1 <= pf2 && d1 <= d2
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -247,8 +258,7 @@ func TestCostMonotonicityProperty(t *testing.T) {
 // ~2900 tokens/s overall result (decode-only should exceed it).
 func TestAbsoluteScaleSanity(t *testing.T) {
 	c := mustNew(t, hw.A100, model.Llama2_70B)
-	plan := mustPlan(t, model.Llama2_70B, 4)
-	step := c.DecodeBottleneck(plan, 200, 200*500)
+	step := mustTable(t, c, mustPlan(t, model.Llama2_70B, 4)).DecodeBottleneck(200, 200*500)
 	// 4 batches in flight, each step yields `batch` tokens.
 	rate := 200.0 / step
 	if rate < 2000 || rate > 100000 {

@@ -58,32 +58,33 @@ func putBits(h hash.Hash, v float64) {
 // stageCostDigest is the SHA-256 of the Float64bits of every stage
 // time of the plan (prefill, decode and hybrid, per stage), both
 // bottlenecks and the stage-to-stage transfer over the golden grid.
-func stageCostDigest(c *Model, plan model.PipelinePlan) string {
+func stageCostDigest(t *testing.T, c *Model, plan model.PipelinePlan) string {
+	tab := mustTable(t, c, plan)
 	h := sha256.New()
 	for _, lens := range goldenPrefills {
 		b := NewPrefillBatch(lens)
 		for st := range plan.Stages {
-			putBits(h, c.PrefillStage(plan, st, b))
+			putBits(h, tab.PrefillStage(st, b))
 		}
-		putBits(h, c.PrefillBottleneck(plan, b))
+		putBits(h, tab.PrefillBottleneck(b))
 	}
 	for _, batch := range goldenBatches {
 		for _, kv := range goldenKV {
 			for st := range plan.Stages {
-				putBits(h, c.DecodeStage(plan, st, batch, kv))
+				putBits(h, tab.DecodeStage(st, batch, kv))
 			}
-			putBits(h, c.DecodeBottleneck(plan, batch, kv))
+			putBits(h, tab.DecodeBottleneck(batch, kv))
 			for _, chunk := range goldenChunks {
 				for _, ctx := range goldenChunkCtx {
 					for st := range plan.Stages {
-						putBits(h, c.HybridStage(plan, st, batch, kv, chunk, ctx))
+						putBits(h, tab.HybridStage(st, batch, kv, chunk, ctx))
 					}
 				}
 			}
 		}
 	}
 	for _, tok := range goldenP2P {
-		putBits(h, c.P2PActivation(tok))
+		putBits(h, tab.P2PActivation(tok))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -97,7 +98,7 @@ func TestStageCostGolden(t *testing.T) {
 	got := map[string]string{}
 	keys, models, plans := goldenPlans(t)
 	for i, k := range keys {
-		got[k] = stageCostDigest(models[i], plans[i])
+		got[k] = stageCostDigest(t, models[i], plans[i])
 	}
 
 	if *updateGolden {

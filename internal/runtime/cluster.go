@@ -36,9 +36,10 @@ type Cluster struct {
 	// Node and Plan values, so a hop on a cold cluster (one of many in
 	// a fleet) loads fewer cache lines.
 	Eng *sim.Engine
-	// Cost and Plan's stage table are shared, read-only, by every
+	// Cost times every stage of Plan from constants built once per
+	// plan. It and Plan's stage table are shared, read-only, by every
 	// cluster built for the same node, model and world.
-	Cost *costmodel.Model
+	Cost *costmodel.StageTable
 
 	// GPUs[i] serializes compute on device i.
 	GPUs []sim.Resource
@@ -103,11 +104,12 @@ func NewCluster(eng *sim.Engine, node hw.Node, spec model.Spec, world int) (*Clu
 	return c, nil
 }
 
-// pipelines interns the cost model and partition of each (node, model,
-// world). Both are pure functions of it and are never modified once
-// built, so all clusters of a fleet share one copy, which stays in
-// cache across replicas instead of being loaded once per replica at
-// every stage hop.
+// pipelines interns the partition of each (node, model, world) and the
+// stage-time table of the partition under the node's cost model. Both
+// are pure functions of the key and are never modified once built, so
+// all clusters of a fleet share one copy, which stays in cache across
+// replicas instead of being loaded once per replica at every stage
+// hop.
 var pipelines struct {
 	sync.Mutex
 	m map[pipelineKey]pipeline
@@ -120,12 +122,12 @@ type pipelineKey struct {
 }
 
 type pipeline struct {
-	cost *costmodel.Model
+	cost *costmodel.StageTable
 	plan model.PipelinePlan
 }
 
-// sharedPipeline returns the interned cost model and partition of
-// (node, spec, world), building them on first use.
+// sharedPipeline returns the interned stage-time table and partition
+// of (node, spec, world), building them on first use.
 func sharedPipeline(node hw.Node, spec model.Spec, world int) (pipeline, error) {
 	pipelines.Lock()
 	defer pipelines.Unlock()
@@ -133,11 +135,15 @@ func sharedPipeline(node hw.Node, spec model.Spec, world int) (pipeline, error) 
 	if pl, ok := pipelines.m[k]; ok {
 		return pl, nil
 	}
-	cost, err := costmodel.New(node, spec)
+	cm, err := costmodel.New(node, spec)
 	if err != nil {
 		return pipeline{}, err
 	}
 	plan, err := model.Partition(spec, world)
+	if err != nil {
+		return pipeline{}, err
+	}
+	cost, err := costmodel.NewStageTable(cm, plan)
 	if err != nil {
 		return pipeline{}, err
 	}
@@ -267,11 +273,28 @@ type pass struct {
 
 // stageBooking is one stage's reservation: when the stage's input
 // landed and its compute began (with res.StageEnds, the busy interval
-// passDone records), and its GPU's and outgoing link's state before
-// the reservation, for Stall to rewind to.
+// passDone records), its GPU's and outgoing link's state before the
+// reservation, for Stall to rewind to, and its nominal compute time,
+// which a later stage of the same class reuses.
 type stageBooking struct {
 	landed, start sim.Time
 	gpu, link     sim.Mark
+	dur           float64
+}
+
+// send returns the tokens whose activations a stage forwards: the
+// prefill tokens, the decode batch's one token per sequence, or both
+// for a hybrid pass.
+//
+//det:hotpath
+func (p *pass) send() int {
+	switch p.kind {
+	case prefillPass:
+		return p.prefill.Tokens
+	case decodePass:
+		return p.batch
+	}
+	return p.batch + p.chunkTokens
 }
 
 // unreached returns the first stage whose input lands at or after at,
@@ -437,21 +460,25 @@ func (c *Cluster) run(p *pass, st int, landed sim.Time) {
 //det:hotpath
 func (c *Cluster) reserve(p *pass, st int, landed sim.Time) bool {
 	for {
-		var dur float64
-		var send int
-		switch p.kind {
-		case prefillPass:
-			dur, send = c.Cost.PrefillStage(c.Plan, st, p.prefill), p.prefill.Tokens
-		case decodePass:
-			dur, send = c.Cost.DecodeStage(c.Plan, st, p.batch, p.kvTokens), p.batch
-		default:
-			dur = c.Cost.HybridStage(c.Plan, st, p.batch, p.kvTokens, p.chunkTokens, p.chunkCtx)
-			send = p.batch + p.chunkTokens
+		b := &p.stages[st]
+		// A pass reserves its stages in order, so an earlier stage of
+		// st's class already holds this pass's time for it.
+		if same := c.Cost.SameAs(st); same < st {
+			b.dur = p.stages[same].dur
+		} else {
+			switch p.kind {
+			case prefillPass:
+				b.dur = c.Cost.PrefillStage(st, p.prefill)
+			case decodePass:
+				b.dur = c.Cost.DecodeStage(st, p.batch, p.kvTokens)
+			default:
+				b.dur = c.Cost.HybridStage(st, p.batch, p.kvTokens, p.chunkTokens, p.chunkCtx)
+			}
 		}
+		dur := b.dur
 		if c.slowdown > 0 {
 			dur *= c.slowdown
 		}
-		b := &p.stages[st]
 		b.landed, b.gpu = landed, c.GPUs[st].Mark()
 		start, end := c.GPUs[st].Acquire(landed, dur, nil)
 		b.start = start
@@ -475,7 +502,7 @@ func (c *Cluster) reserve(p *pass, st int, landed sim.Time) bool {
 			}
 		}
 		b.link = c.Links[st].Mark()
-		_, landed = c.Links[st].Acquire(xferReady, c.Cost.P2PActivation(send), nil)
+		_, landed = c.Links[st].Acquire(xferReady, c.Cost.P2PActivation(p.send()), nil)
 		if c.BlockingP2P {
 			c.GPUs[st].Occupy(landed)
 			c.Eng.AtFunc(landed, passNext, p, st+1, 0)

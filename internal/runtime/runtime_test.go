@@ -48,19 +48,19 @@ func TestStageEndsMatchCostModel(t *testing.T) {
 		{
 			name:   "prefill",
 			submit: func(c *Cluster, done func(PassResult)) { c.SubmitPrefill(batch, 0, done) },
-			stage:  func(c *Cluster, st int) float64 { return c.Cost.PrefillStage(c.Plan, st, batch) },
+			stage:  func(c *Cluster, st int) float64 { return c.Cost.PrefillStage(st, batch) },
 			send:   128,
 		},
 		{
 			name:   "decode",
 			submit: func(c *Cluster, done func(PassResult)) { c.SubmitDecode(8, 960, 0, done) },
-			stage:  func(c *Cluster, st int) float64 { return c.Cost.DecodeStage(c.Plan, st, 8, 960) },
+			stage:  func(c *Cluster, st int) float64 { return c.Cost.DecodeStage(st, 8, 960) },
 			send:   8,
 		},
 		{
 			name:   "hybrid",
 			submit: func(c *Cluster, done func(PassResult)) { c.SubmitHybrid(4, 400, 32, 64, 0, done) },
-			stage:  func(c *Cluster, st int) float64 { return c.Cost.HybridStage(c.Plan, st, 4, 400, 32, 64) },
+			stage:  func(c *Cluster, st int) float64 { return c.Cost.HybridStage(st, 4, 400, 32, 64) },
 			send:   36,
 		},
 	}
@@ -102,7 +102,7 @@ func TestWorkerInitAndExec(t *testing.T) {
 	batch := costmodel.NewPrefillBatch([]int{64})
 	c.SubmitPrefill(batch, 0, nil)
 	c.Eng.Run()
-	dur := c.Cost.PrefillStage(c.Plan, 0, batch)
+	dur := c.Cost.PrefillStage(0, batch)
 	if dur <= 0 {
 		t.Fatalf("stage 0 duration = %v", dur)
 	}
@@ -140,7 +140,7 @@ func TestSubmitDecodeMatchesDecodeTask(t *testing.T) {
 			if st > 0 {
 				want += sim.Time(c.Cost.P2PActivation(8))
 			}
-			want += sim.Time(c.Cost.DecodeStage(c.Plan, st, 8, 960) * slow)
+			want += sim.Time(c.Cost.DecodeStage(st, 8, 960) * slow)
 		}
 		if end != want || end <= 0 {
 			t.Errorf("slowdown %v: SubmitDecode end %v, want decode task end %v", slow, end, want)
@@ -159,7 +159,7 @@ func TestSlowdownAppliesToLaterSubmissions(t *testing.T) {
 			if st > 0 {
 				at += sim.Time(c.Cost.P2PActivation(8))
 			}
-			at += sim.Time(c.Cost.DecodeStage(c.Plan, st, 8, 960) * slow)
+			at += sim.Time(c.Cost.DecodeStage(st, 8, 960) * slow)
 		}
 		return at
 	}
@@ -249,7 +249,7 @@ func TestAsyncP2PFreesGPUDuringTransfer(t *testing.T) {
 	// Stage 1 starts strictly after the transfer.
 	xfer := c.Cost.P2PActivation(256)
 	wantStart := res.StageEnds[0] + sim.Time(xfer)
-	gotStart := res.StageEnds[1] - sim.Time(c.Cost.PrefillStage(c.Plan, 1, costmodel.NewPrefillBatch([]int{256})))
+	gotStart := res.StageEnds[1] - sim.Time(c.Cost.PrefillStage(1, costmodel.NewPrefillBatch([]int{256})))
 	if math.Abs(float64(gotStart-wantStart)) > 1e-12 {
 		t.Errorf("stage 1 start = %v, want %v", gotStart, wantStart)
 	}
@@ -335,39 +335,52 @@ func TestPooledPassesDoNotAlias(t *testing.T) {
 	}
 }
 
-// A steady-state decode pass (pooled pass state, recycled kernel
-// events, callback bound once, busy time streamed and folded at each
+// A steady-state pass (pooled pass state, recycled kernel events,
+// callback bound once, busy time streamed and folded at each
 // completion) allocates nothing: submission, every stage hop,
-// completion and recording. The count is read from the heap's malloc
-// counter over 10,000 passes, so amortized growth — a recorder's
-// append doubling now and then — cannot be rounded away the way
-// testing.AllocsPerRun's integer division rounds it to 0.
+// completion and recording, for decode, prefill and hybrid passes
+// alike. The count is read from the heap's malloc counter over 10,000
+// passes, so amortized growth — a recorder's append doubling now and
+// then — cannot be rounded away the way testing.AllocsPerRun's integer
+// division rounds it to 0.
 func TestDecodePassDoesNotAllocate(t *testing.T) {
-	c := newTestCluster(t, 4)
-	c.Rec = *metrics.NewStreamingRecorder(c.World())
-	steps := 0
-	done := func(r PassResult) {
-		steps++
-		c.Rec.Fold(float64(r.End))
-	}
-	step := func() {
-		c.SubmitDecode(16, 1600, c.Eng.Now(), done)
-		c.Eng.Run()
-	}
-	for i := 0; i < 100; i++ {
-		step() // fill the pass pool, the kernel's event arena and the recorder's tails
-	}
-	const passes = 10000
-	var before, after goruntime.MemStats
-	goruntime.ReadMemStats(&before)
-	for i := 0; i < passes; i++ {
-		step()
-	}
-	goruntime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("%d decode passes allocated %d times, want 0", passes, n)
-	}
-	if steps != 100+passes {
-		t.Errorf("completed %d decode passes, want %d", steps, 100+passes)
+	prefill := costmodel.NewPrefillBatch([]int{128, 64, 300})
+	for _, tc := range []struct {
+		name   string
+		submit func(c *Cluster, done func(PassResult))
+	}{
+		{"decode", func(c *Cluster, done func(PassResult)) { c.SubmitDecode(16, 1600, c.Eng.Now(), done) }},
+		{"prefill", func(c *Cluster, done func(PassResult)) { c.SubmitPrefill(prefill, c.Eng.Now(), done) }},
+		{"hybrid", func(c *Cluster, done func(PassResult)) { c.SubmitHybrid(16, 1600, 64, 256, c.Eng.Now(), done) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, 4)
+			c.Rec = *metrics.NewStreamingRecorder(c.World())
+			steps := 0
+			done := func(r PassResult) {
+				steps++
+				c.Rec.Fold(float64(r.End))
+			}
+			step := func() {
+				tc.submit(c, done)
+				c.Eng.Run()
+			}
+			for i := 0; i < 100; i++ {
+				step() // fill the pass pool, the kernel's event arena and the recorder's tails
+			}
+			const passes = 10000
+			var before, after goruntime.MemStats
+			goruntime.ReadMemStats(&before)
+			for i := 0; i < passes; i++ {
+				step()
+			}
+			goruntime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Errorf("%d %s passes allocated %d times, want 0", passes, tc.name, n)
+			}
+			if steps != 100+passes {
+				t.Errorf("completed %d %s passes, want %d", steps, tc.name, 100+passes)
+			}
+		})
 	}
 }

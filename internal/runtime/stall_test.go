@@ -23,7 +23,7 @@ func idlePass(c *Cluster, batch, kv int) stageTimes {
 			at += sim.Time(c.Cost.P2PActivation(batch))
 		}
 		t.landed = append(t.landed, at)
-		at += sim.Time(c.Cost.DecodeStage(c.Plan, st, batch, kv))
+		at += sim.Time(c.Cost.DecodeStage(st, batch, kv))
 		t.end = append(t.end, at)
 	}
 	return t
@@ -112,7 +112,7 @@ func TestStallRetimesUnreachedStages(t *testing.T) {
 			}
 			d := make([]float64, world)
 			for st := range d {
-				d[st] = c.Cost.DecodeStage(c.Plan, st, batch, kv)
+				d[st] = c.Cost.DecodeStage(st, batch, kv)
 			}
 			starts := tc.want(d, c.Cost.P2PActivation(batch))
 			for st := 0; st < world; st++ {
@@ -169,7 +169,7 @@ func (m *hopModel) submit(batch, kv int, readyAt sim.Time, done func(starts, end
 }
 
 func (m *hopModel) stage(batch, kv, st int, arrival sim.Time, starts, ends []sim.Time, done func(starts, ends []sim.Time)) {
-	start, end := m.gpus[st].Acquire(arrival, m.c.Cost.DecodeStage(m.c.Plan, st, batch, kv), nil)
+	start, end := m.gpus[st].Acquire(arrival, m.c.Cost.DecodeStage(st, batch, kv), nil)
 	starts, ends = append(starts, start), append(ends, end)
 	if st == len(m.gpus)-1 {
 		m.eng.At(end, func() {
