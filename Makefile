@@ -95,12 +95,19 @@ bench-e2e-test:
 	$(GO) -C cmd/tdpipe-bench test ./...
 
 # Non-test Go lines (comments and blank lines included) per package,
-# the count each change reports as its line-count delta.
-sloc:
-	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+# the count each change reports as its line-count delta. The total is
+# the root module's; cmd/tdpipe-bench is a module of its own, so its
+# packages follow on labelled lines, with the total over both modules.
+# `$(GO) list $(SLOC_PKGS)` prints "<lines>  <package>" per package.
+SLOC_PKGS = -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
 	while read -r pkg files; do \
 		[ -n "$$files" ] && printf '%6d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
-	done | awk '{ print; n += $$1 } END { printf "%6d  total\n", n }'
+	done
+sloc:
+	@{ $(GO) list $(SLOC_PKGS); echo; $(GO) -C cmd/tdpipe-bench list $(SLOC_PKGS); } | \
+	awk '/^$$/ { printf "%6d  total\n", n; bench = 1; next } \
+		{ all += $$1 } !bench { print; n += $$1 } bench { print $$0 " (module of its own)" } \
+		END { printf "%6d  total with cmd/tdpipe-bench\n", all }'
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGenerateSplitInvariants -fuzztime=$(FUZZTIME) ./internal/workload/
