@@ -144,7 +144,7 @@ func NewPrefillBatch(lens []int) PrefillBatch {
 	return b
 }
 
-// flops/bytes helpers -------------------------------------------------
+// flops helpers -------------------------------------------------------
 
 // prefillComputeFLOPs is the compute for nLayers layers over batch b,
 // plus optional LM-head GEMM for the sequences' final positions.
@@ -157,15 +157,6 @@ func (c *Model) prefillComputeFLOPs(b PrefillBatch, nLayers int, hasHead bool) f
 		f += float64(b.Seqs) * 2 * float64(s.Vocab) * float64(s.Hidden)
 	}
 	return f
-}
-
-// prefillMemBytes is HBM traffic for a prefill pass: weights once,
-// activations ActIOFactor times per layer, fresh KV written once.
-func (c *Model) prefillMemBytes(b PrefillBatch, weightBytes float64, nLayers int) float64 {
-	s := c.Spec
-	act := c.P.ActIOFactor * float64(nLayers) * s.ActivationBytes(b.Tokens)
-	kvWrite := float64(nLayers) * s.KVBytesPerTokenLayer() * float64(b.Tokens)
-	return weightBytes + act + kvWrite
 }
 
 // decodeComputeFLOPs is the compute for one decode step of batch
@@ -181,15 +172,6 @@ func (c *Model) decodeComputeFLOPs(batch, kvTokens, nLayers int, hasHead bool) f
 	return f
 }
 
-// decodeMemBytes is HBM traffic for one decode step: weights once, the
-// whole resident KV for these layers, activations.
-func (c *Model) decodeMemBytes(batch, kvTokens int, weightBytes float64, nLayers int) float64 {
-	s := c.Spec
-	kvRead := float64(nLayers) * s.KVBytesPerTokenLayer() * float64(kvTokens)
-	act := c.P.ActIOFactor * float64(nLayers) * s.ActivationBytes(batch)
-	return weightBytes + kvRead + act
-}
-
 // roofline combines compute and memory times with overheads.
 func (c *Model) roofline(flops, bytes, mfu float64, nLayers int) float64 {
 	ct := flops / (c.Node.GPU.FLOPS() * mfu)
@@ -202,8 +184,8 @@ func (c *Model) roofline(flops, bytes, mfu float64, nLayers int) float64 {
 }
 
 // mixedRoofline applies the hybrid-batch efficiency discount when a
-// pass genuinely mixes phases. MixedBatchEff lies in (0, 1], as
-// Params.Validate requires.
+// pass genuinely mixes phases. It assumes Params that pass Validate,
+// as DefaultParams do.
 func (c *Model) mixedRoofline(flops, bytes, mfu float64, nLayers int, mixed bool) float64 {
 	if mixed {
 		eff := c.P.MixedBatchEff

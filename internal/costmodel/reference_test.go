@@ -103,3 +103,21 @@ func (c *Model) PrefillBottleneck(plan model.PipelinePlan, b PrefillBatch) float
 func (c *Model) P2PActivation(tokens int) float64 {
 	return c.Node.P2PTime(c.Spec.ActivationBytes(tokens))
 }
+
+// prefillMemBytes is HBM traffic for a prefill pass: weights once,
+// activations ActIOFactor times per layer, fresh KV written once.
+func (c *Model) prefillMemBytes(b PrefillBatch, weightBytes float64, nLayers int) float64 {
+	s := c.Spec
+	act := c.P.ActIOFactor * float64(nLayers) * s.ActivationBytes(b.Tokens)
+	kvWrite := float64(nLayers) * s.KVBytesPerTokenLayer() * float64(b.Tokens)
+	return weightBytes + act + kvWrite
+}
+
+// decodeMemBytes is HBM traffic for one decode step: weights once, the
+// whole resident KV for these layers, activations.
+func (c *Model) decodeMemBytes(batch, kvTokens int, weightBytes float64, nLayers int) float64 {
+	s := c.Spec
+	kvRead := float64(nLayers) * s.KVBytesPerTokenLayer() * float64(kvTokens)
+	act := c.P.ActIOFactor * float64(nLayers) * s.ActivationBytes(batch)
+	return weightBytes + kvRead + act
+}
