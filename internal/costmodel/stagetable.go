@@ -10,10 +10,11 @@ import (
 // StageTable times the stages of one pipeline plan. NewStageTable
 // computes, once, every operand of a stage time that depends only on
 // the node, the model, the calibration and the stage's share of the
-// layers; each method evaluates the roofline over them with the
-// expressions of the per-call derivation, operand for operand and in
-// the same order, so every time is bit-identical to it (with no fused
-// multiply-add, as GOAMD64=v1 compiles).
+// layers. Each method evaluates the roofline over those operands with
+// the expressions that derive every operand per call (kept in
+// reference_test.go), operand for operand and in the same order, so
+// every time is bit-identical to that derivation as long as the
+// compiler fuses no multiply-add, which gc does not at GOAMD64=v1.
 //
 // Stages with equal (Layers, HasEmbed, HasHead) take equal times, so
 // the bottlenecks evaluate one stage of each such class, and SameAs
@@ -35,8 +36,11 @@ type StageTable struct {
 	// and bandwidth × HBMEff.
 	flopsPrefill, flopsDecode     float64
 	flopsHybrid, flopsHybridMixed float64
-	bandwidth, mixedEff, perPass  float64
-	node                          hw.Node
+	bandwidth                     float64
+
+	mixedEff float64 // MixedBatchEff, which also divides a mixed pass's bytes
+	perPass  float64 // OverheadPerPass
+	node     hw.Node // prices the stage-to-stage transfers
 }
 
 // stageConsts are the per-stage operands of a stage time.
