@@ -31,6 +31,52 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkRouteArrival times the router's share of one arrival on a
+// pool of live engines at 8, 64 and 1,000 replicas: the pick, the
+// booking of the routed request and its retirement, as the engine's
+// finish hook would retire it, so the load counters stay stationary
+// across iterations. The engines ran a trace first: a plain Poisson one
+// for predicted-cost, a shared-prefix one for prefix-affinity, whose
+// probes then walk warm hash chains. Engine work (Submit) is not
+// included. BenchmarkDispatch times only the offline pre-shard.
+func BenchmarkRouteArrival(b *testing.B) {
+	for _, name := range []string{PredictedCost, PrefixAffinity} {
+		for _, n := range []int{8, 64, 1000} {
+			b.Run(fmt.Sprintf("%s/replicas=%d", name, n), func(b *testing.B) {
+				reqs := onlineTrace(max(200, 2*n), 41, 8000)
+				if name == PrefixAffinity {
+					reqs = prefixOnlineTrace(max(200, 2*n), 41, 8000, 8, 512)
+				}
+				p := newPool("", n, mustPolicy(b, name, Options{}))
+				ro := drivenRouter(b, reqs, nil, p)
+				// Outstanding work of unequal cost on every replica, so
+				// the pick ranks real loads.
+				for i := 0; i < 3*n; i++ {
+					k := i % n
+					ro.record(p, reqs[i%len(reqs)], i%len(reqs), k, len(p.entries[k]))
+				}
+				origin := len(reqs) - 1
+				r := reqs[origin]
+				now := float64(ro.ctl.Now())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k, ok := ro.route(p, r, now)
+					if !ok || k < 0 {
+						b.Fatalf("no pick (err %v)", ro.err)
+					}
+					local := len(p.entries[k])
+					ro.record(p, r, origin, k, local)
+					ro.finished(p, k, local)
+					p.entries[k] = p.entries[k][:local]
+					p.shards[k].Origin = p.shards[k].Origin[:local]
+					p.shards[k].Reqs = p.shards[k].Reqs[:local]
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkOnlineFleet measures the online serving path — shared-clock
 // co-simulation, per-arrival routing with live load snapshots, and the
 // record merge — on an arrival-stamped 5,000-request trace across 4

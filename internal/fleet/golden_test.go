@@ -121,6 +121,13 @@ func goldenPriorityTrace(t *testing.T) []workload.Request {
 	return reqs
 }
 
+// goldenPoissonTrace is a Poisson trace fast enough that most arrivals
+// find every one of 64 replicas busy, so predicted-cost ranks live,
+// unequal loads.
+func goldenPoissonTrace() []workload.Request {
+	return workload.StampArrivals(smallTrace(1500, 31), workload.Poisson{Rate: 6000}, 37)
+}
+
 func goldenRuns() []goldenRun {
 	cfg := fastConfig(2)
 	prefix := prefixOnlineTrace(300, 41, 8000, 32, 512)
@@ -144,6 +151,14 @@ func goldenRuns() []goldenRun {
 			rep := out.Report
 			if rep.PrefixCachedTokens == 0 {
 				t.Error("no prefix reuse")
+			}
+		}},
+		{name: "online-predicted-64", run: func(t *testing.T, workers int) goldenOut {
+			res, err := Serve(cfg, goldenPoissonTrace(), ServeConfig{Replicas: 64, Policy: mustPolicy(t, PredictedCost, Options{}), Workers: workers})
+			return serveOut(t, res, err)
+		}, check: func(t *testing.T, out goldenOut) {
+			if rep := out.Report; !strings.HasPrefix(rep.Scheduler, "FleetOnline(") {
+				t.Errorf("Poisson run left the plain router: %s", rep.Scheduler)
 			}
 		}},
 		{name: "online-prefix-1", run: func(t *testing.T, workers int) goldenOut {
@@ -230,8 +245,8 @@ func goldenRuns() []goldenRun {
 // records (plus, for a disaggregated run, its hand-off accounting and
 // both pools' shard origins), identical at one worker and at four. The
 // configurations cover the offline pre-shard of a closed-loop trace,
-// plain routing with prefix affinity (8 replicas and a lone one), the
-// fault layer (crashes, checkpoints, stragglers, power and network
+// plain routing with prefix affinity (8 replicas and a lone one) and
+// with predicted-cost (64 replicas), the fault layer (crashes, checkpoints, stragglers, power and network
 // domain outages), the policy layer (autoscaler, admission, retry,
 // breakers, preemption), both layers together on one colocated fleet,
 // and the disaggregated fleet plain, under

@@ -311,18 +311,16 @@ func (ro *router) dispatch(pr pendingRec) {
 	p := ro.pools[0]
 	origin := pr.origin
 	r := ro.reqs[origin]
-	now := float64(ro.ctl.Now())
-	loads := ro.snapshot(p, r, nil, now)
-	if len(loads) == 0 {
+	k, ok := ro.route(p, r, float64(ro.ctl.Now()))
+	if !ok {
+		return
+	}
+	if k < 0 {
 		if ro.activeDead(p) {
 			p.queued = append(p.queued, pr)
 		} else {
 			ro.requeue(origin, "no routable replica")
 		}
-		return
-	}
-	k, ok := ro.pick(p, r, loads, now)
-	if !ok {
 		return
 	}
 	var local int
@@ -344,6 +342,17 @@ func (ro *router) dispatch(pr pendingRec) {
 		ro.preempt(p.engines[k], r)
 	}
 	ro.record(p, r, origin, k, local)
+}
+
+// route picks the replica of pool p that receives r at instant now: -1
+// when no replica is a candidate. ok is false when the policy's pick
+// failed the run.
+func (ro *router) route(p *pool, r workload.Request, now float64) (k int, ok bool) {
+	loads := ro.snapshot(p, r, nil, now)
+	if len(loads) == 0 {
+		return -1, true
+	}
+	return ro.pick(p, r, loads, now)
 }
 
 // snapshot fills pool p's reusable load view for routing r right now,

@@ -167,7 +167,7 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 
 // drivenRouter runs reqs to the end on a router over pools and returns
 // it with its engines still live.
-func drivenRouter(t *testing.T, reqs []workload.Request, stack *policy.Stack, pools ...*pool) *router {
+func drivenRouter(t testing.TB, reqs []workload.Request, stack *policy.Stack, pools ...*pool) *router {
 	t.Helper()
 	ro, err := newRouter(fastConfig(2), reqs, 0, nil, stack, pools...)
 	if err != nil {
