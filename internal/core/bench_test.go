@@ -80,7 +80,8 @@ func BenchmarkIntensityDecision(b *testing.B) {
 	decodeStep := stages.DecodeBottleneck(64, 64*600)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		si := x.Spatial(100+i%50, 500, 200)
+		batch := 100 + i%50
+		si := x.Spatial(batch, 500, 200, stages.DecodeBottleneck(batch, batch*500))
 		ti := x.Temporal(pending[:1+i%8], decodeStep, 4)
 		_ = x.ShouldSwitch(si, ti)
 	}

@@ -1231,8 +1231,8 @@ func (e *Engine) shouldSwitchToPrefill(slot int) bool {
 	avgBatch := (resident + e.numSlots - 1) / e.numSlots
 	avgCtx := kvTokens / resident
 	feasiblePeak := e.capacityTokens / (e.numSlots * avgCtx)
-	si := e.inten.Spatial(avgBatch, avgCtx, feasiblePeak)
 	decodeStep := e.cluster.Cost.DecodeBottleneck(avgBatch, avgBatch*avgCtx)
+	si := e.inten.Spatial(avgBatch, avgCtx, feasiblePeak, decodeStep)
 	ti, _ := e.pendingTemporal(e.kv.FreeBlocks()*e.kv.BlockSize(), decodeStep)
 	return e.inten.ShouldSwitch(si, ti)
 }

@@ -31,20 +31,27 @@ func (x *Intensity) perRequestRate(batch, avgCtx int) float64 {
 	if batch <= 0 {
 		return 0
 	}
-	t := x.stages.DecodeBottleneck(batch, batch*avgCtx)
-	if t <= 0 {
+	return stepRate(batch, x.stages.DecodeBottleneck(batch, batch*avgCtx))
+}
+
+// stepRate is batch requests per decode step of t seconds, 0 for an
+// empty batch or a non-positive step.
+func stepRate(batch int, t float64) float64 {
+	if batch <= 0 || t <= 0 {
 		return 0
 	}
 	return float64(batch) / t
 }
 
 // Spatial returns Achieved/Peak for the current per-slot batch size and
-// average context length, clamped to [0, 1]. feasiblePeak bounds the
-// profiling batch: "peak achievable performance" means achievable
-// within this deployment's KV capacity, so on fat-KV models the
-// reference batch is the largest one memory can actually hold, not an
-// abstract saturating size.
-func (x *Intensity) Spatial(batch, avgCtx, feasiblePeak int) float64 {
+// average context length, clamped to [0, 1]. step is the decode
+// bottleneck at that batch, DecodeBottleneck(batch, batch·avgCtx),
+// which the caller computes once for the temporal side too.
+// feasiblePeak bounds the profiling batch: "peak achievable
+// performance" means achievable within this deployment's KV capacity,
+// so on fat-KV models the reference batch is the largest one memory can
+// actually hold, not an abstract saturating size.
+func (x *Intensity) Spatial(batch, avgCtx, feasiblePeak int, step float64) float64 {
 	pb := x.peakBatch
 	if feasiblePeak > 0 && feasiblePeak < pb {
 		pb = feasiblePeak
@@ -56,7 +63,7 @@ func (x *Intensity) Spatial(batch, avgCtx, feasiblePeak int) float64 {
 	if peak <= 0 {
 		return 0
 	}
-	si := x.perRequestRate(batch, avgCtx) / peak
+	si := stepRate(batch, step) / peak
 	if si > 1 {
 		si = 1
 	}

@@ -29,7 +29,7 @@ func TestSpatialIntensityRisesWithBatch(t *testing.T) {
 	x := newIntensity(t)
 	prev := 0.0
 	for _, b := range []int{8, 32, 128, 512} {
-		si := x.Spatial(b, 400, 0)
+		si := x.Spatial(b, 400, 0, x.stages.DecodeBottleneck(b, b*400))
 		if si < prev {
 			t.Errorf("SI(%d) = %v below SI of smaller batch %v", b, si, prev)
 		}
@@ -38,10 +38,10 @@ func TestSpatialIntensityRisesWithBatch(t *testing.T) {
 		}
 		prev = si
 	}
-	if got := x.Spatial(512, 400, 0); got != 1 {
+	if got := x.Spatial(512, 400, 0, x.stages.DecodeBottleneck(512, 512*400)); got != 1 {
 		t.Errorf("SI at peak batch = %v, want 1", got)
 	}
-	if got := x.Spatial(0, 400, 0); got != 0 {
+	if got := x.Spatial(0, 400, 0, x.stages.DecodeBottleneck(0, 0)); got != 0 {
 		t.Errorf("SI(0) = %v", got)
 	}
 }
@@ -103,14 +103,16 @@ func TestIntensityCrossover(t *testing.T) {
 		costmodel.NewPrefillBatch([]int{2048}),
 	}
 	// Early: batch 400 per slot, memory full -> no pending prefills.
-	siEarly := x.Spatial(400, 500, 400)
-	tiEarly := x.Temporal(nil, x.stages.DecodeBottleneck(400, 400*500), 4)
+	stepEarly := x.stages.DecodeBottleneck(400, 400*500)
+	siEarly := x.Spatial(400, 500, 400, stepEarly)
+	tiEarly := x.Temporal(nil, stepEarly, 4)
 	if x.ShouldSwitch(siEarly, tiEarly) {
 		t.Errorf("switched early: SI=%v TI=%v", siEarly, tiEarly)
 	}
 	// Late: batch 24 per slot, lots of pending work.
-	siLate := x.Spatial(24, 700, 400)
-	tiLate := x.Temporal(pendingLate, x.stages.DecodeBottleneck(24, 24*700), 4)
+	stepLate := x.stages.DecodeBottleneck(24, 24*700)
+	siLate := x.Spatial(24, 700, 400, stepLate)
+	tiLate := x.Temporal(pendingLate, stepLate, 4)
 	if !x.ShouldSwitch(siLate, tiLate) {
 		t.Errorf("did not switch late: SI=%v TI=%v", siLate, tiLate)
 	}
