@@ -41,11 +41,11 @@ func Fleet(e *Env) ([]FleetCell, error) {
 			}
 			cell := FleetCell{Policy: name, Replicas: replicas, Report: res.Report, MinShard: -1}
 			for _, sh := range res.Shards {
-				if cell.MinShard < 0 || len(sh.Reqs) < cell.MinShard {
-					cell.MinShard = len(sh.Reqs)
+				if cell.MinShard < 0 || len(sh.Origin) < cell.MinShard {
+					cell.MinShard = len(sh.Origin)
 				}
-				if len(sh.Reqs) > cell.MaxShard {
-					cell.MaxShard = len(sh.Reqs)
+				if len(sh.Origin) > cell.MaxShard {
+					cell.MaxShard = len(sh.Origin)
 				}
 			}
 			if replicas == 1 {

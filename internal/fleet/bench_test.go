@@ -70,7 +70,6 @@ func BenchmarkRouteArrival(b *testing.B) {
 					ro.finished(p, k, local)
 					p.entries[k] = p.entries[k][:local]
 					p.shards[k].Origin = p.shards[k].Origin[:local]
-					p.shards[k].Reqs = p.shards[k].Reqs[:local]
 				}
 			})
 		}

@@ -211,13 +211,28 @@ func (ro *router) handoff(replica int, h core.Handoff) {
 // transfer moves an item's KV over the link from replica src (-1: from
 // stable storage, on the shared link timeline), starting at h.At, and
 // schedules its placement at the transfer's completion (a fault-free
-// run's nil plan adds no impairment).
+// run's nil plan adds no impairment). The item takes a settled item's
+// slot when one is free.
 func (ro *router) transfer(it handoffItem, src int) {
-	ro.items = append(ro.items, it)
+	item := len(ro.items)
+	if n := len(ro.freeItems); n > 0 {
+		item = ro.freeItems[n-1]
+		ro.freeItems = ro.freeItems[:n-1]
+		ro.items[item] = it
+	} else {
+		ro.items = append(ro.items, it)
+	}
 	bytes := float64(it.h.KV.Blocks()) * ro.blockBytes
 	ro.moved += bytes
 	done := ro.plan.TransferDoneFrom(src, float64(it.h.At), ro.xferTime(bytes))
-	ro.ctl.AtFunc(sim.Time(done), transferDoneEvent, ro, len(ro.items)-1, 0)
+	ro.ctl.AtFunc(sim.Time(done), transferDoneEvent, ro, item, 0)
+}
+
+// settle frees a placed or dropped item's slot for the next transfer,
+// releasing its KV sequence.
+func (ro *router) settle(item int) {
+	ro.items[item] = handoffItem{}
+	ro.freeItems = append(ro.freeItems, item)
 }
 
 // transferDoneEvent fires when an item's KV transfer completes (AtFunc:
@@ -227,7 +242,11 @@ func (ro *router) transfer(it handoffItem, src int) {
 // back to recompute instead.
 func transferDoneEvent(ctx any, item, _ int) {
 	ro := ctx.(*router)
-	if ro.err != nil || ro.place(item) {
+	if ro.err != nil {
+		return
+	}
+	if ro.place(item) {
+		ro.settle(item)
 		return
 	}
 	if ro.split() {
@@ -236,7 +255,9 @@ func transferDoneEvent(ctx any, item, _ int) {
 		return
 	}
 	ro.fstats.RecoveredRecompute++
-	ro.dispatch(ro.items[item].pr)
+	pr := ro.items[item].pr
+	ro.settle(item)
+	ro.dispatch(pr)
 }
 
 // place imports a transferred item on a replica of the last pool, if
@@ -302,7 +323,9 @@ func (ro *router) drainPending() {
 	}
 	kept := ro.pending[:0]
 	for _, item := range ro.pending {
-		if ro.err != nil || !ro.place(item) {
+		if ro.err == nil && ro.place(item) {
+			ro.settle(item)
+		} else {
 			kept = append(kept, item)
 		}
 	}

@@ -27,8 +27,10 @@ type elasticPool struct {
 	as        *policy.Autoscaler
 	coldStart float64
 
-	// Coordinator-owned lifecycle state.
+	// Coordinator-owned lifecycle state; changed, when set, is called
+	// with each replica whose state moved.
 	state     []int
+	changed   func(k int)
 	openStart []float64
 	gpuSec    []float64
 	// drainDoneAt[i] is shard-written: the instant replica i's last
@@ -88,6 +90,14 @@ func breakerTrips(bs []*policy.Breaker) int {
 	return trips
 }
 
+// setState moves replica k to state st.
+func (ep *elasticPool) setState(k, st int) {
+	ep.state[k] = st
+	if ep.changed != nil {
+		ep.changed(k)
+	}
+}
+
 // routable reports whether replica i may receive new traffic. A nil
 // pool is static: everything is routable.
 func (ep *elasticPool) routable(i int) bool {
@@ -133,7 +143,7 @@ func (ep *elasticPool) scale(delta int, now float64, outstanding func(int) int, 
 			}
 		}
 		if k >= 0 {
-			ep.state[k] = rWarming
+			ep.setState(k, rWarming)
 			ep.openStart[k] = now
 			ep.stats.ScaleUps++
 			ep.stats.ColdStartSeconds += ep.coldStart
@@ -150,7 +160,7 @@ func (ep *elasticPool) scale(delta int, now float64, outstanding func(int) int, 
 			if k < 0 {
 				break
 			}
-			ep.state[k] = rActive
+			ep.setState(k, rActive)
 			ep.drainDoneAt[k] = -1
 			ep.stats.ScaleUps++
 		}
@@ -175,7 +185,7 @@ func (ep *elasticPool) scale(delta int, now float64, outstanding func(int) int, 
 		if outstanding(k) == 0 {
 			ep.closeSpan(k, now)
 		} else {
-			ep.state[k] = rDraining
+			ep.setState(k, rDraining)
 			ep.drainDoneAt[k] = -1
 		}
 	}
@@ -186,7 +196,7 @@ func (ep *elasticPool) scale(delta int, now float64, outstanding func(int) int, 
 // error unwinding the run).
 func (ep *elasticPool) activate(k int) {
 	if ep.state[k] == rWarming {
-		ep.state[k] = rActive
+		ep.setState(k, rActive)
 	}
 }
 
@@ -203,7 +213,7 @@ func (ep *elasticPool) closeSpan(k int, end float64) {
 	if end > ep.openStart[k] {
 		ep.gpuSec[k] += end - ep.openStart[k]
 	}
-	ep.state[k] = rIdle
+	ep.setState(k, rIdle)
 	ep.drainDoneAt[k] = -1
 }
 

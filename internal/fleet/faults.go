@@ -65,6 +65,9 @@ func crashEvent(ctx any, ci, _ int) {
 	for i, l := range lost {
 		origins[i] = p.retire(k, l.Local)
 	}
+	if p.tree != nil {
+		p.fix(k)
+	}
 	now := float64(ro.ctl.Now())
 	if p.breakers != nil {
 		for i := 0; i < max(len(lost), 1); i++ {
@@ -125,6 +128,9 @@ func restoreEvent(ctx any, ci, _ int) {
 	if err := p.engines[k].Restore(); err != nil {
 		ro.err = fmt.Errorf("fleet: restore of replica %d: %w", c.Replica, err)
 		return
+	}
+	if p.tree != nil {
+		p.fix(k)
 	}
 	ro.drainQueued(p)
 	if ro.err == nil && p == ro.last() && len(ro.pending) > 0 {

@@ -28,9 +28,12 @@ import (
 // Shard is the portion of a trace dispatched to one replica.
 type Shard struct {
 	// Reqs are the replica's requests, renumbered to the dense IDs the
-	// core engine requires.
+	// core engine requires. Only the offline pre-shard (Dispatch) fills
+	// it; a routed run leaves it nil and lists its shards in Origin
+	// alone.
 	Reqs []workload.Request
-	// Origin[i] is the index in the dispatched trace of Reqs[i].
+	// Origin[i] is the index in the dispatched trace of the replica's
+	// request i (Reqs[i], when set).
 	Origin []int
 }
 
@@ -361,11 +364,11 @@ func (r *Result) CheckConservation(n int) error {
 	}
 	seen := make([]int, n)
 	for i, sh := range r.Shards {
-		if len(sh.Reqs) != len(sh.Origin) {
+		if sh.Reqs != nil && len(sh.Reqs) != len(sh.Origin) {
 			return fmt.Errorf("fleet: replica %d has %d requests but %d origins", i, len(sh.Reqs), len(sh.Origin))
 		}
-		if got := r.Replicas[i].Report.Requests; got != len(sh.Reqs) {
-			return fmt.Errorf("fleet: replica %d completed %d of %d requests", i, got, len(sh.Reqs))
+		if got := r.Replicas[i].Report.Requests; got != len(sh.Origin) {
+			return fmt.Errorf("fleet: replica %d completed %d of %d requests", i, got, len(sh.Origin))
 		}
 		for _, o := range sh.Origin {
 			if o < 0 || o >= n {

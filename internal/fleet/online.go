@@ -67,12 +67,15 @@ type router struct {
 	recoveries []int
 	pol        *policyLayer
 
-	// The KV transfer path: items are the KV moves scheduled so far
-	// (hand-offs and checkpoint reloads); pending holds the indices of
-	// transferred items no replica can import yet, in completion order;
+	// The KV transfer path: items are the KV moves in flight or queued
+	// (hand-offs and checkpoint reloads), freeItems the slots of
+	// settled ones, reused by the next transfer; pending holds the
+	// indices of transferred items no replica can import yet, in
+	// completion order;
 	// lift is the earliest instant a partition excluding an import
 	// target lifts, found by the last placement snapshot (-1: none).
 	items          []handoffItem
+	freeItems      []int
 	pending        []int
 	lift           float64
 	handoffs       int
@@ -85,7 +88,8 @@ type router struct {
 // pool is one replica pool of the router: its engines, books and
 // dispatch policy, the policy layer's per-replica breakers and
 // autoscaled lifecycle (nil when the stack attaches none here), the
-// requests waiting for a live replica, and the reusable pick snapshot.
+// requests waiting for a live replica, and either the cost tree or the
+// reusable pick snapshot.
 type pool struct {
 	// role names the pool in errors and drop reasons: empty for a
 	// colocated fleet, "prefill " or "decode " for a split one.
@@ -100,6 +104,14 @@ type pool struct {
 	// queued holds requests that found every active replica dead; the
 	// pool's next restore or activation dispatches them again.
 	queued []pendingRec
+	// tree ranks the candidates when the policy's pick is argminCost
+	// and no breaker gates the pool (nil otherwise); stale[i] is set
+	// by replica i's finish hook, on its shard, while its leaf waits
+	// in the shard's queue to be re-keyed before the next pick.
+	tree  *costTree
+	stale []bool
+	// probe is whether the policy's pick reads the engine probes.
+	probe bool
 	// loads and cand are the per-pick snapshot, reused across picks:
 	// loads[j] is the view of replica cand[j].
 	loads []Load
@@ -109,7 +121,33 @@ type pool struct {
 // newPool sizes a pool of n replicas dispatched by p; the router fills
 // in its engines.
 func newPool(role string, n int, p Policy) *pool {
-	return &pool{role: role, policy: p, books: newBooks(n), loads: make([]Load, n), cand: make([]int, n)}
+	return &pool{role: role, policy: p, books: newBooks(n), probe: viewOf(p) == viewProbes, loads: make([]Load, n), cand: make([]int, n)}
+}
+
+// plantTree gives p its cost tree when the policy's pick is argminCost
+// and no breaker gates the pool (a breaker's routability depends on
+// time, and every gated candidate counts as a skip, so those pools
+// scan). The autoscaler re-keys a replica's leaf at each of its state
+// changes.
+func (p *pool) plantTree() {
+	if viewOf(p.policy) != viewArgmin || p.breakers != nil {
+		return
+	}
+	p.tree, p.stale = newCostTree(len(p.engines)), make([]bool, len(p.engines))
+	for i := range p.engines {
+		p.fix(i)
+	}
+	if p.elastic != nil {
+		p.elastic.changed = p.fix
+	}
+}
+
+// fix re-keys replica i's tree leaf from its load counters and its
+// candidacy: alive and kept active by the autoscaler.
+//
+//det:hotpath
+func (p *pool) fix(i int) {
+	p.tree.set(i, p.out[i].CostTokens, p.out[i].Requests, p.engines[i].Alive() && p.elastic.routable(i))
 }
 
 // newRouter attaches the layers an active plan or stack asks for to a
@@ -155,6 +193,7 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 			p, i := p, i
 			e.SetOnFinish(func(local int) { ro.finished(p, i, local) })
 		}
+		p.plantTree()
 	}
 	if ro.split() {
 		for i, e := range pools[0].engines {
@@ -346,8 +385,20 @@ func (ro *router) dispatch(pr pendingRec) {
 
 // route picks the replica of pool p that receives r at instant now: -1
 // when no replica is a candidate. ok is false when the policy's pick
-// failed the run.
+// failed the run. A pool with a cost tree re-keys its stale leaves and
+// reads the root; any other pool builds the snapshot and asks its
+// policy.
+//
+//det:hotpath
 func (ro *router) route(p *pool, r workload.Request, now float64) (k int, ok bool) {
+	if p.tree != nil {
+		ro.fixStale()
+		k = p.tree.root()
+		if treeCheck != nil {
+			treeCheck(ro, p, r, now, k)
+		}
+		return k, true
+	}
 	loads := ro.snapshot(p, r, nil, now)
 	if len(loads) == 0 {
 		return -1, true
@@ -355,14 +406,35 @@ func (ro *router) route(p *pool, r workload.Request, now float64) (k int, ok boo
 	return ro.pick(p, r, loads, now)
 }
 
+// treeCheck, when set, sees every pick a cost tree makes: the replica
+// it picked for r at instant now, -1 for none. Only tests set it, to
+// compare each tree pick with the scan's.
+var treeCheck func(ro *router, p *pool, r workload.Request, now float64, k int)
+
+// fixStale re-keys the tree leaves that finish hooks left stale since
+// the last pick. The hooks run on shard goroutines and must not touch
+// the shared tree; each queued its replica on its own shard instead.
+//
+//det:hotpath
+func (ro *router) fixStale() {
+	for _, sh := range ro.fab.shards {
+		for _, g := range sh.stale {
+			p, i := ro.replica(g)
+			p.stale[i] = false
+			p.fix(i)
+		}
+		sh.stale = sh.stale[:0]
+	}
+}
+
 // snapshot fills pool p's reusable load view for routing r right now,
 // one row per candidate replica: the live replicas (under the fault
 // layer) that the autoscaler keeps active and whose breakers let
 // traffic through. Each row is the incrementally maintained outstanding
-// counters plus two live probes of the replica's KV pool — how much of
-// r's shared prefix is resident (warm blocks included, so affinity
-// survives request completion) and the free-KV headroom pool-aware
-// policies rank on. With an exported KV sequence kv the candidates must
+// counters plus, when the pool's policy reads them, two live probes of
+// the replica's KV pool — how much of r's shared prefix is resident
+// (warm blocks included, so affinity survives request completion) and
+// the free-KV headroom pool-aware policies rank on. With an exported KV sequence kv the candidates must
 // also be able to import it over an unpartitioned link (the earliest
 // partition lift lands in ro.lift), and warmth is kv's resident share
 // instead. Breaker skips are counted, except on a split fleet whose
@@ -396,12 +468,14 @@ func (ro *router) snapshot(p *pool, r workload.Request, kv *kvcache.ExportedSeq,
 				continue
 			}
 			l := p.out[i]
-			if kv == nil {
-				l.WarmTokens = e.PrefixWarmTokens(r)
-			} else {
-				l.WarmTokens = e.ResidentKVTokens(*kv)
+			if p.probe {
+				if kv == nil {
+					l.WarmTokens = e.PrefixWarmTokens(r)
+				} else {
+					l.WarmTokens = e.ResidentKVTokens(*kv)
+				}
+				l.FreeKVTokens = e.FreeKVTokens()
 			}
-			l.FreeKVTokens = e.FreeKVTokens()
 			p.cand[n], p.loads[n] = i, l
 			n++
 		}
@@ -441,23 +515,34 @@ func (ro *router) badPick(p *pool, j, n int) {
 	ro.err = fmt.Errorf("fleet: policy %q picked %scandidate %d of %d", p.policy.Name(), p.role, j, n)
 }
 
-// record books one landed submission: load counters, shard membership
-// and the final-owner pointer. Submit only schedules simulation
-// events, so the finish hook cannot fire before the entry lands.
+// record books one landed submission: load counters, shard membership,
+// the tree leaf and the final-owner pointer. Submit only schedules
+// simulation events, so the finish hook cannot fire before the entry
+// lands.
+//
+//det:hotpath
 func (ro *router) record(p *pool, r workload.Request, origin, k, local int) {
-	p.add(k, local, origin, r, p.policy.Cost(r))
+	p.add(k, origin, r, p.policy.Cost(r))
+	if p.tree != nil {
+		p.fix(k)
+	}
 	ro.led.final[origin] = recRef{replica: p.off + k, local: local}
 }
 
 // finished is the engines' completion hook: it retires the request's
 // contribution from its replica's counters in O(1), counts the terminal
 // finish (a prefill replica's hand-off included; the hand-off hook
-// takes it back) and flags the finish on the replica's shard, where the
-// fabric's decode lockstep looks for it.
+// takes it back), queues a tree leaf the retirement left stale on the
+// replica's shard, and flags the finish there, where the fabric's
+// decode lockstep looks for it.
 //
 //det:hotpath
 func (ro *router) finished(p *pool, i, local int) {
 	ro.led.fin[p.retire(i, local)]++
+	if p.tree != nil && !p.stale[i] {
+		p.stale[i] = true
+		ro.fab.queueStale(p.off + i)
+	}
 	if ro.pol != nil {
 		ro.policyFinished(p, i, local)
 	}
@@ -487,16 +572,17 @@ func newBooks(n int) books {
 	return books{out: make([]Load, n), entries: make([][]loadEntry, n), shards: make([]Shard, n)}
 }
 
-// add books request r (trace index origin) as replica k's local request
-// local, at the given policy cost.
-func (b *books) add(k, local, origin int, r workload.Request, cost float64) {
-	b.entries[k] = append(b.entries[k], loadEntry{inputTokens: r.InputLen, cost: cost})
+// add books request r (trace index origin) as replica k's next local
+// request, at the given policy cost. The shard lists the request by
+// its origin alone.
+//
+//det:hotpath
+func (b *books) add(k, origin int, r workload.Request, cost float64) {
+	b.entries[k] = append(b.entries[k], loadEntry{inputTokens: r.InputLen, cost: cost}) //det:ignore hotalloc amortized growth, one entry per request the replica is sent
 	b.out[k].Requests++
 	b.out[k].InputTokens += r.InputLen
 	b.out[k].CostTokens += cost
-	r.ID = local
-	b.shards[k].Reqs = append(b.shards[k].Reqs, r)
-	b.shards[k].Origin = append(b.shards[k].Origin, origin)
+	b.shards[k].Origin = append(b.shards[k].Origin, origin) //det:ignore hotalloc amortized growth, one origin per request the replica is sent
 }
 
 // retire removes replica k's local request from the load counters and

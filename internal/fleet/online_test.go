@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/kvcache"
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
@@ -96,7 +98,7 @@ func TestRunOnlineSpreadsLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sh := range res.Shards {
-		if len(sh.Reqs) == 0 {
+		if len(sh.Origin) == 0 {
 			t.Errorf("replica %d received no requests", i)
 		}
 	}
@@ -122,7 +124,10 @@ func TestRunOnlineRejectsBadArgs(t *testing.T) {
 // policy pick with its breaker probe slot — at zero allocations: a
 // plain routed arrival on engines whose prefix caches still hold the
 // request's shared prefix warm, and on a disaggregated fleet with
-// breakers, a prefill dispatch and a decode placement.
+// breakers, a prefill dispatch and a decode placement. A cost-ranked
+// arrival is pinned too: the stale-leaf drain and the tree pick, the
+// booking that re-keys the picked leaf, and the finish that queues it
+// stale again.
 func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	reqs := prefixOnlineTrace(200, 41, 8000, 8, 512)
 	r := reqs[len(reqs)-1]
@@ -145,9 +150,17 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 
 	pre := newPool("prefill ", 2, mustPolicy(t, LeastWork, Options{}))
 	dec := newPool("decode ", 3, mustPolicy(t, DecodeAffinity, Options{}))
-	ro = drivenRouter(t, reqs, &policy.Stack{Breaker: &policy.BreakerConfig{}}, pre, dec)
+	ro = newTestRouter(t, reqs, &policy.Stack{Breaker: &policy.BreakerConfig{}}, pre, dec)
+	// Keep the last hand-off's KV sequence: the transfer path frees an
+	// item's slot once it is placed.
+	var kv kvcache.ExportedSeq
+	note := ro.fab.onNote
+	ro.fab.onNote = func(replica int, h core.Handoff) { kv = h.KV; note(replica, h) }
+	drive(t, ro)
+	if kv.Blocks() == 0 {
+		t.Fatal("no hand-off exported KV")
+	}
 	now = float64(ro.ctl.Now())
-	kv := ro.items[len(ro.items)-1].h.KV
 	picked := 0
 	split := func() {
 		if _, ok := ro.pick(pre, r, ro.snapshot(pre, r, nil, now), now); ok {
@@ -163,19 +176,55 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	if picked == 0 || ro.err != nil {
 		t.Errorf("split fleet picked %d times (err %v)", picked, ro.err)
 	}
+
+	ranked := newPool("", 8, mustPolicy(t, PredictedCost, Options{}))
+	ro = drivenRouter(t, reqs, nil, ranked)
+	now = float64(ro.ctl.Now())
+	origin, routed := len(reqs)-1, 0
+	arrive := func() {
+		k, ok := ro.route(ranked, r, now)
+		if !ok || k < 0 {
+			return
+		}
+		local := len(ranked.entries[k])
+		ro.record(ranked, r, origin, k, local)
+		ro.finished(ranked, k, local)
+		ranked.entries[k] = ranked.entries[k][:local]
+		ranked.shards[k].Origin = ranked.shards[k].Origin[:local]
+		routed++
+	}
+	if allocs := testing.AllocsPerRun(100, arrive); allocs != 0 {
+		t.Errorf("a cost-ranked arrival allocates %v times per run, want 0", allocs)
+	}
+	if routed != 101 || len(ro.fab.shards[0].stale) != 1 {
+		t.Errorf("routed %d of 101 arrivals, %d leaves left stale (want 1)", routed, len(ro.fab.shards[0].stale))
+	}
 }
 
 // drivenRouter runs reqs to the end on a router over pools and returns
 // it with its engines still live.
 func drivenRouter(t testing.TB, reqs []workload.Request, stack *policy.Stack, pools ...*pool) *router {
 	t.Helper()
+	ro := newTestRouter(t, reqs, stack, pools...)
+	drive(t, ro)
+	return ro
+}
+
+// newTestRouter builds a router for reqs over pools, not yet driven.
+func newTestRouter(t testing.TB, reqs []workload.Request, stack *policy.Stack, pools ...*pool) *router {
+	t.Helper()
 	ro, err := newRouter(fastConfig(2), reqs, 0, nil, stack, pools...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ro
+}
+
+// drive runs ro to the end and fails t on a router error.
+func drive(t testing.TB, ro *router) {
+	t.Helper()
 	ro.fab.drive()
 	if ro.err != nil {
 		t.Fatal(ro.err)
 	}
-	return ro
 }

@@ -90,6 +90,9 @@ type fabShard struct {
 	slot int // index in its tier; worker slot%workers advances it
 	// notes buffers hand-off notifications in the shard's event order.
 	notes []handoffNote
+	// stale queues the replicas whose cost-tree leaves a finish hook
+	// left stale; the router re-keys them before its next pick.
+	stale []int
 	// sawFinish is set by finish hooks during an advance; the
 	// coordinator polls and clears it while lockstepping the decode
 	// tier through instants where queued hand-offs may become
@@ -202,6 +205,15 @@ func (f *fabric) note(replica int, h core.Handoff) {
 // markFinish records that a replica finished a request during the
 // current advance. Runs on the owning shard's goroutine.
 func (f *fabric) markFinish(replica int) { f.byRep[replica].sawFinish = true }
+
+// queueStale queues a replica whose cost-tree leaf a finish hook left
+// stale. Runs on the owning shard's goroutine.
+//
+//det:hotpath
+func (f *fabric) queueStale(replica int) {
+	sh := f.byRep[replica]
+	sh.stale = append(sh.stale, replica) //det:ignore hotalloc amortized growth; the queue empties at every pick and holds each replica at most once
+}
 
 // Steps sums the events processed across the control timeline and all
 // shard engines.

@@ -49,6 +49,31 @@ type Policy interface {
 	Cost(r workload.Request) float64
 }
 
+// pickView is how much of the candidate loads a built-in policy's Pick
+// reads, so the router builds no more than that. A policy that does not
+// declare one (a user policy, or a wrapper that embeds Policy) gets the
+// full snapshot.
+type pickView int
+
+const (
+	// viewProbes is the full snapshot: the router-kept counters plus
+	// the engine probes WarmTokens and FreeKVTokens.
+	viewProbes pickView = iota
+	// viewCounters is the router-kept counters alone.
+	viewCounters
+	// viewArgmin is a Pick that is argminCost over the candidates: the
+	// router may answer it from its cost tree without calling Pick.
+	viewArgmin
+)
+
+// viewOf returns the view p declares, viewProbes if none.
+func viewOf(p Policy) pickView {
+	if v, ok := p.(interface{ view() pickView }); ok {
+		return v.view()
+	}
+	return viewProbes
+}
+
 // Options parameterize policy construction.
 type Options struct {
 	// Seed drives stochastic policies (random).
@@ -136,6 +161,8 @@ func (p *roundRobin) Pick(_ workload.Request, loads []Load) int {
 // Cost is the known prefill work (the request's input length).
 func (*roundRobin) Cost(r workload.Request) float64 { return float64(r.InputLen) }
 
+func (*roundRobin) view() pickView { return viewCounters }
+
 type random struct{ rng *rand.Rand }
 
 // Name returns Random.
@@ -149,8 +176,11 @@ func (p *random) Pick(_ workload.Request, loads []Load) int {
 // Cost is the known prefill work (the request's input length).
 func (*random) Cost(r workload.Request) float64 { return float64(r.InputLen) }
 
+func (*random) view() pickView { return viewCounters }
+
 // argminCost returns the replica with the least accumulated cost,
-// breaking ties toward fewer requests, then the lower index.
+// breaking ties toward fewer requests, then the lower index. The
+// router's cost tree (costtree.go) keeps the same order.
 func argminCost(loads []Load) int {
 	best := 0
 	for i := 1; i < len(loads); i++ {
@@ -172,6 +202,8 @@ func (leastWork) Pick(_ workload.Request, loads []Load) int { return argminCost(
 
 // Cost is the known prefill work (the request's input length).
 func (leastWork) Cost(r workload.Request) float64 { return float64(r.InputLen) }
+
+func (leastWork) view() pickView { return viewArgmin }
 
 type prefixAffinity struct{}
 
@@ -247,3 +279,5 @@ func (*predictedCost) Pick(_ workload.Request, loads []Load) int { return argmin
 func (p *predictedCost) Cost(r workload.Request) float64 {
 	return float64(r.InputLen + p.pred.PredictLen(r))
 }
+
+func (*predictedCost) view() pickView { return viewArgmin }
