@@ -65,9 +65,7 @@ func crashEvent(ctx any, ci, _ int) {
 	for i, l := range lost {
 		origins[i] = p.retire(k, l.Local)
 	}
-	if p.tree != nil {
-		p.fix(k)
-	}
+	p.fix(k)
 	now := float64(ro.ctl.Now())
 	if p.breakers != nil {
 		for i := 0; i < max(len(lost), 1); i++ {
@@ -129,9 +127,7 @@ func restoreEvent(ctx any, ci, _ int) {
 		ro.err = fmt.Errorf("fleet: restore of replica %d: %w", c.Replica, err)
 		return
 	}
-	if p.tree != nil {
-		p.fix(k)
-	}
+	p.fix(k)
 	ro.drainQueued(p)
 	if ro.err == nil && p == ro.last() && len(ro.pending) > 0 {
 		ro.ctl.AtFunc(ro.ctl.Now(), drainPendingEvent, ro, 0, 0)

@@ -29,8 +29,8 @@ import (
 type Shard struct {
 	// Reqs are the replica's requests, renumbered to the dense IDs the
 	// core engine requires. Only the offline pre-shard (Dispatch) fills
-	// it; a routed run leaves it nil and lists its shards in Origin
-	// alone.
+	// it; a routed run leaves it nil and lists the replica's requests
+	// in Origin alone.
 	Reqs []workload.Request
 	// Origin[i] is the index in the dispatched trace of the replica's
 	// request i (Reqs[i], when set).

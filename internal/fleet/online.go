@@ -142,12 +142,15 @@ func (p *pool) plantTree() {
 	}
 }
 
-// fix re-keys replica i's tree leaf from its load counters and its
-// candidacy: alive and kept active by the autoscaler.
+// fix re-keys replica i's tree leaf, if the pool has a tree, from its
+// load counters and its candidacy: alive and kept active by the
+// autoscaler.
 //
 //det:hotpath
 func (p *pool) fix(i int) {
-	p.tree.set(i, p.out[i].CostTokens, p.out[i].Requests, p.engines[i].Alive() && p.elastic.routable(i))
+	if p.tree != nil {
+		p.tree.set(i, p.out[i].CostTokens, p.out[i].Requests, p.engines[i].Alive() && p.elastic.routable(i))
+	}
 }
 
 // newRouter attaches the layers an active plan or stack asks for to a
@@ -434,12 +437,13 @@ func (ro *router) fixStale() {
 // counters plus, when the pool's policy reads them, two live probes of
 // the replica's KV pool — how much of r's shared prefix is resident
 // (warm blocks included, so affinity survives request completion) and
-// the free-KV headroom pool-aware policies rank on. With an exported KV sequence kv the candidates must
-// also be able to import it over an unpartitioned link (the earliest
-// partition lift lands in ro.lift), and warmth is kv's resident share
-// instead. Breaker skips are counted, except on a split fleet whose
-// candidates are all breaker-open: it falls back to the rest of the
-// filter, so a fully tripped pool degrades instead of stalling.
+// the free-KV headroom pool-aware policies rank on. With an exported
+// KV sequence kv the candidates must also be able to import it over an
+// unpartitioned link (the earliest partition lift lands in ro.lift),
+// and warmth is kv's resident share instead. Breaker skips are
+// counted, except on a split fleet whose candidates are all
+// breaker-open: it falls back to the rest of the filter, so a fully
+// tripped pool degrades instead of stalling.
 //
 //det:hotpath
 func (ro *router) snapshot(p *pool, r workload.Request, kv *kvcache.ExportedSeq, now float64) []Load {
@@ -523,9 +527,7 @@ func (ro *router) badPick(p *pool, j, n int) {
 //det:hotpath
 func (ro *router) record(p *pool, r workload.Request, origin, k, local int) {
 	p.add(k, origin, r, p.policy.Cost(r))
-	if p.tree != nil {
-		p.fix(k)
-	}
+	p.fix(k)
 	ro.led.final[origin] = recRef{replica: p.off + k, local: local}
 }
 

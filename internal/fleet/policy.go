@@ -25,12 +25,14 @@ type Load struct {
 	// Always 0 for requests without prefix structure; recomputed per
 	// request before Pick. In a disaggregated decode pool it is the
 	// resident share of the hand-off's exported block window instead.
+	// The router probes it only for policies that read it (every
+	// policy but the four counter-only built-ins); the others see 0.
 	WarmTokens int
 	// FreeKVTokens is the replica's live KV headroom in tokens (free
 	// plus reclaimable warm blocks) at routing time — the pool-aware
-	// signal the disaggregated decode pick ranks on. Populated by the
-	// online and disaggregated routers; 0 in the offline pre-shard,
-	// which has no live engines to probe.
+	// signal the disaggregated decode pick ranks on. The router probes
+	// it for the same policies as WarmTokens; 0 in the offline
+	// pre-shard, which has no live engines to probe.
 	FreeKVTokens int
 }
 
@@ -161,6 +163,7 @@ func (p *roundRobin) Pick(_ workload.Request, loads []Load) int {
 // Cost is the known prefill work (the request's input length).
 func (*roundRobin) Cost(r workload.Request) float64 { return float64(r.InputLen) }
 
+// view is viewCounters: Pick reads only the number of candidates.
 func (*roundRobin) view() pickView { return viewCounters }
 
 type random struct{ rng *rand.Rand }
@@ -176,6 +179,7 @@ func (p *random) Pick(_ workload.Request, loads []Load) int {
 // Cost is the known prefill work (the request's input length).
 func (*random) Cost(r workload.Request) float64 { return float64(r.InputLen) }
 
+// view is viewCounters: Pick reads only the number of candidates.
 func (*random) view() pickView { return viewCounters }
 
 // argminCost returns the replica with the least accumulated cost,
@@ -203,6 +207,7 @@ func (leastWork) Pick(_ workload.Request, loads []Load) int { return argminCost(
 // Cost is the known prefill work (the request's input length).
 func (leastWork) Cost(r workload.Request) float64 { return float64(r.InputLen) }
 
+// view is viewArgmin: Pick is argminCost.
 func (leastWork) view() pickView { return viewArgmin }
 
 type prefixAffinity struct{}
@@ -280,4 +285,5 @@ func (p *predictedCost) Cost(r workload.Request) float64 {
 	return float64(r.InputLen + p.pred.PredictLen(r))
 }
 
+// view is viewArgmin: Pick is argminCost.
 func (*predictedCost) view() pickView { return viewArgmin }
