@@ -6,6 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/hw"
+	"repro/internal/model"
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
@@ -153,6 +156,35 @@ func BenchmarkOnlineFleetParallel(b *testing.B) {
 			if elapsed > 0 {
 				b.ReportMetric(float64(steps)/elapsed, "steps/s")
 			}
+		})
+	}
+}
+
+// BenchmarkFleetScaling reports the kernel's wall time per event at 20,
+// 100 and 1,000 replicas under equal per-replica load: 10 requests per
+// replica arriving as a Poisson stream of one request per replica per
+// second, routed by predicted-cost on one worker (Llama-2-70B on four
+// A100s, the end-to-end benchmark's deployment). Each replica does the
+// same work at every size, so a ns/event that grows with the fleet is
+// memory locality, not algorithm.
+func BenchmarkFleetScaling(b *testing.B) {
+	cfg := core.DefaultConfig(hw.A100, model.Llama2_70B, 4)
+	for _, n := range []int{20, 100, 1000} {
+		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
+			reqs := workload.StampArrivals(workload.MustGenerate(workload.DefaultConfig(10*n, 1)), workload.Poisson{Rate: float64(n)}, 7)
+			var steps uint64
+			var elapsed time.Duration
+			for i := 0; i < b.N; i++ {
+				p := mustPolicy(b, PredictedCost, Options{})
+				start := time.Now()
+				res, err := Serve(cfg, reqs, ServeConfig{Replicas: n, Policy: p, Workers: 1})
+				elapsed += time.Since(start)
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += res.Steps
+			}
+			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(steps), "ns/event")
 		})
 	}
 }
