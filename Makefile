@@ -44,10 +44,11 @@ test:
 # detector with the worker pool forced on (multi-worker online, disagg, prefix and fault runs,
 # plus the cross-shard-boundary property), since those tests are the
 # only ones that exercise coordinator/worker hand-off on every code
-# path.
+# path, together with the lazy-advance check (lazy picks against the
+# forced eager schedule at one and four workers).
 race:
 	$(GO) test -race ./internal/fleet/... ./internal/core/...
-	$(GO) test -race -count=1 -run 'TestParallel' ./internal/fleet/
+	$(GO) test -race -count=1 -run 'TestParallel|TestLazyPicksMatchEager' ./internal/fleet/
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/faults/
 
 # Chaos harness: randomized-but-seeded correlated-failure plans swept

@@ -172,6 +172,13 @@ type Engine struct {
 	capacityTokens int
 
 	states []*reqState
+	// live holds the ids of the requests that may still be unfinished:
+	// every id added since the last compaction, less the finished and
+	// aborted ones compactLive drops when it meets them.
+	live []int
+	// passFloor is a lower bound on the time between two passes' tokens
+	// for one request (see FinishBound).
+	passFloor float64
 
 	phase      metrics.Phase
 	everPhased bool
@@ -253,8 +260,12 @@ func NewEngine(eng *sim.Engine, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	floor := cluster.Cost.PassFloor()
 	if cfg.Slowdown > 0 {
 		cluster.SetSlowdown(cfg.Slowdown)
+		if cfg.Slowdown < 1 {
+			floor *= cfg.Slowdown
+		}
 	}
 	if !cfg.RecordBusy {
 		cluster.Rec = *metrics.NewStreamingRecorder(cfg.World)
@@ -268,6 +279,9 @@ func NewEngine(eng *sim.Engine, cfg Config) (*Engine, error) {
 		inten:          NewIntensity(cluster.Cost, cfg.PeakProfileBatch),
 		capacityTokens: capTokens,
 		kvTimeline:     &metrics.KVTimeline{},
+		// The relative margin absorbs the rounding of the float sums
+		// that time a pass chain, so the bound never overshoots.
+		passFloor: floor * (1 - 1e-6),
 	}
 	return e, nil
 }
@@ -703,7 +717,59 @@ func (e *Engine) addState(r workload.Request) *reqState {
 	}
 	e.states = append(e.states, st)
 	e.seqs = append(e.seqs, seqState{outputLen: r.OutputLen})
+	if len(e.live) == cap(e.live) {
+		// Compact before growing, and grow only past half full, so the
+		// list stays within twice the live count at amortized O(1) per
+		// request even on an engine whose bound nobody reads.
+		if e.compactLive(); 2*len(e.live) > cap(e.live) {
+			e.live = append(make([]int, 0, 2*cap(e.live)+8), e.live...)
+		}
+	}
+	e.live = append(e.live, len(e.states)-1)
 	return st
+}
+
+// compactLive drops finished and aborted requests from the live list
+// and returns the fewest output tokens any remaining one still needs (0
+// when none remains).
+//
+//det:hotpath
+func (e *Engine) compactLive() (minRem int) {
+	j := 0
+	for _, id := range e.live {
+		sq := &e.seqs[id]
+		if sq.done || sq.aborted {
+			continue
+		}
+		e.live[j] = id
+		j++
+		if rem := sq.outputLen - sq.generated; minRem == 0 || rem < minRem {
+			minRem = rem
+		}
+	}
+	e.live = e.live[:j]
+	return minRem
+}
+
+// FinishBound returns a lower bound on the instant this engine next
+// finishes a request (Infinity when it holds none). Every pass, prefill
+// or decode, produces at most one token of a request, so a request
+// with rem tokens to go needs rem more passes; none completes before
+// the engine's next event, and a request's next pass starts no earlier
+// than its last one ended, so its passes end at least the pass floor
+// apart (costmodel.StageTable.PassFloor, scaled by a speed-up
+// Slowdown). Hence no request finishes before next event + (fewest
+// remaining tokens - 1) × floor. A fleet router that reads only its
+// own load counters may leave the engine unadvanced until then.
+//
+//det:hotpath
+func (e *Engine) FinishBound() sim.Time {
+	next := e.eng.NextEventTime()
+	minRem := e.compactLive()
+	if minRem == 0 || next == sim.Infinity {
+		return sim.Infinity
+	}
+	return next + sim.Time(float64(minRem-1)*e.passFloor)
 }
 
 // arrivalEvent admits a request when its arrival instant is reached

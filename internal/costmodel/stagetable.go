@@ -249,6 +249,19 @@ func (t *StageTable) PrefillBottleneck(b PrefillBatch) float64 {
 	return max
 }
 
+// PassFloor returns a lower bound on one pass's duration: the sum over
+// stages of DecodeStage(st, 1, 0). A decode stage's time never falls as
+// its batch or KV tokens grow, and a prefill stage takes at least the
+// decode floor of its stage (the stage-table tests pin both), so no
+// pass through every stage is shorter.
+func (t *StageTable) PassFloor() float64 {
+	var floor float64
+	for st := range t.stages {
+		floor += t.DecodeStage(st, 1, 0)
+	}
+	return floor
+}
+
 // P2PActivation returns the stage-to-stage transfer time for a
 // microbatch of tokens tokens.
 //

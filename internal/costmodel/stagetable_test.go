@@ -56,6 +56,55 @@ func TestStageTableMatchesReference(t *testing.T) {
 	}
 }
 
+// Property: PassFloor lower-bounds every pass, which lets a fleet
+// router leave a replica unadvanced until its earliest possible finish
+// (core.Engine.FinishBound). On every plan of Tables 1–2 (plus Tiny) at
+// worlds 1–4, a decode stage's time never falls as its batch or KV
+// tokens grow, every prefill stage of a nonempty batch takes at least
+// DecodeStage(st, 1, 0), and PassFloor is the sum of those floors.
+func TestPassFloorBoundsEveryStage(t *testing.T) {
+	_, models, plans := goldenPlans(t)
+	tabs := make([]*StageTable, len(plans))
+	for i := range plans {
+		tabs[i] = mustTable(t, models[i], plans[i])
+		var sum float64
+		for st := range plans[i].Stages {
+			sum += tabs[i].DecodeStage(st, 1, 0)
+		}
+		if got := tabs[i].PassFloor(); got != sum || !(got > 0) {
+			t.Errorf("plan %d: PassFloor %v, sum of batch-1 decode stages %v", i, got, sum)
+		}
+	}
+	prop := func(pick uint8, batch, kv, dBatch, dKV uint32, lens [3]uint16) bool {
+		i := int(pick) % len(plans)
+		tab := tabs[i]
+		b, k := 1+int(batch%600), int(kv%400000)
+		b2, k2 := b+int(dBatch%64), k+int(dKV%20000)
+		if dKV%3 == 0 {
+			k2 = k // grow one axis alone, too
+		}
+		pl := []int{1 + int(lens[0]%4096)}
+		for _, l := range lens[1:] {
+			if l%4 != 0 {
+				pl = append(pl, 1+int(l%4096))
+			}
+		}
+		pb := NewPrefillBatch(pl)
+		for st := range plans[i].Stages {
+			floor := tab.DecodeStage(st, 1, 0)
+			if tab.DecodeStage(st, b2, k2) < tab.DecodeStage(st, b, k) ||
+				tab.DecodeStage(st, b, k) < floor ||
+				tab.PrefillStage(st, pb) < floor {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Stages of one class share a time, and SameAs names the class's first
 // stage: at world 4 the two middle stages of an evenly split model are
 // one class, while the embedding and head stages stand alone.

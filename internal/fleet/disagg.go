@@ -285,7 +285,7 @@ func (ro *router) place(item int) bool {
 	if !ok {
 		return true
 	}
-	local, err := p.engines[k].SubmitDecoded(r, it.h)
+	local, err := ro.fab.touch(p.off+k).SubmitDecoded(r, it.h)
 	if err != nil {
 		if ro.plan == nil {
 			ro.err = fmt.Errorf("fleet: import on %sreplica %d: %w", p.role, k, err)
@@ -314,9 +314,9 @@ func drainPendingEvent(ctx any, _, _ int) {
 	ctx.(*router).drainPending()
 }
 
-// drainPending retries queued hand-offs in completion order. Callers
-// guarantee every decode replica's clock is parked at the drain
-// instant.
+// drainPending retries queued hand-offs in completion order, at a
+// control instant or the decode lockstep's; each import parks its
+// target's clock there through the fabric's touch.
 func (ro *router) drainPending() {
 	if ro.err != nil {
 		return

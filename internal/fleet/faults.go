@@ -56,7 +56,7 @@ func crashEvent(ctx any, ci, _ int) {
 	}
 	c := ro.plan.Crashes[ci]
 	p, k := ro.replica(c.Replica)
-	lost, err := p.engines[k].Crash(sim.Time(c.RestartAt))
+	lost, err := ro.fab.touch(c.Replica).Crash(sim.Time(c.RestartAt))
 	if err != nil {
 		ro.err = fmt.Errorf("fleet: crash of replica %d: %w", c.Replica, err)
 		return
@@ -123,7 +123,7 @@ func restoreEvent(ctx any, ci, _ int) {
 	}
 	c := ro.plan.Crashes[ci]
 	p, k := ro.replica(c.Replica)
-	if err := p.engines[k].Restore(); err != nil {
+	if err := ro.fab.touch(c.Replica).Restore(); err != nil {
 		ro.err = fmt.Errorf("fleet: restore of replica %d: %w", c.Replica, err)
 		return
 	}

@@ -185,6 +185,10 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 	for tier, p := range pools {
 		fab.addTier(tier, len(p.out))
 	}
+	// A lone pool whose pick reads only the router's counters, with no
+	// layer to read engines at control events, lets replicas lag up to
+	// their next possible finish.
+	fab.lazy = len(pools) == 1 && plan == nil && ro.pol == nil && viewOf(pools[0].policy) != viewProbes
 	engines, err := startEngines(fab, cfg, plan, nil)
 	if err != nil {
 		return nil, err
@@ -365,12 +369,13 @@ func (ro *router) dispatch(pr pendingRec) {
 		}
 		return
 	}
+	e := ro.fab.touch(p.off + k)
 	var local int
 	var err error
 	if pr.fresh {
-		local, err = p.engines[k].Submit(r)
+		local, err = e.Submit(r)
 	} else {
-		local, err = p.engines[k].SubmitRecovered(r, pr.generated, pr.firstTokenAt)
+		local, err = e.SubmitRecovered(r, pr.generated, pr.firstTokenAt)
 	}
 	if err != nil {
 		if errors.Is(err, core.ErrRequestTooLarge) && (ro.plan != nil || ro.pol != nil) {
@@ -381,7 +386,7 @@ func (ro *router) dispatch(pr pendingRec) {
 		return
 	}
 	if ro.pol != nil {
-		ro.preempt(p.engines[k], r)
+		ro.preempt(e, r)
 	}
 	ro.record(p, r, origin, k, local)
 }
@@ -600,14 +605,15 @@ func (b *books) retire(k, local int) int {
 }
 
 // startEngines builds and starts one engine per fabric replica through
-// forEach, each on its replicaConfig: seeded with its shard when shards
-// is non-nil (the pre-shard), empty and waiting for submissions
-// otherwise.
+// forEach, each on its replicaConfig and its replica's simulation
+// engine: seeded with its shard when shards is non-nil (the
+// pre-shard), empty and waiting for submissions otherwise. The fabric
+// keys its replicas from the started engines.
 func startEngines(fab *fabric, cfg core.Config, plan *faults.Plan, shards []Shard) ([]*core.Engine, error) {
 	engines := make([]*core.Engine, len(fab.byRep))
 	errs := make([]error, len(engines))
 	fab.forEach(func(i int) {
-		e, err := core.NewEngine(fab.engineFor(i), replicaConfig(cfg, plan, i))
+		e, err := core.NewEngine(fab.engs[i], replicaConfig(cfg, plan, i))
 		switch {
 		case err != nil:
 		case shards != nil:
@@ -620,6 +626,7 @@ func startEngines(fab *fabric, cfg core.Config, plan *faults.Plan, shards []Shar
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
+	fab.bind(engines)
 	return engines, nil
 }
 

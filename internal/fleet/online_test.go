@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kvcache"
 	"repro/internal/policy"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -125,9 +126,12 @@ func TestRunOnlineRejectsBadArgs(t *testing.T) {
 // plain routed arrival on engines whose prefix caches still hold the
 // request's shared prefix warm, and on a disaggregated fleet with
 // breakers, a prefill dispatch and a decode placement. A cost-ranked
-// arrival is pinned too: the stale-leaf drain and the tree pick, the
-// booking that re-keys the picked leaf, and the finish that queues it
-// stale again.
+// arrival is pinned too, as a lazy fabric serves it: the advance that
+// pops a replica whose finish bound fell before the arrival, catches it
+// up and re-pushes it, the stale-leaf drain and the tree pick, the
+// touch of the picked replica, the booking that re-keys the picked
+// leaf, the finish that queues it stale again, and the re-key of the
+// touched replica.
 func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	reqs := prefixOnlineTrace(200, 41, 8000, 8, 512)
 	r := reqs[len(reqs)-1]
@@ -180,24 +184,40 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	ranked := newPool("", 8, mustPolicy(t, PredictedCost, Options{}))
 	ro = drivenRouter(t, reqs, nil, ranked)
 	now = float64(ro.ctl.Now())
+	fab := ro.fab
+	if !fab.lazy {
+		t.Fatal("a predicted-cost pool without layers advances eagerly")
+	}
 	origin, routed := len(reqs)-1, 0
 	arrive := func() {
+		// One replica's finish bound falls before the arrival: the
+		// advance pops it, catches it up and re-pushes it.
+		g := routed % len(ranked.engines)
+		fab.byRep[g].heap.set(g, 0)
+		fab.advanceTier(0, sim.Time(now), advBefore)
 		k, ok := ro.route(ranked, r, now)
 		if !ok || k < 0 {
 			return
 		}
+		fab.touch(k)
 		local := len(ranked.entries[k])
 		ro.record(ranked, r, origin, k, local)
 		ro.finished(ranked, k, local)
 		ranked.entries[k] = ranked.entries[k][:local]
 		ranked.shards[k].Origin = ranked.shards[k].Origin[:local]
+		fab.settle()
 		routed++
 	}
 	if allocs := testing.AllocsPerRun(100, arrive); allocs != 0 {
 		t.Errorf("a cost-ranked arrival allocates %v times per run, want 0", allocs)
 	}
-	if routed != 101 || len(ro.fab.shards[0].stale) != 1 {
-		t.Errorf("routed %d of 101 arrivals, %d leaves left stale (want 1)", routed, len(ro.fab.shards[0].stale))
+	if routed != 101 || len(fab.shards[0].stale) != 1 {
+		t.Errorf("routed %d of 101 arrivals, %d leaves left stale (want 1)", routed, len(fab.shards[0].stale))
+	}
+	for g := range ranked.engines {
+		if h := &fab.byRep[g].heap; h.ents[h.pos[g-h.lo]].at != sim.Infinity {
+			t.Errorf("drained replica %d keyed at %v after its catch-up, want Infinity", g, h.ents[h.pos[g-h.lo]].at)
+		}
 	}
 }
 

@@ -9,32 +9,55 @@ import (
 )
 
 // Conservative parallel co-simulation substrate ("fabric") shared by
-// every fleet router. The fleet is split across shards, each a private
-// sim.Engine hosting a group of replica engines, coordinated by a
-// control timeline (ctl) that carries every router intervention:
-// arrival routing, crash/restore injection, KV-transfer completions,
-// checkpoint resumes and queue drains. The run alternates epochs:
+// every fleet router. Each replica runs on a sim.Engine of its own; the
+// replicas are split across shards, one worker's share each, and a
+// control timeline (ctl) carries every router intervention: arrival
+// routing, crash/restore injection, KV-transfer completions,
+// checkpoint resumes and queue drains. Each shard keeps its replicas in
+// a min-heap keyed by the instant before which the router needs them
+// run, so an advance pops a replica and runs its whole stretch of
+// events while its state is in cache. The run alternates epochs:
 //
-//  1. t = next control event. Shards advance in parallel through all
-//     replica events strictly before t (RunBefore) — safe because no
-//     control intervention can land inside the window: arrivals,
-//     crashes and restores are scheduled up front, and cross-shard
-//     messages (KV hand-offs, checkpoint reloads) carry the link's
-//     minimum transfer latency as lookahead.
+//  1. t = next control event. Every replica keyed before t runs through
+//     all its events strictly before t (RunBefore), the shards in
+//     parallel — safe because no control intervention can land inside
+//     the window: arrivals, crashes and restores are scheduled up
+//     front, and cross-shard messages (KV hand-offs, checkpoint
+//     reloads) carry the link's minimum transfer latency as lookahead.
 //  2. Hand-off notifications buffered by the shard workers are drained
 //     in canonical (time, replica, local-id) order and become
 //     timestamped control events (transfer completions).
-//  3. Control events at instant t execute on the coordinator with
-//     every shard clock parked exactly at t, so routing policies see
-//     the same incremental load snapshots as a single shared heap.
+//  3. Control events at instant t execute on the coordinator. The
+//     router reaches a replica's engine only through fabric.touch,
+//     which runs that replica to just before t and parks its clock at
+//     t, so the intervention is stamped with the coordinator clock.
+//     No other clock moves; touched replicas are re-keyed before the
+//     next advance.
+//
+// The key says how far a replica may lag. An eager fabric keys it by
+// its next event, so every replica is up to date at every control
+// event: its pools read engine probes, breakers, the autoscaler's
+// signals or hand-off notes, which any event may change. A lazy fabric
+// serves one colocated pool, with no layer attached, whose pick reads
+// only the router's own load counters (argminCost's cost tree,
+// round-robin, random). Only finish hooks change those counters, so it
+// keys a replica by a lower bound on its next finish
+// (core.Engine.FinishBound): at t it runs only the replicas that could
+// have finished a request before t, and touch runs the picked one. Both
+// are the same advance over the same heaps; only the key differs, and
+// either way a control event costs O(shards) plus the replicas it
+// runs. After the last control event nothing can route any more, and
+// every replica runs to completion on its own through forEach.
 //
 // The same loop runs inline when workers == 1 — the sequential path is
 // the one-worker instance of the identical algorithm, which is what
 // makes parallel reports byte-identical to sequential ones: replica
-// event streams never depend on shard layout (engines share no state),
-// and every cross-replica decision happens on the coordinator in a
-// canonical order. The determinism suite (parallel_test.go) enforces
-// this for online, disagg, prefix-affinity and fault runs.
+// event streams never depend on shard layout or on when a replica runs
+// (engines share no state), and every cross-replica decision happens
+// on the coordinator in a canonical order. The determinism suite
+// (parallel_test.go) enforces this for online, disagg,
+// prefix-affinity and fault runs, and TestLazyPicksMatchEager holds
+// lazy runs to the eager schedule.
 //
 // Tie semantics: control events at instant t execute before replica
 // events at t. For arrival routing this matches the shared-heap
@@ -81,13 +104,14 @@ type handoffNote struct {
 	h       core.Handoff
 }
 
-// fabShard is one shard: a private simulation engine and the replicas
-// living on it. Between barriers exactly one goroutine touches the
-// shard (its worker while advancing, the coordinator otherwise).
+// fabShard is one shard: a group of replicas, contiguous in global
+// index, and their heap. Between barriers exactly one goroutine touches
+// the shard and its replicas (its worker while advancing, the
+// coordinator otherwise).
 type fabShard struct {
-	eng  *sim.Engine
 	tier int
 	slot int // index in its tier; worker slot%workers advances it
+	heap repHeap
 	// notes buffers hand-off notifications in the shard's event order.
 	notes []handoffNote
 	// stale queues the replicas whose cost-tree leaves a finish hook
@@ -100,40 +124,124 @@ type fabShard struct {
 	sawFinish bool
 }
 
+// repKey is one entry of a shard's replica heap: a global replica and
+// the instant before which the fabric must run it (see fabric.key).
+type repKey struct {
+	at  sim.Time
+	rep int
+}
+
+// repHeap is a binary min-heap of one shard's replicas by key. pos maps
+// a replica, offset by the shard's first replica lo, to its index in
+// ents, so a replica is re-keyed in place after it runs or is touched.
+type repHeap struct {
+	lo   int
+	ents []repKey
+	pos  []int
+}
+
+// due reports whether the heap's earliest replica must run in an
+// advance window: key before the horizon, or at it too under advUntil.
+//
+//det:hotpath
+func (h *repHeap) due(mode int, horizon sim.Time) bool {
+	if len(h.ents) == 0 {
+		return false
+	}
+	if mode == advBefore {
+		return h.ents[0].at < horizon
+	}
+	return h.ents[0].at <= horizon
+}
+
+// set re-keys replica g, already in the heap, to at.
+//
+//det:hotpath
+func (h *repHeap) set(g int, at sim.Time) {
+	i := h.pos[g-h.lo]
+	up := at < h.ents[i].at
+	h.ents[i].at = at
+	if up {
+		h.up(i)
+	} else {
+		h.down(i)
+	}
+}
+
+// up sifts entry i toward the root.
+//
+//det:hotpath
+func (h *repHeap) up(i int) {
+	e := h.ents[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !(e.at < h.ents[p].at) {
+			break
+		}
+		h.ents[i] = h.ents[p]
+		h.pos[h.ents[i].rep-h.lo] = i
+		i = p
+	}
+	h.ents[i] = e
+	h.pos[e.rep-h.lo] = i
+}
+
+// down sifts entry i toward the leaves.
+//
+//det:hotpath
+func (h *repHeap) down(i int) {
+	e := h.ents[i]
+	n := len(h.ents)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h.ents[c+1].at < h.ents[c].at {
+			c++
+		}
+		if !(h.ents[c].at < e.at) {
+			break
+		}
+		h.ents[i] = h.ents[c]
+		h.pos[h.ents[i].rep-h.lo] = i
+		i = c
+	}
+	h.ents[i] = e
+	h.pos[e.rep-h.lo] = i
+}
+
 // advance modes.
 const (
 	advBefore = iota // RunBefore: strictly before the horizon
-	advUntil         // RunUntil + park the clock at the horizon
+	advUntil         // RunUntil: through the horizon
 )
 
-func (sh *fabShard) advance(mode int, horizon sim.Time) {
-	if mode == advBefore {
-		sh.eng.RunBefore(horizon)
-		return
-	}
-	sh.eng.RunUntil(horizon)
-	if sh.eng.Now() < horizon {
-		sh.eng.AdvanceTo(horizon)
-	}
-}
-
-// needs reports whether the shard has events inside an advance window.
-func (sh *fabShard) needs(mode int, horizon sim.Time) bool {
-	nt := sh.eng.NextEventTime()
-	if mode == advBefore {
-		return nt < horizon
-	}
-	return nt <= horizon
-}
-
-// fabric is the coordinator: the control timeline, the shard set and
-// the worker pool that advances shards between control instants.
+// fabric is the coordinator: the control timeline, the replicas'
+// engines, the shard set and the worker pool that advances shards
+// between control instants.
 type fabric struct {
-	ctl     *sim.Engine
-	shards  []*fabShard
-	tiers   [2][]*fabShard
-	byRep   []*fabShard
+	ctl    *sim.Engine
+	shards []*fabShard
+	tiers  [2][]*fabShard
+	byRep  []*fabShard
+	// engs[g] is replica g's simulation engine and cores[g] its TD-Pipe
+	// engine (bound once startEngines built them).
+	engs    []*sim.Engine
+	cores   []*core.Engine
 	workers int
+	// lazy keys replicas by their finish bound instead of their next
+	// event (see the header).
+	lazy bool
+
+	// now is the instant control-side code runs at: the control
+	// timeline's instant, or the decode lockstep's. touch parks replicas
+	// there; touched is the latest instant it did so.
+	now, touched sim.Time
+	// dirty lists the replicas touched since the last advance, whose
+	// keys settle recomputes; isDirty[g] marks replica g listed.
+	dirty   []int
+	isDirty []bool
 
 	cmds []chan fabCmd
 	done chan struct{}
@@ -148,8 +256,7 @@ type fabric struct {
 	// headroom, which forces the decode tier to advance in lockstep so
 	// placement retries happen at the finish instants that free KV.
 	pendingWork func() bool
-	// drainAt retries queued placements; every decode-tier clock is
-	// parked at the drain instant when it runs.
+	// drainAt retries queued placements at the lockstep instant.
 	drainAt func()
 }
 
@@ -159,6 +266,15 @@ type fabCmd struct {
 	horizon sim.Time
 	each    func(replica int) // set: call it per replica instead (forEach)
 }
+
+// syncCheck, when set, makes the fabric bring every replica up to date
+// after the control events of each instant, the schedule an eager
+// fabric keeps, and sees every finish hook: the replica, the instant it
+// fired and the latest instant the router touched a replica at (every
+// pick touches the picked one). Only tests set it, to hold lazy picks
+// to eager ones and to catch a finish that fired before a pick that
+// should have seen it.
+var syncCheck func(replica int, at, touched sim.Time)
 
 // newFabric builds a fabric with the given worker budget. Tiers are
 // added before any engines are constructed.
@@ -170,9 +286,10 @@ func newFabric(workers int) *fabric {
 }
 
 // addTier creates the shards for one tier and assigns the next
-// `replicas` global replica indices to them contiguously. Replica
-// event streams are independent of co-tenancy, so any grouping yields
-// identical per-replica results; contiguous blocks keep cache locality.
+// `replicas` global replica indices to them contiguously, each with an
+// engine of its own. Replica event streams are independent of
+// co-tenancy, so any grouping yields identical per-replica results;
+// contiguous blocks keep cache locality.
 func (f *fabric) addTier(tier, replicas int) {
 	n := f.workers
 	if n > replicas {
@@ -183,17 +300,99 @@ func (f *fabric) addTier(tier, replicas int) {
 	}
 	shards := make([]*fabShard, n)
 	for s := range shards {
-		shards[s] = &fabShard{eng: sim.NewEngine(), tier: tier, slot: s}
+		shards[s] = &fabShard{tier: tier, slot: s}
 	}
 	f.tiers[tier] = shards
 	f.shards = append(f.shards, shards...)
 	for i := 0; i < replicas; i++ {
-		f.byRep = append(f.byRep, shards[i*n/replicas])
+		sh := shards[i*n/replicas]
+		g := len(f.byRep)
+		if len(sh.heap.pos) == 0 {
+			sh.heap.lo = g
+		}
+		sh.heap.pos = append(sh.heap.pos, len(sh.heap.ents))
+		sh.heap.ents = append(sh.heap.ents, repKey{at: sim.Infinity, rep: g})
+		f.byRep = append(f.byRep, sh)
+		f.engs = append(f.engs, sim.NewEngine())
+	}
+	f.isDirty = make([]bool, len(f.byRep))
+}
+
+// bind attaches the replicas' TD-Pipe engines and keys every replica
+// from their initial state.
+func (f *fabric) bind(cores []*core.Engine) {
+	f.cores = cores
+	for g := range cores {
+		f.byRep[g].heap.set(g, f.key(g))
 	}
 }
 
-// engineFor returns the simulation engine hosting a global replica.
-func (f *fabric) engineFor(replica int) *sim.Engine { return f.byRep[replica].eng }
+// key returns the instant before which replica g must run: a lower
+// bound on its next finish on a lazy fabric, its next event otherwise.
+//
+//det:hotpath
+func (f *fabric) key(g int) sim.Time {
+	if f.lazy {
+		return f.cores[g].FinishBound()
+	}
+	return f.engs[g].NextEventTime()
+}
+
+// catchUp runs replica g through the advance window and re-keys it.
+// Runs on the goroutine that owns g's shard.
+//
+//det:hotpath
+func (f *fabric) catchUp(g, mode int, horizon sim.Time) {
+	if mode == advBefore {
+		f.engs[g].RunBefore(horizon)
+	} else {
+		f.engs[g].RunUntil(horizon)
+	}
+	f.byRep[g].heap.set(g, f.key(g))
+}
+
+// advance runs every replica of sh whose key falls in the window. A
+// replica it ran is keyed past the window, so each runs once.
+//
+//det:hotpath
+func (f *fabric) advance(sh *fabShard, mode int, horizon sim.Time) {
+	for sh.heap.due(mode, horizon) {
+		f.catchUp(sh.heap.ents[0].rep, mode, horizon)
+	}
+}
+
+// touch hands the router replica g's engine at the control instant: the
+// replica runs to just before the instant (a lazy fabric's picked
+// replica may lag; anywhere else nothing is left there), its clock is
+// parked at the instant unless it already ran past it, and it is
+// queued to be re-keyed before the next advance. It is the router's
+// only way to a replica between advances, and moves no other clock.
+//
+//det:hotpath
+func (f *fabric) touch(g int) *core.Engine {
+	e := f.engs[g]
+	e.RunBefore(f.now)
+	if e.Now() < f.now {
+		e.AdvanceTo(f.now)
+	}
+	if !f.isDirty[g] {
+		f.isDirty[g] = true
+		f.dirty = append(f.dirty, g) //det:ignore hotalloc amortized growth; the list empties at every advance and holds each replica at most once
+	}
+	f.touched = f.now
+	return f.cores[g]
+}
+
+// settle re-keys the replicas touched since the last advance.
+//
+//det:hotpath
+func (f *fabric) settle() {
+	for _, g := range f.dirty {
+		f.isDirty[g] = false
+		f.byRep[g].heap.set(g, f.key(g))
+	}
+	f.dirty = f.dirty[:0]
+}
 
 // note buffers a hand-off notification from a replica's engine hook.
 // Runs on the owning shard's goroutine during an advance.
@@ -204,7 +403,14 @@ func (f *fabric) note(replica int, h core.Handoff) {
 
 // markFinish records that a replica finished a request during the
 // current advance. Runs on the owning shard's goroutine.
-func (f *fabric) markFinish(replica int) { f.byRep[replica].sawFinish = true }
+//
+//det:hotpath
+func (f *fabric) markFinish(replica int) {
+	f.byRep[replica].sawFinish = true
+	if syncCheck != nil {
+		syncCheck(replica, f.engs[replica].Now(), f.touched)
+	}
+}
 
 // queueStale queues a replica whose cost-tree leaf a finish hook left
 // stale. Runs on the owning shard's goroutine.
@@ -216,11 +422,11 @@ func (f *fabric) queueStale(replica int) {
 }
 
 // Steps sums the events processed across the control timeline and all
-// shard engines.
+// replica engines.
 func (f *fabric) Steps() uint64 {
 	total := f.ctl.Steps()
-	for _, sh := range f.shards {
-		total += sh.eng.Steps()
+	for _, e := range f.engs {
+		total += e.Steps()
 	}
 	return total
 }
@@ -259,7 +465,7 @@ func (f *fabric) worker(w int, cmds <-chan fabCmd) {
 		}
 		shards := f.tiers[cmd.tier]
 		for s := w; s < len(shards); s += f.workers {
-			shards[s].advance(cmd.mode, cmd.horizon)
+			f.advance(shards[s], cmd.mode, cmd.horizon)
 		}
 		f.done <- struct{}{}
 	}
@@ -267,9 +473,8 @@ func (f *fabric) worker(w int, cmds <-chan fabCmd) {
 
 // forEach calls fn once per replica. While the pool runs, each worker
 // takes the replicas of its own shards in index order, so fn may touch
-// only its replica's engine and result slots; otherwise the calls run
-// inline in replica order. Either way, replicas sharing a shard engine
-// see the same call order.
+// only its replica's engine, its shard and its result slots; otherwise
+// the calls run inline in replica order.
 func (f *fabric) forEach(fn func(replica int)) {
 	if f.cmds == nil {
 		for i := range f.byRep {
@@ -285,37 +490,31 @@ func (f *fabric) forEach(fn func(replica int)) {
 	}
 }
 
-// advanceTier moves every shard of a tier through the window, fanning
-// the work out to the pool when more than one shard has events there.
-// The channel round-trips form the happens-before edges that hand shard
-// ownership between the coordinator and the workers.
+// advanceTier runs every shard of a tier through the window, fanning
+// the work out to the pool when more than one shard has replicas due
+// there. The channel round-trips form the happens-before edges that
+// hand shard ownership between the coordinator and the workers.
 func (f *fabric) advanceTier(tier int, horizon sim.Time, mode int) {
 	shards := f.tiers[tier]
 	if f.cmds == nil {
 		for _, sh := range shards {
-			sh.advance(mode, horizon)
+			f.advance(sh, mode, horizon)
 		}
 		return
 	}
 	needy, last := 0, -1
 	for s, sh := range shards {
-		if sh.needs(mode, horizon) {
+		if sh.heap.due(mode, horizon) {
 			needy++
 			last = s
 		}
 	}
 	switch needy {
 	case 0:
-		if mode == advUntil {
-			f.syncTier(tier, horizon)
-		}
 		return
 	case 1:
 		// One busy shard: advancing inline beats waking a worker.
-		shards[last].advance(mode, horizon)
-		if mode == advUntil {
-			f.syncTier(tier, horizon)
-		}
+		f.advance(shards[last], mode, horizon)
 		return
 	}
 	woken := 0
@@ -323,7 +522,7 @@ func (f *fabric) advanceTier(tier int, horizon sim.Time, mode int) {
 	for w := 0; w < f.workers; w++ {
 		wake := false
 		for s := w; s < len(shards); s += f.workers {
-			if shards[s].needs(mode, horizon) {
+			if shards[s].heap.due(mode, horizon) {
 				wake = true
 				break
 			}
@@ -335,32 +534,6 @@ func (f *fabric) advanceTier(tier int, horizon sim.Time, mode int) {
 	}
 	for i := 0; i < woken; i++ {
 		<-f.done
-	}
-	if mode == advUntil {
-		f.syncTier(tier, horizon)
-	}
-}
-
-// syncTier parks every shard clock of a tier exactly at t. Only legal
-// once the tier has advanced through all events before t.
-func (f *fabric) syncTier(tier int, t sim.Time) {
-	for _, sh := range f.tiers[tier] {
-		if sh.eng.Now() < t {
-			sh.eng.AdvanceTo(t)
-		}
-	}
-}
-
-// syncAll parks every shard that has not outrun t at t, so control
-// events executing at t stamp submissions with the coordinator clock.
-// Tier-0 shards may legitimately sit past t after a horizon refresh
-// (a transfer completed earlier than the pre-drain horizon); control
-// events at such refreshed instants only touch the later tier.
-func (f *fabric) syncAll(t sim.Time) {
-	for _, sh := range f.shards {
-		if sh.eng.Now() < t {
-			sh.eng.AdvanceTo(t)
-		}
 	}
 }
 
@@ -401,8 +574,8 @@ func (f *fabric) advanceLater(t sim.Time) {
 	for f.pendingWork() {
 		h := sim.Infinity
 		for _, sh := range f.tiers[1] {
-			if nt := sh.eng.NextEventTime(); nt < h {
-				h = nt
+			if len(sh.heap.ents) > 0 && sh.heap.ents[0].at < h {
+				h = sh.heap.ents[0].at
 			}
 		}
 		if h >= t {
@@ -420,7 +593,9 @@ func (f *fabric) advanceLater(t sim.Time) {
 			}
 		}
 		if finished {
+			f.now = h
 			f.drainAt()
+			f.settle()
 		}
 	}
 	f.advanceTier(1, t, advBefore)
@@ -433,12 +608,16 @@ func (f *fabric) drive() {
 	f.run()
 }
 
-// run drives the epoch loop to completion: every shard drained and no
-// control events left.
+// run drives the epoch loop to completion: no control events left,
+// then every replica run to its end.
 func (f *fabric) run() {
 	two := f.tiers[1] != nil
 	for {
+		f.settle()
 		t := f.ctl.NextEventTime()
+		if t == sim.Infinity && !two {
+			break
+		}
 		f.advanceTier(0, t, advBefore)
 		if two {
 			f.drainNotes()
@@ -449,9 +628,13 @@ func (f *fabric) run() {
 			f.advanceLater(t)
 		}
 		if t == sim.Infinity {
-			return
+			break
 		}
-		f.syncAll(t)
+		f.now = t
 		f.ctl.RunUntil(t)
+		if syncCheck != nil {
+			f.forEach(func(g int) { f.catchUp(g, advBefore, t) })
+		}
 	}
+	f.forEach(func(g int) { f.engs[g].Run() })
 }
