@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/costmodel"
@@ -730,12 +731,12 @@ func (e *Engine) addState(r workload.Request) *reqState {
 }
 
 // compactLive drops finished and aborted requests from the live list
-// and returns the fewest output tokens any remaining one still needs (0
-// when none remains).
+// and returns the fewest output tokens any remaining one still needs
+// (math.MaxInt when none remains).
 //
 //det:hotpath
-func (e *Engine) compactLive() (minRem int) {
-	j := 0
+func (e *Engine) compactLive() int {
+	j, minRem := 0, math.MaxInt
 	for _, id := range e.live {
 		sq := &e.seqs[id]
 		if sq.done || sq.aborted {
@@ -743,9 +744,7 @@ func (e *Engine) compactLive() (minRem int) {
 		}
 		e.live[j] = id
 		j++
-		if rem := sq.outputLen - sq.generated; minRem == 0 || rem < minRem {
-			minRem = rem
-		}
+		minRem = min(minRem, sq.outputLen-sq.generated)
 	}
 	e.live = e.live[:j]
 	return minRem
@@ -766,10 +765,10 @@ func (e *Engine) compactLive() (minRem int) {
 func (e *Engine) FinishBound() sim.Time {
 	next := e.eng.NextEventTime()
 	minRem := e.compactLive()
-	if minRem == 0 || next == sim.Infinity {
+	if minRem == math.MaxInt || next == sim.Infinity {
 		return sim.Infinity
 	}
-	return next + sim.Time(float64(minRem-1)*e.passFloor)
+	return next + sim.Time(float64(max(minRem, 1)-1)*e.passFloor)
 }
 
 // arrivalEvent admits a request when its arrival instant is reached

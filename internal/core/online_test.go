@@ -163,3 +163,56 @@ func TestEngineSLOGoodput(t *testing.T) {
 		t.Errorf("goodput under impossible SLO = %v", g)
 	}
 }
+
+// FinishBound never overshoots: on Poisson traces, roomy and so short
+// of KV that decode evicts and recomputes, no request finishes before
+// any bound the engine reported earlier. The engine runs one instant at
+// a time and reports its bound before each.
+func TestFinishBoundNeverOvershoots(t *testing.T) {
+	for _, mem := range []float64{0, 0.0001} {
+		cfg := fastConfig(4)
+		if mem > 0 {
+			cfg.MemUtilization = mem
+		}
+		reqs := workload.StampArrivals(smallTrace(300, 9), workload.Poisson{Rate: 400}, 11)
+		eng := sim.NewEngine()
+		e, err := NewEngine(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		claim, finishes, late := sim.Time(0), 0, 0
+		e.SetOnFinish(func(int) {
+			finishes++
+			if eng.Now() < claim {
+				late++
+			}
+		})
+		if err := e.Start(reqs); err != nil {
+			t.Fatal(err)
+		}
+		bounded := 0
+		for eng.Pending() > 0 {
+			if b := e.FinishBound(); b > claim {
+				claim = b
+				bounded++
+			}
+			eng.RunUntil(eng.NextEventTime())
+		}
+		res, err := e.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mem > 0 && res.Report.Recomputes == 0 {
+			t.Errorf("mem %v: no recompute evictions", mem)
+		}
+		if finishes != len(reqs) || bounded == 0 {
+			t.Errorf("mem %v: %d finishes of %d requests, the bound rose %d times", mem, finishes, len(reqs), bounded)
+		}
+		if late > 0 {
+			t.Errorf("mem %v: %d finishes before an earlier bound", mem, late)
+		}
+		if b := e.FinishBound(); b != sim.Infinity {
+			t.Errorf("mem %v: drained engine bounds its next finish at %v, want Infinity", mem, b)
+		}
+	}
+}
