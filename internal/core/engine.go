@@ -175,7 +175,9 @@ type Engine struct {
 	states []*reqState
 	// live holds the ids of the requests that may still be unfinished:
 	// every id added since the last compaction, less the finished and
-	// aborted ones compactLive drops when it meets them.
+	// aborted ones compactLive drops when it meets them. It is nil until
+	// FinishBound is first asked, so an engine whose bound nobody reads
+	// keeps no list.
 	live []int
 	// passFloor is a lower bound on the time between two passes' tokens
 	// for one request (see FinishBound).
@@ -718,16 +720,29 @@ func (e *Engine) addState(r workload.Request) *reqState {
 	}
 	e.states = append(e.states, st)
 	e.seqs = append(e.seqs, seqState{outputLen: r.OutputLen})
-	if len(e.live) == cap(e.live) {
-		// Compact before growing, and grow only past half full, so the
-		// list stays within twice the live count at amortized O(1) per
-		// request even on an engine whose bound nobody reads.
-		if e.compactLive(); 2*len(e.live) > cap(e.live) {
-			e.live = append(make([]int, 0, 2*cap(e.live)+8), e.live...)
+	if e.live != nil {
+		if len(e.live) == cap(e.live) {
+			// Compact before growing, and grow only past half full, so
+			// the list stays within twice the live count at amortized
+			// O(1) per request.
+			if e.compactLive(); 2*len(e.live) > cap(e.live) {
+				e.live = append(make([]int, 0, 2*cap(e.live)+8), e.live...)
+			}
+		}
+		e.live = append(e.live, len(e.states)-1)
+	}
+	return st
+}
+
+// startLive lists every request that is not finished or aborted, the
+// first time FinishBound is asked.
+func (e *Engine) startLive() {
+	e.live = make([]int, 0, len(e.seqs)+8)
+	for id := range e.seqs {
+		if sq := &e.seqs[id]; !sq.done && !sq.aborted {
+			e.live = append(e.live, id)
 		}
 	}
-	e.live = append(e.live, len(e.states)-1)
-	return st
 }
 
 // compactLive drops finished and aborted requests from the live list
@@ -763,6 +778,9 @@ func (e *Engine) compactLive() int {
 //
 //det:hotpath
 func (e *Engine) FinishBound() sim.Time {
+	if e.live == nil {
+		e.startLive()
+	}
 	next := e.eng.NextEventTime()
 	minRem := e.compactLive()
 	if minRem == math.MaxInt || next == sim.Infinity {

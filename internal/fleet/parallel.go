@@ -109,7 +109,6 @@ type handoffNote struct {
 // the shard and its replicas (its worker while advancing, the
 // coordinator otherwise).
 type fabShard struct {
-	tier int
 	slot int // index in its tier; worker slot%workers advances it
 	heap repHeap
 	// notes buffers hand-off notifications in the shard's event order.
@@ -300,7 +299,7 @@ func (f *fabric) addTier(tier, replicas int) {
 	}
 	shards := make([]*fabShard, n)
 	for s := range shards {
-		shards[s] = &fabShard{tier: tier, slot: s}
+		shards[s] = &fabShard{slot: s}
 	}
 	f.tiers[tier] = shards
 	f.shards = append(f.shards, shards...)
