@@ -491,11 +491,14 @@ func (f *fabric) forEach(fn func(replica int)) {
 
 // advanceTier runs every shard of a tier through the window, fanning
 // the work out to the pool when more than one shard has replicas due
-// there. The channel round-trips form the happens-before edges that
-// hand shard ownership between the coordinator and the workers.
+// there. A lazy fabric advances inline: it runs a replica or two per
+// control event, too little work to pay for waking a worker (its tail
+// after the last control event runs on the pool through forEach). The
+// channel round-trips form the happens-before edges that hand shard
+// ownership between the coordinator and the workers.
 func (f *fabric) advanceTier(tier int, horizon sim.Time, mode int) {
 	shards := f.tiers[tier]
-	if f.cmds == nil {
+	if f.cmds == nil || f.lazy {
 		for _, sh := range shards {
 			f.advance(sh, mode, horizon)
 		}
