@@ -43,8 +43,9 @@ import (
 // round-robin, random). Only finish hooks change those counters, so it
 // keys a replica by a lower bound on its next finish
 // (core.Engine.FinishBound): at t it runs only the replicas that could
-// have finished a request before t, and touch runs the picked one. Both
-// are the same advance over the same heaps; only the key differs, and
+// have finished a request before t, inline on the coordinator since
+// they are few, and touch runs the picked one. Both are the same
+// advance over the same heaps; only the key differs, and
 // either way a control event costs O(shards) plus the replicas it
 // runs. After the last control event nothing can route any more, and
 // every replica runs to completion on its own through forEach.
