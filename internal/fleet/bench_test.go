@@ -127,8 +127,10 @@ func BenchmarkOnlineFleetInactivePolicy(b *testing.B) {
 }
 
 // BenchmarkOnlineFleetParallel measures the conservative-parallel
-// online path on a 64-replica fleet, sweeping the worker count. The
-// workers=1 leg is the sequential baseline (identical algorithm, no
+// online path on a 64-replica fleet, sweeping the worker count, once
+// under predicted-cost, which runs on a lazy fabric, and once under
+// prefix-affinity, whose probe-reading pick keeps the fabric eager. The
+// workers=1 legs are the sequential baseline (identical algorithm, no
 // goroutines); higher legs shard the fleet across cores while staying
 // byte-identical. steps/s reports total simulator events processed
 // per wall-clock second. It is the kernel's rate, not served work: a
@@ -136,13 +138,13 @@ func BenchmarkOnlineFleetInactivePolicy(b *testing.B) {
 // builds that count events differently by ns/op.
 func BenchmarkOnlineFleetParallel(b *testing.B) {
 	reqs := workload.StampArrivals(workload.MustGenerate(workload.DefaultConfig(4000, 1)), workload.Poisson{Rate: 400}, 7)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	sweep := func(b *testing.B, name, policy string, workers int) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var steps uint64
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				p, err := New(PredictedCost, Options{Seed: 1})
+				p, err := New(policy, Options{Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -157,6 +159,12 @@ func BenchmarkOnlineFleetParallel(b *testing.B) {
 				b.ReportMetric(float64(steps)/elapsed, "steps/s")
 			}
 		})
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		sweep(b, fmt.Sprintf("workers=%d", workers), PredictedCost, workers)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		sweep(b, fmt.Sprintf("%s/workers=%d", PrefixAffinity, workers), PrefixAffinity, workers)
 	}
 }
 
