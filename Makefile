@@ -37,15 +37,19 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-# Every fleet mode runs its replicas on the parallel fabric's worker
-# goroutines; race-check the fleet together with the engine it drives
-# (TestConcurrentFleetsRace also runs whole fleets side by side). The
-# second leg re-runs the parallel-fabric determinism suite under the
-# detector with the worker pool forced on (multi-worker online, disagg, prefix and fault runs,
-# plus the cross-shard-boundary property), since those tests are the
-# only ones that exercise coordinator/worker hand-off on every code
-# path, together with the lazy-advance check (lazy picks against the
-# forced eager schedule at one and four workers).
+# The fabric advances every replica on the coordinator; its worker
+# goroutines run only per-replica work that no control event
+# separates: a routed fleet's replicas after the last control event
+# (their finish hooks write the workers' own buffers) and the
+# pre-shard's engine build, run and finalize. Race-check the fleet
+# together with the engine it drives (TestConcurrentFleetsRace also
+# runs whole fleets side by side). The second leg re-runs the fabric's
+# determinism suite under the detector with the worker pool forced on
+# (multi-worker online, disagg, prefix and fault runs, plus the
+# cross-shard-boundary property), since those tests hand replicas
+# between the coordinator and the workers on every code path, together
+# with the lazy-advance check (lazy picks against the forced eager
+# schedule at one and four workers).
 race:
 	$(GO) test -race ./internal/fleet/... ./internal/core/...
 	$(GO) test -race -count=1 -run 'TestParallel|TestLazyPicksMatchEager' ./internal/fleet/

@@ -39,10 +39,12 @@ type DisaggConfig struct {
 	PrefillReplicas int
 	// DecodeReplicas is the number of engines dedicated to decode.
 	DecodeReplicas int
-	// Workers budgets the conservative parallel fabric: 0 or 1 runs
+	// Workers budgets the fabric's worker pool: 0 or 1 runs
 	// sequentially, WorkersAuto picks GOMAXPROCS for fleets of at
-	// least AutoWorkerThreshold replicas. Reports are byte-identical
-	// across worker counts.
+	// least AutoWorkerThreshold replicas. The coordinator advances both
+	// tiers through the last hand-off, so a split fleet leaves its pool
+	// nothing to run; DisaggResult.Workers reports the count. Reports
+	// are byte-identical across worker counts.
 	Workers int
 	// Stack attaches a policy stack to the deployment. Disaggregated
 	// serving honors two components. Autoscaler is scoped to the
@@ -109,6 +111,8 @@ type DisaggResult struct {
 	// Steps counts the simulation events processed across the run's
 	// engines and the router timeline.
 	Steps uint64
+	// Workers is the number of fabric workers the run used.
+	Workers int
 }
 
 // handoffItem is one KV move on the transfer path: a prefill hand-off,
@@ -178,6 +182,7 @@ func RunDisagg(cfg core.Config, dc DisaggConfig, reqs []workload.Request) (*Disa
 		TransferredBytes: ro.moved,
 		QueuedHandoffs:   ro.queuedHandoffs,
 		Steps:            ro.fab.Steps(),
+		Workers:          ro.fab.workers,
 	}, nil
 }
 
@@ -188,8 +193,8 @@ func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, 
 	return RunDisagg(cfg, dc, reqs)
 }
 
-// handoff receives a prefill-completed request (drained canonically at
-// an epoch barrier) and starts its KV transfer: the whole exported
+// handoff receives a prefill-completed request (drained canonically
+// after the prefill tier's advance) and starts its KV transfer: the whole exported
 // block window crosses the link, so the request becomes placeable on
 // the decode pool only once the transfer completes. The link's minimum
 // transfer time is the lookahead that keeps the decode tier's

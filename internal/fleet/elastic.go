@@ -28,7 +28,7 @@ import (
 type policyLayer struct {
 	stack *policy.Stack
 	// winTTFT[i] collects the last pool's replica i completion TTFTs
-	// since the last autoscale tick (shard-written,
+	// since the last autoscale tick (hook-written,
 	// coordinator-drained); a split fleet leaves it empty.
 	winTTFT [][]float64
 	ttftSLO float64

@@ -33,7 +33,7 @@ type elasticPool struct {
 	changed   func(k int)
 	openStart []float64
 	gpuSec    []float64
-	// drainDoneAt[i] is shard-written: the instant replica i's last
+	// drainDoneAt[i] is hook-written: the instant replica i's last
 	// outstanding request finished while draining (-1 otherwise). The
 	// coordinator reaps it at ticks and at assemble.
 	drainDoneAt []float64
@@ -200,7 +200,7 @@ func (ep *elasticPool) activate(k int) {
 	}
 }
 
-// noteDrained records — from the owning shard's finish hook — that
+// noteDrained records — from replica k's finish hook — that
 // draining replica k ran out of resident work at instant t.
 func (ep *elasticPool) noteDrained(k int, t float64) {
 	if ep.state[k] == rDraining {

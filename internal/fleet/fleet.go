@@ -6,8 +6,9 @@
 // replicas, or a prefill and a decode pool joined by the KV hand-off
 // path (disagg.go), with an optional fault layer (faults.go) and
 // policy layer (elastic.go) that compose on any run. Every mode runs
-// its replicas on the conservative parallel fabric (parallel.go), so
-// reports are deterministic and byte-identical across worker counts.
+// its replicas on the conservative co-simulation fabric (parallel.go),
+// whose workers take only per-replica work that no control event
+// separates, so reports are byte-identical across worker counts.
 //
 // Dispatch is pluggable: a Policy picks a replica per request
 // (round-robin, seeded random, least known work, or predicted-cost
@@ -123,12 +124,13 @@ type ServeConfig struct {
 	Replicas int
 	// Policy picks a replica per request (see New).
 	Policy Policy
-	// Workers budgets the parallel fabric. A routed run treats 0 or 1
-	// as sequential and WorkersAuto as GOMAXPROCS for fleets of at
-	// least AutoWorkerThreshold replicas. The pre-shard has no epoch
-	// barriers to pay, so it reads 0 and WorkersAuto as one worker per
-	// replica and leaves the balancing across cores to the Go
-	// scheduler.
+	// Workers budgets the fabric's worker pool, which runs replicas
+	// only where no control event separates them. A routed run treats
+	// 0 or 1 as sequential and WorkersAuto as GOMAXPROCS for fleets of
+	// at least AutoWorkerThreshold replicas; its pool runs the replicas
+	// after the last control event. The pre-shard, which has none,
+	// builds, runs and finalizes each engine on the pool and reads 0
+	// and WorkersAuto as one worker per replica.
 	Workers int
 	// Faults and Stack attach the fault and policy layers, alone or
 	// together; nil or inactive attaches none.

@@ -41,7 +41,7 @@ func TestCostTreeMatchesArgminCost(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		loads := make([]Load, n)
 		candidate := make([]bool, n)
-		tree := newCostTree(n)
+		tree := newMinTree(n)
 		if got := tree.root(); got != -1 {
 			t.Fatalf("n=%d: empty tree picks %d", n, got)
 		}

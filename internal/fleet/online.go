@@ -43,8 +43,9 @@ func validateArrivals(reqs []workload.Request) error {
 // fault layer (crash recovery under plan, faults.go) and the policy
 // layer (pol, the policy stack, elastic.go). A nil layer means no hook
 // call. Every intervention executes on the fabric's control timeline;
-// only the engines' finish hooks run on shard goroutines, and those
-// touch replica-indexed slots exclusively.
+// only the engines' finish hooks may run on worker goroutines (after
+// the last control event), and those touch replica-indexed slots and
+// their worker's fabric buffers exclusively.
 type router struct {
 	ctl  *sim.Engine
 	fab  *fabric
@@ -106,9 +107,9 @@ type pool struct {
 	queued []pendingRec
 	// tree ranks the candidates when the policy's pick is argminCost
 	// and no breaker gates the pool (nil otherwise); stale[i] is set
-	// by replica i's finish hook, on its shard, while its leaf waits
-	// in the shard's queue to be re-keyed before the next pick.
-	tree  *costTree
+	// by replica i's finish hook while its leaf waits in its worker's
+	// queue to be re-keyed before the next pick.
+	tree  *minTree
 	stale []bool
 	// probe is whether the policy's pick reads the engine probes.
 	probe bool
@@ -133,7 +134,7 @@ func (p *pool) plantTree() {
 	if viewOf(p.policy) != viewArgmin || p.breakers != nil {
 		return
 	}
-	p.tree, p.stale = newCostTree(len(p.engines)), make([]bool, len(p.engines))
+	p.tree, p.stale = newMinTree(len(p.engines)), make([]bool, len(p.engines))
 	for i := range p.engines {
 		p.fix(i)
 	}
@@ -177,7 +178,7 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 			return nil, err
 		}
 	}
-	// Pools never share a shard engine: the prefill tier advances to
+	// Each pool is one fabric tier: the prefill tier advances to
 	// each control horizon first (discovering hand-offs), and the decode
 	// tier follows only after their transfer completions are on the
 	// control timeline.
@@ -205,10 +206,10 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 	if ro.split() {
 		for i, e := range pools[0].engines {
 			i := i
-			// Hand-offs are discovered while a shard worker advances
-			// its epoch window: buffer them on the shard; the
-			// coordinator drains the buffers in canonical order at the
-			// barrier and feeds them to ro.handoff.
+			// Hand-offs are discovered while the fabric advances the
+			// prefill tier: buffer them; the fabric drains the buffers
+			// in canonical order after the advance and feeds them to
+			// ro.handoff.
 			e.SetHandoff(func(h core.Handoff) { fab.note(i, h) })
 		}
 		fab.onNote = ro.handoff
@@ -420,8 +421,9 @@ func (ro *router) route(p *pool, r workload.Request, now float64) (k int, ok boo
 var treeCheck func(ro *router, p *pool, r workload.Request, now float64, k int)
 
 // fixStale re-keys the tree leaves that finish hooks left stale since
-// the last pick. The hooks run on shard goroutines and must not touch
-// the shared tree; each queued its replica on its own shard instead.
+// the last pick. The hooks may run on worker goroutines and must not
+// touch the shared tree; each queued its replica on its worker's
+// buffers instead.
 //
 //det:hotpath
 func (ro *router) fixStale() {
@@ -540,8 +542,8 @@ func (ro *router) record(p *pool, r workload.Request, origin, k, local int) {
 // contribution from its replica's counters in O(1), counts the terminal
 // finish (a prefill replica's hand-off included; the hand-off hook
 // takes it back), queues a tree leaf the retirement left stale on the
-// replica's shard, and flags the finish there, where the fabric's
-// decode lockstep looks for it.
+// replica's worker buffers, and flags the finish there, where the
+// fabric's decode lockstep looks for it.
 //
 //det:hotpath
 func (ro *router) finished(p *pool, i, local int) {

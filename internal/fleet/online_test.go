@@ -127,8 +127,8 @@ func TestRunOnlineRejectsBadArgs(t *testing.T) {
 // request's shared prefix warm, and on a disaggregated fleet with
 // breakers, a prefill dispatch and a decode placement. A cost-ranked
 // arrival is pinned too, as a lazy fabric serves it: the advance that
-// pops a replica whose finish bound fell before the arrival, catches it
-// up and re-pushes it, the stale-leaf drain and the tree pick, the
+// takes a replica whose finish bound fell before the arrival from its
+// tier's schedule, catches it up and re-keys it, the stale-leaf drain and the tree pick, the
 // touch of the picked replica, the booking that re-keys the picked
 // leaf, the finish that queues it stale again, and the re-key of the
 // touched replica.
@@ -191,10 +191,10 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	origin, routed := len(reqs)-1, 0
 	arrive := func() {
 		// One replica's finish bound falls before the arrival: the
-		// advance pops it, catches it up and re-pushes it.
+		// advance takes it from the root, catches it up and re-keys it.
 		g := routed % len(ranked.engines)
-		fab.byRep[g].heap.set(g, 0)
-		fab.advanceTier(0, sim.Time(now), advBefore)
+		fab.sched[0].set(g, 0, 0, true)
+		fab.advance(0, sim.Time(now), advBefore)
 		k, ok := ro.route(ranked, r, now)
 		if !ok || k < 0 {
 			return
@@ -215,8 +215,8 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 		t.Errorf("routed %d of 101 arrivals, %d leaves left stale (want 1)", routed, len(fab.shards[0].stale))
 	}
 	for g := range ranked.engines {
-		if h := &fab.byRep[g].heap; h.ents[h.pos[g-h.lo]].at != sim.Infinity {
-			t.Errorf("drained replica %d keyed at %v after its catch-up, want Infinity", g, h.ents[h.pos[g-h.lo]].at)
+		if at := sim.Time(fab.sched[0].nodes[fab.sched[0].size+g].key); at != sim.Infinity {
+			t.Errorf("drained replica %d keyed at %v after its catch-up, want Infinity", g, at)
 		}
 	}
 }

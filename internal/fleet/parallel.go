@@ -8,31 +8,29 @@ import (
 	"repro/internal/sim"
 )
 
-// Conservative parallel co-simulation substrate ("fabric") shared by
-// every fleet router. Each replica runs on a sim.Engine of its own; the
-// replicas are split across shards, one worker's share each, and a
-// control timeline (ctl) carries every router intervention: arrival
-// routing, crash/restore injection, KV-transfer completions,
-// checkpoint resumes and queue drains. Each shard keeps its replicas in
-// a min-heap keyed by the instant before which the router needs them
-// run, so an advance pops a replica and runs its whole stretch of
-// events while its state is in cache. The run alternates epochs:
+// Conservative co-simulation substrate ("fabric") shared by every fleet
+// router. Each replica runs on a sim.Engine of its own, and a control
+// timeline (ctl) carries every router intervention: arrival routing,
+// crash/restore injection, KV-transfer completions, checkpoint resumes
+// and queue drains. Each tier schedules its replicas in a min-tree
+// (mintree.go) keyed by the instant before which the router needs them
+// run, so an advance takes the earliest replica and runs its whole
+// stretch of events while its state is in cache. The coordinator
+// alternates epochs:
 //
 //  1. t = next control event. Every replica keyed before t runs through
-//     all its events strictly before t (RunBefore), the shards in
-//     parallel — safe because no control intervention can land inside
-//     the window: arrivals, crashes and restores are scheduled up
-//     front, and cross-shard messages (KV hand-offs, checkpoint
-//     reloads) carry the link's minimum transfer latency as lookahead.
-//  2. Hand-off notifications buffered by the shard workers are drained
-//     in canonical (time, replica, local-id) order and become
+//     its events strictly before t (RunBefore) — safe because no control
+//     intervention can land inside the window: arrivals, crashes and
+//     restores are scheduled up front, and cross-replica messages (KV
+//     hand-offs, checkpoint reloads) carry the link's minimum transfer
+//     latency as lookahead.
+//  2. Hand-off notifications buffered by the prefill engines' hooks are
+//     drained in canonical (time, replica, local-id) order and become
 //     timestamped control events (transfer completions).
-//  3. Control events at instant t execute on the coordinator. The
-//     router reaches a replica's engine only through fabric.touch,
-//     which runs that replica to just before t and parks its clock at
-//     t, so the intervention is stamped with the coordinator clock.
-//     No other clock moves; touched replicas are re-keyed before the
-//     next advance.
+//  3. Control events at t execute. The router reaches a replica's
+//     engine only through fabric.touch, which runs that replica to just
+//     before t and parks its clock at t. No other clock moves; touched
+//     replicas are re-keyed before the next advance.
 //
 // The key says how far a replica may lag. An eager fabric keys it by
 // its next event, so every replica is up to date at every control
@@ -43,34 +41,32 @@ import (
 // round-robin, random). Only finish hooks change those counters, so it
 // keys a replica by a lower bound on its next finish
 // (core.Engine.FinishBound): at t it runs only the replicas that could
-// have finished a request before t, inline on the coordinator since
-// they are few, and touch runs the picked one. Both are the same
-// advance over the same heaps; only the key differs, and
-// either way a control event costs O(shards) plus the replicas it
-// runs. After the last control event nothing can route any more, and
-// every replica runs to completion on its own through forEach.
+// have finished a request before t, and touch runs the picked one.
+// Either way a control event costs a root read plus O(log replicas) per
+// replica it runs.
 //
-// The same loop runs inline when workers == 1 — the sequential path is
-// the one-worker instance of the identical algorithm, which is what
-// makes parallel reports byte-identical to sequential ones: replica
-// event streams never depend on shard layout or on when a replica runs
-// (engines share no state), and every cross-replica decision happens
-// on the coordinator in a canonical order. The determinism suite
-// (parallel_test.go) enforces this for online, disagg,
-// prefix-affinity and fault runs, and TestLazyPicksMatchEager holds
-// lazy runs to the eager schedule.
+// Every advance runs on the coordinator, at any worker count: it runs a
+// few replicas for short stretches, too little to pay for waking a
+// worker. The worker pool runs only per-replica work that no control
+// event separates, through forEach: building, starting and finalizing
+// the pre-shard's engines, and running every replica to completion
+// after the last control event. Reports are therefore byte-identical at
+// every worker count: a replica's events never depend on when or where
+// it runs (engines share no state), hook buffers are drained in a
+// canonical order, and every cross-replica decision is the
+// coordinator's. The determinism suite (parallel_test.go) enforces this
+// for online, disagg, prefix-affinity and fault runs, and
+// TestLazyPicksMatchEager holds lazy runs to the eager schedule.
 //
 // Tie semantics: control events at instant t execute before replica
-// events at t. For arrival routing this matches the shared-heap
-// ordering exactly (arrivals were scheduled first and won ties by
-// sequence number); for router events scheduled mid-run the shared
-// heap interleaved ties by scheduling order, so runs can differ from
-// the pre-fabric router only when a replica event collides with a
-// transfer completion at the exact same float64 instant.
+// events at t, so runs can differ from a single shared event heap only
+// when a replica event collides with a transfer completion scheduled
+// mid-run at the exact same float64 instant.
 
 // WorkersAuto requests automatic worker selection: GOMAXPROCS when the
 // fleet has at least AutoWorkerThreshold replicas, sequential below
-// that (small fleets lose more to epoch barriers than they gain).
+// that, where the per-replica work workers take (see the header) is
+// too little to pay for the pool.
 const WorkersAuto = -1
 
 // AutoWorkerThreshold is the fleet size at which WorkersAuto switches
@@ -86,33 +82,25 @@ func ResolveWorkers(workers, replicas int) int {
 		}
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > replicas {
-		workers = replicas
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return max(min(workers, replicas), 1)
 }
 
-// handoffNote is one cross-shard notification buffered by a shard
-// worker: replica's engine exported a finished prefix (core.Handoff)
-// while the shard advanced through its epoch window. The coordinator
-// drains notes at the barrier in (at, replica, local) order.
+// handoffNote is one cross-replica notification buffered by a prefill
+// engine's hook: replica's engine exported a finished prefix
+// (core.Handoff) while the fabric advanced it. The coordinator drains
+// notes after the prefill tier's advance in (at, replica, local) order.
 type handoffNote struct {
 	at      sim.Time
 	replica int
 	h       core.Handoff
 }
 
-// fabShard is one shard: a group of replicas, contiguous in global
-// index, and their heap. Between barriers exactly one goroutine touches
-// the shard and its replicas (its worker while advancing, the
-// coordinator otherwise).
+// fabShard is one worker's hook buffers. A replica's hooks write to
+// the buffers of the worker forEach gives it, so the final run to
+// completion, the only one on the pool, never shares a buffer between
+// goroutines; the coordinator reads and clears them between advances.
 type fabShard struct {
-	slot int // index in its tier; worker slot%workers advances it
-	heap repHeap
-	// notes buffers hand-off notifications in the shard's event order.
+	// notes buffers hand-off notifications in event order.
 	notes []handoffNote
 	// stale queues the replicas whose cost-tree leaves a finish hook
 	// left stale; the router re-keys them before its next pick.
@@ -124,93 +112,6 @@ type fabShard struct {
 	sawFinish bool
 }
 
-// repKey is one entry of a shard's replica heap: a global replica and
-// the instant before which the fabric must run it (see fabric.key).
-type repKey struct {
-	at  sim.Time
-	rep int
-}
-
-// repHeap is a binary min-heap of one shard's replicas by key. pos maps
-// a replica, offset by the shard's first replica lo, to its index in
-// ents, so a replica is re-keyed in place after it runs or is touched.
-type repHeap struct {
-	lo   int
-	ents []repKey
-	pos  []int
-}
-
-// due reports whether the heap's earliest replica must run in an
-// advance window: key before the horizon, or at it too under advUntil.
-//
-//det:hotpath
-func (h *repHeap) due(mode int, horizon sim.Time) bool {
-	if len(h.ents) == 0 {
-		return false
-	}
-	if mode == advBefore {
-		return h.ents[0].at < horizon
-	}
-	return h.ents[0].at <= horizon
-}
-
-// set re-keys replica g, already in the heap, to at.
-//
-//det:hotpath
-func (h *repHeap) set(g int, at sim.Time) {
-	i := h.pos[g-h.lo]
-	up := at < h.ents[i].at
-	h.ents[i].at = at
-	if up {
-		h.up(i)
-	} else {
-		h.down(i)
-	}
-}
-
-// up sifts entry i toward the root.
-//
-//det:hotpath
-func (h *repHeap) up(i int) {
-	e := h.ents[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !(e.at < h.ents[p].at) {
-			break
-		}
-		h.ents[i] = h.ents[p]
-		h.pos[h.ents[i].rep-h.lo] = i
-		i = p
-	}
-	h.ents[i] = e
-	h.pos[e.rep-h.lo] = i
-}
-
-// down sifts entry i toward the leaves.
-//
-//det:hotpath
-func (h *repHeap) down(i int) {
-	e := h.ents[i]
-	n := len(h.ents)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && h.ents[c+1].at < h.ents[c].at {
-			c++
-		}
-		if !(h.ents[c].at < e.at) {
-			break
-		}
-		h.ents[i] = h.ents[c]
-		h.pos[h.ents[i].rep-h.lo] = i
-		i = c
-	}
-	h.ents[i] = e
-	h.pos[e.rep-h.lo] = i
-}
-
 // advance modes.
 const (
 	advBefore = iota // RunBefore: strictly before the horizon
@@ -218,12 +119,17 @@ const (
 )
 
 // fabric is the coordinator: the control timeline, the replicas'
-// engines, the shard set and the worker pool that advances shards
-// between control instants.
+// engines, one schedule per tier and the worker pool that forEach fans
+// per-replica work out to.
 type fabric struct {
-	ctl    *sim.Engine
+	ctl *sim.Engine
+	// sched[tier] keys the tier's replicas (see fabric.key); leaf i of
+	// tier t is global replica off[t]+i.
+	sched [2]*minTree
+	off   [2]int
+	// shards[w] is worker w's hook buffers; byRep[g] is replica g's
+	// worker's.
 	shards []*fabShard
-	tiers  [2][]*fabShard
 	byRep  []*fabShard
 	// engs[g] is replica g's simulation engine and cores[g] its TD-Pipe
 	// engine (bound once startEngines built them).
@@ -243,13 +149,13 @@ type fabric struct {
 	dirty   []int
 	isDirty []bool
 
-	cmds []chan fabCmd
+	cmds []chan func(int)
 	done chan struct{}
 
 	notes []handoffNote // canonical-drain scratch
 
-	// onNote consumes one hand-off notification at the barrier
-	// (disagg: accounts the migration and schedules the transfer
+	// onNote consumes one drained hand-off notification (disagg:
+	// accounts the migration and schedules the transfer
 	// completion on ctl). Nil for single-tier fleets.
 	onNote func(replica int, h core.Handoff)
 	// pendingWork reports whether hand-offs are queued for decode-side
@@ -258,13 +164,6 @@ type fabric struct {
 	pendingWork func() bool
 	// drainAt retries queued placements at the lockstep instant.
 	drainAt func()
-}
-
-type fabCmd struct {
-	tier    int
-	mode    int
-	horizon sim.Time
-	each    func(replica int) // set: call it per replica instead (forEach)
 }
 
 // syncCheck, when set, makes the fabric bring every replica up to date
@@ -276,43 +175,27 @@ type fabCmd struct {
 // should have seen it.
 var syncCheck func(replica int, at, touched sim.Time)
 
-// newFabric builds a fabric with the given worker budget. Tiers are
-// added before any engines are constructed.
+// newFabric builds a fabric with a worker count from ResolveWorkers.
+// Tiers are added before any engines are constructed.
 func newFabric(workers int) *fabric {
-	if workers < 1 {
-		workers = 1
+	f := &fabric{ctl: sim.NewEngine(), workers: workers, shards: make([]*fabShard, workers)}
+	for w := range f.shards {
+		f.shards[w] = &fabShard{}
 	}
-	return &fabric{ctl: sim.NewEngine(), workers: workers}
+	return f
 }
 
-// addTier creates the shards for one tier and assigns the next
-// `replicas` global replica indices to them contiguously, each with an
-// engine of its own. Replica event streams are independent of
-// co-tenancy, so any grouping yields identical per-replica results;
-// contiguous blocks keep cache locality.
+// addTier gives one tier its schedule and the next `replicas` global
+// replica indices, each with an engine of its own. forEach splits the
+// tier's replicas across the workers in contiguous blocks, which keep
+// cache locality; replica event streams are independent of co-tenancy,
+// so any split yields identical per-replica results.
 func (f *fabric) addTier(tier, replicas int) {
-	n := f.workers
-	if n > replicas {
-		n = replicas
-	}
-	if n < 1 {
-		n = 1
-	}
-	shards := make([]*fabShard, n)
-	for s := range shards {
-		shards[s] = &fabShard{slot: s}
-	}
-	f.tiers[tier] = shards
-	f.shards = append(f.shards, shards...)
+	n := min(f.workers, replicas)
+	f.sched[tier] = newMinTree(replicas)
+	f.off[tier] = len(f.byRep)
 	for i := 0; i < replicas; i++ {
-		sh := shards[i*n/replicas]
-		g := len(f.byRep)
-		if len(sh.heap.pos) == 0 {
-			sh.heap.lo = g
-		}
-		sh.heap.pos = append(sh.heap.pos, len(sh.heap.ents))
-		sh.heap.ents = append(sh.heap.ents, repKey{at: sim.Infinity, rep: g})
-		f.byRep = append(f.byRep, sh)
+		f.byRep = append(f.byRep, f.shards[i*n/replicas])
 		f.engs = append(f.engs, sim.NewEngine())
 	}
 	f.isDirty = make([]bool, len(f.byRep))
@@ -323,7 +206,7 @@ func (f *fabric) addTier(tier, replicas int) {
 func (f *fabric) bind(cores []*core.Engine) {
 	f.cores = cores
 	for g := range cores {
-		f.byRep[g].heap.set(g, f.key(g))
+		f.rekey(g)
 	}
 }
 
@@ -338,8 +221,32 @@ func (f *fabric) key(g int) sim.Time {
 	return f.engs[g].NextEventTime()
 }
 
+// rekey re-keys replica g in its tier's schedule.
+//
+//det:hotpath
+func (f *fabric) rekey(g int) {
+	tier := 0
+	if f.sched[1] != nil && g >= f.off[1] {
+		tier = 1
+	}
+	f.sched[tier].set(g-f.off[tier], float64(f.key(g)), 0, true)
+}
+
+// due returns the tier's earliest replica when it must run in an
+// advance window (key before the horizon, or at it too under
+// advUntil), -1 otherwise.
+//
+//det:hotpath
+func (f *fabric) due(tier, mode int, horizon sim.Time) int {
+	top := f.sched[tier].nodes[1]
+	at := sim.Time(top.key)
+	if top.rep >= 0 && (at < horizon || (mode == advUntil && at == horizon)) {
+		return f.off[tier] + top.rep
+	}
+	return -1
+}
+
 // catchUp runs replica g through the advance window and re-keys it.
-// Runs on the goroutine that owns g's shard.
 //
 //det:hotpath
 func (f *fabric) catchUp(g, mode int, horizon sim.Time) {
@@ -348,16 +255,17 @@ func (f *fabric) catchUp(g, mode int, horizon sim.Time) {
 	} else {
 		f.engs[g].RunUntil(horizon)
 	}
-	f.byRep[g].heap.set(g, f.key(g))
+	f.rekey(g)
 }
 
-// advance runs every replica of sh whose key falls in the window. A
-// replica it ran is keyed past the window, so each runs once.
+// advance runs every replica of a tier whose key falls in the window,
+// earliest key first, ties to the lower index. A replica it ran is
+// keyed past the window, so each runs once.
 //
 //det:hotpath
-func (f *fabric) advance(sh *fabShard, mode int, horizon sim.Time) {
-	for sh.heap.due(mode, horizon) {
-		f.catchUp(sh.heap.ents[0].rep, mode, horizon)
+func (f *fabric) advance(tier int, horizon sim.Time, mode int) {
+	for g := f.due(tier, mode, horizon); g >= 0; g = f.due(tier, mode, horizon) {
+		f.catchUp(g, mode, horizon)
 	}
 }
 
@@ -389,20 +297,19 @@ func (f *fabric) touch(g int) *core.Engine {
 func (f *fabric) settle() {
 	for _, g := range f.dirty {
 		f.isDirty[g] = false
-		f.byRep[g].heap.set(g, f.key(g))
+		f.rekey(g)
 	}
 	f.dirty = f.dirty[:0]
 }
 
 // note buffers a hand-off notification from a replica's engine hook.
-// Runs on the owning shard's goroutine during an advance.
 func (f *fabric) note(replica int, h core.Handoff) {
 	sh := f.byRep[replica]
 	sh.notes = append(sh.notes, handoffNote{at: h.At, replica: replica, h: h})
 }
 
 // markFinish records that a replica finished a request during the
-// current advance. Runs on the owning shard's goroutine.
+// current advance.
 //
 //det:hotpath
 func (f *fabric) markFinish(replica int) {
@@ -413,7 +320,7 @@ func (f *fabric) markFinish(replica int) {
 }
 
 // queueStale queues a replica whose cost-tree leaf a finish hook left
-// stale. Runs on the owning shard's goroutine.
+// stale.
 //
 //det:hotpath
 func (f *fabric) queueStale(replica int) {
@@ -437,10 +344,10 @@ func (f *fabric) start() {
 		return
 	}
 	f.done = make(chan struct{}, f.workers)
-	f.cmds = make([]chan fabCmd, f.workers)
+	f.cmds = make([]chan func(int), f.workers)
 	for w := range f.cmds {
-		f.cmds[w] = make(chan fabCmd, 1)
-		go f.worker(w, f.cmds[w])
+		f.cmds[w] = make(chan func(int), 1)
+		go f.worker(f.shards[w], f.cmds[w])
 	}
 }
 
@@ -452,29 +359,25 @@ func (f *fabric) stopWorkers() {
 	f.cmds = nil
 }
 
-func (f *fabric) worker(w int, cmds <-chan fabCmd) {
-	for cmd := range cmds {
-		if cmd.each != nil {
-			for i, sh := range f.byRep {
-				if sh.slot%f.workers == w {
-					cmd.each(i)
-				}
+// worker calls each function it receives on the replicas whose hooks
+// write to sh, in index order.
+func (f *fabric) worker(sh *fabShard, cmds <-chan func(int)) {
+	for fn := range cmds {
+		for g, own := range f.byRep {
+			if own == sh {
+				fn(g)
 			}
-			f.done <- struct{}{}
-			continue
-		}
-		shards := f.tiers[cmd.tier]
-		for s := w; s < len(shards); s += f.workers {
-			f.advance(shards[s], cmd.mode, cmd.horizon)
 		}
 		f.done <- struct{}{}
 	}
 }
 
 // forEach calls fn once per replica. While the pool runs, each worker
-// takes the replicas of its own shards in index order, so fn may touch
-// only its replica's engine, its shard and its result slots; otherwise
-// the calls run inline in replica order.
+// takes its own replicas in index order, so fn may touch only its
+// replica's engine, its worker's buffers and its result slots;
+// otherwise the calls run inline in replica order. The channel
+// round-trips form the happens-before edges that hand the replicas
+// between the coordinator and the workers.
 func (f *fabric) forEach(fn func(replica int)) {
 	if f.cmds == nil {
 		for i := range f.byRep {
@@ -483,69 +386,19 @@ func (f *fabric) forEach(fn func(replica int)) {
 		return
 	}
 	for _, c := range f.cmds {
-		c <- fabCmd{each: fn}
+		c <- fn
 	}
 	for range f.cmds {
 		<-f.done
 	}
 }
 
-// advanceTier runs every shard of a tier through the window, fanning
-// the work out to the pool when more than one shard has replicas due
-// there. A lazy fabric advances inline: it runs a replica or two per
-// control event, too little work to pay for waking a worker (its tail
-// after the last control event runs on the pool through forEach). The
-// channel round-trips form the happens-before edges that hand shard
-// ownership between the coordinator and the workers.
-func (f *fabric) advanceTier(tier int, horizon sim.Time, mode int) {
-	shards := f.tiers[tier]
-	if f.cmds == nil || f.lazy {
-		for _, sh := range shards {
-			f.advance(sh, mode, horizon)
-		}
-		return
-	}
-	needy, last := 0, -1
-	for s, sh := range shards {
-		if sh.heap.due(mode, horizon) {
-			needy++
-			last = s
-		}
-	}
-	switch needy {
-	case 0:
-		return
-	case 1:
-		// One busy shard: advancing inline beats waking a worker.
-		f.advance(shards[last], mode, horizon)
-		return
-	}
-	woken := 0
-	cmd := fabCmd{tier: tier, mode: mode, horizon: horizon}
-	for w := 0; w < f.workers; w++ {
-		wake := false
-		for s := w; s < len(shards); s += f.workers {
-			if shards[s].heap.due(mode, horizon) {
-				wake = true
-				break
-			}
-		}
-		if wake {
-			f.cmds[w] <- cmd
-			woken++
-		}
-	}
-	for i := 0; i < woken; i++ {
-		<-f.done
-	}
-}
-
-// drainNotes merges the hand-off notifications buffered by the tier-0
-// shards into canonical (time, replica, local) order and feeds them to
-// the router, which schedules their transfer completions on ctl.
+// drainNotes merges the buffered hand-off notifications into canonical
+// (time, replica, local) order and feeds them to the router, which
+// schedules their transfer completions on ctl.
 func (f *fabric) drainNotes() {
 	f.notes = f.notes[:0]
-	for _, sh := range f.tiers[0] {
+	for _, sh := range f.shards {
 		f.notes = append(f.notes, sh.notes...)
 		sh.notes = sh.notes[:0]
 	}
@@ -569,39 +422,31 @@ func (f *fabric) drainNotes() {
 
 // advanceLater advances the second tier to the (possibly refreshed)
 // horizon t. While hand-offs are queued for decode headroom the tier
-// moves in lockstep — one instant at a time, retrying placement at
+// moves in lockstep — one instant at a time, its schedule's root, retrying placement at
 // every instant where a finish freed KV — because a placement there
 // changes the very next decode events. With nothing queued the whole
-// window is safe in one parallel sweep.
+// window runs in one advance.
 func (f *fabric) advanceLater(t sim.Time) {
 	for f.pendingWork() {
-		h := sim.Infinity
-		for _, sh := range f.tiers[1] {
-			if len(sh.heap.ents) > 0 && sh.heap.ents[0].at < h {
-				h = sh.heap.ents[0].at
-			}
-		}
-		if h >= t {
+		top := f.sched[1].nodes[1]
+		if top.rep < 0 || sim.Time(top.key) >= t {
 			return
 		}
-		for _, sh := range f.tiers[1] {
+		h := sim.Time(top.key)
+		for _, sh := range f.shards {
 			sh.sawFinish = false
 		}
-		f.advanceTier(1, h, advUntil)
-		finished := false
-		for _, sh := range f.tiers[1] {
+		f.advance(1, h, advUntil)
+		for _, sh := range f.shards {
 			if sh.sawFinish {
-				finished = true
+				f.now = h
+				f.drainAt()
+				f.settle()
 				break
 			}
 		}
-		if finished {
-			f.now = h
-			f.drainAt()
-			f.settle()
-		}
 	}
-	f.advanceTier(1, t, advBefore)
+	f.advance(1, t, advBefore)
 }
 
 // drive runs the epoch loop to completion on the worker pool.
@@ -614,14 +459,14 @@ func (f *fabric) drive() {
 // run drives the epoch loop to completion: no control events left,
 // then every replica run to its end.
 func (f *fabric) run() {
-	two := f.tiers[1] != nil
+	two := f.sched[1] != nil
 	for {
 		f.settle()
 		t := f.ctl.NextEventTime()
 		if t == sim.Infinity && !two {
 			break
 		}
-		f.advanceTier(0, t, advBefore)
+		f.advance(0, t, advBefore)
 		if two {
 			f.drainNotes()
 			// Drained hand-offs may have scheduled transfer
@@ -636,7 +481,9 @@ func (f *fabric) run() {
 		f.now = t
 		f.ctl.RunUntil(t)
 		if syncCheck != nil {
-			f.forEach(func(g int) { f.catchUp(g, advBefore, t) })
+			for g := range f.engs {
+				f.catchUp(g, advBefore, t)
+			}
 		}
 	}
 	f.forEach(func(g int) { f.engs[g].Run() })

@@ -184,7 +184,7 @@ func (*random) view() pickView { return viewCounters }
 
 // argminCost returns the replica with the least accumulated cost,
 // breaking ties toward fewer requests, then the lower index. The
-// router's cost tree (costtree.go) keeps the same order.
+// router's cost tree (mintree.go) keeps the same order.
 func argminCost(loads []Load) int {
 	best := 0
 	for i := 1; i < len(loads); i++ {

@@ -169,10 +169,12 @@ const (
 )
 
 // FleetWorkersAuto requests automatic simulation-worker selection for
-// the parallel fleet runners: GOMAXPROCS workers on fleets of at least
-// fleet.AutoWorkerThreshold replicas, sequential below that. A
-// pre-sharded closed-loop fleet reads it, like 0, as one worker per
-// replica.
+// the fleet runners: GOMAXPROCS workers on fleets of at least
+// fleet.AutoWorkerThreshold replicas, sequential below that. Workers
+// run only per-replica work that no routing decision separates: a
+// routed fleet's replicas after the last control event, a pre-sharded
+// one's whole run. A pre-sharded closed-loop fleet reads it, like 0, as
+// one worker per replica.
 const FleetWorkersAuto = fleet.WorkersAuto
 
 // FleetPolicies lists the registered dispatch policies.
@@ -229,8 +231,9 @@ func RunFleet(cfg Config, reqs []Request, fc FleetConfig) (*FleetResult, error) 
 // clock, so results are deterministic for a fixed trace and config.
 // Compare against RunFleet on the same trace to measure what the split
 // buys (TTFT tails under bursts) and costs (transfer time, decode
-// slots). Set dc.Workers (FleetWorkersAuto for automatic selection) to
-// shard the co-simulation across goroutines; results stay
+// slots). dc.Workers (FleetWorkersAuto for automatic selection) sizes
+// the worker pool, which a split fleet leaves idle: its replicas
+// advance on the coordinator through the last hand-off. Results stay
 // byte-identical across worker counts. Set dc.Faults to run a fault
 // plan whose replica indices cover the prefill pool first, then
 // decode: pool replicas crash and recover as under RunFleet, and the
