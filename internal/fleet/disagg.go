@@ -194,9 +194,9 @@ func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, 
 }
 
 // handoff receives a prefill-completed request (drained canonically
-// after the prefill tier's advance) and starts its KV transfer: the whole exported
-// block window crosses the link, so the request becomes placeable on
-// the decode pool only once the transfer completes. The link's minimum
+// after the prefill tier's advance) and starts its KV transfer: the
+// whole exported block window crosses the link, so the request becomes
+// placeable on the decode pool only once the transfer completes. The link's minimum
 // transfer time is the lookahead that keeps the decode tier's
 // conservative advance safe.
 func (ro *router) handoff(replica int, h core.Handoff) {

@@ -422,17 +422,17 @@ func (f *fabric) drainNotes() {
 
 // advanceLater advances the second tier to the (possibly refreshed)
 // horizon t. While hand-offs are queued for decode headroom the tier
-// moves in lockstep — one instant at a time, its schedule's root, retrying placement at
-// every instant where a finish freed KV — because a placement there
-// changes the very next decode events. With nothing queued the whole
-// window runs in one advance.
+// moves in lockstep — to its schedule's root, one instant at a time,
+// retrying placement at every instant where a finish freed KV —
+// because a placement there changes the very next decode events. With
+// nothing queued the whole window runs in one advance.
 func (f *fabric) advanceLater(t sim.Time) {
 	for f.pendingWork() {
 		top := f.sched[1].nodes[1]
-		if top.rep < 0 || sim.Time(top.key) >= t {
+		h := sim.Time(top.key)
+		if top.rep < 0 || h >= t {
 			return
 		}
-		h := sim.Time(top.key)
 		for _, sh := range f.shards {
 			sh.sawFinish = false
 		}
