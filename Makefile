@@ -45,11 +45,15 @@ test:
 # together with the engine it drives (TestConcurrentFleetsRace also
 # runs whole fleets side by side). The second leg re-runs the fabric's
 # determinism suite under the detector with the worker pool forced on
-# (multi-worker online, disagg, prefix and fault runs, plus the
-# cross-shard-boundary property), since those tests hand replicas
-# between the coordinator and the workers on every code path, together
-# with the lazy-advance check (lazy picks against the forced eager
-# schedule at one and four workers).
+# (multi-worker online, prefix and fault runs, plus the
+# cross-shard-boundary property). Those are routed runs, which use the
+# pool in one place: every replica's run to completion after the last
+# control event, handed from the coordinator to the workers and back.
+# (The pre-shard, which builds, runs and finalizes its engines on the
+# pool, is covered by the first leg.) The suite's disagg legs run
+# entirely on the coordinator, since a split fleet always gets one
+# worker. The leg also runs the lazy-advance check (lazy picks against
+# the forced eager schedule at one and four workers).
 race:
 	$(GO) test -race ./internal/fleet/... ./internal/core/...
 	$(GO) test -race -count=1 -run 'TestParallel|TestLazyPicksMatchEager' ./internal/fleet/

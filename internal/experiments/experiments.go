@@ -26,8 +26,8 @@ type Options struct {
 	// fleet.ServeConfig.Workers): routed runs treat 0 or 1 as
 	// sequential and fleet.WorkersAuto as GOMAXPROCS on large fleets;
 	// pre-sharded closed-loop runs read 0 and WorkersAuto as one
-	// worker per replica. Results are byte-identical across worker
-	// counts.
+	// worker per replica; prefill/decode-split runs always use one.
+	// Results are byte-identical across worker counts.
 	Workers int
 }
 

@@ -39,12 +39,10 @@ type DisaggConfig struct {
 	PrefillReplicas int
 	// DecodeReplicas is the number of engines dedicated to decode.
 	DecodeReplicas int
-	// Workers budgets the fabric's worker pool: 0 or 1 runs
-	// sequentially, WorkersAuto picks GOMAXPROCS for fleets of at
-	// least AutoWorkerThreshold replicas. The coordinator advances both
-	// tiers through the last hand-off, so a split fleet leaves its pool
-	// nothing to run; DisaggResult.Workers reports the count. Reports
-	// are byte-identical across worker counts.
+	// Workers is accepted and ignored: the coordinator advances both
+	// tiers through the last hand-off, which leaves a worker pool
+	// nothing to run, so a split fleet always runs on one worker
+	// (DisaggResult.Workers reports it).
 	Workers int
 	// Stack attaches a policy stack to the deployment. Disaggregated
 	// serving honors two components. Autoscaler is scoped to the
@@ -111,7 +109,8 @@ type DisaggResult struct {
 	// Steps counts the simulation events processed across the run's
 	// engines and the router timeline.
 	Steps uint64
-	// Workers is the number of fabric workers the run used.
+	// Workers is the number of fabric workers the run used: always 1
+	// (see DisaggConfig.Workers).
 	Workers int
 }
 
@@ -159,7 +158,10 @@ func RunDisagg(cfg core.Config, dc DisaggConfig, reqs []workload.Request) (*Disa
 	}
 	P, D := dc.PrefillReplicas, dc.DecodeReplicas
 	pre, dec := newPool("prefill ", P, ppolicy), newPool("decode ", D, dpolicy)
-	ro, err := newRouter(cfg, reqs, dc.Workers, dc.Faults, stack, pre, dec)
+	// The coordinator advances both tiers through the last hand-off,
+	// which leaves a worker pool nothing to run: one worker, whatever
+	// dc.Workers asks for.
+	ro, err := newRouter(cfg, reqs, 1, dc.Faults, stack, pre, dec)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,8 @@
 // policy layer (elastic.go) that compose on any run. Every mode runs
 // its replicas on the conservative co-simulation fabric (parallel.go),
 // whose workers take only per-replica work that no control event
-// separates, so reports are byte-identical across worker counts.
+// separates (a prefill/decode split leaves them none, and runs on one),
+// so reports are byte-identical across worker counts.
 //
 // Dispatch is pluggable: a Policy picks a replica per request
 // (round-robin, seeded random, least known work, or predicted-cost

@@ -75,6 +75,9 @@ func TestParallelDisaggByteIdenticalToSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		if res.Workers != 1 {
+			t.Errorf("workers=%d: split fleet ran on %d workers, want 1", workers, res.Workers)
+		}
 		return fullJSON(t, res.Report, res.Records)
 	}
 	seq := run(1)

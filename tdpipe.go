@@ -231,13 +231,13 @@ func RunFleet(cfg Config, reqs []Request, fc FleetConfig) (*FleetResult, error) 
 // clock, so results are deterministic for a fixed trace and config.
 // Compare against RunFleet on the same trace to measure what the split
 // buys (TTFT tails under bursts) and costs (transfer time, decode
-// slots). dc.Workers (FleetWorkersAuto for automatic selection) sizes
-// the worker pool, which a split fleet leaves idle: its replicas
-// advance on the coordinator through the last hand-off. Results stay
-// byte-identical across worker counts. Set dc.Faults to run a fault
-// plan whose replica indices cover the prefill pool first, then
-// decode: pool replicas crash and recover as under RunFleet, and the
-// plan's KV-link windows stretch or cut the hand-off transfers.
+// slots). dc.Workers is ignored: a split fleet's replicas advance on
+// the coordinator through the last hand-off, which leaves a worker
+// pool nothing to run, so it always runs on one worker. Set dc.Faults
+// to run a fault plan whose replica indices cover the prefill pool
+// first, then decode: pool replicas crash and recover as under
+// RunFleet, and the plan's KV-link windows stretch or cut the hand-off
+// transfers.
 func RunDisagg(cfg Config, dc DisaggConfig, reqs []Request) (*DisaggResult, error) {
 	return fleet.RunDisagg(cfg, dc, reqs)
 }
