@@ -274,7 +274,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.BoolVar(&o.oracle, "oracle", false, "use the oracle length predictor instead of the trained classifier")
 	fs.IntVar(&o.replicas, "replicas", 1, "data-parallel TD-Pipe replicas (fleet mode when > 1)")
 	fs.StringVar(&o.policy, "policy", fleet.RoundRobin, "fleet dispatch policy: "+strings.Join(fleet.Names(), ", "))
-	fs.IntVar(&o.workers, "workers", 0, "fleet simulation workers: 0 or 1 sequential, -1 auto (GOMAXPROCS on fleets of 16+ replicas); workers run replicas only where no routing decision separates them: after the last arrival, or a whole closed-loop fleet without layers, which reads 0 and -1 as one per replica; a prefill/decode split always runs on one; reports are byte-identical across counts")
+	fs.IntVar(&o.workers, "workers", 0, "fleet simulation workers: 0 or 1 sequential, -1 auto (GOMAXPROCS on fleets of 16+ replicas); workers run replicas only where no routing decision separates them: after the last arrival, or a whole closed-loop fleet without layers; a prefill/decode split always runs on one; reports are byte-identical across counts")
 	fs.StringVar(&o.arrivals, "arrivals", workload.ArrivalInstant,
 		"arrival process: "+strings.Join(workload.ArrivalKinds(), ", "))
 	fs.Float64Var(&o.rate, "rate", 0, "mean arrival rate in requests/s (required unless -arrivals instant)")

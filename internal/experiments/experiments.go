@@ -23,10 +23,9 @@ type Options struct {
 	// Seed drives trace generation and sampling.
 	Seed int64
 	// Workers budgets every fleet run's simulation workers (see
-	// fleet.ServeConfig.Workers): routed runs treat 0 or 1 as
-	// sequential and fleet.WorkersAuto as GOMAXPROCS on large fleets;
-	// pre-sharded closed-loop runs read 0 and WorkersAuto as one
-	// worker per replica; prefill/decode-split runs always use one.
+	// fleet.ServeConfig.Workers): 0 or 1 is sequential and
+	// fleet.WorkersAuto GOMAXPROCS on large fleets;
+	// prefill/decode-split runs always use one.
 	// Results are byte-identical across worker counts.
 	Workers int
 }

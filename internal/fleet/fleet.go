@@ -126,12 +126,12 @@ type ServeConfig struct {
 	// Policy picks a replica per request (see New).
 	Policy Policy
 	// Workers budgets the fabric's worker pool, which runs replicas
-	// only where no control event separates them. A routed run treats
-	// 0 or 1 as sequential and WorkersAuto as GOMAXPROCS for fleets of
-	// at least AutoWorkerThreshold replicas; its pool runs the replicas
-	// after the last control event. The pre-shard, which has none,
-	// builds, runs and finalizes each engine on the pool and reads 0
-	// and WorkersAuto as one worker per replica.
+	// only where no control event separates them: 0 or 1 is
+	// sequential, WorkersAuto GOMAXPROCS for fleets of at least
+	// AutoWorkerThreshold replicas (see ResolveWorkers). Every run
+	// builds and finalizes its engines on the pool; a routed run's
+	// pool runs the replicas after the last control event, the
+	// pre-shard's, which has none, runs them throughout.
 	Workers int
 	// Faults and Stack attach the fault and policy layers, alone or
 	// together; nil or inactive attaches none.
@@ -195,16 +195,8 @@ func preShard(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result
 	if err != nil {
 		return nil, err
 	}
-	workers := sc.Workers
-	if workers <= 0 {
-		workers = sc.Replicas
-	}
-	fab := newFabric(ResolveWorkers(workers, sc.Replicas))
+	fab := newFabric(ResolveWorkers(sc.Workers, sc.Replicas))
 	fab.addTier(0, sc.Replicas)
-	// Building, starting and finalizing engines is per-replica work
-	// too, so the pool runs for the whole pre-shard.
-	fab.start()
-	defer fab.stopWorkers()
 	engines, err := startEngines(fab, cfg, nil, shards)
 	if err != nil {
 		return nil, err

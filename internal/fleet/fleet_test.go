@@ -419,9 +419,10 @@ func TestPredictedCostFallsBackToOracle(t *testing.T) {
 	}
 }
 
-// TestServeDefaultWorkers pins how Serve reads Workers 0: the
-// pre-shard gives every replica a worker of its own, a routed run stays
-// sequential, and an explicit count holds for both.
+// TestServeDefaultWorkers pins that Serve reads Workers one way on the
+// pre-shard and on routed runs (ResolveWorkers): 0 is sequential, so is
+// WorkersAuto below AutoWorkerThreshold replicas, and an explicit count
+// holds.
 func TestServeDefaultWorkers(t *testing.T) {
 	closed := smallTrace(40, 5)
 	open := workload.StampArrivals(closed, workload.Poisson{Rate: 200}, 7)
@@ -431,10 +432,11 @@ func TestServeDefaultWorkers(t *testing.T) {
 		workers int
 		want    int
 	}{
-		{"pre-shard default", closed, 0, 4},
-		{"pre-shard auto", closed, WorkersAuto, 4},
+		{"pre-shard default", closed, 0, 1},
+		{"pre-shard auto", closed, WorkersAuto, 1},
 		{"pre-shard explicit", closed, 2, 2},
 		{"routed default", open, 0, 1},
+		{"routed auto", open, WorkersAuto, 1},
 		{"routed explicit", open, 2, 2},
 	} {
 		sc := ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: tc.workers}

@@ -43,9 +43,9 @@ func validateArrivals(reqs []workload.Request) error {
 // fault layer (crash recovery under plan, faults.go) and the policy
 // layer (pol, the policy stack, elastic.go). A nil layer means no hook
 // call. Every intervention executes on the fabric's control timeline;
-// only the engines' finish hooks may run on worker goroutines (after
-// the last control event), and those touch replica-indexed slots and
-// their worker's fabric buffers exclusively.
+// only the engines' finish hooks may run on worker goroutines (in the
+// fabric's tail, after the last control event), and there they touch
+// replica-indexed slots exclusively.
 type router struct {
 	ctl  *sim.Engine
 	fab  *fabric
@@ -106,11 +106,10 @@ type pool struct {
 	// pool's next restore or activation dispatches them again.
 	queued []pendingRec
 	// tree ranks the candidates when the policy's pick is argminCost
-	// and no breaker gates the pool (nil otherwise); stale[i] is set
-	// by replica i's finish hook while its leaf waits in its worker's
-	// queue to be re-keyed before the next pick.
-	tree  *minTree
-	stale []bool
+	// and no breaker gates the pool (nil otherwise). Every change to a
+	// leaf's inputs re-keys it at once, the finish hook's included
+	// (except in the fabric's tail, after the last pick).
+	tree *minTree
 	// probe is whether the policy's pick reads the engine probes.
 	probe bool
 	// loads and cand are the per-pick snapshot, reused across picks:
@@ -134,7 +133,7 @@ func (p *pool) plantTree() {
 	if viewOf(p.policy) != viewArgmin || p.breakers != nil {
 		return
 	}
-	p.tree, p.stale = newMinTree(len(p.engines)), make([]bool, len(p.engines))
+	p.tree = newMinTree(len(p.engines))
 	for i := range p.engines {
 		p.fix(i)
 	}
@@ -207,8 +206,8 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 		for i, e := range pools[0].engines {
 			i := i
 			// Hand-offs are discovered while the fabric advances the
-			// prefill tier: buffer them; the fabric drains the buffers
-			// in canonical order after the advance and feeds them to
+			// prefill tier: buffer them; the fabric drains the buffer
+			// in canonical order after the advance and feeds it to
 			// ro.handoff.
 			e.SetHandoff(func(h core.Handoff) { fab.note(i, h) })
 		}
@@ -256,7 +255,7 @@ func (ro *router) replica(g int) (*pool, int) {
 // is dropped with a reason; a fault-free run with stranded hand-offs
 // fails.
 func (ro *router) serve(cfg core.Config, scheduler string) (metrics.Report, []*core.Result, []metrics.RequestRecord, error) {
-	ro.fab.drive()
+	ro.fab.run()
 	switch {
 	case ro.err != nil:
 	case ro.plan != nil:
@@ -394,14 +393,13 @@ func (ro *router) dispatch(pr pendingRec) {
 
 // route picks the replica of pool p that receives r at instant now: -1
 // when no replica is a candidate. ok is false when the policy's pick
-// failed the run. A pool with a cost tree re-keys its stale leaves and
-// reads the root; any other pool builds the snapshot and asks its
+// failed the run. A pool with a cost tree reads its root, whose leaves
+// are all current; any other pool builds the snapshot and asks its
 // policy.
 //
 //det:hotpath
 func (ro *router) route(p *pool, r workload.Request, now float64) (k int, ok bool) {
 	if p.tree != nil {
-		ro.fixStale()
 		k = p.tree.root()
 		if treeCheck != nil {
 			treeCheck(ro, p, r, now, k)
@@ -419,23 +417,6 @@ func (ro *router) route(p *pool, r workload.Request, now float64) (k int, ok boo
 // it picked for r at instant now, -1 for none. Only tests set it, to
 // compare each tree pick with the scan's.
 var treeCheck func(ro *router, p *pool, r workload.Request, now float64, k int)
-
-// fixStale re-keys the tree leaves that finish hooks left stale since
-// the last pick. The hooks may run on worker goroutines and must not
-// touch the shared tree; each queued its replica on its worker's
-// buffers instead.
-//
-//det:hotpath
-func (ro *router) fixStale() {
-	for _, sh := range ro.fab.shards {
-		for _, g := range sh.stale {
-			p, i := ro.replica(g)
-			p.stale[i] = false
-			p.fix(i)
-		}
-		sh.stale = sh.stale[:0]
-	}
-}
 
 // snapshot fills pool p's reusable load view for routing r right now,
 // one row per candidate replica: the live replicas (under the fault
@@ -541,19 +522,20 @@ func (ro *router) record(p *pool, r workload.Request, origin, k, local int) {
 // finished is the engines' completion hook: it retires the request's
 // contribution from its replica's counters in O(1), counts the terminal
 // finish (a prefill replica's hand-off included; the hand-off hook
-// takes it back), queues a tree leaf the retirement left stale on the
-// replica's worker buffers, and flags the finish there, where the
-// fabric's decode lockstep looks for it.
+// takes it back), re-keys the replica's tree leaf and flags the finish
+// on the fabric, where its decode lockstep looks for it. In the
+// fabric's tail the hook may run on a worker goroutine; there it
+// leaves the shared tree and flag alone, since no pick or lockstep
+// follows.
 //
 //det:hotpath
 func (ro *router) finished(p *pool, i, local int) {
 	ro.led.fin[p.retire(i, local)]++
-	if p.tree != nil && !p.stale[i] {
-		p.stale[i] = true
-		ro.fab.queueStale(p.off + i)
-	}
 	if ro.pol != nil {
 		ro.policyFinished(p, i, local)
+	}
+	if !ro.fab.tail {
+		p.fix(i)
 	}
 	ro.fab.markFinish(p.off + i)
 }
@@ -612,7 +594,7 @@ func (b *books) retire(k, local int) int {
 // pre-shard), empty and waiting for submissions otherwise. The fabric
 // keys its replicas from the started engines.
 func startEngines(fab *fabric, cfg core.Config, plan *faults.Plan, shards []Shard) ([]*core.Engine, error) {
-	engines := make([]*core.Engine, len(fab.byRep))
+	engines := make([]*core.Engine, len(fab.engs))
 	errs := make([]error, len(engines))
 	fab.forEach(func(i int) {
 		e, err := core.NewEngine(fab.engs[i], replicaConfig(cfg, plan, i))

@@ -160,7 +160,7 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	var kv kvcache.ExportedSeq
 	note := ro.fab.onNote
 	ro.fab.onNote = func(replica int, h core.Handoff) { kv = h.KV; note(replica, h) }
-	drive(t, ro)
+	runToEnd(t, ro)
 	if kv.Blocks() == 0 {
 		t.Fatal("no hand-off exported KV")
 	}
@@ -188,7 +188,7 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	if !fab.lazy {
 		t.Fatal("a predicted-cost pool without layers advances eagerly")
 	}
-	origin, routed := len(reqs)-1, 0
+	origin, routed, rekeyed := len(reqs)-1, 0, 0
 	arrive := func() {
 		// One replica's finish bound falls before the arrival: the
 		// advance takes it from the root, catches it up and re-keys it.
@@ -203,6 +203,10 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 		local := len(ranked.entries[k])
 		ro.record(ranked, r, origin, k, local)
 		ro.finished(ranked, k, local)
+		// The hook re-keys the picked leaf in place.
+		if ranked.tree.nodes[ranked.tree.size+k].key == ranked.out[k].CostTokens {
+			rekeyed++
+		}
 		ranked.entries[k] = ranked.entries[k][:local]
 		ranked.shards[k].Origin = ranked.shards[k].Origin[:local]
 		fab.settle()
@@ -211,8 +215,8 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, arrive); allocs != 0 {
 		t.Errorf("a cost-ranked arrival allocates %v times per run, want 0", allocs)
 	}
-	if routed != 101 || len(fab.shards[0].stale) != 1 {
-		t.Errorf("routed %d of 101 arrivals, %d leaves left stale (want 1)", routed, len(fab.shards[0].stale))
+	if routed != 101 || rekeyed != routed {
+		t.Errorf("routed %d of 101 arrivals, the finish hook re-keyed the picked leaf in %d", routed, rekeyed)
 	}
 	for g := range ranked.engines {
 		if at := sim.Time(fab.sched[0].nodes[fab.sched[0].size+g].key); at != sim.Infinity {
@@ -222,11 +226,13 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 }
 
 // drivenRouter runs reqs to the end on a router over pools and returns
-// it with its engines still live.
+// it with its engines still live, out of the fabric's tail, so that
+// arrivals routed by hand book and retire as between control events.
 func drivenRouter(t testing.TB, reqs []workload.Request, stack *policy.Stack, pools ...*pool) *router {
 	t.Helper()
 	ro := newTestRouter(t, reqs, stack, pools...)
-	drive(t, ro)
+	runToEnd(t, ro)
+	ro.fab.tail = false
 	return ro
 }
 
@@ -240,10 +246,10 @@ func newTestRouter(t testing.TB, reqs []workload.Request, stack *policy.Stack, p
 	return ro
 }
 
-// drive runs ro to the end and fails t on a router error.
-func drive(t testing.TB, ro *router) {
+// runToEnd runs ro to the end and fails t on a router error.
+func runToEnd(t testing.TB, ro *router) {
 	t.Helper()
-	ro.fab.drive()
+	ro.fab.run()
 	if ro.err != nil {
 		t.Fatal(ro.err)
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -49,13 +50,15 @@ import (
 // few replicas for short stretches, too little to pay for waking a
 // worker. The worker pool runs only per-replica work that no control
 // event separates, through forEach: building, starting and finalizing
-// the pre-shard's engines, and running every replica to completion
-// after the last control event. Reports are therefore byte-identical at
-// every worker count: a replica's events never depend on when or where
-// it runs (engines share no state), hook buffers are drained in a
-// canonical order, and every cross-replica decision is the
-// coordinator's. The determinism suite (parallel_test.go) enforces this
-// for online, disagg, prefix-affinity and fault runs, and
+// every run's engines, and running every replica to completion after
+// the last control event (the tail). Reports are therefore
+// byte-identical at every worker count: a replica's events never
+// depend on when or where it runs (engines share no state), hand-off
+// notes are drained in a canonical order, every cross-replica decision
+// is the coordinator's, and in the tail, the only events run off the
+// coordinator, finish hooks write no shared state (fabric.tail). The
+// determinism suite (parallel_test.go) enforces this for online,
+// disagg, prefix-affinity and fault runs, and
 // TestLazyPicksMatchEager holds lazy runs to the eager schedule. A
 // split fleet's coordinator advances both tiers through the last
 // hand-off, which leaves a pool nothing to run, so RunDisagg gives a
@@ -98,23 +101,6 @@ type handoffNote struct {
 	h       core.Handoff
 }
 
-// fabShard is one worker's hook buffers. A replica's hooks write to
-// the buffers of the worker forEach gives it, so the final run to
-// completion, the only one on the pool, never shares a buffer between
-// goroutines; the coordinator reads and clears them between advances.
-type fabShard struct {
-	// notes buffers hand-off notifications in event order.
-	notes []handoffNote
-	// stale queues the replicas whose cost-tree leaves a finish hook
-	// left stale; the router re-keys them before its next pick.
-	stale []int
-	// sawFinish is set by finish hooks during an advance; the
-	// coordinator polls and clears it while lockstepping the decode
-	// tier through instants where queued hand-offs may become
-	// placeable.
-	sawFinish bool
-}
-
 // advance modes.
 const (
 	advBefore = iota // RunBefore: strictly before the horizon
@@ -122,7 +108,7 @@ const (
 )
 
 // fabric is the coordinator: the control timeline, the replicas'
-// engines, one schedule per tier and the worker pool that forEach fans
+// engines, one schedule per tier and the worker count forEach fans
 // per-replica work out to.
 type fabric struct {
 	ctl *sim.Engine
@@ -130,10 +116,6 @@ type fabric struct {
 	// tier t is global replica off[t]+i.
 	sched [2]*minTree
 	off   [2]int
-	// shards[w] is worker w's hook buffers; byRep[g] is replica g's
-	// worker's.
-	shards []*fabShard
-	byRep  []*fabShard
 	// engs[g] is replica g's simulation engine and cores[g] its TD-Pipe
 	// engine (bound once startEngines built them).
 	engs    []*sim.Engine
@@ -152,10 +134,17 @@ type fabric struct {
 	dirty   []int
 	isDirty []bool
 
-	cmds []chan func(int)
-	done chan struct{}
-
-	notes []handoffNote // canonical-drain scratch
+	// notes buffers the prefill hooks' hand-off notifications in event
+	// order until the next drain. sawFinish is set by finish hooks
+	// during an advance; the coordinator polls and clears it while
+	// lockstepping the decode tier through instants where queued
+	// hand-offs may become placeable.
+	notes     []handoffNote
+	sawFinish bool
+	// tail is set for the run to completion after the last control
+	// event, which may run on the pool: finish hooks then write no
+	// shared state (nothing reads it afterwards).
+	tail bool
 
 	// onNote consumes one drained hand-off notification (disagg:
 	// accounts the migration and schedules the transfer
@@ -181,27 +170,18 @@ var syncCheck func(replica int, at, touched sim.Time)
 // newFabric builds a fabric with a worker count from ResolveWorkers.
 // Tiers are added before any engines are constructed.
 func newFabric(workers int) *fabric {
-	f := &fabric{ctl: sim.NewEngine(), workers: workers, shards: make([]*fabShard, workers)}
-	for w := range f.shards {
-		f.shards[w] = &fabShard{}
-	}
-	return f
+	return &fabric{ctl: sim.NewEngine(), workers: workers}
 }
 
 // addTier gives one tier its schedule and the next `replicas` global
-// replica indices, each with an engine of its own. forEach splits the
-// tier's replicas across the workers in contiguous blocks, which keep
-// cache locality; replica event streams are independent of co-tenancy,
-// so any split yields identical per-replica results.
+// replica indices, each with an engine of its own.
 func (f *fabric) addTier(tier, replicas int) {
-	n := min(f.workers, replicas)
 	f.sched[tier] = newMinTree(replicas)
-	f.off[tier] = len(f.byRep)
+	f.off[tier] = len(f.engs)
 	for i := 0; i < replicas; i++ {
-		f.byRep = append(f.byRep, f.shards[i*n/replicas])
 		f.engs = append(f.engs, sim.NewEngine())
 	}
-	f.isDirty = make([]bool, len(f.byRep))
+	f.isDirty = make([]bool, len(f.engs))
 }
 
 // bind attaches the replicas' TD-Pipe engines and keys every replica
@@ -306,29 +286,24 @@ func (f *fabric) settle() {
 }
 
 // note buffers a hand-off notification from a replica's engine hook.
+// Hand-offs happen only in advances, which run on the coordinator: a
+// split fleet advances both tiers through the last hand-off.
 func (f *fabric) note(replica int, h core.Handoff) {
-	sh := f.byRep[replica]
-	sh.notes = append(sh.notes, handoffNote{at: h.At, replica: replica, h: h})
+	f.notes = append(f.notes, handoffNote{at: h.At, replica: replica, h: h})
 }
 
 // markFinish records that a replica finished a request during the
-// current advance.
+// current advance. In the tail it sets no flag; syncCheck still sees
+// every finish.
 //
 //det:hotpath
 func (f *fabric) markFinish(replica int) {
-	f.byRep[replica].sawFinish = true
+	if !f.tail {
+		f.sawFinish = true
+	}
 	if syncCheck != nil {
 		syncCheck(replica, f.engs[replica].Now(), f.touched)
 	}
-}
-
-// queueStale queues a replica whose cost-tree leaf a finish hook left
-// stale.
-//
-//det:hotpath
-func (f *fabric) queueStale(replica int) {
-	sh := f.byRep[replica]
-	sh.stale = append(sh.stale, replica) //det:ignore hotalloc amortized growth; the queue empties at every pick and holds each replica at most once
 }
 
 // Steps sums the events processed across the control timeline and all
@@ -341,70 +316,39 @@ func (f *fabric) Steps() uint64 {
 	return total
 }
 
-// start launches the worker pool (no-op for sequential runs).
-func (f *fabric) start() {
+// forEach calls fn once per replica. With one worker the calls run
+// inline in replica order. Otherwise worker w runs the contiguous block
+// [w·n/W, (w+1)·n/W) of the n replicas in index order on a goroutine of
+// its own, so fn may touch only its replica's engine and result slots;
+// the goroutine starts and the WaitGroup form the happens-before edges
+// that hand the replicas between the coordinator and the workers.
+// Replica event streams are independent of co-tenancy, so any split
+// yields identical per-replica results.
+func (f *fabric) forEach(fn func(replica int)) {
+	n := len(f.engs)
 	if f.workers <= 1 {
+		for g := 0; g < n; g++ {
+			fn(g)
+		}
 		return
 	}
-	f.done = make(chan struct{}, f.workers)
-	f.cmds = make([]chan func(int), f.workers)
-	for w := range f.cmds {
-		f.cmds[w] = make(chan func(int), 1)
-		go f.worker(f.shards[w], f.cmds[w])
-	}
-}
-
-// stopWorkers shuts the pool down; safe to call twice.
-func (f *fabric) stopWorkers() {
-	for _, c := range f.cmds {
-		close(c)
-	}
-	f.cmds = nil
-}
-
-// worker calls each function it receives on the replicas whose hooks
-// write to sh, in index order.
-func (f *fabric) worker(sh *fabShard, cmds <-chan func(int)) {
-	for fn := range cmds {
-		for g, own := range f.byRep {
-			if own == sh {
+	var wg sync.WaitGroup
+	for w := 0; w < f.workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for g := lo; g < hi; g++ {
 				fn(g)
 			}
-		}
-		f.done <- struct{}{}
+		}(w*n/f.workers, (w+1)*n/f.workers)
 	}
+	wg.Wait()
 }
 
-// forEach calls fn once per replica. While the pool runs, each worker
-// takes its own replicas in index order, so fn may touch only its
-// replica's engine, its worker's buffers and its result slots;
-// otherwise the calls run inline in replica order. The channel
-// round-trips form the happens-before edges that hand the replicas
-// between the coordinator and the workers.
-func (f *fabric) forEach(fn func(replica int)) {
-	if f.cmds == nil {
-		for i := range f.byRep {
-			fn(i)
-		}
-		return
-	}
-	for _, c := range f.cmds {
-		c <- fn
-	}
-	for range f.cmds {
-		<-f.done
-	}
-}
-
-// drainNotes merges the buffered hand-off notifications into canonical
-// (time, replica, local) order and feeds them to the router, which
-// schedules their transfer completions on ctl.
+// drainNotes sorts the buffered hand-off notifications into canonical
+// (time, replica, local) order, feeds them to the router, which
+// schedules their transfer completions on ctl, and empties the buffer.
 func (f *fabric) drainNotes() {
-	f.notes = f.notes[:0]
-	for _, sh := range f.shards {
-		f.notes = append(f.notes, sh.notes...)
-		sh.notes = sh.notes[:0]
-	}
 	if len(f.notes) == 0 {
 		return
 	}
@@ -421,6 +365,7 @@ func (f *fabric) drainNotes() {
 	for i := range f.notes {
 		f.onNote(f.notes[i].replica, f.notes[i].h)
 	}
+	f.notes = f.notes[:0]
 }
 
 // advanceLater advances the second tier to the (possibly refreshed)
@@ -436,27 +381,15 @@ func (f *fabric) advanceLater(t sim.Time) {
 		if top.rep < 0 || h >= t {
 			return
 		}
-		for _, sh := range f.shards {
-			sh.sawFinish = false
-		}
+		f.sawFinish = false
 		f.advance(1, h, advUntil)
-		for _, sh := range f.shards {
-			if sh.sawFinish {
-				f.now = h
-				f.drainAt()
-				f.settle()
-				break
-			}
+		if f.sawFinish {
+			f.now = h
+			f.drainAt()
+			f.settle()
 		}
 	}
 	f.advance(1, t, advBefore)
-}
-
-// drive runs the epoch loop to completion on the worker pool.
-func (f *fabric) drive() {
-	f.start()
-	defer f.stopWorkers()
-	f.run()
 }
 
 // run drives the epoch loop to completion: no control events left,
@@ -489,5 +422,6 @@ func (f *fabric) run() {
 			}
 		}
 	}
+	f.tail = true
 	f.forEach(func(g int) { f.engs[g].Run() })
 }

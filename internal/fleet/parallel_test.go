@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/faults"
@@ -269,6 +271,59 @@ func TestInvalidArrivalsRejectedByAllRouters(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParallelForEachCoversEveryReplica holds forEach to its split:
+// every replica of a single- or two-tier fabric runs exactly once, on
+// the calling goroutine with one worker, and otherwise in one
+// contiguous block per worker goroutine. Each call writes only its
+// replica's slots, so under the race detector a replica run on two
+// goroutines also shows as a race.
+func TestParallelForEachCoversEveryReplica(t *testing.T) {
+	self := goroutineID()
+	for n := 1; n <= 17; n++ {
+		for tiers := 1; tiers <= min(2, n); tiers++ {
+			for w := 1; w <= 8; w++ {
+				f := newFabric(ResolveWorkers(w, n))
+				f.addTier(0, n-(tiers-1)*n/2)
+				if tiers == 2 {
+					f.addTier(1, n/2)
+				}
+				calls, gids := make([]int, n), make([]uint64, n)
+				f.forEach(func(g int) {
+					calls[g]++
+					gids[g] = goroutineID()
+				})
+				name := fmt.Sprintf("replicas=%d tiers=%d workers=%d", n, tiers, f.workers)
+				blocks, seen := 0, map[uint64]bool{}
+				for g := range calls {
+					if calls[g] != 1 {
+						t.Errorf("%s: replica %d ran %d times, want 1", name, g, calls[g])
+					}
+					if g > 0 && gids[g] == gids[g-1] {
+						continue
+					}
+					if seen[gids[g]] {
+						t.Errorf("%s: replica %d runs on a goroutine outside its block", name, g)
+					}
+					seen[gids[g]] = true
+					blocks++
+				}
+				if blocks != f.workers || (f.workers == 1) != (gids[0] == self) {
+					t.Errorf("%s: %d goroutine blocks (caller's first: %v), want one per worker, the caller's only when sequential", name, blocks, gids[0] == self)
+				}
+			}
+		}
+	}
+}
+
+// goroutineID parses the calling goroutine's id from its stack header
+// ("goroutine 7 [running]:").
+func goroutineID() uint64 {
+	var buf [32]byte
+	var id uint64
+	fmt.Sscanf(string(buf[:runtime.Stack(buf[:], false)]), "goroutine %d ", &id)
+	return id
 }
 
 func TestResolveWorkers(t *testing.T) {

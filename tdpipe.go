@@ -173,8 +173,7 @@ const (
 // fleet.AutoWorkerThreshold replicas, sequential below that. Workers
 // run only per-replica work that no routing decision separates: a
 // routed fleet's replicas after the last control event, a pre-sharded
-// one's whole run. A pre-sharded closed-loop fleet reads it, like 0, as
-// one worker per replica.
+// one's whole run.
 const FleetWorkersAuto = fleet.WorkersAuto
 
 // FleetPolicies lists the registered dispatch policies.
