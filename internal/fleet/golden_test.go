@@ -133,6 +133,9 @@ func goldenRuns() []goldenRun {
 	prefix := prefixOnlineTrace(300, 41, 8000, 32, 512)
 	faultReqs := faultTrace(240, 29)
 	closed := smallTrace(400, 23)
+	closedPrefix := prefixClosedTrace(300, 43, 32, 512)
+	noCache := cfg
+	noCache.DisablePrefixCache = true
 	const faultHorizon = 0.2
 	return []goldenRun{
 		{name: "offline-predicted-8", run: func(t *testing.T, workers int) goldenOut {
@@ -143,6 +146,30 @@ func goldenRuns() []goldenRun {
 			if !strings.HasPrefix(rep.Scheduler, "Fleet(") {
 				t.Errorf("closed-loop run left the pre-shard: %s", rep.Scheduler)
 			}
+		}},
+		{name: "offline-prefix-4", run: func(t *testing.T, workers int) goldenOut {
+			res, err := Serve(cfg, closedPrefix, ServeConfig{Replicas: 4, Policy: mustPolicy(t, PrefixAffinity, Options{}), Workers: workers})
+			return serveOut(t, res, err)
+		}, check: func(t *testing.T, out goldenOut) {
+			if rep := out.Report; !strings.HasPrefix(rep.Scheduler, "Fleet(") || rep.PrefixCachedTokens == 0 {
+				t.Errorf("closed-loop prefix run: %s, %d cached tokens", rep.Scheduler, rep.PrefixCachedTokens)
+			}
+		}},
+		{name: "offline-prefix-nocache-4", run: func(t *testing.T, workers int) goldenOut {
+			res, err := Serve(noCache, closedPrefix, ServeConfig{Replicas: 4, Policy: mustPolicy(t, PrefixAffinity, Options{}), Workers: workers})
+			return serveOut(t, res, err)
+		}, check: func(t *testing.T, out goldenOut) {
+			if rep := out.Report; rep.PrefixCachedTokens != 0 {
+				t.Errorf("prefix cache off, yet %d cached tokens", rep.PrefixCachedTokens)
+			}
+		}},
+		{name: "offline-decode-affinity-2", run: func(t *testing.T, workers int) goldenOut {
+			res, err := Serve(cfg, closedPrefix, ServeConfig{Replicas: 2, Policy: mustPolicy(t, DecodeAffinity, Options{}), Workers: workers})
+			return serveOut(t, res, err)
+		}},
+		{name: "offline-least-work-1", run: func(t *testing.T, workers int) goldenOut {
+			res, err := Serve(cfg, closedPrefix, ServeConfig{Replicas: 1, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers})
+			return serveOut(t, res, err)
 		}},
 		{name: "online-prefix-8", run: func(t *testing.T, workers int) goldenOut {
 			res, err := Serve(cfg, prefix, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PrefixAffinity, Options{}), Workers: workers})
@@ -244,7 +271,9 @@ func goldenRuns() []goldenRun {
 // committed digest: the SHA-256 of the JSON report and per-request
 // records (plus, for a disaggregated run, its hand-off accounting and
 // both pools' shard origins), identical at one worker and at four. The
-// configurations cover the offline pre-shard of a closed-loop trace,
+// configurations cover closed-loop traces (predicted-cost at 8
+// replicas; on a shared-prefix trace, prefix-affinity at 4 with the
+// prefix cache on and off, decode-affinity at 2 and least-work alone),
 // plain routing with prefix affinity (8 replicas and a lone one) and
 // with predicted-cost (64 replicas), the fault layer (crashes, checkpoints, stragglers, power and network
 // domain outages), the policy layer (autoscaler, admission, retry,

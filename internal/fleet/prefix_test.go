@@ -6,14 +6,20 @@ import (
 	"repro/internal/workload"
 )
 
-func prefixOnlineTrace(n int, seed int64, rate float64, groups, plen int) []workload.Request {
+// prefixClosedTrace is a closed-loop (every arrival at t=0) trace of n
+// requests over groups shared prefixes of mean length plen.
+func prefixClosedTrace(n int, seed int64, groups, plen int) []workload.Request {
 	reqs, err := workload.StampPrefixes(smallTrace(n, seed), workload.PrefixConfig{
 		Groups: groups, PrefixLen: plen, Turns: 3, Seed: seed + 50,
 	})
 	if err != nil {
 		panic(err)
 	}
-	return workload.StampArrivals(reqs, workload.Poisson{Rate: rate}, seed+7)
+	return reqs
+}
+
+func prefixOnlineTrace(n int, seed int64, rate float64, groups, plen int) []workload.Request {
+	return workload.StampArrivals(prefixClosedTrace(n, seed, groups, plen), workload.Poisson{Rate: rate}, seed+7)
 }
 
 // The acceptance gate of the prefix tentpole: on a shared-prefix trace
