@@ -274,7 +274,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.BoolVar(&o.oracle, "oracle", false, "use the oracle length predictor instead of the trained classifier")
 	fs.IntVar(&o.replicas, "replicas", 1, "data-parallel TD-Pipe replicas (fleet mode when > 1)")
 	fs.StringVar(&o.policy, "policy", fleet.RoundRobin, "fleet dispatch policy: "+strings.Join(fleet.Names(), ", "))
-	fs.IntVar(&o.workers, "workers", 0, "fleet simulation workers: 0 or 1 sequential, -1 auto (GOMAXPROCS on fleets of 16+ replicas); workers run replicas only where no routing decision separates them: after the last arrival, or a whole closed-loop fleet without layers; a prefill/decode split always runs on one; reports are byte-identical across counts")
+	fs.IntVar(&o.workers, "workers", 0, "fleet simulation workers: 0 or 1 sequential, -1 auto (GOMAXPROCS on fleets of 16+ replicas); workers run replicas only where no routing decision separates them, after the last arrival (t=0 for a closed-loop trace); a prefill/decode split always runs on one; reports are byte-identical across counts")
 	fs.StringVar(&o.arrivals, "arrivals", workload.ArrivalInstant,
 		"arrival process: "+strings.Join(workload.ArrivalKinds(), ", "))
 	fs.Float64Var(&o.rate, "rate", 0, "mean arrival rate in requests/s (required unless -arrivals instant)")
@@ -481,8 +481,7 @@ func exportAggregate(dir string, rep metrics.Report) error {
 }
 
 // runFleet serves the sample on data-parallel TD-Pipe replicas through
-// fleet.Serve: the offline pre-shard for a closed-loop trace without
-// layers, the shared-clock online router otherwise.
+// fleet.Serve's shared-clock router.
 func runFleet(o options, node hw.Node, spec model.Spec, pool, reqs []workload.Request, open bool) error {
 	cfg, err := engineConfig(o, node, spec, pool)
 	if err != nil {

@@ -162,15 +162,15 @@ func runOutput(t *testing.T, args ...string) string {
 	return strings.Join(kept, "")
 }
 
-// TestInactivePlanPreShards pins the route of a closed-loop fleet whose
-// fault flags draw a plan that schedules nothing: it is pre-sharded and
-// prints the same bytes as the run without fault flags.
+// TestInactivePlanPreShards pins a closed-loop fleet whose fault flags
+// draw a plan that schedules nothing: it keeps the layer-free Fleet
+// label and prints the same bytes as the run without fault flags.
 func TestInactivePlanPreShards(t *testing.T) {
 	tiny := []string{"-replicas", "4", "-requests", "40", "-pool", "200", "-oracle"}
 	plain := runOutput(t, tiny...)
 	inactive := runOutput(t, append([]string{"-mtbf", "1e9", "-fault-horizon", "1"}, tiny...)...)
 	if !strings.Contains(plain, "Fleet(TD-Pipe/round-robin)x4") {
-		t.Fatalf("plain closed-loop fleet not pre-sharded:\n%s", plain)
+		t.Fatalf("plain closed-loop fleet lost its Fleet label:\n%s", plain)
 	}
 	if inactive != plain {
 		t.Fatalf("inactive plan changed the output:\n--- plain\n%s--- inactive plan\n%s", plain, inactive)

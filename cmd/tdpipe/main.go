@@ -48,7 +48,7 @@ func main() {
 		pool     = flag.Int("pool", 0, "corpus size (default: quick scale)")
 		seed     = flag.Int64("seed", 1, "trace seed")
 		paper    = flag.Bool("paper", false, "use paper-scale options (86,612-pair corpus, 5,000 requests)")
-		workers  = flag.Int("workers", 0, "fleet simulation workers for every fleet experiment (0/1 sequential, -1 auto: GOMAXPROCS on fleets of 16+ replicas; workers run replicas only after the last routing decision, and pre-sharded closed-loop fleets throughout); results are byte-identical across counts")
+		workers  = flag.Int("workers", 0, "fleet simulation workers for every fleet experiment (0/1 sequential, -1 auto: GOMAXPROCS on fleets of 16+ replicas; workers run replicas only after the last routing decision, at t=0 for closed-loop fleets); results are byte-identical across counts")
 	)
 	flag.Parse()
 

@@ -14,9 +14,9 @@ const fabricFile = "internal/fleet/parallel.go"
 // Goroutine forbids `go` statements and channel `select` outside the
 // parallel fabric (internal/fleet/parallel.go): all other concurrency
 // must ride the control timeline, or replica interleavings leak into
-// reports. The analyzer covers every package, and every fleet mode,
-// the offline pre-shard included, runs its replicas on the fabric, so
-// no other file needs a carve-out or a //det:ignore.
+// reports. The analyzer covers every package, and every fleet mode
+// runs its replicas on the fabric, so no other file needs a carve-out
+// or a //det:ignore.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
 	Doc:  "forbid go statements and select outside the parallel fabric",

@@ -161,6 +161,37 @@ func TestCrashLifecycleGuards(t *testing.T) {
 	if _, err := e.Finalize(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Before the start event an engine reports the warmth of what was
+	// submitted; a crash before that event voids it, and the restored
+	// engine reads live residency.
+	eng = sim.NewEngine()
+	if e, err = NewEngine(eng, fastConfig(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.StartOnline(); err != nil {
+		t.Fatal(err)
+	}
+	r.PrefixGroup, r.PrefixLen = 3, min(64, r.InputLen)
+	if _, err := e.Submit(r); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.PrefixWarmTokens(r); got != r.PrefixLen {
+		t.Fatalf("before the start event: %d warm tokens, want the submitted %d", got, r.PrefixLen)
+	}
+	if _, err := e.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.PrefixWarmTokens(r); got != 0 {
+		t.Fatalf("restored after a crash before the start event: %d warm tokens, want 0 resident", got)
+	}
+	eng.Run()
+	if _, err := e.Finalize(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSubmitRecoveredValidation(t *testing.T) {

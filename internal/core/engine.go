@@ -209,6 +209,11 @@ type Engine struct {
 	// idle is true when both planes are drained and the engine is
 	// waiting for the next arrival; the arrival kicks a prefill phase.
 	idle bool
+	// warm maps each prefix group submitted before the start event to
+	// its longest usable prefix, the warmth PrefixWarmTokens reports
+	// while nothing is resident yet. It exists only from StartOnline to
+	// the start event (or a crash before it).
+	warm map[int]int
 
 	// dead is true between Crash and Restore (no work is accepted);
 	// aborted counts requests lost to crashes (Finalize's balance
@@ -401,21 +406,17 @@ func (e *Engine) Run(reqs []workload.Request) (*Result, error) {
 	return e.Finalize()
 }
 
-// Start seeds the trace and schedules its arrivals without running the
-// simulation — the entry point for co-simulated deployments (e.g. a
-// fleet sharing one virtual clock). Requests already due at the current
-// virtual time are admitted immediately; later ones are scheduled as
-// arrival events. Drive the shared sim.Engine to completion, then call
-// Finalize.
+// Start is StartOnline followed by one submission per request of a
+// trace with dense IDs, without running the simulation. Requests due at
+// the current virtual time join the start event's first batch; later
+// ones are scheduled as arrival events. Drive the sim.Engine to
+// completion, then call Finalize.
 func (e *Engine) Start(reqs []workload.Request) error {
-	if e.running {
-		return fmt.Errorf("core: engine already used")
+	if err := e.StartOnline(); err != nil {
+		return err
 	}
-	e.running = true
-
 	e.states = make([]*reqState, 0, len(reqs))
 	e.seqs = make([]seqState, 0, len(reqs))
-	e.waiting.Reset()
 	for i, r := range reqs {
 		if r.ID != i {
 			return fmt.Errorf("core: request IDs must be dense 0..n-1 (got %d at %d)", r.ID, i)
@@ -424,24 +425,39 @@ func (e *Engine) Start(reqs []workload.Request) error {
 			return err
 		}
 	}
-	if e.waiting.Len() > 0 {
-		e.startPrefillPhase()
-	} else {
-		e.idle = true
-	}
 	return nil
 }
 
 // StartOnline prepares an empty engine to accept Submit calls on its
-// (possibly shared) simulation. The engine sits idle until the first
-// submission.
+// (possibly shared) simulation and schedules its first phase decision,
+// the start event, at the current instant. A fleet's control events at
+// an instant run before its replicas' events there, so every
+// submission at the start instant joins the first prefill batch.
 func (e *Engine) StartOnline() error {
 	if e.running {
 		return fmt.Errorf("core: engine already used")
 	}
 	e.running = true
-	e.idle = true
+	e.warm = make(map[int]int)
+	e.eng.AtFunc(e.eng.Now(), startEvent, e, e.epoch, 0)
 	return nil
+}
+
+// startEvent is the engine's first phase decision (AtFunc: ctx is the
+// engine, a the epoch that scheduled it; a crash before it voids it and
+// leaves the engine idle): it launches the prefill phase when requests
+// are queued and goes idle otherwise.
+func startEvent(ctx any, ep, _ int) {
+	e := ctx.(*Engine)
+	if ep != e.epoch {
+		return
+	}
+	e.warm = nil
+	if e.waiting.Len() > 0 {
+		e.startPrefillPhase()
+	} else {
+		e.idle = true
+	}
 }
 
 // Submit hands the engine one request at the current virtual time,
@@ -615,6 +631,7 @@ func (e *Engine) Crash(restartAt sim.Time) ([]Lost, error) {
 	// was never allowed to drain naturally reports Elapsed 0.
 	e.finish(now)
 	e.idle = true
+	e.warm = nil
 	return lost, nil
 }
 
@@ -803,11 +820,15 @@ func arrivalEvent(ctx any, id, ep int) {
 }
 
 // addRequest registers one request: due requests are admitted right
-// away (a bare queue append while Start seeds with idle unset), future
-// ones become arrival events.
+// away (a bare queue append before the start event), future ones become
+// arrival events. Before the start event it also notes r's prefix
+// warmth.
 func (e *Engine) addRequest(r workload.Request) error {
 	if err := e.checkFits(r, r.InputLen); err != nil {
 		return err
+	}
+	if e.warm != nil && r.PrefixLen > 0 {
+		e.warm[r.PrefixGroup] = max(e.warm[r.PrefixGroup], min(r.PrefixLen, r.InputLen))
 	}
 	id := len(e.states)
 	e.addState(r)
@@ -849,16 +870,22 @@ func (e *Engine) sharePlan(st *reqState) (group, prefix int) {
 
 // PrefixWarmTokens reports how many tokens of r's shared prefix are
 // resident in this engine's KV pool right now — the cache-affinity
-// signal fleet dispatch policies read.
+// signal fleet dispatch policies read. Before the start event nothing
+// is resident yet, so it reports the warmth the requests submitted so
+// far will bring: the overlap of r's prefix with the longest same-group
+// one among them, prefix cache on or off.
 //
 //det:hotpath
 func (e *Engine) PrefixWarmTokens(r workload.Request) int {
-	if e.cfg.DisablePrefixCache || r.PrefixLen <= 0 {
+	if r.PrefixLen <= 0 {
 		return 0
 	}
-	p := r.PrefixLen
-	if p > r.InputLen {
-		p = r.InputLen
+	p := min(r.PrefixLen, r.InputLen)
+	switch {
+	case e.warm != nil:
+		return min(p, e.warm[r.PrefixGroup])
+	case e.cfg.DisablePrefixCache:
+		return 0
 	}
 	return e.kv.MatchPrefix(r.PrefixGroup, p)
 }

@@ -108,37 +108,53 @@ func TestIdleGapRestart(t *testing.T) {
 
 // StartOnline + Submit on a shared simulation must behave like Run on
 // the same trace: the co-simulation entry points are a refactoring of
-// the same machine.
+// the same machine. Requests due at t=0 are submitted before the
+// simulation runs, as a fleet's control timeline submits them before
+// the replica's own events at that instant; on a closed-loop trace they
+// must all join the first prefill batch, as Run's do.
 func TestSubmitMatchesRun(t *testing.T) {
-	reqs := workload.StampArrivals(smallTrace(60, 11), workload.Poisson{Rate: 40}, 3)
-
-	want, err := Run(fastConfig(2), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	eng := sim.NewEngine()
-	e, err := NewEngine(eng, fastConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.StartOnline(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.StartOnline(); err == nil {
-		t.Fatal("double StartOnline accepted")
-	}
-	for _, r := range reqs {
-		r := r
-		eng.At(sim.Time(r.ArrivalTime), func() { e.Submit(r) })
-	}
-	eng.Run()
-	got, err := e.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Report != got.Report {
-		t.Errorf("reports differ:\nRun:    %+v\nSubmit: %+v", want.Report, got.Report)
+	for _, tc := range []struct {
+		name string
+		reqs []workload.Request
+	}{
+		{"poisson", workload.StampArrivals(smallTrace(60, 11), workload.Poisson{Rate: 40}, 3)},
+		{"closed-loop", smallTrace(60, 11)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := Run(fastConfig(2), tc.reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := sim.NewEngine()
+			e, err := NewEngine(eng, fastConfig(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.StartOnline(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.StartOnline(); err == nil {
+				t.Fatal("double StartOnline accepted")
+			}
+			for _, r := range tc.reqs {
+				if r.ArrivalTime == 0 {
+					if _, err := e.Submit(r); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				r := r
+				eng.At(sim.Time(r.ArrivalTime), func() { e.Submit(r) })
+			}
+			eng.Run()
+			got, err := e.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Report != got.Report {
+				t.Errorf("reports differ:\nRun:    %+v\nSubmit: %+v", want.Report, got.Report)
+			}
+		})
 	}
 }
 

@@ -13,27 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkDispatch measures pure dispatch cost per policy over a
-// 5,000-request trace and 8 replicas.
-func BenchmarkDispatch(b *testing.B) {
-	b.ReportAllocs()
-	reqs := workload.MustGenerate(workload.DefaultConfig(5000, 1))
-	for _, name := range Names() {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p, err := New(name, Options{Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := Dispatch(p, 8, reqs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkRouteArrival times the router's share of one arrival on a
 // pool of live engines at 8, 64 and 1,000 replicas: the pick, the
 // booking of the routed request and its retirement, as the engine's
@@ -41,7 +20,7 @@ func BenchmarkDispatch(b *testing.B) {
 // across iterations. The engines ran a trace first: a plain Poisson one
 // for predicted-cost, a shared-prefix one for prefix-affinity, whose
 // probes then walk warm hash chains. Engine work (Submit) is not
-// included. BenchmarkDispatch times only the offline pre-shard.
+// included.
 func BenchmarkRouteArrival(b *testing.B) {
 	for _, name := range []string{PredictedCost, PrefixAffinity} {
 		for _, n := range []int{8, 64, 1000} {
@@ -223,7 +202,7 @@ func BenchmarkMilestoneFleet(b *testing.B) {
 	}
 }
 
-// BenchmarkRun measures a full pre-sharded fleet run (dispatch + N
+// BenchmarkRun measures a full closed-loop fleet run (routing + N
 // engine replicas on a sequential fabric + merge) on the fast test
 // deployment, scaling the replica count.
 func BenchmarkRun(b *testing.B) {

@@ -11,7 +11,7 @@
 // separates (a prefill/decode split leaves them none, and runs on one),
 // so reports are byte-identical across worker counts.
 //
-// Dispatch is pluggable: a Policy picks a replica per request
+// Routing is pluggable: a Policy picks a replica per request
 // (round-robin, seeded random, least known work, or predicted-cost
 // using the paper's output-length classifier), and policies are
 // registered by name so binaries can select them via a flag.
@@ -27,67 +27,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Shard is the portion of a trace dispatched to one replica.
+// Shard is the portion of a trace routed to one replica.
 type Shard struct {
-	// Reqs are the replica's requests, renumbered to the dense IDs the
-	// core engine requires. Only the offline pre-shard (Dispatch) fills
-	// it; a routed run leaves it nil and lists the replica's requests
-	// in Origin alone.
-	Reqs []workload.Request
-	// Origin[i] is the index in the dispatched trace of the replica's
-	// request i (Reqs[i], when set).
+	// Origin[i] is the index in the routed trace of the replica's
+	// request i.
 	Origin []int
-}
-
-// Dispatch shards reqs across replicas under policy p. Every request is
-// assigned to exactly one shard; within a shard, requests keep their
-// trace order and are renumbered 0..len-1.
-func Dispatch(p Policy, replicas int, reqs []workload.Request) ([]Shard, error) {
-	if replicas <= 0 {
-		return nil, fmt.Errorf("fleet: replicas = %d", replicas)
-	}
-	if p == nil {
-		return nil, fmt.Errorf("fleet: nil policy")
-	}
-	loads := make([]Load, replicas)
-	shards := make([]Shard, replicas)
-	// warmth[k][g] is the longest prefix of group g assigned to
-	// replica k so far — the pre-shard's stand-in for live KV
-	// residency (without engines there is nothing to probe).
-	warmth := make([]map[int]int, replicas)
-	for i, r := range reqs {
-		for k := range loads {
-			loads[k].WarmTokens = warmTokens(warmth[k], r)
-		}
-		k := p.Pick(r, loads)
-		if k < 0 || k >= replicas {
-			return nil, fmt.Errorf("fleet: policy %q picked replica %d of %d", p.Name(), k, replicas)
-		}
-		loads[k].Requests++
-		loads[k].InputTokens += r.InputLen
-		loads[k].CostTokens += p.Cost(r)
-		if r.PrefixLen > 0 {
-			if warmth[k] == nil {
-				warmth[k] = make(map[int]int)
-			}
-			if plen := min(r.PrefixLen, r.InputLen); plen > warmth[k][r.PrefixGroup] {
-				warmth[k][r.PrefixGroup] = plen
-			}
-		}
-		r.ID = len(shards[k].Reqs)
-		shards[k].Reqs = append(shards[k].Reqs, r)
-		shards[k].Origin = append(shards[k].Origin, i)
-	}
-	return shards, nil
-}
-
-// warmTokens is the usable overlap between r's shared prefix and the
-// longest same-group prefix recorded in m.
-func warmTokens(m map[int]int, r workload.Request) int {
-	if r.PrefixLen <= 0 || m == nil {
-		return 0
-	}
-	return min(r.PrefixLen, r.InputLen, m[r.PrefixGroup])
 }
 
 // Result is the outcome of a fleet run.
@@ -129,9 +73,9 @@ type ServeConfig struct {
 	// only where no control event separates them: 0 or 1 is
 	// sequential, WorkersAuto GOMAXPROCS for fleets of at least
 	// AutoWorkerThreshold replicas (see ResolveWorkers). Every run
-	// builds and finalizes its engines on the pool; a routed run's
-	// pool runs the replicas after the last control event, the
-	// pre-shard's, which has none, runs them throughout.
+	// builds and finalizes its engines on the pool and runs its
+	// replicas there after the last control event (for a closed-loop
+	// trace without layers, after the t=0 arrivals).
 	Workers int
 	// Faults and Stack attach the fault and policy layers, alone or
 	// together; nil or inactive attaches none.
@@ -143,12 +87,13 @@ type ServeConfig struct {
 // sc.Policy, deterministically for a fixed trace, config and policy
 // seed, and byte-identically at every sc.Workers count.
 //
-// A closed-loop trace (every arrival at t=0) with no active layer is
-// pre-sharded: Dispatch assigns every request up front from whole-trace
-// load totals and each replica runs its shard. Every other run goes
-// through the router as one pool: all engines share one virtual clock and
-// each request is routed at its arrival instant on a live, incrementally
-// kept load snapshot (outstanding work, resident prefix, free KV).
+// Every run goes through the router as one pool: all engines share one
+// virtual clock and each request is routed at its arrival instant on a
+// live, incrementally kept load snapshot (outstanding work, resident
+// prefix, free KV). A closed-loop trace (every arrival at t=0) is routed
+// before any replica starts, so each replica's first prefill batch
+// holds every request routed to it, and the prefix warmth policies read
+// is that of the requests routed so far (core.Engine.PrefixWarmTokens).
 //
 // The fault layer crashes and restarts replicas on the plan's schedule;
 // routing skips dead replicas, and crash-lost requests are
@@ -180,48 +125,7 @@ func Serve(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, e
 	if err := validateArrivals(reqs); err != nil {
 		return nil, err
 	}
-	if sc.Faults.Active() || sc.Stack.Active() || workload.HasArrivals(reqs) {
-		return runOnline(cfg, reqs, sc)
-	}
-	return preShard(cfg, reqs, sc)
-}
-
-// preShard runs the Dispatch assignment on the fabric: each replica's
-// engine starts with its whole shard and the fabric drives them to
-// completion with no control events. The merge checks shard
-// conservation, then folds through the ledger.
-func preShard(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, error) {
-	shards, err := Dispatch(sc.Policy, sc.Replicas, reqs)
-	if err != nil {
-		return nil, err
-	}
-	fab := newFabric(ResolveWorkers(sc.Workers, sc.Replicas))
-	fab.addTier(0, sc.Replicas)
-	engines, err := startEngines(fab, cfg, nil, shards)
-	if err != nil {
-		return nil, err
-	}
-	fab.run()
-	results, err := finalize(fab, engines, nil)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Replicas: results, Shards: shards, Policy: sc.Policy.Name(), Steps: fab.Steps(), Workers: fab.workers}
-	if err := res.CheckConservation(len(reqs)); err != nil {
-		return nil, err
-	}
-	led := newLedger(reqs)
-	for i, sh := range shards {
-		for j, o := range sh.Origin {
-			led.final[o] = recRef{replica: i, local: j}
-			led.fin[o]++
-		}
-	}
-	res.Report, res.Records, err = led.assemble(cfg, fmt.Sprintf("Fleet(TD-Pipe/%s)x%d", res.Policy, sc.Replicas), results)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runOnline(cfg, reqs, sc)
 }
 
 // RunOnlineWorkers is Serve without layers, kept for its only caller,
@@ -359,9 +263,6 @@ func (r *Result) CheckConservation(n int) error {
 	}
 	seen := make([]int, n)
 	for i, sh := range r.Shards {
-		if sh.Reqs != nil && len(sh.Reqs) != len(sh.Origin) {
-			return fmt.Errorf("fleet: replica %d has %d requests but %d origins", i, len(sh.Reqs), len(sh.Origin))
-		}
 		if got := r.Replicas[i].Report.Requests; got != len(sh.Origin) {
 			return fmt.Errorf("fleet: replica %d completed %d of %d requests", i, got, len(sh.Origin))
 		}

@@ -62,66 +62,47 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// Every policy must dispatch each request exactly once, preserving
-// order within shards and renumbering to dense IDs.
+// serveClosed serves a closed-loop trace on replicas copies of the fast
+// deployment under p.
+func serveClosed(t *testing.T, p Policy, replicas int, reqs []workload.Request) *Result {
+	t.Helper()
+	res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: replicas, Policy: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// Every policy must dispatch each request of a closed-loop trace exactly
+// once, in trace order within each replica, and each replica must
+// complete exactly its share.
 func TestDispatchExactlyOnce(t *testing.T) {
 	reqs := smallTrace(500, 2)
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			p := mustPolicy(t, name, Options{Seed: 7})
-			shards, err := Dispatch(p, 4, reqs)
-			if err != nil {
+			res := serveClosed(t, mustPolicy(t, name, Options{Seed: 7}), 4, reqs)
+			if err := res.CheckConservation(len(reqs)); err != nil {
 				t.Fatal(err)
 			}
-			seen := make([]int, len(reqs))
-			total := 0
-			for ri, sh := range shards {
-				if len(sh.Reqs) != len(sh.Origin) {
-					t.Fatalf("replica %d: %d reqs, %d origins", ri, len(sh.Reqs), len(sh.Origin))
-				}
-				total += len(sh.Reqs)
-				prev := -1
-				for i, r := range sh.Reqs {
-					if r.ID != i {
-						t.Fatalf("replica %d: ID %d at position %d", ri, r.ID, i)
+			for ri, sh := range res.Shards {
+				for i := 1; i < len(sh.Origin); i++ {
+					if sh.Origin[i] <= sh.Origin[i-1] {
+						t.Fatalf("replica %d: origins out of order (%d after %d)", ri, sh.Origin[i], sh.Origin[i-1])
 					}
-					o := sh.Origin[i]
-					if o <= prev {
-						t.Fatalf("replica %d: origins out of order (%d after %d)", ri, o, prev)
-					}
-					prev = o
-					seen[o]++
-					// The shard request must be the original, only renumbered.
-					if r.InputLen != reqs[o].InputLen || r.OutputLen != reqs[o].OutputLen {
-						t.Fatalf("replica %d: request %d mutated", ri, o)
-					}
-				}
-			}
-			if total != len(reqs) {
-				t.Fatalf("dispatched %d of %d", total, len(reqs))
-			}
-			for idx, c := range seen {
-				if c != 1 {
-					t.Fatalf("request %d dispatched %d times", idx, c)
 				}
 			}
 		})
 	}
 }
 
-// A fresh policy with the same seed must shard identically.
+// A fresh policy with the same seed must dispatch a closed-loop trace
+// identically.
 func TestDispatchDeterministic(t *testing.T) {
 	reqs := smallTrace(300, 5)
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			a, err := Dispatch(mustPolicy(t, name, Options{Seed: 42}), 4, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Dispatch(mustPolicy(t, name, Options{Seed: 42}), 4, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := serveClosed(t, mustPolicy(t, name, Options{Seed: 42}), 4, reqs).Shards
+			b := serveClosed(t, mustPolicy(t, name, Options{Seed: 42}), 4, reqs).Shards
 			for i := range a {
 				if len(a[i].Origin) != len(b[i].Origin) {
 					t.Fatalf("replica %d: %d vs %d requests", i, len(a[i].Origin), len(b[i].Origin))
@@ -137,12 +118,8 @@ func TestDispatchDeterministic(t *testing.T) {
 }
 
 func TestRoundRobinShape(t *testing.T) {
-	reqs := smallTrace(10, 1)
-	shards, err := Dispatch(mustPolicy(t, RoundRobin, Options{}), 4, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ri, sh := range shards {
+	res := serveClosed(t, mustPolicy(t, RoundRobin, Options{}), 4, smallTrace(10, 1))
+	for ri, sh := range res.Shards {
 		for i, o := range sh.Origin {
 			if o != ri+4*i {
 				t.Errorf("replica %d: origin[%d] = %d, want %d", ri, i, o, ri+4*i)
@@ -151,8 +128,9 @@ func TestRoundRobinShape(t *testing.T) {
 	}
 }
 
-// Greedy argmin dispatch bounds the load spread by the largest single
-// request cost: when a replica is picked it is the least loaded.
+// Greedy argmin dispatch of a closed-loop trace bounds the load spread
+// by the largest single request cost: when a replica is picked it is
+// the least loaded.
 func TestGreedyPoliciesBoundLoadSpread(t *testing.T) {
 	reqs := smallTrace(800, 3)
 	for _, name := range []string{LeastWork, PredictedCost} {
@@ -164,18 +142,15 @@ func TestGreedyPoliciesBoundLoadSpread(t *testing.T) {
 					maxCost = c
 				}
 			}
-			shards, err := Dispatch(p, 4, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Recompute per-shard cost with an identical fresh policy
+			res := serveClosed(t, p, 4, reqs)
+			// Recompute per-replica cost with an identical fresh policy
 			// (predicted-cost's classifier is deterministic).
 			q := mustPolicy(t, name, Options{})
 			lo, hi := -1.0, 0.0
-			for _, sh := range shards {
+			for _, sh := range res.Shards {
 				var c float64
-				for _, r := range sh.Reqs {
-					c += q.Cost(r)
+				for _, o := range sh.Origin {
+					c += q.Cost(reqs[o])
 				}
 				if lo < 0 || c < lo {
 					lo = c
@@ -193,10 +168,10 @@ func TestGreedyPoliciesBoundLoadSpread(t *testing.T) {
 
 func TestDispatchRejectsBadArgs(t *testing.T) {
 	reqs := smallTrace(10, 1)
-	if _, err := Dispatch(mustPolicy(t, RoundRobin, Options{}), 0, reqs); err == nil {
+	if _, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 0, Policy: mustPolicy(t, RoundRobin, Options{})}); err == nil {
 		t.Error("replicas=0 accepted")
 	}
-	if _, err := Dispatch(nil, 4, reqs); err == nil {
+	if _, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 4}); err == nil {
 		t.Error("nil policy accepted")
 	}
 }
@@ -208,9 +183,12 @@ func (outOfRange) Name() string                      { return "out-of-range" }
 func (outOfRange) Pick(workload.Request, []Load) int { return 99 }
 func (outOfRange) Cost(workload.Request) float64     { return 0 }
 
+// An out-of-range pick on a closed-loop trace fails the run with the
+// router's error.
 func TestDispatchRejectsOutOfRangePick(t *testing.T) {
-	if _, err := Dispatch(outOfRange{}, 4, smallTrace(10, 1)); err == nil {
-		t.Error("out-of-range pick accepted")
+	_, err := Serve(fastConfig(2), smallTrace(10, 1), ServeConfig{Replicas: 4, Policy: outOfRange{}})
+	if err == nil || !strings.Contains(err.Error(), `policy "out-of-range" picked candidate 99 of 4`) {
+		t.Errorf("out-of-range pick: err = %v", err)
 	}
 }
 
@@ -306,8 +284,8 @@ func TestRunEmptyShards(t *testing.T) {
 }
 
 // Concurrent fleet runs must not interfere: exercises the registry and
-// the engines under -race from multiple dispatchers at once, each an
-// offline pre-shard on a two-worker fabric.
+// the engines under -race from multiple dispatchers at once, each a
+// closed-loop fleet on a two-worker fabric.
 func TestConcurrentFleetsRace(t *testing.T) {
 	reqs := smallTrace(120, 10)
 	var wg sync.WaitGroup
@@ -419,10 +397,10 @@ func TestPredictedCostFallsBackToOracle(t *testing.T) {
 	}
 }
 
-// TestServeDefaultWorkers pins that Serve reads Workers one way on the
-// pre-shard and on routed runs (ResolveWorkers): 0 is sequential, so is
-// WorkersAuto below AutoWorkerThreshold replicas, and an explicit count
-// holds.
+// TestServeDefaultWorkers pins that Serve reads Workers one way on
+// closed-loop and on stamped traces (ResolveWorkers): 0 is sequential,
+// so is WorkersAuto below AutoWorkerThreshold replicas, and an explicit
+// count holds.
 func TestServeDefaultWorkers(t *testing.T) {
 	closed := smallTrace(40, 5)
 	open := workload.StampArrivals(closed, workload.Poisson{Rate: 200}, 7)
@@ -432,12 +410,12 @@ func TestServeDefaultWorkers(t *testing.T) {
 		workers int
 		want    int
 	}{
-		{"pre-shard default", closed, 0, 1},
-		{"pre-shard auto", closed, WorkersAuto, 1},
-		{"pre-shard explicit", closed, 2, 2},
-		{"routed default", open, 0, 1},
-		{"routed auto", open, WorkersAuto, 1},
-		{"routed explicit", open, 2, 2},
+		{"closed default", closed, 0, 1},
+		{"closed auto", closed, WorkersAuto, 1},
+		{"closed explicit", closed, 2, 2},
+		{"open default", open, 0, 1},
+		{"open auto", open, WorkersAuto, 1},
+		{"open explicit", open, 2, 2},
 	} {
 		sc := ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: tc.workers}
 		res, err := Serve(fastConfig(2), tc.reqs, sc)

@@ -144,7 +144,7 @@ func goldenRuns() []goldenRun {
 		}, check: func(t *testing.T, out goldenOut) {
 			rep := out.Report
 			if !strings.HasPrefix(rep.Scheduler, "Fleet(") {
-				t.Errorf("closed-loop run left the pre-shard: %s", rep.Scheduler)
+				t.Errorf("closed-loop run without layers lost its Fleet label: %s", rep.Scheduler)
 			}
 		}},
 		{name: "offline-prefix-4", run: func(t *testing.T, workers int) goldenOut {

@@ -189,7 +189,7 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 	// layer to read engines at control events, lets replicas lag up to
 	// their next possible finish.
 	fab.lazy = len(pools) == 1 && plan == nil && ro.pol == nil && viewOf(pools[0].policy) != viewProbes
-	engines, err := startEngines(fab, cfg, plan, nil)
+	engines, err := startEngines(fab, cfg, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -311,6 +311,9 @@ func runOnline(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Resul
 		mode = "FleetFaults"
 	case ro.pol != nil:
 		mode = "FleetElastic"
+	case !workload.HasArrivals(reqs):
+		// A layer-free closed-loop run is labelled an offline fleet.
+		mode = "Fleet"
 	}
 	rep, results, records, err := ro.serve(cfg, fmt.Sprintf("%s(TD-Pipe/%s)x%d", mode, sc.Policy.Name(), sc.Replicas))
 	if err != nil {
@@ -590,19 +593,14 @@ func (b *books) retire(k, local int) int {
 
 // startEngines builds and starts one engine per fabric replica through
 // forEach, each on its replicaConfig and its replica's simulation
-// engine: seeded with its shard when shards is non-nil (the
-// pre-shard), empty and waiting for submissions otherwise. The fabric
-// keys its replicas from the started engines.
-func startEngines(fab *fabric, cfg core.Config, plan *faults.Plan, shards []Shard) ([]*core.Engine, error) {
+// engine, empty and waiting for submissions. The fabric keys its
+// replicas from the started engines.
+func startEngines(fab *fabric, cfg core.Config, plan *faults.Plan) ([]*core.Engine, error) {
 	engines := make([]*core.Engine, len(fab.engs))
 	errs := make([]error, len(engines))
 	fab.forEach(func(i int) {
 		e, err := core.NewEngine(fab.engs[i], replicaConfig(cfg, plan, i))
-		switch {
-		case err != nil:
-		case shards != nil:
-			err = e.Start(shards[i].Reqs)
-		default:
+		if err == nil {
 			err = e.StartOnline()
 		}
 		engines[i], errs[i] = e, err

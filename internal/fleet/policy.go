@@ -20,10 +20,11 @@ type Load struct {
 	// estimates for the assigned requests.
 	CostTokens float64
 	// WarmTokens is how many tokens of the *current* request's shared
-	// prefix this replica already holds — live KV residency for the
-	// online router, assignment history for the offline pre-shard.
-	// Always 0 for requests without prefix structure; recomputed per
-	// request before Pick. In a disaggregated decode pool it is the
+	// prefix this replica already holds: live KV residency, or, before
+	// the replica's start event (a closed-loop trace's t=0 routing),
+	// the warmth of the requests routed to it so far (see
+	// core.Engine.PrefixWarmTokens). Always 0 for requests without
+	// prefix structure; recomputed per request before Pick. In a disaggregated decode pool it is the
 	// resident share of the hand-off's exported block window instead.
 	// The router probes it only for policies that read it (every
 	// policy but the four counter-only built-ins); the others see 0.
@@ -31,8 +32,7 @@ type Load struct {
 	// FreeKVTokens is the replica's live KV headroom in tokens (free
 	// plus reclaimable warm blocks) at routing time — the pool-aware
 	// signal the disaggregated decode pick ranks on. The router probes
-	// it for the same policies as WarmTokens; 0 in the offline
-	// pre-shard, which has no live engines to probe.
+	// it for the same policies as WarmTokens.
 	FreeKVTokens int
 }
 

@@ -51,8 +51,9 @@ func TestPrefixAffinityBeatsRoundRobinOnSharedPrefixTrace(t *testing.T) {
 	}
 }
 
-// Warmth bookkeeping must also steer the offline pre-shard: with the
-// affinity policy, each prefix group's requests land on one replica.
+// Pre-start warmth must steer closed-loop dispatch: with the affinity
+// policy, each prefix group's requests land on one replica although no
+// replica has run yet when they are routed.
 func TestDispatchPrefixAffinityKeepsGroupsTogether(t *testing.T) {
 	reqs, err := workload.StampPrefixes(smallTrace(200, 33), workload.PrefixConfig{
 		Groups: 4, PrefixLen: 128, Turns: 1, Seed: 2,
@@ -60,17 +61,15 @@ func TestDispatchPrefixAffinityKeepsGroupsTogether(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := Dispatch(mustPolicy(t, PrefixAffinity, Options{}), 4, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serveClosed(t, mustPolicy(t, PrefixAffinity, Options{}), 4, reqs)
 	home := map[int]int{}
-	for k, sh := range shards {
-		for _, r := range sh.Reqs {
-			if prev, ok := home[r.PrefixGroup]; ok && prev != k {
-				t.Fatalf("group %d split across replicas %d and %d", r.PrefixGroup, prev, k)
+	for k, sh := range res.Shards {
+		for _, o := range sh.Origin {
+			g := reqs[o].PrefixGroup
+			if prev, ok := home[g]; ok && prev != k {
+				t.Fatalf("group %d split across replicas %d and %d", g, prev, k)
 			}
-			home[r.PrefixGroup] = k
+			home[g] = k
 		}
 	}
 	if len(home) != 4 {
@@ -79,22 +78,16 @@ func TestDispatchPrefixAffinityKeepsGroupsTogether(t *testing.T) {
 }
 
 // Without prefix structure the affinity policy must degrade to
-// least-work: identical shard assignment on the same trace.
+// least-work: identical dispatch of the same closed-loop trace.
 func TestPrefixAffinityFallsBackToLeastWork(t *testing.T) {
 	reqs := smallTrace(150, 35)
-	affinity, err := Dispatch(mustPolicy(t, PrefixAffinity, Options{}), 3, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	least, err := Dispatch(mustPolicy(t, LeastWork, Options{}), 3, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	affinity := serveClosed(t, mustPolicy(t, PrefixAffinity, Options{}), 3, reqs).Shards
+	least := serveClosed(t, mustPolicy(t, LeastWork, Options{}), 3, reqs).Shards
 	for k := range affinity {
-		if len(affinity[k].Reqs) != len(least[k].Reqs) {
-			t.Fatalf("replica %d: affinity %d reqs, least-work %d", k, len(affinity[k].Reqs), len(least[k].Reqs))
+		if len(affinity[k].Origin) != len(least[k].Origin) {
+			t.Fatalf("replica %d: affinity %d reqs, least-work %d", k, len(affinity[k].Origin), len(least[k].Origin))
 		}
-		for j := range affinity[k].Reqs {
+		for j := range affinity[k].Origin {
 			if affinity[k].Origin[j] != least[k].Origin[j] {
 				t.Fatalf("replica %d slot %d: affinity origin %d, least-work %d",
 					k, j, affinity[k].Origin[j], least[k].Origin[j])

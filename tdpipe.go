@@ -171,9 +171,9 @@ const (
 // FleetWorkersAuto requests automatic simulation-worker selection for
 // the fleet runners: GOMAXPROCS workers on fleets of at least
 // fleet.AutoWorkerThreshold replicas, sequential below that. Workers
-// run only per-replica work that no routing decision separates: a
-// routed fleet's replicas after the last control event, a pre-sharded
-// one's whole run.
+// run only per-replica work that no routing decision separates: every
+// fleet's replicas after the last control event (for a closed-loop
+// trace, after the t=0 arrivals).
 const FleetWorkersAuto = fleet.WorkersAuto
 
 // FleetPolicies lists the registered dispatch policies.
@@ -191,12 +191,11 @@ func NewFleetPolicy(name string, opts FleetOptions) (FleetPolicy, error) {
 // (FleetOptions.Seed), and byte-identical across fc.Workers counts
 // (FleetWorkersAuto for automatic selection).
 //
-// A closed-loop trace (every arrival at t=0) with no active layer is
-// pre-sharded: the policy assigns every request up front and each
-// replica runs its shard. Any other run goes through the online
-// router: all replicas share one virtual clock and each request is
-// dispatched at its arrival instant on a live snapshot of per-replica
-// outstanding work.
+// Every run goes through the online router: all replicas share one
+// virtual clock and each request is dispatched at its arrival instant
+// on a live snapshot of per-replica outstanding work. A closed-loop
+// trace (every arrival at t=0) is routed before any replica starts, so
+// each replica's first prefill batch holds its whole share.
 //
 // fc.Faults executes a fault plan (see NewFaultPlan): crashed replicas
 // abort their in-flight requests, routing skips dead replicas, and
