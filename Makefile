@@ -39,19 +39,18 @@ test:
 
 # The fabric advances every replica on the coordinator; its worker
 # goroutines (fabric.forEach) run only per-replica work that no control
-# event separates: every run's engine build and finalize, a routed
+# event separates: every run's engine build and finalize and every
 # fleet's replicas after the last control event (their finish hooks
-# then write only per-replica slots, no shared state) and the
-# pre-shard's whole run. Race-check the fleet together with the engine
-# it drives (TestConcurrentFleetsRace also runs whole fleets side by
-# side). The second leg re-runs the fabric's determinism suite under
-# the detector with the worker pool forced on (multi-worker online,
-# prefix and fault runs, the cross-shard-boundary property, and
-# forEach's own split). Those routed runs hand the replicas from the
-# coordinator to the workers and back to build them, to run them to
-# completion after the last control event and to finalize them. (The
-# pre-shard, which does all three on the pool, is covered by the first
-# leg.) The suite's disagg legs advance entirely on the coordinator,
+# then write only per-replica slots, no shared state). Race-check the
+# fleet together with the engine it drives (TestConcurrentFleetsRace
+# also runs whole fleets side by side). The second leg re-runs the
+# fabric's determinism suite under the detector with the worker pool
+# forced on (multi-worker online, prefix and fault runs, closed-loop
+# runs through TestParallelRouterGolden, the cross-shard-boundary
+# property, and forEach's own split). Those runs hand the replicas
+# from the coordinator to the workers and back to build them, to run
+# them to completion after the last control event and to finalize
+# them. The suite's disagg legs advance entirely on the coordinator,
 # since a split fleet always gets one worker. The leg also runs the
 # lazy-advance check (lazy picks against the forced eager schedule at
 # one and four workers).
