@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -176,5 +178,29 @@ func TestTPUtilizationReflectsCommStalls(t *testing.T) {
 	}
 	if res.Report.MeanUtilization > 0.98 {
 		t.Errorf("TP utilization = %v, communication stalls missing", res.Report.MeanUtilization)
+	}
+}
+
+// A prompt longer than the KV capacity can never be admitted. The PP
+// runner then finds nothing runnable with the request still waiting,
+// which is the only state that reaches its same-instant round retry:
+// every retry repeats the empty round until the runaway guard panics
+// after 64·n·1024+1024 rounds (66,561 for one request).
+func TestPPUnservablePromptRetriesUntilRunaway(t *testing.T) {
+	reqs := smallTrace(1, 31)
+	reqs[0].InputLen = 1 << 20
+	for _, m := range []Method{PPSB, PPHB} {
+		t.Run(m.String(), func(t *testing.T) {
+			defer func() {
+				want := m.String() + " runaway after 66561 rounds"
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+					t.Errorf("panic %v, want %q", r, want)
+				}
+			}()
+			cfg := fastCfg(2, m)
+			cfg.MemUtilization = 0.0004
+			_, err := Run(cfg, reqs)
+			t.Errorf("Run returned (err %v) instead of panicking", err)
+		})
 	}
 }
