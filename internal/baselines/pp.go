@@ -68,20 +68,9 @@ func newPPRunner(c *common) (*ppRunner, error) {
 }
 
 func (r *ppRunner) run() (sim.Time, error) {
-	// Future arrivals become simulation events: each admits its request
-	// at its arrival instant and, if the pipeline drained to idle in
-	// the meantime, restarts the round loop.
 	for _, id := range r.pending {
-		id := id
 		r.pendingArrivals++
-		r.eng.At(r.states[id].arrival, func() {
-			r.pendingArrivals--
-			r.waiting.PushBack(id)
-			if r.idle {
-				r.idle = false
-				r.startRound(r.eng.Now())
-			}
-		})
+		r.eng.AtFunc(r.states[id].arrival, ppArrival, r, id, 0)
 	}
 	r.pending = nil
 	r.startRound(0)
@@ -91,6 +80,25 @@ func (r *ppRunner) run() (sim.Time, error) {
 			r.cfg.Method, r.finished, len(r.states), r.waiting.Len())
 	}
 	return r.end, nil
+}
+
+// ppArrival admits request id at its arrival instant (ctx is the
+// runner) and, if the pipeline drained to idle in the meantime,
+// restarts the round loop.
+func ppArrival(ctx any, id, _ int) {
+	r := ctx.(*ppRunner)
+	r.pendingArrivals--
+	r.waiting.PushBack(id)
+	if r.idle {
+		r.idle = false
+		r.startRound(r.eng.Now())
+	}
+}
+
+// ppRound opens a round at the current instant (ctx is the runner).
+func ppRound(ctx any, _, _ int) {
+	r := ctx.(*ppRunner)
+	r.startRound(r.eng.Now())
 }
 
 // gate serializes an iteration's scheduling through the engine loop and
@@ -142,7 +150,7 @@ func (r *ppRunner) startRound(now sim.Time) {
 			r.idle = true
 			return
 		}
-		r.eng.Immediately(func() { r.startRound(r.eng.Now()) })
+		r.eng.AtFunc(r.eng.Now(), ppRound, r, 0, 0)
 	}
 }
 
@@ -151,8 +159,7 @@ func (r *ppRunner) startRound(now sim.Time) {
 func (r *ppRunner) passDone() {
 	r.outstanding--
 	if r.outstanding == 0 {
-		end := r.roundEnd
-		r.eng.At(end, func() { r.startRound(end) })
+		r.eng.AtFunc(r.roundEnd, ppRound, r, 0, 0)
 	}
 }
 

@@ -203,9 +203,6 @@ type Engine struct {
 	doneAt       sim.Time
 	running      bool
 
-	// pendingArrivals counts requests whose arrival event has not fired
-	// yet; while it is positive the engine may legitimately go idle.
-	pendingArrivals int
 	// idle is true when both planes are drained and the engine is
 	// waiting for the next arrival; the arrival kicks a prefill phase.
 	idle bool
@@ -617,7 +614,6 @@ func (e *Engine) Crash(restartAt sim.Time) ([]Lost, error) {
 	e.resident, e.residentTokens = 0, 0
 	e.numSlots = 0
 	e.switchToPrefil = false
-	e.pendingArrivals = 0
 	e.ckptScheduled = false
 	// The process died: its KV pool dies with it.
 	kv, err := kvcache.NewManager(e.kv.CapacityTokens(), e.kv.BlockSize())
@@ -815,7 +811,6 @@ func arrivalEvent(ctx any, id, ep int) {
 	if ep != e.epoch {
 		return
 	}
-	e.pendingArrivals--
 	e.admit(id)
 }
 
@@ -833,7 +828,6 @@ func (e *Engine) addRequest(r workload.Request) error {
 	id := len(e.states)
 	e.addState(r)
 	if at := sim.Time(r.ArrivalTime); at > e.eng.Now() {
-		e.pendingArrivals++
 		e.eng.AtFunc(at, arrivalEvent, e, id, e.epoch)
 		return nil
 	}

@@ -143,8 +143,7 @@ func TestSubmitMatchesRun(t *testing.T) {
 					}
 					continue
 				}
-				r := r
-				eng.At(sim.Time(r.ArrivalTime), func() { e.Submit(r) })
+				eng.AtFunc(sim.Time(r.ArrivalTime), func(any, int, int) { e.Submit(r) }, nil, 0, 0)
 			}
 			eng.Run()
 			got, err := e.Finalize()

@@ -403,19 +403,6 @@ type AutoscaleStats struct {
 // Any reports whether any autoscale activity was recorded.
 func (a AutoscaleStats) Any() bool { return a != AutoscaleStats{} }
 
-// Add accumulates o into a (fleet-level merges). PeakReplicas takes
-// the max; everything else sums.
-func (a *AutoscaleStats) Add(o AutoscaleStats) {
-	a.Ticks += o.Ticks
-	a.ScaleUps += o.ScaleUps
-	a.ScaleDowns += o.ScaleDowns
-	if o.PeakReplicas > a.PeakReplicas {
-		a.PeakReplicas = o.PeakReplicas
-	}
-	a.GPUSeconds += o.GPUSeconds
-	a.ColdStartSeconds += o.ColdStartSeconds
-}
-
 // AdmissionStats accounts one run's front-door policy decisions.
 type AdmissionStats struct {
 	// Shed counts arrivals refused by the token bucket (each refusal
@@ -437,16 +424,6 @@ type AdmissionStats struct {
 
 // Any reports whether any admission-policy activity was recorded.
 func (a AdmissionStats) Any() bool { return a != AdmissionStats{} }
-
-// Add accumulates o into a (fleet-level merges).
-func (a *AdmissionStats) Add(o AdmissionStats) {
-	a.Shed += o.Shed
-	a.Retries += o.Retries
-	a.Dropped += o.Dropped
-	a.BreakerTrips += o.BreakerTrips
-	a.BreakerSkips += o.BreakerSkips
-	a.Preemptions += o.Preemptions
-}
 
 // OutputThroughput returns generated tokens per second, the paper's
 // headline metric.

@@ -22,12 +22,6 @@ func NewTokenBucket(rate, burst float64) *TokenBucket {
 	return &TokenBucket{rate: rate, burst: burst, tokens: burst}
 }
 
-// Rate returns the refill rate in tokens per second.
-func (b *TokenBucket) Rate() float64 { return b.rate }
-
-// Burst returns the bucket capacity in tokens.
-func (b *TokenBucket) Burst() float64 { return b.burst }
-
 // Allow consumes one token at virtual time t and reports whether the
 // request is admitted. Calls must be non-decreasing in t (the router
 // invokes it from time-ordered control events); an earlier t refills

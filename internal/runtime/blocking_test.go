@@ -42,7 +42,7 @@ func TestBlockingP2PWaitsForReceiver(t *testing.T) {
 
 	// Occupy the receiver so the first pass's transfer must wait.
 	busyUntil := sim.Time(10.0)
-	c.GPUs[1].Acquire(0, float64(busyUntil), nil)
+	c.GPUs[1].Acquire(0, float64(busyUntil))
 
 	var res PassResult
 	c.SubmitPrefill(costmodel.NewPrefillBatch([]int{64}), 0, func(r PassResult) { res = r })

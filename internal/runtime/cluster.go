@@ -96,9 +96,9 @@ func NewCluster(eng *sim.Engine, node hw.Node, spec model.Spec, world int) (*Clu
 		Rec:  *metrics.NewRecorder(world),
 	}
 	for i := 0; i < world; i++ {
-		c.GPUs = append(c.GPUs, *sim.NewResource(eng, fmt.Sprintf("gpu%d", i)))
+		c.GPUs = append(c.GPUs, *sim.NewResource(eng))
 		if i < world-1 {
-			c.Links = append(c.Links, *sim.NewResource(eng, fmt.Sprintf("link%d-%d", i, i+1)))
+			c.Links = append(c.Links, *sim.NewResource(eng))
 		}
 	}
 	return c, nil
@@ -480,7 +480,7 @@ func (c *Cluster) reserve(p *pass, st int, landed sim.Time) bool {
 			dur *= c.slowdown
 		}
 		b.landed, b.gpu = landed, c.GPUs[st].Mark()
-		start, end := c.GPUs[st].Acquire(landed, dur, nil)
+		start, end := c.GPUs[st].Acquire(landed, dur)
 		b.start = start
 		if st == 0 {
 			p.res.Start = start
@@ -502,7 +502,7 @@ func (c *Cluster) reserve(p *pass, st int, landed sim.Time) bool {
 			}
 		}
 		b.link = c.Links[st].Mark()
-		_, landed = c.Links[st].Acquire(xferReady, c.Cost.P2PActivation(p.send()), nil)
+		_, landed = c.Links[st].Acquire(xferReady, c.Cost.P2PActivation(p.send()))
 		if c.BlockingP2P {
 			c.GPUs[st].Occupy(landed)
 			c.Eng.AtFunc(landed, passNext, p, st+1, 0)

@@ -103,8 +103,7 @@ func TestStallRetimesUnreachedStages(t *testing.T) {
 				got.StageEnds = append([]sim.Time(nil), r.StageEnds...) // recycled after return
 			})
 			for _, s := range tc.stalls {
-				s := s
-				c.Eng.At(s.at, func() { c.Stall(s.at, s.dur) })
+				schedule(c.Eng, s.at, func() { c.Stall(s.at, s.dur) })
 			}
 			c.Eng.Run()
 			if calls != 1 {
@@ -140,6 +139,12 @@ func TestStallRetimesUnreachedStages(t *testing.T) {
 	}
 }
 
+// schedule runs fn at time t on eng: a closure passed to AtFunc as its
+// EventFunc.
+func schedule(eng *sim.Engine, t sim.Time, fn func()) {
+	eng.AtFunc(t, func(any, int, int) { fn() }, nil, 0, 0)
+}
+
 // hopModel is a reference pipeline timer that reserves each stage only
 // when its input lands, as a kernel event of its own, so a stall
 // reaches exactly the stages its instant has not. The cluster must
@@ -155,9 +160,9 @@ type hopModel struct {
 func newHopModel(c *Cluster) *hopModel {
 	m := &hopModel{eng: sim.NewEngine(), c: c, busy: make([][][2]sim.Time, c.World())}
 	for i := 0; i < c.World(); i++ {
-		m.gpus = append(m.gpus, *sim.NewResource(m.eng, "gpu"))
+		m.gpus = append(m.gpus, *sim.NewResource(m.eng))
 		if i < c.World()-1 {
-			m.links = append(m.links, *sim.NewResource(m.eng, "link"))
+			m.links = append(m.links, *sim.NewResource(m.eng))
 		}
 	}
 	return m
@@ -169,10 +174,10 @@ func (m *hopModel) submit(batch, kv int, readyAt sim.Time, done func(starts, end
 }
 
 func (m *hopModel) stage(batch, kv, st int, arrival sim.Time, starts, ends []sim.Time, done func(starts, ends []sim.Time)) {
-	start, end := m.gpus[st].Acquire(arrival, m.c.Cost.DecodeStage(st, batch, kv), nil)
+	start, end := m.gpus[st].Acquire(arrival, m.c.Cost.DecodeStage(st, batch, kv))
 	starts, ends = append(starts, start), append(ends, end)
 	if st == len(m.gpus)-1 {
-		m.eng.At(end, func() {
+		schedule(m.eng, end, func() {
 			m.inflight--
 			done(starts, ends)
 			for g := range starts {
@@ -181,8 +186,8 @@ func (m *hopModel) stage(batch, kv, st int, arrival sim.Time, starts, ends []sim
 		})
 		return
 	}
-	_, landed := m.links[st].Acquire(end, m.c.Cost.P2PActivation(batch), nil)
-	m.eng.At(landed, func() { m.stage(batch, kv, st+1, landed, starts, ends, done) })
+	_, landed := m.links[st].Acquire(end, m.c.Cost.P2PActivation(batch))
+	schedule(m.eng, landed, func() { m.stage(batch, kv, st+1, landed, starts, ends, done) })
 }
 
 func (m *hopModel) stall(at sim.Time, dur float64) {
@@ -222,8 +227,8 @@ func TestStallMatchesPerHopReference(t *testing.T) {
 			at := at
 			if rng.Intn(4) == 0 {
 				dur := rng.ExpFloat64() * 5e-4
-				c.Eng.At(at, func() { c.Stall(at, dur) })
-				ref.eng.At(at, func() {
+				schedule(c.Eng, at, func() { c.Stall(at, dur) })
+				schedule(ref.eng, at, func() {
 					if ref.inflight > 0 {
 						midPass++
 					}
@@ -233,7 +238,7 @@ func TestStallMatchesPerHopReference(t *testing.T) {
 			}
 			id, batch, kv := op, 1+rng.Intn(64), rng.Intn(4096)
 			ready := at + sim.Time(rng.Float64()*1e-3)
-			c.Eng.At(at, func() {
+			schedule(c.Eng, at, func() {
 				c.SubmitDecode(batch, kv, ready, func(r PassResult) {
 					if r.End != r.StageEnds[3] {
 						t.Errorf("seed %d: pass %d End %v, last stage end %v", seed, id, r.End, r.StageEnds[3])
@@ -241,7 +246,7 @@ func TestStallMatchesPerHopReference(t *testing.T) {
 					got = append(got, completion{id, c.Eng.Now(), r.Start, [4]sim.Time(r.StageEnds)})
 				})
 			})
-			ref.eng.At(at, func() {
+			schedule(ref.eng, at, func() {
 				ref.submit(batch, kv, ready, func(starts, ends []sim.Time) {
 					want = append(want, completion{id, ref.eng.Now(), starts[0], [4]sim.Time(ends)})
 				})

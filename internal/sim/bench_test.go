@@ -2,29 +2,10 @@ package sim
 
 import "testing"
 
-// BenchmarkEventThroughput measures raw event dispatch rate — the DES
-// kernel's hot path — and reports it as steps/sec. Steady state is
-// allocation-free: the closure is shared and event bodies recycle
-// through the pool.
-func BenchmarkEventThroughput(b *testing.B) {
-	e := NewEngine()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			e.After(1, tick)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.After(1, tick)
-	e.Run()
-	b.ReportMetric(float64(e.Steps())/b.Elapsed().Seconds(), "steps/s")
-}
-
-// BenchmarkEventThroughputAtFunc measures the closure-free fast path:
-// a fixed callback with a context pointer and integer arguments.
+// BenchmarkEventThroughputAtFunc measures raw event dispatch rate — the
+// DES kernel's hot path — and reports it as steps/sec. Steady state is
+// allocation-free: the callback is shared and event bodies recycle
+// through the arena.
 func BenchmarkEventThroughputAtFunc(b *testing.B) {
 	e := NewEngine()
 	n := 0
@@ -32,12 +13,12 @@ func BenchmarkEventThroughputAtFunc(b *testing.B) {
 	tick = func(ctx any, _, _ int) {
 		n++
 		if n < b.N {
-			e.AfterFunc(1, tick, ctx, 0, 0)
+			e.AtFunc(e.Now()+1, tick, ctx, 0, 0)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.AfterFunc(1, tick, e, 0, 0)
+	e.AtFunc(1, tick, e, 0, 0)
 	e.Run()
 	b.ReportMetric(float64(e.Steps())/b.Elapsed().Seconds(), "steps/s")
 }
@@ -45,11 +26,11 @@ func BenchmarkEventThroughputAtFunc(b *testing.B) {
 // BenchmarkResourceAcquire measures FIFO reservation cost.
 func BenchmarkResourceAcquire(b *testing.B) {
 	e := NewEngine()
-	r := NewResource(e, "gpu")
+	r := NewResource(e)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Acquire(Time(i), 0.5, nil)
+		r.Acquire(Time(i), 0.5)
 	}
 }
 
@@ -62,7 +43,7 @@ func BenchmarkHeapChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := Time(i % 1024)
-		e.At(t+Time(b.N), func() {})
+		e.AtFunc(t+Time(b.N), func(any, int, int) {}, nil, 0, 0)
 	}
 	e.Run()
 }
@@ -78,11 +59,11 @@ func BenchmarkSteadyChurn(b *testing.B) {
 	tick = func(ctx any, i, _ int) {
 		n++
 		if n+pending <= b.N {
-			e.AfterFunc(float64(1+i%7), tick, ctx, i, 0)
+			e.AtFunc(e.Now()+Time(1+i%7), tick, ctx, i, 0)
 		}
 	}
 	for i := 0; i < pending && i < b.N; i++ {
-		e.AfterFunc(float64(1+i%7), tick, e, i, 0)
+		e.AtFunc(Time(1+i%7), tick, e, i, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -59,17 +59,13 @@ func (e *refEngine) Run() {
 	}
 }
 
-// scheduler is the minimal interface the property-test scenario drives.
-type scheduler interface {
-	At(t Time, fn func())
-}
-
 // driveScenario runs a deterministic pseudo-random schedule to
 // completion and returns the firing order: n root events at times drawn
 // from a tiny alphabet (maximizing ties), each optionally rescheduling
-// children at the current or a later instant.
-func driveScenario(seed int64, n int, newEng func() (scheduler, func() Time, func())) []int {
-	s, now, run := newEng()
+// children at the current or a later instant. newEng returns the
+// engine's schedule, clock and run calls.
+func driveScenario(seed int64, n int, newEng func() (func(Time, func()), func() Time, func())) []int {
+	schedAt, now, run := newEng()
 	rng := rand.New(rand.NewSource(seed))
 	var order []int
 	next := n
@@ -78,7 +74,7 @@ func driveScenario(seed int64, n int, newEng func() (scheduler, func() Time, fun
 	var depthOf map[int]int
 	depthOf = map[int]int{}
 	schedule = func(id int, at Time) {
-		s.At(at, func() {
+		schedAt(at, func() {
 			order = append(order, id)
 			if depthOf[id] < 2 && rng.Intn(3) == 0 {
 				child := next
@@ -101,13 +97,13 @@ func driveScenario(seed int64, n int, newEng func() (scheduler, func() Time, fun
 
 func TestKernelOrderPropertyVsReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
-		got := driveScenario(seed, 60, func() (scheduler, func() Time, func()) {
+		got := driveScenario(seed, 60, func() (func(Time, func()), func() Time, func()) {
 			e := NewEngine()
-			return e, e.Now, func() { e.Run() }
+			return func(t Time, fn func()) { at(e, t, fn) }, e.Now, func() { e.Run() }
 		})
-		want := driveScenario(seed, 60, func() (scheduler, func() Time, func()) {
+		want := driveScenario(seed, 60, func() (func(Time, func()), func() Time, func()) {
 			r := &refEngine{}
-			return r, func() Time { return r.now }, r.Run
+			return r.At, func() Time { return r.now }, r.Run
 		})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: firing order diverged from pointer-heap reference:\n got %v\nwant %v", seed, got, want)
@@ -122,9 +118,8 @@ func TestMassTimeTiesFIFO(t *testing.T) {
 	const n = 5000
 	var order []int
 	for i := 0; i < n; i++ {
-		i := i
 		// Two tied instants interleaved to stress the comparator.
-		e.At(Time(i%2), func() { order = append(order, i) })
+		at(e, Time(i%2), func() { order = append(order, i) })
 	}
 	e.Run()
 	if len(order) != n {
@@ -154,8 +149,7 @@ func TestEventReuseAfterStop(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(Time(i), func() {
+		at(e, Time(i), func() {
 			order = append(order, i)
 			if i == 4 {
 				e.Stop()
@@ -169,8 +163,7 @@ func TestEventReuseAfterStop(t *testing.T) {
 	// Schedule more events; their bodies reuse slots recycled by the
 	// first half.
 	for i := 10; i < 15; i++ {
-		i := i
-		e.At(Time(i), func() { order = append(order, i) })
+		at(e, Time(i), func() { order = append(order, i) })
 	}
 	e.Run()
 	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
@@ -187,22 +180,22 @@ func TestEventReuseAfterStop(t *testing.T) {
 func TestScheduleAtCurrentInstantFromCallback(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.At(1, func() {
+	at(e, 1, func() {
 		order = append(order, "a")
-		e.Immediately(func() { order = append(order, "a-imm") })
-		e.AtFunc(e.Now(), func(_ any, _, _ int) { order = append(order, "a-atfunc") }, nil, 0, 0)
+		at(e, e.Now(), func() { order = append(order, "a-now") })
+		at(e, e.Now(), func() { order = append(order, "a-now-2") })
 	})
-	e.At(1, func() { order = append(order, "b") })
-	e.At(2, func() { order = append(order, "c") })
+	at(e, 1, func() { order = append(order, "b") })
+	at(e, 2, func() { order = append(order, "c") })
 	e.Run()
-	want := []string{"a", "b", "a-imm", "a-atfunc", "c"}
+	want := []string{"a", "b", "a-now", "a-now-2", "c"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 
-// AtFunc and At events interleave in strict scheduling order at tied
-// times, and AtFunc passes its context and arguments through.
+// Events with different callbacks interleave in strict scheduling order
+// at tied times, and AtFunc passes its context and arguments through.
 func TestAtFuncOrderingAndArgs(t *testing.T) {
 	e := NewEngine()
 	type rec struct {
@@ -217,7 +210,7 @@ func TestAtFuncOrderingAndArgs(t *testing.T) {
 		*g = append(*g, rec{"f", a, b})
 	}
 	e.AtFunc(1, cb, ctx, 1, 2)
-	e.At(1, func() { got = append(got, rec{tag: "c"}) })
+	at(e, 1, func() { got = append(got, rec{tag: "c"}) })
 	e.AtFunc(1, cb, ctx, 3, 4)
 	e.Run()
 	want := []rec{{"f", 1, 2}, {tag: "c"}, {"f", 3, 4}}
@@ -232,8 +225,7 @@ func TestRunUntilPreservesPooledEvents(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	for i := 0; i < 20; i++ {
-		i := i
-		e.At(Time(i), func() { order = append(order, i) })
+		at(e, Time(i), func() { order = append(order, i) })
 	}
 	if got := e.RunUntil(9.5); got != 9.5 {
 		t.Fatalf("RunUntil = %v", got)

@@ -4,20 +4,16 @@ package sim
 // link): work items run one at a time in submission order. It tracks
 // cumulative busy time so utilization can be derived.
 type Resource struct {
-	eng  *Engine
-	name string
+	eng *Engine
 
 	freeAt Time // time the resource finishes its last accepted work
 	busy   Duration
 }
 
 // NewResource creates a resource bound to engine e.
-func NewResource(e *Engine, name string) *Resource {
-	return &Resource{eng: e, name: name}
+func NewResource(e *Engine) *Resource {
+	return &Resource{eng: e}
 }
-
-// Name returns the resource name given at construction.
-func (r *Resource) Name() string { return r.name }
 
 // FreeAt returns the earliest time at which the resource is free.
 func (r *Resource) FreeAt() Time { return r.freeAt }
@@ -51,8 +47,8 @@ func (r *Resource) Rewind(m Mark) { r.freeAt, r.busy = m.freeAt, m.busy }
 
 // Acquire reserves the resource for dur seconds starting no earlier than
 // readyAt, queueing FIFO behind prior work. It returns the start and end
-// of the reserved interval and schedules done (if non-nil) at the end.
-func (r *Resource) Acquire(readyAt Time, dur Duration, done func()) (start, end Time) {
+// of the reserved interval.
+func (r *Resource) Acquire(readyAt Time, dur Duration) (start, end Time) {
 	if dur < 0 {
 		panic("sim: negative duration")
 	}
@@ -66,8 +62,5 @@ func (r *Resource) Acquire(readyAt Time, dur Duration, done func()) (start, end 
 	end = start + Time(dur)
 	r.freeAt = end
 	r.busy += dur
-	if done != nil {
-		r.eng.At(end, done)
-	}
 	return start, end
 }

@@ -9,9 +9,10 @@
 //
 // The kernel is built for throughput: the priority queue is a 4-ary
 // heap of small value-typed entries (time, sequence, body index), the
-// event bodies live in an arena recycled through a free list, and
-// AtFunc schedules fixed callbacks without allocating a closure. In
-// steady state the hot path performs no heap allocation per event.
+// event bodies live in an arena recycled through a free list, and every
+// event is an EventFunc called with a context and two integers, so a
+// package-level callback needs no closure. In steady state the hot
+// path performs no heap allocation per event.
 package sim
 
 import (
@@ -28,20 +29,16 @@ type Duration = float64
 // Infinity is a time later than any event the simulation will produce.
 const Infinity Time = Time(math.MaxFloat64)
 
-// EventFunc is the fast-path callback signature used by AtFunc: a fixed
-// function plus a context and two integer arguments. Passing a
-// package-level function and a long-lived pointer context schedules an
-// event with zero allocations.
+// EventFunc is the body of every event: a fixed function plus a context
+// and two integer arguments. A package-level function and a long-lived
+// pointer context schedule an event with zero allocations; a func
+// literal costs its closure.
 type EventFunc func(ctx any, a, b int)
 
 // event is a scheduled callback's body. Bodies live in the engine's
 // arena, indexed by heap entries and recycled through a free list, so
 // completed events cost no garbage.
 type event struct {
-	// fn is the closure path (At / After / Immediately).
-	fn func()
-	// cb, ctx, a, b are the allocation-free path (AtFunc); used when
-	// fn is nil.
 	cb  EventFunc
 	ctx any
 	a   int
@@ -111,7 +108,7 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.arena) - 1)
 }
 
-// recycle clears a completed body (releasing fn/ctx to the GC) and
+// recycle clears a completed body (releasing cb/ctx to the GC) and
 // pushes its slot onto the free list.
 //
 //det:hotpath
@@ -175,21 +172,10 @@ func (e *Engine) pop() entry {
 	return top
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
+// AtFunc schedules cb(ctx, a, b) at absolute time t, after every event
+// already scheduled for t. With a package-level cb and a pointer ctx
+// the event costs only a recycled arena slot. Scheduling in the past
 // panics: it indicates a scheduler bug, not a recoverable condition.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	idx := e.alloc()
-	e.arena[idx].fn = fn
-	e.push(t, idx)
-}
-
-// AtFunc schedules cb(ctx, a, b) at absolute time t. It is the hot-path
-// scheduling primitive: unlike At no closure is allocated, so with a
-// package-level cb and a pointer ctx the event costs only a recycled
-// arena slot. Scheduling in the past panics, as with At.
 //
 //det:hotpath
 func (e *Engine) AtFunc(t Time, cb EventFunc, ctx any, a, b int) {
@@ -201,29 +187,6 @@ func (e *Engine) AtFunc(t Time, cb EventFunc, ctx any, a, b int) {
 	ev.cb, ev.ctx, ev.a, ev.b = cb, ctx, a, b
 	e.push(t, idx)
 }
-
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	e.At(e.now+Time(d), fn)
-}
-
-// AfterFunc schedules cb(ctx, a, b) d seconds from now, allocation-free
-// like AtFunc.
-//
-//det:hotpath
-func (e *Engine) AfterFunc(d Duration, cb EventFunc, ctx any, a, b int) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	e.AtFunc(e.now+Time(d), cb, ctx, a, b)
-}
-
-// Immediately schedules fn at the current time, after all events already
-// scheduled for the current time.
-func (e *Engine) Immediately(fn func()) { e.At(e.now, fn) }
 
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
@@ -247,11 +210,7 @@ func (e *Engine) dispatch(ent entry) {
 	}
 	ev := e.arena[ent.idx]
 	e.recycle(ent.idx)
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.cb(ev.ctx, ev.a, ev.b)
-	}
+	ev.cb(ev.ctx, ev.a, ev.b)
 }
 
 // Run executes events in order until the queue is empty, Stop is called,

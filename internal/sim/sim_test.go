@@ -7,12 +7,17 @@ import (
 	"testing/quick"
 )
 
+// at schedules fn at time t: a closure passed to AtFunc as its
+// EventFunc.
+func at(e *Engine, t Time, fn func()) {
+	e.AtFunc(t, func(any, int, int) { fn() }, nil, 0, 0)
+}
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var got []Time
-	for _, at := range []Time{3, 1, 2, 5, 4} {
-		at := at
-		e.At(at, func() { got = append(got, at) })
+	for _, when := range []Time{3, 1, 2, 5, 4} {
+		at(e, when, func() { got = append(got, when) })
 	}
 	end := e.Run()
 	if end != 5 {
@@ -32,8 +37,7 @@ func TestEngineTieBreakIsFIFO(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(1, func() { got = append(got, i) })
+		at(e, 1, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i, v := range got {
@@ -43,12 +47,14 @@ func TestEngineTieBreakIsFIFO(t *testing.T) {
 	}
 }
 
+// Events a callback schedules at Now() and Now()+2 run after it: the
+// first at the same instant, the second two seconds later.
 func TestEngineAfterAndImmediately(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.At(1, func() {
-		e.Immediately(func() { order = append(order, "imm") })
-		e.After(2, func() { order = append(order, "after") })
+	at(e, 1, func() {
+		at(e, e.Now(), func() { order = append(order, "imm") })
+		at(e, e.Now()+2, func() { order = append(order, "after") })
 		order = append(order, "first")
 	})
 	e.Run()
@@ -65,32 +71,22 @@ func TestEngineAfterAndImmediately(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(5, func() {
+	at(e, 5, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(1, func() {})
+		at(e, 1, func() {})
 	})
 	e.Run()
-}
-
-func TestEngineNegativeDelayPanics(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Error("negative delay did not panic")
-		}
-	}()
-	e.After(-1, func() {})
 }
 
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	e.At(1, func() { n++; e.Stop() })
-	e.At(2, func() { n++ })
+	at(e, 1, func() { n++; e.Stop() })
+	at(e, 2, func() { n++ })
 	e.Run()
 	if n != 1 {
 		t.Fatalf("ran %d events before stop, want 1", n)
@@ -105,9 +101,8 @@ func TestEngineStop(t *testing.T) {
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	for _, at := range []Time{1, 2, 3, 4} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
+	for _, when := range []Time{1, 2, 3, 4} {
+		at(e, when, func() { fired = append(fired, when) })
 	}
 	e.RunUntil(2.5)
 	if len(fired) != 2 {
@@ -125,9 +120,8 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineRunBefore(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	for _, at := range []Time{1, 2, 3, 4} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
+	for _, when := range []Time{1, 2, 3, 4} {
+		at(e, when, func() { fired = append(fired, when) })
 	}
 	// Strict horizon: the event at t=3 stays pending, and the clock
 	// parks at the last executed event, not at the horizon.
@@ -143,7 +137,7 @@ func TestEngineRunBefore(t *testing.T) {
 	}
 	// Events cascading inside the window still run: an event at 3.5
 	// scheduling one at 3.75 drains both under RunBefore(4).
-	e.At(3.5, func() { e.At(3.75, func() { fired = append(fired, 3.75) }) })
+	at(e, 3.5, func() { at(e, 3.75, func() { fired = append(fired, 3.75) }) })
 	e.RunBefore(4)
 	if len(fired) != 4 || fired[3] != 3.75 {
 		t.Fatalf("fired = %v, want cascade through 3.75", fired)
@@ -156,7 +150,7 @@ func TestEngineRunBefore(t *testing.T) {
 
 func TestEngineAdvanceTo(t *testing.T) {
 	e := NewEngine()
-	e.At(1, func() {})
+	at(e, 1, func() {})
 	e.RunBefore(2)
 	e.AdvanceTo(2)
 	if e.Now() != 2 {
@@ -164,7 +158,7 @@ func TestEngineAdvanceTo(t *testing.T) {
 	}
 	// Advancing onto a pending event's instant is allowed (the event
 	// can still fire at now); advancing past it must panic.
-	e.At(3, func() {})
+	at(e, 3, func() {})
 	e.AdvanceTo(3)
 	func() {
 		defer func() {
@@ -188,9 +182,9 @@ func TestEngineAdvanceTo(t *testing.T) {
 func TestEngineMaxStepsGuard(t *testing.T) {
 	e := NewEngine()
 	e.MaxSteps = 100
-	var loop func()
-	loop = func() { e.Immediately(loop) }
-	e.Immediately(loop)
+	var loop EventFunc
+	loop = func(any, int, int) { e.AtFunc(e.Now(), loop, nil, 0, 0) }
+	e.AtFunc(0, loop, nil, 0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("livelock did not trip MaxSteps panic")
@@ -201,10 +195,10 @@ func TestEngineMaxStepsGuard(t *testing.T) {
 
 func TestResourceFIFOAndBusyTime(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "gpu0")
-	s1, e1 := r.Acquire(0, 2, nil)
-	s2, e2 := r.Acquire(0, 3, nil)
-	s3, e3 := r.Acquire(10, 1, nil)
+	r := NewResource(e)
+	s1, e1 := r.Acquire(0, 2)
+	s2, e2 := r.Acquire(0, 3)
+	s3, e3 := r.Acquire(10, 1)
 	if s1 != 0 || e1 != 2 {
 		t.Fatalf("first interval [%v,%v], want [0,2]", s1, e1)
 	}
@@ -219,26 +213,15 @@ func TestResourceFIFOAndBusyTime(t *testing.T) {
 	}
 }
 
-func TestResourceCompletionCallback(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "gpu0")
-	var doneAt Time = -1
-	r.Acquire(1, 2, func() { doneAt = e.Now() })
-	e.Run()
-	if doneAt != 3 {
-		t.Fatalf("completion at %v, want 3", doneAt)
-	}
-}
-
 // Rewind restores the marked state exactly, where subtracting the
 // undone work would not: 0.1 + 0.2 - 0.2 is not 0.1 in float64.
 func TestResourceRewindIsExact(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "gpu0")
-	r.Acquire(0, 0.1, nil)
+	r := NewResource(e)
+	r.Acquire(0, 0.1)
 	m := r.Mark()
 	free, busy := r.FreeAt(), r.BusyTime()
-	r.Acquire(0, 0.2, nil)
+	r.Acquire(0, 0.2)
 	r.Occupy(5)
 	if busy+0.2-0.2 == busy {
 		t.Fatal("durations no longer show float rounding; pick others")
@@ -247,7 +230,7 @@ func TestResourceRewindIsExact(t *testing.T) {
 	if r.FreeAt() != free || r.BusyTime() != busy {
 		t.Errorf("rewound to free %v busy %v, want %v and %v", r.FreeAt(), r.BusyTime(), free, busy)
 	}
-	if s, _ := r.Acquire(0, 1, nil); s != free {
+	if s, _ := r.Acquire(0, 1); s != free {
 		t.Errorf("first reservation after the rewind starts at %v, want %v", s, free)
 	}
 }
@@ -259,15 +242,14 @@ func TestEventOrderProperty(t *testing.T) {
 		e := NewEngine()
 		var fired []Time
 		for _, raw := range times {
-			at := Time(raw)
-			if at < 0 {
-				at = -at
+			when := Time(raw)
+			if when < 0 {
+				when = -when
 			}
-			if at > 1e12 {
+			if when > 1e12 {
 				continue
 			}
-			at2 := at
-			e.At(at2, func() { fired = append(fired, at2) })
+			at(e, when, func() { fired = append(fired, when) })
 		}
 		e.Run()
 		return sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
@@ -283,13 +265,13 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 	prop := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		r := NewResource(e, "r")
+		r := NewResource(e)
 		var prevEnd Time
 		var total Duration
 		for i := 0; i < int(n%50); i++ {
 			ready := Time(rng.Float64() * 100)
 			dur := rng.Float64() * 10
-			s, en := r.Acquire(ready, dur, nil)
+			s, en := r.Acquire(ready, dur)
 			if s < prevEnd || en < s || s < ready {
 				return false
 			}
