@@ -355,7 +355,7 @@ func (e *Engine) SubmitDecoded(r workload.Request, h Handoff) (int, error) {
 	st.firstTokenAt = h.FirstTokenAt
 	// Shared chain blocks are accounted once globally, like a prefix
 	// hit: this request references them but did not pay for them here.
-	st.cached = len(h.KV.Keys) * e.kv.BlockSize()
+	st.cached = h.KV.SharedBlocks * e.kv.BlockSize()
 	sq := &e.seqs[id]
 	sq.ctx = h.KV.Tokens
 	sq.generated = h.Generated

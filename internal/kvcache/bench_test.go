@@ -106,3 +106,54 @@ func BenchmarkMatchPrefix(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFreeShared measures freeing a sequence that references a
+// resident 4096-block chain another sequence keeps alive.
+func BenchmarkFreeShared(b *testing.B) {
+	const chain = 4096
+	b.ReportAllocs()
+	m, err := NewManager(1<<24, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.AllocateShared(0, chain*16, 1, chain*16); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := m.AllocateShared(1, chain*16+1, 1, chain*16); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		m.Free(1)
+	}
+}
+
+// BenchmarkReclaim measures admission under memory pressure: the pool
+// is full of 64 warm 64-block chains, and each shared allocation needs
+// one block more than the free pool holds, so it reclaims the least
+// recently used warm block.
+func BenchmarkReclaim(b *testing.B) {
+	const groups, chain = 64, 64
+	b.ReportAllocs()
+	m, err := NewManager(groups*chain*16, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for g := 0; g < groups; g++ {
+		if _, err := m.AllocateShared(0, chain*16, g, chain*16); err != nil {
+			b.Fatal(err)
+		}
+		m.Free(0)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.AllocateShared(0, chain*16+1, i%groups, chain*16); err != nil {
+			b.Fatal(err)
+		}
+		m.Free(0)
+	}
+	if m.Stats().ReclaimedBlocks < b.N {
+		b.Fatalf("%d blocks reclaimed in %d allocations", m.Stats().ReclaimedBlocks, b.N)
+	}
+}

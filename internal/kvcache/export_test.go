@@ -7,12 +7,12 @@ import (
 
 // exportObs captures every observable the round-trip property compares:
 // pool accounting, sharing counters, per-sequence footprints, and the
-// per-key refcounts of the shared block table.
+// refcount of every resident shared block, by (group, position).
 type exportObs struct {
 	used, live, warm, shared int
 	stats                    ShareStats
 	seqs                     []SeqInfo
-	refs                     map[uint64]int
+	refs                     map[modelKey]int
 }
 
 func observe(m *Manager) exportObs {
@@ -23,10 +23,14 @@ func observe(m *Manager) exportObs {
 		shared: m.SharedBlocks(),
 		stats:  m.Stats(),
 		seqs:   m.Snapshot(),
-		refs:   make(map[uint64]int, len(m.shared)),
+		refs:   make(map[modelKey]int, m.SharedBlocks()),
 	}
-	for k, b := range m.shared {
-		o.refs[k] = b.refs
+	for g, c := range m.chains {
+		for pos, b := range c.blocks {
+			if b.lastUse != 0 {
+				o.refs[modelKey{g, pos}] = b.refs
+			}
+		}
 	}
 	return o
 }
@@ -53,7 +57,7 @@ func sameObs(t *testing.T, label string, got, want exportObs) {
 	}
 	for k, r := range want.refs {
 		if got.refs[k] != r {
-			t.Fatalf("%s: key %x refcount %d, want %d", label, k, got.refs[k], r)
+			t.Fatalf("%s: block %+v refcount %d, want %d", label, k, got.refs[k], r)
 		}
 	}
 }
@@ -260,20 +264,25 @@ func TestImportRejectsMalformedExport(t *testing.T) {
 	}
 }
 
-// Shared blocks are full prefix blocks, so an export whose keys cover
-// more tokens than it holds would leave a partly filled shared tail for
-// Append to write into. ImportKV rejects it and leaves the pool as it
-// was; keys that exactly cover the tokens import.
+// Shared blocks are full prefix blocks, so an export whose shared
+// blocks cover more tokens than it holds would leave a partly filled
+// shared tail for Append to write into. ImportKV rejects it, and a
+// negative shared count, and leaves the pool as it was; shared blocks
+// that exactly cover the tokens import.
 func TestImportRejectsPartialSharedTail(t *testing.T) {
 	m := mustManager(t, 1024, 16)
-	keys := chainKeys(1, 3)
-	if _, err := m.ImportKV(0, ExportedSeq{Tokens: 40, Keys: keys}); err == nil {
-		t.Fatal("import of 3 shared blocks holding 40 tokens accepted")
+	for _, ex := range []ExportedSeq{
+		{Tokens: 40, Group: 1, SharedBlocks: 3},
+		{Tokens: 40, PrivateBlocks: 4, Group: 1, SharedBlocks: -1},
+	} {
+		if _, err := m.ImportKV(0, ex); err == nil {
+			t.Fatalf("import of %+v accepted", ex)
+		}
+		if m.UsedBlocks() != 0 || m.SharedBlocks() != 0 || m.Has(0) {
+			t.Fatalf("rejected import changed the pool: used=%d shared=%d has=%v", m.UsedBlocks(), m.SharedBlocks(), m.Has(0))
+		}
 	}
-	if m.UsedBlocks() != 0 || m.SharedBlocks() != 0 || m.Has(0) {
-		t.Fatalf("rejected import changed the pool: used=%d shared=%d has=%v", m.UsedBlocks(), m.SharedBlocks(), m.Has(0))
-	}
-	if _, err := m.ImportKV(0, ExportedSeq{Tokens: 48, Keys: keys}); err != nil {
+	if _, err := m.ImportKV(0, ExportedSeq{Tokens: 48, Group: 1, SharedBlocks: 3}); err != nil {
 		t.Fatalf("import of 3 full shared blocks: %v", err)
 	}
 	if err := m.Append(0, 1); err != nil || m.UsedBlocks() != 4 {

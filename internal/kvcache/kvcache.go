@@ -24,9 +24,10 @@ const DefaultBlockSize = 16
 // map probe.
 //
 // Beyond per-sequence private blocks, the manager supports ref-counted
-// shared prefix blocks (see sharing.go): a sequence may reference a
-// chain of shared blocks for its prompt prefix, paying for each shared
-// block only once across the sequences that reference it.
+// shared prefix blocks (see sharing.go): a sequence may reference the
+// first blocks of its prefix group's chain, paying for each shared
+// block only once across the sequences that reference it. Shared blocks
+// are indexed by group, then by position in the group's prefix.
 type Manager struct {
 	blockSize int
 	capacity  int // blocks
@@ -43,10 +44,11 @@ type Manager struct {
 	base int
 	live int
 
-	// shared holds resident shared blocks by hash-chained key; blocks
-	// whose refcount drops to zero stay resident ("warm") until
+	// chains holds each prefix group's shared blocks by position;
+	// blocks whose refcount drops to zero stay resident ("warm") until
 	// reclaimed under memory pressure.
-	shared      map[uint64]*sharedBlock
+	chains      map[int]*prefixChain
+	sharedN     int // resident shared blocks
 	reclaimable int // shared blocks with zero refs
 	touchSeq    int // LRU clock for shared-block reclaim
 	stats       ShareStats
@@ -59,10 +61,12 @@ type Manager struct {
 
 type seqAlloc struct {
 	tokens int
-	// blocks counts the sequence's private blocks; shared prefix blocks
-	// are tracked by keys and counted once globally.
+	// blocks counts the sequence's private blocks. The sequence also
+	// references the first shared blocks of group's chain, which are
+	// counted once globally.
 	blocks  int
-	keys    []uint64
+	group   int
+	shared  int
 	arrival int
 }
 
@@ -81,7 +85,7 @@ func NewManager(capacityTokens, blockSize int) (*Manager, error) {
 	return &Manager{
 		blockSize: blockSize,
 		capacity:  (capacityTokens + blockSize - 1) / blockSize,
-		shared:    make(map[uint64]*sharedBlock),
+		chains:    make(map[int]*prefixChain),
 	}, nil
 }
 
@@ -123,14 +127,13 @@ func (m *Manager) PeakBlocks() int { return m.peak }
 // Live returns the number of resident sequences.
 func (m *Manager) Live() int { return m.live }
 
-// seq returns the allocation for id and whether it is resident.
-func (m *Manager) seq(id int) (seqAlloc, bool) {
+// slot returns id's table entry, or nil if id is not resident.
+func (m *Manager) slot(id int) *seqAlloc {
 	i := id - m.base
-	if i < 0 || i >= len(m.seqs) {
-		return seqAlloc{}, false
+	if i < 0 || i >= len(m.seqs) || m.seqs[i].arrival == 0 {
+		return nil
 	}
-	s := m.seqs[i]
-	return s, s.arrival != 0
+	return &m.seqs[i]
 }
 
 // setSeq installs s for id, growing the dense table as needed.
@@ -173,15 +176,14 @@ func (m *Manager) setSeq(id int, s seqAlloc) {
 
 // Tokens returns the cached token count for sequence id (0 if absent).
 func (m *Manager) Tokens(id int) int {
-	s, _ := m.seq(id)
-	return s.tokens
+	if s := m.slot(id); s != nil {
+		return s.tokens
+	}
+	return 0
 }
 
 // Has reports whether sequence id is resident.
-func (m *Manager) Has(id int) bool {
-	_, ok := m.seq(id)
-	return ok
-}
+func (m *Manager) Has(id int) bool { return m.slot(id) != nil }
 
 // BlocksFor returns the number of blocks needed for tokens tokens.
 func (m *Manager) BlocksFor(tokens int) int {
@@ -224,26 +226,31 @@ func (m *Manager) Allocate(id, tokens int) error {
 
 // CanAppend reports whether sequence id can grow by n tokens.
 func (m *Manager) CanAppend(id, n int) bool {
-	s, ok := m.seq(id)
-	if !ok {
+	s := m.slot(id)
+	if s == nil {
 		return false
 	}
-	return m.BlocksFor(s.tokens+n)-len(s.keys)-s.blocks <= m.FreeBlocks()+m.reclaimable
+	return m.BlocksFor(s.tokens+n)-s.shared-s.blocks <= m.FreeBlocks()+m.reclaimable
 }
 
 // Append grows sequence id by n tokens, taking new private blocks as
 // needed. A sequence's shared blocks are full prefix blocks (ImportKV
 // rejects any other kind), so growth only ever writes private blocks.
+// Most calls stay inside the last block and only count the tokens.
 func (m *Manager) Append(id, n int) error {
-	s, ok := m.seq(id)
-	if !ok {
+	s := m.slot(id)
+	if s == nil {
 		return fmt.Errorf("kvcache: append to unknown sequence %d", id)
 	}
 	if n <= 0 {
 		return fmt.Errorf("kvcache: append %d tokens", n)
 	}
-	priv := m.BlocksFor(s.tokens+n) - len(s.keys)
+	priv := m.BlocksFor(s.tokens+n) - s.shared
 	grow := priv - s.blocks
+	if grow == 0 {
+		s.tokens += n
+		return nil
+	}
 	if grow > m.FreeBlocks() {
 		m.reclaim(grow - m.FreeBlocks())
 	}
@@ -252,7 +259,6 @@ func (m *Manager) Append(id, n int) error {
 	}
 	s.tokens += n
 	s.blocks = priv
-	m.seqs[id-m.base] = s
 	m.used += grow
 	if m.used > m.peak {
 		m.peak = m.used
@@ -266,19 +272,13 @@ func (m *Manager) Append(id, n int) error {
 // until reclaimed under pressure. Freeing an absent id is a no-op,
 // matching allocator conventions (a double free drops no refs twice).
 func (m *Manager) Free(id int) {
-	s, ok := m.seq(id)
-	if !ok {
+	s := m.slot(id)
+	if s == nil {
 		return
 	}
 	m.used -= s.blocks
-	for _, k := range s.keys {
-		b := m.shared[k]
-		b.refs--
-		if b.refs == 0 {
-			m.reclaimable++
-		}
-	}
-	m.seqs[id-m.base] = seqAlloc{}
+	m.release(m.chain(s.group, s.shared), s.shared)
+	*s = seqAlloc{}
 	m.live--
 }
 
@@ -332,7 +332,7 @@ func (m *Manager) Snapshot() []SeqInfo {
 		if s.arrival == 0 {
 			continue
 		}
-		out = append(out, SeqInfo{ID: m.base + i, Tokens: s.tokens, Blocks: s.blocks + len(s.keys), Shared: len(s.keys)})
+		out = append(out, SeqInfo{ID: m.base + i, Tokens: s.tokens, Blocks: s.blocks + s.shared, Shared: s.shared})
 	}
 	return out
 }

@@ -445,14 +445,13 @@ func FuzzSharedPrefixModel(f *testing.F) {
 }
 
 // exportShared returns how many shared blocks ex references.
-func exportShared(ex ExportedSeq) int { return len(ex.Keys) }
+func exportShared(ex ExportedSeq) int { return ex.SharedBlocks }
 
 // blockState returns the refcount and LRU stamp of group's shared block
 // at position pos, and whether that block is resident.
 func blockState(m *Manager, group, pos int) (refs, lastUse int, ok bool) {
-	b, ok := m.shared[chainKeys(group, pos+1)[pos]]
-	if !ok {
-		return 0, 0, false
+	if c := m.chains[group]; c != nil && pos < len(c.blocks) && c.blocks[pos].lastUse != 0 {
+		return c.blocks[pos].refs, c.blocks[pos].lastUse, true
 	}
-	return b.refs, b.lastUse, true
+	return 0, 0, false
 }

@@ -7,43 +7,16 @@ import (
 	"testing/quick"
 )
 
-// refChainKeys is the chain of block keys written out in one loop, as
-// the allocator first defined it. The lazy probes must walk exactly
-// this sequence.
-func refChainKeys(group, n int) []uint64 {
-	keys := make([]uint64, n)
-	h := uint64(group)*0x9E3779B97F4A7C15 + 0x85EBCA77C2B2AE63
-	for i := range keys {
-		h += uint64(i) + 0x9E3779B97F4A7C15
-		h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
-		h = (h ^ (h >> 27)) * 0x94D049BB133111EB
-		h ^= h >> 31
-		keys[i] = h
-	}
-	return keys
-}
-
-// refMatchPrefix is MatchPrefix over the materialized reference chain.
+// refMatchPrefix is MatchPrefix as a walk over the chain's records
+// from the root, one block at a time.
 func refMatchPrefix(m *Manager, group, prefixTokens int) int {
 	hit := 0
-	for _, k := range refChainKeys(group, prefixTokens/m.blockSize) {
-		if _, ok := m.shared[k]; !ok {
+	for ; hit < prefixTokens/m.blockSize; hit++ {
+		if _, _, ok := blockState(m, group, hit); !ok {
 			break
 		}
-		hit++
 	}
 	return hit * m.blockSize
-}
-
-func TestChainKeysMatchReference(t *testing.T) {
-	for _, group := range []int{0, 1, 7, 1 << 20} {
-		got, want := chainKeys(group, 300), refChainKeys(group, 300)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("group %d: key %d = %x, want %x", group, i, got[i], want[i])
-			}
-		}
-	}
 }
 
 // Property: over random histories of shared allocations, frees,
@@ -69,14 +42,19 @@ func TestProbeEquivalenceProperty(t *testing.T) {
 					return fail(step, "MatchPrefix(%d) = %d, reference %d", g, got, want)
 				}
 			}
-			warm := 0
-			for _, b := range m.shared {
-				if b.refs == 0 {
-					warm++
+			warm, resident := 0, 0
+			for _, c := range m.chains {
+				for _, b := range c.blocks {
+					if b.lastUse != 0 {
+						resident++
+						if b.refs == 0 {
+							warm++
+						}
+					}
 				}
 			}
-			if warm != m.WarmBlocks() {
-				return fail(step, "%d zero-ref blocks, reclaimable %d", warm, m.WarmBlocks())
+			if warm != m.WarmBlocks() || resident != m.SharedBlocks() {
+				return fail(step, "%d zero-ref blocks of %d resident, reclaimable %d of %d", warm, resident, m.WarmBlocks(), m.SharedBlocks())
 			}
 			switch op := rng.Intn(10); {
 			case op < 4:
@@ -147,5 +125,23 @@ func TestProbesDoNotAllocate(t *testing.T) {
 	}
 	if sink == 0 {
 		t.Error("probes found nothing resident")
+	}
+}
+
+// A prefix hit on a fully resident chain references the chain in place:
+// admitting and freeing the sequence must not allocate.
+func TestSharedHitDoesNotAllocate(t *testing.T) {
+	m := mustManager(t, 16*1024, 16)
+	if _, err := m.AllocateShared(0, 512, 1, 512); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if hit, err := m.AllocateShared(1, 600, 1, 512); err != nil || hit != 512 {
+			t.Fatalf("hit %d, err %v", hit, err)
+		}
+		m.Free(1)
+	})
+	if allocs != 0 {
+		t.Errorf("AllocateShared+Free on a resident chain allocates %v times per run, want 0", allocs)
 	}
 }

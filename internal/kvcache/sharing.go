@@ -1,31 +1,72 @@
 package kvcache
 
-// Prefix sharing: PagedAttention-style ref-counted block reuse behind a
-// prefix trie of hash-chained block keys.
+// Prefix sharing: PagedAttention-style ref-counted block reuse, indexed
+// by prefix group and block position.
 //
 // Requests that open with the same shared prefix (system prompt,
-// conversation history) map their first full blocks to the same chain
-// of keys: key_i = mix(key_{i-1}, i), rooted at the prefix group. The
-// chain IS the trie — looking up a prefix walks keys from the root and
-// stops at the first miss, so a longer conversation extends a shorter
-// one's chain instead of duplicating it. Each resident shared block is
-// counted once in the pool no matter how many sequences reference it;
-// blocks whose refcount drops to zero stay resident ("warm") and are
-// reclaimed LRU, chain tails first, only under memory pressure.
+// conversation history) map their first full blocks to the same
+// positions of their group's chain: block i of the prefix is record i
+// of the group's dense record slice. The chain IS the trie — a longer
+// conversation extends a shorter one's chain instead of duplicating it,
+// and a prefix hit is the run of resident records from the root, which
+// each chain keeps up to date. Each resident shared block is counted
+// once in the pool no matter how many sequences reference it; blocks
+// whose refcount drops to zero stay resident ("warm") and are reclaimed
+// LRU, chain tails first, only under memory pressure.
+//
+// The index needs no hash: the simulator names every shared block by
+// its (group, position), where a real prefix cache must hash token
+// contents to find the same block.
 //
 // Only full prefix blocks are shared, so a sequence's shared blocks
 // all precede its private ones and decode appends never write a shared
 // block: Append grows private blocks only.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// sharedBlock is one resident ref-counted block.
+// sharedBlock is one position of a prefix chain. lastUse == 0 marks a
+// position with no resident block (touch stamps start at 1).
 type sharedBlock struct {
 	refs    int
 	lastUse int // touchSeq stamp; LRU order for reclaiming warm blocks
+}
+
+// prefixChain is one prefix group's shared blocks, indexed by position.
+type prefixChain struct {
+	blocks []sharedBlock
+	// run counts the resident blocks from the root up to the first
+	// missing one: the chain's prefix hit length in blocks.
+	run int
+	// resident counts the chain's resident blocks; reclaim releases
+	// blocks when it reaches zero.
+	resident int
+}
+
+// span returns the records of c's first n positions that were ever
+// written (none for a nil chain).
+func (c *prefixChain) span(n int) []sharedBlock {
+	if c == nil {
+		return nil
+	}
+	return c.blocks[:min(max(n, 0), len(c.blocks))]
+}
+
+// residency counts the resident blocks among c's first n positions and
+// how many of them are warm.
+func (c *prefixChain) residency(n int) (resident, warm int) {
+	for _, b := range c.span(n) {
+		if b.lastUse != 0 {
+			resident++
+			if b.refs == 0 {
+				warm++
+			}
+		}
+	}
+	return resident, warm
 }
 
 // ShareStats counts prefix-sharing traffic since the manager was built.
@@ -41,40 +82,18 @@ type ShareStats struct {
 func (m *Manager) Stats() ShareStats { return m.stats }
 
 // SharedBlocks returns the number of resident shared blocks.
-func (m *Manager) SharedBlocks() int { return len(m.shared) }
+func (m *Manager) SharedBlocks() int { return m.sharedN }
 
 // WarmBlocks returns resident shared blocks no live sequence references.
 func (m *Manager) WarmBlocks() int { return m.reclaimable }
 
-// chainRoot returns the hash state group's chain of block keys starts
-// from. chainNext advances state h to block index i; the new state is
-// also block i's key. Together they form a splitmix-style chain rooted
-// at the group id, so equal (group, block index) pairs collide on
-// purpose and everything else does not (up to 64-bit hashing). Probes
-// walk the chain one key at a time and stop early; only AllocateShared
-// materializes it (chainKeys), for the sequence to keep.
-func chainRoot(group int) uint64 { return uint64(group)*0x9E3779B97F4A7C15 + 0x85EBCA77C2B2AE63 }
-
-func chainNext(h uint64, i int) uint64 {
-	h += uint64(i) + 0x9E3779B97F4A7C15
-	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
-	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
-	return h ^ (h >> 31)
-}
-
-// chainKeys returns the keys of the first n full blocks of group's
-// shared prefix.
-func chainKeys(group, n int) []uint64 {
+// chain returns group's chain when n > 0 of its blocks are wanted, and
+// nil when none are or the group never had a resident block.
+func (m *Manager) chain(group, n int) *prefixChain {
 	if n <= 0 {
 		return nil
 	}
-	keys := make([]uint64, n)
-	h := chainRoot(group)
-	for i := range keys {
-		h = chainNext(h, i)
-		keys[i] = h
-	}
-	return keys
+	return m.chains[group]
 }
 
 // touch advances the LRU clock and returns the new stamp.
@@ -84,25 +103,20 @@ func (m *Manager) touch() int {
 }
 
 // MatchPrefix returns how many tokens of the first prefixTokens tokens
-// of group's shared prefix are resident right now — the longest warm or
-// referenced chain walk from the root, in whole blocks. This is the
-// signal cache-affinity dispatch reads and the prefill skip the engine
-// applies. The router probes every replica on every arrival and most
-// probes miss at the root, so the walk hashes lazily and stops at the
-// first miss.
+// of group's shared prefix are resident right now — the run of warm or
+// referenced blocks from the root, in whole blocks. This is the signal
+// cache-affinity dispatch reads and the prefill skip the engine
+// applies. The router probes every replica on every arrival, so the
+// answer is one read of the chain's run.
 //
 //det:hotpath
 func (m *Manager) MatchPrefix(group, prefixTokens int) int {
 	n := prefixTokens / m.blockSize
-	h := chainRoot(group)
-	hit := 0
-	for ; hit < n; hit++ {
-		h = chainNext(h, hit)
-		if _, ok := m.shared[h]; !ok {
-			break
-		}
+	c := m.chain(group, n)
+	if c == nil {
+		return 0
 	}
-	return hit * m.blockSize
+	return min(c.run, n) * m.blockSize
 }
 
 // chainLen returns how many full blocks of a tokens-token sequence
@@ -121,17 +135,7 @@ func (m *Manager) chainLen(tokens, prefixTokens int) int {
 //det:hotpath
 func (m *Manager) CanAllocateShared(tokens, group, prefixTokens int) bool {
 	n := m.chainLen(tokens, prefixTokens)
-	h := chainRoot(group)
-	resident, residentWarm := 0, 0
-	for i := 0; i < n; i++ {
-		h = chainNext(h, i)
-		if b, ok := m.shared[h]; ok {
-			resident++
-			if b.refs == 0 {
-				residentWarm++
-			}
-		}
-	}
+	resident, residentWarm := m.chain(group, n).residency(n)
 	return m.BlocksFor(tokens)-resident <= m.FreeBlocks()+m.reclaimable-residentWarm
 }
 
@@ -150,63 +154,104 @@ func (m *Manager) AllocateShared(id, tokens, group, prefixTokens int) (int, erro
 	if m.Has(id) {
 		return 0, fmt.Errorf("kvcache: sequence %d already allocated", id)
 	}
-	keys := chainKeys(group, m.chainLen(tokens, prefixTokens))
-	// Reference resident chain blocks first so reclaim cannot drop them
-	// while making room for the rest. Only a contiguous chain from the
-	// root skips prefill work: KV for position t needs every earlier
-	// position resident too.
-	hitBlocks, contig := 0, len(keys)
-	for i, k := range keys {
-		b, ok := m.shared[k]
-		if !ok {
-			contig = min(contig, i)
-			continue
-		}
-		hitBlocks++
-		b.refs++
-		if b.refs == 1 {
-			m.reclaimable--
-		}
+	n := m.chainLen(tokens, prefixTokens)
+	c := m.chain(group, n)
+	// Only the run from the root skips prefill work: KV for position t
+	// needs every earlier position resident too.
+	contig := 0
+	if c != nil {
+		contig = min(c.run, n)
 	}
+	// Reference resident chain blocks first so reclaim cannot drop them
+	// while making room for the rest.
+	hitBlocks := m.claim(c, n)
 	need := m.BlocksFor(tokens) - hitBlocks // missing chain + private blocks
 	if need > m.FreeBlocks() {
 		m.reclaim(need - m.FreeBlocks())
 	}
 	if need > m.FreeBlocks() {
-		// Roll the references back. Referenced blocks survive reclaim and
-		// nothing was inserted, so the resident keys are the hit ones.
-		for _, k := range keys {
-			if b, ok := m.shared[k]; ok {
-				b.refs--
-				if b.refs == 0 {
-					m.reclaimable++
-				}
-			}
-		}
+		m.release(c, n)
 		return 0, fmt.Errorf("kvcache: out of memory: need %d blocks, free %d", need, m.FreeBlocks())
 	}
-	// Insert the missing blocks and touch tail-first so LRU reclaim
-	// drops chain tails before roots, keeping surviving chains
-	// contiguous (and so hittable).
-	for i := len(keys) - 1; i >= 0; i-- {
-		b, ok := m.shared[keys[i]]
-		if !ok {
-			b = &sharedBlock{refs: 1}
-			m.shared[keys[i]] = b
-			m.used++
-		}
-		b.lastUse = m.touch()
-	}
-	priv := m.BlocksFor(tokens) - len(keys)
+	m.fill(group, c, n)
+	priv := m.BlocksFor(tokens) - n
 	m.allocSeq++
-	m.setSeq(id, seqAlloc{tokens: tokens, blocks: priv, keys: keys, arrival: m.allocSeq})
+	m.setSeq(id, seqAlloc{tokens: tokens, blocks: priv, group: group, shared: n, arrival: m.allocSeq})
 	m.used += priv
 	if m.used > m.peak {
 		m.peak = m.used
 	}
 	m.stats.HitBlocks += hitBlocks
-	m.stats.MissBlocks += len(keys) - hitBlocks
+	m.stats.MissBlocks += n - hitBlocks
 	return contig * m.blockSize, nil
+}
+
+// claim references the resident blocks among c's first n positions,
+// taking warm ones out of the reclaimable pool, and returns how many it
+// referenced.
+func (m *Manager) claim(c *prefixChain, n int) (hits int) {
+	blocks := c.span(n)
+	for i := range blocks {
+		b := &blocks[i]
+		if b.lastUse == 0 {
+			continue
+		}
+		hits++
+		b.refs++
+		if b.refs == 1 {
+			m.reclaimable--
+		}
+	}
+	return hits
+}
+
+// release drops one reference from each resident block among c's first
+// n positions; blocks it leaves unreferenced become warm. It undoes
+// claim, and frees a sequence's hold on its chain.
+func (m *Manager) release(c *prefixChain, n int) {
+	blocks := c.span(n)
+	for i := range blocks {
+		b := &blocks[i]
+		if b.lastUse == 0 {
+			continue
+		}
+		b.refs--
+		if b.refs == 0 {
+			m.reclaimable++
+		}
+	}
+}
+
+// fill inserts the missing blocks among group's first n positions
+// (ref 1) into c, or into a new chain if c is nil, and touches all n
+// tail-first, so LRU reclaim drops chain tails before roots and keeps
+// surviving chains contiguous (and so hittable).
+func (m *Manager) fill(group int, c *prefixChain, n int) {
+	if n <= 0 {
+		return
+	}
+	if c == nil {
+		c = &prefixChain{}
+		m.chains[group] = c
+	}
+	if len(c.blocks) < n {
+		c.blocks = append(c.blocks, make([]sharedBlock, n-len(c.blocks))...)
+	}
+	blocks := c.blocks[:n]
+	for i := n - 1; i >= 0; i-- {
+		b := &blocks[i]
+		if b.lastUse == 0 {
+			b.refs = 1
+			c.resident++
+			m.sharedN++
+			m.used++
+		}
+		b.lastUse = m.touch()
+	}
+	c.run = max(c.run, n)
+	for c.run < len(c.blocks) && c.blocks[c.run].lastUse != 0 {
+		c.run++
+	}
 }
 
 // reclaim drops up to need warm shared blocks (refs == 0), least
@@ -217,26 +262,32 @@ func (m *Manager) reclaim(need int) {
 		return
 	}
 	type cand struct {
-		key     uint64
-		lastUse int
+		c            *prefixChain
+		pos, lastUse int
 	}
 	cands := make([]cand, 0, m.reclaimable)
-	for k, b := range m.shared {
-		if b.refs == 0 {
-			cands = append(cands, cand{k, b.lastUse})
+	for _, c := range m.chains {
+		for i, b := range c.blocks {
+			if b.lastUse != 0 && b.refs == 0 {
+				cands = append(cands, cand{c, i, b.lastUse})
+			}
 		}
 	}
 	// lastUse stamps are unique (one touch per block event), so the
 	// order — and therefore the whole simulation — is deterministic.
-	sort.Slice(cands, func(i, j int) bool { return cands[i].lastUse < cands[j].lastUse })
-	for _, c := range cands {
-		if need <= 0 {
-			break
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.lastUse, b.lastUse) })
+	for _, cd := range cands[:min(need, len(cands))] {
+		c := cd.c
+		c.blocks[cd.pos] = sharedBlock{}
+		c.run = min(c.run, cd.pos)
+		if c.resident--; c.resident == 0 {
+			// No later candidate is in this chain: it has no resident
+			// block left.
+			c.blocks = nil
 		}
-		delete(m.shared, c.key)
+		m.sharedN--
 		m.used--
 		m.reclaimable--
 		m.stats.ReclaimedBlocks++
-		need--
 	}
 }
