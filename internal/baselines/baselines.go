@@ -19,6 +19,7 @@
 package baselines
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -178,6 +179,26 @@ func kvCapacity(cfg Config) (int, error) {
 	return capTok, nil
 }
 
+// ErrRequestTooLarge rejects a trace holding a request whose KV
+// footprint can never fit the pool. Run returns it before simulating
+// anything: such a request would stay at the head of the waiting queue
+// forever, so PP would retry its empty round until the runaway guard
+// panics and TP would stop with no progress. Callers distinguish it
+// with errors.Is.
+var ErrRequestTooLarge = errors.New("baselines: request KV footprint exceeds pool capacity")
+
+// checkFits rejects r if its decode-plane peak — input + output - 2
+// tokens, since the last token needs no KV slot — exceeds the whole
+// pool, as core's admission check does.
+func checkFits(kv *kvcache.Manager, r workload.Request) error {
+	peak := r.InputLen + max(r.OutputLen-2, 0)
+	if need := kv.BlocksFor(peak); need > kv.CapacityBlocks() {
+		return fmt.Errorf("baselines: request %d of %d input + %d output tokens needs %d KV blocks, capacity is %d: %w",
+			r.ID, r.InputLen, r.OutputLen, need, kv.CapacityBlocks(), ErrRequestTooLarge)
+	}
+	return nil
+}
+
 // reqState mirrors core's request tracking.
 type reqState struct {
 	req        workload.Request
@@ -224,6 +245,9 @@ func Run(cfg Config, reqs []workload.Request) (*Result, error) {
 	for i, r := range reqs {
 		if r.ID != i {
 			return nil, fmt.Errorf("baselines: request IDs must be dense 0..n-1")
+		}
+		if err := checkFits(kv, r); err != nil {
+			return nil, err
 		}
 		states[i] = &reqState{req: r, prefillLen: r.InputLen, arrival: sim.Time(r.ArrivalTime)}
 	}

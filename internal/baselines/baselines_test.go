@@ -1,11 +1,11 @@
 package baselines
 
 import (
-	"fmt"
-	"strings"
+	"errors"
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/kvcache"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -181,26 +181,46 @@ func TestTPUtilizationReflectsCommStalls(t *testing.T) {
 	}
 }
 
-// A prompt longer than the KV capacity can never be admitted. The PP
-// runner then finds nothing runnable with the request still waiting,
-// which is the only state that reaches its same-instant round retry:
-// every retry repeats the empty round until the runaway guard panics
-// after 64·n·1024+1024 rounds (66,561 for one request).
-func TestPPUnservablePromptRetriesUntilRunaway(t *testing.T) {
+// A prompt longer than the KV capacity can never be admitted. Run
+// refuses the trace up front with ErrRequestTooLarge under every method,
+// where PP used to retry its empty round until the runaway guard
+// panicked and TP stopped with "made no progress".
+func TestUnservablePromptRejected(t *testing.T) {
 	reqs := smallTrace(1, 31)
 	reqs[0].InputLen = 1 << 20
-	for _, m := range []Method{PPSB, PPHB} {
+	for _, m := range Methods() {
 		t.Run(m.String(), func(t *testing.T) {
-			defer func() {
-				want := m.String() + " runaway after 66561 rounds"
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
-					t.Errorf("panic %v, want %q", r, want)
-				}
-			}()
 			cfg := fastCfg(2, m)
 			cfg.MemUtilization = 0.0004
-			_, err := Run(cfg, reqs)
-			t.Errorf("Run returned (err %v) instead of panicking", err)
+			if _, err := Run(cfg, reqs); !errors.Is(err, ErrRequestTooLarge) {
+				t.Fatalf("Run error = %v, want ErrRequestTooLarge", err)
+			}
+		})
+	}
+}
+
+// A request whose decode-plane peak fills the pool exactly is served;
+// one token more is refused.
+func TestPeakAtCapacityServed(t *testing.T) {
+	for _, m := range Methods() {
+		t.Run(m.String(), func(t *testing.T) {
+			cfg := fastCfg(2, m)
+			cfg.MemUtilization = 0.0004
+			capTok, err := kvCapacity(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			capTok = kvcache.AlignTokens(capTok, cfg.BlockSize)
+			reqs := smallTrace(1, 31)
+			reqs[0].InputLen = capTok - reqs[0].OutputLen + 2
+			res, err := Run(cfg, reqs)
+			if err != nil || res.Report.OutputTokens != reqs[0].OutputLen {
+				t.Fatalf("request at capacity: err %v, report %+v", err, res)
+			}
+			reqs[0].InputLen++
+			if _, err := Run(cfg, reqs); !errors.Is(err, ErrRequestTooLarge) {
+				t.Fatalf("request one token over capacity: error %v, want ErrRequestTooLarge", err)
+			}
 		})
 	}
 }
