@@ -118,8 +118,12 @@ sloc:
 		{ all += $$1 } !bench { print; n += $$1 } bench { print $$0 " (module of its own)" } \
 		END { printf "%6d  total with cmd/tdpipe-bench\n", all }'
 
+# Fuzz the workload generator's split invariants, then the prefix cache
+# against its brute-force reference model (FuzzSharedPrefixModel), each
+# for FUZZTIME. `go test -fuzz` takes one target per call.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGenerateSplitInvariants -fuzztime=$(FUZZTIME) ./internal/workload/
+	$(GO) test -run='^$$' -fuzz=FuzzSharedPrefixModel -fuzztime=$(FUZZTIME) ./internal/kvcache/
 
 # Smoke-run the disaggregated serving sweep, the fault-injection and
 # correlated-failure studies and the autoscaling frontier at tiny scale

@@ -437,7 +437,7 @@ func TestSharedPrefixModelProperty(t *testing.T) {
 func FuzzSharedPrefixModel(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 4; i++ {
-		prog := make([]byte, 200*(i+1))
+		prog := make([]byte, 64*(i+1))
 		rng.Read(prog)
 		f.Add(prog)
 	}
