@@ -19,7 +19,7 @@ import (
 // finish hook would retire it, so the load counters stay stationary
 // across iterations. The engines ran a trace first: a plain Poisson one
 // for predicted-cost, a shared-prefix one for prefix-affinity, whose
-// probes then walk warm hash chains. Engine work (Submit) is not
+// probes then read warm prefix chains. Engine work (Submit) is not
 // included.
 func BenchmarkRouteArrival(b *testing.B) {
 	for _, name := range []string{PredictedCost, PrefixAffinity} {

@@ -149,7 +149,7 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 		t.Errorf("routing one arrival allocates %v times per run, want 0", allocs)
 	}
 	if warm == 0 {
-		t.Error("the pick found no warm prefix; the probe walked no hash chain")
+		t.Error("the pick found no warm prefix; the probe read no resident chain")
 	}
 
 	pre := newPool("prefill ", 2, mustPolicy(t, LeastWork, Options{}))

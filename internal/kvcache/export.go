@@ -132,13 +132,13 @@ func (m *Manager) ImportKV(id int, ex ExportedSeq) (int, error) {
 	// Reference resident blocks first so reclaim cannot drop them while
 	// making room for the rest (mirrors AllocateShared).
 	c := m.chain(ex.Group, ex.SharedBlocks)
-	resident := m.claim(c, ex.SharedBlocks)
+	resident := m.ref(c, ex.SharedBlocks, +1)
 	need := ex.Blocks() - resident
 	if need > m.FreeBlocks() {
 		m.reclaim(need - m.FreeBlocks())
 	}
 	if need > m.FreeBlocks() {
-		m.release(c, ex.SharedBlocks)
+		m.ref(c, ex.SharedBlocks, -1)
 		return 0, fmt.Errorf("kvcache: out of memory importing sequence %d: need %d blocks, free %d",
 			id, need, m.FreeBlocks())
 	}

@@ -277,7 +277,7 @@ func (m *Manager) Free(id int) {
 		return
 	}
 	m.used -= s.blocks
-	m.release(m.chain(s.group, s.shared), s.shared)
+	m.ref(m.chain(s.group, s.shared), s.shared, -1)
 	*s = seqAlloc{}
 	m.live--
 }

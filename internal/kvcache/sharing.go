@@ -164,13 +164,13 @@ func (m *Manager) AllocateShared(id, tokens, group, prefixTokens int) (int, erro
 	}
 	// Reference resident chain blocks first so reclaim cannot drop them
 	// while making room for the rest.
-	hitBlocks := m.claim(c, n)
+	hitBlocks := m.ref(c, n, +1)
 	need := m.BlocksFor(tokens) - hitBlocks // missing chain + private blocks
 	if need > m.FreeBlocks() {
 		m.reclaim(need - m.FreeBlocks())
 	}
 	if need > m.FreeBlocks() {
-		m.release(c, n)
+		m.ref(c, n, -1)
 		return 0, fmt.Errorf("kvcache: out of memory: need %d blocks, free %d", need, m.FreeBlocks())
 	}
 	m.fill(group, c, n)
@@ -186,40 +186,28 @@ func (m *Manager) AllocateShared(id, tokens, group, prefixTokens int) (int, erro
 	return contig * m.blockSize, nil
 }
 
-// claim references the resident blocks among c's first n positions,
-// taking warm ones out of the reclaimable pool, and returns how many it
-// referenced.
-func (m *Manager) claim(c *prefixChain, n int) (hits int) {
+// ref adds delta (+1 or -1) to the refcount of every resident block
+// among c's first n positions, moving blocks out of the reclaimable
+// pool as they gain their first reference and into it as they lose
+// their last, and returns how many blocks it changed. A sequence
+// references its chain with +1 before reclaim can run and drops it
+// with -1 when freed or rolled back.
+func (m *Manager) ref(c *prefixChain, n, delta int) (resident int) {
 	blocks := c.span(n)
 	for i := range blocks {
 		b := &blocks[i]
 		if b.lastUse == 0 {
 			continue
 		}
-		hits++
-		b.refs++
-		if b.refs == 1 {
+		resident++
+		if b.refs == 0 {
 			m.reclaimable--
 		}
-	}
-	return hits
-}
-
-// release drops one reference from each resident block among c's first
-// n positions; blocks it leaves unreferenced become warm. It undoes
-// claim, and frees a sequence's hold on its chain.
-func (m *Manager) release(c *prefixChain, n int) {
-	blocks := c.span(n)
-	for i := range blocks {
-		b := &blocks[i]
-		if b.lastUse == 0 {
-			continue
-		}
-		b.refs--
-		if b.refs == 0 {
+		if b.refs += delta; b.refs == 0 {
 			m.reclaimable++
 		}
 	}
+	return resident
 }
 
 // fill inserts the missing blocks among group's first n positions
