@@ -1,4 +1,5 @@
-# Tier-1 verify is `make ci` (build + vet + test + race).
+# Tier-1 verify is `make ci` (build + vet + test + race + chaos +
+# smoke + the benchmark harness's own tests).
 
 GO ?= go
 # Shorten in CI's fuzz job (make fuzz FUZZTIME=15s).
@@ -95,8 +96,9 @@ bench-compare:
 
 # End-to-end benchmark: cmd/tdpipe-bench runs the five fixed serving
 # workloads twice each (about 30 s) and checks their golden digests.
-# The harness is a module of its own, so root `go test ./...` skips its
-# tests; bench-e2e-test runs them.
+# The harness is a module of its own, so root `go build ./...` and
+# `go test ./...` never compile it against the fleet shims it calls;
+# bench-e2e-test (part of ci) builds and tests it.
 bench-e2e:
 	bash cmd/tdpipe-bench/run.sh --seconds 0
 
@@ -139,4 +141,4 @@ smoke:
 	$(GO) run ./cmd/tdpipe -exp disagg,faults,chaos,autoscale -requests 250 -pool 2000
 	$(GO) run ./cmd/tdpipe -exp disagg,faults,chaos,autoscale -requests 250 -pool 2000 -workers 4
 
-ci: build vet test race chaos smoke
+ci: build vet test race chaos smoke bench-e2e-test

@@ -480,22 +480,27 @@ func exportAggregate(dir string, rep metrics.Report) error {
 	return nil
 }
 
-// runFleet serves the sample on data-parallel TD-Pipe replicas through
-// fleet.Serve's shared-clock router.
+// runFleet serves the sample through fleet.Serve's shared-clock router:
+// on data-parallel TD-Pipe replicas, or with -disagg on a prefill pool
+// feeding a decode pool through the modeled KV hand-off link.
 func runFleet(o options, node hw.Node, spec model.Spec, pool, reqs []workload.Request, open bool) error {
 	cfg, err := engineConfig(o, node, spec, pool)
 	if err != nil {
 		return err
 	}
-	p, err := fleet.New(o.policy, fleet.Options{Seed: o.seed, Predictor: cfg.Predictor})
-	if err != nil {
-		return err
+	sc := fleet.ServeConfig{Workers: o.workers}
+	if o.disagg {
+		sc.PrefillReplicas, sc.DecodeReplicas = o.prefillReplicas, o.decodeReplicas
+	} else {
+		sc.Replicas = o.replicas
+		if sc.Policy, err = fleet.New(o.policy, fleet.Options{Seed: o.seed, Predictor: cfg.Predictor}); err != nil {
+			return err
+		}
 	}
-	sc := fleet.ServeConfig{Replicas: o.replicas, Policy: p, Workers: o.workers}
 	if sc.Stack, err = o.policyStack(); err != nil {
 		return err
 	}
-	if sc.Faults, err = o.faultPlan(node, spec, o.replicas); err != nil {
+	if sc.Faults, err = o.faultPlan(node, spec, sc.Replicas+sc.PrefillReplicas+sc.DecodeReplicas); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -505,48 +510,24 @@ func runFleet(o options, node hw.Node, spec model.Spec, pool, reqs []workload.Re
 	}
 	printKernel(res.Steps, time.Since(start), res.Workers)
 	for i, rr := range res.Replicas {
-		fmt.Printf("replica %d: %d reqs, %.1fs, %.0f tok/s out, util %.1f%%\n",
-			i, rr.Report.Requests, rr.Report.Elapsed,
-			rr.Report.OutputThroughput(), 100*rr.Report.MeanUtilization)
+		r := rr.Report
+		switch p := res.PrefillReplicas; {
+		case i < p:
+			fmt.Printf("prefill %d: %d reqs, %.1fs, %.0f tok/s total, util %.1f%%\n",
+				i, r.Requests, r.Elapsed, r.TotalThroughput(), 100*r.MeanUtilization)
+		case p > 0:
+			fmt.Printf("decode %d: %d reqs, %.1fs, %.0f tok/s out, util %.1f%%\n",
+				i-p, r.Requests, r.Elapsed, r.OutputThroughput(), 100*r.MeanUtilization)
+		default:
+			fmt.Printf("replica %d: %d reqs, %.1fs, %.0f tok/s out, util %.1f%%\n",
+				i, r.Requests, r.Elapsed, r.OutputThroughput(), 100*r.MeanUtilization)
+		}
 	}
 	printReport(res.Report)
-	printAccounting(res.Report, open)
-	return exportAggregate(o.outDir, res.Report)
-}
-
-// runDisagg serves the sample on a disaggregated fleet: a prefill pool
-// feeding a decode pool through the modeled KV hand-off link.
-func runDisagg(o options, node hw.Node, spec model.Spec, pool, reqs []workload.Request, open bool) error {
-	cfg, err := engineConfig(o, node, spec, pool)
-	if err != nil {
-		return err
+	if o.disagg {
+		fmt.Printf("hand-offs: %d (%d queued for headroom), %.2f GB KV migrated\n",
+			res.Handoffs, res.QueuedHandoffs, res.TransferredBytes/1e9)
 	}
-	dc := fleet.DisaggConfig{PrefillReplicas: o.prefillReplicas, DecodeReplicas: o.decodeReplicas, Workers: o.workers}
-	if dc.Stack, err = o.policyStack(); err != nil {
-		return err
-	}
-	if dc.Faults, err = o.faultPlan(node, spec, dc.PrefillReplicas+dc.DecodeReplicas); err != nil {
-		return err
-	}
-	start := time.Now()
-	res, err := fleet.RunDisagg(cfg, dc, reqs)
-	if err != nil {
-		return err
-	}
-	printKernel(res.Steps, time.Since(start), res.Workers)
-	for i, rr := range res.Prefill {
-		fmt.Printf("prefill %d: %d reqs, %.1fs, %.0f tok/s total, util %.1f%%\n",
-			i, rr.Report.Requests, rr.Report.Elapsed,
-			rr.Report.TotalThroughput(), 100*rr.Report.MeanUtilization)
-	}
-	for i, rr := range res.Decode {
-		fmt.Printf("decode %d: %d reqs, %.1fs, %.0f tok/s out, util %.1f%%\n",
-			i, rr.Report.Requests, rr.Report.Elapsed,
-			rr.Report.OutputThroughput(), 100*rr.Report.MeanUtilization)
-	}
-	printReport(res.Report)
-	fmt.Printf("hand-offs: %d (%d queued for headroom), %.2f GB KV migrated\n",
-		res.Handoffs, res.QueuedHandoffs, res.TransferredBytes/1e9)
 	printAccounting(res.Report, open)
 	return exportAggregate(o.outDir, res.Report)
 }
@@ -692,7 +673,7 @@ func run(o options, visit func(func(*flag.Flag))) error {
 		if o.kvLat > 0 {
 			node.KVLinkLatency = o.kvLat
 		}
-		return runDisagg(o, node, spec, pool, reqs, open)
+		return runFleet(o, node, spec, pool, reqs, open)
 	}
 	if len(disaggFlags) > 0 {
 		return fmt.Errorf("%s only take effect with -disagg", strings.Join(disaggFlags, ", "))

@@ -68,15 +68,15 @@ func main() {
 	fmt.Println("             ", colo.Report.Latency)
 
 	// 4. Disaggregated splits over the same 4 replicas.
-	for _, dc := range []tdpipe.DisaggConfig{
+	for _, fc := range []tdpipe.FleetConfig{
 		{PrefillReplicas: 2, DecodeReplicas: 2},
 		{PrefillReplicas: 3, DecodeReplicas: 1},
 	} {
-		res, err := tdpipe.RunDisagg(cfg, dc, open)
+		res, err := tdpipe.RunFleet(cfg, open, fc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\n%dP+%dD:       %v\n", dc.PrefillReplicas, dc.DecodeReplicas, res.Report)
+		fmt.Printf("\n%dP+%dD:       %v\n", fc.PrefillReplicas, fc.DecodeReplicas, res.Report)
 		fmt.Println("             ", res.Report.Latency)
 		fmt.Printf("              %d hand-offs (%d queued), %.1f GB KV migrated\n",
 			res.Handoffs, res.QueuedHandoffs, res.TransferredBytes/1e9)

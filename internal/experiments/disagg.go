@@ -27,7 +27,7 @@ type DisaggRow struct {
 
 // disaggSplits are the pool splits swept against the colocated
 // control, all over the same total replica count.
-var disaggSplits = []fleet.DisaggConfig{
+var disaggSplits = []fleet.ServeConfig{
 	{PrefillReplicas: 1, DecodeReplicas: 3},
 	{PrefillReplicas: 2, DecodeReplicas: 2},
 	{PrefillReplicas: 3, DecodeReplicas: 1},
@@ -79,16 +79,14 @@ func Disagg(e *Env) ([]DisaggRow, error) {
 		}
 		rows = append(rows, DisaggRow{Load: load, Split: "colocated", Rate: rate, Report: colo.Report})
 
-		for _, dc := range disaggSplits {
-			wdc := dc
-			wdc.Workers = e.Opts.Workers
-			res, err := fleet.RunDisagg(cfg, wdc, open)
+		for _, sc := range disaggSplits {
+			res, err := fleet.Serve(cfg, open, sc)
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, DisaggRow{
 				Load:     load,
-				Split:    fmt.Sprintf("%dP+%dD", dc.PrefillReplicas, dc.DecodeReplicas),
+				Split:    fmt.Sprintf("%dP+%dD", sc.PrefillReplicas, sc.DecodeReplicas),
 				Rate:     rate,
 				Report:   res.Report,
 				Handoffs: res.Handoffs,

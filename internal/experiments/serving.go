@@ -137,8 +137,7 @@ func (s *faultStudy) disagg(fc faults.Config) (metrics.Report, error) {
 	if err != nil {
 		return metrics.Report{}, err
 	}
-	dc := fleet.DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: s.e.Opts.Workers, Faults: plan}
-	res, err := fleet.RunDisagg(s.cfg, dc, s.open)
+	res, err := fleet.Serve(s.cfg, s.open, fleet.ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2, Faults: plan})
 	if err != nil {
 		return metrics.Report{}, err
 	}

@@ -165,7 +165,7 @@ func TestChaosSweep(t *testing.T) {
 	long := os.Getenv("TDPIPE_CHAOS_LONG") == "1"
 	cfg := chaosConfig()
 	const replicas = 4
-	dc := fleet.DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2}
+	dc := fleet.ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2}
 	reqs := chaosTrace(100, 47)
 	n := len(reqs)
 
@@ -241,7 +241,7 @@ func TestChaosSweep(t *testing.T) {
 					{"disagg", func(workers int) (outcome, error) {
 						d := dc
 						d.Workers, d.Faults = workers, plan
-						res, err := fleet.RunDisagg(cfg, d, reqs)
+						res, err := fleet.Serve(cfg, reqs, d)
 						if err != nil {
 							return outcome{}, err
 						}
@@ -278,7 +278,7 @@ func TestChaosSweep(t *testing.T) {
 func TestChaosInactivePlan(t *testing.T) {
 	cfg := chaosConfig()
 	const replicas = 4
-	dc := fleet.DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2}
+	dc := fleet.ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2}
 	reqs := chaosTrace(100, 53)
 
 	policy := func() fleet.Policy {
@@ -300,7 +300,7 @@ func TestChaosInactivePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dbase, err := fleet.RunDisagg(cfg, dc, reqs)
+	dbase, err := fleet.Serve(cfg, reqs, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestChaosInactivePlan(t *testing.T) {
 		}
 		pdc := dc
 		pdc.Faults = plan
-		dres, err := fleet.RunDisagg(cfg, pdc, reqs)
+		dres, err := fleet.Serve(cfg, reqs, pdc)
 		if err != nil {
 			t.Fatal(err)
 		}

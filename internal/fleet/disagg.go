@@ -4,115 +4,21 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
-// Disaggregated prefill/decode serving: the fleet is split into a
-// prefill pool and a decode pool sharing one virtual clock. Every
-// arrival is routed to a prefill replica (least-work); when its prefill
-// completes, the engine exports the finished prefix KV (core.Handoff)
-// and the router migrates it to a decode replica over the node's KV
-// link — transfer time = blocks x block bytes / bandwidth + latency —
-// where generation resumes via SubmitDecoded. The transfer overlaps
-// decode-side queueing: a hand-off becomes placeable once its transfer
-// completes, and waits in a FIFO only while no decode replica has KV
-// headroom for the import (retried as decode requests finish).
+// The KV transfer path of a prefill/decode split (see Serve): a
+// prefill replica's hand-off and a crash-lost request's checkpoint
+// reload both cross the modeled KV link, and land on a replica of the
+// last pool once the transfer completes. A split fleet queues a
+// transferred hand-off only while no decode replica has the KV
+// headroom to import it, and retries it as decode requests finish.
 //
 // The split isolates the two phases' interference: prefill replicas
 // never stall arrivals behind long decode phases, so TTFT stays flat
 // under bursts, at the price of the modeled transfer and fewer
-// decode-side token slots. The split runs on the same router as a
-// colocated fleet (online.go), with two pools instead of one; this file
-// holds its configuration and the KV transfer path. Results are
-// deterministic for a fixed trace, config and split, at every worker
-// count.
-
-// DisaggConfig sizes the two pools of a disaggregated deployment. Both
-// pools run the same engine configuration (core.Config); only the role
-// differs.
-type DisaggConfig struct {
-	// PrefillReplicas is the number of engines dedicated to prefill.
-	PrefillReplicas int
-	// DecodeReplicas is the number of engines dedicated to decode.
-	DecodeReplicas int
-	// Workers is accepted and ignored: the coordinator advances both
-	// tiers through the last hand-off, which leaves a worker pool
-	// nothing to run, so a split fleet always runs on one worker
-	// (DisaggResult.Workers reports it).
-	Workers int
-	// Stack attaches a policy stack to the deployment. Disaggregated
-	// serving honors two components. Autoscaler is scoped to the
-	// decode pool: DecodeReplicas is the provisioned pool the
-	// autoscaler breathes inside (its Max must fit), and hand-off
-	// placement skips inactive decode replicas. Breaker gives every
-	// replica in both pools a circuit breaker: crashes open a
-	// replica's breaker (one failure per aborted request), finishes
-	// close it, and routing skips breaker-open replicas — falling back
-	// to liveness alone when every live candidate is open, so a
-	// fully-tripped pool degrades instead of stalling. A nil stack —
-	// or one without these components — keeps the fleet static and
-	// takes the exact pre-policy code path, byte for byte.
-	Stack *policy.Stack
-	// Faults is the fault plan, indexed over the prefill pool first,
-	// then decode: crashes hit both pools and hand-offs cross its
-	// impaired-link windows. Crash-lost requests resume from a KV
-	// checkpoint on the decode pool or re-prefill; those out of retries
-	// are dropped with a reason. Nil or inactive runs fault-free.
-	Faults *faults.Plan
-}
-
-// Validate reports a configuration error, if any.
-func (dc DisaggConfig) Validate() error {
-	if dc.PrefillReplicas <= 0 || dc.DecodeReplicas <= 0 {
-		return fmt.Errorf("fleet: disagg pools %dP+%dD (both must be positive)",
-			dc.PrefillReplicas, dc.DecodeReplicas)
-	}
-	if dc.Stack != nil && dc.Stack.Autoscaler != nil {
-		if m := dc.Stack.Autoscaler.Config().Max; m > dc.DecodeReplicas {
-			return fmt.Errorf("fleet: decode autoscaler Max %d exceeds provisioned decode replicas %d",
-				m, dc.DecodeReplicas)
-		}
-	}
-	return nil
-}
-
-// DisaggResult is the outcome of a disaggregated run.
-type DisaggResult struct {
-	// Report is the fleet-level aggregate over both pools; Latency
-	// digests the per-request records spanning the whole hand-off
-	// lifecycle (arrival at the prefill pool to completion in the
-	// decode pool).
-	Report metrics.Report
-	// Prefill and Decode hold the per-replica engine results.
-	Prefill, Decode []*core.Result
-	// PrefillShards records the arrival routing: every trace request
-	// appears in exactly one prefill shard. DecodeShards records the
-	// hand-off placement: requests that finished at prefill
-	// (single-token outputs) appear in no decode shard.
-	PrefillShards, DecodeShards []Shard
-	// Records holds the merged per-request records indexed by trace
-	// position: the decode replica's record for handed-off requests
-	// (it carries the original arrival and first-token instants), the
-	// prefill replica's for requests that completed there.
-	Records []metrics.RequestRecord
-	// Handoffs counts requests migrated to the decode pool.
-	Handoffs int
-	// TransferredBytes is the total KV moved over the hand-off link.
-	TransferredBytes float64
-	// QueuedHandoffs counts hand-offs that had to wait for decode-pool
-	// KV headroom after their transfer completed.
-	QueuedHandoffs int
-	// Steps counts the simulation events processed across the run's
-	// engines and the router timeline.
-	Steps uint64
-	// Workers is the number of fabric workers the run used: always 1
-	// (see DisaggConfig.Workers).
-	Workers int
-}
+// decode-side token slots. It runs on the same router as a colocated
+// fleet (online.go), with two pools instead of one.
 
 // handoffItem is one KV move on the transfer path: a prefill hand-off,
 // or a crash-lost request's checkpoint reload (recovery, counted as a
@@ -122,77 +28,6 @@ type handoffItem struct {
 	pr       pendingRec
 	h        core.Handoff
 	recovery bool
-}
-
-// RunDisagg serves an arrival-stamped trace on a disaggregated fleet:
-// dc.PrefillReplicas prefill engines and dc.DecodeReplicas decode
-// engines, all instances of cfg on one shared virtual clock. Arrivals
-// are dispatched least-work across the prefill pool; hand-offs are
-// placed by the decode-affinity pick (warmest resident KV, then free-KV
-// headroom, then least predicted decode work). Closed-loop traces
-// (all arrivals at t=0) are served the same way — every request routes
-// at t=0. dc.Faults, when active, attaches the fault layer, and a stack
-// with breakers or an autoscaler the policy layer. A run with either
-// layer drops a request too large for any replica with a reason; a
-// layer-free run fails on it.
-func RunDisagg(cfg core.Config, dc DisaggConfig, reqs []workload.Request) (*DisaggResult, error) {
-	if err := dc.Validate(); err != nil {
-		return nil, err
-	}
-	ppolicy, err := New(LeastWork, Options{Predictor: cfg.Predictor})
-	if err != nil {
-		return nil, err
-	}
-	dpolicy, err := New(DecodeAffinity, Options{Predictor: cfg.Predictor})
-	if err != nil {
-		return nil, err
-	}
-	if err := validateArrivals(reqs); err != nil {
-		return nil, err
-	}
-	// A split fleet honors only the stack's breakers and its decode
-	// autoscaler.
-	stack := dc.Stack
-	if stack != nil {
-		stack = &policy.Stack{Breaker: stack.Breaker, Autoscaler: stack.Autoscaler}
-	}
-	P, D := dc.PrefillReplicas, dc.DecodeReplicas
-	pre, dec := newPool("prefill ", P, ppolicy), newPool("decode ", D, dpolicy)
-	// The coordinator advances both tiers through the last hand-off,
-	// which leaves a worker pool nothing to run: one worker, whatever
-	// dc.Workers asks for.
-	ro, err := newRouter(cfg, reqs, 1, dc.Faults, stack, pre, dec)
-	if err != nil {
-		return nil, err
-	}
-	mode := "Disagg"
-	if ro.plan != nil {
-		mode = "DisaggFaults"
-	}
-	rep, results, records, err := ro.serve(cfg, fmt.Sprintf("%s(TD-Pipe %dP+%dD)", mode, P, D))
-	if err != nil {
-		return nil, err
-	}
-	return &DisaggResult{
-		Report:           rep,
-		Prefill:          results[:P],
-		Decode:           results[P:],
-		PrefillShards:    pre.shards,
-		DecodeShards:     dec.shards,
-		Records:          records,
-		Handoffs:         ro.handoffs,
-		TransferredBytes: ro.moved,
-		QueuedHandoffs:   ro.queuedHandoffs,
-		Steps:            ro.fab.Steps(),
-		Workers:          ro.fab.workers,
-	}, nil
-}
-
-// RunDisaggFaults is RunDisagg with dc.Faults set to plan, kept for its
-// only caller, the end-to-end benchmark harness (cmd/tdpipe-bench).
-func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, plan *faults.Plan) (*DisaggResult, error) {
-	dc.Faults = plan
-	return RunDisagg(cfg, dc, reqs)
 }
 
 // handoff receives a prefill-completed request (drained canonically

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/policy"
@@ -20,25 +21,30 @@ func decodeScalerStack(t *testing.T, maxDecode int) *policy.Stack {
 	return &policy.Stack{Autoscaler: as}
 }
 
-// A stack without an autoscaler must take the exact RunDisagg code
-// path: reports and records byte-identical, at one worker and at four.
+// A stack without an autoscaler must take the exact split code path:
+// reports and records byte-identical, at one worker and at four. A
+// stack component a split cannot honor is refused, not dropped.
 func TestParallelDisaggElasticInactiveStackByteIdentical(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := workload.StampArrivals(smallTrace(250, 7), workload.Poisson{Rate: 500}, 13)
 	for _, workers := range []int{1, 4} {
-		want, err := RunDisagg(cfg, DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: workers}, reqs)
+		want, err := Serve(cfg, reqs, ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for _, stack := range []*policy.Stack{nil, {}, {Admission: policy.NewTokenBucket(1, 1)}} {
-			dc := DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: workers, Stack: stack}
-			got, err := RunDisagg(cfg, dc, reqs)
+		for _, stack := range []*policy.Stack{nil, {}} {
+			sc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: workers, Stack: stack}
+			got, err := Serve(cfg, reqs, sc)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
 			if !bytes.Equal(fullJSON(t, want.Report, want.Records), fullJSON(t, got.Report, got.Records)) {
-				t.Fatalf("workers=%d: autoscaler-free stack diverges from RunDisagg", workers)
+				t.Fatalf("workers=%d: autoscaler-free stack diverges from the stackless split", workers)
 			}
+		}
+		sc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: workers, Stack: &policy.Stack{Admission: policy.NewTokenBucket(1, 1)}}
+		if _, err := Serve(cfg, reqs, sc); !errors.Is(err, ErrSplitStack) {
+			t.Fatalf("workers=%d: admission on a split: err = %v, want %v", workers, err, ErrSplitStack)
 		}
 	}
 }
@@ -49,8 +55,8 @@ func TestParallelDisaggElasticByteIdenticalToSequential(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := workload.StampArrivals(smallTrace(300, 9), workload.Poisson{Rate: 800}, 21)
 	run := func(workers int) []byte {
-		dc := DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 4, Workers: workers, Stack: decodeScalerStack(t, 4)}
-		res, err := RunDisagg(cfg, dc, reqs)
+		sc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 4, Workers: workers, Stack: decodeScalerStack(t, 4)}
+		res, err := Serve(cfg, reqs, sc)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -69,14 +75,12 @@ func TestParallelDisaggElasticByteIdenticalToSequential(t *testing.T) {
 func TestDisaggDecodeAutoscalerBreathes(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := workload.StampArrivals(smallTrace(400, 11), workload.Poisson{Rate: 1500}, 19)
-	dc := DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 4, Stack: decodeScalerStack(t, 4)}
-	res, err := RunDisagg(cfg, dc, reqs)
+	sc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 4, Stack: decodeScalerStack(t, 4)}
+	res, err := Serve(cfg, reqs, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.Requests != len(reqs) {
-		t.Fatalf("finished %d of %d requests", res.Report.Requests, len(reqs))
-	}
+	checkConservation(t, res, len(reqs), 0)
 	a := res.Report.Autoscale
 	if !a.Any() || a.ScaleUps == 0 || a.PeakReplicas < 2 {
 		t.Fatalf("decode pool never scaled up: %+v", a)
@@ -84,14 +88,5 @@ func TestDisaggDecodeAutoscalerBreathes(t *testing.T) {
 	staticDecode := 4.0 * float64(cfg.World) * res.Report.Elapsed
 	if a.GPUSeconds <= 0 || a.GPUSeconds >= staticDecode {
 		t.Fatalf("decode GPU-seconds %.2f not inside (0, static %.2f)", a.GPUSeconds, staticDecode)
-	}
-}
-
-func TestDisaggElasticRejectsOverMax(t *testing.T) {
-	cfg := fastConfig(1)
-	reqs := workload.StampArrivals(smallTrace(10, 3), workload.Poisson{Rate: 100}, 5)
-	dc := DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 2, Stack: decodeScalerStack(t, 4)}
-	if _, err := RunDisagg(cfg, dc, reqs); err == nil {
-		t.Fatal("decode autoscaler Max above provisioned decode replicas must be rejected")
 	}
 }

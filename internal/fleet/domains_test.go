@@ -80,9 +80,9 @@ func TestRunOnlineFaultsDomainPower(t *testing.T) {
 // hand-offs stall until the outage lifts and the makespan stretches.
 func TestRunDisaggFaultsDomainNetwork(t *testing.T) {
 	cfg := fastConfig(2)
-	dc := DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2}
+	dc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2}
 	reqs := faultTrace(120, 41)
-	base, err := RunDisagg(cfg, dc, reqs)
+	base, err := Serve(cfg, reqs, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRunDisaggFaultsDomainNetwork(t *testing.T) {
 	dc.Faults = plan
 	var prev []byte
 	for run := 0; run < 2; run++ {
-		res, err := RunDisagg(cfg, dc, reqs)
+		res, err := Serve(cfg, reqs, dc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,15 +139,15 @@ func TestRunDisaggFaultsDomainNetwork(t *testing.T) {
 func TestRunDisaggBreakerFaultFree(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := faultTrace(120, 43)
-	base, err := RunDisagg(cfg, DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 2}, reqs)
+	base, err := Serve(cfg, reqs, ServeConfig{PrefillReplicas: 1, DecodeReplicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc := DisaggConfig{
+	dc := ServeConfig{
 		PrefillReplicas: 1, DecodeReplicas: 2,
 		Stack: &policy.Stack{Breaker: &policy.BreakerConfig{}},
 	}
-	res, err := RunDisagg(cfg, dc, reqs)
+	res, err := Serve(cfg, reqs, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRunDisaggBreakerFaultFree(t *testing.T) {
 // admission stats, and conservation still holds.
 func TestRunDisaggBreakerTripsOnCrashes(t *testing.T) {
 	cfg := fastConfig(2)
-	dc := DisaggConfig{
+	dc := ServeConfig{
 		PrefillReplicas: 1, DecodeReplicas: 2,
 		Stack: &policy.Stack{Breaker: &policy.BreakerConfig{
 			FailureThreshold: 2,
@@ -169,7 +169,7 @@ func TestRunDisaggBreakerTripsOnCrashes(t *testing.T) {
 		}},
 	}
 	reqs := faultTrace(120, 19)
-	base, err := RunDisagg(cfg, DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 2}, reqs)
+	base, err := Serve(cfg, reqs, ServeConfig{PrefillReplicas: 1, DecodeReplicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +188,11 @@ func TestRunDisaggBreakerTripsOnCrashes(t *testing.T) {
 		t.Fatal(err)
 	}
 	dc.Faults = plan
-	res, err := RunDisagg(cfg, dc, reqs)
+	res, err := Serve(cfg, reqs, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Report.Requests + res.Report.Faults.Dropped; got != len(reqs) {
-		t.Fatalf("finished %d + dropped %d != %d", res.Report.Requests, res.Report.Faults.Dropped, len(reqs))
-	}
+	checkConservation(t, res, len(reqs), res.Report.Faults.Dropped)
 	adm := res.Report.Admission
 	if adm.BreakerTrips == 0 {
 		t.Error("two crashes under FailureThreshold 2 tripped no breaker")

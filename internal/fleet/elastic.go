@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -21,8 +20,8 @@ import (
 // finish's TTFT against the SLO (and each crash's failures, under a
 // fault plan) and has no liveness fallback: when every active
 // replica's breaker is open, requests wait on the retry schedule. A
-// split fleet honors only breakers and the decode autoscaler (see
-// DisaggConfig.Stack): crashes and finishes feed its breakers.
+// split fleet takes only breakers and the decode autoscaler (see
+// ServeConfig.Stack): crashes and finishes feed its breakers.
 
 // policyLayer is the router's policy-stack state.
 type policyLayer struct {
@@ -41,9 +40,10 @@ type policyLayer struct {
 
 // newPolicyLayer gives every pool a breaker per replica when the stack
 // carries a BreakerConfig, the last pool an elastic lifecycle when it
-// carries an autoscaler, and each of the run's requests a re-admission
-// budget when it carries a retry policy.
-func newPolicyLayer(cfg core.Config, stack *policy.Stack, requests int, pools []*pool) (*policyLayer, error) {
+// carries an autoscaler (ServeConfig.Validate has checked that its Max
+// fits), and each of the run's requests a re-admission budget when it
+// carries a retry policy.
+func newPolicyLayer(cfg core.Config, stack *policy.Stack, requests int, pools []*pool) *policyLayer {
 	scaled := pools[len(pools)-1]
 	n := len(scaled.out)
 	pl := &policyLayer{
@@ -59,15 +59,12 @@ func newPolicyLayer(cfg core.Config, stack *policy.Stack, requests int, pools []
 		p.breakers = newBreakers(stack, len(p.out))
 	}
 	if as := stack.Autoscaler; as != nil {
-		if m := as.Config().Max; m > n {
-			return nil, fmt.Errorf("fleet: autoscaler Max %d exceeds provisioned replicas %d", m, n)
-		}
 		scaled.elastic = newElasticPool(as, n, cfg)
 		if t := as.Config().TTFTTarget; t > 0 {
 			pl.ttftSLO = t
 		}
 	}
-	return pl, nil
+	return pl
 }
 
 // admit runs an arrival (or a retry) through the token bucket, if the

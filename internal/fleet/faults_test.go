@@ -172,18 +172,18 @@ func TestRunOnlineFaultsStragglers(t *testing.T) {
 	}
 }
 
-// An inactive plan on the disaggregated fleet takes the exact RunDisagg
-// code path.
+// An inactive plan on the disaggregated fleet takes the exact
+// fault-free split code path.
 func TestRunDisaggFaultsInactivePlan(t *testing.T) {
 	cfg := fastConfig(2)
-	dc := DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 2}
+	dc := ServeConfig{PrefillReplicas: 1, DecodeReplicas: 2}
 	reqs := faultTrace(120, 17)
-	base, err := RunDisagg(cfg, dc, reqs)
+	base, err := Serve(cfg, reqs, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dc.Faults = &faults.Plan{Replicas: 3}
-	got, err := RunDisagg(cfg, dc, reqs)
+	got, err := Serve(cfg, reqs, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +203,9 @@ func TestRunDisaggFaultsInactivePlan(t *testing.T) {
 // hand-off stream.
 func TestRunDisaggFaultsCrashMidHandoff(t *testing.T) {
 	cfg := fastConfig(2)
-	dc := DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 2}
+	dc := ServeConfig{PrefillReplicas: 1, DecodeReplicas: 2}
 	reqs := faultTrace(120, 19)
-	base, err := RunDisagg(cfg, dc, reqs)
+	base, err := Serve(cfg, reqs, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,26 +223,11 @@ func TestRunDisaggFaultsCrashMidHandoff(t *testing.T) {
 			},
 		}
 		dc.Faults = plan
-		res, err := RunDisagg(cfg, dc, reqs)
+		res, err := Serve(cfg, reqs, dc)
 		if err != nil {
 			t.Fatalf("victim %d: %v", victim, err)
 		}
-		if len(res.Records) != len(reqs) {
-			t.Fatalf("victim %d: %d records for %d requests", victim, len(res.Records), len(reqs))
-		}
-		finished := 0
-		for _, rec := range res.Records {
-			if rec.Finished() {
-				finished++
-			}
-		}
-		if finished != res.Report.Requests {
-			t.Fatalf("victim %d: %d finished records, report says %d", victim, finished, res.Report.Requests)
-		}
-		if got := res.Report.Requests + res.Report.Faults.Dropped; got != len(reqs) {
-			t.Fatalf("victim %d: finished %d + dropped %d != %d",
-				victim, res.Report.Requests, res.Report.Faults.Dropped, len(reqs))
-		}
+		checkConservation(t, res, len(reqs), res.Report.Faults.Dropped)
 		if res.Report.Faults.Crashes != 1 {
 			t.Fatalf("victim %d: %d crashes executed", victim, res.Report.Faults.Crashes)
 		}
@@ -256,9 +241,9 @@ func TestRunDisaggFaultsCrashMidHandoff(t *testing.T) {
 // degradation windows on the hand-off path.
 func TestRunDisaggFaultsDeterministic(t *testing.T) {
 	cfg := fastConfig(2)
-	dc := DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 2}
+	dc := ServeConfig{PrefillReplicas: 1, DecodeReplicas: 2}
 	reqs := faultTrace(100, 23)
-	base, err := RunDisagg(cfg, dc, reqs)
+	base, err := Serve(cfg, reqs, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +263,7 @@ func TestRunDisaggFaultsDeterministic(t *testing.T) {
 	dc.Faults = plan
 	var prev []byte
 	for run := 0; run < 3; run++ {
-		res, err := RunDisagg(cfg, dc, reqs)
+		res, err := Serve(cfg, reqs, dc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,8 @@ type goldenOut struct {
 	Disagg  *goldenDisagg `json:",omitempty"`
 }
 
-// goldenDisagg is the part of a DisaggResult the report does not carry.
+// goldenDisagg is the part of a split fleet's Result the report does
+// not carry.
 type goldenDisagg struct {
 	Handoffs, QueuedHandoffs    int
 	TransferredBytes            float64
@@ -54,7 +55,7 @@ func serveOut(t *testing.T, res *Result, err error) goldenOut {
 	return goldenOut{Report: res.Report, Records: res.Records}
 }
 
-func disaggOut(t *testing.T, res *DisaggResult, err error) goldenOut {
+func disaggOut(t *testing.T, res *Result, err error) goldenOut {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +71,8 @@ func disaggOut(t *testing.T, res *DisaggResult, err error) goldenOut {
 		Handoffs:         res.Handoffs,
 		QueuedHandoffs:   res.QueuedHandoffs,
 		TransferredBytes: res.TransferredBytes,
-		PrefillOrigin:    origins(res.PrefillShards),
-		DecodeOrigin:     origins(res.DecodeShards),
+		PrefillOrigin:    origins(res.Shards[:res.PrefillReplicas]),
+		DecodeOrigin:     origins(res.Shards[res.PrefillReplicas:]),
 	}}
 }
 
@@ -228,12 +229,12 @@ func goldenRuns() []goldenRun {
 			}
 		}},
 		{name: "disagg", run: func(t *testing.T, workers int) goldenOut {
-			res, err := RunDisagg(cfg, DisaggConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers}, faultReqs)
+			res, err := Serve(cfg, faultReqs, ServeConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers})
 			return disaggOut(t, res, err)
 		}},
 		{name: "disagg-faults", run: func(t *testing.T, workers int) goldenOut {
-			dc := DisaggConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Faults: goldenFaultPlan(t, 8, faultHorizon)}
-			res, err := RunDisagg(cfg, dc, faultReqs)
+			sc := ServeConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Faults: goldenFaultPlan(t, 8, faultHorizon)}
+			res, err := Serve(cfg, faultReqs, sc)
 			return disaggOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
 			f := out.Report.Faults
@@ -243,8 +244,8 @@ func goldenRuns() []goldenRun {
 		}},
 		{name: "disagg-faults-breakers", run: func(t *testing.T, workers int) goldenOut {
 			stack := &policy.Stack{Breaker: &policy.BreakerConfig{FailureThreshold: 2, Cooldown: faultHorizon / 4}}
-			dc := DisaggConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Stack: stack, Faults: goldenFaultPlan(t, 8, faultHorizon)}
-			res, err := RunDisagg(cfg, dc, faultReqs)
+			sc := ServeConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Stack: stack, Faults: goldenFaultPlan(t, 8, faultHorizon)}
+			res, err := Serve(cfg, faultReqs, sc)
 			return disaggOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
 			a := out.Report.Admission
@@ -255,8 +256,8 @@ func goldenRuns() []goldenRun {
 		{name: "disagg-faults-policy", run: func(t *testing.T, workers int) goldenOut {
 			stack := decodeScalerStack(t, 5)
 			stack.Breaker = &policy.BreakerConfig{FailureThreshold: 2, Cooldown: faultHorizon / 4}
-			dc := DisaggConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Stack: stack, Faults: goldenFaultPlan(t, 8, faultHorizon)}
-			res, err := RunDisagg(cfg, dc, faultReqs)
+			sc := ServeConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Stack: stack, Faults: goldenFaultPlan(t, 8, faultHorizon)}
+			res, err := Serve(cfg, faultReqs, sc)
 			return disaggOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
 			rep := out.Report

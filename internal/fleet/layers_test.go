@@ -37,7 +37,7 @@ var layerFleets = []struct {
 		return []*pool{newPool("", 1, mustPolicy(t, LeastWork, Options{}))}
 	}},
 	{"disagg", 2, func(t *testing.T, reqs []workload.Request, plan *faults.Plan, stack *policy.Stack) (metrics.Report, []metrics.RequestRecord, error) {
-		res, err := RunDisagg(fastConfig(2), DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 1, Faults: plan, Stack: stack}, reqs)
+		res, err := Serve(fastConfig(2), reqs, ServeConfig{PrefillReplicas: 1, DecodeReplicas: 1, Faults: plan, Stack: stack})
 		if err != nil {
 			return metrics.Report{}, nil, err
 		}

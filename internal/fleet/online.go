@@ -16,9 +16,9 @@ import (
 )
 
 // ErrInvalidArrival reports a trace whose arrival stamps cannot be
-// scheduled: negative (before simulation start) or NaN. Serve and
-// RunDisagg validate the trace up front and return this error (wrapped
-// with the offending trace index) before any engine is built — a bad
+// scheduled: negative (before simulation start) or NaN. Serve
+// validates the trace up front and returns this error (wrapped with
+// the offending trace index) before any engine is built — a bad
 // stamp is a workload bug, and silently clamping it to t=0 would
 // reorder the trace behind the caller's back.
 var ErrInvalidArrival = errors.New("fleet: invalid arrival time")
@@ -172,10 +172,7 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 		total += len(p.out)
 	}
 	if stack.Active() {
-		var err error
-		if ro.pol, err = newPolicyLayer(cfg, stack, len(reqs), pools); err != nil {
-			return nil, err
-		}
+		ro.pol = newPolicyLayer(cfg, stack, len(reqs), pools)
 	}
 	// Each pool is one fabric tier: the prefill tier advances to
 	// each control horizon first (discovering hand-offs), and the decode
@@ -296,12 +293,15 @@ func (ro *router) serve(cfg core.Config, scheduler string) (metrics.Report, []*c
 	return rep, results, records, nil
 }
 
-// runOnline serves a validated run on a colocated fleet (see Serve).
-func runOnline(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, error) {
-	p := newPool("", sc.Replicas, sc.Policy)
-	ro, err := newRouter(cfg, reqs, sc.Workers, sc.Faults, sc.Stack, p)
-	if err != nil {
-		return nil, err
+// scheduler labels the run's report by fleet shape and the layers
+// that run.
+func (ro *router) scheduler(sc ServeConfig) string {
+	if ro.split() {
+		mode := "Disagg"
+		if ro.plan != nil {
+			mode = "DisaggFaults"
+		}
+		return fmt.Sprintf("%s(TD-Pipe %dP+%dD)", mode, sc.PrefillReplicas, sc.DecodeReplicas)
 	}
 	mode := "FleetOnline"
 	switch {
@@ -311,15 +311,11 @@ func runOnline(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Resul
 		mode = "FleetFaults"
 	case ro.pol != nil:
 		mode = "FleetElastic"
-	case !workload.HasArrivals(reqs):
+	case !workload.HasArrivals(ro.reqs):
 		// A layer-free closed-loop run is labelled an offline fleet.
 		mode = "Fleet"
 	}
-	rep, results, records, err := ro.serve(cfg, fmt.Sprintf("%s(TD-Pipe/%s)x%d", mode, sc.Policy.Name(), sc.Replicas))
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Report: rep, Replicas: results, Shards: p.shards, Records: records, Policy: sc.Policy.Name(), Steps: ro.fab.Steps(), Workers: ro.fab.workers}, nil
+	return fmt.Sprintf("%s(TD-Pipe/%s)x%d", mode, sc.Policy.Name(), sc.Replicas)
 }
 
 // pendingRec is one dispatchable unit: a fresh arrival or a crash-lost

@@ -61,8 +61,8 @@ import (
 // disagg, prefix-affinity and fault runs, and
 // TestLazyPicksMatchEager holds lazy runs to the eager schedule. A
 // split fleet's coordinator advances both tiers through the last
-// hand-off, which leaves a pool nothing to run, so RunDisagg gives a
-// split fleet one worker whatever it asks for.
+// hand-off, which leaves a pool nothing to run, so Serve gives a split
+// fleet one worker whatever it asks for.
 //
 // Tie semantics: control events at instant t execute before replica
 // events at t, so runs can differ from a single shared event heap only

@@ -72,8 +72,8 @@ func TestParallelDisaggByteIdenticalToSequential(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := workload.StampArrivals(smallTrace(300, 7), workload.Poisson{Rate: 500}, 13)
 	run := func(workers int) []byte {
-		dc := DisaggConfig{PrefillReplicas: 4, DecodeReplicas: 4, Workers: workers}
-		res, err := RunDisagg(cfg, dc, reqs)
+		dc := ServeConfig{PrefillReplicas: 4, DecodeReplicas: 4, Workers: workers}
+		res, err := Serve(cfg, reqs, dc)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -121,9 +121,9 @@ func TestParallelOnlineFaultsByteIdenticalToSequential(t *testing.T) {
 
 func TestParallelDisaggFaultsByteIdenticalToSequential(t *testing.T) {
 	cfg := fastConfig(2)
-	dc := DisaggConfig{PrefillReplicas: 3, DecodeReplicas: 5}
+	dc := ServeConfig{PrefillReplicas: 3, DecodeReplicas: 5}
 	reqs := faultTrace(200, 23)
-	base, err := RunDisagg(cfg, dc, reqs)
+	base, err := Serve(cfg, reqs, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestParallelDisaggFaultsByteIdenticalToSequential(t *testing.T) {
 	run := func(workers int) []byte {
 		wdc := dc
 		wdc.Workers, wdc.Faults = workers, plan
-		res, err := RunDisagg(cfg, wdc, reqs)
+		res, err := Serve(cfg, reqs, wdc)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -190,15 +190,12 @@ func TestParallelCrossShardBoundaryProperty(t *testing.T) {
 			return fullJSON(t, res.Report, res.Records)
 		}
 		disagg := func(workers int) []byte {
-			dc := DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 4, Workers: workers, Faults: plan}
-			res, err := RunDisagg(cfg, dc, reqs)
+			dc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 4, Workers: workers, Faults: plan}
+			res, err := Serve(cfg, reqs, dc)
 			if err != nil {
 				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
 			}
-			if got := res.Report.Requests + res.Report.Faults.Dropped; got != len(reqs) {
-				t.Fatalf("seed %d workers=%d: finished %d + dropped %d != %d",
-					seed, workers, res.Report.Requests, res.Report.Faults.Dropped, len(reqs))
-			}
+			checkConservation(t, res, len(reqs), res.Report.Faults.Dropped)
 			return fullJSON(t, res.Report, res.Records)
 		}
 		seqOnline, seqDisagg := online(1), disagg(1)
@@ -214,7 +211,7 @@ func TestParallelCrossShardBoundaryProperty(t *testing.T) {
 }
 
 // Satellite: invalid arrival stamps are rejected up front with a
-// documented error, consistently across both entry points with and
+// documented error, consistently across both fleet shapes with and
 // without the fault layer — never silently clamped to t=0.
 func TestInvalidArrivalsRejectedByAllRouters(t *testing.T) {
 	cfg := fastConfig(2)
@@ -223,7 +220,7 @@ func TestInvalidArrivalsRejectedByAllRouters(t *testing.T) {
 		Config:   faults.Config{Seed: 1},
 		Crashes:  []faults.Crash{{Replica: 0, At: 0.01, RestartAt: 0.02}},
 	}
-	dc := DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 1}
+	dc := ServeConfig{PrefillReplicas: 1, DecodeReplicas: 1}
 	routers := []struct {
 		name string
 		run  func(reqs []workload.Request) error
@@ -236,14 +233,14 @@ func TestInvalidArrivalsRejectedByAllRouters(t *testing.T) {
 			_, err := Serve(cfg, reqs, ServeConfig{Replicas: 2, Policy: mustPolicy(t, RoundRobin, Options{}), Faults: plan})
 			return err
 		}},
-		{"RunDisagg", func(reqs []workload.Request) error {
-			_, err := RunDisagg(cfg, dc, reqs)
+		{"split", func(reqs []workload.Request) error {
+			_, err := Serve(cfg, reqs, dc)
 			return err
 		}},
-		{"RunDisagg with faults", func(reqs []workload.Request) error {
+		{"split with faults", func(reqs []workload.Request) error {
 			fdc := dc
 			fdc.Faults = plan
-			_, err := RunDisagg(cfg, fdc, reqs)
+			_, err := Serve(cfg, reqs, fdc)
 			return err
 		}},
 	}

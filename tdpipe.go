@@ -144,18 +144,13 @@ type (
 	FleetPolicy = fleet.Policy
 	// FleetOptions parameterize policy construction (seed, predictor).
 	FleetOptions = fleet.Options
-	// FleetConfig describes a colocated fleet for RunFleet: replica
-	// count, dispatch policy, simulation workers, and the optional
-	// fault plan and policy stack, alone or together. Build the policy
-	// with NewFleetPolicy, fresh for every run: round-robin and random
-	// carry state from one run into the next.
+	// FleetConfig describes a fleet for RunFleet: a colocated one
+	// (replica count and dispatch policy) or a prefill/decode split
+	// (the two pool sizes), simulation workers, and the optional fault
+	// plan and policy stack, alone or together. Build the policy with
+	// NewFleetPolicy, fresh for every run: round-robin and random carry
+	// state from one run into the next.
 	FleetConfig = fleet.ServeConfig
-	// DisaggConfig sizes the prefill and decode pools of a
-	// disaggregated deployment (see RunDisagg).
-	DisaggConfig = fleet.DisaggConfig
-	// DisaggResult is the merged outcome of a disaggregated run,
-	// including hand-off and KV-transfer accounting.
-	DisaggResult = fleet.DisaggResult
 )
 
 // Built-in fleet dispatch policies.
@@ -184,12 +179,11 @@ func NewFleetPolicy(name string, opts FleetOptions) (FleetPolicy, error) {
 	return fleet.New(name, opts)
 }
 
-// RunFleet serves the trace on fc.Replicas data-parallel TD-Pipe
-// engines under fc.Policy and merges the per-replica reports
-// (including per-request latency records) into one fleet report.
-// Results are deterministic for a given trace, config and policy seed
-// (FleetOptions.Seed), and byte-identical across fc.Workers counts
-// (FleetWorkersAuto for automatic selection).
+// RunFleet serves the trace on the fleet fc describes and merges the
+// per-replica reports (including per-request latency records) into one
+// fleet report. Results are deterministic for a given trace, config and
+// policy seed (FleetOptions.Seed), and byte-identical across fc.Workers
+// counts (FleetWorkersAuto for automatic selection).
 //
 // Every run goes through the online router: all replicas share one
 // virtual clock and each request is dispatched at its arrival instant
@@ -197,15 +191,31 @@ func NewFleetPolicy(name string, opts FleetOptions) (FleetPolicy, error) {
 // trace (every arrival at t=0) is routed before any replica starts, so
 // each replica's first prefill batch holds its whole share.
 //
+// A colocated fleet runs fc.Replicas TD-Pipe engines under fc.Policy.
+// A phase-disaggregated one (fc.PrefillReplicas and fc.DecodeReplicas
+// set, Replicas and Policy left unset) dispatches arrivals least-work
+// across its prefill pool and hands each request's finished prefix KV
+// to its decode pool over the node's modeled KV link (transfer time =
+// blocks x block bytes / bandwidth + latency, overlapping decode-side
+// queueing), onto the decode replica with the warmest resident KV, then
+// the most free-KV headroom. Compare the two shapes on the same trace
+// to measure what the split buys (TTFT tails under bursts) and costs
+// (transfer time, decode slots); the result's Handoffs,
+// QueuedHandoffs and TransferredBytes carry the split's accounting. A
+// split fleet always runs on one worker.
+//
 // fc.Faults executes a fault plan (see NewFaultPlan): crashed replicas
 // abort their in-flight requests, routing skips dead replicas, and
 // aborted work is re-dispatched — by recompute, or from the latest
 // periodic KV checkpoint when the plan sets a CheckpointInterval —
-// under the plan's retry budget. fc.Stack attaches the policy stack:
+// under the plan's retry budget. A split fleet's plan indexes the
+// prefill pool first, then decode, and its KV-link windows stretch or
+// cut the hand-off transfers. fc.Stack attaches the policy stack:
 // admission shedding and retry, breaker-aware routing, priority
 // preemption, and autoscaling between the autoscaler's bounds (each
 // scale-up pays the node's modeled weight-load cold start;
-// Report.Autoscale carries the provisioned GPU-second bill). The two
+// Report.Autoscale carries the provisioned GPU-second bill); a split
+// fleet takes only breakers and a decode-pool autoscaler. The two
 // layers compose: a request with no candidate waits for a restart only
 // when crashes killed every active replica and re-enters admission
 // otherwise, crash re-dispatches and re-admissions each spend their own
@@ -217,27 +227,6 @@ func NewFleetPolicy(name string, opts FleetOptions) (FleetPolicy, error) {
 // the exact layer-free code path.
 func RunFleet(cfg Config, reqs []Request, fc FleetConfig) (*FleetResult, error) {
 	return fleet.Serve(cfg, reqs, fc)
-}
-
-// RunDisagg serves the trace on a phase-disaggregated fleet: dedicated
-// prefill replicas hand each request's finished prefix KV to dedicated
-// decode replicas over the node's modeled KV link (transfer time =
-// blocks x block bytes / bandwidth + latency, overlapping decode-side
-// queueing). Arrivals are dispatched least-work across the prefill
-// pool; hand-offs land on the decode replica with the warmest resident
-// KV, then the most free-KV headroom. All replicas share one virtual
-// clock, so results are deterministic for a fixed trace and config.
-// Compare against RunFleet on the same trace to measure what the split
-// buys (TTFT tails under bursts) and costs (transfer time, decode
-// slots). dc.Workers is ignored: a split fleet's replicas advance on
-// the coordinator through the last hand-off, which leaves a worker
-// pool nothing to run, so it always runs on one worker. Set dc.Faults
-// to run a fault plan whose replica indices cover the prefill pool
-// first, then decode: pool replicas crash and recover as under
-// RunFleet, and the plan's KV-link windows stretch or cut the hand-off
-// transfers.
-func RunDisagg(cfg Config, dc DisaggConfig, reqs []Request) (*DisaggResult, error) {
-	return fleet.RunDisagg(cfg, dc, reqs)
 }
 
 // Policy aliases: the elastic autoscaler and the composable front-door
