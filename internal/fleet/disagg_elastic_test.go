@@ -90,3 +90,12 @@ func TestDisaggDecodeAutoscalerBreathes(t *testing.T) {
 		t.Fatalf("decode GPU-seconds %.2f not inside (0, static %.2f)", a.GPUSeconds, staticDecode)
 	}
 }
+
+func TestDisaggElasticRejectsOverMax(t *testing.T) {
+	cfg := fastConfig(1)
+	reqs := workload.StampArrivals(smallTrace(10, 3), workload.Poisson{Rate: 100}, 5)
+	sc := ServeConfig{PrefillReplicas: 1, DecodeReplicas: 2, Stack: decodeScalerStack(t, 4)}
+	if _, err := Serve(cfg, reqs, sc); !errors.Is(err, ErrAutoscaleMax) {
+		t.Fatalf("decode autoscaler Max above provisioned decode replicas: err = %v, want %v", err, ErrAutoscaleMax)
+	}
+}

@@ -57,6 +57,16 @@ func TestServeConfigValidate(t *testing.T) {
 	}
 }
 
+// A split with an empty or negative pool is refused by Serve.
+func TestDisaggValidatesPools(t *testing.T) {
+	reqs := smallTrace(10, 1)
+	for _, sc := range []ServeConfig{{PrefillReplicas: 0, DecodeReplicas: 2}, {PrefillReplicas: 2, DecodeReplicas: 0}, {PrefillReplicas: -1, DecodeReplicas: 1}} {
+		if _, err := Serve(fastConfig(2), reqs, sc); !errors.Is(err, ErrPoolSize) {
+			t.Errorf("pools %+v: err = %v, want %v", sc, err, ErrPoolSize)
+		}
+	}
+}
+
 // CheckConservation checks a split result per pool: it accepts a valid
 // run and rejects a request listed in two prefill or two decode
 // shards.
