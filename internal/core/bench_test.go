@@ -7,6 +7,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/hw"
 	"repro/internal/model"
+	"repro/internal/predictor"
 	"repro/internal/workload"
 )
 
@@ -103,4 +104,39 @@ func BenchmarkSwitchCheck(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDeepQueueDecode runs the paper's offline setting at the
+// end-to-end benchmark's offline-deep-queue scale: 30,000 requests
+// queued at t=0 on Llama2-70B over four A100s, with the trained length
+// predictor (trained before the timer starts). Nearly every event is a
+// decode pass, so ns per decode token is core's per-token cost.
+func BenchmarkDeepQueueDecode(b *testing.B) {
+	pool := workload.MustGenerate(workload.DefaultConfig(30000, 1))
+	reqs := workload.Sample(pool, 30000, 1001)
+	train, _, _, err := workload.Split(pool, 0.6, 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clf, err := predictor.Train(train, predictor.DefaultTrainConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(hw.A100, model.Llama2_70B, 4)
+	cfg.Predictor = clf
+	cfg.RecordKV = true
+	b.ReportAllocs()
+	b.ResetTimer()
+	decodeTokens := 0
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg, reqs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Every request's first token, and the first token after each
+		// recompute, comes from a prefill pass.
+		rep := res.Report
+		decodeTokens += rep.OutputTokens - rep.Requests - rep.Recomputes
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(decodeTokens), "ns/decode-token")
 }

@@ -33,8 +33,10 @@ func TestEngineHandoffLifecycle(t *testing.T) {
 		if h.Generated < 1 {
 			t.Fatalf("hand-off before any output token: %+v", h)
 		}
-		if h.KV.Tokens <= 0 {
-			t.Fatalf("hand-off carries no KV: %+v", h)
+		// The export carries the prefill engine's count: the prefilled
+		// prompt, whose last position produced the first token.
+		if h.KV.Tokens != h.Req.InputLen+h.Generated-1 || h.KV.Blocks() != pre.kv.BlocksFor(h.KV.Tokens) {
+			t.Fatalf("hand-off of %d input tokens carries %d tokens in %d blocks: %+v", h.Req.InputLen, h.KV.Tokens, h.KV.Blocks(), h)
 		}
 		if !dec.CanImportKV(h.KV) {
 			t.Fatalf("decode engine cannot import %d blocks", h.KV.Blocks())

@@ -15,31 +15,31 @@ import (
 )
 
 // TestMain makes every decode step of every test in this package
-// cross-check the engine's running resident counters against a
-// recount, so the deep-queue, crash, hand-off and prefix suites all
-// exercise them. Benchmark runs keep the production path, so their
-// timings stay comparable across commits.
+// cross-check the engine's running resident counters against a recount
+// and the KV pool against core's token counts, so the deep-queue,
+// crash, checkpoint, hand-off and prefix suites all exercise them.
+// Benchmark runs keep the production path, so their timings stay
+// comparable across commits.
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if f := flag.Lookup("test.bench"); f == nil || f.Value.String() == "" {
-		stepCheck = checkResidentCounters
+		stepCheck = func(e *Engine) {
+			checkResidentCounters(e)
+			checkKVOwnership(e)
+		}
 	}
 	os.Exit(m.Run())
 }
 
-// recountResident sums the live (neither done nor evicted) requests in
-// the decode plane — every batch, the stealer's stash, the decode pool
-// and the staged imports — and their cached tokens: what the running
-// counters resident and residentTokens must always equal.
-func recountResident(e *Engine) (n, kvTokens int) {
+// forResident calls fn with every live (neither done nor evicted)
+// request in the decode plane: every batch, the stealer's stash, the
+// decode pool and the staged imports.
+func forResident(e *Engine, fn func(id int)) {
 	add := func(ids []int) {
 		for _, id := range ids {
-			sq := &e.seqs[id]
-			if sq.done || sq.evicted {
-				continue
+			if sq := &e.seqs[id]; !sq.done && !sq.evicted {
+				fn(id)
 			}
-			n++
-			kvTokens += sq.ctx
 		}
 	}
 	for _, b := range e.batches {
@@ -50,6 +50,17 @@ func recountResident(e *Engine) (n, kvTokens int) {
 	}
 	add(e.decodePool)
 	add(e.imported)
+}
+
+// recountResident sums the live (neither done nor evicted) requests in
+// the decode plane — every batch, the stealer's stash, the decode pool
+// and the staged imports — and their cached tokens: what the running
+// counters resident and residentTokens must always equal.
+func recountResident(e *Engine) (n, kvTokens int) {
+	forResident(e, func(id int) {
+		n++
+		kvTokens += e.seqs[id].ctx
+	})
 	return n, kvTokens
 }
 
@@ -62,6 +73,62 @@ func checkResidentCounters(e *Engine) {
 	if n, tok := recountResident(e); n != e.resident || tok != e.residentTokens {
 		e.fail(fmt.Errorf("core: resident counters %d requests / %d tokens, recount %d / %d at step %d",
 			e.resident, e.residentTokens, n, tok, e.step))
+	}
+}
+
+// checkKVOwnership parks the engine with an error when the KV pool and
+// core disagree about a resident request. Core's ctx is the one count
+// of a request's cached tokens: its input plus every generated token
+// but the last, which needs no slot. The pool must hold exactly
+// BlocksFor(ctx) blocks for it, and a snapshot must carry ctx. A
+// periodic checkpoint must carry the count of the instant it was taken:
+// input+generated-1 in the decode plane, or input+generated when a
+// recovered request's prefill was still in flight.
+func checkKVOwnership(e *Engine) {
+	if e.fatalErr != nil {
+		return
+	}
+	forResident(e, func(id int) {
+		st, sq := e.states[id], &e.seqs[id]
+		if sq.ctx != st.req.InputLen+sq.generated-1 {
+			e.fail(fmt.Errorf("core: request %d caches %d tokens with %d input and %d generated", id, sq.ctx, st.req.InputLen, sq.generated))
+			return
+		}
+		ex, err := e.kv.SnapshotKV(id)
+		switch {
+		case err != nil:
+			e.fail(fmt.Errorf("core: resident request %d: %w", id, err))
+		case ex.Tokens != sq.ctx:
+			e.fail(fmt.Errorf("core: snapshot of request %d carries %d tokens, core counts %d", id, ex.Tokens, sq.ctx))
+		case ex.PrivateBlocks != e.kv.BlocksFor(sq.ctx)-ex.SharedBlocks:
+			e.fail(fmt.Errorf("core: request %d holds %d private + %d shared blocks for %d tokens", id, ex.PrivateBlocks, ex.SharedBlocks, sq.ctx))
+		}
+		if ck := st.ckpt; ck != nil && (ck.KV.Blocks() != e.kv.BlocksFor(ck.KV.Tokens) ||
+			ck.KV.Tokens-ck.Generated != st.req.InputLen-1 && ck.KV.Tokens-ck.Generated != st.req.InputLen) {
+			e.fail(fmt.Errorf("core: checkpoint of request %d carries %d tokens in %d blocks at %d generated", id, ck.KV.Tokens, ck.KV.Blocks(), ck.Generated))
+		}
+	})
+}
+
+// The ownership check bites: a request whose token count moves without
+// its KV fails the run through Finalize.
+func TestKVOwnershipDriftFailsRun(t *testing.T) {
+	defer func(prev func(*Engine)) { stepCheck = prev }(stepCheck)
+	steps := 0
+	stepCheck = func(e *Engine) {
+		if steps++; steps == 50 {
+			for _, b := range e.batches {
+				if len(b) > 0 {
+					e.seqs[b[0]].generated++
+					break
+				}
+			}
+		}
+		checkKVOwnership(e)
+	}
+	_, err := Run(detConfig(4), smallTrace(200, 3))
+	if err == nil || !strings.Contains(err.Error(), "caches") {
+		t.Fatalf("drifted count not caught: %v", err)
 	}
 }
 
