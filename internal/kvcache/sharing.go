@@ -22,11 +22,7 @@ package kvcache
 // all precede its private ones and decode appends never write a shared
 // block: Append grows private blocks only.
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // sharedBlock is one position of a prefix chain. lastUse == 0 marks a
 // position with no resident block (touch stamps start at 1).
@@ -244,38 +240,83 @@ func (m *Manager) fill(group int, c *prefixChain, n int) {
 
 // reclaim drops up to need warm shared blocks (refs == 0), least
 // recently used first, turning cached-but-unreferenced memory back into
-// free blocks.
+// free blocks. One scan of the index keeps the need oldest warm blocks
+// in a bounded max-heap on their stamps; only those are dropped, so a
+// call costs one pass over the chains, not a sort of every warm block.
 func (m *Manager) reclaim(need int) {
 	if need <= 0 || m.reclaimable == 0 {
 		return
 	}
-	type cand struct {
-		c            *prefixChain
-		pos, lastUse int
-	}
-	cands := make([]cand, 0, m.reclaimable)
+	// lastUse stamps are unique (one touch per block event), so the
+	// selected set — and therefore the whole simulation — is
+	// deterministic whatever order the chains are visited in.
+	oldest := make(warmHeap, 0, min(need, m.reclaimable))
 	for _, c := range m.chains {
 		for i, b := range c.blocks {
 			if b.lastUse != 0 && b.refs == 0 {
-				cands = append(cands, cand{c, i, b.lastUse})
+				oldest.offer(warmBlock{c, i, b.lastUse})
 			}
 		}
 	}
-	// lastUse stamps are unique (one touch per block event), so the
-	// order — and therefore the whole simulation — is deterministic.
-	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.lastUse, b.lastUse) })
-	for _, cd := range cands[:min(need, len(cands))] {
-		c := cd.c
-		c.blocks[cd.pos] = sharedBlock{}
-		c.run = min(c.run, cd.pos)
+	for _, wb := range oldest {
+		c := wb.c
+		c.blocks[wb.pos] = sharedBlock{}
+		c.run = min(c.run, wb.pos)
 		if c.resident--; c.resident == 0 {
-			// No later candidate is in this chain: it has no resident
-			// block left.
+			// Every resident block of this chain was selected, so no
+			// other selected block is in it.
 			c.blocks = nil
 		}
 		m.sharedN--
 		m.used--
 		m.reclaimable--
 		m.stats.ReclaimedBlocks++
+	}
+}
+
+// warmBlock names a warm shared block and its LRU stamp.
+type warmBlock struct {
+	c            *prefixChain
+	pos, lastUse int
+}
+
+// warmHeap is a max-heap on lastUse with a fixed capacity: it keeps the
+// cap(h) least recently used blocks offered to it.
+type warmHeap []warmBlock
+
+// offer adds wb if the heap has room, or replaces the most recently
+// used kept block if wb is older.
+func (h *warmHeap) offer(wb warmBlock) {
+	s := *h
+	if len(s) < cap(s) {
+		s = append(s, wb)
+		for i := len(s) - 1; i > 0; {
+			p := (i - 1) / 2
+			if s[p].lastUse >= s[i].lastUse {
+				break
+			}
+			s[p], s[i] = s[i], s[p]
+			i = p
+		}
+		*h = s
+		return
+	}
+	if wb.lastUse >= s[0].lastUse {
+		return
+	}
+	s[0] = wb
+	for i := 0; ; {
+		big, l := i, 2*i+1
+		if l < len(s) && s[l].lastUse > s[big].lastUse {
+			big = l
+		}
+		if r := l + 1; r < len(s) && s[r].lastUse > s[big].lastUse {
+			big = r
+		}
+		if big == i {
+			return
+		}
+		s[i], s[big] = s[big], s[i]
+		i = big
 	}
 }
