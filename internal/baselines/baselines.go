@@ -201,8 +201,11 @@ func checkFits(kv *kvcache.Manager, r workload.Request) error {
 
 // reqState mirrors core's request tracking.
 type reqState struct {
-	req        workload.Request
-	ctx        int // cached tokens
+	req workload.Request
+	ctx int // cached tokens, the KV pool's window is sized from
+	// room counts the free token slots in the last KV block: decode
+	// tokens that fit before the next one opens a block.
+	room       int
 	prefilled  int // prompt tokens already prefilled (chunked prefill)
 	generated  int
 	prefillLen int
@@ -381,6 +384,7 @@ func (c *common) completePrefill(ids []int, t sim.Time) []int {
 			continue
 		}
 		st.ctx = st.prefillLen
+		st.room = c.kv.BlocksFor(st.ctx)*c.kv.BlockSize() - st.ctx
 		st.prefilled = st.prefillLen
 		if st.generated == 0 {
 			st.firstTokenAt = t
@@ -451,25 +455,20 @@ func (c *common) promoteChunks(partial, running *[]int, t sim.Time) {
 // neither evicted nor done. A recompute eviction it triggers spares the
 // ids in keep.
 func (c *common) decodeAll(ids []int, t sim.Time, keep ...[]int) {
-	spare := make(map[int]bool)
-	for _, k := range keep {
-		for _, id := range k {
-			spare[id] = true
-		}
-	}
 	for _, id := range ids {
 		st := c.states[id]
 		if st.evicted || st.done {
 			continue
 		}
-		c.decodeAppend(id, t, spare)
+		c.decodeAppend(id, t, keep)
 	}
 }
 
-// decodeAppend advances one decode token for id, evicting most-recent
-// requests on OOM (the recompute strategy). keep lists ids that must
-// not be evicted.
-func (c *common) decodeAppend(id int, t sim.Time, keep map[int]bool) {
+// decodeAppend advances one decode token for id. Only a token that opens
+// a new KV block calls the pool; if the pool is full it evicts
+// most-recent requests (the recompute strategy), sparing the ids in
+// keep.
+func (c *common) decodeAppend(id int, t sim.Time, keep [][]int) {
 	st := c.states[id]
 	st.generated++
 	st.ctx++
@@ -478,16 +477,22 @@ func (c *common) decodeAppend(id int, t sim.Time, keep map[int]bool) {
 		c.finishReq(id, t)
 		return
 	}
-	if err := c.kv.Append(id, 1); err != nil {
-		victims := c.kv.EvictMostRecent(c.kv.BlocksFor(1), keep)
+	if st.room > 0 {
+		st.room--
+		return
+	}
+	if err := c.kv.Grow(id, st.ctx); err != nil {
+		victims := c.kv.EvictMostRecent(1, keep...)
 		for _, v := range victims {
 			c.evict(v)
 		}
-		if err := c.kv.Append(id, 1); err != nil {
+		if err := c.kv.Grow(id, st.ctx); err != nil {
 			c.kv.Free(id)
 			c.evict(id)
+			return
 		}
 	}
+	st.room = c.kv.BlockSize() - 1
 }
 
 func (c *common) evict(id int) {

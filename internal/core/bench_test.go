@@ -31,10 +31,7 @@ func BenchmarkStealerRebalance(b *testing.B) {
 	b.ReportAllocs()
 	s := NewStealer(4, true)
 	s.Prime([]int{128, 128, 128, 128})
-	batch := make([]int, 128)
-	for i := range batch {
-		batch[i] = i
-	}
+	batch := ids(0, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := s.Rebalance(i%4, batch[:120+i%8])

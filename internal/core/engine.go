@@ -23,7 +23,8 @@ import (
 var ErrRequestTooLarge = errors.New("request KV footprint exceeds engine capacity")
 
 // reqState tracks one request through the engine: the fields a decode
-// step never reads. The ones it does live in seqState.
+// step never reads. The ones it does live in seqState and, while the
+// request decodes, in its batch entry (decodeSeq).
 type reqState struct {
 	req       workload.Request
 	predicted int
@@ -53,12 +54,17 @@ type reqState struct {
 	ckpt *Checkpoint
 }
 
-// seqState holds the fields of one request that a decode step reads
-// and writes. The engine keeps them by value in Engine.seqs, indexed by
-// request id, so a step walks one contiguous slice instead of chasing a
-// *reqState per request.
+// seqState holds one request's token counts and flags by value in
+// Engine.seqs, indexed by request id. While the request sits in a
+// decode batch or the stealer's stash, its decodeSeq entry there holds
+// the live ctx and generated instead; the entry writes them back when
+// the request leaves, and syncSeqs brings every copy up to date for the
+// readers by id that run mid-phase.
 type seqState struct {
-	// ctx is the number of tokens currently cached.
+	// ctx is the number of tokens the KV pool holds for the request, the
+	// one count of them: set when its prefill is allocated, grown by
+	// decoding, zero once its KV is gone. The pool holds exactly
+	// BlocksFor(ctx) blocks for it.
 	ctx int
 	// generated is the number of output tokens produced so far.
 	generated int
@@ -75,12 +81,91 @@ type seqState struct {
 	resident bool
 }
 
-// remainingPredicted returns how many more output tokens the predictor
-// expects request id to generate (never negative).
+// decodeSeq is one request's decode-step state, kept by value in its
+// slot's batch in batch order, so a decode pass streams its batch
+// instead of loading each request's state by id. It is the live copy of
+// ctx and generated while the request is batched or stashed.
+type decodeSeq struct {
+	id        int
+	ctx       int
+	generated int
+	outputLen int
+	// room counts the free token slots in the request's last block: how
+	// many more tokens it caches before one opens a new block, the only
+	// point at which a decode pass calls the KV pool.
+	room int
+	// evicted marks an entry whose request lost its KV while this batch
+	// was in flight (another slot's recompute eviction or a preemption).
+	evicted bool
+}
+
+// enterBatch returns request id's batch entry, loaded from its seqs
+// state as it joins a decode batch.
+func (e *Engine) enterBatch(id int) decodeSeq {
+	sq := &e.seqs[id]
+	return decodeSeq{
+		id:        id,
+		ctx:       sq.ctx,
+		generated: sq.generated,
+		outputLen: sq.outputLen,
+		room:      e.kv.BlocksFor(sq.ctx)*e.kv.BlockSize() - sq.ctx,
+	}
+}
+
+// store writes d's live counts back to its request's seqs state.
 //
 //det:hotpath
-func (e *Engine) remainingPredicted(id int) int {
-	rem := e.states[id].predicted - e.seqs[id].generated
+func (e *Engine) store(d *decodeSeq) {
+	sq := &e.seqs[d.id]
+	sq.ctx, sq.generated = d.ctx, d.generated
+}
+
+// syncSeqs brings seqs up to date with every live batch and stash entry,
+// for the readers by id that run while a decode phase holds requests:
+// the finish bound, checkpoints, crashes and evictions. Evicted entries
+// are dead and their requests' seqs already current. A slot whose pass
+// is being applied holds moved and half-applied entries; the caller
+// names it as skip (-1 for none) and stores what it needs itself.
+//
+//det:hotpath
+func (e *Engine) syncSeqs(skip int) {
+	for s, b := range e.batches {
+		if s == skip {
+			continue
+		}
+		for i := range b {
+			if !b[i].evicted {
+				e.store(&b[i])
+			}
+		}
+	}
+	if e.stealer != nil {
+		for i := range e.stealer.stash {
+			e.store(&e.stealer.stash[i])
+		}
+	}
+}
+
+// markEvicted flags the batch entries of requests evicted since they
+// joined their batch, so each slot skips them when its pass returns.
+// Evictions are rare; this scans every batch once per evicting call.
+func (e *Engine) markEvicted() {
+	for _, b := range e.batches {
+		for i := range b {
+			if d := &b[i]; !d.evicted && e.seqs[d.id].evicted {
+				d.evicted = true
+			}
+		}
+	}
+}
+
+// remainingPredicted returns how many more output tokens the predictor
+// expects request id, having generated that many, to generate (never
+// negative).
+//
+//det:hotpath
+func (e *Engine) remainingPredicted(id, generated int) int {
+	rem := e.states[id].predicted - generated
 	if rem < 0 {
 		rem = 0
 	}
@@ -129,11 +214,14 @@ type Engine struct {
 	kv      *kvcache.Manager
 	stealer *Stealer
 
-	// seqs[id] is request id's decode-step state (see seqState).
+	// seqs[id] is request id's token counts and flags (see seqState).
 	seqs []seqState
 
-	// Decode-phase state.
-	batches [][]int
+	// Decode-phase state. batches[slot] holds the slot's requests as
+	// batch entries and batchTokens[slot] their summed ctx, kept running
+	// so a submission needs no pass over the batch.
+	batches     [][]decodeSeq
+	batchTokens []int
 	// decodeDone holds the per-slot completion callbacks, bound once
 	// per phase, not per step.
 	decodeDone     []func(runtime.PassResult)
@@ -238,11 +326,12 @@ type Engine struct {
 
 	// Scratch buffers recycled across scheduler iterations: idsFree
 	// recycles prefill batch id slices (returned by onPrefillDone),
-	// lensBuf the per-batch length staging and sizesBuf the decode
-	// split sizes.
+	// lensBuf the per-batch length staging, sizesBuf the decode split
+	// sizes and spareBuf the ids a recompute eviction spares.
 	idsFree  [][]int
 	lensBuf  []int
 	sizesBuf []int
+	spareBuf []int
 }
 
 // NewEngine validates the configuration, sizes the KV pool and builds
@@ -580,6 +669,7 @@ func (e *Engine) Crash(restartAt sim.Time) ([]Lost, error) {
 	e.epoch++
 	e.crashes++
 	e.restartAt = restartAt
+	e.syncSeqs(-1)
 	var lost []Lost
 	for id, st := range e.states {
 		sq := &e.seqs[id]
@@ -608,6 +698,9 @@ func (e *Engine) Crash(restartAt sim.Time) ([]Lost, error) {
 		e.batches[s] = e.batches[s][:0]
 	}
 	e.batches = e.batches[:0]
+	if e.stealer != nil {
+		e.stealer.DrainStash()
+	}
 	e.decodeDone = e.decodeDone[:0]
 	e.inflight = 0
 	e.activeBatches = 0
@@ -701,12 +794,13 @@ func checkpointEvent(ctx any, ep, _ int) {
 func (e *Engine) doCheckpoint() {
 	now := e.eng.Now()
 	blocks := 0
+	e.syncSeqs(-1)
 	for id, st := range e.states {
 		sq := &e.seqs[id]
 		if sq.done || sq.aborted || sq.evicted || sq.generated == 0 || !e.kv.Has(id) {
 			continue
 		}
-		ex, err := e.kv.SnapshotKV(id)
+		ex, err := e.kv.SnapshotKV(id, sq.ctx)
 		if err != nil {
 			continue
 		}
@@ -794,6 +888,7 @@ func (e *Engine) FinishBound() sim.Time {
 	if e.live == nil {
 		e.startLive()
 	}
+	e.syncSeqs(-1)
 	next := e.eng.NextEventTime()
 	minRem := e.compactLive()
 	if minRem == math.MaxInt || next == sim.Infinity {
@@ -922,7 +1017,8 @@ func (e *Engine) startPrefillPhase() {
 	// their predicted lifetimes constrain how much we admit.
 	e.usage.Reset()
 	for _, id := range e.decodePool {
-		e.usage.UpdateUsage(e.seqs[id].ctx-e.states[id].cached, e.remainingPredicted(id))
+		sq := &e.seqs[id]
+		e.usage.UpdateUsage(sq.ctx-e.states[id].cached, e.remainingPredicted(id, sq.generated))
 	}
 	if e.launchPrefills() == 0 && e.inflight == 0 {
 		// Nothing could be admitted (memory still holds residents):
@@ -982,6 +1078,7 @@ func (e *Engine) launchPrefills() (launched int) {
 				st.cached = 0
 			}
 			e.waiting.PopFront()
+			e.seqs[id].ctx = st.prefillLen
 			ids = append(ids, id)
 			// Cached prefix tokens skip prefill compute; at least the
 			// last prompt token is always recomputed to produce logits.
@@ -1018,7 +1115,7 @@ func (e *Engine) launchPrefills() (launched int) {
 		// contribute only their private suffix.
 		for _, id := range ids {
 			st := e.states[id]
-			e.usage.UpdateUsage(st.prefillLen-st.cached, e.remainingPredicted(id))
+			e.usage.UpdateUsage(st.prefillLen-st.cached, e.remainingPredicted(id, e.seqs[id].generated))
 		}
 		switch {
 		case e.handoff != nil:
@@ -1075,7 +1172,7 @@ func (e *Engine) onPrefillDone(ids []int, launchID uint64, ep int, res runtime.P
 			// Disaggregated prefill: export the KV, retire the request
 			// locally, and hand it to the router. Free-after-export is
 			// a no-op, so finishReq stays the single retirement path.
-			ex, err := e.kv.ExportKV(id)
+			ex, err := e.kv.ExportKV(id, sq.ctx)
 			if err != nil {
 				panic(fmt.Sprintf("core: hand-off export of resident request %d: %v", id, err))
 			}
@@ -1150,20 +1247,29 @@ func (e *Engine) afterPrefillDrained() {
 func (e *Engine) overlapPrefill() {
 	e.setPhase(metrics.PhasePrefill)
 	e.usage.Reset()
-	account := func(ids []int) {
-		for _, id := range ids {
-			if sq := &e.seqs[id]; sq.done || sq.evicted {
-				continue
+	account := func(id, ctx, generated int) {
+		e.usage.UpdateUsage(ctx-e.states[id].cached, e.remainingPredicted(id, generated))
+	}
+	accountEntries := func(ds []decodeSeq) {
+		for i := range ds {
+			if d := &ds[i]; !d.evicted {
+				account(d.id, d.ctx, d.generated)
 			}
-			e.usage.UpdateUsage(e.seqs[id].ctx-e.states[id].cached, e.remainingPredicted(id))
+		}
+	}
+	accountIDs := func(ids []int) {
+		for _, id := range ids {
+			if sq := &e.seqs[id]; !sq.done && !sq.evicted {
+				account(id, sq.ctx, sq.generated)
+			}
 		}
 	}
 	for _, b := range e.batches {
-		account(b)
+		accountEntries(b)
 	}
-	account(e.stealer.stash)
-	account(e.decodePool)
-	account(e.imported)
+	accountEntries(e.stealer.stash)
+	accountIDs(e.decodePool)
+	accountIDs(e.imported)
 	e.launchPrefills()
 }
 
@@ -1195,11 +1301,14 @@ func (e *Engine) startDecodePhase() {
 			e.batches[s] = e.batches[s][:0]
 		}
 	} else {
-		e.batches = make([][]int, e.numSlots)
+		e.batches = make([][]decodeSeq, e.numSlots)
 	}
+	e.batchTokens = append(e.batchTokens[:0], make([]int, e.numSlots)...)
 	for i, id := range pool {
 		slot := i % e.numSlots
-		e.batches[slot] = append(e.batches[slot], id)
+		d := e.enterBatch(id)
+		e.batches[slot] = append(e.batches[slot], d)
+		e.batchTokens[slot] += d.ctx
 	}
 	sizes := e.sizesBuf[:0]
 	for s := range e.batches {
@@ -1234,17 +1343,14 @@ func (e *Engine) startDecodePhase() {
 //
 //det:hotpath
 func (e *Engine) submitDecode(slot int, readyAt sim.Time) {
-	ids := e.batches[slot]
-	kvTokens := 0
-	for _, id := range ids {
-		kvTokens += e.seqs[id].ctx
-	}
-	e.cluster.SubmitDecode(len(ids), kvTokens, readyAt, e.decodeDone[slot])
+	e.cluster.SubmitDecode(len(e.batches[slot]), e.batchTokens[slot], readyAt, e.decodeDone[slot])
 }
 
 // onDecodeDone is the steady-state decode step: retire finished
 // requests, grow each survivor's KV by one token, fold in staged
-// imports, and resubmit — the tightest loop in the engine.
+// imports, and resubmit — the tightest loop in the engine. It streams
+// the slot's batch entries in place and calls the KV pool only for a
+// token that opens a new block.
 //
 //det:hotpath
 func (e *Engine) onDecodeDone(slot, ep int, res runtime.PassResult) {
@@ -1253,34 +1359,43 @@ func (e *Engine) onDecodeDone(slot, ep int, res runtime.PassResult) {
 	}
 	e.cluster.Rec.Fold(float64(res.End))
 	e.step++
-	survivors := e.batches[slot][:0]
-	for _, id := range e.batches[slot] {
-		sq := &e.seqs[id]
-		if sq.evicted || sq.done {
+	b := e.batches[slot]
+	n, tokens := 0, 0
+	for i := range b {
+		if b[i].evicted {
 			continue
 		}
-		sq.generated++
-		sq.ctx++
+		// Move the entry to its survivor position before updating it:
+		// updating in place and copying after would read the entry back
+		// right over the narrow stores that changed it.
+		if n != i {
+			b[n] = b[i]
+		}
+		d := &b[n]
+		d.generated++
+		d.ctx++
 		e.residentTokens++
-		if sq.generated >= sq.outputLen {
+		if d.generated >= d.outputLen {
 			// The final token needs no KV slot; the request is done.
-			e.finishReq(id, res.End)
+			e.store(d)
+			e.finishReq(d.id, res.End)
 			e.decodeFinished++
 			continue
 		}
-		if err := e.kv.Append(id, 1); err != nil {
-			e.handleOOM(id, slot)
-			if e.seqs[id].evicted {
-				continue
-			}
+		if d.room > 0 {
+			d.room--
+		} else if !e.growBlock(d, slot) {
+			continue
 		}
-		survivors = append(survivors, id) //det:ignore hotalloc survivors reslices this batch's own backing array; no growth past the submitted batch
+		tokens += d.ctx
+		n++
 	}
-	e.batches[slot] = survivors
+	e.batches[slot] = b[:n]
+	e.batchTokens[slot] = tokens
 	e.recordKV()
 
 	// Approach 2: rebalance through the sliding-window stealer.
-	e.batches[slot] = e.stealer.Rebalance(slot, e.batches[slot])
+	e.rebalance(slot)
 
 	// Continuous batching for disaggregated decode: requests imported
 	// mid-phase join this slot's batch at the step boundary instead of
@@ -1290,7 +1405,9 @@ func (e *Engine) onDecodeDone(slot, ep int, res runtime.PassResult) {
 			if sq := &e.seqs[id]; sq.done || sq.evicted {
 				continue
 			}
-			e.batches[slot] = append(e.batches[slot], id) //det:ignore hotalloc amortized batch growth when staged imports join at a step boundary
+			d := e.enterBatch(id)
+			e.batches[slot] = append(e.batches[slot], d) //det:ignore hotalloc amortized batch growth when staged imports join at a step boundary
+			e.batchTokens[slot] += d.ctx
 			e.decodeInitial++
 		}
 		e.imported = e.imported[:0]
@@ -1305,16 +1422,56 @@ func (e *Engine) onDecodeDone(slot, ep int, res runtime.PassResult) {
 	}
 
 	if e.switchToPrefil || len(e.batches[slot]) == 0 {
-		e.decodePool = append(e.decodePool, e.batches[slot]...) //det:ignore hotalloc pool drain on phase switch, not per-token work
+		e.leaveBatch(e.batches[slot])
 		e.batches[slot] = e.batches[slot][:0]
+		e.batchTokens[slot] = 0
 		e.activeBatches--
 		if e.activeBatches == 0 {
-			e.decodePool = append(e.decodePool, e.stealer.DrainStash()...) //det:ignore hotalloc pool drain on phase switch, not per-token work
+			e.leaveBatch(e.stealer.DrainStash())
 			e.afterPrefillDrained()
 		}
 		return
 	}
 	e.submitDecode(slot, res.End)
+}
+
+// rebalance runs the stealer over slot's batch and moves the withheld
+// or supplemented requests' tokens in or out of the slot's sum.
+//
+//det:hotpath
+func (e *Engine) rebalance(slot int) {
+	before := e.batches[slot]
+	after := e.stealer.Rebalance(slot, before)
+	for i := len(after); i < len(before); i++ {
+		e.batchTokens[slot] -= before[i].ctx
+	}
+	for i := len(before); i < len(after); i++ {
+		e.batchTokens[slot] += after[i].ctx
+	}
+	e.batches[slot] = after
+}
+
+// leaveBatch returns requests leaving the decode phase to the decode
+// pool, writing their live counts back to seqs.
+func (e *Engine) leaveBatch(ds []decodeSeq) {
+	for i := range ds {
+		e.store(&ds[i])
+		e.decodePool = append(e.decodePool, ds[i].id)
+	}
+}
+
+// growBlock takes the KV block d's newest token opens, evicting recently
+// admitted requests if the pool is full. It reports false when d itself
+// lost its KV instead.
+func (e *Engine) growBlock(d *decodeSeq, slot int) bool {
+	if err := e.kv.Grow(d.id, d.ctx); err != nil {
+		e.handleOOM(d, slot)
+		if d.evicted {
+			return false
+		}
+	}
+	d.room = e.kv.BlockSize() - 1
+	return true
 }
 
 // shouldSwitchToPrefill evaluates the decode->prefill switch rule.
@@ -1367,30 +1524,39 @@ func (e *Engine) leaveResident(id int) {
 }
 
 // handleOOM evicts recently admitted requests to make room for the
-// append that failed — the recompute strategy of §4.1. Victims lose
-// their cache, keep their generated tokens, and requeue for a fresh
-// prefill over input+generated tokens. The ring-buffer waiting queue
-// makes the front-insertion O(1) instead of reslicing the whole queue.
-func (e *Engine) handleOOM(needID, slot int) {
-	keep := map[int]bool{needID: true}
-	for _, id := range e.batches[slot] {
-		keep[id] = true
+// block d's newest token needs — the recompute strategy of §4.1. It
+// spares d and every other resident request of d's slot, whose pass is
+// being applied. Victims lose their cache, keep their generated tokens,
+// and requeue for a fresh prefill over input+generated tokens. The
+// ring-buffer waiting queue makes the front-insertion O(1) instead of
+// reslicing the whole queue.
+func (e *Engine) handleOOM(d *decodeSeq, slot int) {
+	// Of the slot's entries, only d's request can lose its KV here.
+	e.syncSeqs(slot)
+	e.store(d)
+	// The slot's entries name every member: applied ones at or before
+	// d, the rest after it.
+	spare := e.spareBuf[:0]
+	for i := range e.batches[slot] {
+		spare = append(spare, e.batches[slot][i].id)
 	}
-	victims := e.kv.EvictMostRecent(e.kv.BlocksFor(1), keep)
+	e.spareBuf = spare
+	victims := e.kv.EvictMostRecent(1, spare)
 	for _, id := range victims {
 		e.evict(id)
 		e.stealer.Remove(id)
 		e.removeImported(id)
 		e.waiting.PushFront(id)
 	}
-	if err := e.kv.Append(needID, 1); err != nil {
+	if err := e.kv.Grow(d.id, d.ctx); err != nil {
 		// Even eviction could not free a block: the current batch
 		// fills the machine. Evict this request itself.
-		e.kv.Free(needID)
-		e.evict(needID)
-		e.removeImported(needID)
-		e.waiting.PushFront(needID)
+		e.kv.Free(d.id)
+		e.evict(d.id)
+		e.removeImported(d.id)
+		e.waiting.PushFront(d.id)
 	}
+	e.markEvicted()
 }
 
 // evict turns request id, whose KV the caller frees, into a recompute:

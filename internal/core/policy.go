@@ -38,6 +38,8 @@ func (e *Engine) PreemptLowPriority(minPrio, needTokens int) []int {
 	if e.FreeKVTokens() >= needTokens {
 		return nil
 	}
+	e.syncSeqs(-1)
+	defer e.markEvicted()
 	var victims []int
 	for id := len(e.states) - 1; id >= 0; id-- {
 		sq := &e.seqs[id]

@@ -32,24 +32,32 @@ func TestMain(m *testing.M) {
 }
 
 // forResident calls fn with every live (neither done nor evicted)
-// request in the decode plane: every batch, the stealer's stash, the
-// decode pool and the staged imports.
-func forResident(e *Engine, fn func(id int)) {
-	add := func(ids []int) {
+// request in the decode plane and its live counts: every batch and the
+// stealer's stash, whose entries hold them, then the decode pool and the
+// staged imports, whose seqs do.
+func forResident(e *Engine, fn func(id, ctx, generated int)) {
+	entries := func(ds []decodeSeq) {
+		for _, d := range ds {
+			if !d.evicted {
+				fn(d.id, d.ctx, d.generated)
+			}
+		}
+	}
+	ids := func(ids []int) {
 		for _, id := range ids {
 			if sq := &e.seqs[id]; !sq.done && !sq.evicted {
-				fn(id)
+				fn(id, sq.ctx, sq.generated)
 			}
 		}
 	}
 	for _, b := range e.batches {
-		add(b)
+		entries(b)
 	}
 	if e.stealer != nil {
-		add(e.stealer.stash)
+		entries(e.stealer.stash)
 	}
-	add(e.decodePool)
-	add(e.imported)
+	ids(e.decodePool)
+	ids(e.imported)
 }
 
 // recountResident sums the live (neither done nor evicted) requests in
@@ -57,9 +65,9 @@ func forResident(e *Engine, fn func(id int)) {
 // and the staged imports — and their cached tokens: what the running
 // counters resident and residentTokens must always equal.
 func recountResident(e *Engine) (n, kvTokens int) {
-	forResident(e, func(id int) {
+	forResident(e, func(_, ctx, _ int) {
 		n++
-		kvTokens += e.seqs[id].ctx
+		kvTokens += ctx
 	})
 	return n, kvTokens
 }
@@ -88,20 +96,20 @@ func checkKVOwnership(e *Engine) {
 	if e.fatalErr != nil {
 		return
 	}
-	forResident(e, func(id int) {
-		st, sq := e.states[id], &e.seqs[id]
-		if sq.ctx != st.req.InputLen+sq.generated-1 {
-			e.fail(fmt.Errorf("core: request %d caches %d tokens with %d input and %d generated", id, sq.ctx, st.req.InputLen, sq.generated))
+	forResident(e, func(id, ctx, generated int) {
+		st := e.states[id]
+		if ctx != st.req.InputLen+generated-1 {
+			e.fail(fmt.Errorf("core: request %d caches %d tokens with %d input and %d generated", id, ctx, st.req.InputLen, generated))
 			return
 		}
-		ex, err := e.kv.SnapshotKV(id)
+		ex, err := e.kv.SnapshotKV(id, ctx)
 		switch {
 		case err != nil:
 			e.fail(fmt.Errorf("core: resident request %d: %w", id, err))
-		case ex.Tokens != sq.ctx:
-			e.fail(fmt.Errorf("core: snapshot of request %d carries %d tokens, core counts %d", id, ex.Tokens, sq.ctx))
-		case ex.PrivateBlocks != e.kv.BlocksFor(sq.ctx)-ex.SharedBlocks:
-			e.fail(fmt.Errorf("core: request %d holds %d private + %d shared blocks for %d tokens", id, ex.PrivateBlocks, ex.SharedBlocks, sq.ctx))
+		case ex.Tokens != ctx:
+			e.fail(fmt.Errorf("core: snapshot of request %d carries %d tokens, core counts %d", id, ex.Tokens, ctx))
+		case ex.PrivateBlocks != e.kv.BlocksFor(ctx)-ex.SharedBlocks:
+			e.fail(fmt.Errorf("core: request %d holds %d private + %d shared blocks for %d tokens", id, ex.PrivateBlocks, ex.SharedBlocks, ctx))
 		}
 		if ck := st.ckpt; ck != nil && (ck.KV.Blocks() != e.kv.BlocksFor(ck.KV.Tokens) ||
 			ck.KV.Tokens-ck.Generated != st.req.InputLen-1 && ck.KV.Tokens-ck.Generated != st.req.InputLen) {
@@ -119,7 +127,7 @@ func TestKVOwnershipDriftFailsRun(t *testing.T) {
 		if steps++; steps == 50 {
 			for _, b := range e.batches {
 				if len(b) > 0 {
-					e.seqs[b[0]].generated++
+					b[0].generated++
 					break
 				}
 			}

@@ -9,11 +9,13 @@ package core
 // the batch is compared with the window average. Surplus requests are
 // withheld into a stash; deficits are topped up from the stash on later
 // submissions. Figure 9's example replays exactly through this type.
+// Requests move as their batch entries (decodeSeq), so a withheld
+// request keeps its decode state while it waits in the stash.
 type Stealer struct {
 	// window[slot] is the most recent known size of each batch.
 	window []int
-	// stash holds withheld request ids awaiting redistribution.
-	stash []int
+	// stash holds withheld requests awaiting redistribution.
+	stash []decodeSeq
 	// enabled mirrors the Fig.-15 ablation toggle.
 	enabled bool
 }
@@ -34,7 +36,7 @@ func (s *Stealer) StashLen() int { return len(s.stash) }
 
 // DrainStash removes and returns all withheld requests (used when the
 // decode phase ends so no request is stranded).
-func (s *Stealer) DrainStash() []int {
+func (s *Stealer) DrainStash() []decodeSeq {
 	out := s.stash
 	s.stash = nil
 	return out
@@ -52,11 +54,12 @@ func (s *Stealer) average() int {
 }
 
 // Rebalance processes batch (already stripped of finished requests)
-// returning from slot and returns the ids to resubmit: the window entry
-// is refreshed, surplus beyond the window average is withheld, and
-// deficits are supplemented from the stash. The returned slice is the
-// batch to submit for the next decode step.
-func (s *Stealer) Rebalance(slot int, batch []int) []int {
+// returning from slot and returns the requests to resubmit: the window
+// entry is refreshed, surplus beyond the window average is withheld from
+// the batch's tail, and deficits are supplemented from the stash's tail.
+// The returned slice is the batch to submit for the next decode step:
+// batch itself cut short, or batch with stashed requests appended.
+func (s *Stealer) Rebalance(slot int, batch []decodeSeq) []decodeSeq {
 	if !s.enabled {
 		s.window[slot] = len(batch)
 		return batch
@@ -86,11 +89,11 @@ func (s *Stealer) Rebalance(slot int, batch []int) []int {
 	return batch
 }
 
-// Remove drops an id from the stash if present (used when a stashed
-// request is evicted for recomputation).
+// Remove drops request id from the stash if present (used when a
+// stashed request is evicted for recomputation).
 func (s *Stealer) Remove(id int) bool {
-	for i, v := range s.stash {
-		if v == id {
+	for i := range s.stash {
+		if s.stash[i].id == id {
 			s.stash = append(s.stash[:i], s.stash[i+1:]...)
 			return true
 		}

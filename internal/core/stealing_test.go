@@ -6,11 +6,11 @@ import (
 	"testing/quick"
 )
 
-// ids returns n fresh request ids starting at base.
-func ids(base, n int) []int {
-	out := make([]int, n)
+// ids returns batch entries for n fresh request ids starting at base.
+func ids(base, n int) []decodeSeq {
+	out := make([]decodeSeq, n)
 	for i := range out {
-		out[i] = base + i
+		out[i].id = base + i
 	}
 	return out
 }
@@ -63,7 +63,7 @@ func TestStealingConvergesTowardBalance(t *testing.T) {
 	s := NewStealer(4, true)
 	sizes := []int{128, 128, 128, 128}
 	s.Prime(sizes)
-	batches := [][]int{ids(0, 128), ids(200, 128), ids(400, 128), ids(600, 128)}
+	batches := [][]decodeSeq{ids(0, 128), ids(200, 128), ids(400, 128), ids(600, 128)}
 	rng := rand.New(rand.NewSource(1))
 	// Simulate 60 rounds with random completions concentrated in batch 0.
 	for round := 0; round < 60; round++ {
@@ -128,7 +128,7 @@ func TestStealerRemove(t *testing.T) {
 	if s.StashLen() == 0 {
 		t.Fatal("no stash to remove from")
 	}
-	victim := s.stash[0]
+	victim := s.stash[0].id
 	if !s.Remove(victim) {
 		t.Error("Remove failed for stashed id")
 	}
@@ -146,10 +146,10 @@ func TestStealerConservationProperty(t *testing.T) {
 		s.Prime([]int{64, 64, 64, 64})
 		owned := map[int]bool{}
 		next := 0
-		batches := make([][]int, 4)
+		batches := make([][]decodeSeq, 4)
 		for slot := range batches {
 			for i := 0; i < 64; i++ {
-				batches[slot] = append(batches[slot], next)
+				batches[slot] = append(batches[slot], decodeSeq{id: next})
 				owned[next] = true
 				next++
 			}
@@ -159,7 +159,7 @@ func TestStealerConservationProperty(t *testing.T) {
 			b := batches[slot]
 			// Finish a few randomly.
 			for len(b) > 0 && rng.Intn(4) == 0 {
-				delete(owned, b[len(b)-1])
+				delete(owned, b[len(b)-1].id)
 				b = b[:len(b)-1]
 			}
 			batches[slot] = s.Rebalance(slot, b)
@@ -167,19 +167,19 @@ func TestStealerConservationProperty(t *testing.T) {
 		seen := map[int]bool{}
 		total := 0
 		for _, b := range batches {
-			for _, id := range b {
-				if seen[id] || !owned[id] {
+			for _, d := range b {
+				if id := d.id; seen[id] || !owned[id] {
 					return false
 				}
-				seen[id] = true
+				seen[d.id] = true
 				total++
 			}
 		}
-		for _, id := range s.DrainStash() {
-			if seen[id] || !owned[id] {
+		for _, d := range s.DrainStash() {
+			if id := d.id; seen[id] || !owned[id] {
 				return false
 			}
-			seen[id] = true
+			seen[d.id] = true
 			total++
 		}
 		return total == len(owned)

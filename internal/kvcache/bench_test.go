@@ -19,8 +19,9 @@ func BenchmarkAllocateFree(b *testing.B) {
 	}
 }
 
-// BenchmarkAppend measures the per-decode-token growth path.
-func BenchmarkAppend(b *testing.B) {
+// BenchmarkGrow measures the decode growth path: one Grow per block
+// boundary crossed, 16 decoded tokens apart.
+func BenchmarkGrow(b *testing.B) {
 	b.ReportAllocs()
 	m, err := NewManager(1<<30, 16)
 	if err != nil {
@@ -29,12 +30,15 @@ func BenchmarkAppend(b *testing.B) {
 	if err := m.Allocate(1, 16); err != nil {
 		b.Fatal(err)
 	}
+	tokens := 16
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Append(1, 1); err != nil {
+		tokens += 16
+		if err := m.Grow(1, tokens); err != nil {
 			b.StopTimer()
 			m.Free(1)
 			_ = m.Allocate(1, 16)
+			tokens = 16
 			b.StartTimer()
 		}
 	}
@@ -50,7 +54,7 @@ func BenchmarkEvictMostRecent(b *testing.B) {
 			_ = m.Allocate(id, 256)
 		}
 		b.StartTimer()
-		m.EvictMostRecent(512, nil)
+		m.EvictMostRecent(512)
 	}
 }
 

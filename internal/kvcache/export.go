@@ -40,26 +40,34 @@ type ExportedSeq struct {
 // Blocks returns the total block footprint of the export.
 func (ex ExportedSeq) Blocks() int { return ex.PrivateBlocks + ex.SharedBlocks }
 
-// export describes s's block window.
-func (s *seqAlloc) export() ExportedSeq {
-	return ExportedSeq{Tokens: s.tokens, PrivateBlocks: s.blocks, Group: s.group, SharedBlocks: s.shared}
-}
-
-// ExportKV detaches sequence id from the manager and returns its block
-// window. The sequence's private blocks are released (their contents
-// travel with the export) and its references on shared blocks are
-// dropped — still-referenced blocks stay, zero-ref blocks stay resident
-// as warm cache exactly as Free leaves them. No sharing counters are
-// touched: an export followed by an import leaves the manager's
-// statistics identical to never having exported.
-func (m *Manager) ExportKV(id int) (ExportedSeq, error) {
+// export describes sequence id's block window holding tokens tokens,
+// the owner's count, which must need exactly the window's blocks.
+func (m *Manager) export(op string, id, tokens int) (ExportedSeq, error) {
 	s := m.slot(id)
 	if s == nil {
-		return ExportedSeq{}, fmt.Errorf("kvcache: export of unknown sequence %d", id)
+		return ExportedSeq{}, fmt.Errorf("kvcache: %s of unknown sequence %d", op, id)
 	}
-	ex := s.export()
-	m.Free(id)
-	return ex, nil
+	if tokens <= 0 || m.BlocksFor(tokens) != s.blocks+s.shared {
+		return ExportedSeq{}, fmt.Errorf("kvcache: %s of sequence %d: %d tokens need %d blocks, it holds %d",
+			op, id, tokens, m.BlocksFor(tokens), s.blocks+s.shared)
+	}
+	return ExportedSeq{Tokens: tokens, PrivateBlocks: s.blocks, Group: s.group, SharedBlocks: s.shared}, nil
+}
+
+// ExportKV detaches sequence id, caching tokens tokens by its owner's
+// count, from the manager and returns its block window. The sequence's
+// private blocks are released (their contents travel with the export)
+// and its references on shared blocks are dropped — still-referenced
+// blocks stay, zero-ref blocks stay resident as warm cache exactly as
+// Free leaves them. No sharing counters are touched: an export followed
+// by an import leaves the manager's statistics identical to never
+// having exported.
+func (m *Manager) ExportKV(id, tokens int) (ExportedSeq, error) {
+	ex, err := m.export("export", id, tokens)
+	if err == nil {
+		m.Free(id)
+	}
+	return ex, err
 }
 
 // SnapshotKV returns sequence id's block window like ExportKV but
@@ -67,13 +75,9 @@ func (m *Manager) ExportKV(id int) (ExportedSeq, error) {
 // continue. This is the periodic-checkpoint primitive — a crash-safe
 // copy a recovery path can later feed to ImportKV on another manager.
 // The snapshot is a value, so it stays valid as the live sequence keeps
-// appending past it.
-func (m *Manager) SnapshotKV(id int) (ExportedSeq, error) {
-	s := m.slot(id)
-	if s == nil {
-		return ExportedSeq{}, fmt.Errorf("kvcache: snapshot of unknown sequence %d", id)
-	}
-	return s.export(), nil
+// growing past it.
+func (m *Manager) SnapshotKV(id, tokens int) (ExportedSeq, error) {
+	return m.export("snapshot", id, tokens)
 }
 
 // ResidentBlocks returns how many of ex's shared blocks are resident in
@@ -145,7 +149,6 @@ func (m *Manager) ImportKV(id int, ex ExportedSeq) (int, error) {
 	m.fill(ex.Group, c, ex.SharedBlocks)
 	m.allocSeq++
 	m.setSeq(id, seqAlloc{
-		tokens:  ex.Tokens,
 		blocks:  ex.PrivateBlocks,
 		group:   ex.Group,
 		shared:  ex.SharedBlocks,

@@ -75,6 +75,7 @@ func TestExportImportRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 
 	live := []int{}
+	tokensOf := map[int]int{} // the owner's count per live sequence
 	next := 0
 	for step := 0; step < 600; step++ {
 		switch op := rng.Intn(10); {
@@ -91,13 +92,17 @@ func TestExportImportRoundTripProperty(t *testing.T) {
 			}
 			if ea == nil {
 				live = append(live, id)
+				tokensOf[id] = tokens
 			}
-		case op < 6 && len(live) > 0: // append
+		case op < 6 && len(live) > 0: // grow
 			id := live[rng.Intn(len(live))]
-			n := 1 + rng.Intn(40)
-			ea, eb := a.Append(id, n), b.Append(id, n)
+			n := tokensOf[id] + 1 + rng.Intn(40)
+			ea, eb := a.Grow(id, n), b.Grow(id, n)
 			if (ea == nil) != (eb == nil) {
-				t.Fatalf("step %d: append diverged: %v vs %v", step, ea, eb)
+				t.Fatalf("step %d: grow diverged: %v vs %v", step, ea, eb)
+			}
+			if ea == nil {
+				tokensOf[id] = n
 			}
 		case op < 8 && len(live) > 0: // free
 			i := rng.Intn(len(live))
@@ -110,7 +115,7 @@ func TestExportImportRoundTripProperty(t *testing.T) {
 				continue
 			}
 			id := live[rng.Intn(len(live))]
-			ex, err := a.ExportKV(id)
+			ex, err := a.ExportKV(id, tokensOf[id])
 			if err != nil {
 				t.Fatalf("step %d: export %d: %v", step, id, err)
 			}
@@ -143,7 +148,7 @@ func TestExportImportCrossManager(t *testing.T) {
 	if _, err := src.AllocateShared(0, 4*bs+8, 7, 4*bs); err != nil {
 		t.Fatal(err)
 	}
-	ex, err := src.ExportKV(0)
+	ex, err := src.ExportKV(0, 4*bs+8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,16 +179,16 @@ func TestExportImportCrossManager(t *testing.T) {
 	if dst.Stats() != before {
 		t.Errorf("import moved the sharing counters: %+v vs %+v", dst.Stats(), before)
 	}
-	if dst.Tokens(1) != 4*bs+8 {
-		t.Errorf("imported sequence caches %d tokens, want %d", dst.Tokens(1), 4*bs+8)
+	if snap, err := dst.SnapshotKV(1, 4*bs+8); err != nil || snap != ex {
+		t.Errorf("imported sequence's window %+v (%v), want %+v", snap, err, ex)
 	}
 	// Both sequences share the chain root blocks: 2 original chain +
 	// 2 imported chain + 1 imported private, each counted once.
 	if dst.UsedBlocks() != 5 {
 		t.Errorf("destination used blocks = %d, want 5", dst.UsedBlocks())
 	}
-	if err := dst.Append(1, 1); err != nil {
-		t.Fatalf("append after import: %v", err)
+	if err := dst.Grow(1, 4*bs+9); err != nil {
+		t.Fatalf("grow after import: %v", err)
 	}
 }
 
@@ -199,7 +204,7 @@ func TestImportOOMRollsBack(t *testing.T) {
 	if _, err := src.AllocateShared(0, 4*bs, 3, 4*bs); err != nil {
 		t.Fatal(err)
 	}
-	ex, err := src.ExportKV(0)
+	ex, err := src.ExportKV(0, 4*bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +241,7 @@ func TestCanImportMatchesImportUnderWarmChain(t *testing.T) {
 	if _, err := src.AllocateShared(0, 5*bs, 9, 2*bs); err != nil {
 		t.Fatal(err)
 	}
-	ex, err := src.ExportKV(0)
+	ex, err := src.ExportKV(0, 5*bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +271,7 @@ func TestImportRejectsMalformedExport(t *testing.T) {
 
 // Shared blocks are full prefix blocks, so an export whose shared
 // blocks cover more tokens than it holds would leave a partly filled
-// shared tail for Append to write into. ImportKV rejects it, and a
+// shared tail for Grow to write into. ImportKV rejects it, and a
 // negative shared count, and leaves the pool as it was; shared blocks
 // that exactly cover the tokens import.
 func TestImportRejectsPartialSharedTail(t *testing.T) {
@@ -285,8 +290,8 @@ func TestImportRejectsPartialSharedTail(t *testing.T) {
 	if _, err := m.ImportKV(0, ExportedSeq{Tokens: 48, Group: 1, SharedBlocks: 3}); err != nil {
 		t.Fatalf("import of 3 full shared blocks: %v", err)
 	}
-	if err := m.Append(0, 1); err != nil || m.UsedBlocks() != 4 {
-		t.Errorf("append after import: err=%v used=%d, want nil and 4", err, m.UsedBlocks())
+	if err := m.Grow(0, 49); err != nil || m.UsedBlocks() != 4 {
+		t.Errorf("grow after import: err=%v used=%d, want nil and 4", err, m.UsedBlocks())
 	}
 }
 
@@ -311,9 +316,8 @@ func FuzzExportImportRebase(f *testing.F) {
 		if _, err := m.AllocateShared(id0, tokens, group, tokens/2); err != nil {
 			t.Fatal(err)
 		}
-		wantTokens := m.Tokens(id0)
 		wantUsed := m.UsedBlocks()
-		ex, err := m.ExportKV(id0)
+		ex, err := m.ExportKV(id0, tokens)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,8 +333,8 @@ func FuzzExportImportRebase(f *testing.F) {
 		if _, err := m.ImportKV(id0, ex); err != nil {
 			t.Fatalf("import across rebase: %v", err)
 		}
-		if got := m.Tokens(id0); got != wantTokens {
-			t.Fatalf("tokens after rebase round trip = %d, want %d", got, wantTokens)
+		if got, err := m.SnapshotKV(id0, tokens); err != nil || got != ex {
+			t.Fatalf("window after rebase round trip = %+v (%v), want %+v", got, err, ex)
 		}
 		if got := m.UsedBlocks(); got != wantUsed+m.BlocksFor(32) {
 			t.Fatalf("used = %d, want %d", got, wantUsed+m.BlocksFor(32))
@@ -338,9 +342,9 @@ func FuzzExportImportRebase(f *testing.F) {
 		if !m.Has(far) || !m.Has(id0) {
 			t.Fatal("sequence lost across rebase")
 		}
-		// The re-imported sequence must still be appendable and
+		// The re-imported sequence must still be growable and
 		// freeable without leaking blocks.
-		if err := m.Append(id0, 3); err != nil {
+		if err := m.Grow(id0, tokens+3); err != nil {
 			t.Fatal(err)
 		}
 		m.Free(id0)
@@ -356,7 +360,7 @@ func FuzzExportImportRebase(f *testing.F) {
 }
 
 // SnapshotKV must capture the window without detaching the sequence:
-// the live sequence keeps appending, the snapshot stays importable into
+// the live sequence keeps growing, the snapshot stays importable into
 // a fresh manager at its captured length, and taking it perturbs no
 // observable state.
 func TestSnapshotKVNonDestructive(t *testing.T) {
@@ -368,7 +372,7 @@ func TestSnapshotKVNonDestructive(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := observe(m)
-	snap, err := m.SnapshotKV(0)
+	snap, err := m.SnapshotKV(0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +381,7 @@ func TestSnapshotKVNonDestructive(t *testing.T) {
 		t.Fatalf("snapshot = %d tokens / %d blocks, want 40 / %d", snap.Tokens, snap.Blocks(), m.BlocksFor(40))
 	}
 	// The live sequence moves on; the snapshot must not.
-	if err := m.Append(0, 30); err != nil {
+	if err := m.Grow(0, 70); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Tokens != 40 {
@@ -393,7 +397,13 @@ func TestSnapshotKVNonDestructive(t *testing.T) {
 	if !other.Has(7) {
 		t.Fatal("imported snapshot not resident")
 	}
-	if _, err := m.SnapshotKV(99); err == nil {
+	if _, err := m.SnapshotKV(99, 40); err == nil {
 		t.Fatal("snapshot of unknown sequence accepted")
+	}
+	// The owner's count must need exactly the window's blocks.
+	for _, tokens := range []int{0, 64, 81} {
+		if _, err := m.SnapshotKV(0, tokens); err == nil {
+			t.Fatalf("snapshot of a 5-block window at %d tokens accepted", tokens)
+		}
 	}
 }

@@ -4,12 +4,15 @@
 // schedulers use it for admission control, the greedy-prefill simulation
 // for capacity checks, and the baselines for recompute-eviction when
 // memory overflows (paper §4.1 "re-computation strategy").
+//
+// The manager keeps blocks, not tokens: the scheduler that owns a
+// sequence owns its token count. A call that sizes a window from tokens
+// (Allocate, Grow, ExportKV, SnapshotKV) takes the owner's count, so a
+// decoding sequence calls Grow only when its next token opens a new
+// block, not once per token.
 package kvcache
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DefaultBlockSize is vLLM's default block granularity in tokens.
 const DefaultBlockSize = 16
@@ -20,8 +23,7 @@ const DefaultBlockSize = 16
 //
 // Sequence ids are expected to be small and dense (the engines number
 // requests 0..n-1): the per-sequence table is a flat slice indexed by
-// id, so the per-decode-token Append path costs an array index, not a
-// map probe.
+// id, so a lookup costs an array index, not a map probe.
 //
 // Beyond per-sequence private blocks, the manager supports ref-counted
 // shared prefix blocks (see sharing.go): a sequence may reference the
@@ -57,10 +59,14 @@ type Manager struct {
 	peak int
 	// allocSeq orders allocations for most-recent-first eviction.
 	allocSeq int
+	// order lists allocations by ascending arrival stamp, so eviction
+	// walks it from the newest. Freed sequences leave stale entries
+	// (their slot is gone or carries a newer stamp) that setSeq
+	// compacts away once they outnumber the live ones.
+	order []seqRef
 }
 
 type seqAlloc struct {
-	tokens int
 	// blocks counts the sequence's private blocks. The sequence also
 	// references the first shared blocks of group's chain, which are
 	// counted once globally.
@@ -68,7 +74,13 @@ type seqAlloc struct {
 	group   int
 	shared  int
 	arrival int
+	// spared marks a sequence EvictMostRecent must not evict; it is set
+	// only during that call.
+	spared bool
 }
+
+// seqRef names one allocation in the arrival log.
+type seqRef struct{ id, arrival int }
 
 // NewManager returns a manager with capacity for capacityTokens tokens
 // at the given block size (DefaultBlockSize if blockSize <= 0). The
@@ -149,6 +161,7 @@ func (m *Manager) setSeq(id int, s seqAlloc) {
 		// instead of growing with the id space.
 		m.base = id
 		m.seqs = m.seqs[:0]
+		m.order = m.order[:0]
 	}
 	if id < m.base {
 		// Rare: extend the window downward by rebasing to id.
@@ -172,14 +185,24 @@ func (m *Manager) setSeq(id int, s seqAlloc) {
 		m.live++
 	}
 	m.seqs[i] = s
+	if len(m.order) >= 2*m.live+16 {
+		// Drop the stale entries: amortized O(1) per allocation, since
+		// at least half the log goes each time.
+		live := m.order[:0]
+		for _, r := range m.order {
+			if m.current(r) {
+				live = append(live, r)
+			}
+		}
+		m.order = live
+	}
+	m.order = append(m.order, seqRef{id, s.arrival})
 }
 
-// Tokens returns the cached token count for sequence id (0 if absent).
-func (m *Manager) Tokens(id int) int {
-	if s := m.slot(id); s != nil {
-		return s.tokens
-	}
-	return 0
+// current reports whether r still names a resident allocation.
+func (m *Manager) current(r seqRef) bool {
+	s := m.slot(r.id)
+	return s != nil && s.arrival == r.arrival
 }
 
 // Has reports whether sequence id is resident.
@@ -216,7 +239,7 @@ func (m *Manager) Allocate(id, tokens int) error {
 		return fmt.Errorf("kvcache: out of memory: need %d blocks, free %d", need, m.FreeBlocks())
 	}
 	m.allocSeq++
-	m.setSeq(id, seqAlloc{tokens: tokens, blocks: need, arrival: m.allocSeq})
+	m.setSeq(id, seqAlloc{blocks: need, arrival: m.allocSeq})
 	m.used += need
 	if m.used > m.peak {
 		m.peak = m.used
@@ -224,32 +247,33 @@ func (m *Manager) Allocate(id, tokens int) error {
 	return nil
 }
 
-// CanAppend reports whether sequence id can grow by n tokens.
-func (m *Manager) CanAppend(id, n int) bool {
+// CanGrow reports whether sequence id's window can grow to hold tokens
+// tokens, counting warm shared blocks as reclaimable space.
+func (m *Manager) CanGrow(id, tokens int) bool {
 	s := m.slot(id)
 	if s == nil {
 		return false
 	}
-	return m.BlocksFor(s.tokens+n)-s.shared-s.blocks <= m.FreeBlocks()+m.reclaimable
+	return m.BlocksFor(tokens)-s.shared-s.blocks <= m.FreeBlocks()+m.reclaimable
 }
 
-// Append grows sequence id by n tokens, taking new private blocks as
-// needed. A sequence's shared blocks are full prefix blocks (ImportKV
-// rejects any other kind), so growth only ever writes private blocks.
-// Most calls stay inside the last block and only count the tokens.
-func (m *Manager) Append(id, n int) error {
+// Grow sizes sequence id's window to hold tokens tokens, the owner's
+// new count, taking private blocks as needed. A sequence's shared
+// blocks are full prefix blocks (ImportKV rejects any other kind), so
+// growth only ever writes private blocks. A count the window already
+// holds takes nothing; one it exceeds the need of is an error, since a
+// window never shrinks while the sequence lives.
+func (m *Manager) Grow(id, tokens int) error {
 	s := m.slot(id)
 	if s == nil {
-		return fmt.Errorf("kvcache: append to unknown sequence %d", id)
+		return fmt.Errorf("kvcache: grow of unknown sequence %d", id)
 	}
-	if n <= 0 {
-		return fmt.Errorf("kvcache: append %d tokens", n)
-	}
-	priv := m.BlocksFor(s.tokens+n) - s.shared
-	grow := priv - s.blocks
-	if grow == 0 {
-		s.tokens += n
+	grow := m.BlocksFor(tokens) - s.shared - s.blocks
+	switch {
+	case grow == 0:
 		return nil
+	case grow < 0 || tokens <= 0:
+		return fmt.Errorf("kvcache: sequence %d holds %d blocks, more than %d tokens need", id, s.shared+s.blocks, tokens)
 	}
 	if grow > m.FreeBlocks() {
 		m.reclaim(grow - m.FreeBlocks())
@@ -257,8 +281,7 @@ func (m *Manager) Append(id, n int) error {
 	if grow > m.FreeBlocks() {
 		return fmt.Errorf("kvcache: out of memory growing sequence %d: need %d blocks, free %d", id, grow, m.FreeBlocks())
 	}
-	s.tokens += n
-	s.blocks = priv
+	s.blocks += grow
 	m.used += grow
 	if m.used > m.peak {
 		m.peak = m.used
@@ -286,8 +309,11 @@ func (m *Manager) Free(id int) {
 // least needBlocks are available, returning the evicted ids (most recent
 // first). This is the paper's recompute strategy: "the KV cache of
 // recently arrived requests will be freed once memory capacity is
-// saturated". It never evicts ids in keep.
-func (m *Manager) EvictMostRecent(needBlocks int, keep map[int]bool) []int {
+// saturated". It never evicts an id listed in spare. The walk starts at
+// the newest allocation of the arrival log and stops as soon as enough
+// is free, so it costs the victims and the spared sequences it passes,
+// not the whole table.
+func (m *Manager) EvictMostRecent(needBlocks int, spare ...[]int) []int {
 	// Warm shared blocks are the cheapest space: reclaim them before
 	// evicting any live sequence (no recompute needed to restore them).
 	if m.FreeBlocks() < needBlocks {
@@ -296,35 +322,39 @@ func (m *Manager) EvictMostRecent(needBlocks int, keep map[int]bool) []int {
 	if m.FreeBlocks() >= needBlocks {
 		return nil
 	}
-	type cand struct{ id, arrival int }
-	cands := make([]cand, 0, m.live)
-	for i := range m.seqs {
-		id := m.base + i
-		if m.seqs[i].arrival == 0 || keep[id] {
+	m.markSpared(spare, true)
+	var evicted []int
+	for i := len(m.order) - 1; i >= 0 && m.FreeBlocks() < needBlocks; i-- {
+		r := m.order[i]
+		if !m.current(r) || m.slot(r.id).spared {
 			continue
 		}
-		cands = append(cands, cand{id, m.seqs[i].arrival})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].arrival > cands[j].arrival })
-	var evicted []int
-	for _, c := range cands {
-		if m.FreeBlocks() >= needBlocks {
-			break
-		}
-		m.Free(c.id)
+		m.Free(r.id)
 		// Freeing a sharing sequence may only have dropped refs; turn
 		// any now-warm blocks into free space before evicting more.
 		if m.FreeBlocks() < needBlocks {
 			m.reclaim(needBlocks - m.FreeBlocks())
 		}
-		evicted = append(evicted, c.id)
+		evicted = append(evicted, r.id)
 	}
+	m.markSpared(spare, false)
 	return evicted
 }
 
-// Snapshot returns the resident (id, tokens) pairs sorted by id, for
-// deterministic iteration by schedulers. The dense table iterates in id
-// order, so no sort is needed.
+// markSpared sets the spared mark of every resident id in lists.
+func (m *Manager) markSpared(lists [][]int, on bool) {
+	for _, ids := range lists {
+		for _, id := range ids {
+			if s := m.slot(id); s != nil {
+				s.spared = on
+			}
+		}
+	}
+}
+
+// Snapshot returns the resident sequences' block footprints sorted by
+// id, for deterministic iteration by schedulers. The dense table
+// iterates in id order, so no sort is needed.
 func (m *Manager) Snapshot() []SeqInfo {
 	out := make([]SeqInfo, 0, m.live)
 	for i := range m.seqs {
@@ -332,15 +362,14 @@ func (m *Manager) Snapshot() []SeqInfo {
 		if s.arrival == 0 {
 			continue
 		}
-		out = append(out, SeqInfo{ID: m.base + i, Tokens: s.tokens, Blocks: s.blocks + s.shared, Shared: s.shared})
+		out = append(out, SeqInfo{ID: m.base + i, Blocks: s.blocks + s.shared, Shared: s.shared})
 	}
 	return out
 }
 
 // SeqInfo describes one resident sequence.
 type SeqInfo struct {
-	ID     int
-	Tokens int
+	ID int
 	// Blocks is the total block footprint; Shared of them are
 	// ref-counted shared prefix blocks (counted once fleet-wide).
 	Blocks int

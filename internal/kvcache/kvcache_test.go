@@ -41,7 +41,7 @@ func TestAllocateFreeRoundTrip(t *testing.T) {
 	if m.UsedBlocks() != 7 { // ceil(100/16)
 		t.Errorf("used = %d, want 7", m.UsedBlocks())
 	}
-	if m.Tokens(1) != 100 || !m.Has(1) || m.Live() != 1 {
+	if !m.Has(1) || m.Live() != 1 {
 		t.Error("sequence state wrong after allocate")
 	}
 	m.Free(1)
@@ -70,7 +70,7 @@ func TestAllocateErrors(t *testing.T) {
 	}
 }
 
-func TestAppendGrowsByBlocks(t *testing.T) {
+func TestGrowTakesWholeBlocks(t *testing.T) {
 	m := mustManager(t, 160, 16)
 	if err := m.Allocate(1, 16); err != nil {
 		t.Fatal(err)
@@ -78,47 +78,58 @@ func TestAppendGrowsByBlocks(t *testing.T) {
 	if m.UsedBlocks() != 1 {
 		t.Fatalf("used = %d", m.UsedBlocks())
 	}
-	// Appending one token crosses a block boundary.
-	if !m.CanAppend(1, 1) {
-		t.Fatal("CanAppend(1) = false")
+	// The 17th token crosses a block boundary.
+	if !m.CanGrow(1, 17) {
+		t.Fatal("CanGrow(1, 17) = false")
 	}
-	if err := m.Append(1, 1); err != nil {
+	if err := m.Grow(1, 17); err != nil {
 		t.Fatal(err)
 	}
-	if m.UsedBlocks() != 2 || m.Tokens(1) != 17 {
-		t.Errorf("used = %d tokens = %d", m.UsedBlocks(), m.Tokens(1))
+	if m.UsedBlocks() != 2 {
+		t.Errorf("used = %d", m.UsedBlocks())
 	}
-	// Appending within the block takes no new blocks.
-	if err := m.Append(1, 15); err != nil {
+	// Growing within the block takes no new blocks.
+	if err := m.Grow(1, 32); err != nil {
 		t.Fatal(err)
 	}
 	if m.UsedBlocks() != 2 {
 		t.Errorf("used = %d after intra-block growth", m.UsedBlocks())
 	}
+	// Several blocks at once.
+	if err := m.Grow(1, 80); err != nil || m.UsedBlocks() != 5 {
+		t.Errorf("grow to 80 tokens: err=%v used=%d, want nil and 5", err, m.UsedBlocks())
+	}
 }
 
-func TestAppendErrors(t *testing.T) {
+func TestGrowErrors(t *testing.T) {
 	m := mustManager(t, 32, 16)
-	if err := m.Append(9, 1); err == nil {
-		t.Error("append to unknown sequence accepted")
+	if err := m.Grow(9, 1); err == nil {
+		t.Error("grow of unknown sequence accepted")
 	}
 	if err := m.Allocate(1, 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Append(1, 0); err == nil {
-		t.Error("zero append accepted")
+	if err := m.Grow(1, 0); err == nil {
+		t.Error("grow to zero tokens accepted")
 	}
-	if err := m.Allocate(2, 16); err != nil {
+	if err := m.Allocate(2, 20); err == nil {
+		t.Error("over-capacity allocation accepted")
+	}
+	if err := m.Grow(1, 32); err != nil {
 		t.Fatal(err)
 	}
-	if m.CanAppend(1, 1) {
-		t.Error("CanAppend true with no free blocks")
+	// A count below the window's need is a stale owner's count.
+	if err := m.Grow(1, 16); err == nil {
+		t.Error("grow to fewer blocks than held accepted")
 	}
-	if err := m.Append(1, 1); err == nil {
-		t.Error("OOM append accepted")
+	if m.CanGrow(1, 33) {
+		t.Error("CanGrow true with no free blocks")
 	}
-	if m.CanAppend(42, 1) {
-		t.Error("CanAppend true for unknown sequence")
+	if err := m.Grow(1, 33); err == nil {
+		t.Error("OOM grow accepted")
+	}
+	if m.CanGrow(42, 1) {
+		t.Error("CanGrow true for unknown sequence")
 	}
 }
 
@@ -141,7 +152,7 @@ func TestEvictMostRecent(t *testing.T) {
 	_ = m.Allocate(2, 48)        // 3 blocks
 	_ = m.Allocate(3, 48)        // 3 blocks, newest
 	// Need 6 free blocks -> evict newest first: 3, then 2.
-	evicted := m.EvictMostRecent(6, nil)
+	evicted := m.EvictMostRecent(6)
 	if len(evicted) != 2 || evicted[0] != 3 || evicted[1] != 2 {
 		t.Fatalf("evicted = %v, want [3 2]", evicted)
 	}
@@ -158,19 +169,42 @@ func TestEvictRespectsKeepSet(t *testing.T) {
 	_ = m.Allocate(1, 32)
 	_ = m.Allocate(2, 32)
 	_ = m.Allocate(3, 32)
-	evicted := m.EvictMostRecent(2, map[int]bool{3: true})
+	evicted := m.EvictMostRecent(2, []int{3, 99}, []int{3})
 	if len(evicted) != 1 || evicted[0] != 2 {
 		t.Fatalf("evicted = %v, want [2]", evicted)
 	}
 	if !m.Has(3) {
 		t.Error("kept sequence was evicted")
 	}
+	// The spared mark lasts only for the call.
+	if ev := m.EvictMostRecent(4); len(ev) != 1 || ev[0] != 3 {
+		t.Fatalf("evicted = %v, want [3]", ev)
+	}
+}
+
+// Eviction follows allocation order, not id order, and a re-allocated
+// id counts from its newest allocation: the arrival log's stale entries
+// never name a victim.
+func TestEvictFollowsArrivalOrderAcrossReuse(t *testing.T) {
+	m := mustManager(t, 160, 16) // 10 blocks
+	for _, id := range []int{4, 2, 7} {
+		_ = m.Allocate(id, 32) // 2 blocks each
+	}
+	m.Free(4)
+	_ = m.Allocate(4, 32) // newest now
+	for i := 10; i < 40; i++ {
+		_ = m.Allocate(i, 1) // churn the log past compaction
+		m.Free(i)
+	}
+	if ev := m.EvictMostRecent(8); len(ev) != 2 || ev[0] != 4 || ev[1] != 7 {
+		t.Fatalf("evicted = %v, want [4 7]", ev)
+	}
 }
 
 func TestEvictNoOpWhenEnoughFree(t *testing.T) {
 	m := mustManager(t, 160, 16)
 	_ = m.Allocate(1, 16)
-	if ev := m.EvictMostRecent(1, nil); ev != nil {
+	if ev := m.EvictMostRecent(1); ev != nil {
 		t.Errorf("needless eviction: %v", ev)
 	}
 }
@@ -184,19 +218,19 @@ func TestSnapshotSortedByID(t *testing.T) {
 	if len(snap) != 3 || snap[0].ID != 1 || snap[1].ID != 3 || snap[2].ID != 5 {
 		t.Errorf("snapshot = %v", snap)
 	}
-	if snap[0].Tokens != 20 || snap[0].Blocks != 2 {
+	if snap[0].Blocks != 2 || snap[0].Shared != 0 {
 		t.Errorf("snapshot entry = %+v", snap[0])
 	}
 }
 
 // Property: under any sequence of operations the accounting invariants
 // hold: used == sum of per-seq blocks, 0 <= used <= capacity, blocks
-// always match BlocksFor(tokens).
+// always match BlocksFor of the owner's token count.
 func TestAccountingInvariantProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m, _ := NewManager(16*64, 16)
-		live := map[int]bool{}
+		live := map[int]int{} // id -> the owner's token count
 		next := 0
 		for op := 0; op < 200; op++ {
 			switch rng.Intn(3) {
@@ -207,17 +241,18 @@ func TestAccountingInvariantProperty(t *testing.T) {
 					if err := m.Allocate(next, tokens); err != nil {
 						return false
 					}
-					live[next] = true
+					live[next] = tokens
 				} else if err := m.Allocate(next, tokens); err == nil {
 					return false // CanAllocate said no but Allocate worked
 				}
 			case 1:
-				for id := range live {
-					n := rng.Intn(40) + 1
-					if m.CanAppend(id, n) {
-						if err := m.Append(id, n); err != nil {
+				for id, tokens := range live {
+					n := tokens + rng.Intn(40) + 1
+					if m.CanGrow(id, n) {
+						if err := m.Grow(id, n); err != nil {
 							return false
 						}
+						live[id] = n
 					}
 					break
 				}
@@ -230,7 +265,7 @@ func TestAccountingInvariantProperty(t *testing.T) {
 			}
 			sum := 0
 			for _, s := range m.Snapshot() {
-				if s.Blocks != m.BlocksFor(s.Tokens) {
+				if s.Blocks != m.BlocksFor(live[s.ID]) {
 					return false
 				}
 				sum += s.Blocks

@@ -232,7 +232,7 @@ func (md *model) matchPrefix(group, prefix int) int {
 func (md *model) seqInfos() []SeqInfo {
 	out := []SeqInfo{}
 	for id, s := range md.seqs {
-		out = append(out, SeqInfo{ID: id, Tokens: s.tokens, Blocks: s.priv + s.shared, Shared: s.shared})
+		out = append(out, SeqInfo{ID: id, Blocks: s.priv + s.shared, Shared: s.shared})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -308,10 +308,13 @@ func runModel(t *testing.T, prog []byte) {
 		case op == 3 && len(live) > 0:
 			id, _ := pick()
 			n := 1 + next(2*modelBS)
-			can := m.CanAppend(id, n)
-			err := m.Append(id, n)
+			// The model owns the token count; the manager sizes the
+			// window from it.
+			tokens := md.seqs[id].tokens + n
+			can := m.CanGrow(id, tokens)
+			err := m.Grow(id, tokens)
 			if ok := md.append(id, n); can != (err == nil) || ok != (err == nil) {
-				fail("Append(%d, %d) = %v (can %v), model %v", id, n, err, can, ok)
+				fail("Grow(%d, %d) = %v (can %v), model %v", id, tokens, err, can, ok)
 			}
 		case op == 4 && len(live) > 0:
 			id, i := pick()
@@ -328,9 +331,9 @@ func runModel(t *testing.T, prog []byte) {
 			var ex ExportedSeq
 			var err error
 			if snap {
-				ex, err = m.SnapshotKV(id)
+				ex, err = m.SnapshotKV(id, want.tokens)
 			} else {
-				ex, err = m.ExportKV(id)
+				ex, err = m.ExportKV(id, want.tokens)
 				md.free1(id)
 				drop(i)
 			}
@@ -357,12 +360,14 @@ func runModel(t *testing.T, prog []byte) {
 		case op == 7:
 			need := 1 + next(modelCapBlocks)
 			keep := map[int]bool{}
+			var spare []int
 			for _, id := range live {
 				if next(3) == 0 {
 					keep[id] = true
+					spare = append(spare, id)
 				}
 			}
-			got, want := m.EvictMostRecent(need, keep), md.evictMostRecent(need, keep)
+			got, want := m.EvictMostRecent(need, spare), md.evictMostRecent(need, keep)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				fail("EvictMostRecent(%d) = %v, model %v", need, got, want)
 			}

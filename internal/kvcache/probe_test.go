@@ -30,6 +30,7 @@ func TestProbeEquivalenceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m, _ := NewManager(24*bs, bs)
 		var live []int
+		tokensOf := map[int]int{} // the owner's count per live sequence
 		var exports []ExportedSeq
 		next := 0
 		fail := func(step int, format string, args ...any) bool {
@@ -74,16 +75,20 @@ func TestProbeEquivalenceProperty(t *testing.T) {
 						return fail(step, "allocation hit %d tokens, MatchPrefix said %d", hit, warmHit)
 					}
 					live = append(live, id)
+					tokensOf[id] = tokens
 				}
 			case op < 6 && len(live) > 0:
-				_ = m.Append(live[rng.Intn(len(live))], 1+rng.Intn(2*bs))
+				id := live[rng.Intn(len(live))]
+				if n := tokensOf[id] + 1 + rng.Intn(2*bs); m.Grow(id, n) == nil {
+					tokensOf[id] = n
+				}
 			case op < 8 && len(live) > 0:
 				i := rng.Intn(len(live))
 				m.Free(live[i])
 				live = append(live[:i], live[i+1:]...)
 			case op < 9 && len(live) > 0:
 				i := rng.Intn(len(live))
-				ex, err := m.ExportKV(live[i])
+				ex, err := m.ExportKV(live[i], tokensOf[live[i]])
 				if err != nil {
 					return fail(step, "export: %v", err)
 				}
@@ -93,6 +98,7 @@ func TestProbeEquivalenceProperty(t *testing.T) {
 				i := rng.Intn(len(exports))
 				if _, err := m.ImportKV(next, exports[i]); err == nil {
 					live = append(live, next)
+					tokensOf[next] = exports[i].Tokens
 				}
 				next++
 				exports = append(exports[:i], exports[i+1:]...)

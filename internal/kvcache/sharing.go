@@ -19,8 +19,8 @@ package kvcache
 // contents to find the same block.
 //
 // Only full prefix blocks are shared, so a sequence's shared blocks
-// all precede its private ones and decode appends never write a shared
-// block: Append grows private blocks only.
+// all precede its private ones and decode growth never writes a shared
+// block: Grow takes private blocks only.
 
 import "fmt"
 
@@ -172,7 +172,7 @@ func (m *Manager) AllocateShared(id, tokens, group, prefixTokens int) (int, erro
 	m.fill(group, c, n)
 	priv := m.BlocksFor(tokens) - n
 	m.allocSeq++
-	m.setSeq(id, seqAlloc{tokens: tokens, blocks: priv, group: group, shared: n, arrival: m.allocSeq})
+	m.setSeq(id, seqAlloc{blocks: priv, group: group, shared: n, arrival: m.allocSeq})
 	m.used += priv
 	if m.used > m.peak {
 		m.peak = m.used

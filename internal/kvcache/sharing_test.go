@@ -18,7 +18,7 @@ func TestEvictionOrderInterleavedAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	evicted := m.EvictMostRecent(6, nil)
+	evicted := m.EvictMostRecent(6)
 	if len(evicted) != 3 || evicted[0] != 2 || evicted[1] != 5 || evicted[2] != 4 {
 		t.Fatalf("evicted = %v, want [2 5 4] (most recent first)", evicted)
 	}
@@ -121,7 +121,7 @@ func TestEvictWhileShared(t *testing.T) {
 	if err := m.Allocate(3, 112); err != nil { // +7 private: pool full
 		t.Fatal(err)
 	}
-	evicted := m.EvictMostRecent(2, map[int]bool{3: true})
+	evicted := m.EvictMostRecent(2, []int{3})
 	if len(evicted) != 2 || evicted[0] != 2 || evicted[1] != 1 {
 		t.Fatalf("evicted = %v, want [2 1]", evicted)
 	}
