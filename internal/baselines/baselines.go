@@ -202,10 +202,9 @@ func checkFits(kv *kvcache.Manager, r workload.Request) error {
 // reqState mirrors core's request tracking.
 type reqState struct {
 	req workload.Request
-	ctx int // cached tokens, the KV pool's window is sized from
-	// room counts the free token slots in the last KV block: decode
-	// tokens that fit before the next one opens a block.
-	room       int
+	// ctx counts the cached tokens, the count the KV pool sizes the
+	// window from; room counts the free token slots in its last block.
+	ctx, room  int
 	prefilled  int // prompt tokens already prefilled (chunked prefill)
 	generated  int
 	prefillLen int

@@ -270,10 +270,10 @@ func (m *Manager) Grow(id, tokens int) error {
 	}
 	grow := m.BlocksFor(tokens) - s.shared - s.blocks
 	switch {
+	case grow < 0:
+		return fmt.Errorf("kvcache: sequence %d holds %d blocks, more than %d tokens need", id, s.shared+s.blocks, tokens)
 	case grow == 0:
 		return nil
-	case grow < 0 || tokens <= 0:
-		return fmt.Errorf("kvcache: sequence %d holds %d blocks, more than %d tokens need", id, s.shared+s.blocks, tokens)
 	}
 	if grow > m.FreeBlocks() {
 		m.reclaim(grow - m.FreeBlocks())

@@ -263,8 +263,8 @@ func (m *Manager) reclaim(need int) {
 		c.blocks[wb.pos] = sharedBlock{}
 		c.run = min(c.run, wb.pos)
 		if c.resident--; c.resident == 0 {
-			// Every resident block of this chain was selected, so no
-			// other selected block is in it.
+			// All of this chain's resident blocks were selected, so
+			// no block left to drop is in it.
 			c.blocks = nil
 		}
 		m.sharedN--
