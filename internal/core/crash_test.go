@@ -379,6 +379,47 @@ func TestCheckpointCadenceCompletesEverything(t *testing.T) {
 	}
 }
 
+// A checkpoint round snapshots only requests in the decode plane: a
+// recovered request whose recompute prefill is still in flight holds KV
+// no pass has computed yet, so a crash before the prefill lands hands it
+// back without a checkpoint (its recovery recomputes).
+func TestCheckpointSkipsInFlightRecompute(t *testing.T) {
+	cfg := fastConfig(2)
+	cfg.CheckpointInterval = 1e-5
+	eng := sim.NewEngine()
+	e, err := NewEngine(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.StartOnline(); err != nil {
+		t.Fatal(err)
+	}
+	r := smallTrace(1, 23)[0]
+	r.InputLen, r.OutputLen = 200, 64
+	if _, err := e.SubmitRecovered(r, 20, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The start event launches the prefill; step until the first
+	// checkpoint round has run or the prefill landed.
+	eng.RunUntil(eng.Now())
+	for e.inflight > 0 && eng.Now() < sim.Time(cfg.CheckpointInterval) {
+		eng.RunUntil(eng.NextEventTime())
+	}
+	if e.inflight == 0 {
+		t.Fatal("the recompute prefill landed before the first checkpoint round")
+	}
+	lost, err := e.Crash(eng.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lost) != 1 || lost[0].Generated != 20 {
+		t.Fatalf("lost %+v, want the one recovered request at 20 tokens", lost)
+	}
+	if ck := lost[0].Ckpt; ck != nil {
+		t.Fatalf("checkpoint of %d tokens at %d generated taken before the prefill landed", ck.KV.Tokens, ck.Generated)
+	}
+}
+
 // A straggler engine (Slowdown > 1) finishes the same work, slower;
 // Slowdown == 1 is bit-identical to nominal.
 func TestSlowdownStretchesElapsed(t *testing.T) {
