@@ -305,14 +305,7 @@ func TestCheckpointResumeAfterCrash(t *testing.T) {
 		if !spare.CanImportKV(ck.KV) {
 			t.Fatalf("spare cannot import checkpoint of %d blocks", ck.KV.Blocks())
 		}
-		if _, err := spare.SubmitDecoded(l.Req, Handoff{
-			Local:        -1,
-			Req:          l.Req,
-			KV:           ck.KV,
-			Generated:    ck.Generated,
-			FirstTokenAt: ck.FirstTokenAt,
-			At:           eng.Now(),
-		}); err != nil {
+		if _, err := spare.SubmitDecoded(l.Req, *ck); err != nil {
 			t.Fatalf("SubmitDecoded: %v", err)
 		}
 		resumed++

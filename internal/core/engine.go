@@ -22,20 +22,29 @@ import (
 // request with a reason instead of failing the run.
 var ErrRequestTooLarge = errors.New("request KV footprint exceeds engine capacity")
 
-// reqState tracks one request through the engine: the fields a decode
-// step never reads. The ones it does live in seqState and, while the
-// request decodes, in its batch entry (decodeSeq).
+// reqState is one request's record in the engine, kept by id in
+// Engine.states. While the request sits in a decode batch or the
+// stealer's stash, its batch entry (decodeSeq) holds the live ctx and
+// generated instead; the entry writes them back when the request leaves,
+// and syncStates brings every copy up to date for the readers by id that
+// run mid-phase.
 type reqState struct {
 	req       workload.Request
 	predicted int
+	// ctx is the number of tokens the KV pool holds for the request, the
+	// one count of them: set when its prefill is allocated, grown by
+	// decoding, zero once its KV is gone. The pool holds exactly
+	// BlocksFor(ctx) blocks for it.
+	ctx int
+	// generated is the number of output tokens produced so far.
+	generated int
 	// prefillLen is how many tokens the next prefill must process
 	// (input plus any tokens generated before an eviction).
 	prefillLen int
 	// cached is how many leading tokens of the last allocation were
 	// served from shared prefix blocks — prefill work skipped, and KV
 	// this request references but did not pay for.
-	cached     int
-	recomputes int
+	cached int
 	// launch identifies the prefill batch that most recently packed
 	// this request. A request evicted while its prefill pass is still
 	// in flight can be re-launched in a second pass before the first
@@ -50,28 +59,12 @@ type reqState struct {
 	firstTokenAt sim.Time
 	finishedAt   sim.Time
 	// ckpt is the latest periodic KV checkpoint of this request (nil
-	// until the first checkpoint round catches it resident).
-	ckpt *Checkpoint
-}
+	// until the first checkpoint round catches it resident), a hand-off
+	// whose At is the snapshot instant.
+	ckpt *Handoff
 
-// seqState holds one request's token counts and flags by value in
-// Engine.seqs, indexed by request id. While the request sits in a
-// decode batch or the stealer's stash, its decodeSeq entry there holds
-// the live ctx and generated instead; the entry writes them back when
-// the request leaves, and syncSeqs brings every copy up to date for the
-// readers by id that run mid-phase.
-type seqState struct {
-	// ctx is the number of tokens the KV pool holds for the request, the
-	// one count of them: set when its prefill is allocated, grown by
-	// decoding, zero once its KV is gone. The pool holds exactly
-	// BlocksFor(ctx) blocks for it.
-	ctx int
-	// generated is the number of output tokens produced so far.
-	generated int
-	// outputLen is the request's workload.Request.OutputLen.
-	outputLen int
-	done      bool
-	evicted   bool
+	done    bool
+	evicted bool
 	// aborted marks a request lost to a crash: it stays in states for
 	// record-keeping (its record is unfinished) but no longer counts
 	// toward completion. Routers re-dispatch it elsewhere.
@@ -99,36 +92,36 @@ type decodeSeq struct {
 	evicted bool
 }
 
-// enterBatch returns request id's batch entry, loaded from its seqs
-// state as it joins a decode batch.
+// enterBatch returns request id's batch entry, loaded from its record as
+// it joins a decode batch.
 func (e *Engine) enterBatch(id int) decodeSeq {
-	sq := &e.seqs[id]
+	st := e.states[id]
 	return decodeSeq{
 		id:        id,
-		ctx:       sq.ctx,
-		generated: sq.generated,
-		outputLen: sq.outputLen,
-		room:      e.kv.BlocksFor(sq.ctx)*e.kv.BlockSize() - sq.ctx,
+		ctx:       st.ctx,
+		generated: st.generated,
+		outputLen: st.req.OutputLen,
+		room:      e.kv.BlocksFor(st.ctx)*e.kv.BlockSize() - st.ctx,
 	}
 }
 
-// store writes d's live counts back to its request's seqs state.
+// store writes d's live counts back to its request's record.
 //
 //det:hotpath
 func (e *Engine) store(d *decodeSeq) {
-	sq := &e.seqs[d.id]
-	sq.ctx, sq.generated = d.ctx, d.generated
+	st := e.states[d.id]
+	st.ctx, st.generated = d.ctx, d.generated
 }
 
-// syncSeqs brings seqs up to date with every live batch and stash entry,
-// for the readers by id that run while a decode phase holds requests:
-// the finish bound, checkpoints, crashes and evictions. Evicted entries
-// are dead and their requests' seqs already current. A slot whose pass
-// is being applied holds moved and half-applied entries; the caller
-// names it as skip (-1 for none) and stores what it needs itself.
+// syncStates brings the records up to date with every live batch and
+// stash entry, for the readers by id that run while a decode phase holds
+// requests: the finish bound, checkpoints, crashes and evictions.
+// Evicted entries are dead and their records already current. A slot
+// whose pass is being applied holds moved and half-applied entries; the
+// caller names it as skip (-1 for none) and stores what it needs itself.
 //
 //det:hotpath
-func (e *Engine) syncSeqs(skip int) {
+func (e *Engine) syncStates(skip int) {
 	for s, b := range e.batches {
 		if s == skip {
 			continue
@@ -139,10 +132,8 @@ func (e *Engine) syncSeqs(skip int) {
 			}
 		}
 	}
-	if e.stealer != nil {
-		for i := range e.stealer.stash {
-			e.store(&e.stealer.stash[i])
-		}
+	for i := range e.stealer.stash {
+		e.store(&e.stealer.stash[i])
 	}
 }
 
@@ -152,7 +143,7 @@ func (e *Engine) syncSeqs(skip int) {
 func (e *Engine) markEvicted() {
 	for _, b := range e.batches {
 		for i := range b {
-			if d := &b[i]; !d.evicted && e.seqs[d.id].evicted {
+			if d := &b[i]; !d.evicted && e.states[d.id].evicted {
 				d.evicted = true
 			}
 		}
@@ -214,9 +205,6 @@ type Engine struct {
 	kv      *kvcache.Manager
 	stealer *Stealer
 
-	// seqs[id] is request id's token counts and flags (see seqState).
-	seqs []seqState
-
 	// Decode-phase state. batches[slot] holds the slot's requests as
 	// batch entries and batchTokens[slot] their summed ctx, kept running
 	// so a submission needs no pass over the batch.
@@ -260,6 +248,7 @@ type Engine struct {
 
 	capacityTokens int
 
+	// states[id] is request id's record (see reqState).
 	states []*reqState
 	// live holds the ids of the requests that may still be unfinished:
 	// every id added since the last compaction, less the finished and
@@ -369,6 +358,7 @@ func NewEngine(eng *sim.Engine, cfg Config) (*Engine, error) {
 		eng:            eng,
 		cluster:        cluster,
 		kv:             kv,
+		stealer:        NewStealer(cfg.World, !cfg.DisableWorkStealing),
 		usage:          newUsageSim(futurePointStride, futurePointMax),
 		inten:          NewIntensity(cluster.Cost, cfg.PeakProfileBatch),
 		capacityTokens: capTokens,
@@ -389,11 +379,13 @@ func (e *Engine) CapacityTokens() int { return e.capacityTokens }
 // before the simulation runs; a nil fn disables the hook.
 func (e *Engine) SetOnFinish(fn func(id int)) { e.onFinish = fn }
 
-// Handoff describes a request leaving a prefill-only engine: its
-// original request, the exported KV block window, and the generation
-// state a decode engine needs to resume it via SubmitDecoded.
+// Handoff describes a request's KV leaving an engine — a prefill-only
+// engine's hand-off, or a periodic checkpoint (Config.CheckpointInterval)
+// that a crash hands back in Lost: its original request, the exported KV
+// block window, and the generation state a decode engine needs to resume
+// it via SubmitDecoded.
 type Handoff struct {
-	// Local is the request's id on the prefill engine.
+	// Local is the request's id on the engine the KV leaves.
 	Local int
 	// Req is the engine-local copy of the request (ID == Local); the
 	// router maps it back to its trace position.
@@ -406,7 +398,8 @@ type Handoff struct {
 	// FirstTokenAt is when the first output token was produced.
 	FirstTokenAt sim.Time
 	// At is when the prefill pass completed — the instant the KV
-	// transfer can start.
+	// transfer can start — or, for a checkpoint, when the snapshot was
+	// taken.
 	At sim.Time
 }
 
@@ -445,9 +438,8 @@ func (e *Engine) SubmitDecoded(r workload.Request, h Handoff) (int, error) {
 	// Shared chain blocks are accounted once globally, like a prefix
 	// hit: this request references them but did not pay for them here.
 	st.cached = h.KV.SharedBlocks * e.kv.BlockSize()
-	sq := &e.seqs[id]
-	sq.ctx = h.KV.Tokens
-	sq.generated = h.Generated
+	st.ctx = h.KV.Tokens
+	st.generated = h.Generated
 	e.joinResident(id)
 	if e.idle {
 		e.decodePool = append(e.decodePool, id)
@@ -502,7 +494,6 @@ func (e *Engine) Start(reqs []workload.Request) error {
 		return err
 	}
 	e.states = make([]*reqState, 0, len(reqs))
-	e.seqs = make([]seqState, 0, len(reqs))
 	for i, r := range reqs {
 		if r.ID != i {
 			return fmt.Errorf("core: request IDs must be dense 0..n-1 (got %d at %d)", r.ID, i)
@@ -586,7 +577,7 @@ func (e *Engine) SubmitRecovered(r workload.Request, generated int, firstTokenAt
 	st := e.addState(r)
 	st.prefillLen = r.InputLen + generated
 	st.firstTokenAt = firstTokenAt
-	e.seqs[id].generated = generated
+	st.generated = generated
 	e.admit(id)
 	return id, nil
 }
@@ -612,22 +603,6 @@ func (e *Engine) checkFits(r workload.Request, ctxTokens int) error {
 	return nil
 }
 
-// Checkpoint is a periodic KV snapshot of one in-flight request, taken
-// by the engine's checkpoint cadence (Config.CheckpointInterval). A
-// crash hands it to the router inside Lost; replaying it through
-// SubmitDecoded on a live engine resumes generation from the
-// checkpointed token instead of re-prefilling the whole context.
-type Checkpoint struct {
-	// KV is the snapshotted block window (valid for ImportKV).
-	KV kvcache.ExportedSeq
-	// Generated is how many output tokens existed at the snapshot.
-	Generated int
-	// FirstTokenAt is the request's original first-token instant.
-	FirstTokenAt sim.Time
-	// At is when the snapshot was taken.
-	At sim.Time
-}
-
 // Lost describes one request aborted by Crash: everything a router
 // needs to re-dispatch it — the original request, how much generation
 // work died with the replica, and the latest checkpoint if one exists.
@@ -643,8 +618,11 @@ type Lost struct {
 	// FirstTokenAt is when the first token was produced (zero value if
 	// the request never started decoding).
 	FirstTokenAt sim.Time
-	// Ckpt is the latest periodic KV checkpoint, nil if none was taken.
-	Ckpt *Checkpoint
+	// Ckpt is the latest periodic KV checkpoint, nil if none was taken:
+	// a hand-off whose At is the snapshot instant. Replaying it through
+	// SubmitDecoded on a live engine resumes generation from the
+	// checkpointed token instead of re-prefilling the whole context.
+	Ckpt *Handoff
 }
 
 // Crash kills the engine at the current virtual time: every in-flight
@@ -669,20 +647,19 @@ func (e *Engine) Crash(restartAt sim.Time) ([]Lost, error) {
 	e.epoch++
 	e.crashes++
 	e.restartAt = restartAt
-	e.syncSeqs(-1)
+	e.syncStates(-1)
 	var lost []Lost
 	for id, st := range e.states {
-		sq := &e.seqs[id]
-		if sq.done || sq.aborted {
+		if st.done || st.aborted {
 			continue
 		}
-		sq.aborted, sq.resident = true, false
+		st.aborted, st.resident = true, false
 		e.aborted++
-		e.lostOutputTokens += sq.generated
+		e.lostOutputTokens += st.generated
 		lost = append(lost, Lost{
 			Local:        id,
 			Req:          st.req,
-			Generated:    sq.generated,
+			Generated:    st.generated,
 			FirstTokenAt: st.firstTokenAt,
 			Ckpt:         st.ckpt,
 		})
@@ -698,9 +675,7 @@ func (e *Engine) Crash(restartAt sim.Time) ([]Lost, error) {
 		e.batches[s] = e.batches[s][:0]
 	}
 	e.batches = e.batches[:0]
-	if e.stealer != nil {
-		e.stealer.DrainStash()
-	}
+	e.stealer.DrainStash()
 	e.decodeDone = e.decodeDone[:0]
 	e.inflight = 0
 	e.activeBatches = 0
@@ -794,17 +769,21 @@ func checkpointEvent(ctx any, ep, _ int) {
 func (e *Engine) doCheckpoint() {
 	now := e.eng.Now()
 	blocks := 0
-	e.syncSeqs(-1)
+	e.syncStates(-1)
 	for id, st := range e.states {
-		sq := &e.seqs[id]
-		if sq.done || sq.aborted || sq.evicted || sq.generated == 0 || !e.kv.Has(id) {
+		if st.done || st.aborted || st.evicted || st.generated == 0 || !e.kv.Has(id) {
 			continue
 		}
-		ex, err := e.kv.SnapshotKV(id, sq.ctx)
+		ex, err := e.kv.SnapshotKV(id, st.ctx)
 		if err != nil {
 			continue
 		}
-		st.ckpt = &Checkpoint{KV: ex, Generated: sq.generated, FirstTokenAt: st.firstTokenAt, At: now}
+		// A request is checkpointed again only while it is live, so
+		// each round can overwrite its last checkpoint in place.
+		if st.ckpt == nil {
+			st.ckpt = new(Handoff)
+		}
+		*st.ckpt = Handoff{Local: id, Req: st.req, KV: ex, Generated: st.generated, FirstTokenAt: st.firstTokenAt, At: now}
 		blocks += ex.Blocks()
 	}
 	if blocks == 0 {
@@ -826,7 +805,6 @@ func (e *Engine) addState(r workload.Request) *reqState {
 		arrival:    sim.Time(r.ArrivalTime),
 	}
 	e.states = append(e.states, st)
-	e.seqs = append(e.seqs, seqState{outputLen: r.OutputLen})
 	if e.live != nil {
 		if len(e.live) == cap(e.live) {
 			// Compact before growing, and grow only past half full, so
@@ -844,9 +822,9 @@ func (e *Engine) addState(r workload.Request) *reqState {
 // startLive lists every request that is not finished or aborted, the
 // first time FinishBound is asked.
 func (e *Engine) startLive() {
-	e.live = make([]int, 0, len(e.seqs)+8)
-	for id := range e.seqs {
-		if sq := &e.seqs[id]; !sq.done && !sq.aborted {
+	e.live = make([]int, 0, len(e.states)+8)
+	for id, st := range e.states {
+		if !st.done && !st.aborted {
 			e.live = append(e.live, id)
 		}
 	}
@@ -860,13 +838,13 @@ func (e *Engine) startLive() {
 func (e *Engine) compactLive() int {
 	j, minRem := 0, math.MaxInt
 	for _, id := range e.live {
-		sq := &e.seqs[id]
-		if sq.done || sq.aborted {
+		st := e.states[id]
+		if st.done || st.aborted {
 			continue
 		}
 		e.live[j] = id
 		j++
-		minRem = min(minRem, sq.outputLen-sq.generated)
+		minRem = min(minRem, st.req.OutputLen-st.generated)
 	}
 	e.live = e.live[:j]
 	return minRem
@@ -888,7 +866,7 @@ func (e *Engine) FinishBound() sim.Time {
 	if e.live == nil {
 		e.startLive()
 	}
-	e.syncSeqs(-1)
+	e.syncStates(-1)
 	next := e.eng.NextEventTime()
 	minRem := e.compactLive()
 	if minRem == math.MaxInt || next == sim.Infinity {
@@ -1013,13 +991,7 @@ func (e *Engine) setPhase(p metrics.Phase) {
 func (e *Engine) startPrefillPhase() {
 	e.maybeScheduleCheckpoint()
 	e.setPhase(metrics.PhasePrefill)
-	// Rebuild Algorithm 1's usage map from still-resident requests so
-	// their predicted lifetimes constrain how much we admit.
-	e.usage.Reset()
-	for _, id := range e.decodePool {
-		sq := &e.seqs[id]
-		e.usage.UpdateUsage(sq.ctx-e.states[id].cached, e.remainingPredicted(id, sq.generated))
-	}
+	e.rebuildUsage()
 	if e.launchPrefills() == 0 && e.inflight == 0 {
 		// Nothing could be admitted (memory still holds residents):
 		// return to decoding the pool; a trace that fits no request at
@@ -1078,7 +1050,7 @@ func (e *Engine) launchPrefills() (launched int) {
 				st.cached = 0
 			}
 			e.waiting.PopFront()
-			e.seqs[id].ctx = st.prefillLen
+			st.ctx = st.prefillLen
 			ids = append(ids, id)
 			// Cached prefix tokens skip prefill compute; at least the
 			// last prompt token is always recomputed to produce logits.
@@ -1115,7 +1087,7 @@ func (e *Engine) launchPrefills() (launched int) {
 		// contribute only their private suffix.
 		for _, id := range ids {
 			st := e.states[id]
-			e.usage.UpdateUsage(st.prefillLen-st.cached, e.remainingPredicted(id, e.seqs[id].generated))
+			e.usage.UpdateUsage(st.prefillLen-st.cached, e.remainingPredicted(id, st.generated))
 		}
 		switch {
 		case e.handoff != nil:
@@ -1158,21 +1130,20 @@ func (e *Engine) onPrefillDone(ids []int, launchID uint64, ep int, res runtime.P
 		// lands here: clearing the flag at launch would let a stale
 		// decode batch entry resume generating while the prefill is
 		// still in flight.
-		sq := &e.seqs[id]
-		sq.evicted = false
-		sq.ctx = st.prefillLen
-		if sq.generated == 0 {
+		st.evicted = false
+		st.ctx = st.prefillLen
+		if st.generated == 0 {
 			st.firstTokenAt = res.End
 		}
-		sq.generated++ // prefill emits the first output token
+		st.generated++ // prefill emits the first output token
 		switch {
-		case sq.generated >= sq.outputLen:
+		case st.generated >= st.req.OutputLen:
 			e.finishReq(id, res.End)
 		case e.handoff != nil:
 			// Disaggregated prefill: export the KV, retire the request
 			// locally, and hand it to the router. Free-after-export is
 			// a no-op, so finishReq stays the single retirement path.
-			ex, err := e.kv.ExportKV(id, sq.ctx)
+			ex, err := e.kv.ExportKV(id, st.ctx)
 			if err != nil {
 				panic(fmt.Sprintf("core: hand-off export of resident request %d: %v", id, err))
 			}
@@ -1180,7 +1151,7 @@ func (e *Engine) onPrefillDone(ids []int, launchID uint64, ep int, res runtime.P
 				Local:        id,
 				Req:          st.req,
 				KV:           ex,
-				Generated:    sq.generated,
+				Generated:    st.generated,
 				FirstTokenAt: st.firstTokenAt,
 				At:           res.End,
 			}
@@ -1246,31 +1217,45 @@ func (e *Engine) afterPrefillDrained() {
 // leaving only the rate-mismatch bubble.
 func (e *Engine) overlapPrefill() {
 	e.setPhase(metrics.PhasePrefill)
+	e.rebuildUsage()
+	e.launchPrefills()
+}
+
+// rebuildUsage resets Algorithm 1's usage map to the requests still in
+// the decode plane, so their predicted lifetimes constrain how much the
+// next prefill phase admits.
+func (e *Engine) rebuildUsage() {
 	e.usage.Reset()
-	account := func(id, ctx, generated int) {
+	e.forResident(func(id, ctx, generated int) {
 		e.usage.UpdateUsage(ctx-e.states[id].cached, e.remainingPredicted(id, generated))
-	}
-	accountEntries := func(ds []decodeSeq) {
+	})
+}
+
+// forResident calls fn with every live (neither done nor evicted)
+// request in the decode plane and its live counts: every batch and the
+// stealer's stash, whose entries hold them, then the decode pool and the
+// staged imports, whose records do.
+func (e *Engine) forResident(fn func(id, ctx, generated int)) {
+	entries := func(ds []decodeSeq) {
 		for i := range ds {
 			if d := &ds[i]; !d.evicted {
-				account(d.id, d.ctx, d.generated)
+				fn(d.id, d.ctx, d.generated)
 			}
 		}
 	}
-	accountIDs := func(ids []int) {
+	ids := func(ids []int) {
 		for _, id := range ids {
-			if sq := &e.seqs[id]; !sq.done && !sq.evicted {
-				account(id, sq.ctx, sq.generated)
+			if st := e.states[id]; !st.done && !st.evicted {
+				fn(id, st.ctx, st.generated)
 			}
 		}
 	}
 	for _, b := range e.batches {
-		accountEntries(b)
+		entries(b)
 	}
-	accountEntries(e.stealer.stash)
-	accountIDs(e.decodePool)
-	accountIDs(e.imported)
-	e.launchPrefills()
+	entries(e.stealer.stash)
+	ids(e.decodePool)
+	ids(e.imported)
 }
 
 func (e *Engine) startDecodePhase() {
@@ -1279,7 +1264,7 @@ func (e *Engine) startDecodePhase() {
 	// Drop evicted ids; sort for determinism.
 	pool := e.decodePool[:0]
 	for _, id := range e.decodePool {
-		if sq := &e.seqs[id]; !sq.evicted && !sq.done {
+		if st := e.states[id]; !st.evicted && !st.done {
 			pool = append(pool, id)
 		}
 	}
@@ -1327,7 +1312,6 @@ func (e *Engine) startDecodePhase() {
 			}
 		})
 	}
-	e.stealer = NewStealer(e.numSlots, !e.cfg.DisableWorkStealing)
 	e.stealer.Prime(sizes)
 	e.decodeInitial = len(pool)
 	e.decodeFinished = 0
@@ -1402,7 +1386,7 @@ func (e *Engine) onDecodeDone(slot, ep int, res runtime.PassResult) {
 	// waiting out the phase. (Colocated engines never stage imports.)
 	if len(e.imported) > 0 && !e.switchToPrefil {
 		for _, id := range e.imported {
-			if sq := &e.seqs[id]; sq.done || sq.evicted {
+			if st := e.states[id]; st.done || st.evicted {
 				continue
 			}
 			d := e.enterBatch(id)
@@ -1452,7 +1436,7 @@ func (e *Engine) rebalance(slot int) {
 }
 
 // leaveBatch returns requests leaving the decode phase to the decode
-// pool, writing their live counts back to seqs.
+// pool, writing their live counts back to their records.
 func (e *Engine) leaveBatch(ds []decodeSeq) {
 	for i := range ds {
 		e.store(&ds[i])
@@ -1503,10 +1487,10 @@ func (e *Engine) shouldSwitchToPrefill(slot int) bool {
 //
 //det:hotpath
 func (e *Engine) joinResident(id int) {
-	sq := &e.seqs[id]
-	sq.resident = true
+	st := e.states[id]
+	st.resident = true
 	e.resident++
-	e.residentTokens += sq.ctx
+	e.residentTokens += st.ctx
 }
 
 // leaveResident takes request id out of the resident counters, if it
@@ -1514,25 +1498,24 @@ func (e *Engine) joinResident(id int) {
 //
 //det:hotpath
 func (e *Engine) leaveResident(id int) {
-	sq := &e.seqs[id]
-	if !sq.resident {
+	st := e.states[id]
+	if !st.resident {
 		return
 	}
-	sq.resident = false
+	st.resident = false
 	e.resident--
-	e.residentTokens -= sq.ctx
+	e.residentTokens -= st.ctx
 }
 
 // handleOOM evicts recently admitted requests to make room for the
 // block d's newest token needs — the recompute strategy of §4.1. It
 // spares d and every other resident request of d's slot, whose pass is
-// being applied. Victims lose their cache, keep their generated tokens,
-// and requeue for a fresh prefill over input+generated tokens. The
-// ring-buffer waiting queue makes the front-insertion O(1) instead of
+// being applied. Victims requeue at the front of the waiting queue; the
+// ring-buffer queue makes that front-insertion O(1) instead of
 // reslicing the whole queue.
 func (e *Engine) handleOOM(d *decodeSeq, slot int) {
 	// Of the slot's entries, only d's request can lose its KV here.
-	e.syncSeqs(slot)
+	e.syncStates(slot)
 	e.store(d)
 	// The slot's entries name every member: applied ones at or before
 	// d, the rest after it.
@@ -1541,39 +1524,39 @@ func (e *Engine) handleOOM(d *decodeSeq, slot int) {
 		spare = append(spare, e.batches[slot][i].id)
 	}
 	e.spareBuf = spare
-	victims := e.kv.EvictMostRecent(1, spare)
-	for _, id := range victims {
-		e.evict(id)
-		e.stealer.Remove(id)
-		e.removeImported(id)
-		e.waiting.PushFront(id)
+	for _, id := range e.kv.EvictMostRecent(1, spare) {
+		e.requeue(id, true)
 	}
 	if err := e.kv.Grow(d.id, d.ctx); err != nil {
 		// Even eviction could not free a block: the current batch
 		// fills the machine. Evict this request itself.
-		e.kv.Free(d.id)
-		e.evict(d.id)
-		e.removeImported(d.id)
-		e.waiting.PushFront(d.id)
+		e.requeue(d.id, true)
 	}
 	e.markEvicted()
 }
 
-// evict turns request id, whose KV the caller frees, into a recompute:
-// it leaves the decode plane, keeps its generated tokens, and its next
-// prefill covers input plus generated tokens. The caller requeues it.
-//
-//det:hotpath
-func (e *Engine) evict(id int) {
+// requeue turns request id into a recompute and queues it for prefill at
+// the front of the waiting queue or its back: its KV is freed, it leaves
+// the decode plane (stash and staged imports included; a batch entry is
+// flagged by the caller's markEvicted), it keeps its generated tokens,
+// and its next prefill covers input plus generated tokens.
+func (e *Engine) requeue(id int, front bool) {
 	e.leaveResident(id)
-	st, sq := e.states[id], &e.seqs[id]
-	sq.evicted = true
+	e.kv.Free(id)
+	st := e.states[id]
+	st.evicted = true
 	st.launch = 0 // void any in-flight prefill for this request
-	st.recomputes++
 	e.recomputes++
-	st.prefillLen = st.req.InputLen + sq.generated
-	sq.ctx = 0
+	st.prefillLen = st.req.InputLen + st.generated
+	st.ctx = 0
 	st.cached = 0
+	e.stealer.Remove(id)
+	e.removeImported(id)
+	if front {
+		e.waiting.PushFront(id)
+	} else {
+		e.waiting.PushBack(id)
+	}
 }
 
 // removeImported drops an evicted request from the staged-import list
@@ -1595,8 +1578,9 @@ func (e *Engine) removeImported(id int) {
 //det:hotpath
 func (e *Engine) finishReq(id int, t sim.Time) {
 	e.leaveResident(id)
-	e.seqs[id].done = true
-	e.states[id].finishedAt = t
+	st := e.states[id]
+	st.done = true
+	st.finishedAt = t
 	e.kv.Free(id)
 	e.finished++
 	if e.onFinish != nil {
@@ -1631,8 +1615,7 @@ func (e *Engine) buildResult() (*Result, error) {
 	finished := make([]sim.Time, len(e.states))
 	records := make([]metrics.RequestRecord, len(e.states))
 	for i, st := range e.states {
-		sq := &e.seqs[i]
-		if sq.aborted {
+		if st.aborted {
 			// Crash-lost copy: its record stays unfinished (zero Finish,
 			// zero tokens — Faults.LostOutputTokens accounts the work)
 			// and the re-dispatched copy reports elsewhere.
@@ -1640,14 +1623,14 @@ func (e *Engine) buildResult() (*Result, error) {
 			continue
 		}
 		rep.InputTokens += st.req.InputLen
-		rep.OutputTokens += sq.generated
+		rep.OutputTokens += st.generated
 		finished[i] = st.finishedAt
 		records[i] = metrics.RequestRecord{
 			ID:           i,
 			Arrival:      float64(st.arrival),
 			FirstToken:   float64(st.firstTokenAt),
 			Finish:       float64(st.finishedAt),
-			OutputTokens: sq.generated,
+			OutputTokens: st.generated,
 		}
 	}
 	rep.PhaseSwitches = e.switches

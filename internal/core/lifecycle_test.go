@@ -207,11 +207,7 @@ func TestCrashMidCheckpointResume(t *testing.T) {
 				hadCkpt++
 				// The resume the router scheduled is arriving on a dead
 				// replica: SubmitDecoded must reject it, not strand it.
-				_, err := spare.SubmitDecoded(l.Req, Handoff{
-					Local: -1, Req: l.Req, KV: l.Ckpt.KV,
-					Generated: l.Ckpt.Generated, FirstTokenAt: l.Ckpt.FirstTokenAt,
-					At: eng.Now(),
-				})
+				_, err := spare.SubmitDecoded(l.Req, *l.Ckpt)
 				if err == nil {
 					t.Fatal("dead spare accepted a checkpoint resume")
 				}

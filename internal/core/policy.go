@@ -15,8 +15,8 @@ func (e *Engine) RequestTTFT(id int) (float64, bool) {
 	if id < 0 || id >= len(e.states) {
 		return 0, false
 	}
-	st, sq := e.states[id], &e.seqs[id]
-	if sq.generated <= 0 && !sq.done {
+	st := e.states[id]
+	if st.generated <= 0 && !st.done {
 		return 0, false
 	}
 	return float64(st.firstTokenAt - st.arrival), true
@@ -38,19 +38,15 @@ func (e *Engine) PreemptLowPriority(minPrio, needTokens int) []int {
 	if e.FreeKVTokens() >= needTokens {
 		return nil
 	}
-	e.syncSeqs(-1)
+	e.syncStates(-1)
 	defer e.markEvicted()
 	var victims []int
 	for id := len(e.states) - 1; id >= 0; id-- {
-		sq := &e.seqs[id]
-		if sq.done || sq.evicted || sq.aborted || e.states[id].req.Priority < minPrio || !e.kv.Has(id) {
+		st := e.states[id]
+		if st.done || st.evicted || st.aborted || st.req.Priority < minPrio || !e.kv.Has(id) {
 			continue
 		}
-		e.evict(id)
-		e.kv.Free(id)
-		e.stealer.Remove(id)
-		e.removeImported(id)
-		e.waiting.PushBack(id)
+		e.requeue(id, false)
 		victims = append(victims, id)
 		if e.FreeKVTokens() >= needTokens {
 			break

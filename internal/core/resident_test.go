@@ -31,41 +31,12 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// forResident calls fn with every live (neither done nor evicted)
-// request in the decode plane and its live counts: every batch and the
-// stealer's stash, whose entries hold them, then the decode pool and the
-// staged imports, whose seqs do.
-func forResident(e *Engine, fn func(id, ctx, generated int)) {
-	entries := func(ds []decodeSeq) {
-		for _, d := range ds {
-			if !d.evicted {
-				fn(d.id, d.ctx, d.generated)
-			}
-		}
-	}
-	ids := func(ids []int) {
-		for _, id := range ids {
-			if sq := &e.seqs[id]; !sq.done && !sq.evicted {
-				fn(id, sq.ctx, sq.generated)
-			}
-		}
-	}
-	for _, b := range e.batches {
-		entries(b)
-	}
-	if e.stealer != nil {
-		entries(e.stealer.stash)
-	}
-	ids(e.decodePool)
-	ids(e.imported)
-}
-
 // recountResident sums the live (neither done nor evicted) requests in
 // the decode plane — every batch, the stealer's stash, the decode pool
 // and the staged imports — and their cached tokens: what the running
 // counters resident and residentTokens must always equal.
 func recountResident(e *Engine) (n, kvTokens int) {
-	forResident(e, func(_, ctx, _ int) {
+	e.forResident(func(_, ctx, _ int) {
 		n++
 		kvTokens += ctx
 	})
@@ -96,7 +67,7 @@ func checkKVOwnership(e *Engine) {
 	if e.fatalErr != nil {
 		return
 	}
-	forResident(e, func(id, ctx, generated int) {
+	e.forResident(func(id, ctx, generated int) {
 		st := e.states[id]
 		if ctx != st.req.InputLen+generated-1 {
 			e.fail(fmt.Errorf("core: request %d caches %d tokens with %d input and %d generated", id, ctx, st.req.InputLen, generated))

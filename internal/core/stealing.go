@@ -20,15 +20,16 @@ type Stealer struct {
 	enabled bool
 }
 
-// NewStealer tracks slots decode batches. If enabled is false,
+// NewStealer tracks up to slots decode batches. If enabled is false,
 // Rebalance passes batches through untouched (the "wo" ablation).
 func NewStealer(slots int, enabled bool) *Stealer {
 	return &Stealer{window: make([]int, slots), enabled: enabled}
 }
 
-// Prime records the initial submitted sizes.
+// Prime starts a decode phase over len(sizes) batches, recording their
+// initial submitted sizes.
 func (s *Stealer) Prime(sizes []int) {
-	copy(s.window, sizes)
+	s.window = append(s.window[:0], sizes...)
 }
 
 // StashLen returns the number of withheld requests.

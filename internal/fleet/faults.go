@@ -102,9 +102,11 @@ func (ro *router) recover(origin int, l core.Lost) {
 		return
 	}
 	pr := pendingRec{origin: origin, fresh: ro.split(), generated: l.Generated, firstTokenAt: l.FirstTokenAt}
-	if ck := l.Ckpt; ck != nil {
-		now := ro.ctl.Now()
-		h := core.Handoff{Local: -1, Req: ro.reqs[origin], KV: ck.KV, Generated: ck.Generated, FirstTokenAt: ck.FirstTokenAt, At: now}
+	if l.Ckpt != nil {
+		// The reload leaves stable storage at the crash, not at the
+		// snapshot.
+		h := *l.Ckpt
+		h.At = ro.ctl.Now()
 		ro.transfer(handoffItem{pr: pr, h: h, recovery: true}, -1)
 		return
 	}
