@@ -762,30 +762,28 @@ func checkpointEvent(ctx any, ep, _ int) {
 	e.eng.AtFunc(e.eng.Now()+sim.Time(e.cfg.CheckpointInterval), checkpointEvent, e, e.epoch, 0)
 }
 
-// doCheckpoint snapshots the KV of every resident in-flight request
-// that has produced output (prefill-only context is cheaper to redo
-// than to ship, so it is not checkpointed) and charges the serialization
-// as a stall on every GPU, sized by the node's KV link.
+// doCheckpoint snapshots the KV of every request in the decode plane
+// and charges the serialization as a stall on every GPU, sized by the
+// node's KV link. A request still waiting for or inside a prefill pass is
+// not checkpointed: prefill-only context is cheaper to redo than to ship,
+// and a recompute prefill in flight holds KV no pass has computed yet.
 func (e *Engine) doCheckpoint() {
 	now := e.eng.Now()
 	blocks := 0
-	e.syncStates(-1)
-	for id, st := range e.states {
-		if st.done || st.aborted || st.evicted || st.generated == 0 || !e.kv.Has(id) {
-			continue
-		}
-		ex, err := e.kv.SnapshotKV(id, st.ctx)
+	e.forResident(func(id, ctx, generated int) {
+		ex, err := e.kv.SnapshotKV(id, ctx)
 		if err != nil {
-			continue
+			return
 		}
 		// A request is checkpointed again only while it is live, so
 		// each round can overwrite its last checkpoint in place.
+		st := e.states[id]
 		if st.ckpt == nil {
 			st.ckpt = new(Handoff)
 		}
-		*st.ckpt = Handoff{Local: id, Req: st.req, KV: ex, Generated: st.generated, FirstTokenAt: st.firstTokenAt, At: now}
+		*st.ckpt = Handoff{Local: id, Req: st.req, KV: ex, Generated: generated, FirstTokenAt: st.firstTokenAt, At: now}
 		blocks += ex.Blocks()
-	}
+	})
 	if blocks == 0 {
 		return
 	}

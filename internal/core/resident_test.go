@@ -60,9 +60,8 @@ func checkResidentCounters(e *Engine) {
 // of a request's cached tokens: its input plus every generated token
 // but the last, which needs no slot. The pool must hold exactly
 // BlocksFor(ctx) blocks for it, and a snapshot must carry ctx. A
-// periodic checkpoint must carry the count of the instant it was taken:
-// input+generated-1 in the decode plane, or input+generated when a
-// recovered request's prefill was still in flight.
+// periodic checkpoint is taken only in the decode plane, so it carries
+// input+generated-1 tokens of the instant it was taken.
 func checkKVOwnership(e *Engine) {
 	if e.fatalErr != nil {
 		return
@@ -83,7 +82,7 @@ func checkKVOwnership(e *Engine) {
 			e.fail(fmt.Errorf("core: request %d holds %d private + %d shared blocks for %d tokens", id, ex.PrivateBlocks, ex.SharedBlocks, ctx))
 		}
 		if ck := st.ckpt; ck != nil && (ck.KV.Blocks() != e.kv.BlocksFor(ck.KV.Tokens) ||
-			ck.KV.Tokens-ck.Generated != st.req.InputLen-1 && ck.KV.Tokens-ck.Generated != st.req.InputLen) {
+			ck.KV.Tokens-ck.Generated != st.req.InputLen-1) {
 			e.fail(fmt.Errorf("core: checkpoint of request %d carries %d tokens in %d blocks at %d generated", id, ck.KV.Tokens, ck.KV.Blocks(), ck.Generated))
 		}
 	})
