@@ -274,7 +274,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.BoolVar(&o.oracle, "oracle", false, "use the oracle length predictor instead of the trained classifier")
 	fs.IntVar(&o.replicas, "replicas", 1, "data-parallel TD-Pipe replicas (fleet mode when > 1)")
 	fs.StringVar(&o.policy, "policy", fleet.RoundRobin, "fleet dispatch policy: "+strings.Join(fleet.Names(), ", "))
-	fs.IntVar(&o.workers, "workers", 0, "fleet simulation workers: 0 or 1 sequential, -1 auto (GOMAXPROCS on fleets of 16+ replicas); workers run replicas only where no routing decision separates them, after the last arrival (t=0 for a closed-loop trace); a prefill/decode split always runs on one; reports are byte-identical across counts")
+	fs.IntVar(&o.workers, "workers", 0, "fleet simulation workers: 0 or 1 sequential, -1 auto (GOMAXPROCS on fleets of 16+ replicas); workers run replicas only where no routing decision separates them, after the last arrival (t=0 for a closed-loop trace); a prefill/decode split (-disagg) always runs on one and takes only 0 or 1; reports are byte-identical across counts")
 	fs.StringVar(&o.arrivals, "arrivals", workload.ArrivalInstant,
 		"arrival process: "+strings.Join(workload.ArrivalKinds(), ", "))
 	fs.Float64Var(&o.rate, "rate", 0, "mean arrival rate in requests/s (required unless -arrivals instant)")
@@ -539,6 +539,11 @@ var errReplicas = errors.New("-replicas must be at least 1 (fleet mode engages a
 // dispatches nothing: a single engine, without fleet mode.
 var errPolicyNoFleet = errors.New("-policy picks a replica per request and needs fleet mode (-replicas > 1)")
 
+// errSplitWorkers rejects a worker budget a prefill/decode split would
+// ignore: its control events reach to the end of the run, so it always
+// runs on one worker.
+var errSplitWorkers = errors.New("-disagg always runs on one worker: -workers takes only 0 or 1 there")
+
 // run executes one invocation. visit enumerates the flags set on the
 // command line (flag.Visit, or a test's FlagSet.Visit), which the
 // mode checks use to reject flags the chosen mode would ignore.
@@ -642,7 +647,10 @@ func run(o options, visit func(func(*flag.Flag))) error {
 		return fmt.Errorf("-breaker-failures classifies completions against the TTFT SLO: set -slo-ttft (with -disagg breakers are crash-fed instead)")
 	}
 	if workersSet && !o.disagg && o.replicas <= 1 {
-		return fmt.Errorf("-workers budgets the fleet simulation: it needs -replicas > 1 or -disagg")
+		return fmt.Errorf("-workers budgets the fleet simulation: it needs -replicas > 1")
+	}
+	if o.disagg && o.workers != 0 && o.workers != 1 {
+		return errSplitWorkers
 	}
 	if (fc.MTBF > 0 || fc.LinkDegradeFrac > 0 || fc.LinkPartitionFrac > 0 || fc.DomainMTBF > 0) && fc.Horizon <= 0 {
 		return fmt.Errorf("-mtbf, -domain-mtbf and the -link-* impairments need -fault-horizon to bound when failures can land")

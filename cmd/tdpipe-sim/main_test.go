@@ -88,9 +88,10 @@ func TestReadmeFlagTableMatchesRegistration(t *testing.T) {
 // TestFleetFlagErrors runs flag combinations through the real mode
 // checks: a fleet size below one and an explicit -policy without fleet
 // mode must each fail with their named error instead of silently
-// running the single-engine path; valid fleet invocations, an offline
-// one with -workers among them and fault injection together with a
-// policy flag, must run.
+// running the single-engine path, and a -disagg worker budget the split
+// would ignore with its own; valid fleet invocations, an offline one
+// with -workers among them and fault injection together with a policy
+// flag, must run.
 func TestFleetFlagErrors(t *testing.T) {
 	tiny := []string{"-requests", "8", "-pool", "64", "-oracle"}
 	cases := []struct {
@@ -104,6 +105,9 @@ func TestFleetFlagErrors(t *testing.T) {
 		{"valid policy without fleet", []string{"-policy", "least-work"}, errPolicyNoFleet},
 		{"fleet with policy", []string{"-replicas", "2", "-policy", "least-work"}, nil},
 		{"offline fleet with workers", []string{"-replicas", "4", "-workers", "2"}, nil},
+		{"disagg with workers", []string{"-disagg", "-workers", "2"}, errSplitWorkers},
+		{"disagg with auto workers", []string{"-disagg", "-workers", "-1"}, errSplitWorkers},
+		{"disagg with one worker", []string{"-disagg", "-workers", "1"}, nil},
 		{"faults with admission", []string{"-replicas", "2", "-arrivals", "poisson", "-rate", "5",
 			"-mtbf", "30", "-fault-horizon", "20", "-admit-rate", "4"}, nil},
 		{"disagg autoscale with faults", []string{"-disagg", "-arrivals", "poisson", "-rate", "5",
