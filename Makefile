@@ -8,7 +8,7 @@ FUZZTIME ?= 30s
 # artifacts accumulate into a perf trajectory).
 BENCH_N ?= local
 
-.PHONY: build vet fmt-check detlint test race chaos bench bench-json bench-compare bench-e2e bench-e2e-test fuzz smoke sloc ci
+.PHONY: build vet fmt-check detlint test race chaos bench bench-json bench-compare bench-e2e bench-e2e-test fuzz smoke golden sloc ci
 
 build:
 	$(GO) build ./...
@@ -140,5 +140,14 @@ fuzz:
 smoke:
 	$(GO) run ./cmd/tdpipe -exp disagg,faults,chaos,autoscale -requests 250 -pool 2000
 	$(GO) run ./cmd/tdpipe -exp disagg,faults,chaos,autoscale -requests 250 -pool 2000 -workers 4
+
+# Every byte-identity check in one target, the gate for a refactor that
+# must keep every output byte: the golden suites (reports, digests,
+# experiment tables, stage costs, training), the deep-queue byte
+# identity, the lazy-against-eager pick check, then both smoke legs
+# (diff their stdout against the parent commit's).
+golden:
+	$(GO) test -count=1 -run 'Golden|ByteIdentity|LazyPicksMatchEager' ./...
+	$(MAKE) smoke
 
 ci: build vet test race chaos smoke bench-e2e-test
