@@ -27,10 +27,9 @@ var ErrRequestTooLarge = errors.New("request KV footprint exceeds engine capacit
 // stealer's stash, its batch entry (decodeSeq) holds the live ctx and
 // generated instead; the entry writes them back when the request leaves,
 // and syncStates brings every copy up to date for the readers by id that
-// run mid-phase.
+// run mid-phase. The fields read by id at every decode phase's entry
+// and exit come first, with the request's lengths right behind them.
 type reqState struct {
-	req       workload.Request
-	predicted int
 	// ctx is the number of tokens the KV pool holds for the request, the
 	// one count of them: set when its prefill is allocated, grown by
 	// decoding, zero once its KV is gone. The pool holds exactly
@@ -38,6 +37,19 @@ type reqState struct {
 	ctx int
 	// generated is the number of output tokens produced so far.
 	generated int
+
+	done    bool
+	evicted bool
+	// aborted marks a request lost to a crash: it stays in states for
+	// record-keeping (its record is unfinished) but no longer counts
+	// toward completion. Routers re-dispatch it elsewhere.
+	aborted bool
+	// resident marks a request counted in Engine.resident: live and in
+	// the decode plane.
+	resident bool
+
+	req       workload.Request
+	predicted int
 	// prefillLen is how many tokens the next prefill must process
 	// (input plus any tokens generated before an eviction).
 	prefillLen int
@@ -51,9 +63,6 @@ type reqState struct {
 	// completes; the stale completion sees a newer launch id and is
 	// ignored, so the request is never processed twice.
 	launch uint64
-	// arrival is when the request entered the system; the engine never
-	// schedules it before this instant.
-	arrival sim.Time
 	// firstTokenAt is when the first output token was produced
 	// (recompute evictions keep the original first-token time).
 	firstTokenAt sim.Time
@@ -62,16 +71,6 @@ type reqState struct {
 	// until the first checkpoint round catches it resident), a hand-off
 	// whose At is the snapshot instant.
 	ckpt *Handoff
-
-	done    bool
-	evicted bool
-	// aborted marks a request lost to a crash: it stays in states for
-	// record-keeping (its record is unfinished) but no longer counts
-	// toward completion. Routers re-dispatch it elsewhere.
-	aborted bool
-	// resident marks a request counted in Engine.resident: live and in
-	// the decode plane.
-	resident bool
 }
 
 // decodeSeq is one request's decode-step state, kept by value in its
@@ -115,7 +114,7 @@ func (e *Engine) store(d *decodeSeq) {
 
 // syncStates brings the records up to date with every live batch and
 // stash entry, for the readers by id that run while a decode phase holds
-// requests: the finish bound, checkpoints, crashes and evictions.
+// requests: the finish bound, crashes and evictions.
 // Evicted entries are dead and their records already current. A slot
 // whose pass is being applied holds moved and half-applied entries; the
 // caller names it as skip (-1 for none) and stores what it needs itself.
@@ -800,7 +799,6 @@ func (e *Engine) addState(r workload.Request) *reqState {
 		req:        r,
 		predicted:  e.cfg.Predictor.PredictLen(r),
 		prefillLen: r.InputLen,
-		arrival:    sim.Time(r.ArrivalTime),
 	}
 	e.states = append(e.states, st)
 	if e.live != nil {
@@ -1549,24 +1547,18 @@ func (e *Engine) requeue(id int, front bool) {
 	st.ctx = 0
 	st.cached = 0
 	e.stealer.Remove(id)
-	e.removeImported(id)
+	// A staged import leaves the list, or a later injection could enter
+	// it into a decode batch twice once its recompute lands.
+	for i, v := range e.imported {
+		if v == id {
+			e.imported = append(e.imported[:i], e.imported[i+1:]...)
+			break
+		}
+	}
 	if front {
 		e.waiting.PushFront(id)
 	} else {
 		e.waiting.PushBack(id)
-	}
-}
-
-// removeImported drops an evicted request from the staged-import list
-// so its recompute path owns it exclusively (otherwise a later
-// injection could enter it into a decode batch twice). The scan is
-// O(staged) on the rare eviction path only.
-func (e *Engine) removeImported(id int) {
-	for i, v := range e.imported {
-		if v == id {
-			e.imported = append(e.imported[:i], e.imported[i+1:]...)
-			return
-		}
 	}
 }
 
@@ -1617,7 +1609,7 @@ func (e *Engine) buildResult() (*Result, error) {
 			// Crash-lost copy: its record stays unfinished (zero Finish,
 			// zero tokens — Faults.LostOutputTokens accounts the work)
 			// and the re-dispatched copy reports elsewhere.
-			records[i] = metrics.RequestRecord{ID: i, Arrival: float64(st.arrival)}
+			records[i] = metrics.RequestRecord{ID: i, Arrival: st.req.ArrivalTime}
 			continue
 		}
 		rep.InputTokens += st.req.InputLen
@@ -1625,7 +1617,7 @@ func (e *Engine) buildResult() (*Result, error) {
 		finished[i] = st.finishedAt
 		records[i] = metrics.RequestRecord{
 			ID:           i,
-			Arrival:      float64(st.arrival),
+			Arrival:      st.req.ArrivalTime,
 			FirstToken:   float64(st.firstTokenAt),
 			Finish:       float64(st.finishedAt),
 			OutputTokens: st.generated,

@@ -19,7 +19,7 @@ func (e *Engine) RequestTTFT(id int) (float64, bool) {
 	if st.generated <= 0 && !st.done {
 		return 0, false
 	}
-	return float64(st.firstTokenAt - st.arrival), true
+	return float64(st.firstTokenAt - sim.Time(st.req.ArrivalTime)), true
 }
 
 // PreemptLowPriority evicts resident requests whose workload priority

@@ -103,10 +103,8 @@ func (ro *router) recover(origin int, l core.Lost) {
 	}
 	pr := pendingRec{origin: origin, fresh: ro.split(), generated: l.Generated, firstTokenAt: l.FirstTokenAt}
 	if l.Ckpt != nil {
-		// The reload leaves stable storage at the crash, not at the
-		// snapshot.
 		h := *l.Ckpt
-		h.At = ro.ctl.Now()
+		h.At = ro.ctl.Now() // the reload starts at the crash, not at the snapshot
 		ro.transfer(handoffItem{pr: pr, h: h, recovery: true}, -1)
 		return
 	}
