@@ -287,6 +287,57 @@ func TestRecomputeUnderMisprediction(t *testing.T) {
 	t.Logf("recomputes under misprediction: %d", res.Report.Recomputes)
 }
 
+// A request evicted from a decode batch in flight keeps a dead entry
+// there until the batch's pass returns; if a prefill re-admits it
+// meanwhile, its recompute holds KV like any new admission. An OOM in
+// that batch spares the batch's live members only, so the re-admitted
+// request, the most recent admission, is the victim rather than an
+// older one.
+func TestOOMDoesNotSpareDeadBatchEntries(t *testing.T) {
+	e := midDecodeEngine(t, detConfig(2), smallTrace(2000, 5), 1)
+	slot := -1
+	for s, b := range e.batches {
+		if len(b) >= 2 {
+			slot = s
+			break
+		}
+	}
+	if slot < 0 {
+		t.Fatal("no decode batch holds two requests")
+	}
+	x := e.batches[slot][1].id
+	// Another slot's OOM evicts x; the waiting queue is then x, older.
+	e.requeue(x, true)
+	e.markEvicted()
+	older := e.waiting.At(1)
+	// The older request takes every free block but those x's recompute
+	// prefill needs, then x is re-admitted: the pool is full.
+	need := e.kv.BlocksFor(e.states[x].prefillLen)
+	if free := e.kv.FreeBlocks(); free <= need {
+		t.Fatalf("%d free blocks, x's recompute needs %d", free, need)
+	}
+	if err := e.kv.Allocate(older, (e.kv.FreeBlocks()-need)*e.kv.BlockSize()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.kv.Allocate(x, e.states[x].prefillLen); err != nil {
+		t.Fatal(err)
+	}
+	if free := e.kv.FreeBlocks(); free != 0 {
+		t.Fatalf("%d blocks still free", free)
+	}
+	// The slot's first entry appends a token that opens a block.
+	d := &e.batches[slot][0]
+	d.ctx = e.kv.BlocksFor(d.ctx)*e.kv.BlockSize() + 1
+	e.handleOOM(d, slot)
+	if e.kv.Has(x) || !e.kv.Has(older) {
+		t.Fatalf("OOM evicted the older request %d (holds KV: %v) instead of re-admitted %d (holds KV: %v)",
+			older, e.kv.Has(older), x, e.kv.Has(x))
+	}
+	if !e.kv.Has(d.id) || d.evicted {
+		t.Fatalf("growing request %d lost its KV", d.id)
+	}
+}
+
 func TestEngineCannotRunTwice(t *testing.T) {
 	eng := sim.NewEngine()
 	e, err := NewEngine(eng, fastConfig(2))
