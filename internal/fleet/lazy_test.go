@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -62,26 +64,75 @@ type lazyOut struct {
 // TestLazyPicksMatchEager runs every lazy configuration twice, once as
 // is and once under syncCheck, which brings every replica up to date
 // after each control instant: the schedule of an eager fabric. Picks,
-// reports and records must match at one worker and at four. Under the
-// hook, a finish that fires at an instant before the latest pick (the
-// finish bound let its replica lag past a finish the pick should have
-// seen) fails the run. The router goldens must keep their committed
-// digests under the hook too.
+// reports and records must match at one worker and at four. The
+// configurations cover the counter-only policies at 64 replicas and
+// predicted-cost at 1000, and at 64 replicas a policy stack: breakers
+// gating a predicted-cost scan, the autoscaler alone re-keying a cost
+// tree, round-robin under the whole stack on a two-tier trace, the
+// autoscaler and preemption on a least-work tree over the same tiers,
+// and a token bucket tight enough to shed and retry.
+// Under the hook, a finish that fires at an instant before the latest
+// pick (the finish bound let its replica lag past a finish the pick
+// should have seen) fails the run. The router goldens must keep their
+// committed digests under the hook too.
 func TestLazyPicksMatchEager(t *testing.T) {
 	cfg := fastConfig(2)
+	tight := fastConfig(1)
+	tight.MemUtilization = 0.0005
 	poisson := goldenPoissonTrace()
 	big := workload.StampArrivals(smallTrace(4000, 43), workload.Poisson{Rate: 40000}, 47)
+	tiers, err := workload.StampPriorities(poisson, workload.PriorityConfig{Tiers: 2, HighFraction: 0.3, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack := func() *policy.Stack { return elasticStack(t, 64) }
+	gated := func() *policy.Stack {
+		s := elasticStack(t, 64)
+		s.Admission = nil
+		return s
+	}
+	scaler := func() *policy.Stack { return &policy.Stack{Autoscaler: elasticStack(t, 64).Autoscaler} }
+	preempting := func() *policy.Stack {
+		s := scaler()
+		s.Preemption = &policy.PreemptionConfig{}
+		return s
+	}
+	shedding := func() *policy.Stack {
+		s := elasticStack(t, 64)
+		s.Admission = policy.NewTokenBucket(2000, 16)
+		return s
+	}
 	runs := []struct {
 		name     string
+		cfg      core.Config
 		reqs     []workload.Request
 		replicas int
 		policy   string
+		stack    func() *policy.Stack
+		// busy reports whether the stack did the work the run names.
+		busy func(a metrics.AdmissionStats, s metrics.AutoscaleStats) bool
 	}{
-		{"online-predicted-64", poisson, 64, PredictedCost},
-		{"online-least-work-64", poisson, 64, LeastWork},
-		{"online-round-robin-64", poisson, 64, RoundRobin},
-		{"online-random-64", poisson, 64, Random},
-		{"online-predicted-1000", big, 1000, PredictedCost},
+		{name: "online-predicted-64", cfg: cfg, reqs: poisson, replicas: 64, policy: PredictedCost},
+		{name: "online-least-work-64", cfg: cfg, reqs: poisson, replicas: 64, policy: LeastWork},
+		{name: "online-round-robin-64", cfg: cfg, reqs: poisson, replicas: 64, policy: RoundRobin},
+		{name: "online-random-64", cfg: cfg, reqs: poisson, replicas: 64, policy: Random},
+		{name: "online-predicted-1000", cfg: cfg, reqs: big, replicas: 1000, policy: PredictedCost},
+		{name: "breakers-predicted-64", cfg: tight, reqs: poisson, replicas: 64, policy: PredictedCost, stack: gated,
+			busy: func(a metrics.AdmissionStats, s metrics.AutoscaleStats) bool {
+				return a.BreakerTrips > 0 && a.BreakerSkips > 0 && s.ScaleUps > 0
+			}},
+		{name: "autoscaler-predicted-64", cfg: cfg, reqs: poisson, replicas: 64, policy: PredictedCost, stack: scaler,
+			busy: func(_ metrics.AdmissionStats, s metrics.AutoscaleStats) bool {
+				return s.ScaleUps > 0 && s.ScaleDowns > 0
+			}},
+		{name: "stack-round-robin-64", cfg: tight, reqs: tiers, replicas: 64, policy: RoundRobin, stack: stack,
+			busy: func(a metrics.AdmissionStats, s metrics.AutoscaleStats) bool {
+				return a.BreakerTrips > 0 && s.ScaleUps > 0
+			}},
+		{name: "priorities-least-work-64", cfg: tight, reqs: tiers, replicas: 64, policy: LeastWork, stack: preempting,
+			busy: func(a metrics.AdmissionStats, _ metrics.AutoscaleStats) bool { return a.Preemptions > 0 }},
+		{name: "admission-predicted-64", cfg: cfg, reqs: poisson, replicas: 64, policy: PredictedCost, stack: shedding,
+			busy: func(a metrics.AdmissionStats, _ metrics.AutoscaleStats) bool { return a.Shed > 0 && a.Retries > 0 }},
 	}
 	var finishes, late atomic.Int64
 	check := func(_ int, at, touched sim.Time) {
@@ -94,11 +145,16 @@ func TestLazyPicksMatchEager(t *testing.T) {
 	for _, r := range runs {
 		for _, workers := range []int{1, 4} {
 			var outs [2][]byte
+			var rep metrics.Report
 			for i, hook := range []func(int, sim.Time, sim.Time){nil, check} {
 				syncCheck = hook
 				finishes.Store(0)
 				late.Store(0)
-				res, err := Serve(cfg, r.reqs, ServeConfig{Replicas: r.replicas, Policy: mustPolicy(t, r.policy, Options{Seed: 3}), Workers: workers})
+				sc := ServeConfig{Replicas: r.replicas, Policy: mustPolicy(t, r.policy, Options{Seed: 3}), Workers: workers}
+				if r.stack != nil {
+					sc.Stack = r.stack()
+				}
+				res, err := Serve(r.cfg, r.reqs, sc)
 				out := lazyOut{Golden: serveOut(t, res, err)}
 				for _, sh := range res.Shards {
 					out.Picks = append(out.Picks, sh.Origin)
@@ -106,13 +162,17 @@ func TestLazyPicksMatchEager(t *testing.T) {
 				if outs[i], err = json.Marshal(out); err != nil {
 					t.Fatal(err)
 				}
+				rep = res.Report
 			}
 			syncCheck = nil
 			if string(outs[0]) != string(outs[1]) {
 				t.Errorf("%s workers=%d: lazy run differs from the forced one", r.name, workers)
 			}
-			if n := finishes.Load(); n != int64(len(r.reqs)) {
-				t.Errorf("%s workers=%d: the hook saw %d finishes of %d requests", r.name, workers, n, len(r.reqs))
+			if r.busy != nil && !r.busy(rep.Admission, rep.Autoscale) {
+				t.Errorf("%s workers=%d: policy layer idle: %+v %+v", r.name, workers, rep.Admission, rep.Autoscale)
+			}
+			if n, want := finishes.Load(), int64(len(r.reqs)-rep.Admission.Dropped); n != want {
+				t.Errorf("%s workers=%d: the hook saw %d finishes of %d", r.name, workers, n, want)
 			}
 			if n := late.Load(); n > 0 {
 				t.Errorf("%s workers=%d: %d finishes fired before a pick that should have seen them", r.name, workers, n)
