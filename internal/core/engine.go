@@ -1513,11 +1513,14 @@ func (e *Engine) handleOOM(d *decodeSeq, slot int) {
 	// Of the slot's entries, only d's request can lose its KV here.
 	e.syncStates(slot)
 	e.store(d)
-	// The slot's entries name every member: applied ones at or before
-	// d, the rest after it.
+	// The slot's live entries name every member: applied ones at or
+	// before d, the rest after it. A dead entry's request may hold KV
+	// again for its recompute, as any other admission.
 	spare := e.spareBuf[:0]
 	for i := range e.batches[slot] {
-		spare = append(spare, e.batches[slot][i].id)
+		if b := &e.batches[slot][i]; !b.evicted {
+			spare = append(spare, b.id)
+		}
 	}
 	e.spareBuf = spare
 	for _, id := range e.kv.EvictMostRecent(1, spare) {
