@@ -43,6 +43,7 @@ func (ro *router) handoff(replica int, h core.Handoff) {
 	origin := ro.pools[0].shards[replica].Origin[h.Local]
 	// The engine-local "finish" was a hand-off, not a completion.
 	ro.led.fin[origin]--
+	ro.led.finished--
 	ro.handoffs++
 	// The export crosses the source replica's link timeline: a prefill
 	// replica inside a network domain outage stalls its hand-offs until

@@ -154,14 +154,8 @@ func tickEvent(ctx any, _, _ int) {
 	}
 	ep.scale(ep.as.Decide(now, ro.signals(p)), now, outstanding, warm)
 	// Keep ticking while any request is unresolved; once everything is
-	// terminal the timeline drains and the run ends. A handed-off
-	// request is counted once by its prefill engine and once at its
-	// real decode finish, so subtract the hand-off count.
-	finished := -ro.handoffs
-	for _, e := range ro.engines {
-		finished += e.NumFinished()
-	}
-	if finished+ro.led.dropped < len(ro.reqs) {
+	// terminal the timeline drains and the run ends.
+	if ro.led.finished+ro.led.dropped < len(ro.reqs) {
 		ro.ctl.AtFunc(ro.ctl.Now()+ep.tickInterval(), tickEvent, ro, 0, 0)
 	}
 }

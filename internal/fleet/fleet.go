@@ -350,6 +350,10 @@ type ledger struct {
 	// droppedReason[origin] is non-empty once origin is abandoned.
 	droppedReason []string
 	dropped       int
+	// finished counts terminal finishes before the fabric's tail (a
+	// hand-off counts until its note is drained), so finished+dropped
+	// is the resolved count the autoscaler's tick reads.
+	finished int
 }
 
 func newLedger(reqs []workload.Request) *ledger {

@@ -524,8 +524,8 @@ func (ro *router) record(p *pool, r workload.Request, origin, k, local int) {
 // takes it back), re-keys the replica's tree leaf and flags the finish
 // on the fabric, where its decode lockstep looks for it. In the
 // fabric's tail the hook may run on a worker goroutine; there it
-// leaves the shared tree and flag alone, since no pick or lockstep
-// follows.
+// leaves the shared tree, count and flag alone, since no pick, tick or
+// lockstep follows.
 //
 //det:hotpath
 func (ro *router) finished(p *pool, i, local int) {
@@ -535,6 +535,7 @@ func (ro *router) finished(p *pool, i, local int) {
 	}
 	if !ro.fab.tail {
 		p.fix(i)
+		ro.led.finished++
 	}
 	ro.fab.markFinish(p.off + i)
 }
