@@ -71,9 +71,10 @@ type lazyOut struct {
 // tree, round-robin under the whole stack on a two-tier trace, the
 // autoscaler and preemption on a least-work tree over the same tiers,
 // and a token bucket tight enough to shed and retry.
-// Under the hook, a finish that fires at an instant before the latest
-// pick (the finish bound let its replica lag past a finish the pick
-// should have seen) fails the run. The router goldens must keep their
+// Under the hook, a finish that fires at an instant before the fabric's
+// control instant (the finish bound let its replica lag past a finish
+// that instant's pick, tick, admission or breaker should have seen)
+// fails the run. The router goldens must keep their
 // committed digests under the hook too.
 func TestLazyPicksMatchEager(t *testing.T) {
 	cfg := fastConfig(2)
@@ -135,9 +136,9 @@ func TestLazyPicksMatchEager(t *testing.T) {
 			busy: func(a metrics.AdmissionStats, _ metrics.AutoscaleStats) bool { return a.Shed > 0 && a.Retries > 0 }},
 	}
 	var finishes, late atomic.Int64
-	check := func(_ int, at, touched sim.Time) {
+	check := func(_ int, at, now sim.Time) {
 		finishes.Add(1)
-		if at < touched {
+		if at < now {
 			late.Add(1)
 		}
 	}
@@ -175,7 +176,7 @@ func TestLazyPicksMatchEager(t *testing.T) {
 				t.Errorf("%s workers=%d: the hook saw %d finishes of %d", r.name, workers, n, want)
 			}
 			if n := late.Load(); n > 0 {
-				t.Errorf("%s workers=%d: %d finishes fired before a pick that should have seen them", r.name, workers, n)
+				t.Errorf("%s workers=%d: %d finishes fired after a control instant that should have seen them", r.name, workers, n)
 			}
 		}
 	}
@@ -201,7 +202,7 @@ func TestLazyPicksMatchEager(t *testing.T) {
 				t.Errorf("%s workers=%d under the forced schedule: digest %s, golden %s", g.name, workers, d, want[g.name])
 			}
 			if n := late.Load(); n > 0 {
-				t.Errorf("%s workers=%d: %d finishes fired before a pick that should have seen them", g.name, workers, n)
+				t.Errorf("%s workers=%d: %d finishes fired after a control instant that should have seen them", g.name, workers, n)
 			}
 		}
 	}

@@ -127,8 +127,8 @@ type fabric struct {
 
 	// now is the instant control-side code runs at: the control
 	// timeline's instant, or the decode lockstep's. touch parks replicas
-	// there; touched is the latest instant it did so.
-	now, touched sim.Time
+	// there.
+	now sim.Time
 	// dirty lists the replicas touched since the last advance, whose
 	// keys settle recomputes; isDirty[g] marks replica g listed.
 	dirty   []int
@@ -161,11 +161,11 @@ type fabric struct {
 // syncCheck, when set, makes the fabric bring every replica up to date
 // after the control events of each instant, the schedule an eager
 // fabric keeps, and sees every finish hook: the replica, the instant it
-// fired and the latest instant the router touched a replica at (every
-// pick touches the picked one). Only tests set it, to hold lazy picks
-// to eager ones and to catch a finish that fired before a pick that
-// should have seen it.
-var syncCheck func(replica int, at, touched sim.Time)
+// fired and the fabric's control instant then. A finish before that
+// instant fired after control events that should have seen it. Only
+// tests set it, to hold lazy runs to eager ones and to catch such a
+// finish.
+var syncCheck func(replica int, at, now sim.Time)
 
 // newFabric builds a fabric with a worker count from ResolveWorkers.
 // Tiers are added before any engines are constructed.
@@ -270,7 +270,6 @@ func (f *fabric) touch(g int) *core.Engine {
 		f.isDirty[g] = true
 		f.dirty = append(f.dirty, g) //det:ignore hotalloc amortized growth; the list empties at every advance and holds each replica at most once
 	}
-	f.touched = f.now
 	return f.cores[g]
 }
 
@@ -302,7 +301,7 @@ func (f *fabric) markFinish(replica int) {
 		f.sawFinish = true
 	}
 	if syncCheck != nil {
-		syncCheck(replica, f.engs[replica].Now(), f.touched)
+		syncCheck(replica, f.engs[replica].Now(), f.now)
 	}
 }
 
