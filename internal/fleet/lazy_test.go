@@ -18,9 +18,10 @@ import (
 
 // TestLazyScope pins which pools advance lazily: a lone pool whose pick
 // reads only the router's counters (the cost tree's argminCost,
-// round-robin, random) with no layer attached. Probing policies, a
-// policy stack, a fault plan and a split fleet keep every replica up to
-// date at every control event.
+// round-robin, random), with or without a policy stack. Probing
+// policies (with or without a stack), a fault plan (with or without a
+// stack) and a split fleet keep every replica up to date at every
+// control event.
 func TestLazyScope(t *testing.T) {
 	reqs := onlineTrace(40, 3, 400)
 	plan, err := faults.NewPlan(faults.Config{Seed: 1, Horizon: 1, MTBF: 0.5, RestartDelay: 0.05}, 4, 0.05)
@@ -38,15 +39,24 @@ func TestLazyScope(t *testing.T) {
 		if !build(nil, nil, newPool("", 4, mustPolicy(t, name, Options{}))) {
 			t.Errorf("%s pool without layers advances eagerly", name)
 		}
-		if build(&policy.Stack{Autoscaler: elasticStack(t, 4).Autoscaler}, nil, newPool("", 4, mustPolicy(t, name, Options{}))) {
-			t.Errorf("%s pool under the autoscaler advances lazily", name)
+		if !build(&policy.Stack{Autoscaler: elasticStack(t, 4).Autoscaler}, nil, newPool("", 4, mustPolicy(t, name, Options{}))) {
+			t.Errorf("%s pool under the autoscaler advances eagerly", name)
+		}
+		if !build(elasticStack(t, 4), nil, newPool("", 4, mustPolicy(t, name, Options{}))) {
+			t.Errorf("%s pool under the whole stack advances eagerly", name)
 		}
 		if build(nil, plan, newPool("", 4, mustPolicy(t, name, Options{}))) {
 			t.Errorf("%s pool under a fault plan advances lazily", name)
 		}
+		if build(elasticStack(t, 4), plan, newPool("", 4, mustPolicy(t, name, Options{}))) {
+			t.Errorf("%s pool under a stack and a fault plan advances lazily", name)
+		}
 	}
 	if build(nil, nil, newPool("", 4, mustPolicy(t, PrefixAffinity, Options{}))) {
 		t.Error("a probing pool advances lazily")
+	}
+	if build(elasticStack(t, 4), nil, newPool("", 4, mustPolicy(t, PrefixAffinity, Options{}))) {
+		t.Error("a probing pool under a stack advances lazily")
 	}
 	if build(nil, nil, newPool("prefill ", 2, mustPolicy(t, LeastWork, Options{})), newPool("decode ", 2, mustPolicy(t, DecodeAffinity, Options{}))) {
 		t.Error("a split fleet advances lazily")
@@ -70,12 +80,12 @@ type lazyOut struct {
 // gating a predicted-cost scan, the autoscaler alone re-keying a cost
 // tree, round-robin under the whole stack on a two-tier trace, the
 // autoscaler and preemption on a least-work tree over the same tiers,
-// and a token bucket tight enough to shed and retry.
-// Under the hook, a finish that fires at an instant before the fabric's
-// control instant (the finish bound let its replica lag past a finish
-// that instant's pick, tick, admission or breaker should have seen)
-// fails the run. The router goldens must keep their
-// committed digests under the hook too.
+// and a token bucket tight enough to shed and retry. Under the hook, a
+// finish that fires at an instant before the fabric's control instant
+// (the finish bound let its replica lag past a finish that instant's
+// pick, tick, admission or breaker should have seen) fails the run.
+// The router goldens must keep their committed digests under the hook
+// too.
 func TestLazyPicksMatchEager(t *testing.T) {
 	cfg := fastConfig(2)
 	tight := fastConfig(1)

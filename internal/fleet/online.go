@@ -182,10 +182,11 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 	for tier, p := range pools {
 		fab.addTier(tier, len(p.out))
 	}
-	// A lone pool whose pick reads only the router's counters, with no
-	// layer to read engines at control events, lets replicas lag up to
-	// their next possible finish.
-	fab.lazy = len(pools) == 1 && plan == nil && ro.pol == nil && viewOf(pools[0].policy) != viewProbes
+	// A lone pool whose pick reads only the router's counters lets
+	// replicas lag up to their next possible finish: the policy layer
+	// reads only state finish hooks keep and time. A fault plan reads
+	// liveness and probes every replica at a checkpoint reload.
+	fab.lazy = len(pools) == 1 && plan == nil && viewOf(pools[0].policy) != viewProbes
 	engines, err := startEngines(fab, cfg, plan)
 	if err != nil {
 		return nil, err

@@ -35,15 +35,19 @@ import (
 //
 // The key says how far a replica may lag. An eager fabric keys it by
 // its next event, so every replica is up to date at every control
-// event: its pools read engine probes, breakers, the autoscaler's
-// signals or hand-off notes, which any event may change. A lazy fabric
-// serves one colocated pool, with no layer attached, whose pick reads
-// only the router's own load counters (argminCost's cost tree,
-// round-robin, random). Only finish hooks change those counters, so it
-// keys a replica by a lower bound on its next finish
-// (core.Engine.FinishBound): at t it runs only the replicas that could
-// have finished a request before t, and touch runs the picked one.
-// Either way a control event costs a root read plus O(log replicas) per
+// event: its pools read engine probes, liveness or hand-off notes,
+// which any event may change. A lazy fabric serves one colocated pool,
+// with no fault plan, whose pick reads only the router's own load
+// counters (argminCost's cost tree or scan, round-robin, random). Its
+// control events read nothing else an engine event may change: the
+// policy stack's breakers, autoscaler window and drain marks are kept
+// by finish hooks, like the counters, and its token bucket and retry
+// schedule depend on time alone. So the fabric keys a replica by a
+// lower bound on its next finish (core.Engine.FinishBound): at t it
+// runs only the replicas that could have finished a request before t,
+// so every finish before t has fired when the control events at t run,
+// and touch runs the picked one (a preemption reads only it). Either
+// way a control event costs a root read plus O(log replicas) per
 // replica it runs.
 //
 // Every advance runs on the coordinator, at any worker count: it runs a
