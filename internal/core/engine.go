@@ -953,9 +953,6 @@ func (e *Engine) PrefixWarmTokens(r workload.Request) int {
 	return e.kv.MatchPrefix(r.PrefixGroup, p)
 }
 
-// NumFinished returns the number of completed requests so far.
-func (e *Engine) NumFinished() int { return e.finished }
-
 // Finalize checks completion and builds the result. Call after the
 // simulation has run to completion.
 func (e *Engine) Finalize() (*Result, error) {
@@ -1514,8 +1511,7 @@ func (e *Engine) handleOOM(d *decodeSeq, slot int) {
 	e.syncStates(slot)
 	e.store(d)
 	// The slot's live entries name every member: applied ones at or
-	// before d, the rest after it. A dead entry's request may hold KV
-	// again for its recompute, as any other admission.
+	// before d, the rest after it.
 	spare := e.spareBuf[:0]
 	for i := range e.batches[slot] {
 		if b := &e.batches[slot][i]; !b.evicted {

@@ -350,9 +350,7 @@ type ledger struct {
 	// droppedReason[origin] is non-empty once origin is abandoned.
 	droppedReason []string
 	dropped       int
-	// finished counts terminal finishes before the fabric's tail (a
-	// hand-off counts until its note is drained), so finished+dropped
-	// is the resolved count the autoscaler's tick reads.
+	// finished counts terminal finishes outside the fabric's tail.
 	finished int
 }
 

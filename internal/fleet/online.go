@@ -183,9 +183,8 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 		fab.addTier(tier, len(p.out))
 	}
 	// A lone pool whose pick reads only the router's counters lets
-	// replicas lag up to their next possible finish: the policy layer
-	// reads only state finish hooks keep and time. A fault plan reads
-	// liveness and probes every replica at a checkpoint reload.
+	// replicas lag up to their next possible finish; a fault plan's
+	// checkpoint reloads probe every replica's KV headroom.
 	fab.lazy = len(pools) == 1 && plan == nil && viewOf(pools[0].policy) != viewProbes
 	engines, err := startEngines(fab, cfg, plan)
 	if err != nil {

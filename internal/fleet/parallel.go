@@ -35,19 +35,16 @@ import (
 //
 // The key says how far a replica may lag. An eager fabric keys it by
 // its next event, so every replica is up to date at every control
-// event: its pools read engine probes, liveness or hand-off notes,
-// which any event may change. A lazy fabric serves one colocated pool,
-// with no fault plan, whose pick reads only the router's own load
-// counters (argminCost's cost tree or scan, round-robin, random). Its
-// control events read nothing else an engine event may change: the
-// policy stack's breakers, autoscaler window and drain marks are kept
-// by finish hooks, like the counters, and its token bucket and retry
-// schedule depend on time alone. So the fabric keys a replica by a
-// lower bound on its next finish (core.Engine.FinishBound): at t it
-// runs only the replicas that could have finished a request before t,
-// so every finish before t has fired when the control events at t run,
-// and touch runs the picked one (a preemption reads only it). Either
-// way a control event costs a root read plus O(log replicas) per
+// event: its pools read engine probes, KV headroom or hand-off notes,
+// which any event may change. A lazy fabric serves one colocated pool
+// with no fault plan whose pick reads only the router's load counters
+// (a cost tree or scan, round-robin, random). Finish hooks keep those
+// and the policy stack's breakers, TTFT window and drain marks; its
+// token bucket and retries read only time. So the fabric keys a
+// replica by a lower bound on its next finish (core.Engine.FinishBound)
+// and every finish before t fires before the control events at t;
+// touch runs the picked replica, the only one a preemption reads.
+// Either way a control event costs a root read plus O(log replicas) per
 // replica it runs.
 //
 // Every advance runs on the coordinator, at any worker count: it runs a
@@ -129,9 +126,8 @@ type fabric struct {
 	// event (see the header).
 	lazy bool
 
-	// now is the instant control-side code runs at: the control
-	// timeline's instant, or the decode lockstep's. touch parks replicas
-	// there.
+	// now is the instant control-side code runs at, where touch parks
+	// replicas: the control timeline's instant, or the decode lockstep's.
 	now sim.Time
 	// dirty lists the replicas touched since the last advance, whose
 	// keys settle recomputes; isDirty[g] marks replica g listed.
