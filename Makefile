@@ -53,8 +53,12 @@ test:
 # them to completion after the last control event and to finalize
 # them. The suite's disagg legs advance entirely on the coordinator,
 # since a split fleet always gets one worker. The leg also runs the
-# lazy-advance check (lazy picks against the forced eager schedule at
-# one and four workers).
+# lazy-advance check: lazy runs, with no layer and under policy stacks
+# (breakers, the autoscaler, admission and retries, preemption),
+# against the forced eager schedule at one and four workers, each
+# finish held to the fabric's control instant. Their finish hooks feed
+# the stack's breakers and autoscaler window from the workers in the
+# tail.
 race:
 	$(GO) test -race ./internal/fleet/... ./internal/core/...
 	$(GO) test -race -count=1 -run 'TestParallel|TestLazyPicksMatchEager' ./internal/fleet/
