@@ -48,8 +48,8 @@
 // SLO misses, with half-open probes; needs -slo-ttft) and
 // -priority-tiers (priority-stamped traffic; high tiers preempt low
 // tiers' KV under pressure via the eviction-recompute path). All
-// policies are deterministic for a fixed seed and byte-identical
-// across -workers counts:
+// policies are deterministic for a fixed seed and byte-identical at
+// every GOMAXPROCS, which sizes the fleet simulation's worker pool:
 //
 //	tdpipe-sim -replicas 4 -arrivals diurnal -rate 3 -slo-ttft 10 \
 //	    -autoscale-max 4 -autoscale-min 1 -admit-rate 6 -retry-attempts 3
@@ -121,7 +121,6 @@ type options struct {
 	oracle   bool
 	replicas int
 	policy   string
-	workers  int
 	arrivals string
 	rate     float64
 	slo      metrics.SLO
@@ -271,13 +270,12 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.pool, "pool", 20000, "corpus size for predictor training")
 	fs.Int64Var(&o.seed, "seed", 1, "trace seed")
 	fs.StringVar(&o.outDir, "out", "", "directory for CSV/JSON export (optional)")
-	fs.BoolVar(&o.oracle, "oracle", false, "use the oracle length predictor instead of the trained classifier")
+	fs.BoolVar(&o.oracle, "oracle", false, "use the oracle length predictor instead of the trained classifier (-sched tdpipe only)")
 	fs.IntVar(&o.replicas, "replicas", 1, "data-parallel TD-Pipe replicas (fleet mode when > 1)")
 	fs.StringVar(&o.policy, "policy", fleet.RoundRobin, "fleet dispatch policy: "+strings.Join(fleet.Names(), ", "))
-	fs.IntVar(&o.workers, "workers", 0, "fleet simulation workers: 0 or 1 sequential, -1 auto (GOMAXPROCS on fleets of 16+ replicas); workers run replicas only where no routing decision separates them, after the last arrival (t=0 for a closed-loop trace); a prefill/decode split (-disagg) always runs on one and takes only 0 or 1; reports are byte-identical across counts")
 	fs.StringVar(&o.arrivals, "arrivals", workload.ArrivalInstant,
 		"arrival process: "+strings.Join(workload.ArrivalKinds(), ", "))
-	fs.Float64Var(&o.rate, "rate", 0, "mean arrival rate in requests/s (required unless -arrivals instant)")
+	fs.Float64Var(&o.rate, "rate", 0, "mean arrival rate in requests/s (required unless -arrivals instant, and refused with it)")
 	fs.Float64Var(&o.slo.E2E, "slo", 0, "end-to-end latency SLO in seconds (0 disables)")
 	fs.Float64Var(&o.slo.TTFT, "slo-ttft", 0, "time-to-first-token SLO in seconds (0 disables)")
 	fs.Float64Var(&o.slo.TPOT, "slo-tpot", 0, "time-per-output-token SLO in seconds (0 disables)")
@@ -287,30 +285,30 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.Float64Var(&o.kvBW, "kv-bw", 0, "KV hand-off link bandwidth in GB/s (0 keeps the node default)")
 	fs.Float64Var(&o.kvLat, "kv-lat", 0, "KV hand-off link latency in seconds (0 keeps the node default)")
 	fs.IntVar(&o.autoscaleMax, "autoscale-max", 0, "elastic autoscaling: max active replicas (0 disables; scales the fleet, or the decode pool with -disagg)")
-	fs.IntVar(&o.autoscaleMin, "autoscale-min", 1, "elastic autoscaling: min active replicas")
-	fs.Float64Var(&o.autoscaleInterval, "autoscale-interval", 1, "elastic autoscaling: evaluation cadence in virtual seconds")
+	fs.IntVar(&o.autoscaleMin, "autoscale-min", 1, "elastic autoscaling: min active replicas (needs -autoscale-max)")
+	fs.Float64Var(&o.autoscaleInterval, "autoscale-interval", 1, "elastic autoscaling: evaluation cadence in virtual seconds (needs -autoscale-max)")
 	fs.Float64Var(&o.admitRate, "admit-rate", 0, "token-bucket admission rate in requests/s (0 disables admission control)")
-	fs.IntVar(&o.admitBurst, "admit-burst", 16, "token-bucket admission burst size")
+	fs.IntVar(&o.admitBurst, "admit-burst", 16, "token-bucket admission burst size (needs -admit-rate)")
 	fs.IntVar(&o.breakerFailures, "breaker-failures", 0, "consecutive failures that trip a replica's circuit breaker: TTFT SLO misses online (needs -slo-ttft), aborted requests with -disagg (0 disables)")
 	fs.IntVar(&o.retryAttempts, "retry-attempts", 0, "admission retries per request under seeded exponential backoff, counting only the policy layer's re-admissions (0 disables retry; shed requests are then dropped)")
 	fs.IntVar(&o.priorityTiers, "priority-tiers", 0, "stamp the trace with priority tiers and preempt low tiers under KV pressure (0 disables; >= 2 tiers)")
 	fs.IntVar(&o.prefixGroups, "prefix-groups", 0, "shared-prefix groups to stamp on the trace (0 disables prefix structure)")
-	fs.IntVar(&o.prefixLen, "prefix-len", 256, "mean shared-prefix length in tokens")
-	fs.IntVar(&o.prefixTurns, "prefix-turns", 4, "conversation depth: turns over which a group's prefix grows")
+	fs.IntVar(&o.prefixLen, "prefix-len", 256, "mean shared-prefix length in tokens (needs -prefix-groups)")
+	fs.IntVar(&o.prefixTurns, "prefix-turns", 4, "conversation depth: turns over which a group's prefix grows (needs -prefix-groups)")
 	fs.BoolVar(&o.noPrefixCache, "no-prefix-cache", false, "disable shared-prefix KV reuse (ablation)")
 	fs.Float64Var(&o.mtbf, "mtbf", 0, "mean time between replica failures in virtual seconds (0 disables crashes; needs -fault-horizon)")
 	fs.Float64Var(&o.faultHorizon, "fault-horizon", 0, "virtual-time horizon bounding fault activity in seconds")
-	fs.IntVar(&o.maxRetries, "max-retries", 0, "re-dispatches per crash-lost request before it is dropped, counting only the fault layer's crash retries (0 = default 3)")
-	fs.Float64Var(&o.restartDelay, "restart-delay", 2, "process-restart seconds added to each crash outage (weight reload is modeled on top)")
+	fs.IntVar(&o.maxRetries, "max-retries", 0, "re-dispatches per crash-lost request before it is dropped, counting only the fault layer's crash retries (0 = default 3; needs -mtbf or -domain-mtbf)")
+	fs.Float64Var(&o.restartDelay, "restart-delay", 2, "process-restart seconds added to each crash outage (weight reload is modeled on top; needs -mtbf or -domain-mtbf)")
 	fs.IntVar(&o.stragglers, "stragglers", 0, "replicas (chosen by the fault seed) slowed by -straggler-factor")
-	fs.Float64Var(&o.stragglerFactor, "straggler-factor", 1.3, "pass-duration multiplier for straggler replicas")
+	fs.Float64Var(&o.stragglerFactor, "straggler-factor", 1.3, "pass-duration multiplier for straggler replicas (needs -stragglers)")
 	fs.Float64Var(&o.ckptInterval, "ckpt-interval", 0, "periodic KV checkpoint cadence in virtual seconds (0 disables; crash recovery then recomputes)")
 	fs.Float64Var(&o.linkDegradeFrac, "link-degrade-frac", 0, "fraction of KV-link windows running degraded (-disagg only)")
-	fs.Float64Var(&o.linkDegradeFactor, "link-degrade-factor", 4, "KV transfer slowdown inside degraded windows")
+	fs.Float64Var(&o.linkDegradeFactor, "link-degrade-factor", 4, "KV transfer slowdown inside degraded windows (needs -link-degrade-frac)")
 	fs.Float64Var(&o.linkPartitionFrac, "link-partition-frac", 0, "fraction of KV-link windows fully partitioned (-disagg only)")
 	fs.IntVar(&o.faultDomains, "fault-domains", 0, "racks in the fleet topology for correlated domain outages (0 disables; needs -domain-mtbf)")
 	fs.Float64Var(&o.domainMTBF, "domain-mtbf", 0, "each rack's mean time between correlated outages in virtual seconds (needs -fault-domains and -fault-horizon)")
-	fs.StringVar(&o.domainKind, "domain-kind", "power", "what a correlated domain outage does: power, network, or mixed")
+	fs.StringVar(&o.domainKind, "domain-kind", "power", "what a correlated domain outage does: power, network, or mixed (needs -fault-domains)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file (pprof format)")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file at exit (pprof format)")
 }
@@ -488,7 +486,7 @@ func runFleet(o options, node hw.Node, spec model.Spec, pool, reqs []workload.Re
 	if err != nil {
 		return err
 	}
-	sc := fleet.ServeConfig{Workers: o.workers}
+	var sc fleet.ServeConfig
 	if o.disagg {
 		sc.PrefillReplicas, sc.DecodeReplicas = o.prefillReplicas, o.decodeReplicas
 	} else {
@@ -539,10 +537,43 @@ var errReplicas = errors.New("-replicas must be at least 1 (fleet mode engages a
 // dispatches nothing: a single engine, without fleet mode.
 var errPolicyNoFleet = errors.New("-policy picks a replica per request and needs fleet mode (-replicas > 1)")
 
-// errSplitWorkers rejects a worker budget a prefill/decode split would
-// ignore: its control events reach to the end of the run, so it always
-// runs on one worker.
-var errSplitWorkers = errors.New("-disagg always runs on one worker: -workers takes only 0 or 1 there")
+// The errors for a flag that tunes a feature the invocation leaves
+// off, which would otherwise be quietly ignored.
+var (
+	errBurstNoAdmission  = errors.New("-admit-burst sizes the admission token bucket: set -admit-rate")
+	errScaleNoMax        = errors.New("-autoscale-min and -autoscale-interval tune the autoscaler: set -autoscale-max")
+	errFactorNoStraggler = errors.New("-straggler-factor slows straggler replicas: set -stragglers")
+	errFactorNoDegrade   = errors.New("-link-degrade-factor slows degraded KV-link windows: set -link-degrade-frac")
+	errPrefixNoGroups    = errors.New("-prefix-len and -prefix-turns shape shared-prefix groups: set -prefix-groups")
+	errKindNoDomains     = errors.New("-domain-kind picks what a rack outage does: set -fault-domains")
+	errRecoveryNoCrashes = errors.New("-max-retries and -restart-delay tune crash recovery: set -mtbf or -domain-mtbf")
+	errRateInstant       = errors.New("-rate paces open-loop arrivals: pick an -arrivals process other than instant")
+	errOracleBaseline    = errors.New("-oracle replaces TD-Pipe's output-length predictor: it needs -sched tdpipe")
+)
+
+// dependentFlags lists flags that only tune a feature another setting
+// turns on: off reports the feature off, and err names the mismatch.
+var dependentFlags = []struct {
+	flags []string
+	off   func(o options) bool
+	err   error
+}{
+	{[]string{"admit-burst"}, func(o options) bool { return o.admitRate <= 0 }, errBurstNoAdmission},
+	{[]string{"autoscale-min", "autoscale-interval"}, func(o options) bool { return o.autoscaleMax <= 0 }, errScaleNoMax},
+	{[]string{"straggler-factor"}, func(o options) bool { return o.stragglers <= 0 }, errFactorNoStraggler},
+	{[]string{"link-degrade-factor"}, func(o options) bool { return o.linkDegradeFrac <= 0 }, errFactorNoDegrade},
+	{[]string{"prefix-len", "prefix-turns"}, func(o options) bool { return o.prefixGroups <= 0 }, errPrefixNoGroups},
+	{[]string{"domain-kind"}, func(o options) bool { return o.faultDomains <= 0 }, errKindNoDomains},
+	{[]string{"max-retries", "restart-delay"}, func(o options) bool { return o.mtbf <= 0 && o.domainMTBF <= 0 }, errRecoveryNoCrashes},
+	{[]string{"rate"}, func(o options) bool { return strings.EqualFold(o.arrivals, workload.ArrivalInstant) }, errRateInstant},
+	{[]string{"oracle"}, func(o options) bool { return o.oracle && !tdpipeSched(o.sched) }, errOracleBaseline},
+}
+
+// tdpipeSched reports whether sched names the TD-Pipe scheduler.
+func tdpipeSched(sched string) bool {
+	s := strings.ToLower(sched)
+	return s == "tdpipe" || s == "td-pipe"
+}
 
 // run executes one invocation. visit enumerates the flags set on the
 // command line (flag.Visit, or a test's FlagSet.Visit), which the
@@ -555,6 +586,13 @@ func run(o options, visit func(func(*flag.Flag))) error {
 	}
 	if set["policy"] && o.replicas == 1 && !o.disagg {
 		return fmt.Errorf("%w, got -policy %s with -replicas 1", errPolicyNoFleet, o.policy)
+	}
+	for _, d := range dependentFlags {
+		for _, name := range d.flags {
+			if set[name] && d.off(o) {
+				return fmt.Errorf("%w (got -%s)", d.err, name)
+			}
+		}
 	}
 	node, err := pickNode(o.node)
 	if err != nil {
@@ -607,7 +645,7 @@ func run(o options, visit func(func(*flag.Flag))) error {
 	// pair is fixed) and the disagg flags do nothing without it. Reject
 	// either mismatch rather than silently substitute defaults.
 	var fleetFlags, disaggFlags, linkFlags, frontFlags, scaleFlags []string
-	workersSet, breakerSet := false, false
+	breakerSet := false
 	visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "replicas", "policy":
@@ -622,8 +660,6 @@ func run(o options, visit func(func(*flag.Flag))) error {
 			breakerSet = true
 		case "autoscale-max", "autoscale-min", "autoscale-interval":
 			scaleFlags = append(scaleFlags, "-"+f.Name)
-		case "workers":
-			workersSet = true
 		}
 	})
 	// Breakers ride the online policy stack (TTFT-classified, and
@@ -646,12 +682,6 @@ func run(o options, visit func(func(*flag.Flag))) error {
 	if o.breakerFailures > 0 && o.slo.TTFT <= 0 && !o.disagg {
 		return fmt.Errorf("-breaker-failures classifies completions against the TTFT SLO: set -slo-ttft (with -disagg breakers are crash-fed instead)")
 	}
-	if workersSet && !o.disagg && o.replicas <= 1 {
-		return fmt.Errorf("-workers budgets the fleet simulation: it needs -replicas > 1")
-	}
-	if o.disagg && o.workers != 0 && o.workers != 1 {
-		return errSplitWorkers
-	}
 	if (fc.MTBF > 0 || fc.LinkDegradeFrac > 0 || fc.LinkPartitionFrac > 0 || fc.DomainMTBF > 0) && fc.Horizon <= 0 {
 		return fmt.Errorf("-mtbf, -domain-mtbf and the -link-* impairments need -fault-horizon to bound when failures can land")
 	}
@@ -668,7 +698,7 @@ func run(o options, visit func(func(*flag.Flag))) error {
 		return fmt.Errorf("fault injection needs a router to recover through: use fleet mode (-replicas > 1) or -disagg")
 	}
 	if o.disagg {
-		if s := strings.ToLower(o.sched); s != "tdpipe" && s != "td-pipe" {
+		if !tdpipeSched(o.sched) {
 			return fmt.Errorf("disaggregated mode (-disagg) requires -sched tdpipe, got %q", o.sched)
 		}
 		if len(fleetFlags) > 0 {
@@ -688,7 +718,7 @@ func run(o options, visit func(func(*flag.Flag))) error {
 	}
 
 	if o.replicas > 1 {
-		if s := strings.ToLower(o.sched); s != "tdpipe" && s != "td-pipe" {
+		if !tdpipeSched(o.sched) {
 			return fmt.Errorf("fleet mode (-replicas %d) requires -sched tdpipe, got %q", o.replicas, o.sched)
 		}
 		return runFleet(o, node, spec, pool, reqs, open)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -85,13 +86,16 @@ func TestReadmeFlagTableMatchesRegistration(t *testing.T) {
 	}
 }
 
+// errFlag marks a row whose arguments the flag set itself refuses.
+var errFlag = errors.New("flag error")
+
 // TestFleetFlagErrors runs flag combinations through the real mode
 // checks: a fleet size below one and an explicit -policy without fleet
 // mode must each fail with their named error instead of silently
-// running the single-engine path, and a -disagg worker budget the split
-// would ignore with its own; valid fleet invocations, an offline one
-// with -workers among them and fault injection together with a policy
-// flag, must run.
+// running the single-engine path, and so must a flag that tunes a
+// feature the invocation leaves off; -workers, which the fleet no
+// longer takes, is a flag error; valid fleet invocations, fault
+// injection together with a policy flag among them, must run.
 func TestFleetFlagErrors(t *testing.T) {
 	tiny := []string{"-requests", "8", "-pool", "64", "-oracle"}
 	cases := []struct {
@@ -104,10 +108,28 @@ func TestFleetFlagErrors(t *testing.T) {
 		{"policy without fleet", []string{"-replicas", "1", "-policy", "nosuch"}, errPolicyNoFleet},
 		{"valid policy without fleet", []string{"-policy", "least-work"}, errPolicyNoFleet},
 		{"fleet with policy", []string{"-replicas", "2", "-policy", "least-work"}, nil},
-		{"offline fleet with workers", []string{"-replicas", "4", "-workers", "2"}, nil},
-		{"disagg with workers", []string{"-disagg", "-workers", "2"}, errSplitWorkers},
-		{"disagg with auto workers", []string{"-disagg", "-workers", "-1"}, errSplitWorkers},
-		{"disagg with one worker", []string{"-disagg", "-workers", "1"}, nil},
+		{"offline fleet with workers", []string{"-replicas", "4", "-workers", "2"}, errFlag},
+		{"disagg with workers", []string{"-disagg", "-workers", "2"}, errFlag},
+		{"disagg with auto workers", []string{"-disagg", "-workers", "-1"}, errFlag},
+		{"disagg with one worker", []string{"-disagg", "-workers", "1"}, errFlag},
+		{"burst without admission", []string{"-replicas", "2", "-arrivals", "poisson", "-rate", "5", "-admit-burst", "4"}, errBurstNoAdmission},
+		{"burst with admission", []string{"-replicas", "2", "-arrivals", "poisson", "-rate", "5", "-admit-rate", "4", "-admit-burst", "4"}, nil},
+		{"autoscale min without max", []string{"-replicas", "2", "-arrivals", "poisson", "-rate", "5", "-autoscale-min", "2"}, errScaleNoMax},
+		{"autoscale interval without max", []string{"-replicas", "2", "-arrivals", "poisson", "-rate", "5", "-autoscale-interval", "2"}, errScaleNoMax},
+		{"autoscale min with max", []string{"-replicas", "2", "-arrivals", "poisson", "-rate", "5", "-autoscale-max", "2", "-autoscale-min", "2"}, nil},
+		{"straggler factor without stragglers", []string{"-replicas", "2", "-straggler-factor", "2"}, errFactorNoStraggler},
+		{"link degrade factor without frac", []string{"-disagg", "-link-degrade-factor", "2"}, errFactorNoDegrade},
+		{"prefix len without groups", []string{"-prefix-len", "64"}, errPrefixNoGroups},
+		{"prefix turns without groups", []string{"-prefix-turns", "2"}, errPrefixNoGroups},
+		{"prefix shape with groups", []string{"-prefix-groups", "2", "-prefix-len", "16", "-prefix-turns", "2"}, nil},
+		{"domain kind without domains", []string{"-replicas", "2", "-domain-kind", "network"}, errKindNoDomains},
+		{"max retries without crashes", []string{"-replicas", "2", "-max-retries", "2"}, errRecoveryNoCrashes},
+		{"restart delay without crashes", []string{"-replicas", "2", "-restart-delay", "1"}, errRecoveryNoCrashes},
+		{"restart delay with domain outages", []string{"-replicas", "2", "-fault-domains", "2", "-domain-mtbf", "30",
+			"-fault-horizon", "20", "-domain-kind", "network", "-restart-delay", "1"}, nil},
+		{"rate with instant arrivals", []string{"-rate", "5"}, errRateInstant},
+		{"rate with explicit instant arrivals", []string{"-arrivals", "instant", "-rate", "5"}, errRateInstant},
+		{"oracle with a baseline", []string{"-sched", "pp+sb"}, errOracleBaseline},
 		{"faults with admission", []string{"-replicas", "2", "-arrivals", "poisson", "-rate", "5",
 			"-mtbf", "30", "-fault-horizon", "20", "-admit-rate", "4"}, nil},
 		{"disagg autoscale with faults", []string{"-disagg", "-arrivals", "poisson", "-rate", "5",
@@ -118,10 +140,15 @@ func TestFleetFlagErrors(t *testing.T) {
 			var o options
 			fs := flag.NewFlagSet("tdpipe-sim", flag.ContinueOnError)
 			registerFlags(fs, &o)
-			if err := fs.Parse(append(tc.args, tiny...)); err != nil {
-				t.Fatal(err)
+			fs.SetOutput(io.Discard)
+			err := fs.Parse(append(tc.args, tiny...))
+			if err != nil {
+				if tc.want != errFlag {
+					t.Fatal(err)
+				}
+				return
 			}
-			err := run(o, fs.Visit)
+			err = run(o, fs.Visit)
 			if tc.want == nil && err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}

@@ -32,6 +32,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,35 +49,59 @@ func main() {
 		pool     = flag.Int("pool", 0, "corpus size (default: quick scale)")
 		seed     = flag.Int64("seed", 1, "trace seed")
 		paper    = flag.Bool("paper", false, "use paper-scale options (86,612-pair corpus, 5,000 requests)")
-		workers  = flag.Int("workers", 0, "fleet simulation workers for every fleet experiment (0/1 sequential, -1 auto: GOMAXPROCS on fleets of 16+ replicas; workers run replicas only after the last routing decision, at t=0 for closed-loop fleets); results are byte-identical across counts")
 	)
 	flag.Parse()
 
-	opts := experiments.Quick()
-	if *paper {
-		opts = experiments.Paper()
+	opts, err := options(*paper, *requests, *pool, *seed)
+	if err == nil {
+		err = run(os.Stdout, *exp, opts)
 	}
-	if *requests > 0 {
-		opts.Requests = *requests
-	}
-	if *pool > 0 {
-		opts.PoolSize = *pool
-	}
-	opts.Seed = *seed
-	opts.Workers = *workers
-
-	if err := run(os.Stdout, *exp, opts); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tdpipe:", err)
 		os.Exit(1)
 	}
 }
 
+// errNegativeScale rejects a -requests or -pool below zero, which would
+// otherwise fall back to the scale's default unnoticed.
+var errNegativeScale = errors.New("-requests and -pool take a size, or 0 for the scale's default")
+
+// options turns the scale flags into experiment options: the quick or
+// paper scale, with -requests and -pool overriding its sizes when
+// positive.
+func options(paper bool, requests, pool int, seed int64) (experiments.Options, error) {
+	if requests < 0 || pool < 0 {
+		return experiments.Options{}, fmt.Errorf("%w, got -requests %d -pool %d", errNegativeScale, requests, pool)
+	}
+	opts := experiments.Quick()
+	if paper {
+		opts = experiments.Paper()
+	}
+	if requests > 0 {
+		opts.Requests = requests
+	}
+	if pool > 0 {
+		opts.PoolSize = pool
+	}
+	opts.Seed = seed
+	return opts, nil
+}
+
 // run renders the selected experiments to w, building the shared Env
-// just before the first experiment that needs it.
+// just before the first experiment that needs it. Options are
+// validated before anything prints.
 func run(w io.Writer, exp string, opts experiments.Options) error {
 	exps, err := experiments.Select(exp)
 	if err != nil {
 		return err
+	}
+	for _, x := range exps {
+		if x.NeedsEnv {
+			if err := opts.Validate(); err != nil {
+				return err
+			}
+			break
+		}
 	}
 	var env *experiments.Env
 	for _, x := range exps {

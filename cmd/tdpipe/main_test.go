@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"go/parser"
 	"go/token"
 	"regexp"
@@ -30,6 +31,30 @@ func TestUnknownExperimentFailsUpFront(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error does not list %q: %v", name, err)
 		}
+	}
+}
+
+// TestScaleFlagErrors checks that a negative -requests or -pool is
+// refused instead of falling back to the quick defaults, and that
+// options out of Validate's bounds fail before the corpus banner
+// prints.
+func TestScaleFlagErrors(t *testing.T) {
+	for _, tc := range []struct{ requests, pool int }{{-5, -3}, {-5, 0}, {0, -3}} {
+		if _, err := options(false, tc.requests, tc.pool, 1); !errors.Is(err, errNegativeScale) {
+			t.Errorf("-requests %d -pool %d: err = %v, want %v", tc.requests, tc.pool, err, errNegativeScale)
+		}
+	}
+	opts, err := options(true, 0, 0, 7)
+	if err != nil || opts != (experiments.Options{PoolSize: 86612, Requests: 5000, Seed: 7}) {
+		t.Errorf("-paper: %+v, %v", opts, err)
+	}
+	var out bytes.Buffer
+	err = run(&out, "table1,fig11", experiments.Options{PoolSize: 2000, Requests: 3000, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "Requests 3000 exceeds PoolSize 2000") {
+		t.Errorf("oversized sample: err = %v", err)
+	}
+	if out.Len() > 0 {
+		t.Errorf("printed before rejecting the options:\n%s", out.String())
 	}
 }
 

@@ -22,12 +22,6 @@ type Options struct {
 	Requests int
 	// Seed drives trace generation and sampling.
 	Seed int64
-	// Workers budgets every fleet run's simulation workers (see
-	// fleet.ServeConfig.Workers): 0 or 1 is sequential and
-	// fleet.WorkersAuto GOMAXPROCS on large fleets;
-	// prefill/decode-split runs always use one.
-	// Results are byte-identical across worker counts.
-	Workers int
 }
 
 // Quick returns a scaled-down configuration for tests and benchmarks.
@@ -40,10 +34,22 @@ func Quick() Options { return Options{PoolSize: 20000, Requests: 4000, Seed: 1} 
 // Paper returns the paper-scale configuration (§4.1).
 func Paper() Options { return Options{PoolSize: 86612, Requests: 5000, Seed: 1} }
 
-// Validate reports an option error, if any.
+// The smallest corpus and sample Validate accepts.
+const (
+	minPoolSize = 100
+	minRequests = 10
+)
+
+// Validate reports an option error, if any, naming the bound that
+// failed.
 func (o Options) Validate() error {
-	if o.PoolSize < 100 || o.Requests < 10 || o.Requests > o.PoolSize {
-		return fmt.Errorf("experiments: bad options %+v", o)
+	switch {
+	case o.PoolSize < minPoolSize:
+		return fmt.Errorf("experiments: PoolSize %d is below the minimum of %d", o.PoolSize, minPoolSize)
+	case o.Requests < minRequests:
+		return fmt.Errorf("experiments: Requests %d is below the minimum of %d", o.Requests, minRequests)
+	case o.Requests > o.PoolSize:
+		return fmt.Errorf("experiments: Requests %d exceeds PoolSize %d", o.Requests, o.PoolSize)
 	}
 	return nil
 }

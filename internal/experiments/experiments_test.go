@@ -44,13 +44,19 @@ func TestOptionsValidate(t *testing.T) {
 	if err := Paper().Validate(); err != nil {
 		t.Error(err)
 	}
-	bad := Quick()
-	bad.Requests = bad.PoolSize + 1
-	if bad.Validate() == nil {
-		t.Error("sample larger than pool accepted")
-	}
-	if (Options{}).Validate() == nil {
-		t.Error("zero options accepted")
+	// Each refusal names the bound that failed.
+	for _, tc := range []struct {
+		o    Options
+		want string
+	}{
+		{Options{PoolSize: 2000, Requests: 2001}, "Requests 2001 exceeds PoolSize 2000"},
+		{Options{PoolSize: 99, Requests: 10}, "PoolSize 99 is below the minimum of 100"},
+		{Options{PoolSize: 2000, Requests: 9}, "Requests 9 is below the minimum of 10"},
+		{Options{}, "PoolSize 0 is below the minimum of 100"},
+	} {
+		if err := tc.o.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want one naming %q", tc.o, err, tc.want)
+		}
 	}
 }
 

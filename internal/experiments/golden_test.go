@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -16,12 +17,12 @@ const experimentsGoldenPath = "testdata/experiments_golden.txt"
 var goldenOptions = Options{PoolSize: 2000, Requests: 250, Seed: 1}
 
 // renderAll runs every catalog entry on one Env and concatenates what
-// the CLI prints for each, under a "== name ==" header.
+// the CLI prints for each, under a "== name ==" header. GOMAXPROCS is
+// set to workers meanwhile, which caps every fleet's worker pool.
 func renderAll(t *testing.T, workers int) string {
 	t.Helper()
-	o := goldenOptions
-	o.Workers = workers
-	env, err := NewEnv(o)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	env, err := NewEnv(goldenOptions)
 	if err != nil {
 		t.Fatal(err)
 	}

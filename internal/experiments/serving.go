@@ -50,13 +50,13 @@ func calibrate(study string, cfg core.Config, reqs []workload.Request) (metrics.
 }
 
 // serve runs reqs on a colocated fleet under a fresh dispatch policy of
-// the named kind (seeded and predicted from e), with e's worker budget.
+// the named kind (seeded and predicted from e).
 func serve(e *Env, cfg core.Config, reqs []workload.Request, policy string, sc fleet.ServeConfig) (*fleet.Result, error) {
 	p, err := fleet.New(policy, fleet.Options{Seed: e.Opts.Seed, Predictor: e.Classifier})
 	if err != nil {
 		return nil, err
 	}
-	sc.Policy, sc.Workers = p, e.Opts.Workers
+	sc.Policy = p
 	return fleet.Serve(cfg, reqs, sc)
 }
 

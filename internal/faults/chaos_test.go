@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -22,7 +23,7 @@ import (
 // disaggregated fleet, and by the fault layer together with a policy
 // stack of every component (admission, retry, breakers, autoscaler,
 // preemption) on a colocated fleet, with the parallel fabric at one and
-// four workers. Every run must satisfy the exactly-once invariant —
+// four workers (GOMAXPROCS 1 and 4, which size fleet.Serve's pool). Every run must satisfy the exactly-once invariant —
 // each trace request finished exactly once XOR carries a drop reason,
 // counted in Report.Faults.Dropped or Report.Admission.Dropped — and
 // every (scenario, fleet) pair must produce byte-identical reports
@@ -222,25 +223,25 @@ func TestChaosSweep(t *testing.T) {
 				}
 				legs := []struct {
 					name string
-					run  func(workers int) (outcome, error)
+					run  func() (outcome, error)
 				}{
-					{"online", func(workers int) (outcome, error) {
-						res, err := fleet.Serve(cfg, reqs, fleet.ServeConfig{Replicas: replicas, Policy: policy(), Workers: workers, Faults: plan})
+					{"online", func() (outcome, error) {
+						res, err := fleet.Serve(cfg, reqs, fleet.ServeConfig{Replicas: replicas, Policy: policy(), Faults: plan})
 						if err != nil {
 							return outcome{}, err
 						}
 						return outcome{res.Report, res.Records, res.Report.Faults.Dropped}, nil
 					}},
-					{"online+policy", func(workers int) (outcome, error) {
-						res, err := fleet.Serve(cfg, reqs, fleet.ServeConfig{Replicas: replicas, Policy: policy(), Workers: workers, Faults: plan, Stack: chaosStack(t, horizon)})
+					{"online+policy", func() (outcome, error) {
+						res, err := fleet.Serve(cfg, reqs, fleet.ServeConfig{Replicas: replicas, Policy: policy(), Faults: plan, Stack: chaosStack(t, horizon)})
 						if err != nil {
 							return outcome{}, err
 						}
 						return outcome{res.Report, res.Records, res.Report.Faults.Dropped + res.Report.Admission.Dropped}, nil
 					}},
-					{"disagg", func(workers int) (outcome, error) {
+					{"disagg", func() (outcome, error) {
 						d := dc
-						d.Workers, d.Faults = workers, plan
+						d.Faults = plan
 						res, err := fleet.Serve(cfg, reqs, d)
 						if err != nil {
 							return outcome{}, err
@@ -252,7 +253,10 @@ func TestChaosSweep(t *testing.T) {
 					var first string
 					for i, workers := range []int{1, 1, 4} {
 						label := fmt.Sprintf("%s workers=%d", leg.name, workers)
-						out, err := leg.run(workers)
+						out, err := func() (outcome, error) {
+							defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+							return leg.run()
+						}()
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}

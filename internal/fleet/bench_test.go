@@ -106,11 +106,12 @@ func BenchmarkOnlineFleetInactivePolicy(b *testing.B) {
 }
 
 // BenchmarkOnlineFleetParallel measures the conservative-parallel
-// online path on a 64-replica fleet, sweeping the worker count, once
-// under predicted-cost, which runs on a lazy fabric, and once under
-// prefix-affinity, whose probe-reading pick keeps the fabric eager. The
-// workers=1 legs are the sequential baseline (identical algorithm, no
-// goroutines); higher legs shard the fleet across cores while staying
+// online path on a 64-replica fleet, sweeping the worker count (each
+// leg sets GOMAXPROCS to it), once under predicted-cost, which runs on
+// a lazy fabric, and once under prefix-affinity, whose probe-reading
+// pick keeps the fabric eager. The workers=1 legs are the sequential
+// baseline (identical algorithm, no goroutines); higher legs shard the
+// fleet's build, finalize and tail across cores while staying
 // byte-identical. steps/s reports total simulator events processed
 // per wall-clock second. It is the kernel's rate, not served work: a
 // pipeline pass is one event however many stages it has, so compare
@@ -119,6 +120,7 @@ func BenchmarkOnlineFleetParallel(b *testing.B) {
 	reqs := workload.StampArrivals(workload.MustGenerate(workload.DefaultConfig(4000, 1)), workload.Poisson{Rate: 400}, 7)
 	sweep := func(b *testing.B, name, policy string, workers int) {
 		b.Run(name, func(b *testing.B) {
+			setProcs(b, workers)
 			b.ReportAllocs()
 			var steps uint64
 			start := time.Now()
@@ -127,7 +129,7 @@ func BenchmarkOnlineFleetParallel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 64, Policy: p, Workers: workers})
+				res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 64, Policy: p})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -150,7 +152,7 @@ func BenchmarkOnlineFleetParallel(b *testing.B) {
 // BenchmarkFleetScaling reports the kernel's wall time per event at 20,
 // 100 and 1,000 replicas under equal per-replica load: 10 requests per
 // replica arriving as a Poisson stream of one request per replica per
-// second, routed by predicted-cost on one worker (Llama-2-70B on four
+// second, routed by predicted-cost on GOMAXPROCS workers (Llama-2-70B on four
 // A100s, the end-to-end benchmark's deployment). Each replica does the
 // same work at every size, so a ns/event that grows with the fleet is
 // memory locality, not algorithm.
@@ -164,7 +166,7 @@ func BenchmarkFleetScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := mustPolicy(b, PredictedCost, Options{})
 				start := time.Now()
-				res, err := Serve(cfg, reqs, ServeConfig{Replicas: n, Policy: p, Workers: 1})
+				res, err := Serve(cfg, reqs, ServeConfig{Replicas: n, Policy: p})
 				elapsed += time.Since(start)
 				if err != nil {
 					b.Fatal(err)
@@ -192,7 +194,7 @@ func BenchmarkMilestoneFleet(b *testing.B) {
 			b.Fatal(err)
 		}
 		start := time.Now()
-		res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 1000, Policy: p, Workers: WorkersAuto})
+		res, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 1000, Policy: p})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,12 +28,13 @@ func TestParallelDisaggElasticInactiveStackByteIdentical(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := workload.StampArrivals(smallTrace(250, 7), workload.Poisson{Rate: 500}, 13)
 	for _, workers := range []int{1, 4} {
-		want, err := Serve(cfg, reqs, ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: workers})
+		setProcs(t, workers)
+		want, err := Serve(cfg, reqs, ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for _, stack := range []*policy.Stack{nil, {}} {
-			sc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: workers, Stack: stack}
+			sc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2, Stack: stack}
 			got, err := Serve(cfg, reqs, sc)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
@@ -42,7 +43,7 @@ func TestParallelDisaggElasticInactiveStackByteIdentical(t *testing.T) {
 				t.Fatalf("workers=%d: autoscaler-free stack diverges from the stackless split", workers)
 			}
 		}
-		sc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: workers, Stack: &policy.Stack{Admission: policy.NewTokenBucket(1, 1)}}
+		sc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2, Stack: &policy.Stack{Admission: policy.NewTokenBucket(1, 1)}}
 		if _, err := Serve(cfg, reqs, sc); !errors.Is(err, ErrSplitStack) {
 			t.Fatalf("workers=%d: admission on a split: err = %v, want %v", workers, err, ErrSplitStack)
 		}
@@ -55,7 +56,8 @@ func TestParallelDisaggElasticByteIdenticalToSequential(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := workload.StampArrivals(smallTrace(300, 9), workload.Poisson{Rate: 800}, 21)
 	run := func(workers int) []byte {
-		sc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 4, Workers: workers, Stack: decodeScalerStack(t, 4)}
+		setProcs(t, workers)
+		sc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 4, Stack: decodeScalerStack(t, 4)}
 		res, err := Serve(cfg, reqs, sc)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

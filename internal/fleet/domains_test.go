@@ -53,7 +53,8 @@ func TestRunOnlineFaultsDomainPower(t *testing.T) {
 	}
 	var prev []byte
 	for _, workers := range []int{1, 4} {
-		res, err := Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Faults: plan})
+		setProcs(t, workers)
+		res, err := Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}

@@ -35,12 +35,13 @@ func TestParallelElasticInactiveStackByteIdentical(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := workload.StampArrivals(smallTrace(250, 5), workload.Poisson{Rate: 400}, 17)
 	for _, workers := range []int{1, 4} {
-		want, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers})
+		setProcs(t, workers)
+		want, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{})})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for _, stack := range []*policy.Stack{nil, {}} {
-			got, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Stack: stack})
+			got, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Stack: stack})
 			if err != nil {
 				t.Fatalf("workers=%d stack=%v: %v", workers, stack, err)
 			}
@@ -63,7 +64,8 @@ func TestParallelElasticByteIdenticalToSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) []byte {
-		res, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Stack: elasticStack(t, 4)})
+		setProcs(t, workers)
+		res, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Stack: elasticStack(t, 4)})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

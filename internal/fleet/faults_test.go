@@ -312,7 +312,8 @@ func TestServeFaultsWithPolicy(t *testing.T) {
 	}
 	var prev []byte
 	for _, workers := range []int{1, 4} {
-		res, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Faults: plan, Stack: elasticStack(t, 4)})
+		setProcs(t, workers)
+		res, err := Serve(cfg, reqs, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan, Stack: elasticStack(t, 4)})
 		if err != nil {
 			t.Fatal(err)
 		}

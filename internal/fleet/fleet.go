@@ -8,9 +8,9 @@
 // layer (faults.go) and policy layer (elastic.go) that compose on any
 // run. Every mode runs its replicas on the conservative co-simulation
 // fabric (parallel.go), whose workers take only per-replica work that
-// no control event separates (a prefill/decode split leaves them none,
-// and runs on one), so reports are byte-identical across worker
-// counts.
+// no control event separates. Serve sizes that pool from GOMAXPROCS (a
+// prefill/decode split leaves it nothing, and runs on one worker), and
+// reports are byte-identical at every count.
 //
 // Routing is pluggable: a Policy picks a replica per request
 // (round-robin, seeded random, least known work, or predicted-cost
@@ -21,6 +21,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -96,17 +97,6 @@ type ServeConfig struct {
 	// ranks first. Under an autoscaler, DecodeReplicas is the
 	// provisioned decode pool it scales inside.
 	PrefillReplicas, DecodeReplicas int
-	// Workers budgets the fabric's worker pool, which runs replicas
-	// only where no control event separates them: 0 or 1 is
-	// sequential, WorkersAuto GOMAXPROCS for fleets of at least
-	// AutoWorkerThreshold replicas (see ResolveWorkers). Every run
-	// builds and finalizes its engines on the pool and runs its
-	// replicas there after the last control event (for a closed-loop
-	// trace without layers, after the t=0 arrivals). A split fleet's
-	// coordinator advances both pools through the last hand-off,
-	// which leaves a pool nothing to run, so it always runs on one
-	// worker.
-	Workers int
 	// Faults and Stack attach the fault and policy layers, alone or
 	// together; nil or inactive attaches none. A split fleet's plan
 	// indexes the prefill pool first, then decode: crashes hit both
@@ -118,9 +108,18 @@ type ServeConfig struct {
 	Stack  *policy.Stack
 }
 
-// DisaggConfig is ServeConfig, kept for its only caller, the
-// end-to-end benchmark harness (cmd/tdpipe-bench).
-type DisaggConfig = ServeConfig
+// DisaggConfig is the split fleet the end-to-end benchmark harness
+// (cmd/tdpipe-bench), its only caller, hands RunDisaggFaults. Workers
+// predates Serve's own worker count: RunDisaggFaults takes only 0 or
+// 1, the one worker a split runs on.
+type DisaggConfig struct {
+	PrefillReplicas, DecodeReplicas, Workers int
+	Stack                                    *policy.Stack
+}
+
+// ErrSplitWorkers reports a DisaggConfig asking for more than the one
+// worker a split fleet runs on.
+var ErrSplitWorkers = errors.New("fleet: a split fleet runs on one worker: Workers takes only 0 or 1")
 
 // The errors ServeConfig.Validate wraps, one per bad mix.
 var (
@@ -177,8 +176,14 @@ func (sc ServeConfig) Validate() error {
 }
 
 // Serve runs reqs on the fleet sc describes, every replica a copy of
-// cfg, deterministically for a fixed trace, config and policy seed,
-// and byte-identically at every sc.Workers count.
+// cfg, deterministically for a fixed trace, config and policy seed.
+//
+// Serve sizes the fabric's worker pool itself (see parallel.go): a
+// colocated fleet gets one worker per GOMAXPROCS, at most one per
+// replica, and a split fleet one, since its coordinator advances both
+// pools through the last hand-off and leaves a pool nothing to run.
+// Result.Workers reports the count, and reports are byte-identical at
+// every count.
 //
 // Every run goes through the router: all engines share one virtual
 // clock and each request is routed at its arrival instant on a live,
@@ -218,6 +223,11 @@ func (sc ServeConfig) Validate() error {
 // for any replica included; a plain run fails on it), so Requests +
 // Faults.Dropped + Admission.Dropped is the trace length.
 func Serve(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, error) {
+	return serve(cfg, reqs, sc, runtime.GOMAXPROCS(0))
+}
+
+// serve is Serve on at most maxWorkers workers (at least one).
+func serve(cfg core.Config, reqs []workload.Request, sc ServeConfig, maxWorkers int) (*Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -225,7 +235,7 @@ func Serve(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, e
 		return nil, err
 	}
 	var pools []*pool
-	workers := sc.Workers
+	workers := 1
 	if sc.split() {
 		pre, err := New(LeastWork, Options{Predictor: cfg.Predictor})
 		if err != nil {
@@ -236,11 +246,9 @@ func Serve(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, e
 			return nil, err
 		}
 		pools = []*pool{newPool("prefill ", sc.PrefillReplicas, pre), newPool("decode ", sc.DecodeReplicas, dec)}
-		// The coordinator advances both pools through the last
-		// hand-off, which leaves a worker pool nothing to run.
-		workers = 1
 	} else {
 		pools = []*pool{newPool("", sc.Replicas, sc.Policy)}
+		workers = max(min(maxWorkers, sc.Replicas), 1)
 	}
 	ro, err := newRouter(cfg, reqs, workers, sc.Faults, sc.Stack, pools...)
 	if err != nil {
@@ -262,23 +270,27 @@ func Serve(cfg core.Config, reqs []workload.Request, sc ServeConfig) (*Result, e
 	return res, nil
 }
 
-// RunOnlineWorkers is Serve without layers, kept for its only caller,
-// the end-to-end benchmark harness (cmd/tdpipe-bench).
+// RunOnlineWorkers is Serve without layers on at most workers workers
+// (one for 1 or less), kept for its only caller, the end-to-end
+// benchmark harness (cmd/tdpipe-bench), whose workloads pin their
+// worker counts.
 func RunOnlineWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, workers int) (*Result, error) {
-	return Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: p, Workers: workers})
+	return serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: p}, workers)
 }
 
-// RunOnlineElasticWorkers is Serve with a policy stack, kept for its
-// only caller, the end-to-end benchmark harness (cmd/tdpipe-bench).
+// RunOnlineElasticWorkers is RunOnlineWorkers with a policy stack, kept
+// for the same caller.
 func RunOnlineElasticWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, stack *policy.Stack, workers int) (*Result, error) {
-	return Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: p, Workers: workers, Stack: stack})
+	return serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: p, Stack: stack}, workers)
 }
 
 // RunDisaggFaults is Serve on a split fleet under plan, kept for its
 // only caller, the end-to-end benchmark harness (cmd/tdpipe-bench).
 func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, plan *faults.Plan) (*Result, error) {
-	dc.Faults = plan
-	return Serve(cfg, reqs, dc)
+	if dc.Workers > 1 {
+		return nil, fmt.Errorf("%w, got %d", ErrSplitWorkers, dc.Workers)
+	}
+	return Serve(cfg, reqs, ServeConfig{PrefillReplicas: dc.PrefillReplicas, DecodeReplicas: dc.DecodeReplicas, Stack: dc.Stack, Faults: plan})
 }
 
 // foldReport builds a fleet-level report, the one fold every fleet mode

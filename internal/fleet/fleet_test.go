@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +39,14 @@ func mustPolicy(t testing.TB, name string, opts Options) Policy {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// setProcs sets GOMAXPROCS to n until t ends. Serve gives a colocated
+// fleet one worker per GOMAXPROCS, so tests force a worker count
+// through it.
+func setProcs(t testing.TB, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 func TestRegistry(t *testing.T) {
@@ -287,6 +297,7 @@ func TestRunEmptyShards(t *testing.T) {
 // the engines under -race from multiple dispatchers at once, each a
 // closed-loop fleet on a two-worker fabric.
 func TestConcurrentFleetsRace(t *testing.T) {
+	setProcs(t, 2)
 	reqs := smallTrace(120, 10)
 	var wg sync.WaitGroup
 	for _, name := range []string{RoundRobin, PredictedCost} {
@@ -298,7 +309,7 @@ func TestConcurrentFleetsRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 4, Policy: p, Workers: 2}); err != nil {
+			if _, err := Serve(fastConfig(2), reqs, ServeConfig{Replicas: 4, Policy: p}); err != nil {
 				t.Error(err)
 			}
 		}(name)
@@ -397,33 +408,58 @@ func TestPredictedCostFallsBackToOracle(t *testing.T) {
 	}
 }
 
-// TestServeDefaultWorkers pins that Serve reads Workers one way on
-// closed-loop and on stamped traces (ResolveWorkers): 0 is sequential,
-// so is WorkersAuto below AutoWorkerThreshold replicas, and an explicit
-// count holds.
+// TestServeDefaultWorkers pins the worker count Serve picks, one way
+// on closed-loop and on stamped traces: a colocated fleet gets one
+// worker per GOMAXPROCS, at most one per replica, and a split fleet
+// one.
 func TestServeDefaultWorkers(t *testing.T) {
 	closed := smallTrace(40, 5)
 	open := workload.StampArrivals(closed, workload.Poisson{Rate: 200}, 7)
-	for _, tc := range []struct {
-		name    string
-		reqs    []workload.Request
-		workers int
-		want    int
-	}{
-		{"closed default", closed, 0, 1},
-		{"closed auto", closed, WorkersAuto, 1},
-		{"closed explicit", closed, 2, 2},
-		{"open default", open, 0, 1},
-		{"open auto", open, WorkersAuto, 1},
-		{"open explicit", open, 2, 2},
-	} {
-		sc := ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: tc.workers}
-		res, err := Serve(fastConfig(2), tc.reqs, sc)
+	for _, procs := range []int{1, 2, 4, 8} {
+		setProcs(t, procs)
+		for _, tc := range []struct {
+			name string
+			reqs []workload.Request
+			sc   ServeConfig
+			want int
+		}{
+			{"closed", closed, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{})}, min(procs, 4)},
+			{"open", open, ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{})}, min(procs, 4)},
+			{"open split", open, ServeConfig{PrefillReplicas: 2, DecodeReplicas: 2}, 1},
+		} {
+			res, err := Serve(fastConfig(2), tc.reqs, tc.sc)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", tc.name, procs, err)
+			}
+			if res.Workers != tc.want {
+				t.Errorf("%s at GOMAXPROCS %d: %d workers, want %d", tc.name, procs, res.Workers, tc.want)
+			}
+		}
+	}
+}
+
+// TestBenchShimWorkers pins the worker counts the benchmark harness's
+// shims keep: RunOnlineWorkers runs on the count it is given (one for
+// 1 or less), whatever GOMAXPROCS is, and RunDisaggFaults refuses more
+// than the one worker a split runs on.
+func TestBenchShimWorkers(t *testing.T) {
+	setProcs(t, 4)
+	reqs := workload.StampArrivals(smallTrace(40, 5), workload.Poisson{Rate: 200}, 7)
+	for _, tc := range []struct{ workers, want int }{{-1, 1}, {0, 1}, {1, 1}, {2, 2}, {8, 4}} {
+		res, err := RunOnlineWorkers(fastConfig(2), 4, mustPolicy(t, LeastWork, Options{}), reqs, tc.workers)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatal(err)
 		}
 		if res.Workers != tc.want {
-			t.Errorf("%s: %d workers, want %d", tc.name, res.Workers, tc.want)
+			t.Errorf("RunOnlineWorkers(%d): %d workers, want %d", tc.workers, res.Workers, tc.want)
 		}
+	}
+	for _, w := range []int{0, 1} {
+		if _, err := RunDisaggFaults(fastConfig(2), DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: w}, reqs, nil); err != nil {
+			t.Errorf("RunDisaggFaults at Workers %d: %v", w, err)
+		}
+	}
+	if _, err := RunDisaggFaults(fastConfig(2), DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: 2}, reqs, nil); !errors.Is(err, ErrSplitWorkers) {
+		t.Errorf("RunDisaggFaults at Workers 2: err = %v, want %v", err, ErrSplitWorkers)
 	}
 }

@@ -26,7 +26,7 @@ const routerGoldenPath = "testdata/router_golden.json"
 // check asserts that the run really exercised the layers it names.
 type goldenRun struct {
 	name  string
-	run   func(t *testing.T, workers int) goldenOut
+	run   func(t *testing.T) goldenOut
 	check func(t *testing.T, out goldenOut)
 }
 
@@ -139,8 +139,8 @@ func goldenRuns() []goldenRun {
 	noCache.DisablePrefixCache = true
 	const faultHorizon = 0.2
 	return []goldenRun{
-		{name: "offline-predicted-8", run: func(t *testing.T, workers int) goldenOut {
-			res, err := Serve(cfg, closed, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PredictedCost, Options{Seed: 1}), Workers: workers})
+		{name: "offline-predicted-8", run: func(t *testing.T) goldenOut {
+			res, err := Serve(cfg, closed, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PredictedCost, Options{Seed: 1})})
 			return serveOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
 			rep := out.Report
@@ -148,32 +148,32 @@ func goldenRuns() []goldenRun {
 				t.Errorf("closed-loop run without layers lost its Fleet label: %s", rep.Scheduler)
 			}
 		}},
-		{name: "offline-prefix-4", run: func(t *testing.T, workers int) goldenOut {
-			res, err := Serve(cfg, closedPrefix, ServeConfig{Replicas: 4, Policy: mustPolicy(t, PrefixAffinity, Options{}), Workers: workers})
+		{name: "offline-prefix-4", run: func(t *testing.T) goldenOut {
+			res, err := Serve(cfg, closedPrefix, ServeConfig{Replicas: 4, Policy: mustPolicy(t, PrefixAffinity, Options{})})
 			return serveOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
 			if rep := out.Report; !strings.HasPrefix(rep.Scheduler, "Fleet(") || rep.PrefixCachedTokens == 0 {
 				t.Errorf("closed-loop prefix run: %s, %d cached tokens", rep.Scheduler, rep.PrefixCachedTokens)
 			}
 		}},
-		{name: "offline-prefix-nocache-4", run: func(t *testing.T, workers int) goldenOut {
-			res, err := Serve(noCache, closedPrefix, ServeConfig{Replicas: 4, Policy: mustPolicy(t, PrefixAffinity, Options{}), Workers: workers})
+		{name: "offline-prefix-nocache-4", run: func(t *testing.T) goldenOut {
+			res, err := Serve(noCache, closedPrefix, ServeConfig{Replicas: 4, Policy: mustPolicy(t, PrefixAffinity, Options{})})
 			return serveOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
 			if rep := out.Report; rep.PrefixCachedTokens != 0 {
 				t.Errorf("prefix cache off, yet %d cached tokens", rep.PrefixCachedTokens)
 			}
 		}},
-		{name: "offline-decode-affinity-2", run: func(t *testing.T, workers int) goldenOut {
-			res, err := Serve(cfg, closedPrefix, ServeConfig{Replicas: 2, Policy: mustPolicy(t, DecodeAffinity, Options{}), Workers: workers})
+		{name: "offline-decode-affinity-2", run: func(t *testing.T) goldenOut {
+			res, err := Serve(cfg, closedPrefix, ServeConfig{Replicas: 2, Policy: mustPolicy(t, DecodeAffinity, Options{})})
 			return serveOut(t, res, err)
 		}},
-		{name: "offline-least-work-1", run: func(t *testing.T, workers int) goldenOut {
-			res, err := Serve(cfg, closedPrefix, ServeConfig{Replicas: 1, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers})
+		{name: "offline-least-work-1", run: func(t *testing.T) goldenOut {
+			res, err := Serve(cfg, closedPrefix, ServeConfig{Replicas: 1, Policy: mustPolicy(t, LeastWork, Options{})})
 			return serveOut(t, res, err)
 		}},
-		{name: "online-prefix-8", run: func(t *testing.T, workers int) goldenOut {
-			res, err := Serve(cfg, prefix, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PrefixAffinity, Options{}), Workers: workers})
+		{name: "online-prefix-8", run: func(t *testing.T) goldenOut {
+			res, err := Serve(cfg, prefix, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PrefixAffinity, Options{})})
 			return serveOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
 			rep := out.Report
@@ -181,21 +181,21 @@ func goldenRuns() []goldenRun {
 				t.Error("no prefix reuse")
 			}
 		}},
-		{name: "online-predicted-64", run: func(t *testing.T, workers int) goldenOut {
-			res, err := Serve(cfg, goldenPoissonTrace(), ServeConfig{Replicas: 64, Policy: mustPolicy(t, PredictedCost, Options{}), Workers: workers})
+		{name: "online-predicted-64", run: func(t *testing.T) goldenOut {
+			res, err := Serve(cfg, goldenPoissonTrace(), ServeConfig{Replicas: 64, Policy: mustPolicy(t, PredictedCost, Options{})})
 			return serveOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
 			if rep := out.Report; !strings.HasPrefix(rep.Scheduler, "FleetOnline(") {
 				t.Errorf("Poisson run left the plain router: %s", rep.Scheduler)
 			}
 		}},
-		{name: "online-prefix-1", run: func(t *testing.T, workers int) goldenOut {
-			res, err := Serve(cfg, prefix, ServeConfig{Replicas: 1, Policy: mustPolicy(t, PrefixAffinity, Options{}), Workers: workers})
+		{name: "online-prefix-1", run: func(t *testing.T) goldenOut {
+			res, err := Serve(cfg, prefix, ServeConfig{Replicas: 1, Policy: mustPolicy(t, PrefixAffinity, Options{})})
 			return serveOut(t, res, err)
 		}},
-		{name: "online-faults", run: func(t *testing.T, workers int) goldenOut {
+		{name: "online-faults", run: func(t *testing.T) goldenOut {
 			plan := goldenFaultPlan(t, 6, faultHorizon)
-			res, err := Serve(cfg, faultReqs, ServeConfig{Replicas: 6, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Faults: plan})
+			res, err := Serve(cfg, faultReqs, ServeConfig{Replicas: 6, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan})
 			return serveOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
 			rep := out.Report
@@ -204,12 +204,12 @@ func goldenRuns() []goldenRun {
 				t.Errorf("fault layer idle: %+v", f)
 			}
 		}},
-		{name: "online-elastic", run: func(t *testing.T, workers int) goldenOut {
+		{name: "online-elastic", run: func(t *testing.T) goldenOut {
 			pcfg := fastConfig(1)
 			pcfg.MemUtilization = 0.0005
 			stack := elasticStack(t, 4)
 			stack.Admission = policy.NewTokenBucket(2500, 32)
-			res, err := Serve(pcfg, goldenPriorityTrace(t), ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Stack: stack})
+			res, err := Serve(pcfg, goldenPriorityTrace(t), ServeConfig{Replicas: 4, Policy: mustPolicy(t, LeastWork, Options{}), Stack: stack})
 			return serveOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
 			rep := out.Report
@@ -218,9 +218,9 @@ func goldenRuns() []goldenRun {
 				t.Errorf("policy layer idle: %+v %+v", a, s)
 			}
 		}},
-		{name: "online-faults-elastic", run: func(t *testing.T, workers int) goldenOut {
+		{name: "online-faults-elastic", run: func(t *testing.T) goldenOut {
 			plan := goldenFaultPlan(t, 6, faultHorizon)
-			res, err := Serve(cfg, goldenPriorityTrace(t), ServeConfig{Replicas: 6, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Faults: plan, Stack: elasticStack(t, 6)})
+			res, err := Serve(cfg, goldenPriorityTrace(t), ServeConfig{Replicas: 6, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan, Stack: elasticStack(t, 6)})
 			return serveOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
 			f, a, s := out.Report.Faults, out.Report.Admission, out.Report.Autoscale
@@ -228,12 +228,12 @@ func goldenRuns() []goldenRun {
 				t.Errorf("layers idle: %+v %+v %+v", f, a, s)
 			}
 		}},
-		{name: "disagg", run: func(t *testing.T, workers int) goldenOut {
-			res, err := Serve(cfg, faultReqs, ServeConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers})
+		{name: "disagg", run: func(t *testing.T) goldenOut {
+			res, err := Serve(cfg, faultReqs, ServeConfig{PrefillReplicas: 3, DecodeReplicas: 5})
 			return disaggOut(t, res, err)
 		}},
-		{name: "disagg-faults", run: func(t *testing.T, workers int) goldenOut {
-			sc := ServeConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Faults: goldenFaultPlan(t, 8, faultHorizon)}
+		{name: "disagg-faults", run: func(t *testing.T) goldenOut {
+			sc := ServeConfig{PrefillReplicas: 3, DecodeReplicas: 5, Faults: goldenFaultPlan(t, 8, faultHorizon)}
 			res, err := Serve(cfg, faultReqs, sc)
 			return disaggOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
@@ -242,9 +242,9 @@ func goldenRuns() []goldenRun {
 				t.Errorf("fault layer idle: %+v, %d hand-offs", f, out.Disagg.Handoffs)
 			}
 		}},
-		{name: "disagg-faults-breakers", run: func(t *testing.T, workers int) goldenOut {
+		{name: "disagg-faults-breakers", run: func(t *testing.T) goldenOut {
 			stack := &policy.Stack{Breaker: &policy.BreakerConfig{FailureThreshold: 2, Cooldown: faultHorizon / 4}}
-			sc := ServeConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Stack: stack, Faults: goldenFaultPlan(t, 8, faultHorizon)}
+			sc := ServeConfig{PrefillReplicas: 3, DecodeReplicas: 5, Stack: stack, Faults: goldenFaultPlan(t, 8, faultHorizon)}
 			res, err := Serve(cfg, faultReqs, sc)
 			return disaggOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
@@ -253,10 +253,10 @@ func goldenRuns() []goldenRun {
 				t.Errorf("crash-fed breakers idle: %+v %+v", out.Report.Faults, a)
 			}
 		}},
-		{name: "disagg-faults-policy", run: func(t *testing.T, workers int) goldenOut {
+		{name: "disagg-faults-policy", run: func(t *testing.T) goldenOut {
 			stack := decodeScalerStack(t, 5)
 			stack.Breaker = &policy.BreakerConfig{FailureThreshold: 2, Cooldown: faultHorizon / 4}
-			sc := ServeConfig{PrefillReplicas: 3, DecodeReplicas: 5, Workers: workers, Stack: stack, Faults: goldenFaultPlan(t, 8, faultHorizon)}
+			sc := ServeConfig{PrefillReplicas: 3, DecodeReplicas: 5, Stack: stack, Faults: goldenFaultPlan(t, 8, faultHorizon)}
 			res, err := Serve(cfg, faultReqs, sc)
 			return disaggOut(t, res, err)
 		}, check: func(t *testing.T, out goldenOut) {
@@ -288,7 +288,8 @@ func TestParallelRouterGolden(t *testing.T) {
 	got := map[string]string{}
 	for _, g := range goldenRuns() {
 		for _, workers := range []int{1, 4} {
-			out := g.run(t, workers)
+			setProcs(t, workers)
+			out := g.run(t)
 			if g.check != nil && workers == 1 {
 				g.check(t, out)
 			}

@@ -114,7 +114,7 @@ func TestRetryBudgetBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := fastConfig(2)
-			ro, err := newRouter(cfg, reqs, 0, plan, nil, f.pools(t)...)
+			ro, err := newRouter(cfg, reqs, 1, plan, nil, f.pools(t)...)
 			if err != nil {
 				t.Fatal(err)
 			}

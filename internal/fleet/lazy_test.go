@@ -155,13 +155,14 @@ func TestLazyPicksMatchEager(t *testing.T) {
 	defer func() { syncCheck = nil }()
 	for _, r := range runs {
 		for _, workers := range []int{1, 4} {
+			setProcs(t, workers)
 			var outs [2][]byte
 			var rep metrics.Report
 			for i, hook := range []func(int, sim.Time, sim.Time){nil, check} {
 				syncCheck = hook
 				finishes.Store(0)
 				late.Store(0)
-				sc := ServeConfig{Replicas: r.replicas, Policy: mustPolicy(t, r.policy, Options{Seed: 3}), Workers: workers}
+				sc := ServeConfig{Replicas: r.replicas, Policy: mustPolicy(t, r.policy, Options{Seed: 3})}
 				if r.stack != nil {
 					sc.Stack = r.stack()
 				}
@@ -202,8 +203,9 @@ func TestLazyPicksMatchEager(t *testing.T) {
 	syncCheck = check
 	for _, g := range goldenRuns() {
 		for _, workers := range []int{1, 4} {
+			setProcs(t, workers)
 			late.Store(0)
-			b, err := json.Marshal(g.run(t, workers))
+			b, err := json.Marshal(g.run(t))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -99,9 +99,9 @@ func TestTreePicksMatchScan(t *testing.T) {
 			runs = append(runs, g)
 		}
 	}
-	runs = append(runs, goldenRun{name: "online-autoscaler", run: func(t *testing.T, workers int) goldenOut {
+	runs = append(runs, goldenRun{name: "online-autoscaler", run: func(t *testing.T) goldenOut {
 		stack := &policy.Stack{Autoscaler: elasticStack(t, 6).Autoscaler}
-		res, err := Serve(fastConfig(2), goldenPoissonTrace(), ServeConfig{Replicas: 6, Policy: mustPolicy(t, PredictedCost, Options{}), Workers: workers, Stack: stack})
+		res, err := Serve(fastConfig(2), goldenPoissonTrace(), ServeConfig{Replicas: 6, Policy: mustPolicy(t, PredictedCost, Options{}), Stack: stack})
 		out := serveOut(t, res, err)
 		if s := out.Report.Autoscale; s.ScaleUps == 0 || s.ScaleDowns == 0 {
 			t.Errorf("autoscaler idle: %+v", s)
@@ -132,8 +132,9 @@ func TestTreePicksMatchScan(t *testing.T) {
 	defer func() { treeCheck = nil }()
 	for _, g := range runs {
 		for _, workers := range []int{1, 4} {
+			setProcs(t, workers)
 			picks, loaded, mismatches = 0, 0, 0
-			g.run(t, workers)
+			g.run(t)
 			if picks == 0 || loaded == 0 {
 				t.Errorf("%s workers=%d: %d tree picks, %d of them among loaded replicas", g.name, workers, picks, loaded)
 			}

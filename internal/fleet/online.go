@@ -178,7 +178,7 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 	// each control horizon first (discovering hand-offs), and the decode
 	// tier follows only after their transfer completions are on the
 	// control timeline.
-	fab := newFabric(ResolveWorkers(workers, total))
+	fab := newFabric(workers)
 	for tier, p := range pools {
 		fab.addTier(tier, len(p.out))
 	}

@@ -239,7 +239,7 @@ func drivenRouter(t testing.TB, reqs []workload.Request, stack *policy.Stack, po
 // newTestRouter builds a router for reqs over pools, not yet driven.
 func newTestRouter(t testing.TB, reqs []workload.Request, stack *policy.Stack, pools ...*pool) *router {
 	t.Helper()
-	ro, err := newRouter(fastConfig(2), reqs, 0, nil, stack, pools...)
+	ro, err := newRouter(fastConfig(2), reqs, 1, nil, stack, pools...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 
@@ -60,37 +59,21 @@ import (
 // coordinator, finish hooks write no shared state (fabric.tail). The
 // determinism suite (parallel_test.go) enforces this for online,
 // disagg, prefix-affinity and fault runs, and
-// TestLazyPicksMatchEager holds lazy runs to the eager schedule. A
-// split fleet's coordinator advances both tiers through the last
-// hand-off, which leaves a pool nothing to run, so Serve gives a split
-// fleet one worker whatever it asks for.
+// TestLazyPicksMatchEager holds lazy runs to the eager schedule; both
+// force a worker count through GOMAXPROCS.
+//
+// The worker count is the machine's, not the deployment's: Serve gives
+// a colocated fleet one worker per GOMAXPROCS, at most one per replica.
+// On the 1000-replica online benchmark two workers cut the run call's
+// wall time by about a third against one (EXPERIMENTS.md), and at 64
+// replicas they neither gain nor lose. A split fleet's coordinator
+// advances both tiers through the last hand-off, which leaves a pool
+// nothing to run, so a split fleet gets one worker.
 //
 // Tie semantics: control events at instant t execute before replica
 // events at t, so runs can differ from a single shared event heap only
 // when a replica event collides with a transfer completion scheduled
 // mid-run at the exact same float64 instant.
-
-// WorkersAuto requests automatic worker selection: GOMAXPROCS when the
-// fleet has at least AutoWorkerThreshold replicas, sequential below
-// that, where the per-replica work workers take (see the header) is
-// too little to pay for the pool.
-const WorkersAuto = -1
-
-// AutoWorkerThreshold is the fleet size at which WorkersAuto switches
-// from sequential to GOMAXPROCS workers.
-const AutoWorkerThreshold = 16
-
-// ResolveWorkers maps a worker request (0 or 1 = sequential, negative
-// = auto) to the concrete worker count for a fleet of the given size.
-func ResolveWorkers(workers, replicas int) int {
-	if workers < 0 {
-		if replicas < AutoWorkerThreshold {
-			return 1
-		}
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return max(min(workers, replicas), 1)
-}
 
 // handoffNote is one cross-replica notification buffered by a prefill
 // engine's hook: replica's engine exported a finished prefix
@@ -167,8 +150,8 @@ type fabric struct {
 // finish.
 var syncCheck func(replica int, at, now sim.Time)
 
-// newFabric builds a fabric with a worker count from ResolveWorkers.
-// Tiers are added before any engines are constructed.
+// newFabric builds a fabric whose forEach fans out to the given number
+// of workers. Tiers are added before any engines are constructed.
 func newFabric(workers int) *fabric {
 	return &fabric{ctl: sim.NewEngine(), workers: workers}
 }

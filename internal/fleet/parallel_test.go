@@ -15,8 +15,9 @@ import (
 
 // The headline guarantee of the parallel fabric: for every router,
 // reports and per-request records are byte-identical across worker
-// counts. Sequential (workers=1) is the reference; 2/4/8 must match it
-// bit for bit.
+// counts, which the tests force through GOMAXPROCS (setProcs).
+// Sequential (workers=1) is the reference; 2/4/8 must match it bit for
+// bit.
 
 var workerSweep = []int{2, 4, 8}
 
@@ -36,7 +37,8 @@ func TestParallelOnlineByteIdenticalToSequential(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := workload.StampArrivals(smallTrace(400, 3), workload.Poisson{Rate: 300}, 9)
 	run := func(workers int) []byte {
-		res, err := Serve(cfg, reqs, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PredictedCost, Options{Seed: 1}), Workers: workers})
+		setProcs(t, workers)
+		res, err := Serve(cfg, reqs, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PredictedCost, Options{Seed: 1})})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -54,7 +56,8 @@ func TestParallelPrefixAffinityByteIdenticalToSequential(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := prefixOnlineTrace(300, 41, 8000, 32, 512)
 	run := func(workers int) []byte {
-		res, err := Serve(cfg, reqs, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PrefixAffinity, Options{}), Workers: workers})
+		setProcs(t, workers)
+		res, err := Serve(cfg, reqs, ServeConfig{Replicas: 8, Policy: mustPolicy(t, PrefixAffinity, Options{})})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -72,7 +75,8 @@ func TestParallelDisaggByteIdenticalToSequential(t *testing.T) {
 	cfg := fastConfig(2)
 	reqs := workload.StampArrivals(smallTrace(300, 7), workload.Poisson{Rate: 500}, 13)
 	run := func(workers int) []byte {
-		dc := ServeConfig{PrefillReplicas: 4, DecodeReplicas: 4, Workers: workers}
+		setProcs(t, workers)
+		dc := ServeConfig{PrefillReplicas: 4, DecodeReplicas: 4}
 		res, err := Serve(cfg, reqs, dc)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -104,7 +108,8 @@ func TestParallelOnlineFaultsByteIdenticalToSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) []byte {
-		res, err := Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Faults: plan})
+		setProcs(t, workers)
+		res, err := Serve(cfg, reqs, ServeConfig{Replicas: replicas, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -142,8 +147,9 @@ func TestParallelDisaggFaultsByteIdenticalToSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) []byte {
+		setProcs(t, workers)
 		wdc := dc
-		wdc.Workers, wdc.Faults = workers, plan
+		wdc.Faults = plan
 		res, err := Serve(cfg, reqs, wdc)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -182,7 +188,8 @@ func TestParallelCrossShardBoundaryProperty(t *testing.T) {
 			},
 		}
 		online := func(workers int) []byte {
-			res, err := Serve(cfg, reqs, ServeConfig{Replicas: 6, Policy: mustPolicy(t, LeastWork, Options{}), Workers: workers, Faults: plan})
+			setProcs(t, workers)
+			res, err := Serve(cfg, reqs, ServeConfig{Replicas: 6, Policy: mustPolicy(t, LeastWork, Options{}), Faults: plan})
 			if err != nil {
 				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
 			}
@@ -190,7 +197,8 @@ func TestParallelCrossShardBoundaryProperty(t *testing.T) {
 			return fullJSON(t, res.Report, res.Records)
 		}
 		disagg := func(workers int) []byte {
-			dc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 4, Workers: workers, Faults: plan}
+			setProcs(t, workers)
+			dc := ServeConfig{PrefillReplicas: 2, DecodeReplicas: 4, Faults: plan}
 			res, err := Serve(cfg, reqs, dc)
 			if err != nil {
 				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
@@ -281,7 +289,7 @@ func TestParallelForEachCoversEveryReplica(t *testing.T) {
 	for n := 1; n <= 17; n++ {
 		for tiers := 1; tiers <= min(2, n); tiers++ {
 			for w := 1; w <= 8; w++ {
-				f := newFabric(ResolveWorkers(w, n))
+				f := newFabric(min(w, n))
 				f.addTier(0, n-(tiers-1)*n/2)
 				if tiers == 2 {
 					f.addTier(1, n/2)
@@ -321,27 +329,4 @@ func goroutineID() uint64 {
 	var id uint64
 	fmt.Sscanf(string(buf[:runtime.Stack(buf[:], false)]), "goroutine %d ", &id)
 	return id
-}
-
-func TestResolveWorkers(t *testing.T) {
-	cases := []struct {
-		workers, replicas, want int
-	}{
-		{0, 4, 1},
-		{1, 4, 1},
-		{8, 4, 4},   // capped at the fleet size
-		{4, 100, 4}, // explicit request honored
-		{WorkersAuto, AutoWorkerThreshold - 1, 1},
-	}
-	for _, tc := range cases {
-		if got := ResolveWorkers(tc.workers, tc.replicas); got != tc.want {
-			t.Errorf("ResolveWorkers(%d, %d) = %d, want %d", tc.workers, tc.replicas, got, tc.want)
-		}
-	}
-	// Auto at or above the threshold resolves to at least one worker
-	// per core, bounded by the fleet.
-	got := ResolveWorkers(WorkersAuto, AutoWorkerThreshold)
-	if got < 1 || got > AutoWorkerThreshold {
-		t.Errorf("ResolveWorkers(auto, %d) = %d out of range", AutoWorkerThreshold, got)
-	}
 }

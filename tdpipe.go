@@ -146,8 +146,8 @@ type (
 	FleetOptions = fleet.Options
 	// FleetConfig describes a fleet for RunFleet: a colocated one
 	// (replica count and dispatch policy) or a prefill/decode split
-	// (the two pool sizes), simulation workers, and the optional fault
-	// plan and policy stack, alone or together. Build the policy with
+	// (the two pool sizes), and the optional fault plan and policy
+	// stack, alone or together. Build the policy with
 	// NewFleetPolicy, fresh for every run: round-robin and random carry
 	// state from one run into the next.
 	FleetConfig = fleet.ServeConfig
@@ -163,14 +163,6 @@ const (
 	FleetDecodeAffinity = fleet.DecodeAffinity
 )
 
-// FleetWorkersAuto requests automatic simulation-worker selection for
-// the fleet runners: GOMAXPROCS workers on fleets of at least
-// fleet.AutoWorkerThreshold replicas, sequential below that. Workers
-// run only per-replica work that no routing decision separates: every
-// fleet's replicas after the last control event (for a closed-loop
-// trace, after the t=0 arrivals).
-const FleetWorkersAuto = fleet.WorkersAuto
-
 // FleetPolicies lists the registered dispatch policies.
 func FleetPolicies() []string { return fleet.Names() }
 
@@ -182,8 +174,8 @@ func NewFleetPolicy(name string, opts FleetOptions) (FleetPolicy, error) {
 // RunFleet serves the trace on the fleet fc describes and merges the
 // per-replica reports (including per-request latency records) into one
 // fleet report. Results are deterministic for a given trace, config and
-// policy seed (FleetOptions.Seed), and byte-identical across fc.Workers
-// counts (FleetWorkersAuto for automatic selection).
+// policy seed (FleetOptions.Seed), and byte-identical at every
+// GOMAXPROCS, which sizes the simulation's worker pool.
 //
 // Every run goes through the online router: all replicas share one
 // virtual clock and each request is dispatched at its arrival instant

@@ -2,6 +2,7 @@ package tdpipe
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -99,21 +100,27 @@ func TestRunFleet(t *testing.T) {
 		t.Error("unknown policy accepted")
 	}
 
-	seeded := func(seed int64) *FleetResult {
+	// GOMAXPROCS sizes the fleet's worker pool: seed 7 runs at one
+	// worker and at four.
+	seeded := func(seed int64, procs int) *FleetResult {
 		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		p, err := NewFleetPolicy(FleetRandom, FleetOptions{Seed: seed, Predictor: clf})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunFleet(cfg, reqs, FleetConfig{Replicas: 4, Policy: p, Workers: 2})
+		res, err := RunFleet(cfg, reqs, FleetConfig{Replicas: 4, Policy: p})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if res.Workers != procs {
+			t.Errorf("GOMAXPROCS %d: %d workers", procs, res.Workers)
+		}
 		return res
 	}
-	a, b, other := seeded(7), seeded(7), seeded(8)
-	if a.Report != b.Report || !reflect.DeepEqual(a.Shards, b.Shards) {
-		t.Error("random policy with seed 7 is not reproducible")
+	a, b, other := seeded(7, 1), seeded(7, 4), seeded(8, 2)
+	if a.Report != b.Report || !reflect.DeepEqual(a.Shards, b.Shards) || !reflect.DeepEqual(a.Records, b.Records) {
+		t.Error("random policy with seed 7 is not reproducible at one and four workers")
 	}
 	if reflect.DeepEqual(a.Shards, other.Shards) {
 		t.Error("random policy seeds 7 and 8 dispatched identically")
@@ -285,7 +292,7 @@ func TestFacadeElasticPolicies(t *testing.T) {
 		Preemption: &PreemptionConfig{},
 		Autoscaler: as,
 	}
-	fleetCfg.Stack, fleetCfg.Workers = stack, 2
+	fleetCfg.Stack = stack
 	res, err := RunFleet(cfg, stamped, fleetCfg)
 	if err != nil {
 		t.Fatal(err)
