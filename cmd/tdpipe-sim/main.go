@@ -537,32 +537,45 @@ var errReplicas = errors.New("-replicas must be at least 1 (fleet mode engages a
 // dispatches nothing: a single engine, without fleet mode.
 var errPolicyNoFleet = errors.New("-policy picks a replica per request and needs fleet mode (-replicas > 1)")
 
-// The errors for a flag that tunes a feature the invocation leaves
-// off, which would otherwise be quietly ignored.
+// The errors for a flag that does nothing in the invocation's mode or
+// tunes a feature it leaves off, which would otherwise be quietly
+// ignored.
 var (
+	errDisaggOnly        = errors.New("-prefill-replicas, -decode-replicas, -kv-* and the -link-* impairments only take effect with -disagg")
+	errFleetFlagsDisagg  = errors.New("-disagg sizes its pools with -prefill-replicas/-decode-replicas and fixes their policies: it takes no -replicas or -policy")
+	errFrontDisagg       = errors.New("admission, retries and priority tiers ride the online fleet router; with -disagg only -breaker-failures and the -autoscale-* flags compose")
 	errBurstNoAdmission  = errors.New("-admit-burst sizes the admission token bucket: set -admit-rate")
 	errScaleNoMax        = errors.New("-autoscale-min and -autoscale-interval tune the autoscaler: set -autoscale-max")
 	errFactorNoStraggler = errors.New("-straggler-factor slows straggler replicas: set -stragglers")
 	errFactorNoDegrade   = errors.New("-link-degrade-factor slows degraded KV-link windows: set -link-degrade-frac")
 	errPrefixNoGroups    = errors.New("-prefix-len and -prefix-turns shape shared-prefix groups: set -prefix-groups")
+	errDomainsNoTopology = errors.New("-domain-mtbf draws correlated outages over a fleet topology: set -fault-domains")
+	errTopologyNoDomains = errors.New("-fault-domains declares the topology for correlated outages: set -domain-mtbf")
 	errKindNoDomains     = errors.New("-domain-kind picks what a rack outage does: set -fault-domains")
 	errRecoveryNoCrashes = errors.New("-max-retries and -restart-delay tune crash recovery: set -mtbf or -domain-mtbf")
 	errRateInstant       = errors.New("-rate paces open-loop arrivals: pick an -arrivals process other than instant")
 	errOracleBaseline    = errors.New("-oracle replaces TD-Pipe's output-length predictor: it needs -sched tdpipe")
 )
 
-// dependentFlags lists flags that only tune a feature another setting
-// turns on: off reports the feature off, and err names the mismatch.
+// dependentFlags lists flags that take effect only in some mode or
+// under another setting: off reports that they would do nothing, and
+// err names the mismatch.
 var dependentFlags = []struct {
 	flags []string
 	off   func(o options) bool
 	err   error
 }{
+	{[]string{"prefill-replicas", "decode-replicas", "kv-bw", "kv-lat", "link-degrade-frac", "link-partition-frac"},
+		func(o options) bool { return !o.disagg }, errDisaggOnly},
+	{[]string{"replicas", "policy"}, func(o options) bool { return o.disagg }, errFleetFlagsDisagg},
+	{[]string{"admit-rate", "admit-burst", "retry-attempts", "priority-tiers"}, func(o options) bool { return o.disagg }, errFrontDisagg},
 	{[]string{"admit-burst"}, func(o options) bool { return o.admitRate <= 0 }, errBurstNoAdmission},
 	{[]string{"autoscale-min", "autoscale-interval"}, func(o options) bool { return o.autoscaleMax <= 0 }, errScaleNoMax},
 	{[]string{"straggler-factor"}, func(o options) bool { return o.stragglers <= 0 }, errFactorNoStraggler},
 	{[]string{"link-degrade-factor"}, func(o options) bool { return o.linkDegradeFrac <= 0 }, errFactorNoDegrade},
 	{[]string{"prefix-len", "prefix-turns"}, func(o options) bool { return o.prefixGroups <= 0 }, errPrefixNoGroups},
+	{[]string{"domain-mtbf"}, func(o options) bool { return o.faultDomains <= 0 }, errDomainsNoTopology},
+	{[]string{"fault-domains"}, func(o options) bool { return o.domainMTBF <= 0 }, errTopologyNoDomains},
 	{[]string{"domain-kind"}, func(o options) bool { return o.faultDomains <= 0 }, errKindNoDomains},
 	{[]string{"max-retries", "restart-delay"}, func(o options) bool { return o.mtbf <= 0 && o.domainMTBF <= 0 }, errRecoveryNoCrashes},
 	{[]string{"rate"}, func(o options) bool { return strings.EqualFold(o.arrivals, workload.ArrivalInstant) }, errRateInstant},
@@ -594,6 +607,32 @@ func run(o options, visit func(func(*flag.Flag))) error {
 			}
 		}
 	}
+	open := !strings.EqualFold(o.arrivals, workload.ArrivalInstant)
+	// The policy stack rides the online fleet router, except that with
+	// -disagg the breakers attach to both pools and the autoscaler
+	// scales the decode pool (dependentFlags refuses the rest there).
+	// Online breakers classify completions against the TTFT SLO.
+	stackSet := false
+	for _, name := range []string{"admit-rate", "admit-burst", "retry-attempts", "priority-tiers",
+		"breaker-failures", "autoscale-max", "autoscale-min", "autoscale-interval"} {
+		stackSet = stackSet || set[name]
+	}
+	if stackSet && !o.disagg && (o.replicas <= 1 || !open) {
+		return fmt.Errorf("the policy stack needs the online fleet router: -replicas > 1 with open-loop -arrivals (or -disagg for -breaker-failures and the -autoscale-* flags)")
+	}
+	if o.breakerFailures > 0 && o.slo.TTFT <= 0 && !o.disagg {
+		return fmt.Errorf("-breaker-failures classifies completions against the TTFT SLO: set -slo-ttft (with -disagg breakers are crash-fed instead)")
+	}
+	fc := o.faultConfig()
+	if (fc.MTBF > 0 || fc.LinkDegradeFrac > 0 || fc.LinkPartitionFrac > 0 || fc.DomainMTBF > 0) && fc.Horizon <= 0 {
+		return fmt.Errorf("-mtbf, -domain-mtbf and the -link-* impairments need -fault-horizon to bound when failures can land")
+	}
+	if err := fc.Validate(); err != nil {
+		return err
+	}
+	if fc.Enabled() && !o.disagg && o.replicas <= 1 {
+		return fmt.Errorf("fault injection needs a router to recover through: use fleet mode (-replicas > 1) or -disagg")
+	}
 	node, err := pickNode(o.node)
 	if err != nil {
 		return err
@@ -624,7 +663,6 @@ func run(o options, visit func(func(*flag.Flag))) error {
 	if err := acfg.Validate(); err != nil {
 		return err
 	}
-	open := !strings.EqualFold(o.arrivals, workload.ArrivalInstant)
 	if open {
 		if reqs, err = acfg.Stamp(reqs); err != nil {
 			return err
@@ -640,70 +678,9 @@ func run(o options, visit func(func(*flag.Flag))) error {
 		}
 	}
 
-	// Flags are partitioned by mode: fleet flags are meaningless under
-	// -disagg (pools are sized by -prefill/-decode-replicas, the policy
-	// pair is fixed) and the disagg flags do nothing without it. Reject
-	// either mismatch rather than silently substitute defaults.
-	var fleetFlags, disaggFlags, linkFlags, frontFlags, scaleFlags []string
-	breakerSet := false
-	visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "replicas", "policy":
-			fleetFlags = append(fleetFlags, "-"+f.Name)
-		case "prefill-replicas", "decode-replicas", "kv-bw", "kv-lat":
-			disaggFlags = append(disaggFlags, "-"+f.Name)
-		case "link-degrade-frac", "link-degrade-factor", "link-partition-frac":
-			linkFlags = append(linkFlags, "-"+f.Name)
-		case "admit-rate", "admit-burst", "retry-attempts", "priority-tiers":
-			frontFlags = append(frontFlags, "-"+f.Name)
-		case "breaker-failures":
-			breakerSet = true
-		case "autoscale-max", "autoscale-min", "autoscale-interval":
-			scaleFlags = append(scaleFlags, "-"+f.Name)
-		}
-	})
-	// Breakers ride the online policy stack (TTFT-classified, and
-	// crash-fed under fault flags) outside -disagg; with -disagg they
-	// attach to both pools and are fed by crashes and finishes.
-	if breakerSet && !o.disagg {
-		frontFlags = append(frontFlags, "-breaker-failures")
-	}
-	if len(linkFlags) > 0 && !o.disagg {
-		return fmt.Errorf("%s model the KV hand-off link and only take effect with -disagg", strings.Join(linkFlags, ", "))
-	}
-	fc := o.faultConfig()
-	if len(frontFlags) > 0 && o.disagg {
-		return fmt.Errorf("%s ride the online fleet router; with -disagg only the -autoscale-* flags compose (the decode pool scales)",
-			strings.Join(frontFlags, ", "))
-	}
-	if (len(frontFlags) > 0 || len(scaleFlags) > 0) && !o.disagg && (o.replicas <= 1 || !open) {
-		return fmt.Errorf("the policy stack needs the online fleet router: -replicas > 1 with open-loop -arrivals (or -disagg for the -autoscale-* flags)")
-	}
-	if o.breakerFailures > 0 && o.slo.TTFT <= 0 && !o.disagg {
-		return fmt.Errorf("-breaker-failures classifies completions against the TTFT SLO: set -slo-ttft (with -disagg breakers are crash-fed instead)")
-	}
-	if (fc.MTBF > 0 || fc.LinkDegradeFrac > 0 || fc.LinkPartitionFrac > 0 || fc.DomainMTBF > 0) && fc.Horizon <= 0 {
-		return fmt.Errorf("-mtbf, -domain-mtbf and the -link-* impairments need -fault-horizon to bound when failures can land")
-	}
-	if o.domainMTBF > 0 && o.faultDomains <= 0 {
-		return fmt.Errorf("-domain-mtbf draws correlated outages over a fleet topology: set -fault-domains")
-	}
-	if o.faultDomains > 0 && o.domainMTBF <= 0 {
-		return fmt.Errorf("-fault-domains declares the topology for correlated outages: set -domain-mtbf")
-	}
-	if err := fc.Validate(); err != nil {
-		return err
-	}
-	if fc.Enabled() && !o.disagg && o.replicas <= 1 {
-		return fmt.Errorf("fault injection needs a router to recover through: use fleet mode (-replicas > 1) or -disagg")
-	}
 	if o.disagg {
 		if !tdpipeSched(o.sched) {
 			return fmt.Errorf("disaggregated mode (-disagg) requires -sched tdpipe, got %q", o.sched)
-		}
-		if len(fleetFlags) > 0 {
-			return fmt.Errorf("disaggregated mode (-disagg) does not take %s; size the pools with -prefill-replicas/-decode-replicas",
-				strings.Join(fleetFlags, ", "))
 		}
 		if o.kvBW > 0 {
 			node.KVLinkGBps = o.kvBW
@@ -713,10 +690,6 @@ func run(o options, visit func(func(*flag.Flag))) error {
 		}
 		return runFleet(o, node, spec, pool, reqs, open)
 	}
-	if len(disaggFlags) > 0 {
-		return fmt.Errorf("%s only take effect with -disagg", strings.Join(disaggFlags, ", "))
-	}
-
 	if o.replicas > 1 {
 		if !tdpipeSched(o.sched) {
 			return fmt.Errorf("fleet mode (-replicas %d) requires -sched tdpipe, got %q", o.replicas, o.sched)

@@ -130,6 +130,12 @@ func TestFleetFlagErrors(t *testing.T) {
 		{"rate with instant arrivals", []string{"-rate", "5"}, errRateInstant},
 		{"rate with explicit instant arrivals", []string{"-arrivals", "instant", "-rate", "5"}, errRateInstant},
 		{"oracle with a baseline", []string{"-sched", "pp+sb"}, errOracleBaseline},
+		{"kv link without disagg", []string{"-replicas", "2", "-kv-bw", "10"}, errDisaggOnly},
+		{"link impairment without disagg", []string{"-replicas", "2", "-link-partition-frac", "0.1"}, errDisaggOnly},
+		{"policy with disagg", []string{"-disagg", "-policy", "least-work"}, errFleetFlagsDisagg},
+		{"admission with disagg", []string{"-disagg", "-arrivals", "poisson", "-rate", "5", "-admit-rate", "4"}, errFrontDisagg},
+		{"domain mtbf without topology", []string{"-replicas", "2", "-domain-mtbf", "30", "-fault-horizon", "20"}, errDomainsNoTopology},
+		{"topology without domain mtbf", []string{"-replicas", "2", "-fault-domains", "2"}, errTopologyNoDomains},
 		{"faults with admission", []string{"-replicas", "2", "-arrivals", "poisson", "-rate", "5",
 			"-mtbf", "30", "-fault-horizon", "20", "-admit-rate", "4"}, nil},
 		{"disagg autoscale with faults", []string{"-disagg", "-arrivals", "poisson", "-rate", "5",
