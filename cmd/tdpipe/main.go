@@ -32,6 +32,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -66,24 +67,17 @@ func main() {
 // otherwise fall back to the scale's default unnoticed.
 var errNegativeScale = errors.New("-requests and -pool take a size, or 0 for the scale's default")
 
-// options turns the scale flags into experiment options: the quick or
-// paper scale, with -requests and -pool overriding its sizes when
-// positive.
+// options returns the quick or paper scale, with -requests and -pool
+// overriding its sizes when positive.
 func options(paper bool, requests, pool int, seed int64) (experiments.Options, error) {
-	if requests < 0 || pool < 0 {
-		return experiments.Options{}, fmt.Errorf("%w, got -requests %d -pool %d", errNegativeScale, requests, pool)
-	}
 	opts := experiments.Quick()
 	if paper {
 		opts = experiments.Paper()
 	}
-	if requests > 0 {
-		opts.Requests = requests
+	if requests < 0 || pool < 0 {
+		return opts, fmt.Errorf("%w, got -requests %d -pool %d", errNegativeScale, requests, pool)
 	}
-	if pool > 0 {
-		opts.PoolSize = pool
-	}
-	opts.Seed = seed
+	opts.Requests, opts.PoolSize, opts.Seed = cmp.Or(requests, opts.Requests), cmp.Or(pool, opts.PoolSize), seed
 	return opts, nil
 }
 

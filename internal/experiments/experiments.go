@@ -34,20 +34,14 @@ func Quick() Options { return Options{PoolSize: 20000, Requests: 4000, Seed: 1} 
 // Paper returns the paper-scale configuration (§4.1).
 func Paper() Options { return Options{PoolSize: 86612, Requests: 5000, Seed: 1} }
 
-// The smallest corpus and sample Validate accepts.
-const (
-	minPoolSize = 100
-	minRequests = 10
-)
-
 // Validate reports an option error, if any, naming the bound that
 // failed.
 func (o Options) Validate() error {
 	switch {
-	case o.PoolSize < minPoolSize:
-		return fmt.Errorf("experiments: PoolSize %d is below the minimum of %d", o.PoolSize, minPoolSize)
-	case o.Requests < minRequests:
-		return fmt.Errorf("experiments: Requests %d is below the minimum of %d", o.Requests, minRequests)
+	case o.PoolSize < 100:
+		return fmt.Errorf("experiments: PoolSize %d is below the minimum of 100", o.PoolSize)
+	case o.Requests < 10:
+		return fmt.Errorf("experiments: Requests %d is below the minimum of 10", o.Requests)
 	case o.Requests > o.PoolSize:
 		return fmt.Errorf("experiments: Requests %d exceeds PoolSize %d", o.Requests, o.PoolSize)
 	}

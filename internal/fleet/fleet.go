@@ -108,17 +108,15 @@ type ServeConfig struct {
 	Stack  *policy.Stack
 }
 
-// DisaggConfig is the split fleet the end-to-end benchmark harness
-// (cmd/tdpipe-bench), its only caller, hands RunDisaggFaults. Workers
-// predates Serve's own worker count: RunDisaggFaults takes only 0 or
-// 1, the one worker a split runs on.
+// DisaggConfig is the split fleet RunDisaggFaults serves for its only
+// caller, the end-to-end benchmark harness (cmd/tdpipe-bench). Workers
+// takes only 0 or 1, the one worker a split runs on.
 type DisaggConfig struct {
 	PrefillReplicas, DecodeReplicas, Workers int
 	Stack                                    *policy.Stack
 }
 
-// ErrSplitWorkers reports a DisaggConfig asking for more than the one
-// worker a split fleet runs on.
+// ErrSplitWorkers reports a DisaggConfig Workers above 1.
 var ErrSplitWorkers = errors.New("fleet: a split fleet runs on one worker: Workers takes only 0 or 1")
 
 // The errors ServeConfig.Validate wraps, one per bad mix.
@@ -178,12 +176,10 @@ func (sc ServeConfig) Validate() error {
 // Serve runs reqs on the fleet sc describes, every replica a copy of
 // cfg, deterministically for a fixed trace, config and policy seed.
 //
-// Serve sizes the fabric's worker pool itself (see parallel.go): a
-// colocated fleet gets one worker per GOMAXPROCS, at most one per
-// replica, and a split fleet one, since its coordinator advances both
-// pools through the last hand-off and leaves a pool nothing to run.
-// Result.Workers reports the count, and reports are byte-identical at
-// every count.
+// A colocated fleet runs on min(GOMAXPROCS, replicas) fabric workers,
+// a split fleet on one: its coordinator advances both pools through the
+// last hand-off and leaves a pool nothing to run. Result.Workers
+// reports the count; reports are byte-identical at every count.
 //
 // Every run goes through the router: all engines share one virtual
 // clock and each request is routed at its arrival instant on a live,

@@ -59,16 +59,10 @@ import (
 // coordinator, finish hooks write no shared state (fabric.tail). The
 // determinism suite (parallel_test.go) enforces this for online,
 // disagg, prefix-affinity and fault runs, and
-// TestLazyPicksMatchEager holds lazy runs to the eager schedule; both
-// force a worker count through GOMAXPROCS.
-//
-// The worker count is the machine's, not the deployment's: Serve gives
-// a colocated fleet one worker per GOMAXPROCS, at most one per replica.
-// On the 1000-replica online benchmark two workers cut the run call's
-// wall time by about a third against one (EXPERIMENTS.md), and at 64
-// replicas they neither gain nor lose. A split fleet's coordinator
-// advances both tiers through the last hand-off, which leaves a pool
-// nothing to run, so a split fleet gets one worker.
+// TestLazyPicksMatchEager holds lazy runs to the eager schedule, both
+// at worker counts forced through GOMAXPROCS. The count is the
+// machine's, not the deployment's (Serve picks it): on 1000 replicas
+// two workers beat one, at 64 they tie (EXPERIMENTS.md).
 //
 // Tie semantics: control events at instant t execute before replica
 // events at t, so runs can differ from a single shared event heap only
