@@ -5,7 +5,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	goruntime "runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -173,8 +175,12 @@ func TestRecordBusyKeepsUtilization(t *testing.T) {
 // stage, submitDecode — allocates nothing with busy time streamed. The
 // count is read from the heap's malloc counter over 10,000 steps, so
 // amortized growth that testing.AllocsPerRun's integer division would
-// round away still fails the test.
+// round away still fails the test. The pin runs alone in a child
+// process (runAllocPin), where that counter sees only its own loop.
 func TestDecodeStepDoesNotAllocate(t *testing.T) {
+	if !runAllocPin(t) {
+		return
+	}
 	cfg := fastConfig(4)
 	reqs := smallTrace(16, 4)
 	for i := range reqs {
@@ -196,17 +202,102 @@ func TestDecodeStepDoesNotAllocate(t *testing.T) {
 		}
 		eng.RunUntil(eng.NextEventTime())
 	}
-	from := e.step
-	var before, after goruntime.MemStats
-	goruntime.ReadMemStats(&before)
-	for e.step < from+10000 {
-		eng.RunUntil(eng.NextEventTime())
+	const steps = 10000
+	loop := func() {
+		for to := e.step + steps; e.step < to; {
+			eng.RunUntil(eng.NextEventTime())
+		}
 	}
-	goruntime.ReadMemStats(&after)
+	// A count above zero reruns the loop; 20,000 output tokens keep
+	// every request resident through both runs.
+	n, stacks := mallocsIn(loop)
 	if e.resident != len(reqs) || e.finished != 0 {
 		t.Fatalf("left steady state: %d resident, %d finished", e.resident, e.finished)
 	}
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("%d decode steps allocated %d times, want 0", e.step-from, n)
+	if n != 0 {
+		t.Errorf("%d decode steps allocated %d times, want 0; allocating stacks:\n%s", steps, n, stacks)
 	}
+}
+
+// allocPinEnv marks a child process that runs one allocation pin.
+const allocPinEnv = "TDPIPE_ALLOC_PIN"
+
+// runAllocPin runs the calling test or subtest alone in a child
+// process, the test binary re-run with -test.run set to it, so the process-wide
+// malloc counter the pin reads counts only the pin's own loop: no other
+// test's leftover goroutines or finalizers run beside it. In the child
+// it returns true and the pin runs; in the parent it reports the
+// child's failure, with its output, and returns false.
+func runAllocPin(t *testing.T) bool {
+	if os.Getenv(allocPinEnv) == t.Name() {
+		return true
+	}
+	run := "^" + strings.ReplaceAll(t.Name(), "/", "$/^") + "$"
+	cmd := exec.Command(os.Args[0], "-test.run", run, "-test.count=1", "-test.v")
+	cmd.Env = append(os.Environ(), allocPinEnv+"="+t.Name())
+	out, err := cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "--- PASS: "+t.Name()+" ") {
+		t.Errorf("%s in a child process: %v\n%s", t.Name(), err, out)
+	}
+	return false
+}
+
+// mallocsIn runs loop and returns how many allocations the process made
+// meanwhile. When there were any, it runs loop again with every
+// allocation sampled, and nothing sampled outside it, and also returns
+// each allocating stack whose count grew across the second run.
+func mallocsIn(loop func()) (uint64, string) {
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	loop()
+	goruntime.ReadMemStats(&after)
+	n := after.Mallocs - before.Mallocs
+	if n == 0 {
+		return 0, ""
+	}
+	defer func(rate int) { goruntime.MemProfileRate = rate }(goruntime.MemProfileRate)
+	goruntime.MemProfileRate = 0
+	base := allocsByStack()
+	goruntime.MemProfileRate = 1
+	loop()
+	goruntime.MemProfileRate = 0
+	grown := allocsByStack()
+	var stacks []string
+	for stack, count := range grown {
+		if count > base[stack] {
+			stacks = append(stacks, fmt.Sprintf("%d allocations at\n%s", count-base[stack], stack))
+		}
+	}
+	sort.Strings(stacks)
+	return n, strings.Join(stacks, "")
+}
+
+// allocsByStack reads the heap profile after two collections, which
+// publish every allocation made before them, and sums allocated objects
+// per call stack, rendered one frame a line.
+func allocsByStack() map[string]int64 {
+	goruntime.GC()
+	goruntime.GC()
+	var recs []goruntime.MemProfileRecord
+	for n, _ := goruntime.MemProfile(nil, true); ; n += 16 {
+		recs = make([]goruntime.MemProfileRecord, n)
+		var ok bool
+		if n, ok = goruntime.MemProfile(recs, true); ok {
+			recs = recs[:n]
+			break
+		}
+	}
+	counts := map[string]int64{}
+	for _, r := range recs {
+		var sb strings.Builder
+		frames := goruntime.CallersFrames(r.Stack())
+		for f, more := frames.Next(); ; f, more = frames.Next() {
+			fmt.Fprintf(&sb, "\t%s\n\t\t%s:%d\n", f.Function, f.File, f.Line)
+			if !more {
+				break
+			}
+		}
+		counts[sb.String()] += r.AllocObjects
+	}
+	return counts
 }

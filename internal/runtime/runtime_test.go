@@ -1,8 +1,13 @@
 package runtime
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"os/exec"
 	goruntime "runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -342,7 +347,8 @@ func TestPooledPassesDoNotAlias(t *testing.T) {
 // alike. The count is read from the heap's malloc counter over 10,000
 // passes, so amortized growth — a recorder's append doubling now and
 // then — cannot be rounded away the way testing.AllocsPerRun's integer
-// division rounds it to 0.
+// division rounds it to 0. Each subtest runs alone in a child process
+// (runAllocPin), where that counter sees only its own loop.
 func TestDecodePassDoesNotAllocate(t *testing.T) {
 	prefill := costmodel.NewPrefillBatch([]int{128, 64, 300})
 	for _, tc := range []struct {
@@ -354,6 +360,9 @@ func TestDecodePassDoesNotAllocate(t *testing.T) {
 		{"hybrid", func(c *Cluster, done func(PassResult)) { c.SubmitHybrid(16, 1600, 64, 256, c.Eng.Now(), done) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if !runAllocPin(t) {
+				return
+			}
 			c := newTestCluster(t, 4)
 			c.Rec = *metrics.NewStreamingRecorder(c.World())
 			steps := 0
@@ -369,18 +378,99 @@ func TestDecodePassDoesNotAllocate(t *testing.T) {
 				step() // fill the pass pool, the kernel's event arena and the recorder's tails
 			}
 			const passes = 10000
-			var before, after goruntime.MemStats
-			goruntime.ReadMemStats(&before)
-			for i := 0; i < passes; i++ {
-				step()
-			}
-			goruntime.ReadMemStats(&after)
-			if n := after.Mallocs - before.Mallocs; n != 0 {
-				t.Errorf("%d %s passes allocated %d times, want 0", passes, tc.name, n)
-			}
-			if steps != 100+passes {
+			n, stacks := mallocsIn(func() {
+				for i := 0; i < passes; i++ {
+					step()
+				}
+			})
+			if n != 0 {
+				t.Errorf("%d %s passes allocated %d times, want 0; allocating stacks:\n%s", passes, tc.name, n, stacks)
+			} else if steps != 100+passes {
 				t.Errorf("completed %d %s passes, want %d", steps, tc.name, 100+passes)
 			}
 		})
 	}
+}
+
+// allocPinEnv marks a child process that runs one allocation pin.
+const allocPinEnv = "TDPIPE_ALLOC_PIN"
+
+// runAllocPin runs the calling test or subtest alone in a child
+// process, the test binary re-run with -test.run set to it, so the process-wide
+// malloc counter the pin reads counts only the pin's own loop: no other
+// test's leftover goroutines or finalizers run beside it. In the child
+// it returns true and the pin runs; in the parent it reports the
+// child's failure, with its output, and returns false.
+func runAllocPin(t *testing.T) bool {
+	if os.Getenv(allocPinEnv) == t.Name() {
+		return true
+	}
+	run := "^" + strings.ReplaceAll(t.Name(), "/", "$/^") + "$"
+	cmd := exec.Command(os.Args[0], "-test.run", run, "-test.count=1", "-test.v")
+	cmd.Env = append(os.Environ(), allocPinEnv+"="+t.Name())
+	out, err := cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "--- PASS: "+t.Name()+" ") {
+		t.Errorf("%s in a child process: %v\n%s", t.Name(), err, out)
+	}
+	return false
+}
+
+// mallocsIn runs loop and returns how many allocations the process made
+// meanwhile. When there were any, it runs loop again with every
+// allocation sampled, and nothing sampled outside it, and also returns
+// each allocating stack whose count grew across the second run.
+func mallocsIn(loop func()) (uint64, string) {
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	loop()
+	goruntime.ReadMemStats(&after)
+	n := after.Mallocs - before.Mallocs
+	if n == 0 {
+		return 0, ""
+	}
+	defer func(rate int) { goruntime.MemProfileRate = rate }(goruntime.MemProfileRate)
+	goruntime.MemProfileRate = 0
+	base := allocsByStack()
+	goruntime.MemProfileRate = 1
+	loop()
+	goruntime.MemProfileRate = 0
+	grown := allocsByStack()
+	var stacks []string
+	for stack, count := range grown {
+		if count > base[stack] {
+			stacks = append(stacks, fmt.Sprintf("%d allocations at\n%s", count-base[stack], stack))
+		}
+	}
+	sort.Strings(stacks)
+	return n, strings.Join(stacks, "")
+}
+
+// allocsByStack reads the heap profile after two collections, which
+// publish every allocation made before them, and sums allocated objects
+// per call stack, rendered one frame a line.
+func allocsByStack() map[string]int64 {
+	goruntime.GC()
+	goruntime.GC()
+	var recs []goruntime.MemProfileRecord
+	for n, _ := goruntime.MemProfile(nil, true); ; n += 16 {
+		recs = make([]goruntime.MemProfileRecord, n)
+		var ok bool
+		if n, ok = goruntime.MemProfile(recs, true); ok {
+			recs = recs[:n]
+			break
+		}
+	}
+	counts := map[string]int64{}
+	for _, r := range recs {
+		var sb strings.Builder
+		frames := goruntime.CallersFrames(r.Stack())
+		for f, more := frames.Next(); ; f, more = frames.Next() {
+			fmt.Fprintf(&sb, "\t%s\n\t\t%s:%d\n", f.Function, f.File, f.Line)
+			if !more {
+				break
+			}
+		}
+		counts[sb.String()] += r.AllocObjects
+	}
+	return counts
 }
