@@ -44,11 +44,11 @@ test:
 # fleet's replicas after the last control event (their finish hooks
 # then write only per-replica slots, no shared state). Race-check the
 # fleet together with the engine it drives (TestConcurrentFleetsRace
-# also runs whole fleets side by side). The second leg re-runs the
-# fabric's determinism suite under the detector with the worker pool
-# forced on (multi-worker online, prefix and fault runs, closed-loop
-# runs through TestParallelRouterGolden, the cross-shard-boundary
-# property, and forEach's own split). Those runs hand the replicas
+# also runs whole fleets side by side). The second leg re-runs, uncached,
+# the fabric's determinism suite under the detector, whose tests force
+# the worker pool on by setting GOMAXPROCS (multi-worker online, prefix
+# and fault runs, closed-loop runs through TestParallelRouterGolden, the
+# cross-shard-boundary property, and forEach's own split). Those runs hand the replicas
 # from the coordinator to the workers and back to build them, to run
 # them to completion after the last control event and to finalize
 # them. The suite's disagg legs advance entirely on the coordinator,
@@ -68,7 +68,8 @@ race:
 # across domain shapes, outage kinds and checkpoint cadences, served by
 # the fleet router's fault layer on a colocated and a disaggregated
 # fleet, and by the fault layer together with a full policy stack on a
-# colocated fleet, at one and four workers, asserting exactly-once
+# colocated fleet, at one and four workers (GOMAXPROCS 1 and 4, which
+# size fleet.Serve's worker pool), asserting exactly-once
 # conservation (finished + Faults.Dropped + Admission.Dropped = trace)
 # and byte-identical reports run-to-run and across worker counts. TDPIPE_CHAOS_LONG=1 widens the seed set and
 # varies the retry budget (the race job above runs the short sweep
@@ -138,18 +139,25 @@ fuzz:
 # decode), the crash/recovery path (seeded fault plan -> abort ->
 # re-dispatch/checkpoint resume -> conservation), rack/zone domain
 # outages and the elastic replica lifecycle, so none of these -exp
-# surfaces can rot unnoticed. The second run repeats them with the
-# parallel fabric's worker pool forced on (-workers 4), exercising the
-# sharded epoch scheduler through the same CLI surface.
+# surfaces can rot unnoticed. fleet.Serve sizes a fleet's worker pool
+# from GOMAXPROCS, so the run is repeated at GOMAXPROCS=1 (one worker
+# per fleet) and fails unless its stdout equals the default run's,
+# which it prints.
+SMOKE_ARGS = -exp disagg,faults,chaos,autoscale -requests 250 -pool 2000
 smoke:
-	$(GO) run ./cmd/tdpipe -exp disagg,faults,chaos,autoscale -requests 250 -pool 2000
-	$(GO) run ./cmd/tdpipe -exp disagg,faults,chaos,autoscale -requests 250 -pool 2000 -workers 4
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/tdpipe" ./cmd/tdpipe && \
+	"$$dir/tdpipe" $(SMOKE_ARGS) > "$$dir/default" && \
+	GOMAXPROCS=1 "$$dir/tdpipe" $(SMOKE_ARGS) > "$$dir/one" && \
+	cat "$$dir/default" && \
+	cmp "$$dir/default" "$$dir/one" && \
+	echo "smoke: identical stdout at the default GOMAXPROCS and at GOMAXPROCS=1"
 
 # Every byte-identity check in one target, the gate for a refactor that
 # must keep every output byte: the golden suites (reports, digests,
 # experiment tables, stage costs, training), the deep-queue byte
-# identity, the lazy-against-eager pick check, then both smoke legs
-# (diff their stdout against the parent commit's).
+# identity, the lazy-against-eager pick check, then the smoke run at
+# two GOMAXPROCS settings (diff its stdout against the parent commit's).
 golden:
 	$(GO) test -count=1 -run 'Golden|ByteIdentity|LazyPicksMatchEager' ./...
 	$(MAKE) smoke
