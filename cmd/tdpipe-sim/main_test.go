@@ -93,8 +93,8 @@ var errFlag = errors.New("flag error")
 // checks: a fleet size below one and an explicit -policy without fleet
 // mode must each fail with their named error instead of silently
 // running the single-engine path, and so must a flag that tunes a
-// feature the invocation leaves off; -workers, which the fleet no
-// longer takes, is a flag error; valid fleet invocations, fault
+// feature the invocation leaves off; -workers is not a flag (the
+// fleet sizes its own worker pool); valid fleet invocations, fault
 // injection together with a policy flag among them, must run.
 func TestFleetFlagErrors(t *testing.T) {
 	tiny := []string{"-requests", "8", "-pool", "64", "-oracle"}

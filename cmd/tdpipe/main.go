@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
@@ -89,12 +90,9 @@ func run(w io.Writer, exp string, opts experiments.Options) error {
 	if err != nil {
 		return err
 	}
-	for _, x := range exps {
-		if x.NeedsEnv {
-			if err := opts.Validate(); err != nil {
-				return err
-			}
-			break
+	if slices.ContainsFunc(exps, func(x experiments.Experiment) bool { return x.NeedsEnv }) {
+		if err := opts.Validate(); err != nil {
+			return err
 		}
 	}
 	var env *experiments.Env
