@@ -330,3 +330,28 @@ func goroutineID() uint64 {
 	fmt.Sscanf(string(buf[:runtime.Stack(buf[:], false)]), "goroutine %d ", &id)
 	return id
 }
+
+// TestResolveWorkers pins how a worker cap resolves to the fabric's
+// worker count on a colocated fleet: at least one, at most one per
+// replica, the cap otherwise. Serve's cap is GOMAXPROCS
+// (TestServeDefaultWorkers); the benchmark shims pass their own.
+func TestResolveWorkers(t *testing.T) {
+	reqs := smallTrace(40, 5)
+	for _, tc := range []struct {
+		workers, replicas, want int
+	}{
+		{-1, 4, 1},
+		{0, 4, 1},
+		{1, 4, 1},
+		{8, 4, 4},   // capped at the fleet size
+		{4, 100, 4}, // cap honored
+	} {
+		res, err := serve(fastConfig(2), reqs, ServeConfig{Replicas: tc.replicas, Policy: mustPolicy(t, LeastWork, Options{})}, tc.workers)
+		if err != nil {
+			t.Fatalf("cap %d, %d replicas: %v", tc.workers, tc.replicas, err)
+		}
+		if res.Workers != tc.want {
+			t.Errorf("cap %d, %d replicas: %d workers, want %d", tc.workers, tc.replicas, res.Workers, tc.want)
+		}
+	}
+}
