@@ -345,10 +345,10 @@ func (c *common) admitHead() (id int, ok bool) {
 	}
 	id = c.waiting.Front()
 	st := c.states[id]
-	if !c.kv.CanAllocate(st.prefillLen) {
+	if !c.kv.CanAllocate(st.prefillLen, 0, 0) {
 		return 0, false
 	}
-	if err := c.kv.Allocate(id, st.prefillLen); err != nil {
+	if _, err := c.kv.Allocate(id, st.prefillLen, 0, 0); err != nil {
 		return 0, false
 	}
 	c.waiting.PopFront()

@@ -1024,24 +1024,15 @@ func (e *Engine) launchPrefills() (launched int) {
 		for e.waiting.Len() > 0 && tokens < e.cfg.MaxPrefillTokens {
 			id := e.waiting.Front()
 			st := e.states[id]
-			if group, prefix := e.sharePlan(st); prefix > 0 {
-				if !e.kv.CanAllocateShared(st.prefillLen, group, prefix) {
-					break
-				}
-				hit, err := e.kv.AllocateShared(id, st.prefillLen, group, prefix)
-				if err != nil {
-					break
-				}
-				st.cached = hit
-			} else {
-				if !e.kv.CanAllocate(st.prefillLen) {
-					break
-				}
-				if err := e.kv.Allocate(id, st.prefillLen); err != nil {
-					break
-				}
-				st.cached = 0
+			group, prefix := e.sharePlan(st)
+			if !e.kv.CanAllocate(st.prefillLen, group, prefix) {
+				break
 			}
+			hit, err := e.kv.Allocate(id, st.prefillLen, group, prefix)
+			if err != nil {
+				break
+			}
+			st.cached = hit
 			e.waiting.PopFront()
 			st.ctx = st.prefillLen
 			ids = append(ids, id)
@@ -1460,7 +1451,7 @@ func (e *Engine) shouldSwitchToPrefill(slot int) bool {
 			return false
 		}
 		// Only worth switching if the head of the queue fits.
-		return e.kv.CanAllocate(e.states[e.waiting.Front()].prefillLen)
+		return e.kv.CanAllocate(e.states[e.waiting.Front()].prefillLen, 0, 0)
 	}
 	resident, kvTokens := e.resident, e.residentTokens
 	if resident == 0 {

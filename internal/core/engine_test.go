@@ -316,10 +316,10 @@ func TestOOMDoesNotSpareDeadBatchEntries(t *testing.T) {
 	if free := e.kv.FreeBlocks(); free <= need {
 		t.Fatalf("%d free blocks, x's recompute needs %d", free, need)
 	}
-	if err := e.kv.Allocate(older, (e.kv.FreeBlocks()-need)*e.kv.BlockSize()); err != nil {
+	if _, err := e.kv.Allocate(older, (e.kv.FreeBlocks()-need)*e.kv.BlockSize(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.kv.Allocate(x, e.states[x].prefillLen); err != nil {
+	if _, err := e.kv.Allocate(x, e.states[x].prefillLen, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if free := e.kv.FreeBlocks(); free != 0 {

@@ -12,7 +12,7 @@ func BenchmarkAllocateFree(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Allocate(i, 300); err != nil {
+		if _, err := m.Allocate(i, 300, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 		m.Free(i)
@@ -27,7 +27,7 @@ func BenchmarkGrow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := m.Allocate(1, 16); err != nil {
+	if _, err := m.Allocate(1, 16, 0, 0); err != nil {
 		b.Fatal(err)
 	}
 	tokens := 16
@@ -37,7 +37,7 @@ func BenchmarkGrow(b *testing.B) {
 		if err := m.Grow(1, tokens); err != nil {
 			b.StopTimer()
 			m.Free(1)
-			_ = m.Allocate(1, 16)
+			_, _ = m.Allocate(1, 16, 0, 0)
 			tokens = 16
 			b.StartTimer()
 		}
@@ -51,7 +51,7 @@ func BenchmarkEvictMostRecent(b *testing.B) {
 		b.StopTimer()
 		m, _ := NewManager(16*1024, 16)
 		for id := 0; id < 64; id++ {
-			_ = m.Allocate(id, 256)
+			_, _ = m.Allocate(id, 256, 0, 0)
 		}
 		b.StartTimer()
 		m.EvictMostRecent(512)
@@ -59,19 +59,19 @@ func BenchmarkEvictMostRecent(b *testing.B) {
 }
 
 // BenchmarkAllocateSharedHit measures the warm-chain admission path —
-// what a prefix-cache hit costs relative to a cold Allocate.
+// what a prefix-cache hit costs relative to a plain one (BenchmarkAllocateFree).
 func BenchmarkAllocateSharedHit(b *testing.B) {
 	b.ReportAllocs()
 	m, err := NewManager(1<<24, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := m.AllocateShared(0, 512, 1, 512); err != nil {
+	if _, err := m.Allocate(0, 512, 1, 512); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 1; i <= b.N; i++ {
-		if _, err := m.AllocateShared(i, 512, 1, 512); err != nil {
+		if _, err := m.Allocate(i, 512, 1, 512); err != nil {
 			b.Fatal(err)
 		}
 		m.Free(i)
@@ -88,7 +88,7 @@ func BenchmarkMatchPrefix(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := m.AllocateShared(0, chain*16, 1, chain*16); err != nil {
+	if _, err := m.Allocate(0, chain*16, 1, chain*16); err != nil {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
@@ -120,12 +120,12 @@ func BenchmarkFreeShared(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := m.AllocateShared(0, chain*16, 1, chain*16); err != nil {
+	if _, err := m.Allocate(0, chain*16, 1, chain*16); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if _, err := m.AllocateShared(1, chain*16+1, 1, chain*16); err != nil {
+		if _, err := m.Allocate(1, chain*16+1, 1, chain*16); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
@@ -145,14 +145,14 @@ func BenchmarkReclaim(b *testing.B) {
 		b.Fatal(err)
 	}
 	for g := 0; g < groups; g++ {
-		if _, err := m.AllocateShared(0, chain*16, g, chain*16); err != nil {
+		if _, err := m.Allocate(0, chain*16, g, chain*16); err != nil {
 			b.Fatal(err)
 		}
 		m.Free(0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.AllocateShared(0, chain*16+1, i%groups, chain*16); err != nil {
+		if _, err := m.Allocate(0, chain*16+1, i%groups, chain*16); err != nil {
 			b.Fatal(err)
 		}
 		m.Free(0)

@@ -106,8 +106,7 @@ func (m *Manager) MissingBlocks(ex ExportedSeq) int {
 // pool, so counting them as headroom too would promise space the
 // import cannot actually free (mirrors ImportKV's arithmetic exactly).
 func (m *Manager) CanImport(ex ExportedSeq) bool {
-	resident, residentWarm := m.chain(ex.Group, ex.SharedBlocks).residency(ex.SharedBlocks)
-	return ex.Blocks()-resident <= m.FreeBlocks()+m.reclaimable-residentWarm
+	return m.fits(ex.Group, ex.SharedBlocks, ex.Blocks())
 }
 
 // ImportKV re-materializes an exported sequence as id. Resident shared
@@ -121,44 +120,13 @@ func (m *Manager) ImportKV(id int, ex ExportedSeq) (int, error) {
 	if ex.Tokens <= 0 {
 		return 0, fmt.Errorf("kvcache: import of %d tokens", ex.Tokens)
 	}
-	if id < 0 {
-		return 0, fmt.Errorf("kvcache: negative sequence id %d", id)
-	}
-	if m.Has(id) {
-		return 0, fmt.Errorf("kvcache: sequence %d already allocated", id)
-	}
 	// Shared blocks are full blocks, so they may not cover more tokens
 	// than the export holds.
 	if ex.PrivateBlocks < 0 || ex.SharedBlocks < 0 || ex.Blocks() != m.BlocksFor(ex.Tokens) || ex.SharedBlocks*m.blockSize > ex.Tokens {
 		return 0, fmt.Errorf("kvcache: malformed export: %d tokens need %d blocks with at most %d shared, export carries %d private and %d shared",
 			ex.Tokens, m.BlocksFor(ex.Tokens), ex.Tokens/m.blockSize, ex.PrivateBlocks, ex.SharedBlocks)
 	}
-	// Reference resident blocks first so reclaim cannot drop them while
-	// making room for the rest (mirrors AllocateShared).
-	c := m.chain(ex.Group, ex.SharedBlocks)
-	resident := m.ref(c, ex.SharedBlocks, +1)
-	need := ex.Blocks() - resident
-	if need > m.FreeBlocks() {
-		m.reclaim(need - m.FreeBlocks())
-	}
-	if need > m.FreeBlocks() {
-		m.ref(c, ex.SharedBlocks, -1)
-		return 0, fmt.Errorf("kvcache: out of memory importing sequence %d: need %d blocks, free %d",
-			id, need, m.FreeBlocks())
-	}
-	m.fill(ex.Group, c, ex.SharedBlocks)
-	m.allocSeq++
-	m.setSeq(id, seqAlloc{
-		blocks:  ex.PrivateBlocks,
-		group:   ex.Group,
-		shared:  ex.SharedBlocks,
-		arrival: m.allocSeq,
-	})
-	m.used += ex.PrivateBlocks
-	if m.used > m.peak {
-		m.peak = m.used
-	}
-	return resident, nil
+	return m.admit(id, ex.Group, ex.SharedBlocks, ex.Blocks())
 }
 
 // AvailableBlocks returns blocks an allocation could take right now:

@@ -85,8 +85,8 @@ func TestExportImportRoundTripProperty(t *testing.T) {
 			tokens := 1 + rng.Intn(300)
 			group := rng.Intn(5)
 			prefix := rng.Intn(tokens + 1)
-			ha, ea := a.AllocateShared(id, tokens, group, prefix)
-			hb, eb := b.AllocateShared(id, tokens, group, prefix)
+			ha, ea := a.Allocate(id, tokens, group, prefix)
+			hb, eb := b.Allocate(id, tokens, group, prefix)
 			if (ea == nil) != (eb == nil) || ha != hb {
 				t.Fatalf("step %d: alloc diverged: (%d,%v) vs (%d,%v)", step, ha, ea, hb, eb)
 			}
@@ -140,12 +140,12 @@ func TestExportImportCrossManager(t *testing.T) {
 	dst := mustManager(t, 4096, bs)
 
 	// Destination already serves the first 2 blocks of group 7's chain.
-	if _, err := dst.AllocateShared(0, 2*bs, 7, 2*bs); err != nil {
+	if _, err := dst.Allocate(0, 2*bs, 7, 2*bs); err != nil {
 		t.Fatal(err)
 	}
 	// Source holds a longer same-group sequence: 4 chain blocks + 1
 	// private tail block.
-	if _, err := src.AllocateShared(0, 4*bs+8, 7, 4*bs); err != nil {
+	if _, err := src.Allocate(0, 4*bs+8, 7, 4*bs); err != nil {
 		t.Fatal(err)
 	}
 	ex, err := src.ExportKV(0, 4*bs+8)
@@ -197,11 +197,11 @@ func TestExportImportCrossManager(t *testing.T) {
 func TestImportOOMRollsBack(t *testing.T) {
 	const bs = 16
 	dst := mustManager(t, 8*bs, bs)
-	if err := dst.Allocate(0, 6*bs); err != nil {
+	if _, err := dst.Allocate(0, 6*bs, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	src := mustManager(t, 4096, bs)
-	if _, err := src.AllocateShared(0, 4*bs, 3, 4*bs); err != nil {
+	if _, err := src.Allocate(0, 4*bs, 3, 4*bs); err != nil {
 		t.Fatal(err)
 	}
 	ex, err := src.ExportKV(0, 4*bs)
@@ -227,7 +227,7 @@ func TestCanImportMatchesImportUnderWarmChain(t *testing.T) {
 	const bs = 16
 	m := mustManager(t, 4*bs, bs) // capacity: 4 blocks
 	// Leave 2 warm zero-ref chain blocks resident (free=2, warm=2).
-	if _, err := m.AllocateShared(0, 2*bs, 9, 2*bs); err != nil {
+	if _, err := m.Allocate(0, 2*bs, 9, 2*bs); err != nil {
 		t.Fatal(err)
 	}
 	m.Free(0)
@@ -238,7 +238,7 @@ func TestCanImportMatchesImportUnderWarmChain(t *testing.T) {
 	// needs 3 new blocks but only 2 are genuinely available once the
 	// chain is re-referenced.
 	src := mustManager(t, 16*bs, bs)
-	if _, err := src.AllocateShared(0, 5*bs, 9, 2*bs); err != nil {
+	if _, err := src.Allocate(0, 5*bs, 9, 2*bs); err != nil {
 		t.Fatal(err)
 	}
 	ex, err := src.ExportKV(0, 5*bs)
@@ -313,7 +313,7 @@ func FuzzExportImportRebase(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		id0 := rng.Intn(50)
 		group := rng.Intn(8)
-		if _, err := m.AllocateShared(id0, tokens, group, tokens/2); err != nil {
+		if _, err := m.Allocate(id0, tokens, group, tokens/2); err != nil {
 			t.Fatal(err)
 		}
 		wantUsed := m.UsedBlocks()
@@ -327,7 +327,7 @@ func FuzzExportImportRebase(f *testing.F) {
 		// Force a rebase far from id0, both above and (on re-import)
 		// below the new base.
 		far := id0 + 1 + int(gap)
-		if err := m.Allocate(far, 32); err != nil {
+		if _, err := m.Allocate(far, 32, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := m.ImportKV(id0, ex); err != nil {
@@ -368,7 +368,7 @@ func TestSnapshotKVNonDestructive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Allocate(0, 40); err != nil {
+	if _, err := m.Allocate(0, 40, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	before := observe(m)

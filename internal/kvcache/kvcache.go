@@ -213,48 +213,97 @@ func (m *Manager) BlocksFor(tokens int) int {
 	return (tokens + m.blockSize - 1) / m.blockSize
 }
 
-// CanAllocate reports whether a new sequence of tokens tokens fits,
-// counting warm shared blocks as reclaimable space.
-func (m *Manager) CanAllocate(tokens int) bool {
-	return m.BlocksFor(tokens) <= m.FreeBlocks()+m.reclaimable
+// CanAllocate reports whether Allocate would fit a new sequence of
+// tokens tokens whose first prefixTokens tokens belong to group's
+// shared prefix (prefixTokens 0: no sharing).
+//
+//det:hotpath
+func (m *Manager) CanAllocate(tokens, group, prefixTokens int) bool {
+	return m.fits(group, m.chainLen(tokens, prefixTokens), m.BlocksFor(tokens))
 }
 
-// Allocate reserves blocks for a new sequence, reclaiming warm shared
-// blocks if the free pool alone is too small.
-func (m *Manager) Allocate(id, tokens int) error {
+// Allocate reserves blocks for a new sequence of tokens tokens whose
+// first prefixTokens tokens are group's shared prefix (prefixTokens 0:
+// no sharing). Resident chain blocks are referenced instead of
+// re-allocated; missing ones are inserted (ref 1) so later sequences
+// hit them. It returns the contiguous hit length in tokens — prefill
+// work the caller may skip.
+func (m *Manager) Allocate(id, tokens, group, prefixTokens int) (hit int, err error) {
 	if tokens <= 0 {
-		return fmt.Errorf("kvcache: allocate %d tokens", tokens)
+		return 0, fmt.Errorf("kvcache: allocate %d tokens", tokens)
 	}
+	n := m.chainLen(tokens, prefixTokens)
+	// Only the run from the root skips prefill work: KV for position t
+	// needs every earlier position resident too.
+	hit = m.MatchPrefix(group, n*m.blockSize)
+	resident, err := m.admit(id, group, n, m.BlocksFor(tokens))
+	if err != nil {
+		return 0, err
+	}
+	m.stats.HitBlocks += resident
+	m.stats.MissBlocks += n - resident
+	return hit, nil
+}
+
+// fits is the fit rule of every admission: whether a window of total
+// blocks, whose first shared are group's chain from the root, fits
+// right now. Resident chain blocks are already paid for and other warm
+// blocks are reclaimable — but a warm block of this chain counts once:
+// admit references it first, which takes it out of the reclaimable
+// pool.
+//
+//det:hotpath
+func (m *Manager) fits(group, shared, total int) bool {
+	resident, residentWarm := m.chain(group, shared).residency(shared)
+	return total-resident <= m.AvailableBlocks()-residentWarm
+}
+
+// admit installs id with a window of total blocks whose first shared
+// are group's chain from the root, the one path of Allocate and
+// ImportKV. Resident chain blocks are referenced first, so reclaim
+// cannot drop them while take makes room for the rest; missing ones
+// are inserted (ref 1). It returns how many chain blocks were
+// resident. On out of memory it drops its references again, but warm
+// blocks reclaimed on the way stay reclaimed.
+func (m *Manager) admit(id, group, shared, total int) (resident int, err error) {
 	if id < 0 {
-		return fmt.Errorf("kvcache: negative sequence id %d", id)
+		return 0, fmt.Errorf("kvcache: negative sequence id %d", id)
 	}
 	if m.Has(id) {
-		return fmt.Errorf("kvcache: sequence %d already allocated", id)
+		return 0, fmt.Errorf("kvcache: sequence %d already allocated", id)
 	}
-	need := m.BlocksFor(tokens)
-	if need > m.FreeBlocks() {
-		m.reclaim(need - m.FreeBlocks())
+	c := m.chain(group, shared)
+	resident = m.ref(c, shared, +1)
+	if need := total - resident; !m.take(need) {
+		m.ref(c, shared, -1)
+		return 0, fmt.Errorf("kvcache: out of memory admitting sequence %d: need %d blocks, free %d", id, need, m.FreeBlocks())
 	}
-	if need > m.FreeBlocks() {
-		return fmt.Errorf("kvcache: out of memory: need %d blocks, free %d", need, m.FreeBlocks())
-	}
+	m.fill(group, c, shared)
 	m.allocSeq++
-	m.setSeq(id, seqAlloc{blocks: need, arrival: m.allocSeq})
-	m.used += need
-	if m.used > m.peak {
-		m.peak = m.used
+	m.setSeq(id, seqAlloc{blocks: total - shared, group: group, shared: shared, arrival: m.allocSeq})
+	return resident, nil
+}
+
+// take books n blocks, reclaiming warm shared blocks first if the free
+// pool alone is too small. It reports false, booking nothing, if they
+// do not fit even then.
+func (m *Manager) take(n int) bool {
+	if n > m.FreeBlocks() {
+		m.reclaim(n - m.FreeBlocks())
 	}
-	return nil
+	if n > m.FreeBlocks() {
+		return false
+	}
+	m.used += n
+	m.peak = max(m.peak, m.used)
+	return true
 }
 
 // CanGrow reports whether sequence id's window can grow to hold tokens
 // tokens, counting warm shared blocks as reclaimable space.
 func (m *Manager) CanGrow(id, tokens int) bool {
 	s := m.slot(id)
-	if s == nil {
-		return false
-	}
-	return m.BlocksFor(tokens)-s.shared-s.blocks <= m.FreeBlocks()+m.reclaimable
+	return s != nil && m.fits(0, 0, m.BlocksFor(tokens)-s.shared-s.blocks)
 }
 
 // Grow sizes sequence id's window to hold tokens tokens, the owner's
@@ -272,20 +321,10 @@ func (m *Manager) Grow(id, tokens int) error {
 	switch {
 	case grow < 0:
 		return fmt.Errorf("kvcache: sequence %d holds %d blocks, more than %d tokens need", id, s.shared+s.blocks, tokens)
-	case grow == 0:
-		return nil
-	}
-	if grow > m.FreeBlocks() {
-		m.reclaim(grow - m.FreeBlocks())
-	}
-	if grow > m.FreeBlocks() {
+	case !m.take(grow):
 		return fmt.Errorf("kvcache: out of memory growing sequence %d: need %d blocks, free %d", id, grow, m.FreeBlocks())
 	}
 	s.blocks += grow
-	m.used += grow
-	if m.used > m.peak {
-		m.peak = m.used
-	}
 	return nil
 }
 

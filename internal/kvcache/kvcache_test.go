@@ -35,7 +35,7 @@ func TestNewManagerValidation(t *testing.T) {
 
 func TestAllocateFreeRoundTrip(t *testing.T) {
 	m := mustManager(t, 1600, 16) // 100 blocks
-	if err := m.Allocate(1, 100); err != nil {
+	if _, err := m.Allocate(1, 100, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if m.UsedBlocks() != 7 { // ceil(100/16)
@@ -56,23 +56,23 @@ func TestAllocateFreeRoundTrip(t *testing.T) {
 
 func TestAllocateErrors(t *testing.T) {
 	m := mustManager(t, 160, 16) // 10 blocks
-	if err := m.Allocate(1, 0); err == nil {
+	if _, err := m.Allocate(1, 0, 0, 0); err == nil {
 		t.Error("zero-token allocation accepted")
 	}
-	if err := m.Allocate(1, 100); err != nil {
+	if _, err := m.Allocate(1, 100, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Allocate(1, 10); err == nil {
+	if _, err := m.Allocate(1, 10, 0, 0); err == nil {
 		t.Error("duplicate id accepted")
 	}
-	if err := m.Allocate(2, 100); err == nil {
+	if _, err := m.Allocate(2, 100, 0, 0); err == nil {
 		t.Error("over-capacity allocation accepted")
 	}
 }
 
 func TestGrowTakesWholeBlocks(t *testing.T) {
 	m := mustManager(t, 160, 16)
-	if err := m.Allocate(1, 16); err != nil {
+	if _, err := m.Allocate(1, 16, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if m.UsedBlocks() != 1 {
@@ -106,13 +106,13 @@ func TestGrowErrors(t *testing.T) {
 	if err := m.Grow(9, 1); err == nil {
 		t.Error("grow of unknown sequence accepted")
 	}
-	if err := m.Allocate(1, 16); err != nil {
+	if _, err := m.Allocate(1, 16, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Grow(1, 0); err == nil {
 		t.Error("grow to zero tokens accepted")
 	}
-	if err := m.Allocate(2, 20); err == nil {
+	if _, err := m.Allocate(2, 20, 0, 0); err == nil {
 		t.Error("over-capacity allocation accepted")
 	}
 	if err := m.Grow(1, 32); err != nil {
@@ -135,8 +135,8 @@ func TestGrowErrors(t *testing.T) {
 
 func TestPeakTracksHighWater(t *testing.T) {
 	m := mustManager(t, 160, 16)
-	_ = m.Allocate(1, 64) // 4 blocks
-	_ = m.Allocate(2, 64) // 4 blocks
+	_, _ = m.Allocate(1, 64, 0, 0) // 4 blocks
+	_, _ = m.Allocate(2, 64, 0, 0) // 4 blocks
 	m.Free(1)
 	if m.PeakBlocks() != 8 {
 		t.Errorf("peak = %d, want 8", m.PeakBlocks())
@@ -147,10 +147,10 @@ func TestPeakTracksHighWater(t *testing.T) {
 }
 
 func TestEvictMostRecent(t *testing.T) {
-	m := mustManager(t, 160, 16) // 10 blocks
-	_ = m.Allocate(1, 48)        // 3 blocks, oldest
-	_ = m.Allocate(2, 48)        // 3 blocks
-	_ = m.Allocate(3, 48)        // 3 blocks, newest
+	m := mustManager(t, 160, 16)   // 10 blocks
+	_, _ = m.Allocate(1, 48, 0, 0) // 3 blocks, oldest
+	_, _ = m.Allocate(2, 48, 0, 0) // 3 blocks
+	_, _ = m.Allocate(3, 48, 0, 0) // 3 blocks, newest
 	// Need 6 free blocks -> evict newest first: 3, then 2.
 	evicted := m.EvictMostRecent(6)
 	if len(evicted) != 2 || evicted[0] != 3 || evicted[1] != 2 {
@@ -166,9 +166,9 @@ func TestEvictMostRecent(t *testing.T) {
 
 func TestEvictRespectsKeepSet(t *testing.T) {
 	m := mustManager(t, 96, 16) // 6 blocks
-	_ = m.Allocate(1, 32)
-	_ = m.Allocate(2, 32)
-	_ = m.Allocate(3, 32)
+	_, _ = m.Allocate(1, 32, 0, 0)
+	_, _ = m.Allocate(2, 32, 0, 0)
+	_, _ = m.Allocate(3, 32, 0, 0)
 	evicted := m.EvictMostRecent(2, []int{3, 99}, []int{3})
 	if len(evicted) != 1 || evicted[0] != 2 {
 		t.Fatalf("evicted = %v, want [2]", evicted)
@@ -188,12 +188,12 @@ func TestEvictRespectsKeepSet(t *testing.T) {
 func TestEvictFollowsArrivalOrderAcrossReuse(t *testing.T) {
 	m := mustManager(t, 160, 16) // 10 blocks
 	for _, id := range []int{4, 2, 7} {
-		_ = m.Allocate(id, 32) // 2 blocks each
+		_, _ = m.Allocate(id, 32, 0, 0) // 2 blocks each
 	}
 	m.Free(4)
-	_ = m.Allocate(4, 32) // newest now
+	_, _ = m.Allocate(4, 32, 0, 0) // newest now
 	for i := 10; i < 40; i++ {
-		_ = m.Allocate(i, 1) // churn the log past compaction
+		_, _ = m.Allocate(i, 1, 0, 0) // churn the log past compaction
 		m.Free(i)
 	}
 	if ev := m.EvictMostRecent(8); len(ev) != 2 || ev[0] != 4 || ev[1] != 7 {
@@ -203,7 +203,7 @@ func TestEvictFollowsArrivalOrderAcrossReuse(t *testing.T) {
 
 func TestEvictNoOpWhenEnoughFree(t *testing.T) {
 	m := mustManager(t, 160, 16)
-	_ = m.Allocate(1, 16)
+	_, _ = m.Allocate(1, 16, 0, 0)
 	if ev := m.EvictMostRecent(1); ev != nil {
 		t.Errorf("needless eviction: %v", ev)
 	}
@@ -212,7 +212,7 @@ func TestEvictNoOpWhenEnoughFree(t *testing.T) {
 func TestSnapshotSortedByID(t *testing.T) {
 	m := mustManager(t, 1600, 16)
 	for _, id := range []int{5, 1, 3} {
-		_ = m.Allocate(id, 20)
+		_, _ = m.Allocate(id, 20, 0, 0)
 	}
 	snap := m.Snapshot()
 	if len(snap) != 3 || snap[0].ID != 1 || snap[1].ID != 3 || snap[2].ID != 5 {
@@ -237,12 +237,12 @@ func TestAccountingInvariantProperty(t *testing.T) {
 			case 0:
 				next++
 				tokens := rng.Intn(200) + 1
-				if m.CanAllocate(tokens) {
-					if err := m.Allocate(next, tokens); err != nil {
+				if m.CanAllocate(tokens, 0, 0) {
+					if _, err := m.Allocate(next, tokens, 0, 0); err != nil {
 						return false
 					}
 					live[next] = tokens
-				} else if err := m.Allocate(next, tokens); err == nil {
+				} else if _, err := m.Allocate(next, tokens, 0, 0); err == nil {
 					return false // CanAllocate said no but Allocate worked
 				}
 			case 1:

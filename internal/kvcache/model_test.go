@@ -286,19 +286,19 @@ func runModel(t *testing.T, prog []byte) {
 		case op <= 1:
 			id, tokens := freshID(), 1+next(modelMaxTokens+modelBS)
 			group, prefix := next(modelGroups), next(tokens+2*modelBS)-modelBS
-			can := m.CanAllocateShared(tokens, group, prefix)
-			hit, err := m.AllocateShared(id, tokens, group, prefix)
+			can := m.CanAllocate(tokens, group, prefix)
+			hit, err := m.Allocate(id, tokens, group, prefix)
 			wantHit, ok := md.allocateShared(id, tokens, group, prefix)
 			if can != (err == nil) || ok != (err == nil) || hit != wantHit {
-				fail("AllocateShared(%d, %d, %d, %d) = %d, %v (can %v), model %d, %v", id, tokens, group, prefix, hit, err, can, wantHit, ok)
+				fail("Allocate(%d, %d, %d, %d) = %d, %v (can %v), model %d, %v", id, tokens, group, prefix, hit, err, can, wantHit, ok)
 			}
 			if ok {
 				live = append(live, id)
 			}
 		case op == 2:
 			id, tokens := freshID(), 1+next(modelMaxTokens)
-			can := m.CanAllocate(tokens)
-			err := m.Allocate(id, tokens)
+			can := m.CanAllocate(tokens, 0, 0)
+			_, err := m.Allocate(id, tokens, 0, 0)
 			if ok := md.allocate(id, tokens); can != (err == nil) || ok != (err == nil) {
 				fail("Allocate(%d, %d) = %v (can %v), model %v", id, tokens, err, can, ok)
 			}

@@ -21,8 +21,8 @@ func refMatchPrefix(m *Manager, group, prefixTokens int) int {
 
 // Property: over random histories of shared allocations, frees,
 // appends and KV export/import on a small pool, MatchPrefix equals the
-// reference walk for every group, CanAllocateShared is true exactly
-// when AllocateShared then succeeds, and a successful allocation hits
+// reference walk for every group, CanAllocate is true exactly
+// when Allocate then succeeds, and a successful allocation hits
 // exactly what MatchPrefix reported beforehand.
 func TestProbeEquivalenceProperty(t *testing.T) {
 	const bs, groups, maxPrefix = 16, 4, 12 * 16
@@ -65,10 +65,10 @@ func TestProbeEquivalenceProperty(t *testing.T) {
 				group := rng.Intn(groups)
 				prefix := rng.Intn(tokens + bs)
 				warmHit := m.MatchPrefix(group, min(prefix, tokens))
-				can := m.CanAllocateShared(tokens, group, prefix)
-				hit, err := m.AllocateShared(id, tokens, group, prefix)
+				can := m.CanAllocate(tokens, group, prefix)
+				hit, err := m.Allocate(id, tokens, group, prefix)
 				if can != (err == nil) {
-					return fail(step, "CanAllocateShared(%d, %d, %d) = %v, AllocateShared err = %v", tokens, group, prefix, can, err)
+					return fail(step, "CanAllocate(%d, %d, %d) = %v, Allocate err = %v", tokens, group, prefix, can, err)
 				}
 				if err == nil {
 					if hit != warmHit {
@@ -116,13 +116,13 @@ func TestProbeEquivalenceProperty(t *testing.T) {
 // allocate, hit or miss.
 func TestProbesDoNotAllocate(t *testing.T) {
 	m := mustManager(t, 16*1024, 16)
-	if _, err := m.AllocateShared(0, 512, 1, 512); err != nil {
+	if _, err := m.Allocate(0, 512, 1, 512); err != nil {
 		t.Fatal(err)
 	}
 	sink := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		sink += m.MatchPrefix(1, 512) + m.MatchPrefix(2, 512)
-		if m.CanAllocateShared(600, 1, 512) && m.CanAllocateShared(600, 2, 512) {
+		if m.CanAllocate(600, 1, 512) && m.CanAllocate(600, 2, 512) {
 			sink++
 		}
 	})
@@ -138,16 +138,16 @@ func TestProbesDoNotAllocate(t *testing.T) {
 // admitting and freeing the sequence must not allocate.
 func TestSharedHitDoesNotAllocate(t *testing.T) {
 	m := mustManager(t, 16*1024, 16)
-	if _, err := m.AllocateShared(0, 512, 1, 512); err != nil {
+	if _, err := m.Allocate(0, 512, 1, 512); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if hit, err := m.AllocateShared(1, 600, 1, 512); err != nil || hit != 512 {
+		if hit, err := m.Allocate(1, 600, 1, 512); err != nil || hit != 512 {
 			t.Fatalf("hit %d, err %v", hit, err)
 		}
 		m.Free(1)
 	})
 	if allocs != 0 {
-		t.Errorf("AllocateShared+Free on a resident chain allocates %v times per run, want 0", allocs)
+		t.Errorf("Allocate+Free on a resident chain allocates %v times per run, want 0", allocs)
 	}
 }

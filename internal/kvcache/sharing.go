@@ -22,8 +22,6 @@ package kvcache
 // all precede its private ones and decode growth never writes a shared
 // block: Grow takes private blocks only.
 
-import "fmt"
-
 // sharedBlock is one position of a prefix chain. lastUse == 0 marks a
 // position with no resident block (touch stamps start at 1).
 type sharedBlock struct {
@@ -121,67 +119,6 @@ func (m *Manager) chainLen(tokens, prefixTokens int) int {
 	return min(max(prefixTokens, 0), tokens) / m.blockSize
 }
 
-// CanAllocateShared reports whether AllocateShared would fit a new
-// sequence of tokens tokens whose first prefixTokens tokens belong to
-// group's shared prefix. Resident chain blocks are already paid for and
-// other warm blocks are reclaimable — but a warm block of this chain
-// counts once: the allocation references it first, which takes it out
-// of the reclaimable pool (mirrors CanImport).
-//
-//det:hotpath
-func (m *Manager) CanAllocateShared(tokens, group, prefixTokens int) bool {
-	n := m.chainLen(tokens, prefixTokens)
-	resident, residentWarm := m.chain(group, n).residency(n)
-	return m.BlocksFor(tokens)-resident <= m.FreeBlocks()+m.reclaimable-residentWarm
-}
-
-// AllocateShared reserves blocks for a new sequence whose first
-// prefixTokens tokens are group's shared prefix. Resident chain blocks
-// are referenced instead of re-allocated; missing ones are inserted
-// (ref 1) so later sequences hit them. It returns the contiguous hit
-// length in tokens — prefill work the caller may skip.
-func (m *Manager) AllocateShared(id, tokens, group, prefixTokens int) (int, error) {
-	if tokens <= 0 {
-		return 0, fmt.Errorf("kvcache: allocate %d tokens", tokens)
-	}
-	if id < 0 {
-		return 0, fmt.Errorf("kvcache: negative sequence id %d", id)
-	}
-	if m.Has(id) {
-		return 0, fmt.Errorf("kvcache: sequence %d already allocated", id)
-	}
-	n := m.chainLen(tokens, prefixTokens)
-	c := m.chain(group, n)
-	// Only the run from the root skips prefill work: KV for position t
-	// needs every earlier position resident too.
-	contig := 0
-	if c != nil {
-		contig = min(c.run, n)
-	}
-	// Reference resident chain blocks first so reclaim cannot drop them
-	// while making room for the rest.
-	hitBlocks := m.ref(c, n, +1)
-	need := m.BlocksFor(tokens) - hitBlocks // missing chain + private blocks
-	if need > m.FreeBlocks() {
-		m.reclaim(need - m.FreeBlocks())
-	}
-	if need > m.FreeBlocks() {
-		m.ref(c, n, -1)
-		return 0, fmt.Errorf("kvcache: out of memory: need %d blocks, free %d", need, m.FreeBlocks())
-	}
-	m.fill(group, c, n)
-	priv := m.BlocksFor(tokens) - n
-	m.allocSeq++
-	m.setSeq(id, seqAlloc{blocks: priv, group: group, shared: n, arrival: m.allocSeq})
-	m.used += priv
-	if m.used > m.peak {
-		m.peak = m.used
-	}
-	m.stats.HitBlocks += hitBlocks
-	m.stats.MissBlocks += n - hitBlocks
-	return contig * m.blockSize, nil
-}
-
 // ref adds delta (+1 or -1) to the refcount of every resident block
 // among c's first n positions, moving blocks out of the reclaimable
 // pool as they gain their first reference and into it as they lose
@@ -207,7 +144,8 @@ func (m *Manager) ref(c *prefixChain, n, delta int) (resident int) {
 }
 
 // fill inserts the missing blocks among group's first n positions
-// (ref 1) into c, or into a new chain if c is nil, and touches all n
+// (ref 1, booked by admit's take) into c, or into a new chain if c is
+// nil, and touches all n
 // tail-first, so LRU reclaim drops chain tails before roots and keeps
 // surviving chains contiguous (and so hittable).
 func (m *Manager) fill(group int, c *prefixChain, n int) {
@@ -228,7 +166,6 @@ func (m *Manager) fill(group int, c *prefixChain, n int) {
 			b.refs = 1
 			c.resident++
 			m.sharedN++
-			m.used++
 		}
 		b.lastUse = m.touch()
 	}

@@ -8,13 +8,13 @@ import "testing"
 func TestEvictionOrderInterleavedAllocFree(t *testing.T) {
 	m := mustManager(t, 16*10, 16) // 10 blocks
 	for _, id := range []int{1, 2, 3} {
-		if err := m.Allocate(id, 32); err != nil { // 2 blocks each
+		if _, err := m.Allocate(id, 32, 0, 0); err != nil { // 2 blocks each
 			t.Fatal(err)
 		}
 	}
 	m.Free(2)
 	for _, id := range []int{4, 5, 2} { // 2 comes back as the newest
-		if err := m.Allocate(id, 32); err != nil {
+		if _, err := m.Allocate(id, 32, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,7 +35,7 @@ func TestEvictionOrderInterleavedAllocFree(t *testing.T) {
 // chain warm and matchable.
 func TestAllocateSharedHitMiss(t *testing.T) {
 	m := mustManager(t, 16*100, 16)
-	hit, err := m.AllocateShared(1, 100, 7, 64)
+	hit, err := m.Allocate(1, 100, 7, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestAllocateSharedHitMiss(t *testing.T) {
 	if m.UsedBlocks() != 7 { // 4 shared + ceil(100/16)-4 = 3 private
 		t.Errorf("used = %d, want 7", m.UsedBlocks())
 	}
-	hit, err = m.AllocateShared(2, 100, 7, 64)
+	hit, err = m.Allocate(2, 100, 7, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestAllocateSharedHitMiss(t *testing.T) {
 		t.Errorf("warm chain matches %d tokens, want 64", got)
 	}
 	// The next allocation hits the warm chain without re-paying.
-	hit, err = m.AllocateShared(3, 70, 7, 64)
+	hit, err = m.Allocate(3, 70, 7, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,10 @@ func TestAllocateSharedHitMiss(t *testing.T) {
 // Double-freeing a sharing sequence must not drop its references twice.
 func TestDoubleFreeSharedDropsRefsOnce(t *testing.T) {
 	m := mustManager(t, 16*20, 16)
-	if _, err := m.AllocateShared(1, 64, 3, 64); err != nil {
+	if _, err := m.Allocate(1, 64, 3, 64); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AllocateShared(2, 64, 3, 64); err != nil {
+	if _, err := m.Allocate(2, 64, 3, 64); err != nil {
 		t.Fatal(err)
 	}
 	m.Free(1)
@@ -112,13 +112,13 @@ func TestDoubleFreeSharedDropsRefsOnce(t *testing.T) {
 // tail-first so the remaining chain stays contiguous and hittable.
 func TestEvictWhileShared(t *testing.T) {
 	m := mustManager(t, 16*12, 16) // 12 blocks
-	if _, err := m.AllocateShared(1, 64, 5, 64); err != nil {
+	if _, err := m.Allocate(1, 64, 5, 64); err != nil {
 		t.Fatal(err) // 4 shared
 	}
-	if _, err := m.AllocateShared(2, 80, 5, 64); err != nil {
+	if _, err := m.Allocate(2, 80, 5, 64); err != nil {
 		t.Fatal(err) // +1 private
 	}
-	if err := m.Allocate(3, 112); err != nil { // +7 private: pool full
+	if _, err := m.Allocate(3, 112, 0, 0); err != nil { // +7 private: pool full
 		t.Fatal(err)
 	}
 	evicted := m.EvictMostRecent(2, []int{3})
@@ -140,17 +140,17 @@ func TestEvictWhileShared(t *testing.T) {
 // and CanAllocate counts warm blocks as allocatable space.
 func TestReclaimKeepsChainContiguous(t *testing.T) {
 	m := mustManager(t, 16*8, 16) // 8 blocks
-	if _, err := m.AllocateShared(1, 96, 9, 96); err != nil {
+	if _, err := m.Allocate(1, 96, 9, 96); err != nil {
 		t.Fatal(err) // 6 shared, 0 private
 	}
 	m.Free(1)
 	if m.WarmBlocks() != 6 || m.FreeBlocks() != 2 {
 		t.Fatalf("warm/free = %d/%d, want 6/2", m.WarmBlocks(), m.FreeBlocks())
 	}
-	if !m.CanAllocate(64) { // needs 4 blocks; 2 free + reclaimable warm
+	if !m.CanAllocate(64, 0, 0) { // needs 4 blocks; 2 free + reclaimable warm
 		t.Fatal("CanAllocate ignores reclaimable warm blocks")
 	}
-	if err := m.Allocate(2, 64); err != nil {
+	if _, err := m.Allocate(2, 64, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.Stats(); st.ReclaimedBlocks != 2 {
@@ -161,19 +161,19 @@ func TestReclaimKeepsChainContiguous(t *testing.T) {
 	}
 }
 
-// CanAllocateShared sizes against missing blocks only, and a full-pool
+// CanAllocate sizes against missing blocks only, and a full-pool
 // shared allocation fails cleanly with references rolled back.
 func TestAllocateSharedOOMRollback(t *testing.T) {
 	m := mustManager(t, 16*6, 16) // 6 blocks
-	if _, err := m.AllocateShared(1, 64, 2, 64); err != nil {
+	if _, err := m.Allocate(1, 64, 2, 64); err != nil {
 		t.Fatal(err) // 4 shared
 	}
 	// 2 free blocks: a 100-token (7-block) newcomer hits 4 shared and
 	// needs 3 new -> must be refused even though it shares.
-	if m.CanAllocateShared(112, 2, 64) {
-		t.Error("CanAllocateShared accepted an over-capacity allocation")
+	if m.CanAllocate(112, 2, 64) {
+		t.Error("CanAllocate accepted an over-capacity allocation")
 	}
-	if _, err := m.AllocateShared(9, 112, 2, 64); err == nil {
+	if _, err := m.Allocate(9, 112, 2, 64); err == nil {
 		t.Fatal("over-capacity shared allocation accepted")
 	}
 	// The failed attempt must not leave stray references: freeing the
@@ -183,7 +183,7 @@ func TestAllocateSharedOOMRollback(t *testing.T) {
 		t.Errorf("warm = %d after rollback + free, want 4", m.WarmBlocks())
 	}
 	// A fitting sharer still succeeds against the warm chain.
-	hit, err := m.AllocateShared(10, 80, 2, 64)
+	hit, err := m.Allocate(10, 80, 2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,31 +193,31 @@ func TestAllocateSharedOOMRollback(t *testing.T) {
 }
 
 // A warm block of the request's own chain is either already paid for or
-// reclaimable headroom, never both: AllocateShared references it first,
-// so CanAllocateShared must not count it twice.
+// reclaimable headroom, never both: Allocate references it first,
+// so CanAllocate must not count it twice.
 func TestCanAllocateSharedCountsOwnWarmChainOnce(t *testing.T) {
 	m := mustManager(t, 16*4, 16) // 4 blocks
-	if _, err := m.AllocateShared(1, 32, 7, 32); err != nil {
+	if _, err := m.Allocate(1, 32, 7, 32); err != nil {
 		t.Fatal(err) // 2 shared
 	}
 	m.Free(1) // the 2-block chain stays warm
-	if err := m.Allocate(2, 32); err != nil {
+	if _, err := m.Allocate(2, 32, 0, 0); err != nil {
 		t.Fatal(err) // 2 private: 0 free
 	}
 	// 3 blocks: 2 hit the warm chain, 1 is new, and the only reclaimable
 	// blocks are the 2 this allocation is about to reference.
-	if m.CanAllocateShared(48, 7, 32) {
-		t.Error("CanAllocateShared promised room only the hit chain could free")
+	if m.CanAllocate(48, 7, 32) {
+		t.Error("CanAllocate promised room only the hit chain could free")
 	}
-	if _, err := m.AllocateShared(3, 48, 7, 32); err == nil {
+	if _, err := m.Allocate(3, 48, 7, 32); err == nil {
 		t.Fatal("allocation succeeded with no free block")
 	}
 	// Freeing the private sequence makes room; both sides agree again.
 	m.Free(2)
-	if !m.CanAllocateShared(48, 7, 32) {
-		t.Error("CanAllocateShared refused a fitting allocation")
+	if !m.CanAllocate(48, 7, 32) {
+		t.Error("CanAllocate refused a fitting allocation")
 	}
-	hit, err := m.AllocateShared(3, 48, 7, 32)
+	hit, err := m.Allocate(3, 48, 7, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
