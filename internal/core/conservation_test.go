@@ -34,8 +34,8 @@ func TestEngineConservationProperty(t *testing.T) {
 		if res.Report.OutputTokens != wantOut || res.Report.Requests != len(reqs) {
 			return false
 		}
-		for _, ft := range res.Finished {
-			if ft <= 0 {
+		for _, rec := range res.Records {
+			if rec.Finish <= 0 {
 				return false
 			}
 		}
@@ -55,9 +55,9 @@ func TestFinishTimesWithinElapsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, ft := range res.Finished {
-		if float64(ft) > res.Report.Elapsed+1e-9 {
-			t.Fatalf("request %d finished at %v after elapsed %v", id, ft, res.Report.Elapsed)
+	for id, rec := range res.Records {
+		if rec.Finish > res.Report.Elapsed+1e-9 {
+			t.Fatalf("request %d finished at %v after elapsed %v", id, rec.Finish, res.Report.Elapsed)
 		}
 	}
 }

@@ -170,8 +170,6 @@ type Result struct {
 	Rec *metrics.Recorder
 	// KV is the Fig.-12 usage timeline (nil unless Config.RecordKV).
 	KV *metrics.KVTimeline
-	// Finished lists per-request completion times by request ID.
-	Finished []sim.Time
 	// Records holds per-request lifecycle timestamps (arrival, first
 	// token, finish) by request ID; Report.Latency digests them.
 	Records []metrics.RequestRecord
@@ -1592,7 +1590,6 @@ func (e *Engine) buildResult() (*Result, error) {
 		Requests:  e.finished,
 		Elapsed:   float64(e.doneAt),
 	}
-	finished := make([]sim.Time, len(e.states))
 	records := make([]metrics.RequestRecord, len(e.states))
 	for i, st := range e.states {
 		if st.aborted {
@@ -1604,7 +1601,6 @@ func (e *Engine) buildResult() (*Result, error) {
 		}
 		rep.InputTokens += st.req.InputLen
 		rep.OutputTokens += st.generated
-		finished[i] = st.finishedAt
 		records[i] = metrics.RequestRecord{
 			ID:           i,
 			Arrival:      st.req.ArrivalTime,
@@ -1642,7 +1638,7 @@ func (e *Engine) buildResult() (*Result, error) {
 	if e.cfg.RecordBusy {
 		rec = &e.cluster.Rec
 	}
-	return &Result{Report: rep, Rec: rec, KV: kvt, Finished: finished, Records: records, Steps: e.eng.Steps()}, nil
+	return &Result{Report: rep, Rec: rec, KV: kvt, Records: records, Steps: e.eng.Steps()}, nil
 }
 
 // Run is the package-level convenience: build an engine on a fresh

@@ -68,8 +68,8 @@ func TestEngineCompletesAllRequests(t *testing.T) {
 	if rep.Elapsed <= 0 {
 		t.Errorf("elapsed = %v", rep.Elapsed)
 	}
-	for id, ft := range res.Finished {
-		if ft <= 0 {
+	for id, rec := range res.Records {
+		if rec.Finish <= 0 {
 			t.Fatalf("request %d has no finish time", id)
 		}
 	}
@@ -88,8 +88,8 @@ func TestEngineDeterministic(t *testing.T) {
 	if a.Report.Elapsed != b.Report.Elapsed || a.Report.PhaseSwitches != b.Report.PhaseSwitches {
 		t.Errorf("runs differ: %+v vs %+v", a.Report, b.Report)
 	}
-	for i := range a.Finished {
-		if a.Finished[i] != b.Finished[i] {
+	for i := range a.Records {
+		if a.Records[i].Finish != b.Records[i].Finish {
 			t.Fatalf("finish time of %d differs", i)
 		}
 	}

@@ -20,14 +20,13 @@ const (
 // usageSim is the engine's Algorithm-1 state: predicted KV usage (in
 // tokens) at each futurePoint.
 type usageSim struct {
-	stride int
 	points []int // futurePoint step numbers
 	usage  []int // predicted tokens held at each point
 }
 
 // newUsageSim builds the futurePoint grid.
 func newUsageSim(stride, max int) *usageSim {
-	s := &usageSim{stride: stride}
+	s := &usageSim{}
 	for fp := stride; fp <= max; fp += stride {
 		s.points = append(s.points, fp)
 	}

@@ -26,14 +26,10 @@ func TestInstantArrivalsReproduceOfflineRun(t *testing.T) {
 	if offline.Report != online.Report {
 		t.Errorf("reports differ:\noffline: %+v\ninstant: %+v", offline.Report, online.Report)
 	}
-	if len(offline.Finished) != len(online.Finished) {
-		t.Fatalf("finished lengths differ: %d vs %d", len(offline.Finished), len(online.Finished))
+	if len(offline.Records) != len(online.Records) {
+		t.Fatalf("record counts differ: %d vs %d", len(offline.Records), len(online.Records))
 	}
-	for i := range offline.Finished {
-		if offline.Finished[i] != online.Finished[i] {
-			t.Fatalf("request %d finished at %v offline, %v under instant arrivals",
-				i, offline.Finished[i], online.Finished[i])
-		}
+	for i := range offline.Records {
 		if offline.Records[i] != online.Records[i] {
 			t.Fatalf("request %d records differ: %+v vs %+v", i, offline.Records[i], online.Records[i])
 		}

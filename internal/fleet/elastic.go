@@ -180,17 +180,9 @@ func (ro *router) signals(p *pool) policy.Signals {
 	} else {
 		s.QueuePerReplica = float64(queued)
 	}
-	s.Goodput = 1
 	if len(win) > 0 {
 		sort.Float64s(win)
 		s.TTFTP99 = metrics.Percentile(win, 99)
-		good := 0
-		for _, v := range win {
-			if v <= pl.ttftSLO {
-				good++
-			}
-		}
-		s.Goodput = float64(good) / float64(len(win))
 	}
 	return s
 }

@@ -513,7 +513,7 @@ func (ro *router) badPick(p *pool, j, n int) {
 //
 //det:hotpath
 func (ro *router) record(p *pool, r workload.Request, origin, k, local int) {
-	p.add(k, origin, r, p.policy.Cost(r))
+	p.add(k, origin, p.policy.Cost(r))
 	p.fix(k)
 	ro.led.final[origin] = recRef{replica: p.off + k, local: local}
 }
@@ -540,38 +540,31 @@ func (ro *router) finished(p *pool, i, local int) {
 	ro.fab.markFinish(p.off + i)
 }
 
-// loadEntry is one routed request's contribution to its replica's load
-// counters, subtracted when the engine reports it finished.
-type loadEntry struct {
-	inputTokens int
-	cost        float64
-}
-
 // books is one replica pool's routing bookkeeping: the live load
 // counters, maintained incrementally (add on submission, retire on
 // finish, hand-off or crash), each routed request's contribution to
 // them, and the shard record of which replica got which request.
 type books struct {
 	out []Load
-	// entries[k][local] is the load contribution of replica k's local
-	// request local.
-	entries [][]loadEntry
+	// entries[k][local] is the policy cost replica k's local request
+	// local added to CostTokens, subtracted when the engine reports it
+	// finished.
+	entries [][]float64
 	shards  []Shard
 }
 
 func newBooks(n int) books {
-	return books{out: make([]Load, n), entries: make([][]loadEntry, n), shards: make([]Shard, n)}
+	return books{out: make([]Load, n), entries: make([][]float64, n), shards: make([]Shard, n)}
 }
 
-// add books request r (trace index origin) as replica k's next local
-// request, at the given policy cost. The shard lists the request by
+// add books request origin as replica k's next local request, at the
+// given policy cost. The shard lists the request by
 // its origin alone.
 //
 //det:hotpath
-func (b *books) add(k, origin int, r workload.Request, cost float64) {
-	b.entries[k] = append(b.entries[k], loadEntry{inputTokens: r.InputLen, cost: cost}) //det:ignore hotalloc amortized growth, one entry per request the replica is sent
+func (b *books) add(k, origin int, cost float64) {
+	b.entries[k] = append(b.entries[k], cost) //det:ignore hotalloc amortized growth, one entry per request the replica is sent
 	b.out[k].Requests++
-	b.out[k].InputTokens += r.InputLen
 	b.out[k].CostTokens += cost
 	b.shards[k].Origin = append(b.shards[k].Origin, origin) //det:ignore hotalloc amortized growth, one origin per request the replica is sent
 }
@@ -581,10 +574,8 @@ func (b *books) add(k, origin int, r workload.Request, cost float64) {
 //
 //det:hotpath
 func (b *books) retire(k, local int) int {
-	en := b.entries[k][local]
 	b.out[k].Requests--
-	b.out[k].InputTokens -= en.inputTokens
-	b.out[k].CostTokens -= en.cost
+	b.out[k].CostTokens -= b.entries[k][local]
 	return b.shards[k].Origin[local]
 }
 

@@ -14,8 +14,6 @@ import (
 type Load struct {
 	// Requests is the number of requests assigned so far.
 	Requests int
-	// InputTokens is the known prefill work assigned so far.
-	InputTokens int
 	// CostTokens accumulates the dispatching policy's own Cost
 	// estimates for the assigned requests.
 	CostTokens float64

@@ -176,10 +176,8 @@ func runInstance(cfg Config, cm *costmodel.Model, shard []workload.Request,
 		// Prefill the generation: weights stream once per pass.
 		var lens []int
 		maxOut := 0
-		kvTokens := 0
 		for _, r := range gen {
 			lens = append(lens, r.InputLen)
-			kvTokens += r.InputLen
 			if r.OutputLen > maxOut {
 				maxOut = r.OutputLen
 			}
@@ -224,7 +222,6 @@ func runInstance(cfg Config, cm *costmodel.Model, shard []workload.Request,
 			elapsed += step
 			busy += comp
 			*streamedOut = hostBytes
-			kvTokens += live
 		}
 	}
 	return elapsed, busy

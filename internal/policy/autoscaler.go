@@ -11,9 +11,6 @@ type Signals struct {
 	// TTFTP99 is the 99th-percentile time-to-first-token of the
 	// completions in the window (0 when nothing completed).
 	TTFTP99 float64
-	// Goodput is the fraction of window completions meeting the TTFT
-	// target (1 when nothing completed).
-	Goodput float64
 	// Active is the number of replicas currently serving traffic;
 	// Warming counts replicas paying their cold-start weight load.
 	Active, Warming int
