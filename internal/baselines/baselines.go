@@ -22,9 +22,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/deque"
-
 	"repro/internal/hw"
 	"repro/internal/kvcache"
 	"repro/internal/metrics"
@@ -64,6 +64,17 @@ func (m Method) IsTP() bool { return m == TPSB || m == TPHB }
 
 // Methods lists all four baselines in the paper's order.
 func Methods() []Method { return []Method{TPSB, TPHB, PPSB, PPHB} }
+
+// ParseMethod returns the baseline whose paper name (String) equals
+// name, ignoring case, and reports whether there is one.
+func ParseMethod(name string) (Method, bool) {
+	for _, m := range Methods() {
+		if strings.EqualFold(m.String(), name) {
+			return m, true
+		}
+	}
+	return 0, false
+}
 
 // Config parameterizes a baseline run.
 type Config struct {

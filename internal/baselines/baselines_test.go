@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -38,6 +39,22 @@ func TestMethodStringsAndKinds(t *testing.T) {
 	}
 	if len(Methods()) != 4 {
 		t.Error("Methods() incomplete")
+	}
+}
+
+// ParseMethod inverts String, ignoring case, and knows no other name.
+func TestParseMethod(t *testing.T) {
+	for _, m := range Methods() {
+		for _, name := range []string{m.String(), strings.ToLower(m.String())} {
+			if got, ok := ParseMethod(name); !ok || got != m {
+				t.Errorf("ParseMethod(%q) = %v, %v, want %v", name, got, ok, m)
+			}
+		}
+	}
+	for _, name := range []string{"", "unknown", "tdpipe", "TP-SB"} {
+		if _, ok := ParseMethod(name); ok {
+			t.Errorf("ParseMethod(%q) found a method", name)
+		}
 	}
 }
 

@@ -76,17 +76,8 @@ func runFig11Cell(env *Env, combo Combo, gpus int, sched string) (Fig11Cell, err
 		cell.Utilization = res.Report.MeanUtilization
 		return cell, nil
 	}
-	var method baselines.Method
-	switch sched {
-	case "TP+SB":
-		method = baselines.TPSB
-	case "TP+HB":
-		method = baselines.TPHB
-	case "PP+SB":
-		method = baselines.PPSB
-	case "PP+HB":
-		method = baselines.PPHB
-	default:
+	method, ok := baselines.ParseMethod(sched)
+	if !ok {
 		return cell, fmt.Errorf("experiments: unknown scheduler %q", sched)
 	}
 	res, err := baselines.Run(baselines.DefaultConfig(combo.Node, combo.Spec, gpus, method), env.Requests)
