@@ -358,7 +358,7 @@ func pickNode(name string) (hw.Node, error) {
 	case "A100":
 		return hw.A100, nil
 	}
-	return hw.Node{}, fmt.Errorf("unknown node %q (L20, A100)", name)
+	return hw.Node{}, fmt.Errorf("%w %q (L20, A100)", errUnknownNode, name)
 }
 
 func pickModel(name string) (model.Spec, error) {
@@ -370,7 +370,7 @@ func pickModel(name string) (model.Spec, error) {
 	case "70B", "LLAMA2-70B", "LLAMA2-70B-CHAT":
 		return model.Llama2_70B, nil
 	}
-	return model.Spec{}, fmt.Errorf("unknown model %q (13B, 32B, 70B)", name)
+	return model.Spec{}, fmt.Errorf("%w %q (13B, 32B, 70B)", errUnknownModel, name)
 }
 
 // trainedPredictor fits the classifier on the corpus's 60% historical
@@ -557,6 +557,20 @@ var (
 	errOracleBaseline    = errors.New("-oracle replaces TD-Pipe's output-length predictor: it needs -sched tdpipe")
 )
 
+// The errors for an invocation whose settings cannot run together, or
+// that names no known scheduler, node or model.
+var (
+	errStackNoRouter   = errors.New("the policy stack needs the online fleet router: -replicas > 1 with open-loop -arrivals (or -disagg for -breaker-failures and the -autoscale-* flags)")
+	errBreakerNoSLO    = errors.New("-breaker-failures classifies completions against the TTFT SLO: set -slo-ttft (with -disagg breakers are crash-fed instead)")
+	errFaultsNoHorizon = errors.New("-mtbf, -domain-mtbf and the -link-* impairments need -fault-horizon to bound when failures can land")
+	errFaultsNoRouter  = errors.New("fault injection needs a router to recover through: use fleet mode (-replicas > 1) or -disagg")
+	errNeedsTDPipe     = errors.New("requires -sched tdpipe")
+	errOffloadOpen     = errors.New("the offload scheduler is offline-only; use -arrivals instant")
+	errUnknownSched    = errors.New("unknown scheduler")
+	errUnknownNode     = errors.New("unknown node")
+	errUnknownModel    = errors.New("unknown model")
+)
+
 // dependentFlags lists flags that take effect only in some mode or
 // under another setting: off reports that they would do nothing, and
 // err names the mismatch.
@@ -618,20 +632,20 @@ func run(o options, visit func(func(*flag.Flag))) error {
 		stackSet = stackSet || set[name]
 	}
 	if stackSet && !o.disagg && (o.replicas <= 1 || !open) {
-		return fmt.Errorf("the policy stack needs the online fleet router: -replicas > 1 with open-loop -arrivals (or -disagg for -breaker-failures and the -autoscale-* flags)")
+		return errStackNoRouter
 	}
 	if o.breakerFailures > 0 && o.slo.TTFT <= 0 && !o.disagg {
-		return fmt.Errorf("-breaker-failures classifies completions against the TTFT SLO: set -slo-ttft (with -disagg breakers are crash-fed instead)")
+		return errBreakerNoSLO
 	}
 	fc := o.faultConfig()
 	if (fc.MTBF > 0 || fc.LinkDegradeFrac > 0 || fc.LinkPartitionFrac > 0 || fc.DomainMTBF > 0) && fc.Horizon <= 0 {
-		return fmt.Errorf("-mtbf, -domain-mtbf and the -link-* impairments need -fault-horizon to bound when failures can land")
+		return errFaultsNoHorizon
 	}
 	if err := fc.Validate(); err != nil {
 		return err
 	}
 	if fc.Enabled() && !o.disagg && o.replicas <= 1 {
-		return fmt.Errorf("fault injection needs a router to recover through: use fleet mode (-replicas > 1) or -disagg")
+		return errFaultsNoRouter
 	}
 	node, err := pickNode(o.node)
 	if err != nil {
@@ -680,7 +694,7 @@ func run(o options, visit func(func(*flag.Flag))) error {
 
 	if o.disagg {
 		if !tdpipeSched(o.sched) {
-			return fmt.Errorf("disaggregated mode (-disagg) requires -sched tdpipe, got %q", o.sched)
+			return fmt.Errorf("disaggregated mode (-disagg) %w, got %q", errNeedsTDPipe, o.sched)
 		}
 		if o.kvBW > 0 {
 			node.KVLinkGBps = o.kvBW
@@ -692,7 +706,7 @@ func run(o options, visit func(func(*flag.Flag))) error {
 	}
 	if o.replicas > 1 {
 		if !tdpipeSched(o.sched) {
-			return fmt.Errorf("fleet mode (-replicas %d) requires -sched tdpipe, got %q", o.replicas, o.sched)
+			return fmt.Errorf("fleet mode (-replicas %d) %w, got %q", o.replicas, errNeedsTDPipe, o.sched)
 		}
 		return runFleet(o, node, spec, pool, reqs, open)
 	}
@@ -701,8 +715,9 @@ func run(o options, visit func(func(*flag.Flag))) error {
 	var rec *metrics.Recorder
 	var kv []metrics.KVPoint
 
-	switch strings.ToLower(o.sched) {
-	case "tdpipe", "td-pipe":
+	method, baseline := baselines.ParseMethod(o.sched)
+	switch {
+	case tdpipeSched(o.sched):
 		cfg, err := engineConfig(o, node, spec, pool)
 		if err != nil {
 			return err
@@ -720,28 +735,17 @@ func run(o options, visit func(func(*flag.Flag))) error {
 			kv = res.KV.Points
 		}
 		printKernel(res.Steps, wall, 0)
-	case "tp+sb", "tp+hb", "pp+sb", "pp+hb":
-		var m baselines.Method
-		switch strings.ToLower(o.sched) {
-		case "tp+sb":
-			m = baselines.TPSB
-		case "tp+hb":
-			m = baselines.TPHB
-		case "pp+sb":
-			m = baselines.PPSB
-		default:
-			m = baselines.PPHB
-		}
-		bcfg := baselines.DefaultConfig(node, spec, o.gpus, m)
+	case baseline:
+		bcfg := baselines.DefaultConfig(node, spec, o.gpus, method)
 		bcfg.SLO = o.slo
 		res, err := baselines.Run(bcfg, reqs)
 		if err != nil {
 			return err
 		}
 		rep, rec = res.Report, res.Rec
-	case "offload":
+	case strings.EqualFold(o.sched, "offload"):
 		if open {
-			return fmt.Errorf("the offload scheduler is offline-only; use -arrivals instant")
+			return errOffloadOpen
 		}
 		res, err := offload.Run(offload.DefaultConfig(node, spec, o.gpus), reqs)
 		if err != nil {
@@ -749,7 +753,7 @@ func run(o options, visit func(func(*flag.Flag))) error {
 		}
 		rep = res.Report
 	default:
-		return fmt.Errorf("unknown scheduler %q", o.sched)
+		return fmt.Errorf("%w %q", errUnknownSched, o.sched)
 	}
 
 	printReport(rep)

@@ -165,6 +165,46 @@ func TestFleetFlagErrors(t *testing.T) {
 	}
 }
 
+// TestRunRefusals pins each invocation run refuses after the flag
+// checks: settings that cannot run together, and a scheduler, node or
+// model name it does not know. No case runs a simulation.
+func TestRunRefusals(t *testing.T) {
+	tiny := []string{"-requests", "8", "-pool", "64"}
+	open := []string{"-arrivals", "poisson", "-rate", "5"}
+	cases := []struct {
+		name string
+		args []string
+		want error
+	}{
+		{"policy stack without fleet", []string{"-breaker-failures", "2"}, errStackNoRouter},
+		{"policy stack on a closed-loop fleet", []string{"-replicas", "2", "-admit-rate", "4"}, errStackNoRouter},
+		{"breakers without ttft slo", append([]string{"-replicas", "2", "-breaker-failures", "2"}, open...), errBreakerNoSLO},
+		{"crashes without horizon", []string{"-replicas", "2", "-mtbf", "30"}, errFaultsNoHorizon},
+		{"link impairment without horizon", []string{"-disagg", "-link-partition-frac", "0.1"}, errFaultsNoHorizon},
+		{"faults without router", []string{"-mtbf", "30", "-fault-horizon", "20"}, errFaultsNoRouter},
+		{"disagg with a baseline", []string{"-disagg", "-sched", "pp+sb"}, errNeedsTDPipe},
+		{"fleet with a baseline", []string{"-replicas", "2", "-sched", "tp+hb"}, errNeedsTDPipe},
+		{"offload with open-loop arrivals", append([]string{"-sched", "offload"}, open...), errOffloadOpen},
+		{"unknown scheduler", []string{"-sched", "nosuch"}, errUnknownSched},
+		{"unknown node", []string{"-node", "H100"}, errUnknownNode},
+		{"unknown model", []string{"-model", "7B"}, errUnknownModel},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var o options
+			fs := flag.NewFlagSet("tdpipe-sim", flag.ContinueOnError)
+			registerFlags(fs, &o)
+			fs.SetOutput(io.Discard)
+			if err := fs.Parse(append(tc.args, tiny...)); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(o, fs.Visit); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
 // runOutput runs one invocation and returns its stdout without the
 // wall-clock kernel line.
 func runOutput(t *testing.T, args ...string) string {
