@@ -8,6 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
+// roundCheck, when set, runs at the start of every round. Tests install
+// an invariant check here; the first error it returns ends the run.
+var roundCheck func(*ppRunner) error
+
 // ppRunner executes the PP+SB and PP+HB baselines on the same pipeline
 // cluster TD-Pipe uses, but with the stock-vLLM behaviours the paper
 // identifies as bubble sources (§2.3, Fig. 1):
@@ -45,6 +49,8 @@ type ppRunner struct {
 	// idle is true when the runner is parked between arrivals; the
 	// next arrival event restarts the round loop.
 	idle bool
+	// checkErr is roundCheck's first error.
+	checkErr error
 }
 
 func newPPRunner(c *common) (*ppRunner, error) {
@@ -75,6 +81,9 @@ func (r *ppRunner) run() (sim.Time, error) {
 	r.pending = nil
 	r.startRound(0)
 	r.eng.Run()
+	if r.checkErr != nil {
+		return 0, r.checkErr
+	}
 	if r.finished != len(r.states) {
 		return 0, fmt.Errorf("baselines: %s stalled with %d/%d finished (waiting=%d)",
 			r.cfg.Method, r.finished, len(r.states), r.waiting.Len())
@@ -125,6 +134,9 @@ func (r *ppRunner) noteEnd(t sim.Time) {
 // startRound schedules one lockstep round: every slot gets at most one
 // pass; the next round begins only after all of them complete.
 func (r *ppRunner) startRound(now sim.Time) {
+	if roundCheck != nil && r.checkErr == nil {
+		r.checkErr = roundCheck(r)
+	}
 	r.rounds++
 	if r.rounds > 64*len(r.states)*1024+1024 {
 		panic(fmt.Sprintf("baselines: %s runaway after %d rounds", r.cfg.Method, r.rounds))
