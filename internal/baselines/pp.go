@@ -133,6 +133,12 @@ func (r *ppRunner) noteEnd(t sim.Time) {
 
 // startRound schedules one lockstep round: every slot gets at most one
 // pass; the next round begins only after all of them complete.
+//
+// A recompute eviction spares only the evicting slot's lists, so a
+// victim may still be listed, marked evicted, in another slot, or in a
+// slot whose pass already completed. Every list drops such entries
+// before the round admits anything: re-admission clears the mark, and
+// a stale entry would then name the request a second time.
 func (r *ppRunner) startRound(now sim.Time) {
 	if roundCheck != nil && r.checkErr == nil {
 		r.checkErr = roundCheck(r)
@@ -143,6 +149,10 @@ func (r *ppRunner) startRound(now sim.Time) {
 	}
 	r.outstanding = 0
 	r.roundEnd = now
+	for slot := range r.batch {
+		r.batch[slot] = r.live(r.batch[slot])
+		r.partial[slot] = r.live(r.partial[slot])
+	}
 	for slot := 0; slot < r.cfg.World; slot++ {
 		if r.cfg.Method == PPSB {
 			r.submitSB(slot, now)
@@ -191,7 +201,6 @@ func (r *ppRunner) submitSB(slot int, now sim.Time) {
 			return
 		}
 	}
-	r.batch[slot] = r.live(r.batch[slot])
 	if len(r.batch[slot]) > 0 {
 		ids := r.batch[slot]
 		r.outstanding++
@@ -212,9 +221,6 @@ func (r *ppRunner) completeDecode(slot int, t sim.Time) {
 // --- PP + hybrid batching (chunked prefill) ----------------------------
 
 func (r *ppRunner) submitHB(slot int, now sim.Time) {
-	r.batch[slot] = r.live(r.batch[slot])
-	r.partial[slot] = r.live(r.partial[slot])
-
 	decodes := min(len(r.batch[slot]), r.cfg.ChunkTokens)
 	chunkTokens, chunkCtx := r.admitChunks(&r.partial[slot], r.cfg.ChunkTokens-decodes)
 	if decodes == 0 && chunkTokens == 0 {
