@@ -6,6 +6,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -93,9 +94,11 @@ var errFlag = errors.New("flag error")
 // checks: a fleet size below one and an explicit -policy without fleet
 // mode must each fail with their named error instead of silently
 // running the single-engine path, and so must a flag that tunes a
-// feature the invocation leaves off; -workers is not a flag (the
-// fleet sizes its own worker pool); valid fleet invocations, fault
-// injection together with a policy flag among them, must run.
+// feature the invocation leaves off, or settings that cannot run
+// together, or a scheduler, node or model name run does not know;
+// -workers is not a flag (the fleet sizes its own worker pool); valid
+// fleet invocations, fault injection together with a policy flag among
+// them, must run.
 func TestFleetFlagErrors(t *testing.T) {
 	tiny := []string{"-requests", "8", "-pool", "64", "-oracle"}
 	cases := []struct {
@@ -140,6 +143,18 @@ func TestFleetFlagErrors(t *testing.T) {
 			"-mtbf", "30", "-fault-horizon", "20", "-admit-rate", "4"}, nil},
 		{"disagg autoscale with faults", []string{"-disagg", "-arrivals", "poisson", "-rate", "5",
 			"-mtbf", "30", "-fault-horizon", "20", "-autoscale-max", "2"}, nil},
+		{"policy stack without fleet", []string{"-breaker-failures", "2"}, errStackNoRouter},
+		{"policy stack on a closed-loop fleet", []string{"-replicas", "2", "-admit-rate", "4"}, errStackNoRouter},
+		{"breakers without ttft slo", []string{"-replicas", "2", "-arrivals", "poisson", "-rate", "5", "-breaker-failures", "2"}, errBreakerNoSLO},
+		{"crashes without horizon", []string{"-replicas", "2", "-mtbf", "30"}, errFaultsNoHorizon},
+		{"link impairment without horizon", []string{"-disagg", "-link-partition-frac", "0.1"}, errFaultsNoHorizon},
+		{"faults without router", []string{"-mtbf", "30", "-fault-horizon", "20"}, errFaultsNoRouter},
+		{"disagg with a baseline", []string{"-disagg", "-sched", "pp+sb", "-oracle=false"}, errNeedsTDPipe},
+		{"fleet with a baseline", []string{"-replicas", "2", "-sched", "tp+hb", "-oracle=false"}, errNeedsTDPipe},
+		{"offload with open-loop arrivals", []string{"-sched", "offload", "-oracle=false", "-arrivals", "poisson", "-rate", "5"}, errOffloadOpen},
+		{"unknown scheduler", []string{"-sched", "nosuch", "-oracle=false"}, errUnknownSched},
+		{"unknown node", []string{"-node", "H100"}, errUnknownNode},
+		{"unknown model", []string{"-model", "7B"}, errUnknownModel},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,7 +162,8 @@ func TestFleetFlagErrors(t *testing.T) {
 			fs := flag.NewFlagSet("tdpipe-sim", flag.ContinueOnError)
 			registerFlags(fs, &o)
 			fs.SetOutput(io.Discard)
-			err := fs.Parse(append(tc.args, tiny...))
+			// tiny comes first, so a case may override it.
+			err := fs.Parse(slices.Concat(tiny, tc.args))
 			if err != nil {
 				if tc.want != errFlag {
 					t.Fatal(err)
@@ -159,46 +175,6 @@ func TestFleetFlagErrors(t *testing.T) {
 				t.Fatalf("unexpected error: %v", err)
 			}
 			if tc.want != nil && !errors.Is(err, tc.want) {
-				t.Fatalf("err = %v, want %v", err, tc.want)
-			}
-		})
-	}
-}
-
-// TestRunRefusals pins each invocation run refuses after the flag
-// checks: settings that cannot run together, and a scheduler, node or
-// model name it does not know. No case runs a simulation.
-func TestRunRefusals(t *testing.T) {
-	tiny := []string{"-requests", "8", "-pool", "64"}
-	open := []string{"-arrivals", "poisson", "-rate", "5"}
-	cases := []struct {
-		name string
-		args []string
-		want error
-	}{
-		{"policy stack without fleet", []string{"-breaker-failures", "2"}, errStackNoRouter},
-		{"policy stack on a closed-loop fleet", []string{"-replicas", "2", "-admit-rate", "4"}, errStackNoRouter},
-		{"breakers without ttft slo", append([]string{"-replicas", "2", "-breaker-failures", "2"}, open...), errBreakerNoSLO},
-		{"crashes without horizon", []string{"-replicas", "2", "-mtbf", "30"}, errFaultsNoHorizon},
-		{"link impairment without horizon", []string{"-disagg", "-link-partition-frac", "0.1"}, errFaultsNoHorizon},
-		{"faults without router", []string{"-mtbf", "30", "-fault-horizon", "20"}, errFaultsNoRouter},
-		{"disagg with a baseline", []string{"-disagg", "-sched", "pp+sb"}, errNeedsTDPipe},
-		{"fleet with a baseline", []string{"-replicas", "2", "-sched", "tp+hb"}, errNeedsTDPipe},
-		{"offload with open-loop arrivals", append([]string{"-sched", "offload"}, open...), errOffloadOpen},
-		{"unknown scheduler", []string{"-sched", "nosuch"}, errUnknownSched},
-		{"unknown node", []string{"-node", "H100"}, errUnknownNode},
-		{"unknown model", []string{"-model", "7B"}, errUnknownModel},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var o options
-			fs := flag.NewFlagSet("tdpipe-sim", flag.ContinueOnError)
-			registerFlags(fs, &o)
-			fs.SetOutput(io.Discard)
-			if err := fs.Parse(append(tc.args, tiny...)); err != nil {
-				t.Fatal(err)
-			}
-			if err := run(o, fs.Visit); !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})
