@@ -99,12 +99,10 @@ func (m *Manager) MissingBlocks(ex ExportedSeq) int {
 	return ex.Blocks() - m.ResidentBlocks(ex)
 }
 
-// CanImport reports whether ImportKV(id, ex) would fit right now,
-// counting warm shared blocks as reclaimable space — except warm
-// blocks that are themselves part of the export's chain: the import
-// re-references those first, which takes them out of the reclaimable
-// pool, so counting them as headroom too would promise space the
-// import cannot actually free (mirrors ImportKV's arithmetic exactly).
+// CanImport reports whether ImportKV(id, ex) would fit right now, by
+// the fit rule of every admission: warm blocks count as reclaimable
+// space, except those of the export's own chain, which the import
+// references first.
 func (m *Manager) CanImport(ex ExportedSeq) bool {
 	return m.fits(ex.Group, ex.SharedBlocks, ex.Blocks())
 }

@@ -144,10 +144,10 @@ func (m *Manager) ref(c *prefixChain, n, delta int) (resident int) {
 }
 
 // fill inserts the missing blocks among group's first n positions
-// (ref 1, booked by admit's take) into c, or into a new chain if c is
-// nil, and touches all n
-// tail-first, so LRU reclaim drops chain tails before roots and keeps
-// surviving chains contiguous (and so hittable).
+// (ref 1; admit's take has booked them) into c, or into a new chain if
+// c is nil, and touches all n tail-first, so LRU reclaim drops chain
+// tails before roots and keeps surviving chains contiguous (and so
+// hittable).
 func (m *Manager) fill(group int, c *prefixChain, n int) {
 	if n <= 0 {
 		return
