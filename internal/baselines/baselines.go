@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"repro/internal/deque"
+
 	"repro/internal/hw"
 	"repro/internal/kvcache"
 	"repro/internal/metrics"
