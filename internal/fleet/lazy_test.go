@@ -80,7 +80,11 @@ type lazyOut struct {
 // gating a predicted-cost scan, the autoscaler alone re-keying a cost
 // tree, round-robin under the whole stack on a two-tier trace, the
 // autoscaler and preemption on a least-work tree over the same tiers,
-// and a token bucket tight enough to shed and retry. Under the hook, a
+// and a token bucket tight enough to shed and retry. Prefix affinity
+// runs at 64 replicas on an open-loop shared-prefix trace, alone and
+// under the autoscaler, on a closed-loop one routed at t=0, with the
+// prefix cache off on a trace whose first quarter is routed at t=0 and
+// whose rest arrives online, and at 1000 replicas. Under the hook, a
 // finish that fires at an instant before the fabric's control instant
 // (the finish bound let its replica lag past a finish that instant's
 // pick, tick, admission or breaker should have seen) fails the run.
@@ -108,6 +112,15 @@ func TestLazyPicksMatchEager(t *testing.T) {
 		s.Preemption = &policy.PreemptionConfig{}
 		return s
 	}
+	prefix := prefixOnlineTrace(1500, 51, 6000, 64, 512)
+	bigPrefix := prefixOnlineTrace(4000, 53, 40000, 256, 512)
+	closedPrefix := prefixClosedTrace(1000, 55, 64, 512)
+	mixedPrefix := prefixOnlineTrace(1000, 57, 6000, 64, 512)
+	for i := range mixedPrefix[:len(mixedPrefix)/4] {
+		mixedPrefix[i].ArrivalTime = 0
+	}
+	noCache := cfg
+	noCache.DisablePrefixCache = true
 	shedding := func() *policy.Stack {
 		s := elasticStack(t, 64)
 		s.Admission = policy.NewTokenBucket(2000, 16)
@@ -142,6 +155,14 @@ func TestLazyPicksMatchEager(t *testing.T) {
 			}},
 		{name: "priorities-least-work-64", cfg: tight, reqs: tiers, replicas: 64, policy: LeastWork, stack: preempting,
 			busy: func(a metrics.AdmissionStats, _ metrics.AutoscaleStats) bool { return a.Preemptions > 0 }},
+		{name: "online-prefix-64", cfg: cfg, reqs: prefix, replicas: 64, policy: PrefixAffinity},
+		{name: "closed-prefix-64", cfg: cfg, reqs: closedPrefix, replicas: 64, policy: PrefixAffinity},
+		{name: "nocache-prefix-64", cfg: noCache, reqs: mixedPrefix, replicas: 64, policy: PrefixAffinity},
+		{name: "online-prefix-1000", cfg: cfg, reqs: bigPrefix, replicas: 1000, policy: PrefixAffinity},
+		{name: "autoscaler-prefix-64", cfg: cfg, reqs: prefix, replicas: 64, policy: PrefixAffinity, stack: scaler,
+			busy: func(_ metrics.AdmissionStats, s metrics.AutoscaleStats) bool {
+				return s.ScaleUps > 0 && s.ScaleDowns > 0
+			}},
 		{name: "admission-predicted-64", cfg: cfg, reqs: poisson, replicas: 64, policy: PredictedCost, stack: shedding,
 			busy: func(a metrics.AdmissionStats, _ metrics.AutoscaleStats) bool { return a.Shed > 0 && a.Retries > 0 }},
 	}
