@@ -18,10 +18,12 @@ import (
 
 // TestLazyScope pins which pools advance lazily: a lone pool whose pick
 // reads only the router's counters (the cost tree's argminCost,
-// round-robin, random), with or without a policy stack. Probing
-// policies (with or without a stack), a fault plan (with or without a
-// stack) and a split fleet keep every replica up to date at every
-// control event.
+// round-robin, random), with or without a policy stack, and a lone
+// prefix-affinity pool that picks from its holders, with no layer or
+// under the autoscaler alone. Prefix affinity under breakers scans
+// every replica's probes, and a fault plan (with or without a stack)
+// and a split fleet keep every replica up to date at every control
+// event.
 func TestLazyScope(t *testing.T) {
 	reqs := onlineTrace(40, 3, 400)
 	plan, err := faults.NewPlan(faults.Config{Seed: 1, Horizon: 1, MTBF: 0.5, RestartDelay: 0.05}, 4, 0.05)
@@ -52,13 +54,23 @@ func TestLazyScope(t *testing.T) {
 			t.Errorf("%s pool under a stack and a fault plan advances lazily", name)
 		}
 	}
-	if build(nil, nil, newPool("", 4, mustPolicy(t, PrefixAffinity, Options{}))) {
-		t.Error("a probing pool advances lazily")
+	affinity := func() *pool { return newPool("", 4, mustPolicy(t, PrefixAffinity, Options{})) }
+	if !build(nil, nil, affinity()) {
+		t.Error("a prefix-affinity pool without layers advances eagerly")
 	}
-	if build(elasticStack(t, 4), nil, newPool("", 4, mustPolicy(t, PrefixAffinity, Options{}))) {
-		t.Error("a probing pool under a stack advances lazily")
+	if !build(&policy.Stack{Autoscaler: elasticStack(t, 4).Autoscaler}, nil, affinity()) {
+		t.Error("a prefix-affinity pool under the autoscaler advances eagerly")
 	}
-	if build(nil, nil, newPool("prefill ", 2, mustPolicy(t, LeastWork, Options{})), newPool("decode ", 2, mustPolicy(t, DecodeAffinity, Options{}))) {
+	if build(&policy.Stack{Breaker: &policy.BreakerConfig{}}, nil, affinity()) {
+		t.Error("a prefix-affinity pool under breakers advances lazily")
+	}
+	if build(elasticStack(t, 4), nil, affinity()) {
+		t.Error("a prefix-affinity pool under the whole stack advances lazily")
+	}
+	if build(nil, plan, affinity()) {
+		t.Error("a prefix-affinity pool under a fault plan advances lazily")
+	}
+	if build(nil, nil, newPool("prefill ", 2, mustPolicy(t, PrefixAffinity, Options{})), newPool("decode ", 2, mustPolicy(t, DecodeAffinity, Options{}))) {
 		t.Error("a split fleet advances lazily")
 	}
 }
@@ -81,15 +93,17 @@ type lazyOut struct {
 // tree, round-robin under the whole stack on a two-tier trace, the
 // autoscaler and preemption on a least-work tree over the same tiers,
 // and a token bucket tight enough to shed and retry. Prefix affinity
-// runs at 64 replicas on an open-loop shared-prefix trace, alone and
-// under the autoscaler, on a closed-loop one routed at t=0, with the
-// prefix cache off on a trace whose first quarter is routed at t=0 and
-// whose rest arrives online, and at 1000 replicas. Under the hook, a
+// runs at 64 replicas on an open-loop shared-prefix trace, on a
+// closed-loop one routed at t=0, with the prefix cache off on a trace
+// whose first quarter is routed at t=0 and whose rest arrives online,
+// under the autoscaler on two bursts and a small KV pool, and at 1000
+// replicas, each pick from prefix holders checked against the scan.
+// Under the hook, a
 // finish that fires at an instant before the fabric's control instant
 // (the finish bound let its replica lag past a finish that instant's
 // pick, tick, admission or breaker should have seen) fails the run.
 // The router goldens must keep their committed digests under the hook
-// too.
+// too, their prefix-affinity picks matching the scan.
 func TestLazyPicksMatchEager(t *testing.T) {
 	cfg := fastConfig(2)
 	tight := fastConfig(1)
@@ -121,6 +135,15 @@ func TestLazyPicksMatchEager(t *testing.T) {
 	}
 	noCache := cfg
 	noCache.DisablePrefixCache = true
+	// Two bursts 5 s apart on a small KV pool: the autoscaler drains
+	// warm replicas in the gap, and evictions spread groups over
+	// several holders, equally warm ones among them.
+	bursts := prefixOnlineTrace(1500, 51, 6000, 64, 512)
+	for i := range bursts[750:] {
+		bursts[750+i].ArrivalTime += 5
+	}
+	small := fastConfig(2)
+	small.MemUtilization = 0.001
 	shedding := func() *policy.Stack {
 		s := elasticStack(t, 64)
 		s.Admission = policy.NewTokenBucket(2000, 16)
@@ -159,7 +182,7 @@ func TestLazyPicksMatchEager(t *testing.T) {
 		{name: "closed-prefix-64", cfg: cfg, reqs: closedPrefix, replicas: 64, policy: PrefixAffinity},
 		{name: "nocache-prefix-64", cfg: noCache, reqs: mixedPrefix, replicas: 64, policy: PrefixAffinity},
 		{name: "online-prefix-1000", cfg: cfg, reqs: bigPrefix, replicas: 1000, policy: PrefixAffinity},
-		{name: "autoscaler-prefix-64", cfg: cfg, reqs: prefix, replicas: 64, policy: PrefixAffinity, stack: scaler,
+		{name: "autoscaler-prefix-64", cfg: small, reqs: bursts, replicas: 64, policy: PrefixAffinity, stack: scaler,
 			busy: func(_ metrics.AdmissionStats, s metrics.AutoscaleStats) bool {
 				return s.ScaleUps > 0 && s.ScaleDowns > 0
 			}},
@@ -173,14 +196,44 @@ func TestLazyPicksMatchEager(t *testing.T) {
 			late.Add(1)
 		}
 	}
-	defer func() { syncCheck = nil }()
+	// Under the hook, every pick from prefix holders must be prefix
+	// affinity's pick over the full scan of replicas run up to the
+	// pick's instant; each such run must pick a warm replica and a
+	// cold one.
+	var warmPicks, coldPicks, mismatches int
+	indexCheck := func(ro *router, p *pool, r workload.Request, now float64, k int) {
+		if p.holders == nil {
+			return
+		}
+		for i := range p.engines {
+			ro.fab.touch(p.off + i)
+		}
+		want := -1
+		if loads := ro.snapshot(p, r, nil, now); len(loads) > 0 {
+			j := prefixAffinity{}.Pick(r, loads)
+			want = p.cand[j]
+			if loads[j].WarmTokens > 0 {
+				warmPicks++
+			} else {
+				coldPicks++
+			}
+		}
+		if k != want {
+			mismatches++
+		}
+	}
+	defer func() { syncCheck, treeCheck = nil, nil }()
 	for _, r := range runs {
 		for _, workers := range []int{1, 4} {
 			setProcs(t, workers)
 			var outs [2][]byte
 			var rep metrics.Report
+			warmPicks, coldPicks, mismatches = 0, 0, 0
 			for i, hook := range []func(int, sim.Time, sim.Time){nil, check} {
-				syncCheck = hook
+				syncCheck, treeCheck = hook, nil
+				if hook != nil {
+					treeCheck = indexCheck
+				}
 				finishes.Store(0)
 				late.Store(0)
 				sc := ServeConfig{Replicas: r.replicas, Policy: mustPolicy(t, r.policy, Options{Seed: 3})}
@@ -197,9 +250,13 @@ func TestLazyPicksMatchEager(t *testing.T) {
 				}
 				rep = res.Report
 			}
-			syncCheck = nil
+			syncCheck, treeCheck = nil, nil
 			if string(outs[0]) != string(outs[1]) {
 				t.Errorf("%s workers=%d: lazy run differs from the forced one", r.name, workers)
+			}
+			if r.policy == PrefixAffinity && (mismatches > 0 || warmPicks == 0 || coldPicks == 0) {
+				t.Errorf("%s workers=%d: %d of %d picks from prefix holders differ from the scan (%d warm, %d cold)",
+					r.name, workers, mismatches, warmPicks+coldPicks, warmPicks, coldPicks)
 			}
 			if r.busy != nil && !r.busy(rep.Admission, rep.Autoscale) {
 				t.Errorf("%s workers=%d: policy layer idle: %+v %+v", r.name, workers, rep.Admission, rep.Autoscale)
@@ -221,11 +278,12 @@ func TestLazyPicksMatchEager(t *testing.T) {
 	if err := json.Unmarshal(b, &want); err != nil {
 		t.Fatal(err)
 	}
-	syncCheck = check
+	syncCheck, treeCheck = check, indexCheck
 	for _, g := range goldenRuns() {
 		for _, workers := range []int{1, 4} {
 			setProcs(t, workers)
 			late.Store(0)
+			mismatches = 0
 			b, err := json.Marshal(g.run(t))
 			if err != nil {
 				t.Fatal(err)
@@ -236,6 +294,9 @@ func TestLazyPicksMatchEager(t *testing.T) {
 			}
 			if n := late.Load(); n > 0 {
 				t.Errorf("%s workers=%d: %d finishes fired after a control instant that should have seen them", g.name, workers, n)
+			}
+			if mismatches > 0 {
+				t.Errorf("%s workers=%d: %d picks from prefix holders differ from the scan", g.name, workers, mismatches)
 			}
 		}
 	}

@@ -89,8 +89,9 @@ type router struct {
 // pool is one replica pool of the router: its engines, books and
 // dispatch policy, the policy layer's per-replica breakers and
 // autoscaled lifecycle (nil when the stack attaches none here), the
-// requests waiting for a live replica, and either the cost tree or the
-// reusable pick snapshot.
+// requests waiting for a live replica, and either the cost tree (with
+// the prefix holders of a prefix-affinity pool) or the reusable pick
+// snapshot.
 type pool struct {
 	// role names the pool in errors and drop reasons: empty for a
 	// colocated fleet, "prefill " or "decode " for a split one.
@@ -105,11 +106,18 @@ type pool struct {
 	// queued holds requests that found every active replica dead; the
 	// pool's next restore or activation dispatches them again.
 	queued []pendingRec
-	// tree ranks the candidates when the policy's pick is argminCost
-	// and no breaker gates the pool (nil otherwise). Every change to a
-	// leaf's inputs re-keys it at once, the finish hook's included
-	// (except in the fabric's tail, after the last pick).
+	// tree ranks the candidates when the policy's pick is argminCost,
+	// or when holders index a prefix-affinity pool, and no breaker
+	// gates the pool (nil otherwise). Every change to a leaf's inputs
+	// re-keys it at once, the finish hook's included (except in the
+	// fabric's tail, after the last pick).
 	tree *minTree
+	// holders[g] lists, in the order they were first sent one, the
+	// replicas routed a request of prefix group g. It is set only for a
+	// lone fault-free prefix-affinity pool without breakers, where warm
+	// blocks (and the warmth before a replica's start event) come only
+	// from requests routed there: every other replica is cold for g.
+	holders map[int][]int
 	// probe is whether the policy's pick reads the engine probes.
 	probe bool
 	// loads and cand are the per-pick snapshot, reused across picks:
@@ -121,16 +129,17 @@ type pool struct {
 // newPool sizes a pool of n replicas dispatched by p; the router fills
 // in its engines.
 func newPool(role string, n int, p Policy) *pool {
-	return &pool{role: role, policy: p, books: newBooks(n), probe: viewOf(p) == viewProbes, loads: make([]Load, n), cand: make([]int, n)}
+	v := viewOf(p)
+	return &pool{role: role, policy: p, books: newBooks(n), probe: v == viewProbes || v == viewAffinity, loads: make([]Load, n), cand: make([]int, n)}
 }
 
 // plantTree gives p its cost tree when the policy's pick is argminCost
 // and no breaker gates the pool (a breaker's routability depends on
 // time, and every gated candidate counts as a skip, so those pools
-// scan). The autoscaler re-keys a replica's leaf at each of its state
-// changes.
+// scan), and when holders index the pool. The autoscaler re-keys a
+// replica's leaf at each of its state changes.
 func (p *pool) plantTree() {
-	if viewOf(p.policy) != viewArgmin || p.breakers != nil {
+	if (viewOf(p.policy) != viewArgmin || p.breakers != nil) && p.holders == nil {
 		return
 	}
 	p.tree = newMinTree(len(p.engines))
@@ -182,10 +191,18 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 	for tier, p := range pools {
 		fab.addTier(tier, len(p.out))
 	}
-	// A lone pool whose pick reads only the router's counters lets
-	// replicas lag up to their next possible finish; a fault plan's
+	// A lone prefix-affinity pool with no fault plan and no breakers
+	// picks from its holders; a fault plan's checkpoint reloads warm
+	// replicas no request was routed to.
+	p, v := pools[0], viewOf(pools[0].policy)
+	if len(pools) == 1 && plan == nil && v == viewAffinity && p.breakers == nil {
+		p.holders = make(map[int][]int)
+	}
+	// A lone pool whose pick reads only the router's counters, or the
+	// replicas it touches, lets replicas lag up to their next possible
+	// finish; a scan probes every candidate, and a fault plan's
 	// checkpoint reloads probe every replica's KV headroom.
-	fab.lazy = len(pools) == 1 && plan == nil && viewOf(pools[0].policy) != viewProbes
+	fab.lazy = len(pools) == 1 && plan == nil && (v == viewCounters || v == viewArgmin) || p.holders != nil
 	engines, err := startEngines(fab, cfg, plan)
 	if err != nil {
 		return nil, err
@@ -393,13 +410,16 @@ func (ro *router) dispatch(pr pendingRec) {
 // route picks the replica of pool p that receives r at instant now: -1
 // when no replica is a candidate. ok is false when the policy's pick
 // failed the run. A pool with a cost tree reads its root, whose leaves
-// are all current; any other pool builds the snapshot and asks its
-// policy.
+// are all current, and a pool with holders prefers the warmest of
+// them; any other pool builds the snapshot and asks its policy.
 //
 //det:hotpath
 func (ro *router) route(p *pool, r workload.Request, now float64) (k int, ok bool) {
 	if p.tree != nil {
 		k = p.tree.root()
+		if p.holders != nil && r.PrefixLen > 0 {
+			k = ro.warmest(p, r, k)
+		}
 		if treeCheck != nil {
 			treeCheck(ro, p, r, now, k)
 		}
@@ -412,10 +432,41 @@ func (ro *router) route(p *pool, r workload.Request, now float64) (k int, ok boo
 	return ro.pick(p, r, loads, now)
 }
 
-// treeCheck, when set, sees every pick a cost tree makes: the replica
-// it picked for r at instant now, -1 for none. Only tests set it, to
-// compare each tree pick with the scan's.
+// treeCheck, when set, sees every pick a cost tree makes, a holder's
+// included: the replica it picked for r at instant now, -1 for none.
+// Only tests set it, to compare each tree pick with the scan's.
 var treeCheck func(ro *router, p *pool, r workload.Request, now float64, k int)
+
+// warmest answers prefix affinity's pick from pool p's holders: the
+// routable holder of r's prefix group that holds the most of it, ties
+// to the lower (CostTokens, Requests, index), or root, the cost tree's
+// pick, when none holds any. No other replica was sent the group, so
+// the full scan finds them all cold, and its all-cold pick is
+// argminCost. Each holder is touched before its probe, so a lazy
+// fabric runs it up to the pick's instant.
+//
+//det:hotpath
+func (ro *router) warmest(p *pool, r workload.Request, root int) int {
+	best, warm := root, 0
+	for _, i := range p.holders[r.PrefixGroup] {
+		if !p.elastic.routable(i) {
+			continue
+		}
+		w := ro.fab.touch(p.off + i).PrefixWarmTokens(r)
+		if w == 0 || w < warm {
+			continue
+		}
+		if w == warm {
+			a, b := &p.out[i], &p.out[best]
+			if a.CostTokens > b.CostTokens ||
+				a.CostTokens == b.CostTokens && (a.Requests > b.Requests || a.Requests == b.Requests && i > best) {
+				continue
+			}
+		}
+		best, warm = i, w
+	}
+	return best
+}
 
 // snapshot fills pool p's reusable load view for routing r right now,
 // one row per candidate replica: the live replicas (under the fault
@@ -507,15 +558,31 @@ func (ro *router) badPick(p *pool, j, n int) {
 }
 
 // record books one landed submission: load counters, shard membership,
-// the tree leaf and the final-owner pointer. Submit only schedules
-// simulation events, so the finish hook cannot fire before the entry
-// lands.
+// the tree leaf, the prefix group's holders and the final-owner
+// pointer. Submit only schedules simulation events, so the finish hook
+// cannot fire before the entry lands.
 //
 //det:hotpath
 func (ro *router) record(p *pool, r workload.Request, origin, k, local int) {
 	p.add(k, origin, p.policy.Cost(r))
 	p.fix(k)
+	if p.holders != nil && r.PrefixLen > 0 {
+		p.hold(r.PrefixGroup, k)
+	}
 	ro.led.final[origin] = recRef{replica: p.off + k, local: local}
+}
+
+// hold lists replica k among group g's holders, once.
+//
+//det:hotpath
+func (p *pool) hold(g, k int) {
+	hs := p.holders[g]
+	for _, i := range hs {
+		if i == k {
+			return
+		}
+	}
+	p.holders[g] = append(hs, k) //det:ignore hotalloc amortized growth, at most one entry per prefix group and replica
 }
 
 // finished is the engines' completion hook: it retires the request's

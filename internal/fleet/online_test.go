@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -120,12 +121,14 @@ func TestRunOnlineRejectsBadArgs(t *testing.T) {
 	}
 }
 
-// TestRouteSnapshotDoesNotAllocate pins one routing decision — the
-// candidate snapshot with its live KV probes of every replica, then the
-// policy pick with its breaker probe slot — at zero allocations: a
-// plain routed arrival on engines whose prefix caches still hold the
-// request's shared prefix warm, and on a disaggregated fleet with
-// breakers, a prefill dispatch and a decode placement. A cost-ranked
+// TestRouteSnapshotDoesNotAllocate pins one routing decision at zero
+// allocations: a prefix-affinity pick from the prefix holders, each
+// touched and probed, on engines whose prefix caches still hold the
+// request's shared prefix warm; the same pick under breakers, which
+// scans the candidate snapshot with its live KV probes of every replica
+// and then asks the policy, consuming the breaker's probe slot; and on
+// a disaggregated fleet with breakers, a prefill dispatch and a decode
+// placement. A cost-ranked
 // arrival is pinned too, as a lazy fabric serves it: the advance that
 // takes a replica whose finish bound fell before the arrival from its
 // tier's schedule, catches it up and re-keys it, the stale-leaf drain and the tree pick, the
@@ -135,26 +138,32 @@ func TestRunOnlineRejectsBadArgs(t *testing.T) {
 func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	reqs := prefixOnlineTrace(200, 41, 8000, 8, 512)
 	r := reqs[len(reqs)-1]
-	colo := newPool("", 8, mustPolicy(t, PrefixAffinity, Options{}))
-	ro := drivenRouter(t, reqs, nil, colo)
-	now := float64(ro.ctl.Now())
-	warm := 0
-	route := func() {
-		loads := ro.snapshot(colo, r, nil, now)
-		if k, ok := ro.pick(colo, r, loads, now); ok {
-			warm = loads[k].WarmTokens
+	// The breakers never trip: with no TTFT objective every finish
+	// counts as a failure.
+	for _, gate := range []*policy.Stack{nil, {Breaker: &policy.BreakerConfig{FailureThreshold: math.MaxInt}}} {
+		colo := newPool("", 8, mustPolicy(t, PrefixAffinity, Options{}))
+		ro := drivenRouter(t, reqs, gate, colo)
+		if indexed := colo.holders != nil; indexed != (gate == nil) || indexed != ro.fab.lazy {
+			t.Fatalf("breakers %v: holders %v, lazy fabric %v", gate != nil, indexed, ro.fab.lazy)
 		}
-	}
-	if allocs := testing.AllocsPerRun(100, route); allocs != 0 {
-		t.Errorf("routing one arrival allocates %v times per run, want 0", allocs)
-	}
-	if warm == 0 {
-		t.Error("the pick found no warm prefix; the probe read no resident chain")
+		now := float64(ro.ctl.Now())
+		warm := 0
+		route := func() {
+			if k, ok := ro.route(colo, r, now); ok && k >= 0 {
+				warm = colo.engines[k].PrefixWarmTokens(r)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, route); allocs != 0 {
+			t.Errorf("breakers %v: routing one arrival allocates %v times per run, want 0", gate != nil, allocs)
+		}
+		if warm == 0 {
+			t.Errorf("breakers %v: the pick found no warm prefix; the probe read no resident chain", gate != nil)
+		}
 	}
 
 	pre := newPool("prefill ", 2, mustPolicy(t, LeastWork, Options{}))
 	dec := newPool("decode ", 3, mustPolicy(t, DecodeAffinity, Options{}))
-	ro = newTestRouter(t, reqs, &policy.Stack{Breaker: &policy.BreakerConfig{}}, pre, dec)
+	ro := newTestRouter(t, reqs, &policy.Stack{Breaker: &policy.BreakerConfig{}}, pre, dec)
 	// Keep the last hand-off's KV sequence: the transfer path frees an
 	// item's slot once it is placed.
 	var kv kvcache.ExportedSeq
@@ -164,7 +173,7 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	if kv.Blocks() == 0 {
 		t.Fatal("no hand-off exported KV")
 	}
-	now = float64(ro.ctl.Now())
+	now := float64(ro.ctl.Now())
 	picked := 0
 	split := func() {
 		if _, ok := ro.pick(pre, r, ro.snapshot(pre, r, nil, now), now); ok {

@@ -64,6 +64,11 @@ const (
 	// viewArgmin is a Pick that is argminCost over the candidates: the
 	// router may answer it from its cost tree without calling Pick.
 	viewArgmin
+	// viewAffinity is prefixAffinity's Pick: the warmest candidate,
+	// argminCost among the equally warm. A lone fault-free pool without
+	// breakers answers it from its prefix holders and its cost tree
+	// without calling Pick; any other pool scans the full snapshot.
+	viewAffinity
 )
 
 // viewOf returns the view p declares, viewProbes if none.
@@ -234,6 +239,9 @@ func (prefixAffinity) Pick(_ workload.Request, loads []Load) int {
 // Cost is the known prefill work, as in least-work; Pick's warmth
 // signal, not the cost estimate, carries the cache information.
 func (prefixAffinity) Cost(r workload.Request) float64 { return float64(r.InputLen) }
+
+// view is viewAffinity: Pick is the warmest candidate, then argminCost.
+func (prefixAffinity) view() pickView { return viewAffinity }
 
 type decodeAffinity struct{ pred core.LenPredictor }
 
