@@ -194,15 +194,15 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 	// A lone prefix-affinity pool with no fault plan and no breakers
 	// picks from its holders; a fault plan's checkpoint reloads warm
 	// replicas no request was routed to.
-	p, v := pools[0], viewOf(pools[0].policy)
-	if len(pools) == 1 && plan == nil && v == viewAffinity && p.breakers == nil {
-		p.holders = make(map[int][]int)
+	first := pools[0]
+	if len(pools) == 1 && plan == nil && viewOf(first.policy) == viewAffinity && first.breakers == nil {
+		first.holders = make(map[int][]int)
 	}
-	// A lone pool whose pick reads only the router's counters, or the
-	// replicas it touches, lets replicas lag up to their next possible
-	// finish; a scan probes every candidate, and a fault plan's
-	// checkpoint reloads probe every replica's KV headroom.
-	fab.lazy = len(pools) == 1 && plan == nil && (v == viewCounters || v == viewArgmin) || p.holders != nil
+	// A lone pool whose pick reads only the router's counters, or those
+	// and the holders it touches, lets replicas lag up to their next
+	// possible finish; a probing scan reads every candidate, and a fault
+	// plan's checkpoint reloads probe every replica's KV headroom.
+	fab.lazy = len(pools) == 1 && plan == nil && !first.probe || first.holders != nil
 	engines, err := startEngines(fab, cfg, plan)
 	if err != nil {
 		return nil, err

@@ -37,14 +37,17 @@ import (
 // event: its pools read engine probes, KV headroom or hand-off notes,
 // which any event may change. A lazy fabric serves one colocated pool
 // with no fault plan whose pick reads only the router's load counters
-// (a cost tree or scan, round-robin, random). Finish hooks keep those
-// and the policy stack's breakers, TTFT window and drain marks; its
-// token bucket and retries read only time. So the fabric keys a
-// replica by a lower bound on its next finish (core.Engine.FinishBound)
-// and every finish before t fires before the control events at t;
-// touch runs the picked replica, the only one a preemption reads.
-// Either way a control event costs a root read plus O(log replicas) per
-// replica it runs.
+// (a cost tree or scan, round-robin, random) or, for prefix affinity
+// without breakers, those counters and the replicas it touches: the
+// holders of the request's prefix group, the only replicas that can
+// hold it warm. Finish hooks keep the counters and the policy stack's
+// breakers, TTFT window and drain marks; its token bucket and retries
+// read only time. So the fabric keys a replica by a lower bound on its
+// next finish (core.Engine.FinishBound) and every finish before t
+// fires before the control events at t; touch runs a replica the
+// router reads (a holder it probes, the picked replica a preemption
+// reads) up to t first. Either way a control event costs a root read
+// plus O(log replicas) per replica it runs.
 //
 // Every advance runs on the coordinator, at any worker count: it runs a
 // few replicas for short stretches, too little to pay for waking a
