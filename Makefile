@@ -133,17 +133,19 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSharedPrefixModel -fuzztime=$(FUZZTIME) ./internal/kvcache/
 
 # Smoke-run the disaggregated serving sweep, the fault-injection and
-# correlated-failure studies and the autoscaling frontier at tiny scale
-# through the real CLI: exercises the whole hand-off path (prefill pool
-# -> KV export -> modeled transfer -> import -> continuous-batching
-# decode), the crash/recovery path (seeded fault plan -> abort ->
+# correlated-failure studies, the autoscaling frontier and the
+# shared-prefix dispatch table at tiny scale through the real CLI:
+# exercises the whole hand-off path (prefill pool -> KV export ->
+# modeled transfer -> import -> continuous-batching decode), the
+# crash/recovery path (seeded fault plan -> abort ->
 # re-dispatch/checkpoint resume -> conservation), rack/zone domain
-# outages and the elastic replica lifecycle, so none of these -exp
+# outages, the elastic replica lifecycle and prefix-affinity routing
+# from its per-group holders on the lazy fabric, so none of these -exp
 # surfaces can rot unnoticed. fleet.Serve sizes a fleet's worker pool
 # from GOMAXPROCS, so the run is repeated at GOMAXPROCS=1 (one worker
 # per fleet) and fails unless its stdout equals the default run's,
 # which it prints.
-SMOKE_ARGS = -exp disagg,faults,chaos,autoscale -requests 250 -pool 2000
+SMOKE_ARGS = -exp disagg,faults,chaos,autoscale,prefix -requests 250 -pool 2000
 smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/tdpipe" ./cmd/tdpipe && \
