@@ -47,7 +47,11 @@ func trainDigest(c *Classifier) string {
 // pools tdpipe-bench draws (20,000, 30,000 and 60,000 requests at seeds
 // 1 and 2) and on a 20-request trace, and compares the digests of the
 // trained parameters with the committed goldens. Any reordering of the
-// SGD loop's float operations moves them. Regenerate with
+// SGD loop's float operations moves them. The digests hold only on
+// amd64 CPUs with FMA: math.Exp's amd64 assembly takes a fused
+// multiply-add path at run time when the CPU has AVX and FMA (useFMA
+// in $GOROOT/src/math/exp_amd64.go), and its other path rounds
+// differently (on about 9% of inputs in [-30, 0]). Regenerate with
 // `go test ./internal/predictor -run TestTrainGolden -update` only when
 // a change is meant to alter the trained weights.
 func TestTrainGolden(t *testing.T) {
