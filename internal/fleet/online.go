@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -566,23 +567,10 @@ func (ro *router) badPick(p *pool, j, n int) {
 func (ro *router) record(p *pool, r workload.Request, origin, k, local int) {
 	p.add(k, origin, p.policy.Cost(r))
 	p.fix(k)
-	if p.holders != nil && r.PrefixLen > 0 {
-		p.hold(r.PrefixGroup, k)
+	if g := r.PrefixGroup; p.holders != nil && r.PrefixLen > 0 && !slices.Contains(p.holders[g], k) {
+		p.holders[g] = append(p.holders[g], k) //det:ignore hotalloc amortized growth, at most one entry per prefix group and replica
 	}
 	ro.led.final[origin] = recRef{replica: p.off + k, local: local}
-}
-
-// hold lists replica k among group g's holders, once.
-//
-//det:hotpath
-func (p *pool) hold(g, k int) {
-	hs := p.holders[g]
-	for _, i := range hs {
-		if i == k {
-			return
-		}
-	}
-	p.holders[g] = append(hs, k) //det:ignore hotalloc amortized growth, at most one entry per prefix group and replica
 }
 
 // finished is the engines' completion hook: it retires the request's
