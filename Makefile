@@ -54,8 +54,10 @@ test:
 # them. The suite's disagg legs advance entirely on the coordinator,
 # since a split fleet always gets one worker. The leg also runs the
 # lazy-advance check: lazy runs, with no layer and under policy stacks
-# (breakers, the autoscaler, admission and retries, preemption),
-# against the forced eager schedule at one and four workers, each
+# (breakers, the autoscaler, admission and retries, preemption), and
+# prefix-affinity runs whose picks from prefix holders are checked
+# against the full scan, against the forced eager schedule at one and
+# four workers, each
 # finish held to the fabric's control instant. Their finish hooks feed
 # the stack's breakers and autoscaler window from the workers in the
 # tail.
