@@ -20,10 +20,10 @@ import (
 // reads only the router's counters (the cost tree's argminCost,
 // round-robin, random), with or without a policy stack, and a lone
 // prefix-affinity pool that picks from its holders, with no layer or
-// under the autoscaler alone. Prefix affinity under breakers scans
-// every replica's probes, and a fault plan (with or without a stack)
-// and a split fleet keep every replica up to date at every control
-// event.
+// under the autoscaler alone. A probing pool, prefix affinity under
+// breakers, a fault plan (with or without a stack) and a split fleet,
+// whether its prefill pool ranks by cost or by prefix, keep every
+// replica up to date at every control event.
 func TestLazyScope(t *testing.T) {
 	reqs := onlineTrace(40, 3, 400)
 	plan, err := faults.NewPlan(faults.Config{Seed: 1, Horizon: 1, MTBF: 0.5, RestartDelay: 0.05}, 4, 0.05)
@@ -70,8 +70,14 @@ func TestLazyScope(t *testing.T) {
 	if build(nil, plan, affinity()) {
 		t.Error("a prefix-affinity pool under a fault plan advances lazily")
 	}
-	if build(nil, nil, newPool("prefill ", 2, mustPolicy(t, PrefixAffinity, Options{})), newPool("decode ", 2, mustPolicy(t, DecodeAffinity, Options{}))) {
+	if build(nil, nil, newPool("", 4, mustPolicy(t, DecodeAffinity, Options{}))) {
+		t.Error("a probing pool advances lazily")
+	}
+	if build(nil, nil, newPool("prefill ", 2, mustPolicy(t, LeastWork, Options{})), newPool("decode ", 2, mustPolicy(t, DecodeAffinity, Options{}))) {
 		t.Error("a split fleet advances lazily")
+	}
+	if build(nil, nil, newPool("prefill ", 2, mustPolicy(t, PrefixAffinity, Options{})), newPool("decode ", 2, mustPolicy(t, DecodeAffinity, Options{}))) {
+		t.Error("a split fleet with a prefix-affinity prefill pool advances lazily")
 	}
 }
 
