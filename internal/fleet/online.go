@@ -440,11 +440,11 @@ var treeCheck func(ro *router, p *pool, r workload.Request, now float64, k int)
 
 // warmest answers prefix affinity's pick from pool p's holders: the
 // routable holder of r's prefix group that holds the most of it, ties
-// to the lower (CostTokens, Requests, index), or root, the cost tree's
-// pick, when none holds any. No other replica was sent the group, so
-// the full scan finds them all cold, and its all-cold pick is
-// argminCost. Each holder is touched before its probe, so a lazy
-// fabric runs it up to the pick's instant.
+// in costLess's order, or root, the cost tree's pick, when none holds
+// any. No other replica was sent the group, so the full scan finds
+// them all cold, and its all-cold pick is argminCost. Each holder is
+// touched before its probe, so a lazy fabric runs it up to the pick's
+// instant.
 //
 //det:hotpath
 func (ro *router) warmest(p *pool, r workload.Request, root int) int {
@@ -457,12 +457,8 @@ func (ro *router) warmest(p *pool, r workload.Request, root int) int {
 		if w == 0 || w < warm {
 			continue
 		}
-		if w == warm {
-			a, b := &p.out[i], &p.out[best]
-			if a.CostTokens > b.CostTokens ||
-				a.CostTokens == b.CostTokens && (a.Requests > b.Requests || a.Requests == b.Requests && i > best) {
-				continue
-			}
+		if w == warm && !costLess(&p.out[i], &p.out[best], i, best) {
+			continue
 		}
 		best, warm = i, w
 	}

@@ -234,6 +234,61 @@ func TestRouteSnapshotDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestWarmestTies checks the holders' tie-break against prefix
+// affinity's own: two equally warm holders of one group, listed with
+// the higher index first, go to the lower index at equal cost and
+// requests, to the one with fewer requests at equal cost, and to the
+// cheaper one whatever their requests.
+func TestWarmestTies(t *testing.T) {
+	// Sixteen groups over eight replicas at saturation spread some groups
+	// over two holders.
+	reqs := prefixOnlineTrace(400, 41, 16000, 16, 512)
+	colo := newPool("", 8, mustPolicy(t, PrefixAffinity, Options{}))
+	ro := drivenRouter(t, reqs, nil, colo)
+	now := float64(ro.ctl.Now())
+	var r workload.Request
+	lo, hi := -1, -1
+	for _, q := range reqs {
+		hs := colo.holders[q.PrefixGroup]
+		for x, a := range hs {
+			for _, b := range hs[x+1:] {
+				if w := colo.engines[a].PrefixWarmTokens(q); lo < 0 && w > 0 && w == colo.engines[b].PrefixWarmTokens(q) {
+					r, lo, hi = q, min(a, b), max(a, b)
+				}
+			}
+		}
+	}
+	if lo < 0 {
+		t.Fatal("no prefix group has two equally warm holders")
+	}
+	colo.holders[r.PrefixGroup] = []int{hi, lo}
+	for _, c := range []struct {
+		cost     [2]float64
+		requests [2]int
+		want     int
+	}{
+		{cost: [2]float64{100, 100}, requests: [2]int{3, 3}, want: lo},
+		{cost: [2]float64{100, 100}, requests: [2]int{3, 2}, want: hi},
+		{cost: [2]float64{100, 100}, requests: [2]int{2, 3}, want: lo},
+		{cost: [2]float64{100, 90}, requests: [2]int{1, 5}, want: hi},
+		{cost: [2]float64{90, 100}, requests: [2]int{5, 1}, want: lo},
+	} {
+		var loads [2]Load
+		for j, k := range []int{lo, hi} {
+			colo.out[k].CostTokens, colo.out[k].Requests = c.cost[j], c.requests[j]
+			colo.fix(k)
+			loads[j] = colo.out[k]
+			loads[j].WarmTokens = colo.engines[k].PrefixWarmTokens(r)
+		}
+		if scan := []int{lo, hi}[prefixAffinity{}.Pick(r, loads[:])]; scan != c.want {
+			t.Fatalf("cost %v requests %v: the scan picks %d, want %d", c.cost, c.requests, scan, c.want)
+		}
+		if k, ok := ro.route(colo, r, now); !ok || k != c.want {
+			t.Errorf("cost %v requests %v: holders %v pick %d, the scan %d", c.cost, c.requests, colo.holders[r.PrefixGroup], k, c.want)
+		}
+	}
+}
+
 // drivenRouter runs reqs to the end on a router over pools and returns
 // it with its engines still live, out of the fabric's tail, so that
 // arrivals routed by hand book and retire as between control events.

@@ -191,12 +191,26 @@ func (*random) view() pickView { return viewCounters }
 func argminCost(loads []Load) int {
 	best := 0
 	for i := 1; i < len(loads); i++ {
-		if loads[i].CostTokens < loads[best].CostTokens ||
-			(loads[i].CostTokens == loads[best].CostTokens && loads[i].Requests < loads[best].Requests) {
+		if costLess(&loads[i], &loads[best], i, best) {
 			best = i
 		}
 	}
 	return best
+}
+
+// costLess is the cost order argminCost, prefix affinity's ties and
+// the holders' ties share: a, candidate i, ranks before b, candidate j,
+// on less CostTokens, then fewer Requests, then the lower index.
+//
+//det:hotpath
+func costLess(a, b *Load, i, j int) bool {
+	if a.CostTokens != b.CostTokens {
+		return a.CostTokens < b.CostTokens
+	}
+	if a.Requests != b.Requests {
+		return a.Requests < b.Requests
+	}
+	return i < j
 }
 
 type leastWork struct{}
@@ -228,8 +242,7 @@ func (prefixAffinity) Pick(_ workload.Request, loads []Load) int {
 		case loads[i].WarmTokens > loads[best].WarmTokens:
 			best = i
 		case loads[i].WarmTokens < loads[best].WarmTokens:
-		case loads[i].CostTokens < loads[best].CostTokens ||
-			(loads[i].CostTokens == loads[best].CostTokens && loads[i].Requests < loads[best].Requests):
+		case costLess(&loads[i], &loads[best], i, best):
 			best = i
 		}
 	}
@@ -263,8 +276,7 @@ func (*decodeAffinity) Pick(_ workload.Request, loads []Load) int {
 		case loads[i].FreeKVTokens > loads[best].FreeKVTokens:
 			best = i
 		case loads[i].FreeKVTokens < loads[best].FreeKVTokens:
-		case loads[i].CostTokens < loads[best].CostTokens ||
-			(loads[i].CostTokens == loads[best].CostTokens && loads[i].Requests < loads[best].Requests):
+		case costLess(&loads[i], &loads[best], i, best):
 			best = i
 		}
 	}
