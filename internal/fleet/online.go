@@ -140,7 +140,8 @@ func newPool(role string, n int, p Policy) *pool {
 // scan), and when holders index the pool. The autoscaler re-keys a
 // replica's leaf at each of its state changes.
 func (p *pool) plantTree() {
-	if (viewOf(p.policy) != viewArgmin || p.breakers != nil) && p.holders == nil {
+	ranked := viewOf(p.policy) == viewArgmin && p.breakers == nil
+	if !ranked && p.holders == nil {
 		return
 	}
 	p.tree = newMinTree(len(p.engines))
@@ -195,15 +196,16 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 	// A lone prefix-affinity pool with no fault plan and no breakers
 	// picks from its holders; a fault plan's checkpoint reloads warm
 	// replicas no request was routed to.
-	first := pools[0]
-	if len(pools) == 1 && plan == nil && viewOf(first.policy) == viewAffinity && first.breakers == nil {
+	first, lone := pools[0], len(pools) == 1 && plan == nil
+	indexed := lone && viewOf(first.policy) == viewAffinity && first.breakers == nil
+	if indexed {
 		first.holders = make(map[int][]int)
 	}
 	// A lone pool whose pick reads only the router's counters, or those
 	// and the holders it touches, lets replicas lag up to their next
 	// possible finish; a probing scan reads every candidate, and a fault
 	// plan's checkpoint reloads probe every replica's KV headroom.
-	fab.lazy = len(pools) == 1 && plan == nil && !first.probe || first.holders != nil
+	fab.lazy = lone && (!first.probe || indexed)
 	engines, err := startEngines(fab, cfg, plan)
 	if err != nil {
 		return nil, err
