@@ -22,13 +22,15 @@ import (
 // request with a reason instead of failing the run.
 var ErrRequestTooLarge = errors.New("request KV footprint exceeds engine capacity")
 
-// reqState is one request's record in the engine, kept by id in
-// Engine.states. While the request sits in a decode batch or the
-// stealer's stash, its batch entry (decodeSeq) holds the live ctx and
-// generated instead; the entry writes them back when the request leaves,
-// and syncStates brings every copy up to date for the readers by id that
-// run mid-phase. The fields read by id at every decode phase's entry
-// and exit come first, with the request's lengths right behind them.
+// reqState is one live request's record in the engine, kept by id in
+// Engine.states until finishReq retires the request to its
+// metrics.RequestRecord in Engine.records and drops the state. While
+// the request sits in a decode batch or the stealer's stash, its batch
+// entry (decodeSeq) holds the live ctx and generated instead; the entry
+// writes them back when the request leaves, and syncStates brings every
+// copy up to date for the readers by id that run mid-phase. The fields
+// read by id at every decode phase's entry and exit come first, with the
+// request's lengths right behind them.
 type reqState struct {
 	// ctx is the number of tokens the KV pool holds for the request, the
 	// one count of them: set when its prefill is allocated, grown by
@@ -38,7 +40,6 @@ type reqState struct {
 	// generated is the number of output tokens produced so far.
 	generated int
 
-	done    bool
 	evicted bool
 	// aborted marks a request lost to a crash: it stays in states for
 	// record-keeping (its record is unfinished) but no longer counts
@@ -66,7 +67,6 @@ type reqState struct {
 	// firstTokenAt is when the first output token was produced
 	// (recompute evictions keep the original first-token time).
 	firstTokenAt sim.Time
-	finishedAt   sim.Time
 	// ckpt is the latest periodic KV checkpoint of this request (nil
 	// until the first checkpoint round catches it resident), a hand-off
 	// whose At is the snapshot instant.
@@ -245,8 +245,18 @@ type Engine struct {
 
 	capacityTokens int
 
-	// states[id] is request id's record (see reqState).
+	// states[id] is request id's record (see reqState) while id is live
+	// or crash-lost; finishReq sets it to nil, so a stray access to a
+	// finished id panics, and every reader that can meet one treats nil
+	// as done.
 	states []*reqState
+	// records[id] is finished request id's lifecycle record, the table
+	// Result.Records returns. It is allocated at the first finish and
+	// grown there to every id added so far; buildResult fills the
+	// crash-lost ids. inputTokens and outputTokens sum the finished
+	// requests' input and generated tokens.
+	records                   []metrics.RequestRecord
+	inputTokens, outputTokens int
 	// live holds the ids of the requests that may still be unfinished:
 	// every id added since the last compaction, less the finished and
 	// aborted ones compactLive drops when it meets them. It is nil until
@@ -647,7 +657,7 @@ func (e *Engine) Crash(restartAt sim.Time) ([]Lost, error) {
 	e.syncStates(-1)
 	var lost []Lost
 	for id, st := range e.states {
-		if st.done || st.aborted {
+		if st == nil || st.aborted {
 			continue
 		}
 		st.aborted, st.resident = true, false
@@ -818,7 +828,7 @@ func (e *Engine) addState(r workload.Request) *reqState {
 func (e *Engine) startLive() {
 	e.live = make([]int, 0, len(e.states)+8)
 	for id, st := range e.states {
-		if !st.done && !st.aborted {
+		if st != nil && !st.aborted {
 			e.live = append(e.live, id)
 		}
 	}
@@ -833,7 +843,7 @@ func (e *Engine) compactLive() int {
 	j, minRem := 0, math.MaxInt
 	for _, id := range e.live {
 		st := e.states[id]
-		if st.done || st.aborted {
+		if st == nil || st.aborted {
 			continue
 		}
 		e.live[j] = id
@@ -1227,7 +1237,7 @@ func (e *Engine) forResident(fn func(id, ctx, generated int)) {
 	}
 	ids := func(ids []int) {
 		for _, id := range ids {
-			if st := e.states[id]; !st.done && !st.evicted {
+			if st := e.states[id]; st != nil && !st.evicted {
 				fn(id, st.ctx, st.generated)
 			}
 		}
@@ -1246,7 +1256,7 @@ func (e *Engine) startDecodePhase() {
 	// Drop evicted ids; sort for determinism.
 	pool := e.decodePool[:0]
 	for _, id := range e.decodePool {
-		if st := e.states[id]; !st.evicted && !st.done {
+		if st := e.states[id]; st != nil && !st.evicted {
 			pool = append(pool, id)
 		}
 	}
@@ -1368,7 +1378,7 @@ func (e *Engine) onDecodeDone(slot, ep int, res runtime.PassResult) {
 	// waiting out the phase. (Colocated engines never stage imports.)
 	if len(e.imported) > 0 && !e.switchToPrefil {
 		for _, id := range e.imported {
-			if st := e.states[id]; st.done || st.evicted {
+			if st := e.states[id]; st == nil || st.evicted {
 				continue
 			}
 			d := e.enterBatch(id)
@@ -1551,15 +1561,27 @@ func (e *Engine) requeue(id int, front bool) {
 }
 
 // finishReq retires request id at t: it leaves the decode plane, its
-// KV is freed and the finish hook fires.
+// KV is freed, its record and token counts move to the record table and
+// the running sums, its state is dropped and the finish hook fires.
 //
 //det:hotpath
 func (e *Engine) finishReq(id int, t sim.Time) {
 	e.leaveResident(id)
 	st := e.states[id]
-	st.done = true
-	st.finishedAt = t
 	e.kv.Free(id)
+	if id >= len(e.records) {
+		e.records = append(e.records, make([]metrics.RequestRecord, len(e.states)-len(e.records))...) //det:ignore hotalloc amortized record-table growth, to every id added so far, at a finish past the table's end
+	}
+	e.records[id] = metrics.RequestRecord{
+		ID:           id,
+		Arrival:      st.req.ArrivalTime,
+		FirstToken:   float64(st.firstTokenAt),
+		Finish:       float64(t),
+		OutputTokens: st.generated,
+	}
+	e.inputTokens += st.req.InputLen
+	e.outputTokens += st.generated
+	e.states[id] = nil
 	e.finished++
 	if e.onFinish != nil {
 		e.onFinish(id)
@@ -1589,24 +1611,23 @@ func (e *Engine) buildResult() (*Result, error) {
 		GPUs:      e.cfg.World,
 		Requests:  e.finished,
 		Elapsed:   float64(e.doneAt),
+		// The sums cover every finished request.
+		InputTokens:  e.inputTokens,
+		OutputTokens: e.outputTokens,
 	}
-	records := make([]metrics.RequestRecord, len(e.states))
+	if e.records == nil {
+		e.records = make([]metrics.RequestRecord, len(e.states))
+	} else {
+		e.records = append(e.records, make([]metrics.RequestRecord, len(e.states)-len(e.records))...)
+	}
+	records := e.records
 	for i, st := range e.states {
-		if st.aborted {
-			// Crash-lost copy: its record stays unfinished (zero Finish,
-			// zero tokens — Faults.LostOutputTokens accounts the work)
-			// and the re-dispatched copy reports elsewhere.
+		// Finalize's balance leaves only crash-lost copies unretired:
+		// their records stay unfinished (zero Finish, zero tokens —
+		// Faults.LostOutputTokens accounts the work) and the
+		// re-dispatched copy reports elsewhere.
+		if st != nil {
 			records[i] = metrics.RequestRecord{ID: i, Arrival: st.req.ArrivalTime}
-			continue
-		}
-		rep.InputTokens += st.req.InputLen
-		rep.OutputTokens += st.generated
-		records[i] = metrics.RequestRecord{
-			ID:           i,
-			Arrival:      st.req.ArrivalTime,
-			FirstToken:   float64(st.firstTokenAt),
-			Finish:       float64(st.finishedAt),
-			OutputTokens: st.generated,
 		}
 	}
 	rep.PhaseSwitches = e.switches

@@ -10,13 +10,17 @@ func (e *Engine) Now() sim.Time { return e.eng.Now() }
 // RequestTTFT returns the time-to-first-token of a request by local id,
 // and whether a first token has been produced yet. Recompute evictions
 // and crash recoveries keep the original first-token instant, so the
-// value spans the request's whole lifecycle.
+// value spans the request's whole lifecycle. A finished request answers
+// from its retired record.
 func (e *Engine) RequestTTFT(id int) (float64, bool) {
 	if id < 0 || id >= len(e.states) {
 		return 0, false
 	}
 	st := e.states[id]
-	if st.generated <= 0 && !st.done {
+	if st == nil {
+		return e.records[id].TTFT(), true
+	}
+	if st.generated <= 0 {
 		return 0, false
 	}
 	return float64(st.firstTokenAt - sim.Time(st.req.ArrivalTime)), true
@@ -43,7 +47,7 @@ func (e *Engine) PreemptLowPriority(minPrio, needTokens int) []int {
 	var victims []int
 	for id := len(e.states) - 1; id >= 0; id-- {
 		st := e.states[id]
-		if st.done || st.evicted || st.aborted || st.req.Priority < minPrio || !e.kv.Has(id) {
+		if st == nil || st.evicted || st.aborted || st.req.Priority < minPrio || !e.kv.Has(id) {
 			continue
 		}
 		e.requeue(id, false)

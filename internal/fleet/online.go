@@ -52,6 +52,12 @@ type router struct {
 	fab  *fabric
 	reqs []workload.Request
 	led  *ledger
+	// arrivals lists the trace in (arrival, trace index) order and
+	// arrivalSeq is the control sequence number reserved for its first
+	// entry: each first-time arrival event schedules the next one under
+	// its reserved number, so the timeline holds one of them at a time.
+	arrivals   []int
+	arrivalSeq uint64
 	// engines holds every replica in fleet-global order (the prefill
 	// pool first, then decode); pools slice it.
 	engines []*core.Engine
@@ -232,13 +238,14 @@ func newRouter(cfg core.Config, reqs []workload.Request, workers int, plan *faul
 		fab.pendingWork = func() bool { return len(ro.pending) > 0 }
 		fab.drainAt = ro.drainPending
 	}
-	// One control event per request at its arrival instant, scheduled
+	// One control event per request at its arrival instant, numbered
 	// in (arrival, trace index) order so simultaneous arrivals route in
-	// trace order. AtFunc carries the trace index, so arrivals cost no
-	// closure.
-	for _, idx := range workload.SortByArrival(reqs) {
-		fab.ctl.AtFunc(sim.Time(reqs[idx].ArrivalTime), arriveEvent, ro, idx, 0)
-	}
+	// trace order. The numbers are reserved here and the events
+	// streamed: only the first is scheduled now, and each schedules the
+	// next as it fires.
+	ro.arrivals = workload.SortByArrival(reqs)
+	ro.arrivalSeq = fab.ctl.ReserveSeq(len(reqs))
+	ro.scheduleArrival(0)
 	if plan != nil {
 		ro.scheduleCrashes()
 	}
@@ -349,11 +356,34 @@ type pendingRec struct {
 	firstTokenAt sim.Time
 }
 
+// arrivalCheck, when set, runs at every arrival event once the event
+// has scheduled the next first-time arrival. Only tests set it, to see
+// how much of the trace the control timeline holds.
+var arrivalCheck func(ro *router)
+
+// scheduleArrival schedules the i-th arrival in arrival order, if the
+// trace has one, under its reserved sequence number (AtFuncSeq carries
+// the trace index and i+1).
+func (ro *router) scheduleArrival(i int) {
+	if i < len(ro.arrivals) {
+		idx := ro.arrivals[i]
+		ro.ctl.AtFuncSeq(sim.Time(ro.reqs[idx].ArrivalTime), ro.arrivalSeq+uint64(i), arriveEvent, ro, idx, i+1)
+	}
+}
+
 // arriveEvent fires at a request's arrival instant, and again at each
 // admission retry the policy layer schedules (AtFunc: ctx is the
-// router, a the trace index).
-func arriveEvent(ctx any, idx, _ int) {
+// router, a the trace index, b the arrival's position in arrival order
+// plus one for a first-time arrival, which schedules the next, and 0
+// for a retry).
+func arriveEvent(ctx any, idx, next int) {
 	ro := ctx.(*router)
+	if next > 0 {
+		ro.scheduleArrival(next)
+	}
+	if arrivalCheck != nil {
+		arrivalCheck(ro)
+	}
 	if ro.err != nil || ro.led.droppedReason[idx] != "" {
 		return
 	}

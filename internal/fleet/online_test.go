@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/kvcache"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -316,5 +317,44 @@ func runToEnd(t testing.TB, ro *router) {
 	ro.fab.run()
 	if ro.err != nil {
 		t.Fatal(ro.err)
+	}
+}
+
+// Arrivals stream: the control timeline holds one first-time arrival at
+// a time. A layer-free colocated fleet has no other control events, so
+// at each arrival, once it scheduled the next, one event at most is
+// pending; a split fleet under a fault plan starts with its first
+// arrival and the plan's crashes and restarts alone.
+func TestArrivalsStream(t *testing.T) {
+	defer func() { arrivalCheck = nil }()
+	for _, reqs := range [][]workload.Request{onlineTrace(200, 3, 400), smallTrace(120, 5)} {
+		for _, name := range []string{LeastWork, RoundRobin, PrefixAffinity} {
+			arrivals, most := 0, 0
+			arrivalCheck = func(ro *router) {
+				arrivals++
+				most = max(most, ro.ctl.Pending())
+			}
+			serveRouter(t, fastConfig(2), reqs, nil, newPool("", 4, mustPolicy(t, name, Options{})))
+			if arrivals != len(reqs) || most > 1 {
+				t.Errorf("%s: %d arrivals of %d, up to %d control events pending at one", name, arrivals, len(reqs), most)
+			}
+		}
+	}
+	arrivalCheck = nil
+	reqs := faultTrace(120, 19)
+	plan, err := faults.NewPlan(faults.Config{Seed: 3, Horizon: 0.2, MTBF: 0.05, RestartDelay: 0.02}, 3, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Crashes) == 0 {
+		t.Fatal("plan holds no crashes")
+	}
+	pre, dec := mustPolicy(t, LeastWork, Options{}), mustPolicy(t, DecodeAffinity, Options{})
+	ro, err := newRouter(fastConfig(2), reqs, 1, plan, nil, newPool("prefill ", 1, pre), newPool("decode ", 2, dec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ro.ctl.Pending(), 1+2*len(plan.Crashes); got != want {
+		t.Fatalf("split fault router starts with %d control events, want %d", got, want)
 	}
 }

@@ -180,9 +180,9 @@ func Digest(records []RequestRecord, slo SLO) LatencyDigest {
 	}
 	d.MeanTTFT /= float64(len(ttft))
 	d.MeanE2E /= float64(len(ttft))
-	d.TTFTP50, d.TTFTP95, d.TTFTP99 = Percentile(ttft, 50), Percentile(ttft, 95), Percentile(ttft, 99)
-	d.TPOTP50, d.TPOTP95, d.TPOTP99 = Percentile(tpot, 50), Percentile(tpot, 95), Percentile(tpot, 99)
-	d.E2EP50, d.E2EP95, d.E2EP99 = Percentile(e2e, 50), Percentile(e2e, 95), Percentile(e2e, 99)
+	d.TTFTP50, d.TTFTP95, d.TTFTP99 = rank(ttft, 50), rank(ttft, 95), rank(ttft, 99)
+	d.TPOTP50, d.TPOTP95, d.TPOTP99 = rank(tpot, 50), rank(tpot, 95), rank(tpot, 99)
+	d.E2EP50, d.E2EP95, d.E2EP99 = rank(e2e, 50), rank(e2e, 95), rank(e2e, 99)
 	return d
 }
 
@@ -198,11 +198,12 @@ func Percentile(values []float64, p float64) float64 {
 		sort.Float64s(c)
 		values = c
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	return values[int(p/100*float64(len(values)-1))]
+	return rank(values, p)
+}
+
+// rank returns the p-th percentile of sorted, a non-empty slice in
+// ascending order, with p clamped to [0, 100].
+func rank(sorted []float64, p float64) float64 {
+	p = min(max(p, 0), 100)
+	return sorted[int(p/100*float64(len(sorted)-1))]
 }

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -238,5 +239,106 @@ func TestRunUntilPreservesPooledEvents(t *testing.T) {
 		if v != i {
 			t.Fatalf("order[%d] = %d", i, v)
 		}
+	}
+}
+
+// streamScenario runs n arrivals, at sorted times drawn from a tiny
+// alphabet (so many tie), among other events scheduled before and after
+// them, with every event sometimes scheduling children at the current
+// or a later instant, and returns the firing order. Up front, every
+// arrival is scheduled with AtFunc before the run; chained, ReserveSeq
+// numbers them and each arrival schedules the next with AtFuncSeq, at
+// the start of its callback or at its end (late).
+func streamScenario(seed int64, n int, chained, late bool) []int {
+	e := NewEngine()
+	rng := rand.New(rand.NewSource(seed))
+	times := []Time{0, 0, 0.25, 0.5, 0.5, 1, 2}
+	arrivals := make([]Time, n)
+	for i := range arrivals {
+		arrivals[i] = times[rng.Intn(len(times))]
+	}
+	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i] < arrivals[j] })
+	var order []int
+	next := 2 * n
+	var spawn func(id int)
+	var first uint64
+	var arrive func(i int)
+	spawn = func(id int) {
+		order = append(order, id)
+		if rng.Intn(3) != 0 || next > 4*n {
+			return
+		}
+		for _, at := range []Time{e.Now(), e.Now() + times[rng.Intn(len(times))]} {
+			child := next
+			next++
+			e.AtFunc(at, func(any, int, int) { spawn(child) }, nil, 0, 0)
+		}
+	}
+	arrive = func(i int) {
+		chain := func() {
+			if chained && i+1 < n {
+				e.AtFuncSeq(arrivals[i+1], first+uint64(i+1), func(any, int, int) { arrive(i + 1) }, nil, 0, 0)
+			}
+		}
+		if !late {
+			chain()
+		}
+		spawn(i)
+		if late {
+			chain()
+		}
+	}
+	other := func(k int) {
+		id := n + k
+		e.AtFunc(times[rng.Intn(len(times))], func(any, int, int) { spawn(id) }, nil, 0, 0)
+	}
+	for k := 0; k < n/2; k++ {
+		other(k)
+	}
+	if chained {
+		first = e.ReserveSeq(n)
+		e.AtFuncSeq(arrivals[0], first, func(any, int, int) { arrive(0) }, nil, 0, 0)
+	} else {
+		for i := range arrivals {
+			i := i
+			e.AtFunc(arrivals[i], func(any, int, int) { arrive(i) }, nil, 0, 0)
+		}
+	}
+	for k := n / 2; k < n; k++ {
+		other(k)
+	}
+	e.Run()
+	return order
+}
+
+// Arrivals streamed one at a time under reserved sequence numbers fire
+// in exactly the order they fire in when all are scheduled up front:
+// equal-time ties among themselves and with other events, and events
+// scheduled meanwhile, included.
+func TestReservedSeqStreamMatchesUpFront(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		want := streamScenario(seed, 40, false, false)
+		for _, late := range []bool{false, true} {
+			if got := streamScenario(seed, 40, true, late); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d (late %v): chained order diverged from up-front order:\n got %v\nwant %v", seed, late, got, want)
+			}
+		}
+	}
+}
+
+// AtFuncSeq refuses a number ReserveSeq never handed out.
+func TestAtFuncSeqUnreservedPanics(t *testing.T) {
+	e := NewEngine()
+	first := e.ReserveSeq(2)
+	e.AtFunc(0, func(any, int, int) {}, nil, 0, 0)
+	for _, seq := range []uint64{0, first + 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AtFuncSeq under unreserved number %d did not panic", seq)
+				}
+			}()
+			e.AtFuncSeq(1, seq, func(any, int, int) {}, nil, 0, 0)
+		}()
 	}
 }

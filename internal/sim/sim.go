@@ -117,12 +117,12 @@ func (e *Engine) recycle(i int32) {
 	e.free = i
 }
 
-// push inserts a heap entry for body idx at time t.
+// push inserts a heap entry for body idx at time t under sequence
+// number seq.
 //
 //det:hotpath
-func (e *Engine) push(t Time, idx int32) {
-	e.seq++
-	ent := entry{at: t, seq: e.seq, idx: idx}
+func (e *Engine) push(t Time, seq uint64, idx int32) {
+	ent := entry{at: t, seq: seq, idx: idx}
 	e.heap = append(e.heap, ent) //det:ignore hotalloc amortized heap growth; steady state reuses the popped slot's capacity
 	i := len(e.heap) - 1
 	for i > 0 {
@@ -179,13 +179,44 @@ func (e *Engine) pop() entry {
 //
 //det:hotpath
 func (e *Engine) AtFunc(t Time, cb EventFunc, ctx any, a, b int) {
+	e.seq++
+	e.AtFuncSeq(t, e.seq, cb, ctx, a, b)
+}
+
+// ReserveSeq reserves n consecutive sequence numbers and returns the
+// first. An event scheduled later with AtFuncSeq under a reserved
+// number orders against every other event exactly as if AtFunc had
+// scheduled it at the reservation, so a caller can stream a long run of
+// future events (a trace's arrivals) one at a time instead of holding
+// them all in the heap.
+func (e *Engine) ReserveSeq(n int) uint64 {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: reserving %d sequence numbers", n))
+	}
+	first := e.seq + 1
+	e.seq += uint64(n)
+	return first
+}
+
+// AtFuncSeq schedules cb(ctx, a, b) at t under seq, a sequence number
+// ReserveSeq handed out, in place of a fresh one. Use each reserved
+// number once, before the engine dispatches any event that would fire
+// after the one scheduled under it (a chain in which each event
+// schedules the next does so): the events then dispatch as they would
+// have had AtFunc scheduled them all at the reservation.
+//
+//det:hotpath
+func (e *Engine) AtFuncSeq(t Time, seq uint64, cb EventFunc, ctx any, a, b int) {
+	if seq == 0 || seq > e.seq {
+		panic(fmt.Sprintf("sim: sequence number %d was never reserved", seq))
+	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	idx := e.alloc()
 	ev := &e.arena[idx]
 	ev.cb, ev.ctx, ev.a, ev.b = cb, ctx, a, b
-	e.push(t, idx)
+	e.push(t, seq, idx)
 }
 
 // Stop makes Run return after the current event completes.
