@@ -139,10 +139,13 @@ func (e *Engine) syncStates(skip int) {
 // markEvicted flags the batch entries of requests evicted since they
 // joined their batch, so each slot skips them when its pass returns.
 // Evictions are rare; this scans every batch once per evicting call.
+// A slot whose pass is being applied still holds, past its survivors,
+// the old copies of moved entries and of requests that finished in the
+// pass, whose states are gone; those copies are dropped with the pass.
 func (e *Engine) markEvicted() {
 	for _, b := range e.batches {
 		for i := range b {
-			if d := &b[i]; !d.evicted && e.states[d.id].evicted {
+			if d, st := &b[i], e.states[b[i].id]; !d.evicted && st != nil && st.evicted {
 				d.evicted = true
 			}
 		}
@@ -1570,7 +1573,7 @@ func (e *Engine) finishReq(id int, t sim.Time) {
 	st := e.states[id]
 	e.kv.Free(id)
 	if id >= len(e.records) {
-		e.records = append(e.records, make([]metrics.RequestRecord, len(e.states)-len(e.records))...) //det:ignore hotalloc amortized record-table growth, to every id added so far, at a finish past the table's end
+		e.growRecords()
 	}
 	e.records[id] = metrics.RequestRecord{
 		ID:           id,
@@ -1586,6 +1589,19 @@ func (e *Engine) finishReq(id int, t sim.Time) {
 	if e.onFinish != nil {
 		e.onFinish(id)
 	}
+}
+
+// growRecords extends the record table to every id added so far. It
+// runs at a finish past the table's end and at Finalize, never while
+// every state is live, and leaves the table non-nil: a run without
+// requests reports an empty one.
+//
+//det:hotpath
+func (e *Engine) growRecords() {
+	if e.records == nil {
+		e.records = make([]metrics.RequestRecord, 0, len(e.states)) //det:ignore hotalloc the table's first allocation, at the first finish or at Finalize
+	}
+	e.records = append(e.records, make([]metrics.RequestRecord, len(e.states)-len(e.records))...) //det:ignore hotalloc amortized record-table growth, to every id added so far
 }
 
 // finish extends doneAt to t and folds the busy time up to it: an
@@ -1615,11 +1631,7 @@ func (e *Engine) buildResult() (*Result, error) {
 		InputTokens:  e.inputTokens,
 		OutputTokens: e.outputTokens,
 	}
-	if e.records == nil {
-		e.records = make([]metrics.RequestRecord, len(e.states))
-	} else {
-		e.records = append(e.records, make([]metrics.RequestRecord, len(e.states)-len(e.records))...)
-	}
+	e.growRecords()
 	records := e.records
 	for i, st := range e.states {
 		// Finalize's balance leaves only crash-lost copies unretired:

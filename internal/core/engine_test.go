@@ -338,6 +338,62 @@ func TestOOMDoesNotSpareDeadBatchEntries(t *testing.T) {
 	}
 }
 
+// Two requests of one batch finish in the same decode step ahead of a
+// survivor whose new block hits a full pool. The slot compacts in place,
+// so when the OOM runs the slot still holds an old copy of the second
+// finished request, whose state is gone; the eviction must pass over it.
+// The survivor keeps its KV, one other request is evicted, and the
+// step checks still hold after the pass.
+func TestOOMAfterTwoFinishesInOneStep(t *testing.T) {
+	e := midDecodeEngine(t, detConfig(1), smallTrace(2000, 5), 1)
+	b := e.batches[0]
+	if len(b) < 3 {
+		t.Fatalf("the decode batch holds %d requests, want 3", len(b))
+	}
+	// The slot's third entry outlives the step and its next token opens
+	// a block.
+	for i := range b {
+		if b[i].room == 0 && b[i].outputLen-b[i].generated >= 2 {
+			b[2], b[i] = b[i], b[2]
+			break
+		}
+	}
+	if b[2].room != 0 || b[2].outputLen-b[2].generated < 2 {
+		t.Fatal("no request of the batch opens a block this step and outlives it")
+	}
+	a, fin, c := b[0].id, b[1].id, b[2].id
+	b[0].generated = b[0].outputLen - 1
+	b[1].generated = b[1].outputLen - 1
+	// Once fin has finished and freed its blocks, the waiting head is
+	// admitted and takes every free block, as survivors between fin and
+	// c could: c's next token finds the pool full.
+	w := e.waiting.PopFront()
+	e.SetOnFinish(func(id int) {
+		if id != fin {
+			return
+		}
+		if _, err := e.kv.Allocate(w, e.kv.FreeBlocks()*e.kv.BlockSize(), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Apply the slot's pass, the only event in flight.
+	recomputes := e.recomputes
+	e.eng.RunUntil(e.eng.NextEventTime())
+	e.SetOnFinish(nil)
+	if e.states[a] != nil || e.states[fin] != nil {
+		t.Fatalf("finished requests %d and %d still hold state", a, fin)
+	}
+	if !e.kv.Has(c) || e.states[c] == nil || e.states[c].evicted {
+		t.Fatalf("growing request %d lost its KV", c)
+	}
+	if e.recomputes != recomputes+1 {
+		t.Fatalf("the full pool evicted %d requests, want 1", e.recomputes-recomputes)
+	}
+	if e.fatalErr != nil {
+		t.Fatal(e.fatalErr)
+	}
+}
+
 func TestEngineCannotRunTwice(t *testing.T) {
 	eng := sim.NewEngine()
 	e, err := NewEngine(eng, fastConfig(2))

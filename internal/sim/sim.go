@@ -180,7 +180,7 @@ func (e *Engine) pop() entry {
 //det:hotpath
 func (e *Engine) AtFunc(t Time, cb EventFunc, ctx any, a, b int) {
 	e.seq++
-	e.AtFuncSeq(t, e.seq, cb, ctx, a, b)
+	e.schedule(t, e.seq, cb, ctx, a, b)
 }
 
 // ReserveSeq reserves n consecutive sequence numbers and returns the
@@ -210,6 +210,15 @@ func (e *Engine) AtFuncSeq(t Time, seq uint64, cb EventFunc, ctx any, a, b int) 
 	if seq == 0 || seq > e.seq {
 		panic(fmt.Sprintf("sim: sequence number %d was never reserved", seq))
 	}
+	e.schedule(t, seq, cb, ctx, a, b)
+}
+
+// schedule is the body AtFunc and AtFuncSeq share: it puts cb(ctx, a,
+// b) in a body slot and pushes it at t under seq, which AtFunc has just
+// taken and AtFuncSeq has checked.
+//
+//det:hotpath
+func (e *Engine) schedule(t Time, seq uint64, cb EventFunc, ctx any, a, b int) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
